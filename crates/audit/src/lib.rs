@@ -6,11 +6,10 @@
 //! bounded queues, event-time monotonicity, bit-stable shard handoffs —
 //! that goldens only check after the fact. This crate is the *detection*
 //! half of fault tolerance: the runtime samples a [`BoundarySample`] at
-//! checkpoint/window boundaries and hands it to an [`Audit`]
-//! implementation. The real [`InvariantAuditor`] evaluates cheap
-//! incremental watchdogs over the sample; the zero-sized [`NoopAudit`]
-//! mirrors the `Probe` pattern (`ENABLED = false` monomorphizes every
-//! audit hook away), so default builds pay nothing.
+//! checkpoint/window boundaries and hands it to the [`InvariantAuditor`],
+//! which evaluates cheap incremental watchdogs over the sample. A run
+//! without an auditor attached has no boundaries at all, so it pays only
+//! the event loop's existing integer compare.
 //!
 //! On a trip the auditor does **not** panic: it records a typed
 //! [`AnomalyReport`], and the runtime dumps the [`SnapshotRing`] — the
@@ -22,8 +21,8 @@
 //!
 //! Watchdogs are O(switch ports + flows) per boundary and allocation-free
 //! after warm-up; boundaries default to every 50k events, so the audit
-//! amortizes to well under 1% of the event loop (measured by the qbench
-//! `audit_ab` section). Nothing an auditor observes may steer the
+//! amortizes to a few percent of the event loop (`drillbench`'s
+//! `audit.overhead_ratio`). Nothing an auditor observes may steer the
 //! simulation: auditor-on fingerprints are pinned bit-identical to
 //! auditor-off.
 
@@ -272,39 +271,6 @@ impl fmt::Display for AnomalyReport {
     }
 }
 
-/// The audit hook the runtime is generic over, mirroring the telemetry
-/// `Probe` pattern: static dispatch, empty inlined defaults, and a
-/// zero-sized [`NoopAudit`] whose `ENABLED = false` lets the event loop
-/// skip boundary assembly entirely.
-///
-/// Audits observe and accuse; they never steer. Nothing returned from an
-/// audit method may influence the simulation — the determinism goldens
-/// pin auditor-on fingerprints bit-identical to auditor-off.
-pub trait Audit {
-    /// Whether boundary samples should be assembled at all. `false`
-    /// compiles the whole audit path out.
-    const ENABLED: bool = true;
-
-    /// Inspect one boundary sample. Called between dispatches only.
-    #[inline]
-    fn on_boundary(&mut self, _sample: &BoundarySample<'_>) {}
-
-    /// The anomalies recorded so far (chronological).
-    #[inline]
-    fn reports(&self) -> &[AnomalyReport] {
-        &[]
-    }
-}
-
-/// The do-nothing audit: zero-sized, `ENABLED = false`, every hook
-/// monomorphizes away. The default for every run that doesn't opt in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopAudit;
-
-impl Audit for NoopAudit {
-    const ENABLED: bool = false;
-}
-
 /// Per-flow stall tracking for the stuck-flow watchdog.
 #[derive(Clone, Copy, Debug)]
 struct FlowWatch {
@@ -316,8 +282,12 @@ struct FlowWatch {
     reported: bool,
 }
 
-/// The real auditor: evaluates every watchdog over each boundary sample
-/// and accumulates typed reports, capped at `max_reports`.
+/// The auditor: evaluates every watchdog over each boundary sample and
+/// accumulates typed reports, capped at `max_reports`.
+///
+/// It observes and accuses; it never steers. Nothing it returns may
+/// influence the simulation — the determinism goldens pin auditor-on
+/// fingerprints bit-identical to auditor-off.
 #[derive(Clone, Debug)]
 pub struct InvariantAuditor {
     stuck_after: Time,
@@ -360,10 +330,9 @@ impl InvariantAuditor {
     fn trip(&mut self, kind: AnomalyKind, at: Time, events: u64) {
         self.record(AnomalyReport { kind, at, events });
     }
-}
 
-impl Audit for InvariantAuditor {
-    fn on_boundary(&mut self, s: &BoundarySample<'_>) {
+    /// Inspect one boundary sample. Called between dispatches only.
+    pub fn on_boundary(&mut self, s: &BoundarySample<'_>) {
         // Event-time monotonicity: the clock never runs backwards, and
         // no pending event may be older than the clock.
         if s.now < self.prev_now {
@@ -475,7 +444,8 @@ impl Audit for InvariantAuditor {
         self.prev_hash = s.handoff_hash;
     }
 
-    fn reports(&self) -> &[AnomalyReport] {
+    /// The anomalies recorded so far (chronological).
+    pub fn reports(&self) -> &[AnomalyReport] {
         &self.reports
     }
 }
@@ -588,16 +558,6 @@ mod tests {
             handoff_hash: 0,
             flows,
         }
-    }
-
-    #[test]
-    fn noop_audit_is_zero_sized_and_disabled() {
-        assert_eq!(std::mem::size_of::<NoopAudit>(), 0);
-        assert!(!NoopAudit::ENABLED);
-        assert!(InvariantAuditor::ENABLED);
-        let mut a = NoopAudit;
-        a.on_boundary(&sample(&[]));
-        assert!(a.reports().is_empty());
     }
 
     #[test]

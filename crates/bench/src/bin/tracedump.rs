@@ -485,7 +485,7 @@ fn replay_from(dir: &Path) {
     let sampler = QueueSampler::new(tspec.sample_every);
     let w = World::restore_probed(&snap, &cfg, (recorder, sampler))
         .unwrap_or_else(|e| panic!("cannot restore {rewind}: {e}"));
-    let (stats, (recorder, _sampler), _audit) = w.finish_parts();
+    let (stats, (recorder, _sampler), _reports) = w.finish_parts();
     println!(
         "replayed window: events {rewind_events}..{} ({} recorder events)\n",
         stats.events.min(events),

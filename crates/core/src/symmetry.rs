@@ -18,7 +18,8 @@
 //!    sets down the levels visits each candidate edge exactly once and
 //!    yields, per destination, each link's label restriction — without
 //!    enumerating a single path. Links are then partition-refined over
-//!    destinations: two links end in the same class iff every restriction
+//!    destinations, the refinement chain keyed by destination: two links
+//!    end in the same class iff every per-destination restriction
 //!    matches, i.e. iff their full label sets are equal — exactly the
 //!    paper's `ℓ1 ~ ℓ2` (and *stricter* than the eager path's 64-bit score
 //!    hash, which can collide). Set operations are memoized on interned
@@ -133,10 +134,14 @@ pub struct SymmetryEngine {
     shift_memo: HashMap<(u32, u64), u32>,
     /// `(bset, bset)` -> set union.
     union_memo: HashMap<(u32, u32), u32>,
-    /// `(old class, lset)` -> refined class. Chains are content-addressed:
-    /// replaying identical restrictions yields identical final classes,
-    /// across destinations and across installs.
-    class_memo: HashMap<(u32, u32), u32>,
+    /// `(old class, lset, destination)` -> refined class. A label is a
+    /// `(src, dst, cf)` triple and an `lset` holds only its `(src, cf)`
+    /// half, so the destination is part of the key: the same restriction
+    /// received for two different destinations is two different label
+    /// sets. Chains are content-addressed — replaying identical
+    /// per-destination restrictions yields identical final classes across
+    /// installs.
+    class_memo: HashMap<(u32, u32, u32), u32>,
     next_class: u32,
     /// Canonical signatures of entry subgraphs (class ids renumbered by
     /// first occurrence), in their own id space.
@@ -216,7 +221,7 @@ impl SymmetryEngine {
                         let link = topo.egress(a, p);
                         let lset = self.shift(b, link.rate_bps);
                         let li = link.id.index();
-                        class[li] = self.refine(class[li], lset);
+                        class[li] = self.refine(class[li], lset, d);
                         if let NodeRef::Switch(t) = link.dst {
                             let adv = self.advance(b, link.rate_bps);
                             bstate[t.index()] = self.union(bstate[t.index()], adv);
@@ -252,7 +257,9 @@ impl SymmetryEngine {
                     }
                     // All candidate subtrees identical => every score group
                     // spans every port => provably one component, nothing
-                    // to walk or enumerate.
+                    // to walk or enumerate. Sound only because a class id
+                    // stands for a full (src, dst, cf) label set — the
+                    // per-destination chain in `refine`.
                     let collapsed = key.windows(2).all(|w| w[0] == w[1]);
                     let f = self.fps.intern(key);
                     fid[a.index()] = f;
@@ -417,17 +424,19 @@ impl SymmetryEngine {
         id
     }
 
-    /// Partition-refine a link class by this destination's restriction.
+    /// Partition-refine a link class by destination `d`'s restriction.
+    /// The chain is per destination: two links stay merged only if they
+    /// received the same restriction *for the same `d`* at every step.
     /// Fresh ids never collide with pre-refinement ids, so links *not*
     /// labeled for this destination (which keep their class) can never
     /// stay merged with links that were.
-    fn refine(&mut self, class: u32, lset: u32) -> u32 {
-        if let Some(&id) = self.class_memo.get(&(class, lset)) {
+    fn refine(&mut self, class: u32, lset: u32, d: u32) -> u32 {
+        if let Some(&id) = self.class_memo.get(&(class, lset, d)) {
             return id;
         }
         let id = self.next_class;
         self.next_class += 1;
-        self.class_memo.insert((class, lset), id);
+        self.class_memo.insert((class, lset, d), id);
         id
     }
 }

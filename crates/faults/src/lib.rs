@@ -472,7 +472,10 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drill_net::{leaf_spine, LeafSpineSpec, DEFAULT_PROP};
+    use drill_net::{
+        clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec,
+        LeafSpineSpec, RouteTable, Vl2Spec, DEFAULT_PROP,
+    };
 
     fn topo() -> Topology {
         leaf_spine(&LeafSpineSpec {
@@ -682,6 +685,106 @@ mod tests {
             ppm: 100
         }
         .changes_reachability());
+    }
+
+    /// One destination's `dist_levels` and per-switch `candidates`.
+    type DstRoutes = (Vec<Vec<SwitchId>>, Vec<Vec<u16>>);
+
+    /// Everything `World::reconverge` reads from a `RouteTable` besides
+    /// the groups it reinstalls, per destination leaf.
+    fn route_shape(t: &Topology) -> Vec<DstRoutes> {
+        let routes = RouteTable::compute(t);
+        (0..t.num_leaves() as u32)
+            .map(|d| {
+                let cands = (0..t.num_switches() as u32)
+                    .map(|s| routes.candidates(SwitchId(s), d).to_vec())
+                    .collect();
+                (routes.dist_levels(d), cands)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn non_reachability_faults_leave_routes_unchanged() {
+        // The premise of the runtime's reconvergence route-skip: a fault
+        // whose kind reports `!changes_reachability()` leaves a recomputed
+        // RouteTable identical, on every link of every topology family.
+        let ls = LeafSpineSpec {
+            spines: 3,
+            leaves: 4,
+            hosts_per_leaf: 1,
+            host_rate: 10_000_000_000,
+            core_rate: 40_000_000_000,
+            prop: DEFAULT_PROP,
+        };
+        let families: Vec<(&str, Topology)> = vec![
+            ("leaf_spine", leaf_spine(&ls)),
+            (
+                "leaf_spine_custom",
+                leaf_spine_custom(&ls, |l, s| vec![10_000_000_000; 1 + (l + s) % 2]),
+            ),
+            (
+                "vl2",
+                vl2(&Vl2Spec {
+                    tors: 4,
+                    aggs: 3,
+                    ints: 2,
+                    hosts_per_tor: 1,
+                    host_rate: 1_000_000_000,
+                    core_rate: 10_000_000_000,
+                    tor_uplinks: 2,
+                    prop: DEFAULT_PROP,
+                }),
+            ),
+            ("fat_tree", fat_tree(4, 10_000_000_000, DEFAULT_PROP)),
+            (
+                "fat_tree_custom",
+                fat_tree_custom(4, 4, 10_000_000_000, 10_000_000_000, DEFAULT_PROP),
+            ),
+            ("clos", clos(&ClosSpec::smoke())),
+        ];
+        for (name, mut t) in families {
+            let before = route_shape(&t);
+            let mut pairs: Vec<(u32, u32)> = t
+                .links()
+                .iter()
+                .filter_map(|l| match (l.src, l.dst) {
+                    (NodeRef::Switch(a), NodeRef::Switch(b)) if a.0 < b.0 => Some((a.0, b.0)),
+                    _ => None,
+                })
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let mut inj = FaultInjector::new();
+            let mut applied = 0;
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                // One of each kind, faults accumulating across the fabric.
+                let (num, den) = (1 + i as u32 % 3, 4);
+                let one_of_each = [
+                    FaultKind::LinkDown { a, b },
+                    FaultKind::LinkUp { a, b },
+                    FaultKind::SwitchDown { switch: a },
+                    FaultKind::SwitchUp { switch: a },
+                    FaultKind::Degrade { a, b, num, den },
+                    FaultKind::SetLoss { a, b, ppm: 1000 },
+                ];
+                for kind in one_of_each {
+                    if !kind.changes_reachability() {
+                        inj.apply(&mut t, kind);
+                        applied += 1;
+                    }
+                }
+                assert!(
+                    route_shape(&t) == before,
+                    "{name}: routes moved at ({a},{b})"
+                );
+            }
+            assert_eq!(applied, 2 * pairs.len(), "{name}: Degrade and SetLoss");
+            // Positive control: the comparison does see a reachability fault.
+            let (a, b) = pairs[0];
+            inj.apply(&mut t, FaultKind::LinkDown { a, b });
+            assert!(route_shape(&t) != before, "{name}: LinkDown went unseen");
+        }
     }
 
     #[test]

@@ -29,361 +29,229 @@
 //! `EventToken`): freeing bumps the slot generation, so a stale handle
 //! can never silently alias a reused slot — dereferencing one trips a
 //! debug assertion.
-//!
-//! # The `fat-events` build
-//!
-//! With the off-by-default `fat-events` cargo feature, [`PacketRef`]
-//! *is* the packet (carried by value, as before this refactor) and the
-//! arena degenerates to a live counter. The API is identical, so every
-//! consumer compiles against both layouts unchanged and
-//! `scripts/qbench.sh` can A/B the two builds end to end — behaviour is
-//! bit-identical by construction because the arena changes where packets
-//! live, never what happens to them.
+
+use std::io;
+
+use drill_sim::codec::{invalid, put_varint, Decoder};
 
 use crate::packet::Packet;
+use crate::snapio::{get_packet, put_packet};
 
-#[cfg(not(feature = "fat-events"))]
-mod slim {
-    use std::io;
+/// A copyable handle to a packet interned in a [`PacketArena`]:
+/// slab index + generation stamp, 8 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PacketRef {
+    idx: u32,
+    gen: u32,
+}
 
-    use drill_sim::codec::{invalid, put_varint, Decoder};
+struct Slot {
+    /// Bumped on every free; a handle is valid iff its stamp matches.
+    gen: u32,
+    /// `None` while the slot sits on the free list.
+    pkt: Option<Packet>,
+}
 
-    use super::Packet;
-    use crate::snapio::{get_packet, put_packet};
+/// Generational slab arena for in-flight packets (see module docs).
+#[derive(Default)]
+pub struct PacketArena {
+    slots: Vec<Slot>,
+    /// Indices of free slots, reused LIFO (hottest cache lines first).
+    free: Vec<u32>,
+    live: usize,
+}
 
-    /// A copyable handle to a packet interned in a [`PacketArena`]:
-    /// slab index + generation stamp, 8 bytes.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    pub struct PacketRef {
-        idx: u32,
-        gen: u32,
+impl PacketArena {
+    /// An empty arena.
+    pub const fn new() -> PacketArena {
+        PacketArena {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
-    struct Slot {
-        /// Bumped on every free; a handle is valid iff its stamp matches.
-        gen: u32,
-        /// `None` while the slot sits on the free list.
-        pkt: Option<Packet>,
+    /// Intern `pkt`, returning its handle. Reuses a freed slot when
+    /// one exists; grows the slab otherwise.
+    #[inline]
+    pub fn insert(&mut self, pkt: Packet) -> PacketRef {
+        self.live += 1;
+        if let Some(idx) = self.free.pop() {
+            let slot = &mut self.slots[idx as usize];
+            debug_assert!(slot.pkt.is_none(), "free-list slot was occupied");
+            slot.pkt = Some(pkt);
+            PacketRef { idx, gen: slot.gen }
+        } else {
+            let idx = self.slots.len() as u32;
+            self.slots.push(Slot {
+                gen: 0,
+                pkt: Some(pkt),
+            });
+            PacketRef { idx, gen: 0 }
+        }
     }
 
-    /// Generational slab arena for in-flight packets (see module docs).
-    #[derive(Default)]
-    pub struct PacketArena {
-        slots: Vec<Slot>,
-        /// Indices of free slots, reused LIFO (hottest cache lines first).
-        free: Vec<u32>,
-        live: usize,
+    #[inline]
+    fn check(&self, r: &PacketRef) {
+        debug_assert_eq!(
+            self.slots[r.idx as usize].gen, r.gen,
+            "stale PacketRef: slot {} was freed and reused",
+            r.idx
+        );
     }
 
-    impl PacketArena {
-        /// An empty arena.
-        pub const fn new() -> PacketArena {
-            PacketArena {
-                slots: Vec::new(),
-                free: Vec::new(),
-                live: 0,
-            }
-        }
+    /// Read the packet behind `r`.
+    ///
+    /// Debug builds assert the handle is current (a stale handle —
+    /// one whose slot was freed — is a lifecycle bug at the caller).
+    #[inline]
+    pub fn get(&self, r: &PacketRef) -> &Packet {
+        self.check(r);
+        self.slots[r.idx as usize]
+            .pkt
+            .as_ref()
+            .expect("PacketRef points at a freed slot")
+    }
 
-        /// Intern `pkt`, returning its handle. Reuses a freed slot when
-        /// one exists; grows the slab otherwise.
-        #[inline]
-        pub fn insert(&mut self, pkt: Packet) -> PacketRef {
-            self.live += 1;
-            if let Some(idx) = self.free.pop() {
-                let slot = &mut self.slots[idx as usize];
-                debug_assert!(slot.pkt.is_none(), "free-list slot was occupied");
-                slot.pkt = Some(pkt);
-                PacketRef { idx, gen: slot.gen }
-            } else {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    pkt: Some(pkt),
-                });
-                PacketRef { idx, gen: 0 }
-            }
-        }
+    /// Mutable access to the packet behind `r` (policy hooks mutate
+    /// source routes and CONGA tags in place).
+    #[inline]
+    pub fn get_mut(&mut self, r: &PacketRef) -> &mut Packet {
+        self.check(r);
+        self.slots[r.idx as usize]
+            .pkt
+            .as_mut()
+            .expect("PacketRef points at a freed slot")
+    }
 
-        #[inline]
-        fn check(&self, r: &PacketRef) {
-            debug_assert_eq!(
-                self.slots[r.idx as usize].gen, r.gen,
-                "stale PacketRef: slot {} was freed and reused",
-                r.idx
-            );
-        }
+    /// Remove the packet behind `r` from the arena and return it by
+    /// value (final delivery). Frees the slot.
+    #[inline]
+    pub fn take(&mut self, r: PacketRef) -> Packet {
+        self.check(&r);
+        let slot = &mut self.slots[r.idx as usize];
+        let pkt = slot.pkt.take().expect("PacketRef points at a freed slot");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(r.idx);
+        self.live -= 1;
+        pkt
+    }
 
-        /// Read the packet behind `r`.
-        ///
-        /// Debug builds assert the handle is current (a stale handle —
-        /// one whose slot was freed — is a lifecycle bug at the caller).
-        #[inline]
-        pub fn get<'a>(&'a self, r: &'a PacketRef) -> &'a Packet {
-            self.check(r);
-            self.slots[r.idx as usize]
-                .pkt
-                .as_ref()
-                .expect("PacketRef points at a freed slot")
-        }
+    /// Drop the packet behind `r` (any drop site). Frees the slot.
+    #[inline]
+    pub fn free(&mut self, r: PacketRef) {
+        let _ = self.take(r);
+    }
 
-        /// Mutable access to the packet behind `r` (policy hooks mutate
-        /// source routes and CONGA tags in place).
-        ///
-        /// Takes the handle mutably so the `fat-events` build — where the
-        /// handle owns the bytes — presents the same signature.
-        #[inline]
-        pub fn get_mut<'a>(&'a mut self, r: &'a mut PacketRef) -> &'a mut Packet {
-            self.check(r);
-            self.slots[r.idx as usize]
-                .pkt
-                .as_mut()
-                .expect("PacketRef points at a freed slot")
-        }
+    /// Number of packets currently interned. Zero once a run has
+    /// fully drained — the leak check the golden suite pins.
+    #[inline]
+    pub fn live(&self) -> usize {
+        self.live
+    }
 
-        /// Remove the packet behind `r` from the arena and return it by
-        /// value (final delivery). Frees the slot.
-        #[inline]
-        pub fn take(&mut self, r: PacketRef) -> Packet {
-            self.check(&r);
-            let slot = &mut self.slots[r.idx as usize];
-            let pkt = slot.pkt.take().expect("PacketRef points at a freed slot");
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(r.idx);
-            self.live -= 1;
-            pkt
-        }
+    /// Slab capacity in slots (high-water mark of concurrently live
+    /// packets; never shrinks).
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
 
-        /// Drop the packet behind `r` (any drop site). Frees the slot.
-        #[inline]
-        pub fn free(&mut self, r: PacketRef) {
-            let _ = self.take(r);
-        }
-
-        /// Number of packets currently interned. Zero once a run has
-        /// fully drained — the leak check the golden suite pins.
-        #[inline]
-        pub fn live(&self) -> usize {
-            self.live
-        }
-
-        /// Slab capacity in slots (high-water mark of concurrently live
-        /// packets; never shrinks).
-        #[inline]
-        pub fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        /// Serialize the whole slab: every slot (generation + occupancy +
-        /// packet), the free list **in LIFO order**, and the live count.
-        ///
-        /// The free-list order is load-bearing: slot reuse after restore
-        /// must pick the same slots in the same order as the
-        /// uninterrupted run, or every later `PacketRef` diverges and
-        /// bit-identical replay breaks.
-        pub fn save_state(&self, buf: &mut Vec<u8>) {
-            put_varint(buf, self.slots.len() as u64);
-            for slot in &self.slots {
-                put_varint(buf, slot.gen as u64);
-                match &slot.pkt {
-                    Some(p) => {
-                        buf.push(1);
-                        put_packet(buf, p);
-                    }
-                    None => buf.push(0),
+    /// Serialize the whole slab: every slot (generation + occupancy +
+    /// packet), the free list **in LIFO order**, and the live count.
+    ///
+    /// The free-list order is load-bearing: slot reuse after restore
+    /// must pick the same slots in the same order as the
+    /// uninterrupted run, or every later `PacketRef` diverges and
+    /// bit-identical replay breaks.
+    pub fn save_state(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.slots.len() as u64);
+        for slot in &self.slots {
+            put_varint(buf, slot.gen as u64);
+            match &slot.pkt {
+                Some(p) => {
+                    buf.push(1);
+                    put_packet(buf, p);
                 }
+                None => buf.push(0),
             }
-            put_varint(buf, self.free.len() as u64);
-            for &idx in &self.free {
-                put_varint(buf, idx as u64);
-            }
-            put_varint(buf, self.live as u64);
         }
-
-        /// Rebuild an arena from [`save_state`](PacketArena::save_state)
-        /// output, returning it with the recorded live count (always
-        /// consistent here; the fat build reconstructs live lazily, so
-        /// callers cross-check uniformly).
-        pub fn load_state(d: &mut Decoder<'_>) -> io::Result<(PacketArena, usize)> {
-            let n = d.varint_usize()?;
-            let mut slots = Vec::with_capacity(n.min(1 << 20));
-            let mut occupied = 0usize;
-            for _ in 0..n {
-                let gen = d.varint_u32()?;
-                let pkt = match d.u8()? {
-                    0 => None,
-                    1 => {
-                        occupied += 1;
-                        Some(get_packet(d)?)
-                    }
-                    _ => return Err(invalid("bad slot occupancy byte")),
-                };
-                slots.push(Slot { gen, pkt });
-            }
-            let free_len = d.varint_usize()?;
-            if free_len != n - occupied {
-                return Err(invalid("free list disagrees with slot occupancy"));
-            }
-            let mut free = Vec::with_capacity(free_len.min(1 << 20));
-            let mut seen = vec![false; n];
-            for _ in 0..free_len {
-                let idx = d.varint_u32()?;
-                let slot = slots
-                    .get(idx as usize)
-                    .ok_or_else(|| invalid("free index out of bounds"))?;
-                if slot.pkt.is_some() || std::mem::replace(&mut seen[idx as usize], true) {
-                    return Err(invalid("free index occupied or duplicated"));
-                }
-                free.push(idx);
-            }
-            let live = d.varint_usize()?;
-            if live != occupied {
-                return Err(invalid("live count disagrees with slot occupancy"));
-            }
-            Ok((PacketArena { slots, free, live }, live))
+        put_varint(buf, self.free.len() as u64);
+        for &idx in &self.free {
+            put_varint(buf, idx as u64);
         }
+        put_varint(buf, self.live as u64);
+    }
 
-        /// Serialize a handle as its `(index, generation)` pair. Debug
-        /// builds assert the handle is current against this arena.
-        pub fn encode_ref(&self, buf: &mut Vec<u8>, r: &PacketRef) {
-            self.check(r);
-            put_varint(buf, r.idx as u64);
-            put_varint(buf, r.gen as u64);
-        }
-
-        /// Decode a handle written by
-        /// [`encode_ref`](PacketArena::encode_ref), validating that it
-        /// points at an occupied slot of matching generation.
-        pub fn decode_ref(&mut self, d: &mut Decoder<'_>) -> io::Result<PacketRef> {
-            let idx = d.varint_u32()?;
+    /// Rebuild an arena from [`save_state`](PacketArena::save_state)
+    /// output, rejecting a free list or live count that disagrees with
+    /// slot occupancy.
+    pub fn load_state(d: &mut Decoder<'_>) -> io::Result<PacketArena> {
+        let n = d.varint_usize()?;
+        let mut slots = Vec::with_capacity(n.min(1 << 20));
+        let mut occupied = 0usize;
+        for _ in 0..n {
             let gen = d.varint_u32()?;
-            let slot = self
-                .slots
+            let pkt = match d.u8()? {
+                0 => None,
+                1 => {
+                    occupied += 1;
+                    Some(get_packet(d)?)
+                }
+                _ => return Err(invalid("bad slot occupancy byte")),
+            };
+            slots.push(Slot { gen, pkt });
+        }
+        let free_len = d.varint_usize()?;
+        if free_len != n - occupied {
+            return Err(invalid("free list disagrees with slot occupancy"));
+        }
+        let mut free = Vec::with_capacity(free_len.min(1 << 20));
+        let mut seen = vec![false; n];
+        for _ in 0..free_len {
+            let idx = d.varint_u32()?;
+            let slot = slots
                 .get(idx as usize)
-                .ok_or_else(|| invalid("PacketRef index out of bounds"))?;
-            if slot.gen != gen || slot.pkt.is_none() {
-                return Err(invalid("PacketRef is stale or points at a free slot"));
+                .ok_or_else(|| invalid("free index out of bounds"))?;
+            if slot.pkt.is_some() || std::mem::replace(&mut seen[idx as usize], true) {
+                return Err(invalid("free index occupied or duplicated"));
             }
-            Ok(PacketRef { idx, gen })
+            free.push(idx);
         }
+        let live = d.varint_usize()?;
+        if live != occupied {
+            return Err(invalid("live count disagrees with slot occupancy"));
+        }
+        Ok(PacketArena { slots, free, live })
+    }
+
+    /// Serialize a handle as its `(index, generation)` pair. Debug
+    /// builds assert the handle is current against this arena.
+    pub fn encode_ref(&self, buf: &mut Vec<u8>, r: &PacketRef) {
+        self.check(r);
+        put_varint(buf, r.idx as u64);
+        put_varint(buf, r.gen as u64);
+    }
+
+    /// Decode a handle written by
+    /// [`encode_ref`](PacketArena::encode_ref), validating that it
+    /// points at an occupied slot of matching generation.
+    pub fn decode_ref(&self, d: &mut Decoder<'_>) -> io::Result<PacketRef> {
+        let idx = d.varint_u32()?;
+        let gen = d.varint_u32()?;
+        let slot = self
+            .slots
+            .get(idx as usize)
+            .ok_or_else(|| invalid("PacketRef index out of bounds"))?;
+        if slot.gen != gen || slot.pkt.is_none() {
+            return Err(invalid("PacketRef is stale or points at a free slot"));
+        }
+        Ok(PacketRef { idx, gen })
     }
 }
-
-#[cfg(feature = "fat-events")]
-mod fat {
-    use std::io;
-
-    use drill_sim::codec::{put_varint, Decoder};
-
-    use super::Packet;
-    use crate::snapio::{get_packet, put_packet};
-
-    /// The `fat-events` handle: the packet itself, carried by value
-    /// through queues and events exactly as before the arena refactor.
-    /// Deliberately not `Copy` — the slim build's moves must compile
-    /// against a move-only handle so neither build double-frees.
-    #[derive(Debug)]
-    pub struct PacketRef {
-        pkt: Packet,
-    }
-
-    /// Pass-through arena: no storage, just the live-handle count so the
-    /// leak check exercises the same lifecycle contract on both builds.
-    #[derive(Default)]
-    pub struct PacketArena {
-        live: usize,
-    }
-
-    impl PacketArena {
-        /// An empty arena.
-        pub const fn new() -> PacketArena {
-            PacketArena { live: 0 }
-        }
-
-        /// Wrap `pkt` into a by-value handle.
-        #[inline]
-        pub fn insert(&mut self, pkt: Packet) -> PacketRef {
-            self.live += 1;
-            PacketRef { pkt }
-        }
-
-        /// Read the packet inside `r`.
-        #[inline]
-        pub fn get<'a>(&'a self, r: &'a PacketRef) -> &'a Packet {
-            &r.pkt
-        }
-
-        /// Mutable access to the packet inside `r`.
-        #[inline]
-        pub fn get_mut<'a>(&'a mut self, r: &'a mut PacketRef) -> &'a mut Packet {
-            &mut r.pkt
-        }
-
-        /// Unwrap the handle (final delivery).
-        #[inline]
-        pub fn take(&mut self, r: PacketRef) -> Packet {
-            self.live -= 1;
-            r.pkt
-        }
-
-        /// Drop the handle (any drop site).
-        #[inline]
-        pub fn free(&mut self, r: PacketRef) {
-            self.live -= 1;
-            let _ = r;
-        }
-
-        /// Number of outstanding handles.
-        #[inline]
-        pub fn live(&self) -> usize {
-            self.live
-        }
-
-        /// No slab in this build; reported as the live count so capacity
-        /// is still monotone against `live` for diagnostics.
-        #[inline]
-        pub fn capacity(&self) -> usize {
-            self.live
-        }
-
-        /// Serialize arena state: only the live count exists here (the
-        /// packets themselves travel with their handles, so
-        /// [`encode_ref`](PacketArena::encode_ref) writes them inline).
-        pub fn save_state(&self, buf: &mut Vec<u8>) {
-            put_varint(buf, self.live as u64);
-        }
-
-        /// Rebuild an arena: starts empty (`live == 0`; every decoded ref
-        /// re-inserts) and returns the recorded live count for the caller
-        /// to cross-check once all refs are decoded.
-        pub fn load_state(d: &mut Decoder<'_>) -> io::Result<(PacketArena, usize)> {
-            let live = d.varint_usize()?;
-            Ok((PacketArena::new(), live))
-        }
-
-        /// Serialize a handle: the packet travels inline in this build.
-        pub fn encode_ref(&self, buf: &mut Vec<u8>, r: &PacketRef) {
-            put_packet(buf, &r.pkt);
-        }
-
-        /// Decode a handle written by
-        /// [`encode_ref`](PacketArena::encode_ref), re-interning the
-        /// inline packet (which rebuilds the live count).
-        pub fn decode_ref(&mut self, d: &mut Decoder<'_>) -> io::Result<PacketRef> {
-            let pkt = get_packet(d)?;
-            Ok(self.insert(pkt))
-        }
-    }
-}
-
-#[cfg(feature = "fat-events")]
-pub use fat::{PacketArena, PacketRef};
-#[cfg(not(feature = "fat-events"))]
-pub use slim::{PacketArena, PacketRef};
 
 /// The slim handle must stay pocket-sized: it is the payload of the hot
 /// event variants, so its size bounds `NetEvent`'s.
-#[cfg(not(feature = "fat-events"))]
 const _: () = assert!(std::mem::size_of::<PacketRef>() == 8);
 
 #[cfg(test)]
@@ -419,14 +287,13 @@ mod tests {
     #[test]
     fn get_mut_mutates_in_place() {
         let mut a = PacketArena::new();
-        let mut r = a.insert(pkt(1));
-        a.get_mut(&mut r).push_route(42);
+        let r = a.insert(pkt(1));
+        a.get_mut(&r).push_route(42);
         assert_eq!(a.get(&r).srcroute_len, 1);
-        assert_eq!(a.get_mut(&mut r).next_route_hop(), Some(42));
+        assert_eq!(a.get_mut(&r).next_route_hop(), Some(42));
         a.free(r);
     }
 
-    #[cfg(not(feature = "fat-events"))]
     #[test]
     fn free_list_reuses_slots() {
         let mut a = PacketArena::new();
@@ -447,7 +314,6 @@ mod tests {
         assert_eq!(a.live(), 0);
     }
 
-    #[cfg(not(feature = "fat-events"))]
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "stale PacketRef")]
@@ -467,7 +333,7 @@ mod tests {
         // ever resolve to the same packet.
         let mut a = PacketArena::new();
         let mut rng = SimRng::seed_from(0xA11A);
-        let mut held: Vec<(super::PacketRef, u64)> = Vec::new();
+        let mut held: Vec<(PacketRef, u64)> = Vec::new();
         let mut next_id = 0u64;
         for round in 0..10_000usize {
             // Bias toward growth early, churn later.

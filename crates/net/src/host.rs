@@ -80,7 +80,7 @@ impl HostNic {
 
     /// Restore state written by [`save_state`](HostNic::save_state) into a
     /// freshly built NIC for the same host.
-    pub fn load_state(&mut self, arena: &mut PacketArena, d: &mut Decoder<'_>) -> io::Result<()> {
+    pub fn load_state(&mut self, arena: &PacketArena, d: &mut Decoder<'_>) -> io::Result<()> {
         let qlen = d.varint_usize()?;
         self.q.clear();
         for _ in 0..qlen {

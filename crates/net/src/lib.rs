@@ -62,8 +62,7 @@ use drill_sim::Time;
 /// Packet-carrying variants hold a [`PacketRef`] into the run's
 /// [`PacketArena`], not the packet itself: events are what the timing
 /// wheel's slab nodes, batch sorts and `EventSink` drains copy around, so
-/// they are pinned small by the `const` assert below (the `fat-events`
-/// A/B build carries packets by value and lifts the pin).
+/// they are pinned small by the `const` assert below.
 #[derive(Debug)]
 pub enum NetEvent {
     /// A packet has fully arrived at a switch (store-and-forward).
@@ -120,5 +119,4 @@ pub type EventSink = Vec<(Time, NetEvent)>;
 /// The whole point of the arena: handle-based events stay two words.
 /// `ArriveSwitch` (u32 switch + u16 ingress + 8-byte [`PacketRef`]) is the
 /// largest variant at 16 bytes including the discriminant.
-#[cfg(not(feature = "fat-events"))]
 const _: () = assert!(std::mem::size_of::<NetEvent>() <= 16);

@@ -145,7 +145,7 @@ pub fn put_net_event(buf: &mut Vec<u8>, arena: &PacketArena, ev: &NetEvent) {
 }
 
 /// Decode one event written by [`put_net_event`] against the same arena.
-pub fn get_net_event(d: &mut Decoder<'_>, arena: &mut PacketArena) -> io::Result<NetEvent> {
+pub fn get_net_event(d: &mut Decoder<'_>, arena: &PacketArena) -> io::Result<NetEvent> {
     Ok(match d.u8()? {
         0 => NetEvent::ArriveSwitch {
             switch: SwitchId(d.varint_u32()?),

@@ -19,7 +19,7 @@
 //!   `drill-telemetry` flight recorder + queue sampler (or any custom
 //!   [`Probe`](drill_telemetry::Probe)) attached; probes observe but never
 //!   steer, so every metric is bit-identical with telemetry on or off.
-//! * [`run_audited`] / [`run_with`] — the same run with the `drill-audit`
+//! * [`run_audited`] — the same run with the `drill-audit`
 //!   invariant watchdogs (packet conservation, stuck flows, queue
 //!   ceilings, time monotonicity, handoff fingerprints) evaluated at
 //!   event-count boundaries; audits observe but never steer, and a trip
@@ -43,6 +43,5 @@ pub use scheme::Scheme;
 pub use stats::{hop_index, hop_name, HopReport, RunStats};
 pub use sweep::{derive_seed, run_many, SweepPoint, SweepResults, SweepSpec};
 pub use world::{
-    random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, run_with, Telemetry,
-    World,
+    random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, Telemetry, World,
 };

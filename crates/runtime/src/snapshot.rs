@@ -18,8 +18,6 @@
 
 use std::io;
 
-use drill_audit::{Audit, NoopAudit};
-use drill_core::install_symmetric_groups_eager;
 use drill_faults::FaultKind;
 use drill_net::snapio::{get_net_event, put_net_event};
 use drill_net::{HostId, NetEvent, PacketArena, RouteTable, ShardPlan, SwitchId};
@@ -190,7 +188,7 @@ fn done(d: &Decoder<'_>) -> io::Result<()> {
     Ok(())
 }
 
-impl<P: Probe, A: Audit> World<P, A> {
+impl<P: Probe> World<P> {
     /// Capture the complete dynamic state as a [`Snapshot`].
     ///
     /// Must be called between events (never from inside a dispatch); the
@@ -203,7 +201,7 @@ impl<P: Probe, A: Audit> World<P, A> {
         debug_assert_eq!(self.stats.fct_ms.count(), 0, "snapshot of a finalized run");
         debug_assert_eq!(self.stats.flows_completed, 0);
 
-        let mut b = SnapshotBuilder::new(cfg!(feature = "fat-events"));
+        let mut b = SnapshotBuilder::new();
 
         // META: engine identity + clock.
         let mut buf = Vec::new();
@@ -407,11 +405,11 @@ impl<P: Probe, A: Audit> World<P, A> {
 impl World<NoopProbe> {
     /// Rebuild a runnable world from `snap`, structurally reconstructed
     /// from `cfg`. The config must describe the same experiment shape
-    /// (topology, scheme, engine count, shard count, packet layout) and
-    /// agree with the snapshot on the already-struck fault prefix; its
-    /// not-yet-struck fault suffix may diverge freely (warm-started
-    /// forks). Any mismatch or corruption surfaces as an error, never as
-    /// a silently wrong simulation.
+    /// (topology, scheme, engine count, shard count) and agree with the
+    /// snapshot on the already-struck fault prefix; its not-yet-struck
+    /// fault suffix may diverge freely (warm-started forks). Any mismatch
+    /// or corruption surfaces as an error, never as a silently wrong
+    /// simulation.
     pub fn restore(snap: &Snapshot, cfg: &ExperimentConfig) -> io::Result<World<NoopProbe>> {
         World::restore_probed(snap, cfg, NoopProbe)
     }
@@ -427,10 +425,7 @@ impl<P: Probe> World<P> {
         cfg: &ExperimentConfig,
         probe: P,
     ) -> io::Result<World<P>> {
-        if snap.fat_layout() != cfg!(feature = "fat-events") {
-            return Err(invalid("snapshot packet layout differs from this build"));
-        }
-        let mut w = World::build(cfg.clone(), probe, NoopAudit);
+        let mut w = World::build(cfg.clone(), probe, false);
 
         // META: engine identity must match the rebuilt world.
         let mut d = section(snap, SEC_META)?;
@@ -498,11 +493,7 @@ impl<P: Probe> World<P> {
                 // The installed groups are a pure function of (topo,
                 // routes) — engine memo warmth never changes the output —
                 // so a cold engine here reproduces the live run's tables.
-                if w.cfg.eager_control_plane {
-                    install_symmetric_groups_eager(&w.topo, &mut w.routes);
-                } else {
-                    w.symmetry.install(&w.topo, &mut w.routes);
-                }
+                w.symmetry.install(&w.topo, &mut w.routes);
             }
             if matches!(w.cfg.scheme, Scheme::Wcmp) {
                 for i in 0..w.switches.len() {
@@ -541,12 +532,9 @@ impl<P: Probe> World<P> {
         if d.varint()? != w.plan.num_shards as u64 {
             return Err(invalid("arena count differs from shard plan"));
         }
-        let mut recorded_live = 0usize;
         let mut arenas = Vec::new();
         for _ in 0..w.plan.num_shards {
-            let (a, live) = PacketArena::load_state(&mut d)?;
-            recorded_live += live;
-            arenas.push(a);
+            arenas.push(PacketArena::load_state(&mut d)?);
         }
         done(&d)?;
         w.arenas = arenas;
@@ -558,7 +546,7 @@ impl<P: Probe> World<P> {
         }
         for i in 0..w.switches.len() {
             let k = w.plan.switch_shard[i] as usize;
-            w.switches[i].load_state(&mut w.arenas[k], &mut d)?;
+            w.switches[i].load_state(&w.arenas[k], &mut d)?;
         }
         done(&d)?;
 
@@ -569,7 +557,7 @@ impl<P: Probe> World<P> {
         }
         for h in 0..w.nics.len() {
             let k = w.plan.host_shard[h] as usize;
-            w.nics[h].load_state(&mut w.arenas[k], &mut d)?;
+            w.nics[h].load_state(&w.arenas[k], &mut d)?;
         }
         done(&d)?;
 
@@ -603,7 +591,7 @@ impl<P: Probe> World<P> {
                 let (threshold, timeout) = w.cfg.scheme.shim_params();
                 let mut s = ShimBuffer::with_threshold(timeout, threshold);
                 let k = w.plan.host_shard[f.dst.index()] as usize;
-                s.load_state(&mut w.arenas[k], &mut d)?;
+                s.load_state(&w.arenas[k], &mut d)?;
                 Some(s)
             } else {
                 None
@@ -695,7 +683,7 @@ impl<P: Probe> World<P> {
                     if dst >= w.plan.num_shards {
                         return Err(invalid("net event names a shard outside the plan"));
                     }
-                    let ne = get_net_event(&mut d, &mut w.arenas[dst as usize])?;
+                    let ne = get_net_event(&mut d, &w.arenas[dst as usize])?;
                     if net_dst(&w.plan, &ne) != dst {
                         return Err(invalid("net event owner disagrees with shard plan"));
                     }
@@ -747,14 +735,6 @@ impl<P: Probe> World<P> {
                     Event::Fault { idx: idx as u32 },
                 );
             }
-        }
-
-        // Leak check: every packet recorded live must have found exactly
-        // one holder (arena slots in the slim layout; switch/NIC/shim/event
-        // decode re-insertions in the fat layout).
-        let live: usize = w.arenas.iter().map(|a| a.live()).sum();
-        if live != recorded_live {
-            return Err(invalid("restored packet count disagrees with snapshot"));
         }
         Ok(w)
     }

@@ -156,7 +156,7 @@ pub struct RunStats {
     /// the serial engine).
     pub shard_windows: u64,
     /// Invariant-watchdog anomaly reports recorded by an attached
-    /// auditor (always zero with `NoopAudit`). Deliberately *not* part of
+    /// auditor (always zero without one). Deliberately *not* part of
     /// the determinism fingerprint: the auditor observes, fingerprints
     /// pin simulated behavior.
     pub anomalies: u64,

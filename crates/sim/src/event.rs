@@ -2,8 +2,8 @@
 //! wheel (Varghese & Lauck 1987) with an allocation-free hot path.
 //!
 //! The previous implementation was a `BinaryHeap` + `HashSet` of cancelled
-//! tokens (kept as [`crate::HeapQueue`] for A/B benchmarking); the wheel
-//! replaces O(log n) sift operations with O(1) amortized slot pushes and
+//! tokens (kept as [`crate::HeapQueue`], the differential test's
+//! reference); the wheel replaces O(log n) sift operations with O(1) amortized slot pushes and
 //! bitmap scans, and replaces the cancellation hash set with generation
 //! stamped slab slots so `cancel` is O(1) and leaves no residue — even when
 //! a token is cancelled after its event already fired.

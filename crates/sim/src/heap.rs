@@ -1,17 +1,16 @@
 //! The pre-timing-wheel event queue: a `BinaryHeap` with a `HashSet` of
 //! cancelled tokens.
 //!
-//! Kept in-tree as the baseline the `qbench` harness and the differential
-//! tests compare the timing wheel against. Building the workspace with the
-//! `heap-queue` feature swaps this implementation back in as
-//! `drill_sim::EventQueue` for A/B end-to-end runs (`scripts/qbench.sh`
-//! does exactly that for the fig2 wall-clock comparison).
+//! Kept in-tree as the *reference* the differential test
+//! (`tests/wheel_vs_heap.rs`) compares the timing wheel's pop order
+//! against, and carrying only the surface that test calls. Nothing in
+//! the simulator runs on it.
 //!
 //! Known deficiency, by design left unfixed here: cancelling a token
 //! *after* its event was delivered inserts into `cancelled` a token id
 //! that no pop will ever remove, so long cancel-after-fire workloads grow
 //! the set without bound. The timing wheel's generation-stamped slots fix
-//! this; `qbench`'s churn workload makes the cost visible.
+//! this.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -49,8 +48,8 @@ impl<P> Eq for Entry<P> {}
 
 /// The legacy binary-heap future-event list (see the module docs).
 ///
-/// API-compatible with [`crate::EventQueue`]; events at equal timestamps
-/// are delivered in push order.
+/// Events at equal timestamps are delivered in push order, exactly as
+/// [`crate::EventQueue`] delivers them.
 pub struct HeapQueue<P> {
     heap: BinaryHeap<Entry<P>>,
     seq: u64,
@@ -92,34 +91,6 @@ impl<P> HeapQueue<P> {
         self.popped
     }
 
-    /// The next internally stamped FIFO sequence number (see
-    /// [`crate::EventQueue::next_seq`]).
-    #[inline]
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Number of events still pending (including cancelled ones not yet
-    /// drained).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Heap entries plus cancellation-set residue; the counterpart of
-    /// [`crate::EventQueue::allocated_slots`] for memory-growth
-    /// comparisons.
-    #[inline]
-    pub fn allocated_slots(&self) -> usize {
-        self.heap.len() + self.cancelled.len()
-    }
-
     /// Schedule `payload` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: Time, payload: P) {
@@ -136,72 +107,6 @@ impl<P> HeapQueue<P> {
             token: 0,
             payload,
         });
-    }
-
-    /// Schedule `payload` at `delay` after the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: Time, payload: P) {
-        self.push(self.now + delay, payload);
-    }
-
-    /// Schedule `payload` at `at` with a caller-supplied FIFO sequence
-    /// number (see [`crate::EventQueue::push_with_seq`]): the sharded
-    /// engine stamps one global sequence across every shard queue so a
-    /// cross-queue merge by `(time, seq)` reproduces serial order.
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.seq = self.seq.max(seq + 1);
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            token: 0,
-            payload,
-        });
-    }
-
-    /// Schedule `payload` at `at` with a caller-supplied sequence number
-    /// *without* advancing the internal counter (see
-    /// [`crate::EventQueue::push_stamped`]): snapshot restore stamps
-    /// reserved-band sequences that must not perturb later pushes.
-    pub fn push_stamped(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            token: 0,
-            payload,
-        });
-    }
-
-    /// Visit every pending non-cancelled entry as `(time, seq, &payload)`,
-    /// in arbitrary order (see [`crate::EventQueue::for_each_pending`]).
-    pub fn for_each_pending<F: FnMut(Time, u64, &P)>(&self, mut f: F) {
-        for e in self.heap.iter() {
-            if e.token != 0 && self.cancelled.contains(&e.token) {
-                continue;
-            }
-            f(e.time, e.seq, &e.payload);
-        }
-    }
-
-    /// Position a **fresh** queue at a restored clock (see
-    /// [`crate::EventQueue::restore_clock`]). Must run before any pushes.
-    pub fn restore_clock(&mut self, now: Time, seq: u64, popped: u64) {
-        debug_assert!(
-            self.heap.is_empty() && self.popped == 0,
-            "restore_clock requires a fresh queue"
-        );
-        self.now = now;
-        self.seq = seq;
-        self.popped = popped;
     }
 
     /// Schedule a cancellable event; keep the token to [`cancel`] it.
@@ -247,20 +152,13 @@ impl<P> HeapQueue<P> {
     /// Timestamp of the next (non-cancelled) pending event without
     /// delivering it.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The `(time, seq)` key of the next pending event, without
-    /// delivering it (see [`crate::EventQueue::peek_key`]; the heap is
-    /// keyed by exactly this pair, so the head is the answer).
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
         // Drain cancelled entries off the top so the answer is accurate.
         while let Some(e) = self.heap.peek() {
             if e.token != 0 && self.cancelled.contains(&e.token) {
                 let e = self.heap.pop().expect("peeked entry exists");
                 self.cancelled.remove(&e.token);
             } else {
-                return Some((e.time, e.seq));
+                return Some(e.time);
             }
         }
         None
@@ -290,25 +188,6 @@ mod tests {
         q.push(Time::from_nanos(20), "kept");
         q.cancel(tok);
         assert_eq!(q.pop(), Some((Time::from_nanos(20), "kept")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn push_with_seq_and_peek_key_mirror_the_wheel() {
-        let mut q = HeapQueue::new();
-        let t = Time::from_nanos(100);
-        q.push_with_seq(t, 5, 5u64);
-        q.push_with_seq(t, 1, 1);
-        q.push_with_seq(Time::from_nanos(90), 7, 7);
-        assert_eq!(q.peek_key(), Some((Time::from_nanos(90), 7)));
-        assert_eq!(q.pop(), Some((Time::from_nanos(90), 7)));
-        assert_eq!(q.peek_key(), Some((t, 1)));
-        assert_eq!(q.pop(), Some((t, 1)));
-        assert_eq!(q.pop(), Some((t, 5)));
-        // Internal stamping resumes past the largest supplied seq.
-        q.push(t, 99);
-        assert_eq!(q.peek_key(), Some((t, 8)));
-        assert_eq!(q.pop(), Some((t, 99)));
         assert_eq!(q.pop(), None);
     }
 }

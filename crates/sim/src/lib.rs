@@ -8,9 +8,8 @@
 //! * [`EventQueue`] — a hierarchical timing wheel of `(Time, payload)`
 //!   entries with FIFO ordering for simultaneous events, which makes
 //!   whole simulations reproducible bit-for-bit given a seed. The legacy
-//!   binary-heap implementation survives as [`HeapQueue`] for baseline
-//!   benchmarking, and the off-by-default `heap-queue` cargo feature
-//!   swaps it back in as `EventQueue` for A/B end-to-end runs.
+//!   binary-heap implementation survives as [`HeapQueue`], the reference
+//!   `tests/wheel_vs_heap.rs` compares the wheel's pop order against.
 //! * [`SimRng`] — a seedable, splittable random number generator so that
 //!   independent components (switches, hosts, workload generators) each get
 //!   their own deterministic stream.
@@ -46,13 +45,7 @@ mod heap;
 mod rng;
 mod time;
 
-#[cfg(not(feature = "heap-queue"))]
-pub use event::EventQueue;
-#[cfg(feature = "heap-queue")]
-pub use heap::HeapQueue as EventQueue;
-
-pub use event::EventQueue as WheelQueue;
-pub use event::{node_size, EventToken};
+pub use event::{node_size, EventQueue, EventToken};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use heap::HeapQueue;
 pub use rng::SimRng;

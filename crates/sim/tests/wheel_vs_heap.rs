@@ -7,14 +7,14 @@
 //! wheel (level 0, upper levels, the far-future overflow, and the staged
 //! ready batch), and cancel-after-fire no-ops.
 
-use drill_sim::{EventToken, HeapQueue, SimRng, Time, WheelQueue};
+use drill_sim::{EventQueue, EventToken, HeapQueue, SimRng, Time};
 
 /// One randomized scenario: interleaved pushes (with a heavy-tailed time
 /// spread so every wheel level and the overflow heap get traffic),
 /// cancellations of a random subset, and batched pops.
 fn churn_scenario(seed: u64, ops: usize, peek: bool) {
     let mut rng = SimRng::seed_from(seed);
-    let mut wheel: WheelQueue<u64> = WheelQueue::new();
+    let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapQueue<u64> = HeapQueue::new();
     let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
     let mut payload = 0u64;
@@ -108,7 +108,7 @@ fn replays_heap_order_with_interleaved_peeks() {
 
 #[test]
 fn len_tracks_live_events_only() {
-    let mut wheel: WheelQueue<u32> = WheelQueue::new();
+    let mut wheel: EventQueue<u32> = EventQueue::new();
     let toks: Vec<_> = (0..100)
         .map(|i| wheel.push_cancellable(Time::from_nanos(10 + i), 0))
         .collect();

@@ -40,13 +40,10 @@ pub const SNAP_VERSION: u16 = 1;
 /// Oldest container version this reader accepts.
 pub const SNAP_VERSION_MIN: u16 = 1;
 
-/// Flag bit: the snapshot was taken by a `fat-events` build (packets by
-/// value in events; arena contents are reconstructed from the events
-/// themselves rather than stored wholesale). A snapshot restores only into
-/// a build with the same packet layout.
-pub const FLAG_FAT_LAYOUT: u8 = 1 << 0;
-
-const KNOWN_FLAGS: u8 = FLAG_FAT_LAYOUT;
+/// Reserved flag bit: written by the retired by-value packet layout,
+/// whose sections this reader cannot decode. Never set by this writer;
+/// a file that has it is refused.
+const FLAG_RESERVED_LAYOUT: u8 = 1 << 0;
 
 /// Cap on any single decoded pre-allocation: a hostile length prefix may
 /// claim terabytes; real sections grow incrementally past this.
@@ -63,18 +60,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// A decoded (or under-construction) snapshot: an ordered list of tagged
 /// sections.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    flags: u8,
     sections: Vec<(u8, Vec<u8>)>,
 }
 
 impl Snapshot {
-    /// Whether this snapshot was written by a `fat-events` build.
-    pub fn fat_layout(&self) -> bool {
-        self.flags & FLAG_FAT_LAYOUT != 0
-    }
-
     /// The payload of the first section with `tag`, if present.
     pub fn section(&self, tag: u8) -> Option<&[u8]> {
         self.sections
@@ -98,7 +89,7 @@ impl Snapshot {
         let mut buf = Vec::with_capacity(32 + self.payload_bytes());
         buf.extend_from_slice(&SNAP_MAGIC);
         buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        buf.push(self.flags);
+        buf.push(0); // flags: none defined (bit 0 reserved)
         for (tag, body) in &self.sections {
             buf.push(*tag);
             put_varint(&mut buf, body.len() as u64);
@@ -128,7 +119,10 @@ impl Snapshot {
             return Err(invalid("DRILLSNAP checksum mismatch"));
         }
         let flags = bytes[11];
-        if flags & !KNOWN_FLAGS != 0 {
+        if flags & FLAG_RESERVED_LAYOUT != 0 {
+            return Err(invalid("snapshot packet layout differs from this build"));
+        }
+        if flags != 0 {
             return Err(invalid("unknown DRILLSNAP flags"));
         }
         let mut d = Decoder::new(&body[12..]);
@@ -142,7 +136,7 @@ impl Snapshot {
             }
             sections.push((tag, body));
         }
-        Ok(Snapshot { flags, sections })
+        Ok(Snapshot { sections })
     }
 
     /// Write the snapshot to a file.
@@ -158,20 +152,15 @@ impl Snapshot {
 
 /// Incremental snapshot writer: push sections in order, then
 /// [`finish`](SnapshotBuilder::finish).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotBuilder {
     snap: Snapshot,
 }
 
 impl SnapshotBuilder {
-    /// Start a snapshot; `fat_layout` records the build's packet layout.
-    pub fn new(fat_layout: bool) -> SnapshotBuilder {
-        SnapshotBuilder {
-            snap: Snapshot {
-                flags: if fat_layout { FLAG_FAT_LAYOUT } else { 0 },
-                sections: Vec::new(),
-            },
-        }
+    /// Start an empty snapshot.
+    pub fn new() -> SnapshotBuilder {
+        SnapshotBuilder::default()
     }
 
     /// Append a section.
@@ -191,7 +180,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Snapshot {
-        let mut b = SnapshotBuilder::new(false);
+        let mut b = SnapshotBuilder::new();
         b.section(1, vec![1, 2, 3]);
         b.section(7, Vec::new());
         b.section(2, (0..200u8).collect());
@@ -207,16 +196,29 @@ mod tests {
         assert_eq!(t.section(1), Some(&[1u8, 2, 3][..]));
         assert_eq!(t.section(7), Some(&[][..]));
         assert_eq!(t.section(9), None);
-        assert!(!t.fat_layout());
         assert_eq!(t.num_sections(), 3);
         assert_eq!(t.payload_bytes(), 203);
     }
 
+    /// Recompute the trailing checksum after editing header bytes, so the
+    /// header check under test (not the checksum) is what trips.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn with_flags(bits: u8) -> Vec<u8> {
+        let mut bytes = sample().to_bytes();
+        bytes[11] |= bits;
+        reseal(&mut bytes);
+        bytes
+    }
+
     #[test]
-    fn fat_flag_round_trips() {
-        let s = SnapshotBuilder::new(true).finish();
-        let t = Snapshot::from_bytes(&s.to_bytes()).unwrap();
-        assert!(t.fat_layout());
+    fn reserved_layout_bit_is_refused() {
+        let err = Snapshot::from_bytes(&with_flags(FLAG_RESERVED_LAYOUT)).unwrap_err();
+        assert!(err.to_string().contains("packet layout"), "{err}");
     }
 
     #[test]
@@ -230,22 +232,15 @@ mod tests {
     fn future_version_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[9..11].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
-        // Re-seal so the version check (not the checksum) is what trips.
-        let end = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = Snapshot::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[11] |= 0x80;
-        let end = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
-        assert!(Snapshot::from_bytes(&bytes).is_err());
+        let err = Snapshot::from_bytes(&with_flags(0x80)).unwrap_err();
+        assert!(err.to_string().contains("unknown"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! work needed only to feed a hook (building a [`PacketMeta`], scanning
 //! candidate queues for the true shortest) is gated on the associated
 //! constant [`Probe::ENABLED`], which the optimizer const-folds away.
-//! `qbench --e2e-telemetry` measures the residue: noop-probe runs are
-//! within noise of the pre-probe baseline.
+//! `drillbench`'s `telemetry.record_overhead_ratio` measures the cost of
+//! a recording probe against exactly that noop build.
 //!
 //! Probes observe; they must never steer. None of the hooks can touch the
 //! simulation RNG, schedule events, or mutate packets, which is what makes

@@ -196,7 +196,7 @@ impl ShimBuffer {
 
     /// Restore state written by [`save_state`](ShimBuffer::save_state) into
     /// a freshly configured buffer.
-    pub fn load_state(&mut self, arena: &mut PacketArena, d: &mut Decoder<'_>) -> io::Result<()> {
+    pub fn load_state(&mut self, arena: &PacketArena, d: &mut Decoder<'_>) -> io::Result<()> {
         self.expected = d.varint()?;
         let n = d.varint_usize()?;
         self.buf.clear();

@@ -2,80 +2,64 @@
 # Tier-1 gate plus lint, all offline-safe (the workspace has no external
 # dependencies; see the note in the root Cargo.toml).
 #
-# The test matrix covers both event-queue builds (default timing wheel
-# and the legacy --features heap-queue) and both ends of the executor
-# knob (DRILL_THREADS=1 serial, DRILL_THREADS=8 oversubscribed) — the
-# sweep determinism contract says results must not depend on either.
+# One build, one engine: there are no cargo features to cross (the only
+# one, `proptest`, is an opt-in for networked machines). The test matrix
+# covers what can still vary at run time — the executor width
+# (DRILL_THREADS), the shard count (DRILL_SHARDS), and the two observers
+# that must never steer (DRILL_TELEMETRY, DRILL_AUDIT).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== retired build/run modes stay retired =="
+# The heap-queue / fat-events / criterion-benches features and the
+# eager_control_plane knob were deleted once their A/Bs had reported;
+# nothing may select them again. (This script names them, so it is
+# excluded; history lives in the .md files, which are not searched.)
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches' \
+    --include='*.toml' --include='*.rs' --include='*.sh' \
+    --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
+    --exclude=ci.sh .; then
+    echo "a retired feature or knob is referenced again (see above)"; exit 1
+fi
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (wheel queue, DRILL_THREADS=1) =="
-DRILL_THREADS=1 cargo test -q
+echo "== drillbench builds against this tree =="
+# benchmark/ is frozen and compiles against the simulator's public API:
+# catch a break here, before the benchmark pipeline does.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== cargo test -q (wheel queue, DRILL_THREADS=8) =="
-DRILL_THREADS=8 cargo test -q
-
-echo "== cargo test -q (--features heap-queue) =="
-cargo test -q --features heap-queue
+echo "== cargo test -q --workspace (DRILL_THREADS=1/8) =="
+# Both ends of the executor knob (serial, oversubscribed): the sweep
+# determinism contract says results depend on neither. --workspace adds
+# the per-crate unit tests and crates/sim/tests/wheel_vs_heap.rs, the one
+# place the HeapQueue reference is exercised.
+for threads in 1 8; do
+    DRILL_THREADS=$threads cargo test -q --workspace
+done
 
 echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
 # The telemetry determinism contract: every golden constant must hold
-# unchanged with the recorder riding along, on both queue builds.
+# unchanged with the recorder riding along.
 DRILL_TELEMETRY=1 cargo test -q --test determinism_golden
-DRILL_TELEMETRY=1 cargo test -q --test determinism_golden --features heap-queue
 
-echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1) =="
-# The audit determinism contract: watchdogs observe, never steer — every
-# golden constant must hold unchanged with the auditor riding along,
-# across the full engine matrix (shard counts x queue builds x packet
-# layouts). These rows ARE the auditor-on vs auditor-off bit-identity
-# proof: the golden constants were captured auditor-off.
+echo "== sharded-engine goldens and snapshot-resume (DRILL_SHARDS=2/8) =="
+# The sharding contract: every determinism golden — chaos schedule and
+# telemetry crossings included — and every DRILLSNAP save/restore golden
+# must replay bit-identically at any shard count. (The serial engine,
+# DRILL_SHARDS unset, ran in the workspace rows above.)
+for shards in 2 8; do
+    DRILL_SHARDS=$shards cargo test -q --test determinism_golden
+    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume
+done
+
+echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1 x DRILL_SHARDS=1/2/8) =="
+# The audit determinism contract: watchdogs observe, never steer. These
+# rows ARE the auditor-on vs auditor-off bit-identity proof: the golden
+# constants were captured auditor-off.
 for shards in 1 2 8; do
     DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-    DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features heap-queue
-    DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features fat-events
-done
-
-echo "== chaos determinism goldens (both queue builds, DRILL_THREADS=1/8) =="
-# The fault pipeline's replay contract: the pinned chaos schedule (flaps +
-# degradation + switch crash) must stay bit-identical across serial vs
-# threaded sweeps and with telemetry on/off, on both event-queue builds.
-# (The wheel build already ran above under DRILL_THREADS=1/8.)
-DRILL_THREADS=1 cargo test -q --test determinism_golden --features heap-queue
-DRILL_THREADS=8 cargo test -q --test determinism_golden --features heap-queue
-
-echo "== packet-layout goldens (--features fat-events, DRILL_THREADS=1/8) =="
-# The arena contract: by-value packet events (the pre-arena layout) must
-# replay every golden — event counts, leak checks, chaos fingerprints —
-# bit-identically. Size asserts for the slim layout are compile-time and
-# ran with every build above.
-DRILL_THREADS=1 cargo test -q --test determinism_golden --features fat-events
-DRILL_THREADS=8 cargo test -q --test determinism_golden --features fat-events
-
-echo "== sharded-engine goldens (DRILL_SHARDS=1/2/8 x wheel/heap/fat builds) =="
-# The sharding contract: every determinism golden — chaos schedule and
-# telemetry crossings included — must replay bit-identically at any shard
-# count, on every event-queue and packet-layout build. DRILL_SHARDS=1 runs
-# the serial engine, so the =1 rows also prove the env plumbing is inert.
-for shards in 1 2 8; do
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features heap-queue
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features fat-events
-done
-
-echo "== snapshot-resume goldens (DRILL_SHARDS=1/2/8 x wheel/heap/fat builds) =="
-# The DRILLSNAP contract: a run checkpointed mid-flight and restored from
-# bytes must replay every golden bit-identically — on every engine and
-# packet layout, with warm-started sweeps matching cold ones. (The suite
-# already ran once per full-matrix `cargo test` above; these rows cross
-# the save/restore boundary over the engine matrix explicitly.)
-for shards in 1 2 8; do
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume --features heap-queue
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume --features fat-events
 done
 
 echo "== chaosbench --quick smoke =="
@@ -85,8 +69,8 @@ cargo build --release -p drill-bench
 echo "== scalebench --quick smoke =="
 # Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree)
 # plus the sketch rank-error section. The small-Clos determinism golden
-# itself rides in determinism_golden, which the DRILL_SHARDS=1/2/8 loop
-# above already crosses with every build.
+# itself rides in determinism_golden, which the DRILL_SHARDS loop above
+# already crosses.
 ./target/release/scalebench --quick > /dev/null
 ./target/release/scalebench --sketch --quick > /dev/null
 
@@ -104,17 +88,6 @@ assert d['cp_classes'] < d['cp_entries'], 'no class sharing across entries'
 assert d['cp_entries_reused'] == d['cp_entries'] - d['cp_classes'], 'reuse mismatch'
 assert d['cp_install_secs'] > 0 and d['cp_reconverge_secs'] > 0, 'probe not timed'
 "
-
-echo "== structural-vs-eager differential golden (DRILL_SHARDS=1/2 x wheel/heap) =="
-# The §3.4 control-plane contract: the structural SymmetryEngine must
-# install group tables bit-identical to the eager enumeration on every
-# topology family and under random failure sets. Groups are a pure
-# function of (topology, routes), so neither the shard count nor the
-# event-queue build may perturb them.
-for shards in 1 2; do
-    DRILL_SHARDS=$shards cargo test -q --test structural_groups
-    DRILL_SHARDS=$shards cargo test -q --test structural_groups --features heap-queue
-done
 
 echo "== scalebench kill-and-resume crash-recovery smoke =="
 # Checkpoint every 50k events, die mid-run (simulated kill, exit 42),

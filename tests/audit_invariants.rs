@@ -4,8 +4,8 @@
 //! never perturb a single stat, and produce a dump bundle that
 //! rewind-replay can consume hands-free.
 //!
-//! CI runs this suite across `DRILL_SHARDS=1/2/8` and both queue builds;
-//! nothing here may depend on either.
+//! CI runs the golden suite with the auditor attached across
+//! `DRILL_SHARDS=1/2/8`; nothing here may depend on the shard count.
 
 use std::path::PathBuf;
 
@@ -430,7 +430,7 @@ fn truncated_section_carries_typed_codec_error() {
     };
     // Section tag 1 is SEC_META, the first section restore decodes. A
     // lone 0x80 is a varint continuation byte with no terminator.
-    let mut b = SnapshotBuilder::new(cfg!(feature = "fat-events"));
+    let mut b = SnapshotBuilder::new();
     b.section(1, vec![0x80]);
     let snap = b.finish();
     let err = match World::restore(&snap, &cfg) {
@@ -489,7 +489,7 @@ fn rewind_replay_covers_the_anomaly_window() {
     let w = World::restore_probed(&snap, &replay_cfg, (recorder, sampler))
         .expect("ring snapshot restores");
     assert_eq!(w.events_processed(), rewind_events);
-    let (stats, (recorder, _sampler), _audit) = w.finish_parts();
+    let (stats, (recorder, _sampler), _reports) = w.finish_parts();
     assert!(
         stats.events >= anomaly_events && stats.events <= anomaly_events + 1,
         "replay ran past the anomaly: {} vs {anomaly_events}",

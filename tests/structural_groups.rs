@@ -8,17 +8,20 @@
 //! difference, the structural walk never enumerates more paths than the
 //! eager one).
 //!
-//! `scripts/ci.sh` runs this suite under `DRILL_SHARDS=1/2` and both
-//! event-queue builds: the control plane is pure (topology, routes) →
-//! groups, so nothing downstream may perturb it.
+//! Two failure generators feed the comparison: the leaf-uplink ladder
+//! (`FAILURE_SETS`, the shape the failure figures use) and a seeded sweep
+//! that fails arbitrary switch–switch links on any tier and degrades one,
+//! checked cold and against one warm engine reused across the whole
+//! sweep.
 
 use drill::core::{install_symmetric_groups_eager, SymmetryEngine};
+use drill::faults::{FaultInjector, FaultKind};
 use drill::net::{
     clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
-    PortGroup, RouteTable, SwitchId, Topology, Vl2Spec, DEFAULT_PROP,
+    NodeRef, PortGroup, RouteTable, SwitchId, Topology, Vl2Spec, DEFAULT_PROP,
 };
 use drill::runtime::random_leaf_spine_failures;
-use drill::sim::Time;
+use drill::sim::{SimRng, Time};
 
 fn ls_spec(spines: usize, leaves: usize) -> LeafSpineSpec {
     LeafSpineSpec {
@@ -45,48 +48,125 @@ fn group_table(topo: &Topology, routes: &RouteTable) -> Vec<(u32, u32, Vec<PortG
     out
 }
 
-/// Fail `n` seeded random leaf uplinks, then assert the structural
-/// engine reproduces the eager group tables bit-for-bit and its report
-/// holds the structural invariants.
+/// Assert the structural engine — cold, and `warm` if given — reproduces
+/// the eager group tables bit-for-bit on `topo` and that its report holds
+/// the structural invariants.
+fn compare(label: &str, topo: &Topology, warm: Option<&mut SymmetryEngine>) {
+    let mut eager_routes = RouteTable::compute(topo);
+    let eager = install_symmetric_groups_eager(topo, &mut eager_routes);
+    let eager_table = group_table(topo, &eager_routes);
+    let mut cold = SymmetryEngine::new();
+    let engines = [("cold", Some(&mut cold)), ("warm", warm)];
+    for (temp, engine) in engines {
+        let Some(engine) = engine else { continue };
+        let mut structural_routes = RouteTable::compute(topo);
+        let structural = engine.install(topo, &mut structural_routes);
+        assert_eq!(
+            eager_table,
+            group_table(topo, &structural_routes),
+            "{label} ({temp}): group tables diverged"
+        );
+        assert_eq!(eager.entries, structural.entries, "{label}: entry count");
+        assert_eq!(
+            eager.asymmetric_entries, structural.asymmetric_entries,
+            "{label}: asymmetric entries"
+        );
+        assert_eq!(
+            eager.max_components, structural.max_components,
+            "{label}: max components"
+        );
+        assert!(
+            structural.classes <= structural.entries,
+            "{label}: more classes than entries"
+        );
+        assert_eq!(
+            structural.entries_reused,
+            structural.entries - structural.classes,
+            "{label}: reuse must be exactly entries - classes"
+        );
+        assert!(
+            structural.paths_enumerated <= eager.paths_enumerated,
+            "{label}: structural walked {} paths, eager only {}",
+            structural.paths_enumerated,
+            eager.paths_enumerated
+        );
+    }
+}
+
+/// Fail `n` seeded random leaf uplinks, then [`compare`].
 fn check(label: &str, mut topo: Topology, n_failures: usize, seed: u64) {
     for &(a, b) in &random_leaf_spine_failures(&topo, n_failures, seed) {
         let ok = topo.fail_switch_link(SwitchId(a), SwitchId(b), 0)
             || topo.fail_switch_link(SwitchId(b), SwitchId(a), 0);
         assert!(ok, "{label}: pair ({a},{b}) matches no live link");
     }
-    let mut eager_routes = RouteTable::compute(&topo);
-    let eager = install_symmetric_groups_eager(&topo, &mut eager_routes);
-    let mut structural_routes = RouteTable::compute(&topo);
-    let structural = SymmetryEngine::new().install(&topo, &mut structural_routes);
-    assert_eq!(
-        group_table(&topo, &eager_routes),
-        group_table(&topo, &structural_routes),
-        "{label} (failures={n_failures}, seed={seed:#x}): group tables diverged"
+    compare(
+        &format!("{label} (failures={n_failures}, seed={seed:#x})"),
+        &topo,
+        None,
     );
-    assert_eq!(eager.entries, structural.entries, "{label}: entry count");
-    assert_eq!(
-        eager.asymmetric_entries, structural.asymmetric_entries,
-        "{label}: asymmetric entries"
-    );
-    assert_eq!(
-        eager.max_components, structural.max_components,
-        "{label}: max components"
-    );
-    assert!(
-        structural.classes <= structural.entries,
-        "{label}: more classes than entries"
-    );
-    assert_eq!(
-        structural.entries_reused,
-        structural.entries - structural.classes,
-        "{label}: reuse must be exactly entries - classes"
-    );
-    assert!(
-        structural.paths_enumerated <= eager.paths_enumerated,
-        "{label}: structural walked {} paths, eager only {}",
-        structural.paths_enumerated,
-        eager.paths_enumerated
-    );
+}
+
+/// The live switch–switch link pairs of `topo`, any tier, one entry per
+/// direction-pair.
+fn live_switch_pairs(topo: &Topology) -> Vec<(u32, u32)> {
+    let mut pairs: Vec<(u32, u32)> = topo
+        .links()
+        .iter()
+        .filter(|l| l.up)
+        .filter_map(|l| match (l.src, l.dst) {
+            (NodeRef::Switch(a), NodeRef::Switch(b)) if a.0 < b.0 => Some((a.0, b.0)),
+            _ => None,
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Seeds per family for [`sweep_any_link`].
+const SWEEP_SEEDS: u64 = 500;
+
+/// The wide generator: per seed, build a (≤ 20-switch) fabric, fail up
+/// to five arbitrary live switch–switch links on any tier and degrade one
+/// survivor — all through the `FaultInjector`, so capacity factors move
+/// too — then [`compare`] cold and against one warm engine that lives
+/// across the whole sweep.
+fn sweep_any_link(label: &str, build: impl Fn(&mut SimRng) -> Topology) {
+    let mut warm = SymmetryEngine::new();
+    for seed in 0..SWEEP_SEEDS {
+        let mut rng = SimRng::seed_from(seed);
+        let mut topo = build(&mut rng);
+        assert!(
+            topo.num_switches() <= 20,
+            "{label}: sweep fabrics stay tiny"
+        );
+        let mut inj = FaultInjector::new();
+        let mut faults = Vec::new();
+        for _ in 0..rng.below(6) {
+            let live = live_switch_pairs(&topo);
+            if live.is_empty() {
+                break;
+            }
+            let (a, b) = live[rng.below(live.len())];
+            let kind = FaultKind::LinkDown { a, b };
+            inj.apply(&mut topo, kind);
+            faults.push(kind);
+        }
+        let live = live_switch_pairs(&topo);
+        if !live.is_empty() {
+            let (a, b) = live[rng.below(live.len())];
+            let (num, den) = (1 + rng.below(3) as u32, 4);
+            let kind = FaultKind::Degrade { a, b, num, den };
+            inj.apply(&mut topo, kind);
+            faults.push(kind);
+        }
+        compare(
+            &format!("{label} seed {seed} faults {faults:?}"),
+            &topo,
+            Some(&mut warm),
+        );
+    }
 }
 
 /// (failure count, seed) ladder shared by every family: the pristine
@@ -98,6 +178,9 @@ fn leaf_spine_matches_eager() {
     for &(n, seed) in FAILURE_SETS {
         check("leaf_spine", leaf_spine(&ls_spec(4, 6)), n, seed);
     }
+    sweep_any_link("leaf_spine", |rng| {
+        leaf_spine(&ls_spec(2 + rng.below(4), 2 + rng.below(6)))
+    });
 }
 
 #[test]
@@ -115,6 +198,16 @@ fn leaf_spine_custom_heterogeneous_matches_eager() {
         });
         check("leaf_spine_custom", topo, n, seed);
     }
+    sweep_any_link("leaf_spine_custom", |rng| {
+        let (skew, spec) = (rng.below(3), ls_spec(2 + rng.below(4), 2 + rng.below(6)));
+        leaf_spine_custom(&spec, |l, s| {
+            if (l + s) % 3 == skew {
+                vec![10_000_000_000; 2]
+            } else {
+                vec![40_000_000_000]
+            }
+        })
+    });
 }
 
 #[test]
@@ -131,6 +224,45 @@ fn vl2_matches_eager() {
     };
     for &(n, seed) in FAILURE_SETS {
         check("vl2", vl2(&spec), n, seed);
+    }
+    sweep_any_link("vl2", |rng| {
+        let aggs = 2 + rng.below(4);
+        vl2(&Vl2Spec {
+            tors: 3 + rng.below(5),
+            aggs,
+            ints: 1 + rng.below(4),
+            hosts_per_tor: 1,
+            tor_uplinks: (1 + rng.below(3)).min(aggs),
+            ..spec.clone()
+        })
+    });
+}
+
+#[test]
+fn vl2_agg_int_failures_split_per_destination() {
+    // Regression (the former review_scratch seed 21): with agg–int links
+    // (12,8) and (3,7) down, two links receive the same (src, cf)
+    // restriction for *different* destinations. A class chain not keyed
+    // by destination aliased them, and the early collapse then left
+    // entries 1→3 and 4→3 with no groups where §3.4 splits each in two.
+    let mut topo = vl2(&Vl2Spec {
+        tors: 7,
+        aggs: 3,
+        ints: 3,
+        hosts_per_tor: 1,
+        host_rate: 1_000_000_000,
+        core_rate: 10_000_000_000,
+        tor_uplinks: 2,
+        prop: DEFAULT_PROP,
+    });
+    for (a, b) in [(12, 8), (3, 7)] {
+        assert!(topo.fail_switch_link(SwitchId(a), SwitchId(b), 0));
+    }
+    compare("vl2 7x3x3, (12,8)+(3,7) down", &topo, None);
+    let mut routes = RouteTable::compute(&topo);
+    SymmetryEngine::new().install(&topo, &mut routes);
+    for sw in [1, 4] {
+        assert_eq!(routes.groups(SwitchId(sw), 3).len(), 2, "entry {sw}→3");
     }
 }
 
@@ -152,6 +284,7 @@ fn fat_tree_matches_eager() {
         2,
         0xFEED,
     );
+    sweep_any_link("fat_tree", |_| fat_tree(4, 10_000_000_000, DEFAULT_PROP));
 }
 
 #[test]
@@ -161,6 +294,16 @@ fn fat_tree_custom_matches_eager() {
         let topo = fat_tree_custom(4, 4, 10_000_000_000, 10_000_000_000, DEFAULT_PROP);
         check("fat_tree_custom", topo, n, seed);
     }
+    sweep_any_link("fat_tree_custom", |rng| {
+        let hosts_per_edge = 2 + rng.below(3);
+        fat_tree_custom(
+            4,
+            hosts_per_edge,
+            10_000_000_000,
+            10_000_000_000,
+            DEFAULT_PROP,
+        )
+    });
 }
 
 #[test]
@@ -168,6 +311,16 @@ fn clos_matches_eager() {
     for &(n, seed) in FAILURE_SETS {
         check("clos", clos(&ClosSpec::smoke()), n, seed);
     }
+    sweep_any_link("clos", |rng| {
+        clos(&ClosSpec {
+            pods: 2 + rng.below(3),
+            leaves_per_pod: 1 + rng.below(2),
+            aggs_per_pod: 2,
+            cores: 2 * (1 + rng.below(2)),
+            hosts_per_leaf: 1,
+            ..ClosSpec::smoke()
+        })
+    });
 }
 
 #[test]
