@@ -8,7 +8,9 @@
 //!   includes the `World`'s own route-compute + structural group install
 //!   (asymmetry handling is on at every point); the separately reported
 //!   `cp_install_secs` prices that one-time cost, so subtracting it
-//!   recovers the simulation-only throughput;
+//!   recovers the simulation-only throughput (`cp_refine_secs` /
+//!   `cp_fingerprint_secs` split the engine's share of it by phase, and
+//!   `cp_signatures_walked` counts the subgraph walks it needed);
 //! * **bytes/host** — payload bytes delivered per host (work actually
 //!   simulated, so throughput numbers are comparable across sizes);
 //! * **fct_retained** — samples held by the FCT distribution, which stays
@@ -358,7 +360,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     format!(
         "{{\"point\": \"{}\", \"hosts\": {hosts}, \"switches\": {switches}, \"link_entries\": {link_entries}, \
 \"build_secs\": {build_secs:.3}, \"window_us\": {}, \"failures\": {}, \
-\"cp_install_secs\": {cp_install_secs:.4}, \"cp_reconverge_secs\": {cp_reconverge_secs:.4}, \
+\"cp_install_secs\": {cp_install_secs:.4}, \"cp_refine_secs\": {:.4}, \
+\"cp_fingerprint_secs\": {:.4}, \"cp_signatures_walked\": {}, \
+\"cp_reconverge_secs\": {cp_reconverge_secs:.4}, \
 \"cp_entries\": {}, \"cp_classes\": {}, \"cp_entries_reused\": {}, \"cp_paths\": {}, \
 \"asym_entries\": {}, \"wall_secs\": {wall:.3}, \"events\": {events}, \
 \"events_per_sec\": {eps:.0}, \"flows_started\": {flows}, \"bytes_delivered\": {bytes}, \
@@ -367,6 +371,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
         p.name,
         p.window_us,
         p.failures,
+        report.refine_ns as f64 / 1e9,
+        report.fingerprint_ns as f64 / 1e9,
+        report.signatures_walked,
         report.entries,
         report.classes,
         report.entries_reused,

@@ -31,6 +31,18 @@ pub struct GroupingReport {
     pub entries_reused: usize,
     /// Wall-clock time of the install pass, in nanoseconds.
     pub build_ns: u64,
+    /// Structural engine only: the part of `build_ns` spent refining link
+    /// classes (phase 1).
+    pub refine_ns: u64,
+    /// Structural engine only: the rest of `build_ns` — entry
+    /// fingerprints, signature walks, templates and group installation
+    /// (phase 2).
+    pub fingerprint_ns: u64,
+    /// Structural engine only: entry subgraphs walked for a canonical
+    /// signature — multi-candidate entries that neither collapsed nor
+    /// matched a fingerprint (or, for leaf entries, a shape) this engine
+    /// has walked before.
+    pub signatures_walked: u64,
 }
 
 /// Decompose the shortest paths from `switch` toward `dst_leaf` into

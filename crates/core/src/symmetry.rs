@@ -34,8 +34,11 @@
 //!    entry is provably one symmetric component and nothing more is
 //!    computed (the early-collapse path — on fully symmetric fabrics the
 //!    whole install enumerates zero paths). Otherwise the entry's
-//!    subgraph is walked **exactly once** (the lazy per-entry quiver —
-//!    peak memory is one entry's subgraph, never the fabric's), producing
+//!    subgraph is walked (the lazy per-entry quiver — peak memory is one
+//!    entry's subgraph, never the fabric's) — at most once per exact
+//!    fingerprint, and for leaf entries at most once per *shape*
+//!    ([`leaf_shape`]: the leaves of a pod reach a destination through
+//!    the same children, so one walk serves them all) — producing
 //!    a *canonical* signature with class ids renumbered by first
 //!    occurrence: the decomposition only depends on the equality pattern
 //!    of scores, which is invariant under consistent renaming, so entries
@@ -61,10 +64,11 @@
 //! eager only on fabrics with more than 65 536 shortest paths for a
 //! single entry — far beyond every topology family in this repo.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::sync::Arc;
+use std::time::Instant;
 
 use drill_net::{NodeRef, PortGroup, RouteTable, SwitchId, Topology};
+use drill_sim::{FxHashMap, FxHashSet};
 
 use crate::decompose::{group_scored_paths, GroupingReport};
 use crate::quiver::{enumerate_shortest_paths, CapFactor, Quiver};
@@ -78,42 +82,47 @@ const SOURCE_CAP: u64 = u64::MAX;
 type BSet = Vec<(u32, u64)>;
 /// A link's per-destination label restriction: `(src_leaf, cap_factor)`.
 type LSet = Vec<(u32, CapFactor)>;
-/// An entry fingerprint: `(link class, rate_bps, child fingerprint)` per
-/// candidate, in candidate order. Canonical signatures reuse the same
-/// tuple shape (see [`canonical_signature`]).
-type FKey = Vec<(u32, u64, u32)>;
+/// One candidate of an entry fingerprint: `(link class, rate_bps, child
+/// fingerprint)`. Canonical signatures reuse the same tuple shape (see
+/// [`Walker::signature`]).
+type Tuple = (u32, u64, u32);
+/// An entry fingerprint: one [`Tuple`] per candidate, in candidate order.
+type FKey = Vec<Tuple>;
 
-/// Content-addressed store mapping values to dense `u32` ids.
+/// Content-addressed store mapping value slices to dense `u32` ids.
 ///
-/// Id 0 is always the empty (default) value, so "no prefix states" and the
-/// terminal fingerprint are the zero id and never need a lookup.
-struct Interner<T> {
-    vals: Vec<T>,
-    ids: HashMap<T, u32>,
+/// A probe hashes the borrowed slice once and clones it only on a miss;
+/// the stored copy is shared between the id table and the map key. Id 0 is
+/// always the empty value, so "no prefix states" and the terminal
+/// fingerprint are the zero id and never need a lookup.
+struct Interner<E> {
+    vals: Vec<Arc<[E]>>,
+    ids: FxHashMap<Arc<[E]>, u32>,
 }
 
-impl<T: Clone + Eq + Hash + Default> Interner<T> {
-    fn new() -> Interner<T> {
+impl<E: Clone + Eq + std::hash::Hash> Interner<E> {
+    fn new() -> Interner<E> {
         let mut it = Interner {
             vals: Vec::new(),
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
         };
-        it.intern(T::default());
+        it.intern(&[]);
         it
     }
 
-    fn intern(&mut self, val: T) -> u32 {
-        if let Some(&id) = self.ids.get(&val) {
+    fn intern(&mut self, val: &[E]) -> u32 {
+        if let Some(&id) = self.ids.get(val) {
             return id;
         }
         let id = self.vals.len() as u32;
-        self.vals.push(val.clone());
-        self.ids.insert(val, id);
+        let stored: Arc<[E]> = val.into();
+        self.vals.push(stored.clone());
+        self.ids.insert(stored, id);
         id
     }
 
     #[inline]
-    fn get(&self, id: u32) -> &T {
+    fn get(&self, id: u32) -> &[E] {
         &self.vals[id as usize]
     }
 }
@@ -124,16 +133,18 @@ impl<T: Clone + Eq + Hash + Default> Interner<T> {
 /// exactly; keeping the engine alive across [`SymmetryEngine::install`]
 /// calls additionally reuses all structural work that a fault did not
 /// invalidate (incremental reconvergence).
+///
+/// Every map is an [`FxHashMap`] and none is ever iterated, so the hasher
+/// can only change bucket layout, never a group table.
 pub struct SymmetryEngine {
-    bsets: Interner<BSet>,
-    lsets: Interner<LSet>,
-    fps: Interner<FKey>,
-    /// `(bset, rate)` -> bset with every bottleneck clamped to `rate`.
-    advance_memo: HashMap<(u32, u64), u32>,
-    /// `(bset, rate)` -> the label restriction those prefixes induce.
-    shift_memo: HashMap<(u32, u64), u32>,
+    bsets: Interner<(u32, u64)>,
+    lsets: Interner<(u32, CapFactor)>,
+    fps: Interner<Tuple>,
+    /// `(bset, rate)` -> what crossing a link of that rate makes of those
+    /// prefixes: `(lset they induce on it, bset on its far side)`.
+    cross_memo: FxHashMap<(u32, u64), (u32, u32)>,
     /// `(bset, bset)` -> set union.
-    union_memo: HashMap<(u32, u32), u32>,
+    union_memo: FxHashMap<(u32, u32), u32>,
     /// `(old class, lset, destination)` -> refined class. A label is a
     /// `(src, dst, cf)` triple and an `lset` holds only its `(src, cf)`
     /// half, so the destination is part of the key: the same restriction
@@ -141,18 +152,23 @@ pub struct SymmetryEngine {
     /// sets. Chains are content-addressed — replaying identical
     /// per-destination restrictions yields identical final classes across
     /// installs.
-    class_memo: HashMap<(u32, u32, u32), u32>,
+    class_memo: FxHashMap<(u32, u32, u32), u32>,
     next_class: u32,
     /// Canonical signatures of entry subgraphs (class ids renumbered by
     /// first occurrence), in their own id space.
-    sigs: Interner<FKey>,
+    sigs: Interner<Tuple>,
     /// Exact fingerprint -> canonical signature id. On a warm reinstall an
     /// unchanged entry hits this map and skips its subgraph walk entirely.
-    canon_memo: HashMap<u32, u32>,
+    canon_memo: FxHashMap<u32, u32>,
     /// Canonical signature -> decomposition over candidate *indices*;
     /// `None` means a single symmetric component (install clears the
     /// entry's groups).
-    templates: HashMap<u32, Option<Vec<PortGroup>>>,
+    templates: FxHashMap<u32, Option<Vec<PortGroup>>>,
+    /// Leaf-entry shape (see [`leaf_shape`]) -> canonical signature id:
+    /// the leaves of a pod reach a destination through the same children,
+    /// so one walk serves them all.
+    shape_memo: FxHashMap<FKey, u32>,
+    walker: Walker,
 }
 
 impl Default for SymmetryEngine {
@@ -168,14 +184,15 @@ impl SymmetryEngine {
             bsets: Interner::new(),
             lsets: Interner::new(),
             fps: Interner::new(),
-            advance_memo: HashMap::new(),
-            shift_memo: HashMap::new(),
-            union_memo: HashMap::new(),
-            class_memo: HashMap::new(),
+            cross_memo: FxHashMap::default(),
+            union_memo: FxHashMap::default(),
+            class_memo: FxHashMap::default(),
             next_class: 1,
             sigs: Interner::new(),
-            canon_memo: HashMap::new(),
-            templates: HashMap::new(),
+            canon_memo: FxHashMap::default(),
+            templates: FxHashMap::default(),
+            shape_memo: FxHashMap::default(),
+            walker: Walker::default(),
         }
     }
 
@@ -185,59 +202,26 @@ impl SymmetryEngine {
     ///
     /// Reuses any structure cached by previous installs on this engine.
     pub fn install(&mut self, topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
-        let start = std::time::Instant::now();
-        let n_switches = topo.num_switches();
-        let n_leaves = topo.num_leaves();
+        let start = Instant::now();
         let mut report = GroupingReport::default();
+        // One traversal skeleton per destination, shared by both phases.
+        let levels: Vec<Vec<Vec<SwitchId>>> = (0..topo.num_leaves() as u32)
+            .map(|d| routes.dist_levels(d))
+            .collect();
 
-        // Phase 1: link classes by partition refinement over destinations.
-        // `class[link] == 0` means "on no shortest path at all", matching
-        // the eager score 0 for unlabeled links.
-        let mut class: Vec<u32> = vec![0; topo.links().len()];
-        let mut bstate: Vec<u32> = vec![0; n_switches];
-        for d in 0..n_leaves as u32 {
-            let levels = routes.dist_levels(d);
-            bstate.fill(0);
-            // Sources first: candidate edges go from level k to k-1, so by
-            // the time a level is processed its prefix states are final.
-            for (dist, level) in levels.iter().enumerate().rev() {
-                for &a in level {
-                    let mut b = bstate[a.index()];
-                    // A leaf that is not the destination originates its own
-                    // paths (even while relaying others': eager enumerates
-                    // from every source leaf independently).
-                    if dist > 0 && topo.leaf_index(a).is_some() {
-                        let li = topo.leaf_index(a).unwrap();
-                        let seed = self.bsets.intern(vec![(li, SOURCE_CAP)]);
-                        b = self.union(b, seed);
-                    }
-                    if b == 0 {
-                        // No shortest path reaches this switch for `d`:
-                        // its candidate links stay unlabeled, exactly like
-                        // the inert detour entries eager never walks.
-                        continue;
-                    }
-                    for &p in routes.candidates(a, d) {
-                        let link = topo.egress(a, p);
-                        let lset = self.shift(b, link.rate_bps);
-                        let li = link.id.index();
-                        class[li] = self.refine(class[li], lset, d);
-                        if let NodeRef::Switch(t) = link.dst {
-                            let adv = self.advance(b, link.rate_bps);
-                            bstate[t.index()] = self.union(bstate[t.index()], adv);
-                        }
-                    }
-                }
-            }
-        }
+        let class = self.link_classes(topo, routes, &levels);
+        report.refine_ns = start.elapsed().as_nanos() as u64;
 
         // Phase 2: entry fingerprints, destination first, and one
         // decomposition per distinct fingerprint.
-        let mut fid: Vec<u32> = vec![0; n_switches];
-        let mut seen_fids: HashSet<u32> = HashSet::new();
+        self.walker.begin(topo.num_switches(), &class);
+        let mut fid: Vec<u32> = vec![0; topo.num_switches()];
+        let mut seen_fids: FxHashSet<u32> = FxHashSet::default();
         let mut cand_buf: Vec<u16> = Vec::new();
-        for d in 0..n_leaves as u32 {
-            let levels = routes.dist_levels(d);
+        let mut key: FKey = Vec::new();
+        let mut shape: FKey = Vec::new();
+        for (d, levels) in levels.iter().enumerate() {
+            let d = d as u32;
             for (dist, level) in levels.iter().enumerate() {
                 for &a in level {
                     if dist == 0 {
@@ -246,22 +230,14 @@ impl SymmetryEngine {
                     }
                     cand_buf.clear();
                     cand_buf.extend_from_slice(routes.candidates(a, d));
-                    let mut key: FKey = Vec::with_capacity(cand_buf.len());
-                    for &p in &cand_buf {
-                        let link = topo.egress(a, p);
-                        let child = match link.dst {
-                            NodeRef::Switch(t) => fid[t.index()],
-                            NodeRef::Host(_) => unreachable!("candidates are switch links"),
-                        };
-                        key.push((class[link.id.index()], link.rate_bps, child));
-                    }
+                    exact_fingerprint(topo, a, &cand_buf, &class, &fid, &mut key);
                     // All candidate subtrees identical => every score group
                     // spans every port => provably one component, nothing
                     // to walk or enumerate. Sound only because a class id
                     // stands for a full (src, dst, cf) label set — the
                     // per-destination chain in `refine`.
                     let collapsed = key.windows(2).all(|w| w[0] == w[1]);
-                    let f = self.fps.intern(key);
+                    let f = self.fps.intern(&key);
                     fid[a.index()] = f;
                     if cand_buf.len() < 2 {
                         continue;
@@ -272,14 +248,28 @@ impl SymmetryEngine {
                         // `u32::MAX` node field can't appear in a real walk
                         // signature, whose references are visit numbers.
                         self.sigs
-                            .intern(vec![(u32::MAX, cand_buf.len() as u64, u32::MAX)])
+                            .intern(&[(u32::MAX, cand_buf.len() as u64, u32::MAX)])
                     } else if let Some(&c) = self.canon_memo.get(&f) {
                         c
                     } else {
-                        // The lazy per-entry quiver: walk this entry's
-                        // candidate subgraph exactly once.
-                        let sig = canonical_signature(topo, routes, a, d, &class);
-                        let c = self.sigs.intern(sig);
+                        // Leaves of one pod reach `d` through the same
+                        // children: try the entry's shape before walking.
+                        let is_leaf = topo.leaf_index(a).is_some();
+                        let mut known = None;
+                        if is_leaf {
+                            leaf_shape(topo, a, &cand_buf, &key, &mut shape);
+                            known = self.shape_memo.get(&shape[..]).copied();
+                        }
+                        let c = known.unwrap_or_else(|| {
+                            // The lazy per-entry quiver: walk this entry's
+                            // candidate subgraph exactly once.
+                            report.signatures_walked += 1;
+                            let c = self.sigs.intern(self.walker.signature(topo, routes, a, d));
+                            if is_leaf {
+                                self.shape_memo.insert(shape.clone(), c);
+                            }
+                            c
+                        });
                         self.canon_memo.insert(f, c);
                         c
                     };
@@ -342,7 +332,58 @@ impl SymmetryEngine {
         }
 
         report.build_ns = start.elapsed().as_nanos() as u64;
+        report.fingerprint_ns = report.build_ns - report.refine_ns;
         report
+    }
+
+    /// Phase 1: link classes by partition refinement over destinations.
+    /// `class[link] == 0` means "on no shortest path at all", matching the
+    /// eager score 0 for unlabeled links.
+    fn link_classes(
+        &mut self,
+        topo: &Topology,
+        routes: &RouteTable,
+        levels: &[Vec<Vec<SwitchId>>],
+    ) -> Vec<u32> {
+        let mut class: Vec<u32> = vec![0; topo.links().len()];
+        let mut bstate: Vec<u32> = vec![0; topo.num_switches()];
+        // Each leaf's own path-start state.
+        let seeds: Vec<u32> = (0..levels.len() as u32)
+            .map(|li| self.bsets.intern(&[(li, SOURCE_CAP)]))
+            .collect();
+        for (d, levels) in levels.iter().enumerate() {
+            let d = d as u32;
+            bstate.fill(0);
+            // Sources first: candidate edges go from level k to k-1, so by
+            // the time a level is processed its prefix states are final.
+            for (dist, level) in levels.iter().enumerate().rev() {
+                for &a in level {
+                    let mut b = bstate[a.index()];
+                    // A leaf that is not the destination originates its own
+                    // paths (even while relaying others': eager enumerates
+                    // from every source leaf independently).
+                    if let Some(li) = topo.leaf_index(a).filter(|_| dist > 0) {
+                        b = self.union(b, seeds[li as usize]);
+                    }
+                    if b == 0 {
+                        // No shortest path reaches this switch for `d`:
+                        // its candidate links stay unlabeled, exactly like
+                        // the inert detour entries eager never walks.
+                        continue;
+                    }
+                    for &p in routes.candidates(a, d) {
+                        let link = topo.egress(a, p);
+                        let (lset, advanced) = self.cross(b, link.rate_bps);
+                        let li = link.id.index();
+                        class[li] = self.refine(class[li], lset, d);
+                        if let NodeRef::Switch(t) = link.dst {
+                            bstate[t.index()] = self.union(bstate[t.index()], advanced);
+                        }
+                    }
+                }
+            }
+        }
+        class
     }
 
     /// Union of two interned prefix-state sets.
@@ -365,63 +406,41 @@ impl SymmetryEngine {
             out.dedup();
             out
         };
-        let id = self.bsets.intern(merged);
+        let id = self.bsets.intern(&merged);
         self.union_memo.insert((a, b), id);
         id
     }
 
-    /// Clamp every prefix bottleneck to `rate` (the state after crossing a
-    /// link of that rate), mirroring `bottleneck.min(rate)` in the eager
-    /// builder.
-    fn advance(&mut self, b: u32, rate: u64) -> u32 {
-        if let Some(&id) = self.advance_memo.get(&(b, rate)) {
-            return id;
+    /// Cross a link of `rate` with prefix states `b`. Returns the label
+    /// restriction they induce on the link — `(src, Source)` for
+    /// path-starting prefixes, else `(src, cf(bottleneck, rate))`, exactly
+    /// the eager per-path labels aggregated as a set — and the states on
+    /// its far side, every bottleneck clamped to `rate` (the eager
+    /// builder's `bottleneck.min(rate)`).
+    fn cross(&mut self, b: u32, rate: u64) -> (u32, u32) {
+        if let Some(&ids) = self.cross_memo.get(&(b, rate)) {
+            return ids;
         }
-        let advanced = {
-            let mut out: BSet = self
-                .bsets
-                .get(b)
-                .iter()
-                .map(|&(s, cap)| (s, cap.min(rate)))
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-        let id = self.bsets.intern(advanced);
-        self.advance_memo.insert((b, rate), id);
-        id
-    }
-
-    /// The label restriction a prefix-state set induces on a link of
-    /// `rate`: `(src, Source)` for path-starting prefixes, else
-    /// `(src, cf(bottleneck, rate))` — exactly the eager per-path labels,
-    /// aggregated as a set.
-    fn shift(&mut self, b: u32, rate: u64) -> u32 {
-        if let Some(&id) = self.shift_memo.get(&(b, rate)) {
-            return id;
-        }
-        let shifted = {
-            let mut out: LSet = self
-                .bsets
-                .get(b)
-                .iter()
-                .map(|&(s, cap)| {
-                    let cf = if cap == SOURCE_CAP {
-                        CapFactor::Source
-                    } else {
-                        CapFactor::ratio(cap, rate)
-                    };
-                    (s, cf)
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-        let id = self.lsets.intern(shifted);
-        self.shift_memo.insert((b, rate), id);
-        id
+        let states = self.bsets.get(b);
+        let mut labels: LSet = states
+            .iter()
+            .map(|&(s, cap)| {
+                let cf = if cap == SOURCE_CAP {
+                    CapFactor::Source
+                } else {
+                    CapFactor::ratio(cap, rate)
+                };
+                (s, cf)
+            })
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut advanced: BSet = states.iter().map(|&(s, cap)| (s, cap.min(rate))).collect();
+        advanced.sort_unstable();
+        advanced.dedup();
+        let ids = (self.lsets.intern(&labels), self.bsets.intern(&advanced));
+        self.cross_memo.insert((b, rate), ids);
+        ids
     }
 
     /// Partition-refine a link class by destination `d`'s restriction.
@@ -441,77 +460,161 @@ impl SymmetryEngine {
     }
 }
 
-/// Canonical preorder serialization of one entry's candidate subgraph:
-/// nodes numbered by first visit, link classes renumbered by first
-/// occurrence. Each node contributes a `(u32::MAX, arity, visit_no)`
-/// header followed by one `(renumbered class, rate_bps, child visit_no)`
-/// tuple per candidate, with a newly visited child's block interleaved
-/// right after its edge (preorder), so the encoding is prefix-unambiguous.
-///
-/// Two entries with equal signatures have isomorphic class-labeled
-/// candidate DAGs (candidate order preserved), hence identical unrolled
-/// path trees up to a consistent renaming of class ids — and path-score
-/// grouping only depends on the *equality pattern* of scores, so their
-/// decompositions in candidate-index space coincide, weights included
-/// (capacities come from the rates, which the signature carries verbatim).
-fn canonical_signature(
+/// Write entry `a`'s exact fingerprint over `cands` into `key`.
+fn exact_fingerprint(
     topo: &Topology,
-    routes: &RouteTable,
-    entry: SwitchId,
-    dst_leaf: u32,
+    a: SwitchId,
+    cands: &[u16],
     class: &[u32],
-) -> FKey {
-    let mut node_no: HashMap<u32, u32> = HashMap::new();
-    let mut class_no: HashMap<u32, u32> = HashMap::new();
-    let mut sig: FKey = Vec::new();
-    node_no.insert(entry.0, 0);
-    walk(
-        topo,
-        routes,
-        entry,
-        dst_leaf,
-        class,
-        &mut node_no,
-        &mut class_no,
-        &mut sig,
-    );
-    sig
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    topo: &Topology,
-    routes: &RouteTable,
-    s: SwitchId,
-    dst_leaf: u32,
-    class: &[u32],
-    node_no: &mut HashMap<u32, u32>,
-    class_no: &mut HashMap<u32, u32>,
-    sig: &mut FKey,
+    fid: &[u32],
+    key: &mut FKey,
 ) {
-    let cands = routes.candidates(s, dst_leaf);
-    sig.push((u32::MAX, cands.len() as u64, node_no[&s.0]));
+    key.clear();
     for &p in cands {
-        let link = topo.egress(s, p);
-        let next_class_no = class_no.len() as u32;
-        let cn = *class_no
-            .entry(class[link.id.index()])
-            .or_insert(next_class_no);
-        let t = match link.dst {
-            NodeRef::Switch(t) => t,
+        let link = topo.egress(a, p);
+        let child = match link.dst {
+            NodeRef::Switch(t) => fid[t.index()],
             NodeRef::Host(_) => unreachable!("candidates are switch links"),
         };
-        let (tn, first_visit) = match node_no.get(&t.0) {
-            Some(&n) => (n, false),
-            None => {
-                let n = node_no.len() as u32;
-                node_no.insert(t.0, n);
-                (n, true)
+        key.push((class[link.id.index()], link.rate_bps, child));
+    }
+}
+
+/// Write the *shape* of leaf entry `a`'s exact fingerprint `key` into
+/// `shape`: rates and child fingerprints kept, each first-hop class
+/// replaced by two candidate indices (16 bits each, ports are `u16`) — the
+/// first candidate carrying the same class, and the first one reaching
+/// the same child switch (which `key` leaves implicit).
+///
+/// Entries of equal shape decompose identically: path scores are compared
+/// hop by hop, so a first-hop class only ever meets other first-hop
+/// classes — whose equality pattern the shape keeps — and everything below
+/// is pinned by the exact child fingerprints. They also share the
+/// signature a walk would give each of them (so `classes` counts what it
+/// always did) whenever `key` itself determines it. The shape forgets only
+/// *which* classes the first hops carry, and a signature sees class ids
+/// only through their equality pattern: among the first hops, kept, and
+/// between a first hop and a deeper link, which for a leaf entry `(a, d)`
+/// never holds — `a` originates its own paths, so every first-hop link is
+/// labeled `(a, d, Source)`, while a link further down is reached from `a`
+/// only through advanced prefixes (`Source` is never re-created: `cross`
+/// clamps to a finite rate), and the per-destination chain in `refine`
+/// keeps links with different restrictions for `d` in different classes.
+fn leaf_shape(topo: &Topology, a: SwitchId, cands: &[u16], key: &[Tuple], shape: &mut FKey) {
+    shape.clear();
+    for (i, &(class, rate, child)) in key.iter().enumerate() {
+        let node = topo.egress(a, cands[i]).dst;
+        let same_class = key[..i].iter().position(|k| k.0 == class);
+        let same_node = cands[..i]
+            .iter()
+            .position(|&p| topo.egress(a, p).dst == node);
+        let pattern = same_class.unwrap_or(i) << 16 | same_node.unwrap_or(i);
+        shape.push((pattern as u32, rate, child));
+    }
+}
+
+/// Scratch state of the canonical-signature walk, owned by the engine and
+/// reused across walks and installs so a walk allocates nothing.
+///
+/// Visit and class numbers live in dense tables — one slot per switch, one
+/// per distinct link class *of the current install* (so at most one per
+/// link, however far `next_class` has grown) — whose slots are valid only
+/// while their stamp equals the current walk's `epoch`. Starting a walk is
+/// one increment, never a clear.
+#[derive(Default)]
+struct Walker {
+    epoch: u32,
+    /// Per switch: `(epoch stamped, visit number)`.
+    nodes: Vec<(u32, u32)>,
+    /// Per dense class: `(epoch stamped, first-occurrence number)`.
+    classes: Vec<(u32, u32)>,
+    /// Link -> index of its class among this install's distinct classes.
+    dense: Vec<u32>,
+    n_nodes: u32,
+    n_classes: u32,
+    sig: FKey,
+}
+
+impl Walker {
+    /// Size the tables for one install's fabric and link classes.
+    fn begin(&mut self, n_switches: usize, class: &[u32]) {
+        let mut index: FxHashMap<u32, u32> = FxHashMap::default();
+        self.dense.clear();
+        self.dense.extend(class.iter().map(|&c| {
+            let next = index.len() as u32;
+            *index.entry(c).or_insert(next)
+        }));
+        // Slots surviving from an earlier install carry stamps below the
+        // next epoch; fresh ones carry 0, which no walk ever uses.
+        self.nodes.resize(n_switches, (0, 0));
+        self.classes.resize(index.len(), (0, 0));
+    }
+
+    /// Canonical preorder serialization of one entry's candidate subgraph:
+    /// nodes numbered by first visit, link classes renumbered by first
+    /// occurrence. Each node contributes a `(u32::MAX, arity, visit_no)`
+    /// header followed by one `(renumbered class, rate_bps, child
+    /// visit_no)` tuple per candidate, with a newly visited child's block
+    /// interleaved right after its edge (preorder), so the encoding is
+    /// prefix-unambiguous.
+    ///
+    /// Two entries with equal signatures have isomorphic class-labeled
+    /// candidate DAGs (candidate order preserved), hence identical
+    /// unrolled path trees up to a consistent renaming of class ids — and
+    /// path-score grouping only depends on the *equality pattern* of
+    /// scores, so their decompositions in candidate-index space coincide,
+    /// weights included (capacities come from the rates, which the
+    /// signature carries verbatim). The same invariance lets the walk read
+    /// `dense` indices instead of class ids.
+    fn signature(
+        &mut self,
+        topo: &Topology,
+        routes: &RouteTable,
+        entry: SwitchId,
+        dst_leaf: u32,
+    ) -> &[Tuple] {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The counter wrapped: stamps from 2^32 walks ago would read
+            // as current, so, this once, the tables really are cleared.
+            self.nodes.fill((0, 0));
+            self.classes.fill((0, 0));
+            self.epoch = 1;
+        }
+        self.sig.clear();
+        self.nodes[entry.index()] = (self.epoch, 0);
+        self.n_nodes = 1;
+        self.n_classes = 0;
+        self.walk(topo, routes, entry, dst_leaf);
+        &self.sig
+    }
+
+    fn walk(&mut self, topo: &Topology, routes: &RouteTable, s: SwitchId, dst_leaf: u32) {
+        let cands = routes.candidates(s, dst_leaf);
+        self.sig
+            .push((u32::MAX, cands.len() as u64, self.nodes[s.index()].1));
+        for &p in cands {
+            let link = topo.egress(s, p);
+            let class = &mut self.classes[self.dense[link.id.index()] as usize];
+            if class.0 != self.epoch {
+                *class = (self.epoch, self.n_classes);
+                self.n_classes += 1;
             }
-        };
-        sig.push((cn, link.rate_bps, tn));
-        if first_visit {
-            walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
+            let cn = class.1;
+            let t = match link.dst {
+                NodeRef::Switch(t) => t,
+                NodeRef::Host(_) => unreachable!("candidates are switch links"),
+            };
+            let node = &mut self.nodes[t.index()];
+            let first_visit = node.0 != self.epoch;
+            if first_visit {
+                *node = (self.epoch, self.n_nodes);
+                self.n_nodes += 1;
+            }
+            self.sig.push((cn, link.rate_bps, node.1));
+            if first_visit {
+                self.walk(topo, routes, t, dst_leaf);
+            }
         }
     }
 }
@@ -521,9 +624,11 @@ mod tests {
     use super::*;
     use crate::decompose::install_symmetric_groups_eager;
     use drill_net::{
-        clos, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, LinkId, SwitchId,
-        Vl2Spec, DEFAULT_PROP,
+        clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec,
+        LeafSpineSpec, LinkId, SwitchId, Vl2Spec, DEFAULT_PROP,
     };
+    use drill_sim::SimRng;
+    use std::collections::HashMap;
 
     fn spec(spines: usize, leaves: usize) -> LeafSpineSpec {
         LeafSpineSpec {
@@ -677,6 +782,281 @@ mod tests {
         let mut back = RouteTable::compute(&topo);
         let third = engine.install(&topo, &mut back);
         assert_eq!(third.paths_enumerated, 0, "restore replays cached work");
+        assert_eq!(third.signatures_walked, 0, "restore walks no subgraph");
+        assert!(warm.signatures_walked > 0, "the new failure did");
+    }
+
+    /// The `HashMap`-based canonical walk the scratch-table [`Walker`]
+    /// replaced, kept verbatim as its differential reference.
+    fn reference_signature(
+        topo: &Topology,
+        routes: &RouteTable,
+        entry: SwitchId,
+        dst_leaf: u32,
+        class: &[u32],
+    ) -> FKey {
+        let mut node_no: HashMap<u32, u32> = HashMap::new();
+        let mut class_no: HashMap<u32, u32> = HashMap::new();
+        let mut sig: FKey = Vec::new();
+        node_no.insert(entry.0, 0);
+        reference_walk(
+            topo,
+            routes,
+            entry,
+            dst_leaf,
+            class,
+            &mut node_no,
+            &mut class_no,
+            &mut sig,
+        );
+        sig
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reference_walk(
+        topo: &Topology,
+        routes: &RouteTable,
+        s: SwitchId,
+        dst_leaf: u32,
+        class: &[u32],
+        node_no: &mut HashMap<u32, u32>,
+        class_no: &mut HashMap<u32, u32>,
+        sig: &mut FKey,
+    ) {
+        let cands = routes.candidates(s, dst_leaf);
+        sig.push((u32::MAX, cands.len() as u64, node_no[&s.0]));
+        for &p in cands {
+            let link = topo.egress(s, p);
+            let next_class_no = class_no.len() as u32;
+            let cn = *class_no
+                .entry(class[link.id.index()])
+                .or_insert(next_class_no);
+            let t = match link.dst {
+                NodeRef::Switch(t) => t,
+                NodeRef::Host(_) => unreachable!("candidates are switch links"),
+            };
+            let (tn, first_visit) = match node_no.get(&t.0) {
+                Some(&n) => (n, false),
+                None => {
+                    let n = node_no.len() as u32;
+                    node_no.insert(t.0, n);
+                    (n, true)
+                }
+            };
+            sig.push((cn, link.rate_bps, tn));
+            if first_visit {
+                reference_walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
+            }
+        }
+    }
+
+    /// Every fabric of `tests/structural_groups.rs`'s any-tier sweep (the
+    /// same six families, seeds and fault draws): up to five arbitrary
+    /// switch–switch links failed, one survivor degraded.
+    fn for_each_sweep_fabric(mut f: impl FnMut(&str, &Topology)) {
+        type Build = fn(&mut SimRng) -> Topology;
+        fn ls(rng: &mut SimRng) -> LeafSpineSpec {
+            LeafSpineSpec {
+                hosts_per_leaf: 2,
+                ..spec(2 + rng.below(4), 2 + rng.below(6))
+            }
+        }
+        let families: [(&str, Build); 6] = [
+            ("leaf_spine", |rng| leaf_spine(&ls(rng))),
+            ("leaf_spine_custom", |rng| {
+                let (skew, spec) = (rng.below(3), ls(rng));
+                leaf_spine_custom(&spec, |l, s| {
+                    if (l + s) % 3 == skew {
+                        vec![10_000_000_000; 2]
+                    } else {
+                        vec![40_000_000_000]
+                    }
+                })
+            }),
+            ("vl2", |rng| {
+                let aggs = 2 + rng.below(4);
+                vl2(&Vl2Spec {
+                    tors: 3 + rng.below(5),
+                    aggs,
+                    ints: 1 + rng.below(4),
+                    hosts_per_tor: 1,
+                    host_rate: 1_000_000_000,
+                    core_rate: 10_000_000_000,
+                    tor_uplinks: (1 + rng.below(3)).min(aggs),
+                    prop: DEFAULT_PROP,
+                })
+            }),
+            ("fat_tree", |_| fat_tree(4, 10_000_000_000, DEFAULT_PROP)),
+            ("fat_tree_custom", |rng| {
+                let hosts_per_edge = 2 + rng.below(3);
+                fat_tree_custom(
+                    4,
+                    hosts_per_edge,
+                    10_000_000_000,
+                    10_000_000_000,
+                    DEFAULT_PROP,
+                )
+            }),
+            ("clos", |rng| {
+                clos(&ClosSpec {
+                    pods: 2 + rng.below(3),
+                    leaves_per_pod: 1 + rng.below(2),
+                    aggs_per_pod: 2,
+                    cores: 2 * (1 + rng.below(2)),
+                    hosts_per_leaf: 1,
+                    ..ClosSpec::smoke()
+                })
+            }),
+        ];
+        let live_pairs = |topo: &Topology| {
+            let mut pairs: Vec<(SwitchId, SwitchId)> = topo
+                .links()
+                .iter()
+                .filter(|l| l.up)
+                .filter_map(|l| match (l.src, l.dst) {
+                    (NodeRef::Switch(a), NodeRef::Switch(b)) if a.0 < b.0 => Some((a, b)),
+                    _ => None,
+                })
+                .collect();
+            pairs.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
+            pairs.dedup();
+            pairs
+        };
+        for (family, build) in families {
+            for seed in 0..500 {
+                let mut rng = SimRng::seed_from(seed);
+                let mut topo = build(&mut rng);
+                for _ in 0..rng.below(6) {
+                    let live = live_pairs(&topo);
+                    if live.is_empty() {
+                        break;
+                    }
+                    let (a, b) = live[rng.below(live.len())];
+                    assert!(topo.fail_switch_link(a, b, 0));
+                }
+                let live = live_pairs(&topo);
+                if !live.is_empty() {
+                    let (a, b) = live[rng.below(live.len())];
+                    let num = 1 + rng.below(3) as u32;
+                    assert!(topo.degrade_switch_link(a, b, 0, num, 4));
+                }
+                f(&format!("{family} seed {seed}"), &topo);
+            }
+        }
+    }
+
+    /// What [`check_walks`] learned about leaf shapes: shape -> signature,
+    /// and the same with one field of every shape tuple blanked.
+    #[derive(Default)]
+    struct ShapeLedger {
+        full: HashMap<FKey, FKey>,
+        blanked: [HashMap<FKey, FKey>; 4],
+        ambiguous: [bool; 4],
+    }
+
+    /// Replay phase 2's traversal on `engine` and demand, for every
+    /// multi-candidate entry, that the scratch-table walk returns exactly
+    /// the reference signature; feed every walked leaf entry to `ledger`.
+    fn check_walks(
+        label: &str,
+        engine: &mut SymmetryEngine,
+        topo: &Topology,
+        mut ledger: Option<&mut ShapeLedger>,
+    ) -> usize {
+        let routes = RouteTable::compute(topo);
+        let levels: Vec<_> = (0..topo.num_leaves() as u32)
+            .map(|d| routes.dist_levels(d))
+            .collect();
+        let class = engine.link_classes(topo, &routes, &levels);
+        engine.walker.begin(topo.num_switches(), &class);
+        let mut fid = vec![0u32; topo.num_switches()];
+        let (mut key, mut shape, mut checked) = (FKey::new(), FKey::new(), 0);
+        for (d, levels) in levels.iter().enumerate() {
+            let d = d as u32;
+            for &a in levels.iter().skip(1).flatten() {
+                let cands = routes.candidates(a, d);
+                exact_fingerprint(topo, a, cands, &class, &fid, &mut key);
+                fid[a.index()] = engine.fps.intern(&key);
+                if cands.len() < 2 {
+                    continue;
+                }
+                let want = reference_signature(topo, &routes, a, d, &class);
+                let got = engine.walker.signature(topo, &routes, a, d);
+                assert_eq!(got, &want[..], "{label}: entry {}->{d}", a.0);
+                checked += 1;
+                let collapsed = key.windows(2).all(|w| w[0] == w[1]);
+                let Some(ledger) = ledger.as_deref_mut() else {
+                    continue;
+                };
+                if collapsed || topo.leaf_index(a).is_none() {
+                    continue;
+                }
+                leaf_shape(topo, a, cands, &key, &mut shape);
+                let known = ledger.full.entry(shape.clone()).or_insert(want.clone());
+                assert_eq!(*known, want, "{label}: shape {shape:?} has two signatures");
+                for field in 0..4 {
+                    let mut blank = shape.clone();
+                    for t in &mut blank {
+                        match field {
+                            0 => t.0 &= 0xFFFF,
+                            1 => t.0 &= !0xFFFF,
+                            2 => t.1 = 0,
+                            _ => t.2 = 0,
+                        }
+                    }
+                    let known = ledger.blanked[field].entry(blank).or_insert(want.clone());
+                    ledger.ambiguous[field] |= *known != want;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn scratch_walk_matches_reference_walk_on_the_sweep() {
+        // One warm engine lives across the sweep and really installs on
+        // every fabric, so its tables are resized back and forth and carry
+        // the stamps of earlier walks; the cold one starts from nothing.
+        let mut warm = SymmetryEngine::new();
+        let mut ledger = ShapeLedger::default();
+        let mut checked = 0;
+        for_each_sweep_fabric(|label, topo| {
+            checked += check_walks(label, &mut SymmetryEngine::new(), topo, None);
+            warm.install(topo, &mut RouteTable::compute(topo));
+            check_walks(label, &mut warm, topo, Some(&mut ledger));
+        });
+        assert!(checked > 50_000, "sweep compared only {checked} entries");
+        // The shape memo's key, field by field: the warm engine's ids are
+        // comparable across the sweep, every shape mapped to one signature
+        // (asserted above), and no field can go — blanking any of them
+        // makes some shape stand for two different signatures.
+        let fields = ["class pattern", "node pattern", "rate", "child fingerprint"];
+        for (name, needed) in fields.iter().zip(ledger.ambiguous) {
+            assert!(needed, "no sweep entry needs the shape's {name}");
+        }
+    }
+
+    #[test]
+    fn walk_epoch_wraparound_clears_stale_stamps() {
+        let mut topo = clos(&ClosSpec::smoke());
+        let l0 = topo.leaves()[0];
+        let agg = match topo.egress(l0, 0).dst {
+            NodeRef::Switch(s) => s,
+            _ => unreachable!(),
+        };
+        assert!(topo.fail_switch_link(l0, agg, 0));
+        let mut engine = SymmetryEngine::new();
+        // Plant stamps 1..n, then jump to the brink: the walks that follow
+        // cross u32::MAX and reuse epochs 1..n on slots still holding them.
+        let n = check_walks("low epochs", &mut engine, &topo, None);
+        assert!(n > 8 && (engine.walker.epoch as usize) == n);
+        engine.walker.epoch = u32::MAX - 3;
+        check_walks("across the wrap", &mut engine, &topo, None);
+        assert_eq!(
+            engine.walker.epoch as usize,
+            n - 3,
+            "counter wrapped past 0"
+        );
     }
 
     /// Hand-built pod-symmetric Clos: links in mirrored positions of

@@ -111,7 +111,7 @@ impl RouteTable {
 
     /// Install symmetric components for `(s, dst_leaf)`.
     pub fn set_groups(&mut self, s: SwitchId, dst_leaf: u32, groups: Vec<PortGroup>) {
-        if !groups.is_empty() {
+        if cfg!(debug_assertions) && !groups.is_empty() {
             let mut all: Vec<u16> = groups
                 .iter()
                 .flat_map(|g| g.ports.iter().copied())
@@ -119,7 +119,7 @@ impl RouteTable {
             all.sort_unstable();
             let mut cand: Vec<u16> = self.next_hops[s.index()][dst_leaf as usize].clone();
             cand.sort_unstable();
-            debug_assert_eq!(all, cand, "groups must partition the candidate set");
+            assert_eq!(all, cand, "groups must partition the candidate set");
         }
         self.groups[s.index()][dst_leaf as usize] = groups;
     }

@@ -39,6 +39,14 @@ for threads in 1 8; do
     DRILL_THREADS=$threads cargo test -q --workspace
 done
 
+echo "== optimised-build row (cargo test --release: drill-core, drill-net, structural goldens) =="
+# The build drillbench measures: debug assertions and overflow checks off,
+# RouteTable::set_groups' partition check compiled out. Every other test
+# row runs the dev profile, so without this one the control plane is
+# never tested in the build whose speed is claimed.
+cargo test -q --release -p drill-core -p drill-net
+cargo test -q --release --test structural_groups
+
 echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
 # The telemetry determinism contract: every golden constant must hold
 # unchanged with the recorder riding along.

@@ -14,7 +14,7 @@
 //! checked cold and against one warm engine reused across the whole
 //! sweep.
 
-use drill::core::{install_symmetric_groups_eager, SymmetryEngine};
+use drill::core::{install_symmetric_groups_eager, GroupingReport, SymmetryEngine};
 use drill::faults::{FaultInjector, FaultKind};
 use drill::net::{
     clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
@@ -340,4 +340,51 @@ fn clos_heterogeneous_rates_match_eager() {
     for &(n, seed) in &[(0usize, 0x1u64), (2, 0xD00D), (3, 0x33)] {
         check("clos_hetero", clos(&spec), n, seed);
     }
+}
+
+#[test]
+fn asym_scale_shaped_clos_counts_are_pinned() {
+    // drillbench's `asym_scale` at its smoke size: four leaf uplinks
+    // pre-failed, the fifth flapped. What the engine decomposes, reuses
+    // and enumerates on the cold, new-failure and replay installs was
+    // captured at commit 6a9dc8d, before the control plane was optimised
+    // for speed; a change that moves these has changed *what* is computed.
+    let mut topo = clos(&ClosSpec {
+        pods: 4,
+        leaves_per_pod: 4,
+        aggs_per_pod: 2,
+        cores: 4,
+        hosts_per_leaf: 8,
+        ..ClosSpec::smoke()
+    });
+    let picked = random_leaf_spine_failures(&topo, 5, 0xA5F);
+    for &(a, b) in &picked[..4] {
+        assert!(topo.fail_switch_link(SwitchId(a), SwitchId(b), 0));
+    }
+    let (flap_a, flap_b) = (SwitchId(picked[4].0), SwitchId(picked[4].1));
+    // entries, asymmetric_entries, max_components, classes,
+    // entries_reused, paths_enumerated
+    const COLD: [u64; 6] = [229, 145, 5, 8, 221, 49];
+    const NEW_FAILURE: [u64; 6] = [208, 127, 5, 9, 199, 12];
+    const REPLAY: [u64; 6] = [229, 145, 5, 8, 221, 0];
+    let counts = |r: &GroupingReport| {
+        [
+            r.entries as u64,
+            r.asymmetric_entries as u64,
+            r.max_components as u64,
+            r.classes as u64,
+            r.entries_reused as u64,
+            r.paths_enumerated,
+        ]
+    };
+    let mut engine = SymmetryEngine::new();
+    let cold = engine.install(&topo, &mut RouteTable::compute(&topo));
+    assert_eq!(counts(&cold), COLD);
+    assert!(topo.fail_switch_link(flap_a, flap_b, 0));
+    let new_failure = engine.install(&topo, &mut RouteTable::compute(&topo));
+    assert_eq!(counts(&new_failure), NEW_FAILURE);
+    assert!(topo.restore_switch_link(flap_a, flap_b, 0));
+    let replay = engine.install(&topo, &mut RouteTable::compute(&topo));
+    assert_eq!(counts(&replay), REPLAY);
+    assert_eq!(replay.signatures_walked, 0, "a seen fabric walks nothing");
 }
