@@ -31,6 +31,9 @@ pub struct DrillPolicy {
     mem: Vec<Vec<u16>>,
     /// Scratch: candidate ports considered this decision.
     scratch: Vec<u16>,
+    /// Scratch: sampled candidate indices (`select` runs per packet-hop
+    /// and must not allocate).
+    sampled: Vec<usize>,
 }
 
 impl DrillPolicy {
@@ -43,6 +46,7 @@ impl DrillPolicy {
             m,
             mem: vec![Vec::with_capacity(m); engines],
             scratch: Vec::new(),
+            sampled: Vec::new(),
         }
     }
 
@@ -76,9 +80,8 @@ impl SwitchPolicy for DrillPolicy {
         // a deterministic scan would tie-break every empty-queue decision
         // onto the lowest port index, herding all engines there.
         let k = self.d.min(cand.len());
-        for i in rng.sample_indices(cand.len(), k) {
-            self.scratch.push(cand[i]);
-        }
+        rng.sample_indices_into(cand.len(), k, &mut self.sampled);
+        self.scratch.extend(self.sampled.iter().map(|&i| cand[i]));
         for &p in mem.iter() {
             if cand.contains(&p) && !self.scratch.contains(&p) {
                 self.scratch.push(p);

@@ -598,12 +598,13 @@ impl Switch {
         };
         if p.in_flight.is_none() {
             debug_assert!(p.q.is_empty());
+            // The commit and the departure share one serialization time.
+            let tx_done_at = now + Time::tx_time(size as u64, link.rate_bps);
             // Commit event is pushed before TxDone so that for equal
             // timestamps the packet becomes visible before it departs.
             if self.cfg.model_enqueue_commit {
-                let commit_at = now + Time::tx_time(size as u64, link.rate_bps);
                 out.push((
-                    commit_at,
+                    tx_done_at,
                     NetEvent::EnqueueCommit {
                         switch: self.id,
                         port,
@@ -624,7 +625,7 @@ impl Switch {
             });
             p.stats.wait_count += 1; // zero wait
             out.push((
-                now + Time::tx_time(size as u64, link.rate_bps),
+                tx_done_at,
                 NetEvent::SwitchTxDone {
                     switch: self.id,
                     port,

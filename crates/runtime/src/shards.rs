@@ -223,6 +223,16 @@ impl<P: Send> EngineQueue<P> {
         }
     }
 
+    /// Slab slots ever allocated across the engine's wheels: the
+    /// high-water mark of concurrently pending events (mailboxed
+    /// handoffs excluded — they hold no slot until the barrier).
+    pub fn allocated_slots(&self) -> usize {
+        match self {
+            EngineQueue::Serial(q) => q.allocated_slots(),
+            EngineQueue::Sharded(s) => s.wheels.iter().map(EventQueue::allocated_slots).sum(),
+        }
+    }
+
     /// Record a fault strike against its owning shard (no-op when
     /// serial); faults are control events, but attributing them keeps the
     /// per-shard accounting honest and testable.

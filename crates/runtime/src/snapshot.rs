@@ -249,7 +249,9 @@ impl<P: Probe> World<P> {
         }
         b.section(SEC_HOST_POLICIES, buf);
 
-        // FLOWS: TCP state + class/measured/shim/timer-generation.
+        // FLOWS: TCP state + class/measured/shim + the RTO timer triple
+        // (scheduled generation, deadline, live wake). Without the last
+        // two a restored world would ignore every pending wake.
         let mut buf = Vec::new();
         put_varint(&mut buf, self.flows.len() as u64);
         for (i, f) in self.flows.iter().enumerate() {
@@ -270,6 +272,8 @@ impl<P: Probe> World<P> {
                 None => put_bool(&mut buf, false),
             }
             put_varint(&mut buf, self.sched_gen[i]);
+            put_time(&mut buf, self.rto_due[i]);
+            put_time(&mut buf, self.rto_wake[i]);
         }
         b.section(SEC_FLOWS, buf);
 
@@ -370,10 +374,9 @@ impl<P: Probe> World<P> {
                 Event::FlowArrival => body.push(EV_FLOW_ARRIVAL),
                 Event::IncastEpoch => body.push(EV_INCAST_EPOCH),
                 Event::MiceTick => body.push(EV_MICE_TICK),
-                Event::TcpTimer { flow, gen } => {
+                Event::TcpTimer { flow } => {
                     body.push(EV_TCP_TIMER);
                     put_varint(&mut body, *flow as u64);
-                    put_varint(&mut body, *gen);
                 }
                 Event::ShimTimer { flow, gen } => {
                     body.push(EV_SHIM_TIMER);
@@ -597,6 +600,8 @@ impl<P: Probe> World<P> {
                 None
             };
             let sched_gen = d.varint()?;
+            w.rto_due.push(get_time(&mut d)?);
+            w.rto_wake.push(get_time(&mut d)?);
             w.flows.push(f);
             w.classes.push(class);
             w.measured.push(measured);
@@ -694,12 +699,11 @@ impl<P: Probe> World<P> {
                 EV_MICE_TICK => w.queue.push_control_stamped(at, seq, Event::MiceTick),
                 EV_TCP_TIMER => {
                     let flow = d.varint_u32()?;
-                    let gen = d.varint()?;
                     if flow as usize >= w.flows.len() {
                         return Err(invalid("timer names an unknown flow"));
                     }
                     w.queue
-                        .push_control_stamped(at, seq, Event::TcpTimer { flow, gen });
+                        .push_control_stamped(at, seq, Event::TcpTimer { flow });
                 }
                 EV_SHIM_TIMER => {
                     let flow = d.varint_u32()?;

@@ -160,6 +160,17 @@ pub struct RunStats {
     /// the determinism fingerprint: the auditor observes, fingerprints
     /// pin simulated behavior.
     pub anomalies: u64,
+    /// High-water mark of concurrently pending events: timing-wheel slab
+    /// slots ever allocated, summed over the engine's wheels (56 B each).
+    /// Host-side memory accounting like `shard_handoffs` — it depends on
+    /// the engine shape and restarts at a snapshot restore, so it is in
+    /// no fingerprint and no snapshot. [`merge`](RunStats::merge) keeps
+    /// the maximum (the runs did not share a wheel).
+    pub wheel_slots_hw: u64,
+    /// High-water mark of concurrently interned packets: packet-arena
+    /// slots ever allocated, summed over the shard arenas. Host-side,
+    /// like [`wheel_slots_hw`](RunStats::wheel_slots_hw).
+    pub arena_slots_hw: u64,
 }
 
 impl RunStats {
@@ -198,6 +209,8 @@ impl RunStats {
             shard_handoff_hash: 0,
             shard_windows: 0,
             anomalies: 0,
+            wheel_slots_hw: 0,
+            arena_slots_hw: 0,
         }
     }
 
@@ -249,9 +262,10 @@ impl RunStats {
     /// Everything else stays exact regardless of scale: histograms and
     /// per-hop tallies add, streaming moments combine with the standard
     /// Chan et al. update, counters (including `bytes_delivered`) sum,
-    /// distribution counts/means/extrema are exact, and `sim_end` keeps
-    /// the latest end time. The scheme name is kept from `self`; merging
-    /// different schemes is a caller bug and panics.
+    /// distribution counts/means/extrema are exact, `sim_end` keeps the
+    /// latest end time and the slot high-water marks keep the maximum.
+    /// The scheme name is kept from `self`; merging different schemes is
+    /// a caller bug and panics.
     pub fn merge(&mut self, other: &RunStats) {
         assert_eq!(
             self.scheme, other.scheme,
@@ -290,6 +304,8 @@ impl RunStats {
             .wrapping_add(other.shard_handoff_hash);
         self.shard_windows += other.shard_windows;
         self.anomalies += other.anomalies;
+        self.wheel_slots_hw = self.wheel_slots_hw.max(other.wheel_slots_hw);
+        self.arena_slots_hw = self.arena_slots_hw.max(other.arena_slots_hw);
     }
 }
 
@@ -351,6 +367,8 @@ mod tests {
         a.fault_window_ns = 500;
         a.fct_fault_ms.add(8.0);
         a.stable_at = Time::from_millis(2);
+        a.wheel_slots_hw = 40;
+        a.arena_slots_hw = 7;
         let mut b = RunStats::new("x".into());
         b.fct_ms.add(2.0);
         b.dupacks.add(2);
@@ -366,6 +384,8 @@ mod tests {
         b.fault_window_ns = 250;
         b.fct_clear_ms.add(2.0);
         b.stable_at = Time::from_millis(1);
+        b.wheel_slots_hw = 25;
+        b.arena_slots_hw = 9;
         a.merge(&b);
         assert_eq!(a.fct_ms.count(), 3);
         assert!((a.fct_ms.mean() - 2.0).abs() < 1e-12);
@@ -385,6 +405,7 @@ mod tests {
         assert_eq!(a.fct_clear_ms.count(), 1);
         assert_eq!(a.stable_at, Time::from_millis(2));
         assert!((a.fault_fct_ratio() - 4.0).abs() < 1e-12);
+        assert_eq!((a.wheel_slots_hw, a.arena_slots_hw), (40, 9), "maxima");
     }
 
     #[test]

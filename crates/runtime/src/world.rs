@@ -34,9 +34,10 @@ enum Event {
     FlowArrival,
     IncastEpoch,
     MiceTick,
+    /// The flow's RTO wake (see [`World::schedule_rto`]): at most one is
+    /// live per flow, so it carries no generation.
     TcpTimer {
         flow: u32,
-        gen: u64,
     },
     ShimTimer {
         flow: u32,
@@ -58,9 +59,9 @@ enum Event {
 
 /// The runtime event is what every timing-wheel slab node, batch sort and
 /// push/pop copies; the arena refactor exists to keep it at two words plus
-/// a discriminant. `TcpTimer`/`ShimTimer` (u32 + u64) set the 24-byte
-/// floor; the packet-carrying `Net` variants fit under it only because
-/// they hold a [`PacketRef`] handle.
+/// a discriminant. `ShimTimer` (u32 + u64) sets the 24-byte floor; the
+/// packet-carrying `Net` variants fit under it only because they hold a
+/// [`PacketRef`] handle.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// Whole-node bound: payload (`Option<Event>`, 24 + niche'd tag) + wheel
@@ -97,7 +98,14 @@ pub struct World<P: Probe = NoopProbe> {
     classes: Vec<FlowClass>,
     measured: Vec<bool>,
     shims: Vec<Option<ShimBuffer>>,
+    /// Timer generation the flow's current RTO deadline was taken at.
     sched_gen: Vec<u64>,
+    /// Deadline of the flow's latest RTO restart (that of `sched_gen`).
+    rto_due: Vec<Time>,
+    /// Time of the flow's one live `TcpTimer` wake in the wheel
+    /// (`Time::MAX` = none pending). Never later than `rto_due` while
+    /// `sched_gen` is current.
+    rto_wake: Vec<Time>,
     queue: EngineQueue<Event>,
     /// The fabric partition driving event ownership and arena residency;
     /// the trivial single-shard plan on the serial engine.
@@ -519,6 +527,8 @@ impl<P: Probe> World<P> {
             measured: Vec::new(),
             shims: Vec::new(),
             sched_gen: Vec::new(),
+            rto_due: Vec::new(),
+            rto_wake: Vec::new(),
             queue,
             plan,
             rng_net,
@@ -909,19 +919,7 @@ impl<P: Probe> World<P> {
                     }
                 }
             }
-            Event::TcpTimer { flow, gen } => {
-                let mut out = self.pkt_pool.get();
-                let fired =
-                    self.flows[flow as usize].on_timer(gen, now, &mut self.pkt_ids, &mut out);
-                if fired {
-                    let src = self.flows[flow as usize].src;
-                    for p in out.drain(..) {
-                        self.host_send(src, p, now);
-                    }
-                    self.schedule_rto(flow, now);
-                }
-                self.pkt_pool.put(out);
-            }
+            Event::TcpTimer { flow } => self.on_rto_wake(flow, now),
             Event::ShimTimer { flow, gen } => {
                 if self.shims[flow as usize].is_some() {
                     let k = self.host_shard(self.flows[flow as usize].dst);
@@ -1183,6 +1181,8 @@ impl<P: Probe> World<P> {
         self.measured.push(measured);
         self.shims.push(None);
         self.sched_gen.push(0);
+        self.rto_due.push(Time::ZERO);
+        self.rto_wake.push(Time::MAX);
         if measured {
             self.stats.flows_started += 1;
         }
@@ -1221,13 +1221,58 @@ impl<P: Probe> World<P> {
         self.schedule_rto(idx, now);
     }
 
+    /// (Re)start `flow`'s retransmission timer, keeping **one** wake per
+    /// flow in the wheel instead of one event per restart: a restart only
+    /// moves `rto_due`, and the pending wake re-arms itself at the new
+    /// deadline when it pops. A push happens only when no wake is pending
+    /// or the new deadline precedes it (the RTO shrank after a back-off).
+    /// Wheel residency is O(flows), not O(ACKs inside one RTO).
     fn schedule_rto(&mut self, flow: u32, now: Time) {
-        if let Some((at, gen)) = self.flows[flow as usize].rto_deadline(now) {
-            if self.sched_gen[flow as usize] != gen {
-                self.sched_gen[flow as usize] = gen;
-                self.queue.push_control(at, Event::TcpTimer { flow, gen });
+        let f = flow as usize;
+        if let Some((at, gen)) = self.flows[f].rto_deadline(now) {
+            if self.sched_gen[f] != gen {
+                self.sched_gen[f] = gen;
+                self.rto_due[f] = at;
+                if at < self.rto_wake[f] {
+                    self.rto_wake[f] = at;
+                    self.queue.push_control(at, Event::TcpTimer { flow });
+                }
             }
         }
+    }
+
+    /// A `TcpTimer` wake popped at `now`. Only the live wake counts; it
+    /// re-arms at `rto_due` if ACKs moved the deadline on since it was
+    /// pushed, and otherwise *is* the deadline — the RTO fires at the
+    /// nanosecond the latest restart asked for.
+    fn on_rto_wake(&mut self, flow: u32, now: Time) {
+        let f = flow as usize;
+        if self.rto_wake[f] != now {
+            // Orphaned by an earlier wake pushed when the RTO shrank.
+            return;
+        }
+        self.rto_wake[f] = Time::MAX;
+        if self.sched_gen[f] != self.flows[f].timer_generation() {
+            // The flow finished (or has nothing in flight) without a new
+            // deadline: the one held can never fire, so neither re-arm.
+            return;
+        }
+        if self.rto_due[f] > now {
+            self.rto_wake[f] = self.rto_due[f];
+            self.queue
+                .push_control(self.rto_due[f], Event::TcpTimer { flow });
+            return;
+        }
+        let mut out = self.pkt_pool.get();
+        let fired = self.flows[f].on_timer(self.sched_gen[f], now, &mut self.pkt_ids, &mut out);
+        if fired {
+            let src = self.flows[f].src;
+            for p in out.drain(..) {
+                self.host_send(src, p, now);
+            }
+            self.schedule_rto(flow, now);
+        }
+        self.pkt_pool.put(out);
     }
 
     fn host_send(&mut self, host: HostId, mut pkt: Packet, now: Time) {
@@ -1456,6 +1501,8 @@ impl<P: Probe> World<P> {
         self.stats.shard_handoffs = handoffs;
         self.stats.shard_handoff_hash = hash;
         self.stats.shard_windows = windows;
+        self.stats.wheel_slots_hw = self.queue.allocated_slots() as u64;
+        self.stats.arena_slots_hw = self.arenas.iter().map(|a| a.capacity() as u64).sum();
         let reports = self.audit.map_or_else(Vec::new, |a| a.reports().to_vec());
         self.stats.anomalies = reports.len() as u64;
         (self.stats, self.probe, reports)
@@ -1912,6 +1959,123 @@ mod tests {
         assert!(trace.event_count() > 0);
         assert_eq!(trace.num_switches as usize, cfg.topo.build().num_switches());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The one case where a restart must push: back-off doubled the RTO
+    /// (so the pending wake sits two RTOs out), then a fresh RTT sample
+    /// shrank it and the new deadline precedes that wake. The deadline
+    /// must still fire exactly one RTO after the last restart, and the
+    /// orphaned wake must do nothing when it pops.
+    #[test]
+    fn rto_shrunk_below_the_pending_wake_still_fires_on_time() {
+        let ms = Time::from_millis(1);
+        let ns = Time::from_nanos(1);
+        // One flow over the only spine; 100 % loss windows on one of its
+        // two fabric links script the timer.
+        let topo = TopoSpec::LeafSpine(LeafSpineSpec {
+            spines: 1,
+            leaves: 2,
+            hosts_per_leaf: 1,
+            host_rate: 10_000_000_000,
+            core_rate: 10_000_000_000,
+            prop: drill_net::DEFAULT_PROP,
+        });
+        let (a, b) = random_leaf_spine_failures(&topo.build(), 1, 1)[0];
+        let mut cfg = ExperimentConfig::new(topo, Scheme::Ecmp, 0.0);
+        cfg.duration = Time::from_millis(10);
+        cfg.static_flows = vec![(0, 1, 10_000_000)];
+        cfg.tcp.init_cwnd = 1;
+        cfg.tcp.rto_init = ms;
+        cfg.tcp.rto_min = ms;
+        cfg.tcp.rto_max = Time::from_millis(8);
+        let mut s = FaultSchedule::default();
+        // Window 1 eats the one-segment first flight; window 2 eats
+        // everything in flight once slow start is under way.
+        s.lossy_window(a, b, 1_000_000, Time::ZERO, Time::from_micros(10));
+        s.lossy_window(
+            a,
+            b,
+            1_000_000,
+            Time::from_micros(1200),
+            Time::from_micros(2500),
+        );
+        cfg.faults = Some(s);
+        let mut w = World::new(&cfg);
+
+        // RTO #1 fires at rto_init sharp, backs off to 2 ms and parks the
+        // wake at 3 ms.
+        w.run_to(ms);
+        assert_eq!(w.flows[0].timeouts, 0);
+        w.run_to(ms + ns);
+        assert_eq!(w.flows[0].timeouts, 1);
+        assert_eq!(w.flows[0].rto(), ms.mul(2), "backed off");
+        assert_eq!(w.rto_wake[0], ms.mul(3));
+
+        // Walk timestamp by timestamp until every ACK that beat window 2
+        // is in, noting the last timer restart and any shrink push.
+        let mut last_restart = Time::ZERO;
+        let mut shrink_pushes = 0;
+        while let Some(next) = w.queue.peek_time().filter(|&t| t < Time::from_micros(1500)) {
+            let (gen, wake) = (w.flows[0].timer_generation(), w.rto_wake[0]);
+            w.run_to(next + ns);
+            if w.flows[0].timer_generation() != gen {
+                last_restart = next;
+            }
+            if w.rto_wake[0] < wake {
+                shrink_pushes += 1;
+                assert_eq!(w.flows[0].rto(), ms, "an RTT sample undid the back-off");
+                assert_eq!(w.rto_wake[0], next + ms);
+            }
+        }
+        assert_eq!(shrink_pushes, 1, "later restarts only move rto_due");
+        assert!(last_restart > Time::from_micros(1200), "{last_restart:?}");
+        assert_eq!(w.flows[0].timeouts, 1);
+
+        // RTO #2 is due one (shrunk) RTO after the last restart — ahead
+        // of the orphaned 3 ms wake — and fires at that nanosecond.
+        let due = last_restart + ms;
+        assert!(due < ms.mul(3));
+        assert_eq!(w.rto_due[0], due);
+        w.run_to(due);
+        assert_eq!(w.flows[0].timeouts, 1);
+        w.run_to(due + ns);
+        assert_eq!(w.flows[0].timeouts, 2);
+        // Its retransmission died in window 2: backed off again, the live
+        // wake is 2 ms out and the orphan at 3 ms pops into nothing.
+        assert_eq!(w.rto_wake[0], due + ms.mul(2));
+        w.run_to(ms.mul(3) + ns);
+        assert_eq!(w.flows[0].timeouts, 2);
+        assert_eq!(w.rto_wake[0], due + ms.mul(2));
+    }
+
+    /// ROADMAP item 2's memory law for the wheel: pending events are one
+    /// RTO wake per flow plus what the network has in flight, however
+    /// many ACKs restarted the timers (with one event per restart this
+    /// run parks ~50 dead timers per flow for a whole RTO).
+    #[test]
+    fn wheel_high_water_is_bounded_by_flows_not_acks() {
+        let cfg = quick_cfg(Scheme::drill_default(), 0.3);
+        let topo = cfg.topo.build();
+        let ports: usize = (0..topo.num_switches())
+            .map(|i| topo.num_ports(SwitchId(i as u32)))
+            .sum();
+        let mut w = World::new(&cfg);
+        w.event_loop();
+        let flows = w.flows.len() as u64;
+        let (stats, _, _) = w.finalize();
+        // Every delivered data packet is ACKed, and ACKs restart timers.
+        assert!(
+            stats.data_pkts_delivered >= 50 * flows,
+            "{} data packets over {flows} flows",
+            stats.data_pkts_delivered
+        );
+        let bound = flows + 4 * (ports + topo.num_hosts()) as u64;
+        assert!(
+            stats.wheel_slots_hw <= bound,
+            "wheel high-water {} > {bound} ({flows} flows)",
+            stats.wheel_slots_hw
+        );
+        assert!(stats.arena_slots_hw > 0);
     }
 
     #[test]

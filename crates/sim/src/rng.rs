@@ -130,16 +130,26 @@ impl SimRng {
 
     /// Choose `k` distinct indices from `[0, n)` (k <= n), in random order.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx = Vec::new();
+        self.sample_indices_into(n, k, &mut idx);
+        idx
+    }
+
+    /// [`sample_indices`](SimRng::sample_indices) into a caller-owned
+    /// buffer (cleared first), for per-packet callers that must not
+    /// allocate. Same draws in the same order, so the two are
+    /// interchangeable mid-stream.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, idx: &mut Vec<usize>) {
         debug_assert!(k <= n);
         // Partial Fisher-Yates over an index vector; fine for the small n
         // (port counts) this is used with.
-        let mut idx: Vec<usize> = (0..n).collect();
+        idx.clear();
+        idx.extend(0..n);
         for i in 0..k {
             let j = i + self.below(n - i);
             idx.swap(i, j);
         }
         idx.truncate(k);
-        idx
     }
 }
 
@@ -300,6 +310,18 @@ mod tests {
             assert_eq!(u.len(), 4, "distinct");
             assert!(s.iter().all(|&i| i < 10));
         }
+    }
+
+    #[test]
+    fn sample_indices_into_matches_allocating_form() {
+        let mut a = SimRng::seed_from(11);
+        let mut b = SimRng::seed_from(11);
+        let mut buf = vec![99; 3]; // stale contents must not leak through
+        for (n, k) in [(20, 2), (5, 5), (7, 0), (1, 1), (20, 2)] {
+            b.sample_indices_into(n, k, &mut buf);
+            assert_eq!(a.sample_indices(n, k), buf);
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "same draws consumed");
     }
 
     #[test]

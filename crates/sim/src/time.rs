@@ -113,9 +113,19 @@ impl Time {
     #[inline]
     pub fn tx_time(bytes: u64, bits_per_sec: u64) -> Time {
         debug_assert!(bits_per_sec > 0, "link rate must be positive");
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        Time(ns as u64)
+        // bytes × 8e9 fits `u64` up to 2.3 GB — any frame — so the
+        // per-packet path is one 64-bit division; the 128-bit fallback
+        // (a `__udivti3` call) is for bulk sizes only.
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bit_ns) => Time(bit_ns.div_ceil(bits_per_sec)),
+            None => Time::tx_time_wide(bytes, bits_per_sec),
+        }
+    }
+
+    #[cold]
+    fn tx_time_wide(bytes: u64, bits_per_sec: u64) -> Time {
+        let bit_ns = bytes as u128 * 8_000_000_000;
+        Time(bit_ns.div_ceil(bits_per_sec as u128) as u64)
     }
 }
 
@@ -191,6 +201,37 @@ mod tests {
         assert_eq!(Time::tx_time(1, 3_000_000_000), Time::from_nanos(3));
         // Zero bytes takes zero time.
         assert_eq!(Time::tx_time(0, 10_000_000_000), Time::ZERO);
+    }
+
+    #[test]
+    fn tx_time_narrow_and_wide_paths_agree() {
+        // Largest byte count whose bit-nanosecond product fits u64.
+        let edge = u64::MAX / 8_000_000_000;
+        assert!(edge.checked_mul(8_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
+        for (bytes, rate) in [
+            (0, 10_000_000_000),
+            (1, 3_000_000_000),
+            (1500, 10_000_000_000),
+            (1500, 40_000_000_000),
+            (1500, 100_000_000_000),
+            (edge - 1, 3_000_000_000),
+            (edge, 3_000_000_000),
+            (edge + 1, 3_000_000_000),
+            (edge + 2, 10_000_000_000),
+        ] {
+            assert_eq!(
+                Time::tx_time(bytes, rate),
+                Time::tx_time_wide(bytes, rate),
+                "{bytes} B at {rate} b/s"
+            );
+        }
+        // The wide path is live past the edge: at 8 Gb/s a byte is a
+        // nanosecond.
+        assert_eq!(
+            Time::tx_time(edge + 1, 8_000_000_000),
+            Time::from_nanos(edge + 1)
+        );
     }
 
     #[test]

@@ -34,11 +34,13 @@ use drill_sim::codec::{invalid, put_varint, truncated, Decoder};
 /// File magic, 9 bytes.
 pub const SNAP_MAGIC: [u8; 9] = *b"DRILLSNAP";
 
-/// Current container version.
-pub const SNAP_VERSION: u16 = 1;
+/// Current container version. Version 2 changed the runtime's `FLOWS`
+/// and `EVENTS` layouts (one RTO wake per flow: the deadline and wake time
+/// are per-flow state, and timer events carry no generation).
+pub const SNAP_VERSION: u16 = 2;
 
 /// Oldest container version this reader accepts.
-pub const SNAP_VERSION_MIN: u16 = 1;
+pub const SNAP_VERSION_MIN: u16 = 2;
 
 /// Reserved flag bit: written by the retired by-value packet layout,
 /// whose sections this reader cannot decode. Never set by this writer;
@@ -235,6 +237,20 @@ mod tests {
         reseal(&mut bytes);
         let err = Snapshot::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn version_1_rejected() {
+        // Version 1 carried one timer event per RTO restart, each with a
+        // generation; this reader cannot decode its FLOWS/EVENTS sections.
+        let mut bytes = sample().to_bytes();
+        bytes[9..11].copy_from_slice(&1u16.to_le_bytes());
+        reseal(&mut bytes);
+        let err = Snapshot::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported DRILLSNAP version"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -63,9 +63,9 @@ impl Default for TcpConfig {
 ///
 /// The embedding simulation owns the flow table; this type is a pure state
 /// machine. Methods emit packets into an output buffer and signal timer
-/// needs through [`TcpFlow::rto_deadline`] — the runtime schedules an event
-/// for every returned deadline and delivers it via [`TcpFlow::on_timer`];
-/// stale timers are filtered by generation number.
+/// needs through [`TcpFlow::rto_deadline`] — the runtime keeps the latest
+/// returned deadline and calls [`TcpFlow::on_timer`] when it comes due; a
+/// call carrying a superseded generation is ignored.
 #[derive(Debug)]
 pub struct TcpFlow {
     /// Flow id (index in the runtime's flow table).

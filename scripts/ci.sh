@@ -39,6 +39,14 @@ for threads in 1 8; do
     DRILL_THREADS=$threads cargo test -q --workspace
 done
 
+echo "== drillbench's own tests (benchmark/check.sh: unit tests + every workload at smoke scale) =="
+# The smoke run restores a mid-run tcp_fct snapshot and demands the
+# restored world finish with the straight run's digest — the one check
+# that drives snapshot/restore through the benchmark's public-API path
+# (per-flow timer state a snapshot forgets shows up here as a mismatch).
+# The release build above already paid for the compile.
+benchmark/check.sh
+
 echo "== optimised-build row (cargo test --release: drill-core, drill-net, structural goldens) =="
 # The build drillbench measures: debug assertions and overflow checks off,
 # RouteTable::set_groups' partition check compiled out. Every other test

@@ -571,3 +571,62 @@ fn cross_shard_mailbox_order_is_reproducible_under_chaos_and_telemetry() {
         "8-shard handoff stream must replay exactly"
     );
 }
+
+/// The golden fabric pushed into timeouts: shallow 30 KB queues at load
+/// 0.9 with a 1–8 ms RTO, so hundreds of RTOs fire (and back off, and
+/// shrink again) inside the 64 ms horizon. The plain goldens above never
+/// fire one — their horizon is 53 ms under a 200 ms floor.
+fn timeout_heavy_cfg(scheme: Scheme) -> ExperimentConfig {
+    let mut cfg = golden_cfg(scheme);
+    cfg.topo = TopoSpec::LeafSpine(LeafSpineSpec {
+        spines: 4,
+        leaves: 4,
+        hosts_per_leaf: 4,
+        host_rate: 10_000_000_000,
+        core_rate: 10_000_000_000,
+        prop: DEFAULT_PROP,
+    });
+    cfg.workload.load = 0.9;
+    cfg.duration = Time::from_millis(4);
+    cfg.drain = Time::from_millis(60);
+    cfg.queue_limit_bytes = 30_000;
+    cfg.tcp.rto_min = Time::from_millis(1);
+    cfg.tcp.rto_init = Time::from_millis(1);
+    cfg.tcp.rto_max = Time::from_millis(8);
+    cfg
+}
+
+/// Timer-path golden: `[sim_end ns, flows started, flows completed,
+/// bytes_delivered, retransmissions, timeouts, FCT digest, events]` per
+/// scheme. Every constant but `events` was captured from the commit
+/// *before* the one-wake-per-flow timer, which pushed one `TcpTimer` per
+/// RTO restart and ignored the stale pops: RTOs must keep firing at the
+/// same nanoseconds. `events` is the one field allowed to move — it falls
+/// by the stale pops that no longer exist.
+#[test]
+fn timeout_heavy_runs_replay_golden_trace() {
+    // (`events` with per-restart timers: 543_268 / 912_340 / 705_585.)
+    #[rustfmt::skip]
+    let rows = [
+        (Scheme::Ecmp,            [64_063_674, 783, 759, 33_367_390, 488, 400, 0xaa04_cdc1_ec36_22eb, 524_647]),
+        (Scheme::drill_default(), [64_360_275, 783, 775, 56_635_987, 314, 182, 0x39c7_50df_7b79_074a, 878_811]),
+        (Scheme::presto(),        [64_299_418, 783, 760, 43_691_143, 424, 315, 0x2aec_8c4b_1d60_a536, 681_458]),
+    ];
+    for (scheme, golden) in rows {
+        let st = run(&timeout_heavy_cfg(scheme));
+        // The digest is read before any quantile query: a query sorts
+        // the exact sample store the digest hashes.
+        let got = [
+            st.sim_end.as_nanos(),
+            st.flows_started,
+            st.flows_completed,
+            st.bytes_delivered,
+            st.retransmissions,
+            st.timeouts,
+            st.fct_ms.digest(),
+            st.events,
+        ];
+        assert_eq!(got, golden, "{} diverged", scheme.name());
+        assert_eq!(st.arena_live_at_end, 0, "{} leaked", scheme.name());
+    }
+}

@@ -196,6 +196,47 @@ fn randomized_snapshot_instants_roundtrip() {
     }
 }
 
+/// `determinism_golden.rs`'s timeout-heavy config (30 KB queues at load
+/// 0.9 under a 1–8 ms RTO): no other config here ever fires an RTO, so
+/// none notices timer state a snapshot forgot. Most of each run's
+/// hundreds of timeouts fall after these restore points; they fire only
+/// if every flow's deadline and live-wake time came back with it.
+#[test]
+fn resume_replays_timeouts_after_the_restore_point() {
+    for scheme in [Scheme::Ecmp, Scheme::drill_default(), Scheme::presto()] {
+        let mut cfg = golden_cfg(scheme);
+        cfg.topo = TopoSpec::LeafSpine(LeafSpineSpec {
+            spines: 4,
+            leaves: 4,
+            hosts_per_leaf: 4,
+            host_rate: 10_000_000_000,
+            core_rate: 10_000_000_000,
+            prop: DEFAULT_PROP,
+        });
+        cfg.workload.load = 0.9;
+        cfg.duration = Time::from_millis(4);
+        cfg.drain = Time::from_millis(60);
+        cfg.queue_limit_bytes = 30_000;
+        cfg.tcp.rto_min = Time::from_millis(1);
+        cfg.tcp.rto_init = Time::from_millis(1);
+        cfg.tcp.rto_max = Time::from_millis(8);
+        let mut cold = run(&cfg);
+        assert!(cold.timeouts >= 100, "{}: {}", scheme.name(), cold.timeouts);
+        let cold_fp = full_fingerprint(&mut cold);
+        // Mid-window (restarts, back-offs and shrinks all in flight) and
+        // early in the drain (long backed-off deadlines pending).
+        for us in [2_000u64, 4_500] {
+            let mut resumed = snapshot_resume(&cfg, Time::from_micros(us));
+            assert_eq!(
+                cold_fp,
+                full_fingerprint(&mut resumed),
+                "{} resumed at {us}µs diverged",
+                scheme.name()
+            );
+        }
+    }
+}
+
 /// The pinned chaos schedule of `determinism_golden.rs`: snapshots taken
 /// inside a fault window (reconvergence pending) and after recovery must
 /// both resume bit-identically — this exercises the applied-prefix
