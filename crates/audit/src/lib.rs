@@ -3,8 +3,8 @@
 //!
 //! Every headline result in this reproduction rests on the simulator
 //! silently upholding invariants — packet conservation, flow progress,
-//! bounded queues, event-time monotonicity, bit-stable shard handoffs —
-//! that goldens only check after the fact. This crate is the *detection*
+//! bounded queues, NIC backlog accounting, event-time monotonicity,
+//! bit-stable shard handoffs — that goldens only check after the fact. This crate is the *detection*
 //! half of fault tolerance: the runtime samples a [`BoundarySample`] at
 //! checkpoint/window boundaries and hands it to the [`InvariantAuditor`],
 //! which evaluates cheap incremental watchdogs over the sample. A run
@@ -73,6 +73,11 @@ pub struct BoundarySample<'a> {
     pub max_wait_port: u16,
     /// Configured per-port queue capacity in bytes (0 = unlimited).
     pub queue_limit_bytes: u64,
+    /// The first host NIC whose backlog counter disagrees with its queue,
+    /// as `(host, counted bytes, walked bytes)`: walked is the wire size
+    /// of every waiting packet plus, per unsent train of an open-loop
+    /// flow, its payload and one header per segment.
+    pub nic_backlog_mismatch: Option<(u32, u64, u64)>,
     /// Timestamp of the next pending event, if any.
     pub next_event_time: Option<Time>,
     /// Cross-shard handoff count so far (0 on the serial engine).
@@ -114,6 +119,16 @@ pub enum AnomalyKind {
         /// The configured ceiling.
         limit: u64,
     },
+    /// A host NIC's backlog byte counter — what admission control reads —
+    /// drifted from the packets and trains actually queued behind it.
+    NicBacklog {
+        /// The host.
+        host: u32,
+        /// The counter.
+        counted: u64,
+        /// Bytes found by walking the queue.
+        walked: u64,
+    },
     /// Event time ran backwards: a pending event is older than the
     /// clock, or the clock itself regressed across boundaries.
     TimeRegression {
@@ -149,6 +164,7 @@ impl AnomalyKind {
             AnomalyKind::PacketConservation { .. } => "packet_conservation",
             AnomalyKind::StuckFlow { .. } => "stuck_flow",
             AnomalyKind::QueueCeiling { .. } => "queue_ceiling",
+            AnomalyKind::NicBacklog { .. } => "nic_backlog",
             AnomalyKind::TimeRegression { .. } => "time_regression",
             AnomalyKind::HandoffMismatch { .. } => "handoff_mismatch",
             AnomalyKind::CorruptSnapshot { .. } => "corrupt_snapshot",
@@ -209,6 +225,15 @@ impl AnomalyReport {
                 lines.push(format!("bytes={bytes}"));
                 lines.push(format!("limit={limit}"));
             }
+            AnomalyKind::NicBacklog {
+                host,
+                counted,
+                walked,
+            } => {
+                lines.push(format!("host={host}"));
+                lines.push(format!("counted={counted}"));
+                lines.push(format!("walked={walked}"));
+            }
             AnomalyKind::TimeRegression { now, pending } => {
                 lines.push(format!("now_ns={}", now.as_nanos()));
                 lines.push(format!("pending_ns={}", pending.as_nanos()));
@@ -252,6 +277,11 @@ impl fmt::Display for AnomalyReport {
                 bytes,
                 limit,
             } => write!(f, ": switch {switch} port {port} holds {bytes}B > {limit}B"),
+            AnomalyKind::NicBacklog {
+                host,
+                counted,
+                walked,
+            } => write!(f, ": host {host} NIC counts {counted}B, queues {walked}B"),
             AnomalyKind::TimeRegression { now, pending } => write!(
                 f,
                 ": pending t={}ns behind clock t={}ns",
@@ -380,6 +410,20 @@ impl InvariantAuditor {
                     port: s.max_wait_port,
                     bytes: s.max_wait_bytes,
                     limit: s.queue_limit_bytes,
+                },
+                s.now,
+                s.events,
+            );
+        }
+
+        // NIC backlog: the byte counter admission control reads must be
+        // the bytes queued, recomputed by the runtime from the entries.
+        if let Some((host, counted, walked)) = s.nic_backlog_mismatch {
+            self.trip(
+                AnomalyKind::NicBacklog {
+                    host,
+                    counted,
+                    walked,
                 },
                 s.now,
                 s.events,
@@ -553,6 +597,7 @@ mod tests {
             max_wait_switch: 0,
             max_wait_port: 0,
             queue_limit_bytes: 1000,
+            nic_backlog_mismatch: None,
             next_event_time: None,
             handoffs: 0,
             handoff_hash: 0,
@@ -612,6 +657,24 @@ mod tests {
         s.queue_limit_bytes = 0;
         a.on_boundary(&s);
         assert!(!a.tripped());
+    }
+
+    #[test]
+    fn nic_backlog_mismatch_trips_with_evidence() {
+        let mut a = InvariantAuditor::new(Time::from_millis(500), 8);
+        let mut s = sample(&[]);
+        s.nic_backlog_mismatch = Some((3, 4500, 3000));
+        a.on_boundary(&s);
+        assert_eq!(
+            a.reports()[0].kind,
+            AnomalyKind::NicBacklog {
+                host: 3,
+                counted: 4500,
+                walked: 3000
+            }
+        );
+        assert!(a.reports()[0].meta_lines().contains(&"walked=3000".into()));
+        assert!(a.reports()[0].to_string().contains("host 3"));
     }
 
     #[test]

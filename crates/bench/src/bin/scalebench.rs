@@ -312,7 +312,7 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     let (wall, events, flows, bytes, fct_retained, fct_exact, hw) = if p.window_us == 0 {
         // Build-only probe: topology + routing construction at a scale
         // (65k hosts) where a traffic run would be CI-hostile.
-        (0.0, 0, 0, 0, 0, true, (0, 0))
+        (0.0, 0, 0, 0, 0, true, (0, 0, 0))
     } else {
         let mut cfg = point_cfg(p, &pairs[..p.failures]);
         let start = Instant::now();
@@ -350,7 +350,11 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
             stats.bytes_delivered,
             stats.fct_ms.retained(),
             stats.fct_ms.is_exact(),
-            (stats.wheel_slots_hw, stats.arena_slots_hw),
+            (
+                stats.wheel_slots_hw,
+                stats.arena_slots_hw,
+                stats.nic_pending_at_end,
+            ),
         )
     };
     let eps = if wall > 0.0 {
@@ -368,7 +372,8 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
 \"asym_entries\": {}, \"wall_secs\": {wall:.3}, \"events\": {events}, \
 \"events_per_sec\": {eps:.0}, \"flows_started\": {flows}, \"bytes_delivered\": {bytes}, \
 \"bytes_per_host\": {:.1}, \"fct_retained\": {fct_retained}, \"fct_exact\": {fct_exact}, \
-\"wheel_slots_hw\": {}, \"arena_slots_hw\": {}, \"peak_rss_kb\": {}}}",
+\"wheel_slots_hw\": {}, \"arena_slots_hw\": {}, \"nic_pending_at_end\": {}, \
+\"peak_rss_kb\": {}}}",
         p.name,
         p.window_us,
         p.failures,
@@ -383,6 +388,7 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
         bytes as f64 / hosts as f64,
         hw.0,
         hw.1,
+        hw.2,
         peak_rss_kb()
     )
 }

@@ -494,7 +494,7 @@ mod tests {
         s.push(Time::from_millis(3), FaultKind::LinkDown { a: 0, b: 2 });
         s.push(Time::from_millis(1), FaultKind::LinkDown { a: 1, b: 2 });
         s.push(Time::from_millis(3), FaultKind::LinkUp { a: 0, b: 2 });
-        let times: Vec<u64> = s.events().iter().map(|e| e.at.as_millis() as u64).collect();
+        let times: Vec<u64> = s.events().iter().map(|e| e.at.as_millis()).collect();
         assert_eq!(times, vec![1, 3, 3]);
         // Ties keep insertion order: the LinkDown pushed first stays first.
         assert!(matches!(s.events()[1].kind, FaultKind::LinkDown { .. }));

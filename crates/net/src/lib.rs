@@ -43,7 +43,7 @@ pub use builders::{
     clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
     Vl2Spec, DEFAULT_PROP,
 };
-pub use host::{HostNic, HOST_NIC_BUF_BYTES};
+pub use host::{HostNic, Train, HOST_NIC_BUF_BYTES};
 pub use ids::{FlowId, HostId, LinkId, NodeRef, SwitchId};
 pub use lbapi::{
     weighted_group_pick, HostPolicy, NullHostPolicy, PortGroup, QueueView, SelectCtx, SwitchPolicy,

@@ -483,7 +483,7 @@ mod tests {
             // some same-shard, some cross-shard at ≥ lookahead.
             while emitted < 3000 && emitted < serial.events_processed() * 3 {
                 let src = (emitted % 3) as u32;
-                let cross = emitted % 5 == 0;
+                let cross = emitted.is_multiple_of(5);
                 let dst = if cross { (src + 1) % 3 } else { src };
                 let delay = if cross {
                     la + emitted % 97

@@ -3,8 +3,9 @@
 //! A snapshot records the *dynamic* state only: pending events (as a flat
 //! `(time, seq)`-sorted list — where an event waits is engine topology,
 //! not simulation state), per-shard packet arenas, switch/NIC/policy
-//! state, TCP flows and shims, RNG streams, workload cursors, and the
-//! in-run statistics scalars. Everything structural — the topology,
+//! state (a NIC's unsent raw-flow trains included), TCP flows and shims,
+//! RNG streams, workload cursors and raw-flow counters, and the in-run
+//! statistics scalars. Everything structural — the topology,
 //! routes, bound traffic patterns, shard plan — is rebuilt from the
 //! restore config, with the applied fault prefix replayed on top so the
 //! link/route state lands exactly where the saved run left it.
@@ -277,8 +278,10 @@ impl<P: Probe> World<P> {
         }
         b.section(SEC_FLOWS, buf);
 
-        // WORKLOAD: RNG streams, packet ids, the pre-drawn next flow, and
-        // pattern cursors (bound structure is rebuilt from the config).
+        // WORKLOAD: RNG streams, packet ids, the raw-flow counters (all
+        // that remains of a raw flow outside its NIC), the pre-drawn next
+        // flow, and pattern cursors (bound structure is rebuilt from the
+        // config).
         let mut buf = Vec::new();
         for w in self.rng_net.state() {
             put_u64(&mut buf, w);
@@ -287,6 +290,9 @@ impl<P: Probe> World<P> {
             put_u64(&mut buf, w);
         }
         put_varint(&mut buf, self.pkt_ids);
+        put_varint(&mut buf, self.raw_flows as u64);
+        put_varint(&mut buf, self.raw_measured);
+        put_varint(&mut buf, self.raw_elephants);
         match &self.pending_flow {
             Some(spec) => {
                 put_bool(&mut buf, true);
@@ -625,6 +631,9 @@ impl<P: Probe> World<P> {
         }
         w.rng_wl = SimRng::from_state(s);
         w.pkt_ids = d.varint()?;
+        w.raw_flows = d.varint_u32()?;
+        w.raw_measured = d.varint()?;
+        w.raw_elephants = d.varint()?;
         w.pending_flow = if get_bool(&mut d)? {
             Some(drill_workload::FlowSpec {
                 gap: get_time(&mut d)?,

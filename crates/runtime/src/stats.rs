@@ -140,9 +140,15 @@ pub struct RunStats {
     pub events: u64,
     /// Final simulated time.
     pub sim_end: Time,
-    /// Packets still interned in the arena when the run ended. Zero for
+    /// Packets a NIC had accepted that were neither delivered nor dropped
+    /// when the run ended: those interned in an arena plus
+    /// [`nic_pending_at_end`](RunStats::nic_pending_at_end). Zero for
     /// fully drained runs; the golden suite asserts this as a leak check.
     pub arena_live_at_end: u64,
+    /// The part of `arena_live_at_end` that was never built: raw-flow
+    /// segments still waiting in NIC trains (`HostNic::pending_pkts`).
+    /// In no fingerprint — `arena_live_at_end` already covers it.
+    pub nic_pending_at_end: u64,
     /// Cross-shard packet handoffs exchanged at window barriers (zero on
     /// the serial engine). Deliberately *not* part of the determinism
     /// fingerprint: it varies with the shard count while every simulated
@@ -205,6 +211,7 @@ impl RunStats {
             events: 0,
             sim_end: Time::ZERO,
             arena_live_at_end: 0,
+            nic_pending_at_end: 0,
             shard_handoffs: 0,
             shard_handoff_hash: 0,
             shard_windows: 0,
@@ -298,6 +305,7 @@ impl RunStats {
         self.events += other.events;
         self.sim_end = self.sim_end.max(other.sim_end);
         self.arena_live_at_end += other.arena_live_at_end;
+        self.nic_pending_at_end += other.nic_pending_at_end;
         self.shard_handoffs += other.shard_handoffs;
         self.shard_handoff_hash = self
             .shard_handoff_hash

@@ -574,9 +574,9 @@ mod tests {
         let grid = res.by_load_scheme();
         assert_eq!(grid.len(), 2);
         assert_eq!(grid[0].len(), 2);
-        for li in 0..2 {
-            for si in 0..2 {
-                assert_eq!(grid[li][si].events, res.at(li, si).events);
+        for (li, row) in grid.iter().enumerate() {
+            for (si, cell) in row.iter().enumerate() {
+                assert_eq!(cell.events, res.at(li, si).events);
             }
         }
     }

@@ -6,6 +6,7 @@ use drill_faults::{FaultInjector, FaultKind, SabotageKind, SabotageSpec};
 use drill_net::{
     BufPool, EventSink, HopClass, HostId, HostNic, HostPolicy, NetEvent, Packet, PacketArena,
     PacketBufPool, PacketRef, RouteTable, ShardPlan, Switch, SwitchConfig, SwitchId, Topology,
+    Train,
 };
 use drill_sim::{SimRng, Time};
 use drill_stats::stdev_of;
@@ -94,6 +95,9 @@ pub struct World<P: Probe = NoopProbe> {
     switches: Vec<Switch>,
     nics: Vec<HostNic>,
     host_policies: Vec<Box<dyn HostPolicy>>,
+    /// Per-flow records, TCP runs only: a raw-packet flow is handed to
+    /// its NIC whole and nothing asks about it again, so it leaves no
+    /// entry in these vectors — only the `raw_*` counters below.
     flows: Vec<TcpFlow>,
     classes: Vec<FlowClass>,
     measured: Vec<bool>,
@@ -106,6 +110,14 @@ pub struct World<P: Probe = NoopProbe> {
     /// (`Time::MAX` = none pending). Never later than `rto_due` while
     /// `sched_gen` is current.
     rto_wake: Vec<Time>,
+    /// Raw-packet flows started so far (the next one's flow id).
+    raw_flows: u32,
+    /// Of those, the measured non-elephants: each is owed a zero
+    /// `dupacks`/`reorders` sample at [`finalize`](World::finalize).
+    raw_measured: u64,
+    /// Raw elephants (always measured): each is owed a zero
+    /// `elephant_gbps` sample. No figure or workload makes one.
+    raw_elephants: u64,
     queue: EngineQueue<Event>,
     /// The fabric partition driving event ownership and arena residency;
     /// the trivial single-shard plan on the serial engine.
@@ -529,6 +541,9 @@ impl<P: Probe> World<P> {
             sched_gen: Vec::new(),
             rto_due: Vec::new(),
             rto_wake: Vec::new(),
+            raw_flows: 0,
+            raw_measured: 0,
+            raw_elephants: 0,
             queue,
             plan,
             rng_net,
@@ -737,8 +752,16 @@ impl<P: Probe> World<P> {
                 }
             }
         }
-        for nic in &self.nics {
+        // A NIC holds only its built packets; the unsent segments of a
+        // raw-flow train are in no arena yet. Its byte counter, though,
+        // covers both, and must match a recount from the entries.
+        let mut nic_backlog_mismatch = None;
+        for (h, nic) in self.nics.iter().enumerate() {
             holders += nic.backlog_pkts() as u64;
+            let (counted, walked) = (nic.backlog_bytes(), nic.walked_backlog_bytes());
+            if counted != walked && nic_backlog_mismatch.is_none() {
+                nic_backlog_mismatch = Some((h as u32, counted, walked));
+            }
         }
         for shim in self.shims.iter().flatten() {
             holders += shim.held() as u64;
@@ -777,6 +800,7 @@ impl<P: Probe> World<P> {
             max_wait_switch,
             max_wait_port,
             queue_limit_bytes: self.cfg.queue_limit_bytes,
+            nic_backlog_mismatch,
             next_event_time,
             handoffs,
             handoff_hash,
@@ -872,7 +896,16 @@ impl<P: Probe> World<P> {
             }
             Event::Net(NetEvent::HostTxDone { host }) => {
                 let k = self.host_shard(host);
-                self.nics[host.index()].on_tx_done(&self.topo, now, &mut self.net_buf);
+                let nic = &mut self.nics[host.index()];
+                nic.on_tx_done(&self.topo, now, &mut self.net_buf);
+                nic.start_next(
+                    &self.topo,
+                    &mut self.arenas[k as usize],
+                    &mut *self.host_policies[host.index()],
+                    &mut self.rng_net,
+                    now,
+                    &mut self.net_buf,
+                );
                 self.drain_net(k);
             }
             Event::Net(NetEvent::EnqueueCommit {
@@ -1161,8 +1194,43 @@ impl<P: Probe> World<P> {
         if src == dst {
             return;
         }
-        let id = drill_net::FlowId(self.flows.len() as u32);
         let flow_hash = self.rng_wl.next_u64();
+        // Elephants are the measured subject wherever they appear (they
+        // start at t=0 by design); other classes honour the warmup window.
+        let measured =
+            class == FlowClass::Elephant || (now >= self.cfg.warmup && now <= self.arrivals_end);
+        if measured {
+            self.stats.flows_started += 1;
+        }
+
+        if self.cfg.raw_packet_mode {
+            // Open-loop packet train: the whole flow is dumped into the
+            // NIC at arrival (the NIC paces it at line rate, and builds
+            // each packet as it goes on the wire).
+            let id = drill_net::FlowId(self.raw_flows);
+            self.raw_flows += 1;
+            if class == FlowClass::Elephant {
+                self.raw_elephants += 1;
+            } else if measured {
+                self.raw_measured += 1;
+            }
+            let train = Train::new(id, HostId(dst), flow_hash, self.pkt_ids + 1, bytes, now);
+            self.pkt_ids += train.segments();
+            let k = self.host_shard(HostId(src));
+            self.nics[src as usize].send_train(
+                &self.topo,
+                &mut self.arenas[k as usize],
+                &mut *self.host_policies[src as usize],
+                &mut self.rng_net,
+                train,
+                &mut self.net_buf,
+                &mut self.probe,
+            );
+            self.drain_net(k);
+            return;
+        }
+
+        let id = drill_net::FlowId(self.flows.len() as u32);
         let flow = TcpFlow::new(
             id,
             HostId(src),
@@ -1172,10 +1240,6 @@ impl<P: Probe> World<P> {
             now,
             self.cfg.tcp,
         );
-        // Elephants are the measured subject wherever they appear (they
-        // start at t=0 by design); other classes honour the warmup window.
-        let measured =
-            class == FlowClass::Elephant || (now >= self.cfg.warmup && now <= self.arrivals_end);
         self.flows.push(flow);
         self.classes.push(class);
         self.measured.push(measured);
@@ -1183,33 +1247,6 @@ impl<P: Probe> World<P> {
         self.sched_gen.push(0);
         self.rto_due.push(Time::ZERO);
         self.rto_wake.push(Time::MAX);
-        if measured {
-            self.stats.flows_started += 1;
-        }
-
-        if self.cfg.raw_packet_mode {
-            // Open-loop packet train: the whole flow is dumped into the
-            // NIC at arrival (the NIC paces it at line rate).
-            let mss = 1442u64;
-            let mut off = 0u64;
-            while off < bytes {
-                let payload = (bytes - off).min(mss) as u32;
-                self.pkt_ids += 1;
-                let p = Packet::data(
-                    self.pkt_ids,
-                    id,
-                    HostId(src),
-                    HostId(dst),
-                    flow_hash,
-                    off,
-                    payload,
-                    now,
-                );
-                self.host_send(HostId(src), p, now);
-                off += payload as u64;
-            }
-            return;
-        }
 
         let mut out = self.pkt_pool.get();
         let idx = id.0;
@@ -1490,13 +1527,26 @@ impl<P: Probe> World<P> {
                 }
             }
         }
+        // A raw flow never hears back from its receiver: what the loop
+        // above records for one is a zero sample, owed per measured flow.
+        for _ in 0..self.raw_elephants {
+            self.stats.elephant_gbps.add(0.0);
+        }
+        for _ in 0..self.raw_measured {
+            self.stats.dupacks.add(0);
+            self.stats.reorders.add(0);
+        }
         self.stats.events = self.queue.events_processed();
         self.stats.sim_end = self.queue.now();
-        // Packets still interned when the loop stopped. A fully drained
-        // run ends at zero (every insert met its take/free); runs cut off
-        // by the deadline or `max_events` legitimately leave packets in
-        // flight, so the golden suite (not this method) asserts zero.
-        self.stats.arena_live_at_end = self.arenas.iter().map(|a| a.live() as u64).sum();
+        // Packets accepted by a NIC and not yet delivered or dropped when
+        // the loop stopped: those interned in an arena, plus the train
+        // segments no serializer had reached. A fully drained run ends at
+        // zero (every insert met its take/free); runs cut off by the
+        // deadline or `max_events` legitimately leave packets in flight,
+        // so the golden suite (not this method) asserts zero.
+        self.stats.nic_pending_at_end = self.nics.iter().map(HostNic::pending_pkts).sum();
+        self.stats.arena_live_at_end = self.arenas.iter().map(|a| a.live() as u64).sum::<u64>()
+            + self.stats.nic_pending_at_end;
         let (handoffs, hash, windows) = self.queue.shard_stats();
         self.stats.shard_handoffs = handoffs;
         self.stats.shard_handoff_hash = hash;
@@ -2076,6 +2126,91 @@ mod tests {
             stats.wheel_slots_hw
         );
         assert!(stats.arena_slots_hw > 0);
+    }
+
+    /// `benchmark/`'s `fabric_raw` at its smoke scale: 6×6×6 leaf-spine,
+    /// DRILL(2,1) on 4 engines, raw packets at load 0.8 with bursty
+    /// arrivals, seed 1.
+    fn small_fabric_raw() -> ExperimentConfig {
+        let topo = TopoSpec::LeafSpine(LeafSpineSpec {
+            spines: 6,
+            leaves: 6,
+            hosts_per_leaf: 6,
+            host_rate: 10_000_000_000,
+            core_rate: 10_000_000_000,
+            prop: drill_net::DEFAULT_PROP,
+        });
+        let mut cfg = ExperimentConfig::new(topo, Scheme::drill_no_shim(), 0.8);
+        cfg.seed = 1;
+        cfg.engines = 4;
+        cfg.raw_packet_mode = true;
+        cfg.workload.burst_sigma = 2.0;
+        cfg.queue_limit_bytes = 20_000_000;
+        cfg.sample_queues = true;
+        cfg.duration = Time::from_millis(3);
+        cfg.drain = Time::from_millis(5);
+        cfg.shards = Some(crate::ShardSpec::count(1));
+        cfg
+    }
+
+    /// ROADMAP item 2's memory law for the arena on raw runs: a packet
+    /// is interned when the serializer takes it, so the slab's high-water
+    /// mark follows what the *network* holds, not what the NICs have
+    /// queued. Interning a flow's every segment at its arrival — what this
+    /// run did before NIC trains — peaks at 29 228 slots here; trains peak
+    /// at 6 089 (`fabric_raw` at full scale: 457 029 → 174 586).
+    #[test]
+    fn raw_arena_high_water_excludes_nic_backlog() {
+        let stats = run(&small_fabric_raw());
+        // Every outcome is what eager interning produced.
+        assert_eq!(
+            (stats.nic_drops, stats.data_pkts_delivered, stats.events),
+            (27_391, 53_259, 602_486)
+        );
+        assert_eq!(stats.arena_live_at_end, 1_661);
+        assert_eq!(
+            stats.nic_pending_at_end, 0,
+            "5 ms of drain empties every NIC"
+        );
+        assert!(
+            stats.arena_slots_hw < 29_228 / 2,
+            "arena high-water {} — are raw flows interned at arrival again?",
+            stats.arena_slots_hw
+        );
+    }
+
+    /// A raw flow is handed to its NIC and forgotten: no `TcpFlow`, no
+    /// per-flow slot in any of `World`'s vectors — while the measured
+    /// count and the zero reorder samples each one is owed still add up.
+    #[test]
+    fn raw_flows_leave_no_per_flow_record() {
+        let mut w = World::new(&small_fabric_raw());
+        w.event_loop();
+        assert!(w.raw_flows > 600, "{}", w.raw_flows);
+        assert_eq!(
+            (w.flows.len(), w.classes.len(), w.measured.len()),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            (
+                w.shims.len(),
+                w.sched_gen.len(),
+                w.rto_due.len(),
+                w.rto_wake.len()
+            ),
+            (0, 0, 0, 0)
+        );
+        let measured = w.raw_measured;
+        assert_eq!(w.raw_elephants, 0, "no elephants in this workload");
+        assert!(
+            measured > 0 && measured < w.raw_flows as u64,
+            "warm-up flows are unmeasured"
+        );
+        let (stats, _, _) = w.finalize();
+        assert_eq!(stats.flows_started, measured);
+        assert_eq!(stats.dupacks.total(), measured);
+        assert_eq!(stats.reorders.total(), measured);
+        assert_eq!(stats.dupacks.frac(0), 1.0);
     }
 
     #[test]

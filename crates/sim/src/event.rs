@@ -983,13 +983,12 @@ mod tests {
         let mut reference = EventQueue::new();
         let mut a = EventQueue::new();
         let mut b = EventQueue::new();
-        let mut seq = 0u64;
         for i in 0..2000u64 {
             let t = Time::from_nanos(1 + (i * 7919) % 4096);
             reference.push(t, i);
             let owner = if i % 3 == 0 { &mut a } else { &mut b };
-            owner.push_with_seq(t, seq, i);
-            seq += 1;
+            // The shared global seq is the push index.
+            owner.push_with_seq(t, i, i);
         }
         loop {
             let ka = a.peek_key();
@@ -1038,5 +1037,23 @@ mod tests {
                 (p, q) => panic!("peek {p:?} disagrees with pop {q:?}"),
             }
         }
+    }
+
+    #[test]
+    fn len_tracks_live_events_only() {
+        let mut wheel: EventQueue<u32> = EventQueue::new();
+        let toks: Vec<_> = (0..100)
+            .map(|i| wheel.push_cancellable(Time::from_nanos(10 + i), 0))
+            .collect();
+        assert_eq!(wheel.len(), 100);
+        for t in &toks[..40] {
+            wheel.cancel(*t);
+        }
+        assert_eq!(wheel.len(), 60, "cancel is reflected immediately");
+        let mut n = 0;
+        while wheel.pop().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 60);
     }
 }

@@ -8,8 +8,9 @@
 //! * [`EventQueue`] — a hierarchical timing wheel of `(Time, payload)`
 //!   entries with FIFO ordering for simultaneous events, which makes
 //!   whole simulations reproducible bit-for-bit given a seed. The legacy
-//!   binary-heap implementation survives as [`HeapQueue`], the reference
-//!   `tests/wheel_vs_heap.rs` compares the wheel's pop order against.
+//!   binary-heap implementation survives only under `cfg(test)`
+//!   (`heap.rs`), as the reference its differential tests compare the
+//!   wheel's pop order against.
 //! * [`SimRng`] — a seedable, splittable random number generator so that
 //!   independent components (switches, hosts, workload generators) each get
 //!   their own deterministic stream.
@@ -41,12 +42,12 @@
 pub mod codec;
 mod event;
 mod fx;
+#[cfg(test)]
 mod heap;
 mod rng;
 mod time;
 
 pub use event::{node_size, EventQueue, EventToken};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use heap::HeapQueue;
 pub use rng::SimRng;
 pub use time::Time;

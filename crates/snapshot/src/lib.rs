@@ -36,11 +36,14 @@ pub const SNAP_MAGIC: [u8; 9] = *b"DRILLSNAP";
 
 /// Current container version. Version 2 changed the runtime's `FLOWS`
 /// and `EVENTS` layouts (one RTO wake per flow: the deadline and wake time
-/// are per-flow state, and timer events carry no generation).
-pub const SNAP_VERSION: u16 = 2;
+/// are per-flow state, and timer events carry no generation). Version 3
+/// changed `NICS` (tagged queue entries, with a raw flow's unsent segments
+/// as train descriptors) and `WORKLOAD` (the raw-flow counters that
+/// replace those flows' `FLOWS` records).
+pub const SNAP_VERSION: u16 = 3;
 
 /// Oldest container version this reader accepts.
-pub const SNAP_VERSION_MIN: u16 = 2;
+pub const SNAP_VERSION_MIN: u16 = 3;
 
 /// Reserved flag bit: written by the retired by-value packet layout,
 /// whose sections this reader cannot decode. Never set by this writer;
@@ -245,6 +248,21 @@ mod tests {
         // generation; this reader cannot decode its FLOWS/EVENTS sections.
         let mut bytes = sample().to_bytes();
         bytes[9..11].copy_from_slice(&1u16.to_le_bytes());
+        reseal(&mut bytes);
+        let err = Snapshot::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported DRILLSNAP version"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn version_2_rejected() {
+        // Version 2 wrote untagged NIC queue entries and a `FLOWS` record
+        // per raw flow; this reader cannot decode its NICS/WORKLOAD
+        // sections.
+        let mut bytes = sample().to_bytes();
+        bytes[9..11].copy_from_slice(&2u16.to_le_bytes());
         reseal(&mut bytes);
         let err = Snapshot::from_bytes(&bytes).unwrap_err();
         assert!(

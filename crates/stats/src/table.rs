@@ -117,7 +117,7 @@ mod tests {
     fn f3_formats() {
         assert_eq!(f3(0.0), "0");
         assert_eq!(f3(0.12345), "0.1235");
-        assert_eq!(f3(3.14159), "3.14");
+        assert_eq!(f3(3.14259), "3.14");
         assert_eq!(f3(123.456), "123.5");
     }
 

@@ -126,6 +126,6 @@ mod tests {
     #[test]
     fn noop_probe_is_zero_sized() {
         assert_eq!(std::mem::size_of::<NoopProbe>(), 0);
-        assert!(!NoopProbe::ENABLED);
+        const { assert!(!NoopProbe::ENABLED) };
     }
 }

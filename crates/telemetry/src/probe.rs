@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn noop_is_disabled_and_inert() {
-        assert!(!NoopProbe::ENABLED);
+        const { assert!(!NoopProbe::ENABLED) };
         fire_all(&mut NoopProbe); // must compile and do nothing
     }
 
@@ -418,9 +418,9 @@ mod tests {
         fire_all(&mut pair);
         assert_eq!(pair.0.calls, 8);
         assert_eq!(pair.1.calls, 8);
-        assert!(<(CountingProbe, CountingProbe)>::ENABLED);
-        assert!(<(NoopProbe, CountingProbe)>::ENABLED);
-        assert!(!<(NoopProbe, NoopProbe)>::ENABLED);
+        const { assert!(<(CountingProbe, CountingProbe)>::ENABLED) };
+        const { assert!(<(NoopProbe, CountingProbe)>::ENABLED) };
+        const { assert!(!<(NoopProbe, NoopProbe)>::ENABLED) };
     }
 
     #[test]

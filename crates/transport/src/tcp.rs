@@ -642,13 +642,13 @@ mod tests {
         while f.done.is_none() {
             guard += 1;
             assert!(guard < 100_000, "no progress");
-            now = now + delay;
+            now += delay;
             let data: Vec<Packet> = std::mem::take(&mut in_flight);
             let mut acks = Vec::new();
             for p in &data {
                 f.on_data(p, now, &mut ids, &mut acks);
             }
-            now = now + delay;
+            now += delay;
             for a in &acks {
                 f.on_ack(a, now, &mut ids, &mut in_flight);
             }

@@ -33,8 +33,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo test -q --workspace (DRILL_THREADS=1/8) =="
 # Both ends of the executor knob (serial, oversubscribed): the sweep
 # determinism contract says results depend on neither. --workspace adds
-# the per-crate unit tests and crates/sim/tests/wheel_vs_heap.rs, the one
-# place the HeapQueue reference is exercised.
+# the per-crate unit tests, among them drill-sim's wheel-vs-heap
+# differential (heap.rs), the one place the HeapQueue reference exists.
 for threads in 1 8; do
     DRILL_THREADS=$threads cargo test -q --workspace
 done
@@ -160,7 +160,7 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI OK"

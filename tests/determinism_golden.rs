@@ -630,3 +630,44 @@ fn timeout_heavy_runs_replay_golden_trace() {
         assert_eq!(st.arena_live_at_end, 0, "{} leaked", scheme.name());
     }
 }
+
+/// The golden fabric as a Figure-2 raw-packet run, cut off mid-flight:
+/// open-loop packet trains at load 0.9 with bursty arrivals overflow the
+/// 4 MB NIC buffers, and a 200 µs drain stops the run with most of the
+/// accepted backlog still unsent. (`tests/snapshot_resume.rs` resumes the
+/// same config.)
+fn raw_cutoff_cfg() -> ExperimentConfig {
+    let mut cfg = golden_cfg(Scheme::drill_no_shim());
+    cfg.workload.load = 0.9;
+    cfg.workload.burst_sigma = 2.0;
+    cfg.raw_packet_mode = true;
+    cfg.sample_queues = true;
+    cfg.queue_limit_bytes = 20_000_000;
+    cfg.drain = Time::from_micros(200);
+    cfg
+}
+
+/// Raw-mode golden: the full fingerprint, captured from the commit
+/// *before* NIC trains, when every segment of a flow was built, interned
+/// and queued (or dropped and freed) at the flow's arrival. Building a
+/// segment only when the serializer takes it must not move one slot —
+/// `arena_live_at_end`, the last one, counts the 26 731 accepted segments
+/// the deadline cut off wherever they wait, in an arena or in a train.
+#[test]
+fn raw_cutoff_run_replays_golden_trace() {
+    #[rustfmt::skip]
+    let golden: [u64; 61] = [
+        2415, 0, 222_744, 0, 15_455, 0, 0, 0, 89_912, 3_200_062, 0, 0, 0, 0, 2415, 2415,
+        2400, 0x3fcb_55c5_d481_c120, 0, 0, 0, 0, 0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0000,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        // hops: wait_ns, wait_samples, drops, tx.
+        0, 513, 0, 279_344, 0, 4_880_269_129,
+        0, 21_009, 0, 21_004, 0, 15_460,
+        0, 0, 0, 0, 0, 0,
+        0, 21_008, 0, 21_002, 0, 15_455,
+        21_864_727, 0xcbf2_9ce4_8422_2325, 26_731,
+    ];
+    let mut st = run(&raw_cutoff_cfg());
+    assert_eq!(full_fingerprint(&mut st), golden);
+    assert!(st.nic_drops > 0 && st.arena_live_at_end > 0);
+}

@@ -237,6 +237,40 @@ fn resume_replays_timeouts_after_the_restore_point() {
     }
 }
 
+/// `determinism_golden.rs`'s cut-off raw-packet config: no other config
+/// here runs raw mode, whose unsent backlog lives in NIC train descriptors
+/// and whose flows leave only counters behind. At each restore point most
+/// NICs hold a half-sent train (and at the end still do: the 200 µs drain
+/// cuts the run off), so a train field or counter the snapshot forgot
+/// shows in the fingerprint.
+#[test]
+fn resume_replays_raw_trains_across_shard_counts() {
+    let raw_cfg = |shards: usize| {
+        let mut cfg = golden_cfg(Scheme::drill_no_shim());
+        cfg.workload.load = 0.9;
+        cfg.workload.burst_sigma = 2.0;
+        cfg.raw_packet_mode = true;
+        cfg.sample_queues = true;
+        cfg.queue_limit_bytes = 20_000_000;
+        cfg.drain = Time::from_micros(200);
+        cfg.shards = Some(ShardSpec::count(shards));
+        cfg
+    };
+    let mut cold = run(&raw_cfg(1));
+    assert!(cold.nic_drops > 0 && cold.arena_live_at_end > 0);
+    let cold_fp = full_fingerprint(&mut cold);
+    for shards in [1usize, 2, 8] {
+        for us in [300u64, 1_000, 2_500] {
+            let mut resumed = snapshot_resume(&raw_cfg(shards), Time::from_micros(us));
+            assert_eq!(
+                cold_fp,
+                full_fingerprint(&mut resumed),
+                "raw run resumed at {us}µs diverged (shards={shards})"
+            );
+        }
+    }
+}
+
 /// The pinned chaos schedule of `determinism_golden.rs`: snapshots taken
 /// inside a fault window (reconvergence pending) and after recovery must
 /// both resume bit-identically — this exercises the applied-prefix
