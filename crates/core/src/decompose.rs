@@ -1,11 +1,10 @@
-//! Symmetric component decomposition (§3.4.1 step 2) and installation into
-//! the routing table.
+//! Symmetric component decomposition (§3.4.1 step 2): grouping one
+//! entry's scored paths into weighted port components, and the report of
+//! a fabric-wide pass.
 
 use std::collections::HashMap;
 
-use drill_net::{PortGroup, RouteTable, SwitchId, Topology};
-
-use crate::quiver::{enumerate_shortest_paths, Quiver};
+use drill_net::PortGroup;
 
 /// Summary of a grouping pass over the whole fabric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -16,77 +15,40 @@ pub struct GroupingReport {
     pub asymmetric_entries: usize,
     /// Largest number of components in any entry.
     pub max_components: usize,
-    /// Shortest paths actually enumerated. The eager path walks every
-    /// leaf-to-leaf path twice (once for the Quiver, once per entry in
-    /// [`decompose_groups`]); the structural engine only enumerates inside
-    /// entries whose fingerprint is new *and* not provably one component,
-    /// so this is 0 on symmetric fabrics.
+    /// Shortest paths actually enumerated: the engine only enumerates
+    /// inside entries whose canonical signature is new *and* not provably
+    /// one component, so this is 0 on symmetric fabrics and on a replay.
     pub paths_enumerated: u64,
-    /// Distinct structural equivalence classes among the examined entries
-    /// (eager path: every entry is its own class, `classes == entries`).
+    /// Distinct structural equivalence classes among the examined entries.
     pub classes: usize,
     /// Entries whose group table was replicated from an already-decomposed
     /// class representative instead of being recomputed
-    /// (`entries - classes` for the structural engine, 0 for eager).
+    /// (`entries - classes`).
     pub entries_reused: usize,
     /// Wall-clock time of the install pass, in nanoseconds.
     pub build_ns: u64,
-    /// Structural engine only: the part of `build_ns` spent refining link
-    /// classes (phase 1).
+    /// The part of `build_ns` spent refining link classes (phase 1).
     pub refine_ns: u64,
-    /// Structural engine only: the rest of `build_ns` — entry
-    /// fingerprints, signature walks, templates and group installation
-    /// (phase 2).
+    /// The rest of `build_ns` — entry fingerprints, signature walks,
+    /// templates and group installation (phase 2).
     pub fingerprint_ns: u64,
-    /// Structural engine only: entry subgraphs walked for a canonical
-    /// signature — multi-candidate entries that neither collapsed nor
-    /// matched a fingerprint (or, for leaf entries, a shape) this engine
-    /// has walked before.
+    /// Entry subgraphs walked for a canonical signature —
+    /// multi-candidate entries that neither collapsed nor matched a
+    /// fingerprint (or, for leaf entries, a shape) this engine has walked
+    /// before.
     pub signatures_walked: u64,
 }
 
-/// Decompose the shortest paths from `switch` toward `dst_leaf` into
-/// symmetric components of egress ports, weighted by aggregate path
-/// capacity (§3.4.1 step 2).
+/// Core of the §3.4.1 step-2 decomposition: group scored paths
+/// `(first_port, score, cap_bps)` — two paths are symmetric iff their
+/// scores are equal — into symmetric components of ports, weighted by
+/// aggregate capacity and gcd-reduced. A fully symmetric entry yields a
+/// single group containing every port.
 ///
-/// Returns one [`PortGroup`] per component. A fully symmetric entry yields
-/// a single group containing every candidate port.
-pub fn decompose_groups(
-    topo: &Topology,
-    routes: &RouteTable,
-    quiver: &Quiver,
-    switch: SwitchId,
-    dst_leaf: u32,
-) -> Vec<PortGroup> {
-    decompose_groups_counted(topo, routes, quiver, switch, dst_leaf).0
-}
-
-/// [`decompose_groups`] plus the number of paths it enumerated.
-fn decompose_groups_counted(
-    topo: &Topology,
-    routes: &RouteTable,
-    quiver: &Quiver,
-    switch: SwitchId,
-    dst_leaf: u32,
-) -> (Vec<PortGroup>, u64) {
-    let paths = enumerate_shortest_paths(topo, routes, switch, dst_leaf, Quiver::DEFAULT_PATH_CAP);
-    let n = paths.len() as u64;
-    let groups = group_scored_paths(paths.into_iter().map(|links| {
-        let info = quiver.path_info(topo, links);
-        (info.first_port, info.score, info.cap_bps)
-    }));
-    (groups, n)
-}
-
-/// Core of the §3.4.1 step-2 decomposition, shared by the eager
-/// ([`decompose_groups`]) and structural ([`crate::SymmetryEngine`]) paths:
-/// group scored paths `(first_port, score, cap_bps)` into symmetric
-/// components of ports, weighted by aggregate capacity and gcd-reduced.
-///
-/// The "ports" need not be real egress ports — the structural engine calls
-/// this in candidate-index space and maps indices to ports afterwards; the
-/// output is identical because the candidate list is in ascending port
-/// order, so index order and port order agree.
+/// The "ports" need not be real egress ports — [`crate::SymmetryEngine`]
+/// calls this in candidate-index space and maps indices to ports
+/// afterwards; the candidate list is in ascending port order, so index
+/// order and port order agree.
 pub(crate) fn group_scored_paths(
     scored: impl IntoIterator<Item = (u16, Vec<u64>, u64)>,
 ) -> Vec<PortGroup> {
@@ -147,66 +109,16 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
     a
 }
 
-/// Run DRILL's control plane over the whole fabric and install the
-/// component groups into the routing table.
-///
-/// This is the structural (§3.4-at-scale) path: a one-shot
-/// [`crate::SymmetryEngine`] install, which produces the exact same group
-/// tables as [`install_symmetric_groups_eager`] without enumerating the
-/// whole fabric's paths. Keep the engine itself (see
-/// [`crate::SymmetryEngine::install`]) when reinstalling after faults to
-/// also reuse work across reconvergences.
-///
-/// Entries that remain fully symmetric get their groups cleared (the data
-/// plane then micro load balances over the whole candidate set with no
-/// hashing step, exactly as in the symmetric design).
-pub fn install_symmetric_groups(topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
-    crate::SymmetryEngine::new().install(topo, routes)
-}
-
-/// The original enumerative control plane: build the global [`Quiver`]
-/// (every leaf-to-leaf shortest path), then decompose every
-/// multi-candidate (switch, dst-leaf) entry independently — re-walking
-/// each entry's paths a second time.
-///
-/// O(leaves² × paths) in time and memory; kept as the differential-golden
-/// reference for the structural engine. Nothing in the runtime calls it.
-pub fn install_symmetric_groups_eager(topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
-    let start = std::time::Instant::now();
-    let quiver = Quiver::build(topo, routes);
-    let mut report = GroupingReport {
-        paths_enumerated: quiver.paths_enumerated,
-        ..Default::default()
-    };
-    for si in 0..topo.num_switches() {
-        let s = SwitchId(si as u32);
-        for dst_leaf in 0..topo.num_leaves() as u32 {
-            if routes.candidates(s, dst_leaf).len() < 2 {
-                continue;
-            }
-            report.entries += 1;
-            let (groups, walked) = decompose_groups_counted(topo, routes, &quiver, s, dst_leaf);
-            // decompose_groups re-enumerated this entry's paths on top of
-            // the Quiver's own walk: count the double work honestly.
-            report.paths_enumerated += walked;
-            report.max_components = report.max_components.max(groups.len());
-            if groups.len() > 1 {
-                report.asymmetric_entries += 1;
-                routes.set_groups(s, dst_leaf, groups);
-            } else {
-                routes.set_groups(s, dst_leaf, Vec::new());
-            }
-        }
-    }
-    report.classes = report.entries;
-    report.build_ns = start.elapsed().as_nanos() as u64;
-    report
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use drill_net::{leaf_spine, leaf_spine_custom, vl2, LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
+    use crate::SymmetryEngine;
+    use drill_net::{
+        leaf_spine, leaf_spine_custom, vl2, LeafSpineSpec, RouteTable, SwitchId, Vl2Spec,
+        DEFAULT_PROP,
+    };
+
+    // The paper's worked decompositions (Figure 4's 1 : 2, §3.4.3's 5 : 1)
+    // are pinned in `tests/structural_groups.rs`, oracle and engine both.
 
     fn spec(spines: usize, leaves: usize) -> LeafSpineSpec {
         LeafSpineSpec {
@@ -223,46 +135,12 @@ mod tests {
     fn symmetric_fabric_single_group() {
         let topo = leaf_spine(&spec(4, 4));
         let mut routes = RouteTable::compute(&topo);
-        let report = install_symmetric_groups(&topo, &mut routes);
+        let report = SymmetryEngine::new().install(&topo, &mut routes);
         assert_eq!(report.asymmetric_entries, 0);
         assert_eq!(report.max_components, 1);
         // Routing table keeps implicit single groups.
         let l0 = topo.leaves()[0];
         assert!(routes.groups(l0, 1).is_empty());
-    }
-
-    #[test]
-    fn figure4_decomposition() {
-        // Fig 4: L0-S0 fails. L3's paths to L1 decompose into {P0} (via S0)
-        // and {P1, P2} (via S1, S2) with weights 1:2.
-        let mut topo = leaf_spine(&spec(3, 4));
-        let l0 = topo.leaves()[0];
-        topo.fail_switch_link(l0, SwitchId(4), 0);
-        let mut routes = RouteTable::compute(&topo);
-        let quiver = Quiver::build(&topo, &routes);
-        let l3 = topo.leaves()[3];
-        let groups = decompose_groups(&topo, &routes, &quiver, l3, 1);
-        assert_eq!(groups.len(), 2);
-        // Identify the group containing the S0 port.
-        let s0_ports = topo.ports_to_switch(l3, SwitchId(4));
-        let g_s0 = groups
-            .iter()
-            .find(|g| g.ports == s0_ports)
-            .expect("S0 component");
-        let g_rest = groups.iter().find(|g| g.ports != s0_ports).unwrap();
-        assert_eq!(g_s0.ports.len(), 1);
-        assert_eq!(g_rest.ports.len(), 2);
-        // Aggregate capacities 40G vs 80G -> weights 1:2.
-        assert_eq!(g_rest.weight, 2 * g_s0.weight);
-
-        // install pass records the asymmetry fabric-wide.
-        let report = install_symmetric_groups(&topo, &mut routes);
-        assert!(report.asymmetric_entries > 0);
-        // (The spine that lost its L0 link gains inert 3-hop detour routes
-        // toward leaf 0 which decompose into singleton components, so the
-        // fabric-wide max can exceed 2.)
-        assert!(report.max_components >= 2);
-        assert_eq!(routes.groups(l3, 1).len(), 2);
     }
 
     #[test]
@@ -273,48 +151,18 @@ mod tests {
         let l0 = topo.leaves()[0];
         topo.fail_switch_link(l0, SwitchId(4), 0);
         let mut routes = RouteTable::compute(&topo);
-        install_symmetric_groups(&topo, &mut routes);
+        let report = SymmetryEngine::new().install(&topo, &mut routes);
         assert!(
             routes.groups(l0, 1).is_empty(),
             "two symmetric paths, one group"
         );
         assert_eq!(routes.candidates(l0, 1).len(), 2);
-    }
-
-    #[test]
-    fn heterogeneous_striping_weights() {
-        // §3.4.3 example: among L0->L1 paths, {H0 via S0, H2 via S2} form
-        // one component (cap 40G + 10G), {H1 via S1} the other (cap 10G,
-        // bottlenecked by S1-L1).
-        let s = LeafSpineSpec {
-            spines: 3,
-            leaves: 4,
-            hosts_per_leaf: 1,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        };
-        let topo = leaf_spine_custom(&s, |leaf, spine| {
-            let fat = (leaf == 0 && spine <= 1) || (leaf == 1 && spine == 0);
-            vec![if fat { 40_000_000_000 } else { 10_000_000_000 }]
-        });
-        let mut routes = RouteTable::compute(&topo);
-        let quiver = Quiver::build(&topo, &routes);
-        let l0 = topo.leaves()[0];
-        let groups = decompose_groups(&topo, &routes, &quiver, l0, 1);
-        assert_eq!(groups.len(), 2);
-        let s1_ports = topo.ports_to_switch(l0, SwitchId(5));
-        let g_h1 = groups
-            .iter()
-            .find(|g| g.ports == s1_ports)
-            .expect("S1 alone");
-        let g_h02 = groups.iter().find(|g| g.ports != s1_ports).unwrap();
-        assert_eq!(g_h02.ports.len(), 2);
-        // Weights: (40+10) : 10 = 5 : 1.
-        assert_eq!(g_h02.weight, 5);
-        assert_eq!(g_h1.weight, 1);
-        install_symmetric_groups(&topo, &mut routes);
-        assert_eq!(routes.groups(l0, 1).len(), 2);
+        // The install pass records the asymmetry fabric-wide. (The spine
+        // that lost its L0 link gains inert 3-hop detour routes toward
+        // leaf 0 which decompose into singleton components, so the
+        // fabric-wide max can exceed 2.)
+        assert!(report.asymmetric_entries > 0);
+        assert!(report.max_components >= 2);
     }
 
     #[test]
@@ -331,7 +179,7 @@ mod tests {
             }
         });
         let mut routes = RouteTable::compute(&topo);
-        let report = install_symmetric_groups(&topo, &mut routes);
+        let report = SymmetryEngine::new().install(&topo, &mut routes);
         // The doubled striping *is* an asymmetry between spine paths:
         // paths via the doubled spine differ from singles.
         assert!(report.entries > 0);
@@ -353,7 +201,7 @@ mod tests {
         // ToR0's first uplink goes to Agg (id 16).
         assert!(topo.fail_switch_link(tor0, SwitchId(16), 0));
         let mut routes = RouteTable::compute(&topo);
-        let report = install_symmetric_groups(&topo, &mut routes);
+        let report = SymmetryEngine::new().install(&topo, &mut routes);
         assert!(
             report.asymmetric_entries > 0,
             "failure creates asymmetric entries"
@@ -376,18 +224,5 @@ mod tests {
                 assert_eq!(all, cand);
             }
         }
-    }
-
-    #[test]
-    fn weights_are_reduced() {
-        let mut topo = leaf_spine(&spec(3, 4));
-        let l0 = topo.leaves()[0];
-        topo.fail_switch_link(l0, SwitchId(4), 0);
-        let routes = RouteTable::compute(&topo);
-        let quiver = Quiver::build(&topo, &routes);
-        let groups = decompose_groups(&topo, &routes, &quiver, topo.leaves()[3], 1);
-        let mut ws: Vec<u64> = groups.iter().map(|g| g.weight).collect();
-        ws.sort_unstable();
-        assert_eq!(ws, vec![1, 2], "weights reduced by gcd");
     }
 }

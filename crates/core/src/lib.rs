@@ -8,15 +8,15 @@
 //! * [`PerFlowDrill`] — the paper's "per-flow DRILL" strawman (§4): a
 //!   load-aware decision for the first packet of each flow, after which the
 //!   flow is pinned.
-//! * [`Quiver`] — the labeled multidigraph of §3.4.1, with the §3.4.3
-//!   capacity-factor extension for heterogeneous links.
-//! * [`decompose_groups`] / [`install_symmetric_groups`] — the symmetric
-//!   path decomposition that lets DRILL degrade gracefully to weighted
-//!   ECMP-of-DRILL under asymmetry.
-//! * [`SymmetryEngine`] — the structural control plane: symmetry-class
-//!   decomposition with lazy per-entry quivers and incremental
-//!   reconvergence, producing the exact group tables of the eager path
-//!   ([`install_symmetric_groups_eager`]) without enumerating the fabric.
+//! * [`SymmetryEngine`] — the §3.4 control plane: the symmetric path
+//!   decomposition that lets DRILL degrade gracefully to weighted
+//!   ECMP-of-DRILL under asymmetry. It installs the group tables the
+//!   paper's Quiver (§3.4.1, with the §3.4.3 capacity factors) defines,
+//!   from symmetry classes of links and lazy per-entry quivers instead of
+//!   the fabric's path population, and reconverges incrementally; each
+//!   install returns a [`GroupingReport`].
+//! * [`enumerate_shortest_paths`] — path enumeration over a route table's
+//!   candidate sets, shared with the `drill-lb` baselines.
 //! * [`stability`] — a discrete-time M×N queueing model reproducing the
 //!   §3.2.4 stability results (DRILL(d,0) is unstable for admissible
 //!   heterogeneous service rates; DRILL(d,m≥1) is stable).
@@ -29,9 +29,7 @@ mod quiver;
 pub mod stability;
 mod symmetry;
 
-pub use decompose::{
-    decompose_groups, install_symmetric_groups, install_symmetric_groups_eager, GroupingReport,
-};
+pub use decompose::GroupingReport;
 pub use drill::{DrillPolicy, PerFlowDrill};
-pub use quiver::{enumerate_shortest_paths, CapFactor, Label, PathInfo, Quiver};
+pub use quiver::enumerate_shortest_paths;
 pub use symmetry::SymmetryEngine;

@@ -1,8 +1,8 @@
-//! The Quiver (§3.4.1): a labeled multidigraph capturing which
-//! source-destination leaf pairs traverse each fabric link, extended with
-//! capacity factors (§3.4.3) for heterogeneous links.
-
-use std::collections::{BTreeSet, HashMap};
+//! Two pieces of the Quiver (§3.4.1, the labeled multidigraph recording
+//! which leaf pairs traverse each fabric link): the capacity factor of an
+//! edge label (§3.4.3) and shortest-path enumeration over a route table's
+//! candidate sets. The Quiver itself is never materialized — see
+//! [`crate::SymmetryEngine`].
 
 use drill_net::{LinkId, NodeRef, RouteTable, SwitchId, Topology};
 
@@ -21,7 +21,7 @@ use drill_net::{LinkId, NodeRef, RouteTable, SwitchId, Topology};
 /// build a queue. We therefore clamp `cf` to `max(cf, 1)` and store it as a
 /// reduced fraction; this reproduces every example in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum CapFactor {
+pub(crate) enum CapFactor {
     /// `a` is the path's source: infinite input rate.
     Source,
     /// Reduced fraction `input/output`, clamped to at least 1/1.
@@ -30,7 +30,7 @@ pub enum CapFactor {
 
 impl CapFactor {
     /// Build a (clamped, reduced) ratio from input and output capacities.
-    pub fn ratio(input_bps: u64, output_bps: u64) -> CapFactor {
+    pub(crate) fn ratio(input_bps: u64, output_bps: u64) -> CapFactor {
         assert!(output_bps > 0);
         if input_bps <= output_bps {
             return CapFactor::Ratio(1, 1);
@@ -45,33 +45,6 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         (a, b) = (b, a % b);
     }
     a
-}
-
-/// A Quiver edge label: "traffic from leaf `src` to leaf `dst` traverses
-/// this link, able to build a queue at rate factor `cf`".
-pub type Label = (u32, u32, CapFactor);
-
-/// Facts about one shortest path, as used by the decomposition.
-#[derive(Clone, Debug)]
-pub struct PathInfo {
-    /// The links along the path, in order.
-    pub links: Vec<LinkId>,
-    /// Egress port at the path's first switch.
-    pub first_port: u16,
-    /// Path capacity: the rate of its slowest link (`p.cap` in the paper).
-    pub cap_bps: u64,
-    /// The path score: per-link hashes of the links' label sets. Two paths
-    /// are symmetric iff their scores are equal (§3.4.1 step 2).
-    pub score: Vec<u64>,
-}
-
-/// The labeled multidigraph of §3.4.1.
-#[derive(Clone, Debug)]
-pub struct Quiver {
-    labels: HashMap<LinkId, BTreeSet<Label>>,
-    scores: HashMap<LinkId, u64>,
-    /// Total number of leaf-to-leaf shortest paths enumerated.
-    pub paths_enumerated: u64,
 }
 
 /// Enumerate every shortest path from `from` to leaf `dst_leaf` as link
@@ -117,120 +90,10 @@ fn dfs(
     }
 }
 
-impl Quiver {
-    /// Default per-pair path-enumeration cap.
-    pub const DEFAULT_PATH_CAP: usize = 1 << 16;
-
-    /// Build the Quiver from every leaf-pair's shortest paths.
-    pub fn build(topo: &Topology, routes: &RouteTable) -> Quiver {
-        Quiver::build_capped(topo, routes, Quiver::DEFAULT_PATH_CAP)
-    }
-
-    /// Build with an explicit per-pair path cap.
-    pub fn build_capped(topo: &Topology, routes: &RouteTable, cap: usize) -> Quiver {
-        let mut labels: HashMap<LinkId, BTreeSet<Label>> = HashMap::new();
-        let mut paths_enumerated = 0u64;
-        let leaves = topo.leaves();
-        for (src_idx, &src) in leaves.iter().enumerate() {
-            for dst_idx in 0..leaves.len() {
-                if src_idx == dst_idx {
-                    continue;
-                }
-                for path in enumerate_shortest_paths(topo, routes, src, dst_idx as u32, cap) {
-                    paths_enumerated += 1;
-                    // Walk the path tracking the bottleneck capacity from
-                    // the source, producing the capacity-factor labels.
-                    let mut bottleneck = u64::MAX;
-                    for (i, &lid) in path.iter().enumerate() {
-                        let link = topo.link(lid);
-                        let cf = if i == 0 {
-                            CapFactor::Source
-                        } else {
-                            CapFactor::ratio(bottleneck, link.rate_bps)
-                        };
-                        labels
-                            .entry(lid)
-                            .or_default()
-                            .insert((src_idx as u32, dst_idx as u32, cf));
-                        bottleneck = bottleneck.min(link.rate_bps);
-                    }
-                }
-            }
-        }
-        let scores = labels
-            .iter()
-            .map(|(&lid, set)| (lid, hash_label_set(set)))
-            .collect();
-        Quiver {
-            labels,
-            scores,
-            paths_enumerated,
-        }
-    }
-
-    /// The label set of a link (`None` if the link is on no shortest path).
-    pub fn labels(&self, link: LinkId) -> Option<&BTreeSet<Label>> {
-        self.labels.get(&link)
-    }
-
-    /// The link's score: a hash of its label set. Two links are symmetric
-    /// (ℓ1 ~ ℓ2) iff they carry the same label set; scores collide only
-    /// with negligible probability, mirroring the paper's hashing shortcut.
-    pub fn link_score(&self, link: LinkId) -> u64 {
-        self.scores.get(&link).copied().unwrap_or(0)
-    }
-
-    /// Exact link symmetry (label-set equality, no hashing).
-    pub fn links_symmetric(&self, a: LinkId, b: LinkId) -> bool {
-        self.labels.get(&a) == self.labels.get(&b)
-    }
-
-    /// Score and capacity of a path (its per-link score list + bottleneck).
-    pub fn path_info(&self, topo: &Topology, links: Vec<LinkId>) -> PathInfo {
-        let first_port = topo.link(links[0]).src_port;
-        let cap_bps = links
-            .iter()
-            .map(|&l| topo.link(l).rate_bps)
-            .min()
-            .unwrap_or(0);
-        let score = links.iter().map(|&l| self.link_score(l)).collect();
-        PathInfo {
-            links,
-            first_port,
-            cap_bps,
-            score,
-        }
-    }
-}
-
-fn hash_label_set(set: &BTreeSet<Label>) -> u64 {
-    let mut h = 0x243f_6a88_85a3_08d3u64; // deterministic seed
-    for &(s, d, cf) in set {
-        h = mix(h ^ s as u64);
-        h = mix(h ^ d as u64);
-        match cf {
-            CapFactor::Source => h = mix(h ^ 0xffff_ffff_ffff_fffe),
-            CapFactor::Ratio(n, m) => {
-                h = mix(h ^ n);
-                h = mix(h ^ m);
-            }
-        }
-    }
-    h
-}
-
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drill_net::{leaf_spine, leaf_spine_custom, LeafSpineSpec, DEFAULT_PROP};
+    use drill_net::{leaf_spine, LeafSpineSpec, DEFAULT_PROP};
 
     fn spec(spines: usize, leaves: usize) -> LeafSpineSpec {
         LeafSpineSpec {
@@ -252,23 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_clos_all_links_in_a_layer_symmetric() {
-        let topo = leaf_spine(&spec(3, 4));
-        let routes = RouteTable::compute(&topo);
-        let q = Quiver::build(&topo, &routes);
-        // All uplinks from leaf 0 have identical labels.
-        let l0 = topo.leaves()[0];
-        let up0 = topo.egress(l0, 0).id;
-        let up1 = topo.egress(l0, 1).id;
-        let up2 = topo.egress(l0, 2).id;
-        assert!(q.links_symmetric(up0, up1));
-        assert!(q.links_symmetric(up1, up2));
-        assert_eq!(q.link_score(up0), q.link_score(up1));
-        // 4*3 pairs x 3 spine paths.
-        assert_eq!(q.paths_enumerated, 36);
-    }
-
-    #[test]
     fn path_enumeration_counts() {
         let topo = leaf_spine(&spec(4, 3));
         let routes = RouteTable::compute(&topo);
@@ -287,107 +133,5 @@ mod tests {
         let l0 = topo.leaves()[0];
         let paths = enumerate_shortest_paths(&topo, &routes, l0, 1, 3);
         assert_eq!(paths.len(), 3);
-    }
-
-    #[test]
-    fn figure4_failure_breaks_symmetry() {
-        // Figure 4(a): 4 leaves, 3 spines, L0-S0 fails. The L3->L1 paths
-        // through S1/S2 stay symmetric; the S0 path becomes asymmetric.
-        let mut topo = leaf_spine(&spec(3, 4));
-        let l0 = topo.leaves()[0];
-        let s0 = SwitchId(4); // switches: 4 leaves then 3 spines
-        assert!(topo.fail_switch_link(l0, s0, 0));
-        let routes = RouteTable::compute(&topo);
-        let q = Quiver::build(&topo, &routes);
-
-        let l3 = topo.leaves()[3];
-        let paths = enumerate_shortest_paths(&topo, &routes, l3, 1, 1024);
-        assert_eq!(paths.len(), 3);
-        let infos: Vec<PathInfo> = paths.into_iter().map(|p| q.path_info(&topo, p)).collect();
-        // Identify each path by its transit spine (dst of first link).
-        let by_spine = |want: SwitchId| {
-            infos
-                .iter()
-                .find(|i| topo.link(i.links[0]).dst == NodeRef::Switch(want))
-                .expect("path via spine")
-        };
-        let p0 = by_spine(SwitchId(4));
-        let p1 = by_spine(SwitchId(5));
-        let p2 = by_spine(SwitchId(6));
-        assert_eq!(p1.score, p2.score, "P1 ~ P2");
-        assert_ne!(p0.score, p1.score, "P0 !~ P1");
-        // The downlink S0->L1 lacks the (L0, L1) label that S1->L1 carries.
-        let s0_l1 = *p0.links.last().unwrap();
-        let s1_l1 = *p1.links.last().unwrap();
-        let lbl0 = q.labels(s0_l1).unwrap();
-        let lbl1 = q.labels(s1_l1).unwrap();
-        assert!(!lbl0.iter().any(|&(s, d, _)| (s, d) == (0, 1)));
-        assert!(lbl1.iter().any(|&(s, d, _)| (s, d) == (0, 1)));
-    }
-
-    #[test]
-    fn host_link_failure_preserves_symmetry() {
-        // §3.4.1: "not all failures cause asymmetry" — losing a host link
-        // removes that host's flows from all paths equally.
-        let base = leaf_spine(&spec(3, 4));
-        let routes = RouteTable::compute(&base);
-        let q = Quiver::build(&base, &routes);
-        let l0 = base.leaves()[0];
-        let scores: Vec<u64> = (0..3)
-            .map(|p| q.link_score(base.egress(l0, p).id))
-            .collect();
-        assert!(scores.windows(2).all(|w| w[0] == w[1]), "uplinks symmetric");
-    }
-
-    #[test]
-    fn heterogeneous_example_3_4_3() {
-        // §3.4.3: L0-S0, L0-S1, L1-S0 at 40G, everything else 10G.
-        // Among L0->L1 paths H0 (via S0), H1 (via S1), H2 (via S2):
-        // H0 ~ H2 but H0 !~ H1.
-        let s = LeafSpineSpec {
-            spines: 3,
-            leaves: 4,
-            hosts_per_leaf: 1,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        };
-        let topo = leaf_spine_custom(&s, |leaf, spine| {
-            let fat = (leaf == 0 && spine <= 1) || (leaf == 1 && spine == 0);
-            vec![if fat { 40_000_000_000 } else { 10_000_000_000 }]
-        });
-        let routes = RouteTable::compute(&topo);
-        let q = Quiver::build(&topo, &routes);
-        let l0 = topo.leaves()[0];
-        let paths = enumerate_shortest_paths(&topo, &routes, l0, 1, 64);
-        assert_eq!(paths.len(), 3);
-        let infos: Vec<PathInfo> = paths.into_iter().map(|p| q.path_info(&topo, p)).collect();
-        let by_spine = |want: u32| {
-            infos
-                .iter()
-                .find(|i| topo.link(i.links[0]).dst == NodeRef::Switch(SwitchId(want)))
-                .unwrap()
-        };
-        let h0 = by_spine(4);
-        let h1 = by_spine(5);
-        let h2 = by_spine(6);
-        assert_eq!(h0.score, h2.score, "H0 ~ H2");
-        assert_ne!(h0.score, h1.score, "H0 !~ H1");
-        assert_eq!(h0.cap_bps, 40_000_000_000);
-        assert_eq!(h2.cap_bps, 10_000_000_000);
-    }
-
-    #[test]
-    fn label_sets_record_leaf_pairs() {
-        let topo = leaf_spine(&spec(2, 3));
-        let routes = RouteTable::compute(&topo);
-        let q = Quiver::build(&topo, &routes);
-        let l0 = topo.leaves()[0];
-        let up = topo.egress(l0, 0).id;
-        let labels = q.labels(up).unwrap();
-        // Uplink from leaf 0 carries exactly (0, 1) and (0, 2), as Source.
-        let pairs: Vec<(u32, u32)> = labels.iter().map(|&(s, d, _)| (s, d)).collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2)]);
-        assert!(labels.iter().all(|&(_, _, cf)| cf == CapFactor::Source));
     }
 }

@@ -1,18 +1,20 @@
 //! Structural §3.4 control plane: symmetry-class decomposition with lazy
 //! per-entry quivers and incremental reconvergence.
 //!
-//! The eager control plane ([`crate::install_symmetric_groups_eager`])
-//! enumerates every leaf-to-leaf shortest path to build the global
-//! [`Quiver`], then re-enumerates each entry's paths to decompose it —
-//! O(leaves² × paths) time and memory, ~67M paths and gigabytes of labels
-//! at a k=32 fat-tree. The [`SymmetryEngine`] produces the **exact same
-//! group tables** from the structure of the candidate DAG instead:
+//! Read literally, §3.4.1 enumerates every leaf-to-leaf shortest path to
+//! label the global Quiver, then every entry's paths again to decompose
+//! it — O(leaves² × paths) time and memory, ~67M paths and gigabytes of
+//! labels at a k=32 fat-tree. The [`SymmetryEngine`] produces the **exact
+//! group tables that definition prescribes** (checked against a literal
+//! transcription of it, `tests/support/oracle.rs`) from the structure of
+//! the candidate DAG instead:
 //!
 //! 1. **Link classes** (the Quiver, without materializing it). For one
-//!    destination leaf `d`, the labels eager places on a link are the image
-//!    of the set of *prefix states* reaching its tail: every shortest path
-//!    from a source leaf arrives with a `(src_leaf, bottleneck)` pair, and
-//!    the link's label restriction is `{(src, cf(bottleneck, rate))}`.
+//!    destination leaf `d`, the labels the definition places on a link are
+//!    the image of the set of *prefix states* reaching its tail: every
+//!    shortest path from a source leaf arrives with a `(src_leaf,
+//!    bottleneck)` pair, and the link's label restriction is `{(src,
+//!    cf(bottleneck, rate))}`.
 //!    Candidate edges always point from hop distance `k` to `k-1`
 //!    ([`RouteTable::dist_levels`]), so propagating interned prefix-state
 //!    sets down the levels visits each candidate edge exactly once and
@@ -21,8 +23,8 @@
 //!    destinations, the refinement chain keyed by destination: two links
 //!    end in the same class iff every per-destination restriction
 //!    matches, i.e. iff their full label sets are equal — exactly the
-//!    paper's `ℓ1 ~ ℓ2` (and *stricter* than the eager path's 64-bit score
-//!    hash, which can collide). Set operations are memoized on interned
+//!    paper's `ℓ1 ~ ℓ2`, with no score hash that could collide. Set
+//!    operations are memoized on interned
 //!    ids, so a symmetric fabric costs O(distinct sets) ≈ O(tiers × pods)
 //!    real set constructions per destination, everything else being id
 //!    lookups.
@@ -47,22 +49,13 @@
 //!    representative, and the resulting groups are stored as a template
 //!    over candidate indices, replicated to every entry of the class.
 //!    Candidates are in ascending port order, so mapping index groups
-//!    through an entry's candidate list preserves the eager sort order
-//!    bit-for-bit.
+//!    through an entry's candidate list keeps groups sorted by port.
 //! 3. **Incremental reconvergence.** All interners, set-operation memos,
 //!    class-refinement chains, and decomposition templates are
 //!    content-addressed and persist across installs. After a fault, the
 //!    propagation replays mostly memo hits; only entries whose fingerprint
 //!    actually changed (their candidate set or a downstream link's
 //!    class/rate moved) miss the template cache and get re-decomposed.
-//!
-//! **Known deviation** (shared with the figure goldens, documented in
-//! DESIGN.md): eager truncates enumeration at
-//! [`Quiver::DEFAULT_PATH_CAP`] paths per (entry, destination). The
-//! engine's class propagation is exact (set-based, uncapped) and its
-//! template enumeration uses the same cap, so results can differ from
-//! eager only on fabrics with more than 65 536 shortest paths for a
-//! single entry — far beyond every topology family in this repo.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,11 +64,11 @@ use drill_net::{NodeRef, PortGroup, RouteTable, SwitchId, Topology};
 use drill_sim::{FxHashMap, FxHashSet};
 
 use crate::decompose::{group_scored_paths, GroupingReport};
-use crate::quiver::{enumerate_shortest_paths, CapFactor, Quiver};
+use crate::quiver::{enumerate_shortest_paths, CapFactor};
 
-/// Sentinel bottleneck meaning "the path starts here": mirrors the eager
-/// builder's `bottleneck = u64::MAX` seed, so the first link of a path maps
-/// to [`CapFactor::Source`] and `min(MAX, rate) = rate` thereafter.
+/// Sentinel bottleneck meaning "the path starts here": the first link of a
+/// path maps to [`CapFactor::Source`] and `min(MAX, rate) = rate`
+/// thereafter.
 const SOURCE_CAP: u64 = u64::MAX;
 
 /// A prefix state: traffic from leaf `.0` arrives with bottleneck `.1`.
@@ -129,10 +122,10 @@ impl<E: Clone + Eq + std::hash::Hash> Interner<E> {
 
 /// The structural §3.4 control plane (see module docs).
 ///
-/// One-shot use reproduces [`crate::install_symmetric_groups_eager`]
-/// exactly; keeping the engine alive across [`SymmetryEngine::install`]
-/// calls additionally reuses all structural work that a fault did not
-/// invalidate (incremental reconvergence).
+/// A fresh engine and a long-lived one install the same tables; keeping
+/// the engine alive across [`SymmetryEngine::install`] calls additionally
+/// reuses all structural work that a fault did not invalidate
+/// (incremental reconvergence).
 ///
 /// Every map is an [`FxHashMap`] and none is ever iterated, so the hasher
 /// can only change bucket layout, never a group table.
@@ -197,8 +190,10 @@ impl SymmetryEngine {
     }
 
     /// Decompose every multi-candidate (switch, dst-leaf) entry of
-    /// `routes` into symmetric components and install them, exactly as
-    /// [`crate::install_symmetric_groups_eager`] would.
+    /// `routes` into symmetric components and install them. Entries that
+    /// remain fully symmetric get their groups cleared: the data plane
+    /// then micro load balances over the whole candidate set with no
+    /// hashing step, exactly as in the symmetric design.
     ///
     /// Reuses any structure cached by previous installs on this engine.
     pub fn install(&mut self, topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
@@ -282,13 +277,9 @@ impl SymmetryEngine {
                         if collapsed {
                             None
                         } else {
-                            let paths = enumerate_shortest_paths(
-                                topo,
-                                routes,
-                                a,
-                                d,
-                                Quiver::DEFAULT_PATH_CAP,
-                            );
+                            // Entry-local and small: (k/2)² paths in a
+                            // k-ary fat-tree, so no cap.
+                            let paths = enumerate_shortest_paths(topo, routes, a, d, usize::MAX);
                             report.paths_enumerated += paths.len() as u64;
                             let groups = group_scored_paths(paths.into_iter().map(|links| {
                                 let first_port = topo.link(links[0]).src_port;
@@ -337,8 +328,8 @@ impl SymmetryEngine {
     }
 
     /// Phase 1: link classes by partition refinement over destinations.
-    /// `class[link] == 0` means "on no shortest path at all", matching the
-    /// eager score 0 for unlabeled links.
+    /// `class[link] == 0` means "on no shortest path at all": an empty
+    /// label set.
     fn link_classes(
         &mut self,
         topo: &Topology,
@@ -360,15 +351,15 @@ impl SymmetryEngine {
                 for &a in level {
                     let mut b = bstate[a.index()];
                     // A leaf that is not the destination originates its own
-                    // paths (even while relaying others': eager enumerates
-                    // from every source leaf independently).
+                    // paths (even while relaying others': §3.4.1 labels
+                    // over every source leaf's paths independently).
                     if let Some(li) = topo.leaf_index(a).filter(|_| dist > 0) {
                         b = self.union(b, seeds[li as usize]);
                     }
                     if b == 0 {
                         // No shortest path reaches this switch for `d`:
-                        // its candidate links stay unlabeled, exactly like
-                        // the inert detour entries eager never walks.
+                        // its candidate links stay unlabeled — the inert
+                        // detour entries no leaf-to-leaf path crosses.
                         continue;
                     }
                     for &p in routes.candidates(a, d) {
@@ -413,10 +404,9 @@ impl SymmetryEngine {
 
     /// Cross a link of `rate` with prefix states `b`. Returns the label
     /// restriction they induce on the link — `(src, Source)` for
-    /// path-starting prefixes, else `(src, cf(bottleneck, rate))`, exactly
-    /// the eager per-path labels aggregated as a set — and the states on
-    /// its far side, every bottleneck clamped to `rate` (the eager
-    /// builder's `bottleneck.min(rate)`).
+    /// path-starting prefixes, else `(src, cf(bottleneck, rate))`, the
+    /// per-path labels of §3.4.3 aggregated as a set — and the states on
+    /// its far side, every bottleneck clamped to `rate`.
     fn cross(&mut self, b: u32, rate: u64) -> (u32, u32) {
         if let Some(&ids) = self.cross_memo.get(&(b, rate)) {
             return ids;
@@ -619,119 +609,36 @@ impl Walker {
     }
 }
 
+/// The any-tier fault sweep `tests/structural_groups.rs` draws from (it
+/// also reads the drawn faults back; this module only walks the fabrics).
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/support/sweep.rs"]
+mod sweep;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::install_symmetric_groups_eager;
-    use drill_net::{
-        clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec,
-        LeafSpineSpec, LinkId, SwitchId, Vl2Spec, DEFAULT_PROP,
-    };
-    use drill_sim::SimRng;
+    use drill_net::{clos, leaf_spine, vl2, ClosSpec, LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
     use std::collections::HashMap;
 
-    fn spec(spines: usize, leaves: usize) -> LeafSpineSpec {
-        LeafSpineSpec {
-            spines,
-            leaves,
+    // The group tables themselves are checked against the §3.4 oracle in
+    // `tests/structural_groups.rs` (paper examples, named fabrics, the
+    // failure ladder and this same sweep, cold and warm); the tests here
+    // pin what only the crate can see.
+
+    #[test]
+    fn symmetric_fabrics_enumerate_zero_paths() {
+        let four_by_four = LeafSpineSpec {
+            spines: 4,
+            leaves: 4,
             hosts_per_leaf: 1,
             host_rate: 10_000_000_000,
             core_rate: 40_000_000_000,
             prop: DEFAULT_PROP,
-        }
-    }
-
-    /// Every installed group table, as a comparable value.
-    fn group_table(topo: &Topology, routes: &RouteTable) -> Vec<(u32, u32, Vec<PortGroup>)> {
-        let mut out = Vec::new();
-        for si in 0..topo.num_switches() {
-            let s = SwitchId(si as u32);
-            for d in 0..topo.num_leaves() as u32 {
-                let g = routes.groups(s, d);
-                if !g.is_empty() {
-                    out.push((si as u32, d, g.to_vec()));
-                }
-            }
-        }
-        out
-    }
-
-    fn assert_structural_matches_eager(topo: &Topology) {
-        let mut eager = RouteTable::compute(topo);
-        let re = install_symmetric_groups_eager(topo, &mut eager);
-        let mut structural = RouteTable::compute(topo);
-        let rs = SymmetryEngine::new().install(topo, &mut structural);
-        assert_eq!(
-            group_table(topo, &eager),
-            group_table(topo, &structural),
-            "group tables must match bit-for-bit"
-        );
-        assert_eq!(re.entries, rs.entries);
-        assert_eq!(re.asymmetric_entries, rs.asymmetric_entries);
-        assert_eq!(re.max_components, rs.max_components);
-        assert!(rs.classes <= rs.entries);
-        assert_eq!(rs.entries_reused, rs.entries - rs.classes);
-        assert!(
-            rs.paths_enumerated <= re.paths_enumerated,
-            "structural must never walk more paths than eager"
-        );
-    }
-
-    #[test]
-    fn matches_eager_on_figure4() {
-        let mut topo = leaf_spine(&spec(3, 4));
-        let l0 = topo.leaves()[0];
-        topo.fail_switch_link(l0, SwitchId(4), 0);
-        assert_structural_matches_eager(&topo);
-    }
-
-    #[test]
-    fn matches_eager_on_heterogeneous_striping() {
-        let s = LeafSpineSpec {
-            spines: 3,
-            leaves: 4,
-            hosts_per_leaf: 1,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
         };
-        let topo = leaf_spine_custom(&s, |leaf, spine| {
-            let fat = (leaf == 0 && spine <= 1) || (leaf == 1 && spine == 0);
-            vec![if fat { 40_000_000_000 } else { 10_000_000_000 }]
-        });
-        assert_structural_matches_eager(&topo);
-    }
-
-    #[test]
-    fn matches_eager_on_vl2_failure() {
-        let mut topo = vl2(&Vl2Spec::paper());
-        let tor0 = topo.leaves()[0];
-        assert!(topo.fail_switch_link(tor0, SwitchId(16), 0));
-        assert_structural_matches_eager(&topo);
-    }
-
-    #[test]
-    fn matches_eager_on_clos_failures() {
-        let mut topo = clos(&ClosSpec::smoke());
-        // Fail one leaf-agg and one agg-core link.
-        let l0 = topo.leaves()[0];
-        let agg = match topo.egress(l0, 0).dst {
-            NodeRef::Switch(s) => s,
-            _ => unreachable!(),
-        };
-        assert!(topo.fail_switch_link(l0, agg, 0));
-        let core = match topo.egress(agg, 2).dst {
-            NodeRef::Switch(s) => s,
-            _ => unreachable!(),
-        };
-        assert!(topo.fail_switch_link(agg, core, 0));
-        assert_structural_matches_eager(&topo);
-    }
-
-    #[test]
-    fn symmetric_fabrics_enumerate_zero_paths() {
         for topo in [
-            leaf_spine(&spec(4, 4)),
+            leaf_spine(&four_by_four),
             clos(&ClosSpec::smoke()),
             vl2(&Vl2Spec::paper()),
         ] {
@@ -751,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_reinstall_is_incremental_and_exact() {
+    fn warm_reinstall_is_incremental() {
         let mut topo = clos(&ClosSpec::smoke());
         let mut engine = SymmetryEngine::new();
         let mut routes = RouteTable::compute(&topo);
@@ -767,13 +674,6 @@ mod tests {
         let mut warm_routes = RouteTable::compute(&topo);
         let warm = engine.install(&topo, &mut warm_routes);
 
-        let mut eager_routes = RouteTable::compute(&topo);
-        install_symmetric_groups_eager(&topo, &mut eager_routes);
-        assert_eq!(
-            group_table(&topo, &eager_routes),
-            group_table(&topo, &warm_routes),
-            "warm incremental reinstall matches fresh eager"
-        );
         assert!(warm.entries_reused > 0);
 
         // Restore: the pre-fault structure is fully cached, so the third
@@ -846,101 +746,6 @@ mod tests {
             sig.push((cn, link.rate_bps, tn));
             if first_visit {
                 reference_walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
-            }
-        }
-    }
-
-    /// Every fabric of `tests/structural_groups.rs`'s any-tier sweep (the
-    /// same six families, seeds and fault draws): up to five arbitrary
-    /// switch–switch links failed, one survivor degraded.
-    fn for_each_sweep_fabric(mut f: impl FnMut(&str, &Topology)) {
-        type Build = fn(&mut SimRng) -> Topology;
-        fn ls(rng: &mut SimRng) -> LeafSpineSpec {
-            LeafSpineSpec {
-                hosts_per_leaf: 2,
-                ..spec(2 + rng.below(4), 2 + rng.below(6))
-            }
-        }
-        let families: [(&str, Build); 6] = [
-            ("leaf_spine", |rng| leaf_spine(&ls(rng))),
-            ("leaf_spine_custom", |rng| {
-                let (skew, spec) = (rng.below(3), ls(rng));
-                leaf_spine_custom(&spec, |l, s| {
-                    if (l + s) % 3 == skew {
-                        vec![10_000_000_000; 2]
-                    } else {
-                        vec![40_000_000_000]
-                    }
-                })
-            }),
-            ("vl2", |rng| {
-                let aggs = 2 + rng.below(4);
-                vl2(&Vl2Spec {
-                    tors: 3 + rng.below(5),
-                    aggs,
-                    ints: 1 + rng.below(4),
-                    hosts_per_tor: 1,
-                    host_rate: 1_000_000_000,
-                    core_rate: 10_000_000_000,
-                    tor_uplinks: (1 + rng.below(3)).min(aggs),
-                    prop: DEFAULT_PROP,
-                })
-            }),
-            ("fat_tree", |_| fat_tree(4, 10_000_000_000, DEFAULT_PROP)),
-            ("fat_tree_custom", |rng| {
-                let hosts_per_edge = 2 + rng.below(3);
-                fat_tree_custom(
-                    4,
-                    hosts_per_edge,
-                    10_000_000_000,
-                    10_000_000_000,
-                    DEFAULT_PROP,
-                )
-            }),
-            ("clos", |rng| {
-                clos(&ClosSpec {
-                    pods: 2 + rng.below(3),
-                    leaves_per_pod: 1 + rng.below(2),
-                    aggs_per_pod: 2,
-                    cores: 2 * (1 + rng.below(2)),
-                    hosts_per_leaf: 1,
-                    ..ClosSpec::smoke()
-                })
-            }),
-        ];
-        let live_pairs = |topo: &Topology| {
-            let mut pairs: Vec<(SwitchId, SwitchId)> = topo
-                .links()
-                .iter()
-                .filter(|l| l.up)
-                .filter_map(|l| match (l.src, l.dst) {
-                    (NodeRef::Switch(a), NodeRef::Switch(b)) if a.0 < b.0 => Some((a, b)),
-                    _ => None,
-                })
-                .collect();
-            pairs.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-            pairs.dedup();
-            pairs
-        };
-        for (family, build) in families {
-            for seed in 0..500 {
-                let mut rng = SimRng::seed_from(seed);
-                let mut topo = build(&mut rng);
-                for _ in 0..rng.below(6) {
-                    let live = live_pairs(&topo);
-                    if live.is_empty() {
-                        break;
-                    }
-                    let (a, b) = live[rng.below(live.len())];
-                    assert!(topo.fail_switch_link(a, b, 0));
-                }
-                let live = live_pairs(&topo);
-                if !live.is_empty() {
-                    let (a, b) = live[rng.below(live.len())];
-                    let num = 1 + rng.below(3) as u32;
-                    assert!(topo.degrade_switch_link(a, b, 0, num, 4));
-                }
-                f(&format!("{family} seed {seed}"), &topo);
             }
         }
     }
@@ -1020,11 +825,13 @@ mod tests {
         let mut warm = SymmetryEngine::new();
         let mut ledger = ShapeLedger::default();
         let mut checked = 0;
-        for_each_sweep_fabric(|label, topo| {
-            checked += check_walks(label, &mut SymmetryEngine::new(), topo, None);
-            warm.install(topo, &mut RouteTable::compute(topo));
-            check_walks(label, &mut warm, topo, Some(&mut ledger));
-        });
+        for (family, _) in sweep::FAMILIES {
+            sweep::for_each_fabric(family, |label, topo| {
+                checked += check_walks(label, &mut SymmetryEngine::new(), topo, None);
+                warm.install(topo, &mut RouteTable::compute(topo));
+                check_walks(label, &mut warm, topo, Some(&mut ledger));
+            });
+        }
         assert!(checked > 50_000, "sweep compared only {checked} entries");
         // The shape memo's key, field by field: the warm engine's ids are
         // comparable across the sweep, every shape mapped to one signature
@@ -1057,37 +864,5 @@ mod tests {
             n - 3,
             "counter wrapped past 0"
         );
-    }
-
-    /// Hand-built pod-symmetric Clos: links in mirrored positions of
-    /// different pods are exactly symmetric (equal label sets), pinned via
-    /// the eager Quiver's `links_symmetric`/`link_score`, and the engine
-    /// assigns them one class (single-component entries everywhere).
-    #[test]
-    fn pod_symmetric_clos_link_classes() {
-        let topo = clos(&ClosSpec::smoke());
-        let routes = RouteTable::compute(&topo);
-        let q = Quiver::build(&topo, &routes);
-        // Pods are built identically: leaf 0 of pod 0 is switch 0, leaf 0
-        // of pod 1 is switch 4 (2 leaves + 2 aggs per pod).
-        let pod0_leaf = topo.leaves()[0];
-        let pod1_leaf = topo.leaves()[2];
-        let up0: LinkId = topo.egress(pod0_leaf, 0).id;
-        let up0b: LinkId = topo.egress(pod0_leaf, 1).id;
-        let up1: LinkId = topo.egress(pod1_leaf, 0).id;
-        // Within a pod, both agg uplinks of a leaf are symmetric.
-        assert!(q.links_symmetric(up0, up0b));
-        assert_eq!(q.link_score(up0), q.link_score(up0b));
-        // Across pods, label sets differ (sources differ) — the same
-        // *score partition* shape, but not the same labels.
-        assert!(!q.links_symmetric(up0, up1));
-        assert_ne!(q.link_score(up0), q.link_score(up1));
-        // The engine agrees with the Quiver: symmetric uplinks land in one
-        // entry class and the whole fabric stays single-component.
-        let mut r2 = RouteTable::compute(&topo);
-        let report = SymmetryEngine::new().install(&topo, &mut r2);
-        assert_eq!(report.asymmetric_entries, 0);
-        assert_eq!(report.max_components, 1);
-        assert!(group_table(&topo, &r2).is_empty());
     }
 }

@@ -2,14 +2,15 @@
 //! link fails, and why it matters.
 //!
 //! Reproduces the paper's Figure 4 scenario — the L0-S0 link fails, making
-//! the L3→L1 paths asymmetric — then shows the Quiver decomposition and
-//! compares DRILL with and without its symmetric-component handling.
+//! the L3→L1 paths asymmetric — then shows the decomposition the control
+//! plane installs and compares DRILL with and without its
+//! symmetric-component handling.
 //!
 //! ```sh
 //! cargo run --release --example failure_asymmetry
 //! ```
 
-use drill::core::{decompose_groups, enumerate_shortest_paths, Quiver};
+use drill::core::{enumerate_shortest_paths, SymmetryEngine};
 use drill::net::{leaf_spine, LeafSpineSpec, RouteTable, SwitchId, DEFAULT_PROP};
 use drill::runtime::{run_many, ExperimentConfig, Scheme, TopoSpec};
 use drill::sim::Time;
@@ -30,25 +31,23 @@ fn main() {
     assert!(topo.fail_switch_link(l0, s0, 0));
     println!("Figure 4 scenario: L0-S0 failed.\n");
 
-    // Control plane: Quiver + decomposition at L3 toward L1.
-    let routes = RouteTable::compute(&topo);
-    let quiver = Quiver::build(&topo, &routes);
+    // Control plane: the §3.4 decomposition at L3 toward L1.
+    let mut routes = RouteTable::compute(&topo);
+    SymmetryEngine::new().install(&topo, &mut routes);
     let l3 = topo.leaves()[3];
-    println!("L3 -> L1 shortest paths and scores:");
+    println!("L3 -> L1 shortest paths:");
     for links in enumerate_shortest_paths(&topo, &routes, l3, 1, 64) {
-        let info = quiver.path_info(&topo, links.clone());
-        let spine = topo.link(links[0]).dst;
+        let first = topo.link(links[0]);
+        let cap_bps = links.iter().map(|&l| topo.link(l).rate_bps).min();
         println!(
-            "  via {:?}: port {} score {:x?} cap {} Gbps",
-            spine,
-            info.first_port,
-            info.score.iter().map(|s| s >> 48).collect::<Vec<_>>(),
-            info.cap_bps / 1_000_000_000
+            "  via {:?}: port {} cap {} Gbps",
+            first.dst,
+            first.src_port,
+            cap_bps.unwrap_or(0) / 1_000_000_000
         );
     }
-    let groups = decompose_groups(&topo, &routes, &quiver, l3, 1);
     println!("\nsymmetric components at L3 toward L1 (ports : weight):");
-    for g in &groups {
+    for g in routes.groups(l3, 1) {
         println!("  {:?} : {}", g.ports, g.weight);
     }
     println!("(paper: {{P0}} and {{P1, P2}} with weights 1 : 2)\n");

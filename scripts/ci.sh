@@ -11,11 +11,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== retired build/run modes stay retired =="
-# The heap-queue / fat-events / criterion-benches features and the
-# eager_control_plane knob were deleted once their A/Bs had reported;
-# nothing may select them again. (This script names them, so it is
-# excluded; history lives in the .md files, which are not searched.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches' \
+# The heap-queue / fat-events / criterion-benches features, the
+# eager_control_plane knob and the eager §3.4 enumerator (whose place as
+# the reference the oracle in tests/support/ took) were deleted once
+# their A/Bs had reported; nothing may select them again. (This script
+# names them, so it is excluded; history lives in the .md files, which
+# are not searched.)
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude=ci.sh .; then
@@ -47,11 +49,13 @@ echo "== drillbench's own tests (benchmark/check.sh: unit tests + every workload
 # The release build above already paid for the compile.
 benchmark/check.sh
 
-echo "== optimised-build row (cargo test --release: drill-core, drill-net, structural goldens) =="
+echo "== optimised-build row (cargo test --release: drill-core, drill-net, engine vs §3.4 oracle) =="
 # The build drillbench measures: debug assertions and overflow checks off,
 # RouteTable::set_groups' partition check compiled out. Every other test
 # row runs the dev profile, so without this one the control plane is
-# never tested in the build whose speed is claimed.
+# never tested in the build whose speed is claimed. structural_groups is
+# the whole oracle comparison: paper examples, named fabrics, the failure
+# ladder and the 3 000-fabric sweep, cold and warm.
 cargo test -q --release -p drill-core -p drill-net
 cargo test -q --release --test structural_groups
 
@@ -148,14 +152,6 @@ grep -q "replayed window" <<<"$replay_out" \
 grep -q "decision quality" <<<"$replay_out" \
     || { echo "rewind-replay printed no decision-quality table"; exit 1; }
 rm -rf "$adir"
-
-echo "== snapbench --quick smoke =="
-# DRILLSNAP size/latency + warm-start speedup, CI scale; the two
-# bit-identity flags inside must both read true.
-./target/release/snapbench --quick | tee /tmp/snapbench-ci.json
-if grep -q "false" /tmp/snapbench-ci.json; then
-    echo "snapbench reported a bit-identity failure"; exit 1
-fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -17,8 +17,8 @@
 //! * [`stats`] — moments, percentiles/CDFs, histograms, text tables.
 //! * [`net`] — packets, Clos topologies, switches with forwarding engines,
 //!   host NICs, routing, the load-balancer plug-in API.
-//! * [`core`] — DRILL(d, m), the Quiver, symmetric path decomposition,
-//!   the §3.2.4 stability model.
+//! * [`core`] — DRILL(d, m), the §3.4 symmetric path decomposition
+//!   (`SymmetryEngine`), the §3.2.4 stability model.
 //! * [`lb`] — ECMP, per-packet Random/RR, WCMP, Presto, CONGA.
 //! * [`transport`] — TCP Reno/NewReno, GRO accounting, reordering shim.
 //! * [`workload`] — flow-size distributions, arrival processes, traffic

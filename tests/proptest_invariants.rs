@@ -7,9 +7,9 @@
 //! topologies when available.
 #![cfg(feature = "proptest")]
 
-use drill::core::{
-    decompose_groups, install_symmetric_groups_eager, DrillPolicy, Quiver, SymmetryEngine,
-};
+mod support;
+
+use drill::core::{DrillPolicy, SymmetryEngine};
 use drill::net::{
     clos, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, FlowId, HostId,
     LeafSpineSpec, NodeRef, Packet, PacketArena, PacketRef, QueueView, RouteTable, SelectCtx,
@@ -20,6 +20,7 @@ use drill::sim::{SimRng, Time};
 use drill::stats::{Distribution, Histogram, Moments};
 use drill::transport::{ShimBuffer, TcpConfig, TcpFlow};
 use proptest::prelude::*;
+use support::oracle;
 
 use proptest::prop_compose;
 prop_compose! {
@@ -126,40 +127,29 @@ fn assert_shard_plan_invariants(
 }
 
 /// Shared checker for the structural §3.4 control plane: the
-/// [`SymmetryEngine`] must install group tables bit-identical to the
-/// eager per-pair enumeration on the same fabric, and its
-/// `GroupingReport` must uphold the structural invariants (classes never
-/// exceed entries, reuse is exactly the difference, the lazy walk never
-/// enumerates more paths than eager). Only the fields both paths define
-/// identically are compared — `classes`/`paths_enumerated`/`build_ns`
-/// have different semantics per path by design.
-fn assert_structural_matches_eager(
+/// [`SymmetryEngine`] must install exactly the group tables the oracle
+/// (`support/oracle.rs`, the paper's Quiver definition transcribed)
+/// derives for the same fabric, report the counts the oracle recomputes
+/// from its own output, and uphold the structural invariants (classes
+/// never exceed entries, reuse is exactly the difference, the lazy walk
+/// never enumerates more paths than the entries hold).
+fn assert_structural_matches_oracle(
     topo: &Topology,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut eager_routes = RouteTable::compute(topo);
-    let eager = install_symmetric_groups_eager(topo, &mut eager_routes);
+    let want = oracle::solve(topo, &RouteTable::compute(topo));
     let mut structural_routes = RouteTable::compute(topo);
     let structural = SymmetryEngine::new().install(topo, &mut structural_routes);
-    for si in 0..topo.num_switches() as u32 {
-        for d in 0..topo.num_leaves() as u32 {
-            prop_assert_eq!(
-                eager_routes.groups(SwitchId(si), d),
-                structural_routes.groups(SwitchId(si), d),
-                "group tables diverged at switch {} dst leaf {}",
-                si,
-                d
-            );
-        }
-    }
-    prop_assert_eq!(eager.entries, structural.entries);
-    prop_assert_eq!(eager.asymmetric_entries, structural.asymmetric_entries);
-    prop_assert_eq!(eager.max_components, structural.max_components);
+    let installed = support::group_table(topo, &structural_routes);
+    prop_assert_eq!(&want.table, &installed, "group tables diverged");
+    prop_assert_eq!(want.entries, structural.entries);
+    prop_assert_eq!(want.asymmetric_entries, structural.asymmetric_entries);
+    prop_assert_eq!(want.max_components, structural.max_components);
     prop_assert!(structural.classes <= structural.entries);
     prop_assert_eq!(
         structural.entries_reused,
         structural.entries - structural.classes
     );
-    prop_assert!(structural.paths_enumerated <= eager.paths_enumerated);
+    prop_assert!(structural.paths_enumerated <= want.entry_paths);
     Ok(())
 }
 
@@ -227,14 +217,15 @@ proptest! {
             let spine = SwitchId((spec.leaves + rng.below(spec.spines)) as u32);
             let _ = topo.fail_switch_link(leaf, spine, 0);
         }
-        let routes = RouteTable::compute(&topo);
-        let quiver = Quiver::build(&topo, &routes);
+        let mut routes = RouteTable::compute(&topo);
+        SymmetryEngine::new().install(&topo, &mut routes);
         for si in 0..topo.num_switches() {
             let s = SwitchId(si as u32);
             for dst in 0..topo.num_leaves() as u32 {
                 let cand = routes.candidates(s, dst);
-                if cand.len() < 2 { continue; }
-                let groups = decompose_groups(&topo, &routes, &quiver, s, dst);
+                // No installed groups = one component of every candidate.
+                let groups = routes.groups(s, dst);
+                if groups.is_empty() { continue; }
                 let mut all: Vec<u16> = groups.iter().flat_map(|g| g.ports.iter().copied()).collect();
                 all.sort_unstable();
                 all.dedup();
@@ -701,10 +692,10 @@ proptest! {
     /// Structural §3.4 control plane on random heterogeneously-striped
     /// leaf-spine fabrics (every pair keeps at least one uplink, with
     /// random extra parallel links at mixed rates) plus random failures:
-    /// the SymmetryEngine's group tables must match the eager
-    /// enumeration exactly.
+    /// the SymmetryEngine's group tables must match the oracle's
+    /// exactly.
     #[test]
-    fn structural_matches_eager_on_random_striping(
+    fn structural_matches_oracle_on_random_striping(
         spec in spec_strategy(),
         fails in 0usize..3,
         seed in 0u64..1000,
@@ -723,14 +714,14 @@ proptest! {
             .collect();
         let mut topo = leaf_spine_custom(&spec, |l, s| stripe[l][s].clone());
         fail_random_uplinks(&mut topo, fails, seed)?;
-        assert_structural_matches_eager(&topo)?;
+        assert_structural_matches_oracle(&topo)?;
     }
 
-    /// Structural == eager on random VL2 fabrics with random failure
+    /// Structural == oracle on random VL2 fabrics with random failure
     /// sets, including under-connected ToRs and failures that partition
     /// a ToR from part of the fabric.
     #[test]
-    fn structural_matches_eager_on_random_vl2(
+    fn structural_matches_oracle_on_random_vl2(
         tors in 2usize..8,
         aggs in 2usize..6,
         ints in 1usize..5,
@@ -749,20 +740,20 @@ proptest! {
             prop: DEFAULT_PROP,
         });
         fail_random_uplinks(&mut topo, fails, seed)?;
-        assert_structural_matches_eager(&topo)?;
+        assert_structural_matches_oracle(&topo)?;
     }
 
-    /// Structural == eager on random three-tier Clos fabrics with random
+    /// Structural == oracle on random three-tier Clos fabrics with random
     /// failure sets (the multi-tier case: failures below one pod must
     /// reshape group weights at switches in every other pod).
     #[test]
-    fn structural_matches_eager_on_random_clos(
+    fn structural_matches_oracle_on_random_clos(
         spec in clos_strategy(),
         fails in 0usize..4,
         seed in 0u64..1000,
     ) {
         let mut topo = clos(&spec);
         fail_random_uplinks(&mut topo, fails, seed)?;
-        assert_structural_matches_eager(&topo)?;
+        assert_structural_matches_oracle(&topo)?;
     }
 }
