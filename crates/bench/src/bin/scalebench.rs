@@ -15,7 +15,12 @@
 //!   simulated, so throughput numbers are comparable across sizes);
 //! * **fct_retained** — samples held by the FCT distribution, which stays
 //!   O(k log n) once the store spills into the quantile sketch;
-//! * **peak RSS** — `VmHWM` from `/proc/self/status` (kB; 0 off-Linux).
+//! * **peak RSS** — `VmHWM` from `/proc/self/status` (kB; 0 off-Linux),
+//!   and beside it where the control plane's share of it sits after the
+//!   cold install: `cp_table_bytes` (`RouteTable::heap_bytes`),
+//!   `cp_engine_bytes` (`SymmetryEngine::heap_bytes`), and how few
+//!   distinct things the `cp_entries` say — `cp_distinct_cand_lists`,
+//!   `cp_distinct_group_tables`.
 //!
 //! Ladder points run open-loop packet trains (`raw_packet_mode`) with the
 //! arrival window shrunk as the fabric grows, keeping every point within
@@ -296,6 +301,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     let mut engine = SymmetryEngine::new();
     let report = engine.install(&topo, &mut cp_routes);
     let cp_install_secs = cp_start.elapsed().as_secs_f64();
+    let (cp_table_bytes, cp_engine_bytes) = (cp_routes.heap_bytes(), engine.heap_bytes());
+    let cp_cand_lists = cp_routes.distinct_cand_lists();
+    let cp_group_tables = cp_routes.distinct_group_tables();
     let cp_reconverge_secs = if let Some(&(a, b)) = pairs.get(p.failures) {
         fail_pair(&mut topo, a, b);
         let t = Instant::now();
@@ -373,6 +381,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
 \"events_per_sec\": {eps:.0}, \"flows_started\": {flows}, \"bytes_delivered\": {bytes}, \
 \"bytes_per_host\": {:.1}, \"fct_retained\": {fct_retained}, \"fct_exact\": {fct_exact}, \
 \"wheel_slots_hw\": {}, \"arena_slots_hw\": {}, \"nic_pending_at_end\": {}, \
+\"cp_table_bytes\": {cp_table_bytes}, \"cp_engine_bytes\": {cp_engine_bytes}, \
+\"cp_distinct_cand_lists\": {cp_cand_lists}, \
+\"cp_distinct_group_tables\": {cp_group_tables}, \
 \"peak_rss_kb\": {}}}",
         p.name,
         p.window_us,

@@ -37,6 +37,11 @@ pub struct GroupingReport {
     /// fingerprint (or, for leaf entries, a shape) this engine has walked
     /// before.
     pub signatures_walked: u64,
+    /// Values and memo entries this install added to the engine's
+    /// persistent state (sets, fingerprints, signatures, classes,
+    /// templates): what makes the engine grow. 0 on a replay of a fabric
+    /// state the engine has installed before.
+    pub values_interned: u64,
 }
 
 /// Core of the §3.4.1 step-2 decomposition: group scored paths

@@ -57,66 +57,157 @@
 //!    actually changed (their candidate set or a downstream link's
 //!    class/rate moved) miss the template cache and get re-decomposed.
 
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
+use std::mem::size_of;
 use std::time::Instant;
 
 use drill_net::{NodeRef, PortGroup, RouteTable, SwitchId, Topology};
-use drill_sim::{FxHashMap, FxHashSet};
+use drill_sim::{FxBuildHasher, FxHashMap, FxHashSet};
 
 use crate::decompose::{group_scored_paths, GroupingReport};
 use crate::quiver::{enumerate_shortest_paths, CapFactor};
 
-/// Sentinel bottleneck meaning "the path starts here": the first link of a
-/// path maps to [`CapFactor::Source`] and `min(MAX, rate) = rate`
-/// thereafter.
-const SOURCE_CAP: u64 = u64::MAX;
+/// Sentinel bottleneck meaning "the path starts here" — the rate id no
+/// real rate gets: the first link of a path maps to [`CapFactor::Source`]
+/// and `min(∞, rate) = rate` thereafter.
+const SOURCE_CAP: u32 = u32::MAX;
 
-/// A prefix state: traffic from leaf `.0` arrives with bottleneck `.1`.
-type BSet = Vec<(u32, u64)>;
-/// A link's per-destination label restriction: `(src_leaf, cap_factor)`.
-type LSet = Vec<(u32, CapFactor)>;
-/// One candidate of an entry fingerprint: `(link class, rate_bps, child
+// Rates and capacity factors are stored as dense ids into engine-owned
+// tables ([`Ids`]), so every element of an interned set is 8 bytes. Only
+// set *identity* is ever read — sets are compared, never decoded or
+// ordered by value — and ids are stable for the engine's lifetime, so
+// equal sets stay equal and class numbering, which follows traversal
+// order, is untouched.
+
+/// A prefix state: traffic from leaf `.0` arrives with bottleneck rate id
+/// `.1`.
+type BSet = Vec<(u32, u32)>;
+/// A link's per-destination label restriction: `(src_leaf, cap-factor id)`.
+type LSet = Vec<(u32, u32)>;
+/// One candidate of an entry fingerprint: `(link class, rate id, child
 /// fingerprint)`. Canonical signatures reuse the same tuple shape (see
 /// [`Walker::signature`]).
-type Tuple = (u32, u64, u32);
+type Tuple = (u32, u32, u32);
 /// An entry fingerprint: one [`Tuple`] per candidate, in candidate order.
 type FKey = Vec<Tuple>;
 
+/// Elements per [`Interner`] page: 4–6 KB, so the engine of a 20-switch
+/// fabric stays a few pages (4096 showed as +0.5 MB of peak RSS on a sweep
+/// of small worlds) and a 16k-host one still makes a few thousand
+/// allocations where one per value made 150 000.
+const PAGE: usize = 512;
+
 /// Content-addressed store mapping value slices to dense `u32` ids.
 ///
-/// A probe hashes the borrowed slice once and clones it only on a miss;
-/// the stored copy is shared between the id table and the map key. Id 0 is
-/// always the empty value, so "no prefix states" and the terminal
-/// fingerprint are the zero id and never need a lookup.
+/// Values sit back to back in fixed-capacity pages that are filled once
+/// and never reallocated: growing the store never copies it. (One doubling
+/// buffer was tried and made the peak *worse* — while it grows, the old
+/// half stays resident beside the new one.) A probe hashes the borrowed
+/// slice once and copies it only on a miss. Id 0 is always the empty
+/// value, so "no prefix states" and the terminal fingerprint are the zero
+/// id and never need a lookup.
 struct Interner<E> {
-    vals: Vec<Arc<[E]>>,
-    ids: FxHashMap<Arc<[E]>, u32>,
+    pages: Vec<Vec<E>>,
+    /// Per id: `(page, offset, len)`.
+    spans: Vec<(u32, u32, u32)>,
+    /// Content hash -> the newest id with that hash; `chain[id]` is the
+    /// next older one (`u32::MAX` ends the chain), so two values whose
+    /// hashes collide are still told apart by content.
+    heads: FxHashMap<u64, u32>,
+    chain: Vec<u32>,
 }
 
-impl<E: Clone + Eq + std::hash::Hash> Interner<E> {
+impl<E: Copy + Eq + std::hash::Hash> Interner<E> {
     fn new() -> Interner<E> {
         let mut it = Interner {
-            vals: Vec::new(),
-            ids: FxHashMap::default(),
+            pages: Vec::new(),
+            spans: Vec::new(),
+            heads: FxHashMap::default(),
+            chain: Vec::new(),
         };
         it.intern(&[]);
         it
     }
 
     fn intern(&mut self, val: &[E]) -> u32 {
-        if let Some(&id) = self.ids.get(val) {
-            return id;
+        let hash = FxBuildHasher::default().hash_one(val);
+        let head = self.heads.get(&hash).copied().unwrap_or(u32::MAX);
+        let mut id = head;
+        while id != u32::MAX {
+            if self.get(id) == val {
+                return id;
+            }
+            id = self.chain[id as usize];
         }
-        let id = self.vals.len() as u32;
-        let stored: Arc<[E]> = val.into();
-        self.vals.push(stored.clone());
-        self.ids.insert(stored, id);
+        if (self.pages.last()).is_none_or(|p| p.capacity() - p.len() < val.len()) {
+            self.pages.push(Vec::with_capacity(PAGE.max(val.len())));
+        }
+        let last = self.pages.len() - 1;
+        let page = &mut self.pages[last];
+        let id = self.spans.len() as u32;
+        self.spans
+            .push((last as u32, page.len() as u32, val.len() as u32));
+        page.extend_from_slice(val);
+        self.chain.push(head);
+        self.heads.insert(hash, id);
         id
     }
 
     #[inline]
     fn get(&self, id: u32) -> &[E] {
-        &self.vals[id as usize]
+        let (page, off, len) = self.spans[id as usize];
+        &self.pages[page as usize][off as usize..][..len as usize]
+    }
+
+    /// Values interned so far.
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let paged: usize = self.pages.iter().map(Vec::capacity).sum();
+        paged * size_of::<E>()
+            + self.pages.capacity() * size_of::<Vec<E>>()
+            + self.spans.capacity() * size_of::<(u32, u32, u32)>()
+            + self.chain.capacity() * size_of::<u32>()
+            + map_bytes(&self.heads)
+    }
+}
+
+/// Heap bytes of a hash map's table: one `(key, value)` and one control
+/// byte a bucket, 8 buckets per 7 of capacity.
+fn map_bytes<K, V, S>(m: &std::collections::HashMap<K, V, S>) -> usize {
+    m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+}
+
+/// Dense `u32` ids for scalars (link rates, capacity factors) that the
+/// interned sets would otherwise carry inline at 8–24 bytes apiece.
+struct Ids<T> {
+    vals: Vec<T>,
+    ids: FxHashMap<T, u32>,
+}
+
+impl<T: Copy + Eq + std::hash::Hash> Ids<T> {
+    fn new() -> Ids<T> {
+        Ids {
+            vals: Vec::new(),
+            ids: FxHashMap::default(),
+        }
+    }
+
+    fn id(&mut self, v: T) -> u32 {
+        if let Some(&id) = self.ids.get(&v) {
+            return id;
+        }
+        let id = self.vals.len() as u32;
+        self.vals.push(v);
+        self.ids.insert(v, id);
+        id
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.vals.capacity() * size_of::<T>() + map_bytes(&self.ids)
     }
 }
 
@@ -130,12 +221,16 @@ impl<E: Clone + Eq + std::hash::Hash> Interner<E> {
 /// Every map is an [`FxHashMap`] and none is ever iterated, so the hasher
 /// can only change bucket layout, never a group table.
 pub struct SymmetryEngine {
-    bsets: Interner<(u32, u64)>,
-    lsets: Interner<(u32, CapFactor)>,
+    rates: Ids<u64>,
+    cap_factors: Ids<CapFactor>,
+    /// Link -> rate id, rebuilt by every install.
+    link_rate: Vec<u32>,
+    bsets: Interner<(u32, u32)>,
+    lsets: Interner<(u32, u32)>,
     fps: Interner<Tuple>,
-    /// `(bset, rate)` -> what crossing a link of that rate makes of those
-    /// prefixes: `(lset they induce on it, bset on its far side)`.
-    cross_memo: FxHashMap<(u32, u64), (u32, u32)>,
+    /// `(bset, rate id)` -> what crossing a link of that rate makes of
+    /// those prefixes: `(lset they induce on it, bset on its far side)`.
+    cross_memo: FxHashMap<(u32, u32), (u32, u32)>,
     /// `(bset, bset)` -> set union.
     union_memo: FxHashMap<(u32, u32), u32>,
     /// `(old class, lset, destination)` -> refined class. A label is a
@@ -174,6 +269,9 @@ impl SymmetryEngine {
     /// An empty engine with no cached structure.
     pub fn new() -> SymmetryEngine {
         SymmetryEngine {
+            rates: Ids::new(),
+            cap_factors: Ids::new(),
+            link_rate: Vec::new(),
             bsets: Interner::new(),
             lsets: Interner::new(),
             fps: Interner::new(),
@@ -199,6 +297,7 @@ impl SymmetryEngine {
     pub fn install(&mut self, topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
         let start = Instant::now();
         let mut report = GroupingReport::default();
+        let values_before = self.values();
         // One traversal skeleton per destination, shared by both phases.
         let levels: Vec<Vec<Vec<SwitchId>>> = (0..topo.num_leaves() as u32)
             .map(|d| routes.dist_levels(d))
@@ -215,6 +314,13 @@ impl SymmetryEngine {
         let mut cand_buf: Vec<u16> = Vec::new();
         let mut key: FKey = Vec::new();
         let mut shape: FKey = Vec::new();
+        // Install by reference: a template is mapped through a candidate
+        // list once per distinct (canonical class, candidate list) pair of
+        // this install — a few dozen on a regular fabric — and every
+        // further entry of the pair points at the table already in
+        // `routes`' pool.
+        let mut cand_lists: Interner<u16> = Interner::new();
+        let mut placed: FxHashMap<(u32, u32), (SwitchId, u32)> = FxHashMap::default();
         for (d, levels) in levels.iter().enumerate() {
             let d = d as u32;
             for (dist, level) in levels.iter().enumerate() {
@@ -225,7 +331,7 @@ impl SymmetryEngine {
                     }
                     cand_buf.clear();
                     cand_buf.extend_from_slice(routes.candidates(a, d));
-                    exact_fingerprint(topo, a, &cand_buf, &class, &fid, &mut key);
+                    exact_fingerprint(topo, a, &cand_buf, &class, &self.link_rate, &fid, &mut key);
                     // All candidate subtrees identical => every score group
                     // spans every port => provably one component, nothing
                     // to walk or enumerate. Sound only because a class id
@@ -243,7 +349,7 @@ impl SymmetryEngine {
                         // `u32::MAX` node field can't appear in a real walk
                         // signature, whose references are visit numbers.
                         self.sigs
-                            .intern(&[(u32::MAX, cand_buf.len() as u64, u32::MAX)])
+                            .intern(&[(u32::MAX, cand_buf.len() as u32, u32::MAX)])
                     } else if let Some(&c) = self.canon_memo.get(&f) {
                         c
                     } else {
@@ -259,7 +365,13 @@ impl SymmetryEngine {
                             // The lazy per-entry quiver: walk this entry's
                             // candidate subgraph exactly once.
                             report.signatures_walked += 1;
-                            let c = self.sigs.intern(self.walker.signature(topo, routes, a, d));
+                            let c = self.sigs.intern(self.walker.signature(
+                                topo,
+                                routes,
+                                &self.link_rate,
+                                a,
+                                d,
+                            ));
                             if is_leaf {
                                 self.shape_memo.insert(shape.clone(), c);
                             }
@@ -308,23 +420,76 @@ impl SymmetryEngine {
                         Some(template) => {
                             report.max_components = report.max_components.max(template.len());
                             report.asymmetric_entries += 1;
-                            let groups = template
-                                .iter()
-                                .map(|g| PortGroup {
-                                    ports: g.ports.iter().map(|&i| cand_buf[i as usize]).collect(),
-                                    weight: g.weight,
-                                })
-                                .collect();
-                            routes.set_groups(a, d, groups);
+                            match placed.entry((canon, cand_lists.intern(&cand_buf))) {
+                                Entry::Occupied(first) => routes.share_groups(a, d, *first.get()),
+                                Entry::Vacant(slot) => {
+                                    let groups = template
+                                        .iter()
+                                        .map(|g| PortGroup {
+                                            ports: g
+                                                .ports
+                                                .iter()
+                                                .map(|&i| cand_buf[i as usize])
+                                                .collect(),
+                                            weight: g.weight,
+                                        })
+                                        .collect();
+                                    routes.set_groups(a, d, groups);
+                                    slot.insert((a, d));
+                                }
+                            }
                         }
                     }
                 }
             }
         }
 
+        report.values_interned = (self.values() - values_before) as u64;
         report.build_ns = start.elapsed().as_nanos() as u64;
         report.fingerprint_ns = report.build_ns - report.refine_ns;
         report
+    }
+
+    /// Everything the engine keeps across installs, counted: interned
+    /// values, memo entries, classes. Grows only when an install meets
+    /// structure it has not seen.
+    fn values(&self) -> usize {
+        self.rates.vals.len()
+            + self.cap_factors.vals.len()
+            + self.bsets.len()
+            + self.lsets.len()
+            + self.fps.len()
+            + self.sigs.len()
+            + self.cross_memo.len()
+            + self.union_memo.len()
+            + self.class_memo.len()
+            + self.canon_memo.len()
+            + self.templates.len()
+            + self.shape_memo.len()
+    }
+
+    /// Heap bytes the engine holds (capacities × element sizes, hash maps
+    /// at one entry and one control byte a bucket). Host-side accounting:
+    /// it enters no fingerprint.
+    pub fn heap_bytes(&self) -> usize {
+        let w = &self.walker;
+        self.rates.heap_bytes()
+            + self.cap_factors.heap_bytes()
+            + self.link_rate.capacity() * size_of::<u32>()
+            + self.bsets.heap_bytes()
+            + self.lsets.heap_bytes()
+            + self.fps.heap_bytes()
+            + self.sigs.heap_bytes()
+            + map_bytes(&self.cross_memo)
+            + map_bytes(&self.union_memo)
+            + map_bytes(&self.class_memo)
+            + map_bytes(&self.canon_memo)
+            + map_bytes(&self.templates)
+            + map_bytes(&self.shape_memo)
+            + self.shape_memo.keys().map(|k| k.capacity()).sum::<usize>() * size_of::<Tuple>()
+            + (w.nodes.capacity() + w.classes.capacity()) * size_of::<(u32, u32)>()
+            + w.dense.capacity() * size_of::<u32>()
+            + w.sig.capacity() * size_of::<Tuple>()
     }
 
     /// Phase 1: link classes by partition refinement over destinations.
@@ -336,6 +501,10 @@ impl SymmetryEngine {
         routes: &RouteTable,
         levels: &[Vec<Vec<SwitchId>>],
     ) -> Vec<u32> {
+        let rates = &mut self.rates;
+        self.link_rate.clear();
+        self.link_rate
+            .extend(topo.links().iter().map(|l| rates.id(l.rate_bps)));
         let mut class: Vec<u32> = vec![0; topo.links().len()];
         let mut bstate: Vec<u32> = vec![0; topo.num_switches()];
         // Each leaf's own path-start state.
@@ -364,8 +533,8 @@ impl SymmetryEngine {
                     }
                     for &p in routes.candidates(a, d) {
                         let link = topo.egress(a, p);
-                        let (lset, advanced) = self.cross(b, link.rate_bps);
                         let li = link.id.index();
+                        let (lset, advanced) = self.cross(b, self.link_rate[li]);
                         class[li] = self.refine(class[li], lset, d);
                         if let NodeRef::Switch(t) = link.dst {
                             bstate[t.index()] = self.union(bstate[t.index()], advanced);
@@ -402,34 +571,39 @@ impl SymmetryEngine {
         id
     }
 
-    /// Cross a link of `rate` with prefix states `b`. Returns the label
-    /// restriction they induce on the link — `(src, Source)` for
+    /// Cross a link of rate id `r` with prefix states `b`. Returns the
+    /// label restriction they induce on the link — `(src, Source)` for
     /// path-starting prefixes, else `(src, cf(bottleneck, rate))`, the
     /// per-path labels of §3.4.3 aggregated as a set — and the states on
-    /// its far side, every bottleneck clamped to `rate`.
-    fn cross(&mut self, b: u32, rate: u64) -> (u32, u32) {
-        if let Some(&ids) = self.cross_memo.get(&(b, rate)) {
+    /// its far side, every bottleneck clamped to the link's rate.
+    fn cross(&mut self, b: u32, r: u32) -> (u32, u32) {
+        if let Some(&ids) = self.cross_memo.get(&(b, r)) {
             return ids;
         }
         let states = self.bsets.get(b);
-        let mut labels: LSet = states
-            .iter()
-            .map(|&(s, cap)| {
-                let cf = if cap == SOURCE_CAP {
-                    CapFactor::Source
-                } else {
-                    CapFactor::ratio(cap, rate)
-                };
-                (s, cf)
-            })
-            .collect();
+        let rates = &self.rates.vals;
+        let rate = rates[r as usize];
+        let mut labels: LSet = Vec::with_capacity(states.len());
+        let mut advanced: BSet = Vec::with_capacity(states.len());
+        for &(s, cap) in states {
+            let starts_here = cap == SOURCE_CAP;
+            let cf = if starts_here {
+                CapFactor::Source
+            } else {
+                CapFactor::ratio(rates[cap as usize], rate)
+            };
+            labels.push((s, self.cap_factors.id(cf)));
+            // min(bottleneck, rate), compared through the table: equal
+            // rates share an id, so keeping `cap` on a tie is exact.
+            let slower = starts_here || rates[cap as usize] > rate;
+            advanced.push((s, if slower { r } else { cap }));
+        }
         labels.sort_unstable();
         labels.dedup();
-        let mut advanced: BSet = states.iter().map(|&(s, cap)| (s, cap.min(rate))).collect();
         advanced.sort_unstable();
         advanced.dedup();
         let ids = (self.lsets.intern(&labels), self.bsets.intern(&advanced));
-        self.cross_memo.insert((b, rate), ids);
+        self.cross_memo.insert((b, r), ids);
         ids
     }
 
@@ -456,6 +630,7 @@ fn exact_fingerprint(
     a: SwitchId,
     cands: &[u16],
     class: &[u32],
+    link_rate: &[u32],
     fid: &[u32],
     key: &mut FKey,
 ) {
@@ -466,7 +641,8 @@ fn exact_fingerprint(
             NodeRef::Switch(t) => fid[t.index()],
             NodeRef::Host(_) => unreachable!("candidates are switch links"),
         };
-        key.push((class[link.id.index()], link.rate_bps, child));
+        let li = link.id.index();
+        key.push((class[li], link_rate[li], child));
     }
 }
 
@@ -543,7 +719,7 @@ impl Walker {
     /// Canonical preorder serialization of one entry's candidate subgraph:
     /// nodes numbered by first visit, link classes renumbered by first
     /// occurrence. Each node contributes a `(u32::MAX, arity, visit_no)`
-    /// header followed by one `(renumbered class, rate_bps, child
+    /// header followed by one `(renumbered class, rate id, child
     /// visit_no)` tuple per candidate, with a newly visited child's block
     /// interleaved right after its edge (preorder), so the encoding is
     /// prefix-unambiguous.
@@ -554,12 +730,13 @@ impl Walker {
     /// path-score grouping only depends on the *equality pattern* of
     /// scores, so their decompositions in candidate-index space coincide,
     /// weights included (capacities come from the rates, which the
-    /// signature carries verbatim). The same invariance lets the walk read
-    /// `dense` indices instead of class ids.
+    /// signature carries as ids, one per distinct rate). The same
+    /// invariance lets the walk read `dense` indices instead of class ids.
     fn signature(
         &mut self,
         topo: &Topology,
         routes: &RouteTable,
+        link_rate: &[u32],
         entry: SwitchId,
         dst_leaf: u32,
     ) -> &[Tuple] {
@@ -575,17 +752,25 @@ impl Walker {
         self.nodes[entry.index()] = (self.epoch, 0);
         self.n_nodes = 1;
         self.n_classes = 0;
-        self.walk(topo, routes, entry, dst_leaf);
+        self.walk(topo, routes, link_rate, entry, dst_leaf);
         &self.sig
     }
 
-    fn walk(&mut self, topo: &Topology, routes: &RouteTable, s: SwitchId, dst_leaf: u32) {
+    fn walk(
+        &mut self,
+        topo: &Topology,
+        routes: &RouteTable,
+        link_rate: &[u32],
+        s: SwitchId,
+        dst_leaf: u32,
+    ) {
         let cands = routes.candidates(s, dst_leaf);
         self.sig
-            .push((u32::MAX, cands.len() as u64, self.nodes[s.index()].1));
+            .push((u32::MAX, cands.len() as u32, self.nodes[s.index()].1));
         for &p in cands {
             let link = topo.egress(s, p);
-            let class = &mut self.classes[self.dense[link.id.index()] as usize];
+            let li = link.id.index();
+            let class = &mut self.classes[self.dense[li] as usize];
             if class.0 != self.epoch {
                 *class = (self.epoch, self.n_classes);
                 self.n_classes += 1;
@@ -601,9 +786,9 @@ impl Walker {
                 *node = (self.epoch, self.n_nodes);
                 self.n_nodes += 1;
             }
-            self.sig.push((cn, link.rate_bps, node.1));
+            self.sig.push((cn, link_rate[li], node.1));
             if first_visit {
-                self.walk(topo, routes, t, dst_leaf);
+                self.walk(topo, routes, link_rate, t, dst_leaf);
             }
         }
     }
@@ -626,6 +811,32 @@ mod tests {
     // `tests/structural_groups.rs` (paper examples, named fabrics, the
     // failure ladder and this same sweep, cold and warm); the tests here
     // pin what only the crate can see.
+
+    #[test]
+    fn interner_pages_keep_every_value_whole() {
+        let mut it: Interner<u32> = Interner::new();
+        assert_eq!(it.intern(&[]), 0);
+        // 100-element values never straddle a page boundary; one larger
+        // than a page gets a page of its own.
+        let value = |i: u32| -> Vec<u32> { (0..100).map(|k| i * 1000 + k).collect() };
+        let ids: Vec<u32> = (0..300).map(|i| it.intern(&value(i))).collect();
+        let big: Vec<u32> = (0..PAGE as u32 + 7).collect();
+        let big_id = it.intern(&big);
+        assert_eq!(
+            ids,
+            (1..=300).collect::<Vec<u32>>(),
+            "dense, in first-seen order"
+        );
+        for (i, &id) in (0..).zip(&ids) {
+            assert_eq!(it.get(id), &value(i)[..]);
+            assert_eq!(it.intern(&value(i)), id, "a second probe is a hit");
+        }
+        assert_eq!(it.intern(&big), big_id);
+        assert_eq!(it.get(big_id), &big[..]);
+        assert_eq!(it.len(), 302);
+        assert!(it.pages.iter().all(|p| p.len() <= p.capacity()));
+        assert_eq!(it.pages.len(), 300usize.div_ceil(PAGE / 100) + 1);
+    }
 
     #[test]
     fn symmetric_fabrics_enumerate_zero_paths() {
@@ -694,6 +905,7 @@ mod tests {
         entry: SwitchId,
         dst_leaf: u32,
         class: &[u32],
+        rate_id: &HashMap<u64, u32>,
     ) -> FKey {
         let mut node_no: HashMap<u32, u32> = HashMap::new();
         let mut class_no: HashMap<u32, u32> = HashMap::new();
@@ -705,6 +917,7 @@ mod tests {
             entry,
             dst_leaf,
             class,
+            rate_id,
             &mut node_no,
             &mut class_no,
             &mut sig,
@@ -719,12 +932,13 @@ mod tests {
         s: SwitchId,
         dst_leaf: u32,
         class: &[u32],
+        rate_id: &HashMap<u64, u32>,
         node_no: &mut HashMap<u32, u32>,
         class_no: &mut HashMap<u32, u32>,
         sig: &mut FKey,
     ) {
         let cands = routes.candidates(s, dst_leaf);
-        sig.push((u32::MAX, cands.len() as u64, node_no[&s.0]));
+        sig.push((u32::MAX, cands.len() as u32, node_no[&s.0]));
         for &p in cands {
             let link = topo.egress(s, p);
             let next_class_no = class_no.len() as u32;
@@ -743,9 +957,11 @@ mod tests {
                     (n, true)
                 }
             };
-            sig.push((cn, link.rate_bps, tn));
+            sig.push((cn, rate_id[&link.rate_bps], tn));
             if first_visit {
-                reference_walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
+                reference_walk(
+                    topo, routes, t, dst_leaf, class, rate_id, node_no, class_no, sig,
+                );
             }
         }
     }
@@ -774,19 +990,23 @@ mod tests {
             .collect();
         let class = engine.link_classes(topo, &routes, &levels);
         engine.walker.begin(topo.num_switches(), &class);
+        // The engine's rate ids, read back as a plain map for the reference.
+        let rate_id: HashMap<u64, u32> = (engine.rates.vals.iter().copied()).zip(0u32..).collect();
         let mut fid = vec![0u32; topo.num_switches()];
         let (mut key, mut shape, mut checked) = (FKey::new(), FKey::new(), 0);
         for (d, levels) in levels.iter().enumerate() {
             let d = d as u32;
             for &a in levels.iter().skip(1).flatten() {
                 let cands = routes.candidates(a, d);
-                exact_fingerprint(topo, a, cands, &class, &fid, &mut key);
+                exact_fingerprint(topo, a, cands, &class, &engine.link_rate, &fid, &mut key);
                 fid[a.index()] = engine.fps.intern(&key);
                 if cands.len() < 2 {
                     continue;
                 }
-                let want = reference_signature(topo, &routes, a, d, &class);
-                let got = engine.walker.signature(topo, &routes, a, d);
+                let want = reference_signature(topo, &routes, a, d, &class, &rate_id);
+                let got = engine
+                    .walker
+                    .signature(topo, &routes, &engine.link_rate, a, d);
                 assert_eq!(got, &want[..], "{label}: entry {}->{d}", a.0);
                 checked += 1;
                 let collapsed = key.windows(2).all(|w| w[0] == w[1]);

@@ -20,7 +20,7 @@ use crate::topology::Topology;
 /// (§3.4: components of the symmetric-path decomposition, weighted by
 /// aggregate path capacity). A symmetric topology has a single group per
 /// (switch, destination-leaf).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PortGroup {
     /// Candidate egress ports in this component.
     pub ports: Vec<u16>,

@@ -6,9 +6,21 @@
 //! (one prefix per rack), as real fabrics do.
 //!
 //! The optional *symmetric component* grouping (§3.4) is stored here too;
-//! `drill-core` computes it and installs it with [`RouteTable::set_groups`].
+//! `drill-core` computes it and installs it with [`RouteTable::set_groups`]
+//! and [`RouteTable::share_groups`].
+//!
+//! **Layout.** Forwarding state is content-addressed: a regular fabric has
+//! a few dozen distinct candidate lists and group tables however many
+//! entries it has, so an entry is 16 bytes of indices in one flat array
+//! (`switch × leaves + dst`) and each distinct list or table exists once,
+//! in a pool. A lookup is entry → pool, never a walk through per-entry
+//! heap objects.
 
 use std::collections::VecDeque;
+use std::mem::size_of;
+use std::sync::Arc;
+
+use drill_sim::FxHashMap;
 
 use crate::ids::{NodeRef, SwitchId};
 use crate::lbapi::PortGroup;
@@ -17,16 +29,35 @@ use crate::topology::Topology;
 /// Unreachable marker in the distance table.
 pub const UNREACHABLE: u32 = u32::MAX;
 
+/// One `(switch, dst_leaf)` entry.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The candidate list: `ports[cand_off..][..cand_len]`. Lists are
+    /// interned, so two entries hold the same list iff these two fields
+    /// agree (every empty list is `(0, 0)`).
+    cand_off: u32,
+    cand_len: u32,
+    /// Index into `tables`; 0 means "one implicit group containing all
+    /// candidates".
+    table: u32,
+    /// Hop distance, [`UNREACHABLE`] if none.
+    dist: u32,
+}
+
 /// Per-switch forwarding state for every destination leaf.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
-    /// `[switch][dst_leaf]` -> candidate egress ports on shortest paths.
-    next_hops: Vec<Vec<Vec<u16>>>,
-    /// `[switch][dst_leaf]` -> symmetric components; empty means "one
-    /// implicit group containing all candidates".
-    groups: Vec<Vec<Vec<PortGroup>>>,
-    /// `[switch][dst_leaf]` -> hop distance.
-    dist: Vec<Vec<u32>>,
+    leaves: usize,
+    /// `[switch * leaves + dst_leaf]`.
+    entries: Vec<Entry>,
+    /// Every distinct non-empty candidate list, back to back.
+    ports: Vec<u16>,
+    cand_lists: usize,
+    /// Every distinct group table installed so far; `tables[0]` is the
+    /// empty one. A table overwritten on its last entry stays in the pool
+    /// until the next `compute`.
+    tables: Vec<Arc<[PortGroup]>>,
+    table_ids: FxHashMap<Arc<[PortGroup]>, u32>,
 }
 
 impl RouteTable {
@@ -37,96 +68,188 @@ impl RouteTable {
         let s_count = topo.num_switches();
         let l_count = topo.num_leaves();
 
-        // Reverse adjacency between switches over up links:
-        // rev[t] = switches s with an up link s -> t.
-        let mut rev: Vec<Vec<SwitchId>> = vec![Vec::new(); s_count];
-        for l in topo.links() {
-            if !l.up {
-                continue;
-            }
-            if let (NodeRef::Switch(s), NodeRef::Switch(t)) = (l.src, l.dst) {
-                rev[t.index()].push(s);
-            }
+        // Reverse adjacency between switches over up links, in CSR form:
+        // rev[rev_start[t]..rev_start[t + 1]] = switches s with an up link
+        // s -> t, in link order.
+        let up_switch_links = || {
+            topo.links().iter().filter_map(|l| match (l.src, l.dst) {
+                (NodeRef::Switch(s), NodeRef::Switch(t)) if l.up => Some((s, t)),
+                _ => None,
+            })
+        };
+        let mut rev_start = vec![0u32; s_count + 1];
+        for (_, t) in up_switch_links() {
+            rev_start[t.index() + 1] += 1;
+        }
+        for t in 0..s_count {
+            rev_start[t + 1] += rev_start[t];
+        }
+        let mut fill = rev_start.clone();
+        let mut rev = vec![SwitchId(0); rev_start[s_count] as usize];
+        for (s, t) in up_switch_links() {
+            rev[fill[t.index()] as usize] = s;
+            fill[t.index()] += 1;
         }
 
-        let mut dist = vec![vec![UNREACHABLE; l_count]; s_count];
+        let unreachable = Entry {
+            cand_off: 0,
+            cand_len: 0,
+            table: 0,
+            dist: UNREACHABLE,
+        };
+        let mut entries = vec![unreachable; s_count * l_count];
+        let mut q = VecDeque::new();
         for (leaf_idx, &leaf) in topo.leaves().iter().enumerate() {
-            dist[leaf.index()][leaf_idx] = 0;
-            let mut q = VecDeque::new();
+            entries[leaf.index() * l_count + leaf_idx].dist = 0;
             q.push_back(leaf);
             while let Some(t) = q.pop_front() {
-                let dt = dist[t.index()][leaf_idx];
-                for &s in &rev[t.index()] {
-                    if dist[s.index()][leaf_idx] == UNREACHABLE {
-                        dist[s.index()][leaf_idx] = dt + 1;
+                let dt = entries[t.index() * l_count + leaf_idx].dist;
+                let sources = rev_start[t.index()] as usize..rev_start[t.index() + 1] as usize;
+                for &s in &rev[sources] {
+                    let ds = &mut entries[s.index() * l_count + leaf_idx].dist;
+                    if *ds == UNREACHABLE {
+                        *ds = dt + 1;
                         q.push_back(s);
                     }
                 }
             }
         }
 
-        let mut next_hops = vec![vec![Vec::new(); l_count]; s_count];
+        let mut ports: Vec<u16> = Vec::new();
+        // The `(offset, len)` of every list in `ports`, sorted by content:
+        // interning is a binary search over a few dozen short slices and
+        // allocates nothing per list.
+        let mut lists: Vec<(u32, u32)> = Vec::new();
+        let mut cands: Vec<u16> = Vec::new();
         for si in 0..s_count {
             let s = SwitchId(si as u32);
             for leaf_idx in 0..l_count {
-                let ds = dist[si][leaf_idx];
+                let ds = entries[si * l_count + leaf_idx].dist;
                 if ds == UNREACHABLE || ds == 0 {
                     continue;
                 }
-                let mut ports = Vec::new();
+                cands.clear();
                 for (p, &lid) in topo.egress_links(s).iter().enumerate() {
                     let link = topo.link(lid);
                     if !link.up {
                         continue;
                     }
                     if let NodeRef::Switch(t) = link.dst {
-                        if dist[t.index()][leaf_idx] == ds - 1 {
-                            ports.push(p as u16);
+                        if entries[t.index() * l_count + leaf_idx].dist == ds - 1 {
+                            cands.push(p as u16);
                         }
                     }
                 }
-                next_hops[si][leaf_idx] = ports;
+                let found = lists.binary_search_by(|&(off, len)| {
+                    ports[off as usize..][..len as usize].cmp(&cands[..])
+                });
+                let (off, len) = match found {
+                    Ok(i) => lists[i],
+                    Err(i) => {
+                        let off = u32::try_from(ports.len()).expect("candidate pool fits u32");
+                        ports.extend_from_slice(&cands);
+                        lists.insert(i, (off, cands.len() as u32));
+                        lists[i]
+                    }
+                };
+                let e = &mut entries[si * l_count + leaf_idx];
+                e.cand_off = off;
+                e.cand_len = len;
             }
         }
 
+        let no_groups: Arc<[PortGroup]> = Arc::new([]);
         RouteTable {
-            next_hops,
-            groups: vec![vec![Vec::new(); l_count]; s_count],
-            dist,
+            leaves: l_count,
+            entries,
+            ports,
+            cand_lists: lists.len(),
+            tables: vec![no_groups],
+            table_ids: FxHashMap::default(),
         }
+    }
+
+    /// Index of `(s, dst_leaf)`. The leaf is checked here because a flat
+    /// index would otherwise silently alias the next switch's row.
+    #[inline]
+    fn at(&self, s: SwitchId, dst_leaf: u32) -> usize {
+        assert!(
+            (dst_leaf as usize) < self.leaves,
+            "dst_leaf {dst_leaf} out of range ({} leaves)",
+            self.leaves
+        );
+        s.index() * self.leaves + dst_leaf as usize
     }
 
     /// Candidate egress ports at `s` toward leaf `dst_leaf`.
     #[inline]
     pub fn candidates(&self, s: SwitchId, dst_leaf: u32) -> &[u16] {
-        &self.next_hops[s.index()][dst_leaf as usize]
+        let e = &self.entries[self.at(s, dst_leaf)];
+        &self.ports[e.cand_off as usize..][..e.cand_len as usize]
     }
 
     /// Symmetric components at `s` toward `dst_leaf`; empty slice means
     /// a single implicit group of all candidates.
     #[inline]
     pub fn groups(&self, s: SwitchId, dst_leaf: u32) -> &[PortGroup] {
-        &self.groups[s.index()][dst_leaf as usize]
+        &self.tables[self.entries[self.at(s, dst_leaf)].table as usize]
     }
 
-    /// Install symmetric components for `(s, dst_leaf)`.
+    /// Install symmetric components for `(s, dst_leaf)`; an empty `groups`
+    /// restores the single implicit group.
+    ///
+    /// Panics unless the groups partition the entry's candidate set.
     pub fn set_groups(&mut self, s: SwitchId, dst_leaf: u32, groups: Vec<PortGroup>) {
-        if cfg!(debug_assertions) && !groups.is_empty() {
+        let i = self.at(s, dst_leaf);
+        let id = if groups.is_empty() {
+            0
+        } else {
             let mut all: Vec<u16> = groups
                 .iter()
                 .flat_map(|g| g.ports.iter().copied())
                 .collect();
             all.sort_unstable();
-            let mut cand: Vec<u16> = self.next_hops[s.index()][dst_leaf as usize].clone();
-            cand.sort_unstable();
-            assert_eq!(all, cand, "groups must partition the candidate set");
-        }
-        self.groups[s.index()][dst_leaf as usize] = groups;
+            // `compute` lists candidates in ascending port order.
+            assert_eq!(
+                all,
+                self.candidates(s, dst_leaf),
+                "groups must partition the candidate set"
+            );
+            match self.table_ids.get(&groups[..]) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.tables.len()).expect("table pool fits u32");
+                    let table: Arc<[PortGroup]> = groups.into();
+                    self.tables.push(table.clone());
+                    self.table_ids.insert(table, id);
+                    id
+                }
+            }
+        };
+        self.entries[i].table = id;
+    }
+
+    /// Point `(s, dst_leaf)` at the group table entry `from` currently
+    /// uses — what `set_groups` with a copy of that table would do,
+    /// without building the copy.
+    ///
+    /// Panics unless both entries have the same candidate list (which that
+    /// table was checked against when it was set).
+    pub fn share_groups(&mut self, s: SwitchId, dst_leaf: u32, from: (SwitchId, u32)) {
+        let src = self.entries[self.at(from.0, from.1)];
+        let i = self.at(s, dst_leaf);
+        let e = &mut self.entries[i];
+        assert_eq!(
+            (e.cand_off, e.cand_len),
+            (src.cand_off, src.cand_len),
+            "a group table is shared between equal candidate lists only"
+        );
+        e.table = src.table;
     }
 
     /// Hop distance from `s` to `dst_leaf`, `None` if unreachable.
     pub fn dist(&self, s: SwitchId, dst_leaf: u32) -> Option<u32> {
-        let d = self.dist[s.index()][dst_leaf as usize];
+        let d = self.entries[self.at(s, dst_leaf)].dist;
         (d != UNREACHABLE).then_some(d)
     }
 
@@ -142,25 +265,64 @@ impl RouteTable {
     /// of the per-destination candidate DAG exactly once, in a
     /// deterministic order.
     pub fn dist_levels(&self, dst_leaf: u32) -> Vec<Vec<SwitchId>> {
-        let mut levels: Vec<Vec<SwitchId>> = Vec::new();
-        for (si, per_dst) in self.dist.iter().enumerate() {
-            let ds = per_dst[dst_leaf as usize];
-            if ds == UNREACHABLE {
-                continue;
+        let first = self.at(SwitchId(0), dst_leaf);
+        let reachable = || {
+            let column = self.entries[first..].iter().step_by(self.leaves);
+            (0u32..)
+                .zip(column)
+                .filter(|(_, e)| e.dist != UNREACHABLE)
+                .map(|(si, e)| (SwitchId(si), e.dist as usize))
+        };
+        // Size each level before filling it: the engine asks for one
+        // skeleton per destination on every install.
+        let mut sizes: Vec<usize> = Vec::with_capacity(8);
+        for (_, ds) in reachable() {
+            if sizes.len() <= ds {
+                sizes.resize(ds + 1, 0);
             }
-            let ds = ds as usize;
-            if levels.len() <= ds {
-                levels.resize_with(ds + 1, Vec::new);
-            }
-            levels[ds].push(SwitchId(si as u32));
+            sizes[ds] += 1;
+        }
+        let mut levels: Vec<Vec<SwitchId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (s, ds) in reachable() {
+            levels[ds].push(s);
         }
         levels
     }
 
     /// Number of destination leaves this table covers.
     pub fn num_leaves(&self) -> usize {
-        self.next_hops.first().map_or(0, |v| v.len())
+        self.leaves
     }
+
+    /// Distinct non-empty candidate lists among all entries.
+    pub fn distinct_cand_lists(&self) -> usize {
+        self.cand_lists
+    }
+
+    /// Distinct group tables in the pool (the implicit single group is
+    /// not one).
+    pub fn distinct_group_tables(&self) -> usize {
+        self.tables.len() - 1
+    }
+
+    /// Heap bytes this table holds (capacities × element sizes; the hash
+    /// map is counted at one key, one value and one control byte a slot).
+    /// Host-side accounting: it enters no fingerprint.
+    pub fn heap_bytes(&self) -> usize {
+        let pooled: usize = self.tables.iter().map(|t| table_bytes(t)).sum();
+        self.entries.capacity() * size_of::<Entry>()
+            + self.ports.capacity() * size_of::<u16>()
+            + self.tables.capacity() * size_of::<Arc<[PortGroup]>>()
+            + self.table_ids.capacity() * (size_of::<(Arc<[PortGroup]>, u32)>() + 1)
+            + pooled
+    }
+}
+
+/// Heap bytes of one pooled group table: the `Arc` header, the groups and
+/// their port vectors.
+fn table_bytes(table: &[PortGroup]) -> usize {
+    let ports: usize = table.iter().map(|g| g.ports.capacity()).sum();
+    2 * size_of::<usize>() + std::mem::size_of_val(table) + ports * size_of::<u16>()
 }
 
 #[cfg(test)]
@@ -296,6 +458,88 @@ mod tests {
         ];
         rt.set_groups(l0, 1, g.clone());
         assert_eq!(rt.groups(l0, 1), &g[..]);
+    }
+
+    /// Two groups splitting `ports` after the first one.
+    fn split(ports: &[u16], weights: (u64, u64)) -> Vec<PortGroup> {
+        vec![
+            PortGroup {
+                ports: ports[..1].to_vec(),
+                weight: weights.0,
+            },
+            PortGroup {
+                ports: ports[1..].to_vec(),
+                weight: weights.1,
+            },
+        ]
+    }
+
+    #[test]
+    fn set_groups_overwrites_while_a_sibling_keeps_sharing() {
+        let topo = leaf_spine(&small_spec());
+        let mut rt = RouteTable::compute(&topo);
+        let l0 = topo.leaves()[0];
+        let ports = rt.candidates(l0, 1).to_vec();
+        let (a, b) = (split(&ports, (1, 3)), split(&ports, (2, 5)));
+        assert_eq!(
+            rt.distinct_cand_lists(),
+            1 + 4,
+            "every leaf's uplinks, and at the spines one down port per leaf"
+        );
+
+        rt.set_groups(l0, 1, a.clone());
+        rt.share_groups(l0, 2, (l0, 1));
+        rt.set_groups(l0, 3, a.clone());
+        assert_eq!(rt.distinct_group_tables(), 1, "equal tables are one table");
+        rt.set_groups(l0, 1, b.clone());
+        assert_eq!(rt.groups(l0, 1), &b[..]);
+        assert_eq!(rt.groups(l0, 2), &a[..], "the sibling still reads A");
+        rt.set_groups(l0, 1, Vec::new());
+        assert!(rt.groups(l0, 1).is_empty());
+        assert_eq!(rt.groups(l0, 2), &a[..]);
+        rt.set_groups(l0, 1, a.clone());
+        assert_eq!(rt.groups(l0, 1), &a[..]);
+        assert_eq!(rt.groups(l0, 3), &a[..]);
+        assert_eq!(rt.distinct_group_tables(), 2);
+        // Untouched entries and other switches never saw any of it.
+        assert!(rt.groups(topo.leaves()[1], 0).is_empty());
+        let flat = 16 * topo.num_switches() * topo.num_leaves();
+        assert!(
+            rt.heap_bytes() > flat && rt.heap_bytes() < flat + 1024,
+            "{} bytes",
+            rt.heap_bytes()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "groups must partition the candidate set")]
+    fn set_groups_rejects_a_non_partition() {
+        // Unconditional: `scripts/ci.sh` runs this crate's tests in the
+        // optimised build too, where a debug assertion would be gone.
+        let topo = leaf_spine(&small_spec());
+        let mut rt = RouteTable::compute(&topo);
+        let l0 = topo.leaves()[0];
+        let ports = rt.candidates(l0, 1).to_vec();
+        rt.set_groups(l0, 1, split(&ports[1..], (1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared between equal candidate lists only")]
+    fn share_groups_rejects_a_different_candidate_list() {
+        let mut topo = leaf_spine(&small_spec());
+        let (l0, l1) = (topo.leaves()[0], topo.leaves()[1]);
+        assert!(topo.fail_switch_link(l1, SwitchId(4), 0));
+        let mut rt = RouteTable::compute(&topo);
+        let ports = rt.candidates(l0, 2).to_vec();
+        rt.set_groups(l0, 2, split(&ports, (1, 3)));
+        rt.share_groups(l1, 2, (l0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "dst_leaf 4 out of range")]
+    fn out_of_range_leaf_panics_instead_of_aliasing_the_next_row() {
+        let topo = leaf_spine(&small_spec());
+        RouteTable::compute(&topo).candidates(topo.leaves()[0], 4);
     }
 
     #[test]

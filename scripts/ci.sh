@@ -49,15 +49,18 @@ echo "== drillbench's own tests (benchmark/check.sh: unit tests + every workload
 # The release build above already paid for the compile.
 benchmark/check.sh
 
-echo "== optimised-build row (cargo test --release: drill-core, drill-net, engine vs §3.4 oracle) =="
-# The build drillbench measures: debug assertions and overflow checks off,
-# RouteTable::set_groups' partition check compiled out. Every other test
-# row runs the dev profile, so without this one the control plane is
-# never tested in the build whose speed is claimed. structural_groups is
-# the whole oracle comparison: paper examples, named fabrics, the failure
-# ladder and the 3 000-fabric sweep, cold and warm.
+echo "== optimised-build row (cargo test --release: drill-core, drill-net, engine vs §3.4 oracle, allocations) =="
+# The build drillbench measures: debug assertions and overflow checks
+# off. RouteTable::set_groups' partition check is a plain assert! and runs
+# here too (drill-net's set_groups_rejects_a_non_partition). Every other
+# test row runs the dev profile, so without this one the control plane is
+# never tested in the build whose speed is claimed. drill-net brings its
+# route-table differential (tests/route_table_differential.rs);
+# structural_groups is the whole oracle comparison: paper examples, named
+# fabrics, the failure ladder and the 3 000-fabric sweep, cold and warm;
+# control_plane_allocs pins what building the tables may allocate.
 cargo test -q --release -p drill-core -p drill-net
-cargo test -q --release --test structural_groups
+cargo test -q --release --test structural_groups --test control_plane_allocs
 
 echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
 # The telemetry determinism contract: every golden constant must hold
@@ -107,6 +110,8 @@ assert d['asym_entries'] > 0, 'no asymmetric entries found'
 assert d['cp_classes'] < d['cp_entries'], 'no class sharing across entries'
 assert d['cp_entries_reused'] == d['cp_entries'] - d['cp_classes'], 'reuse mismatch'
 assert d['cp_install_secs'] > 0 and d['cp_reconverge_secs'] > 0, 'probe not timed'
+assert 0 < d['cp_distinct_group_tables'] < d['asym_entries'], 'group tables not shared'
+assert d['cp_table_bytes'] < 64 * d['cp_entries'], 'route table is per-entry heap again'
 "
 
 echo "== scalebench kill-and-resume crash-recovery smoke =="

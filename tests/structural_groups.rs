@@ -27,6 +27,7 @@ use drill::net::{
 };
 use drill::runtime::random_leaf_spine_failures;
 use drill::sim::{SimRng, Time};
+use std::collections::HashSet;
 use support::group_table;
 use support::oracle::{self, Labels, Oracle};
 use support::sweep::{self, Fault};
@@ -337,6 +338,38 @@ fn fault_injector_draws_land_on_the_sweep_fabrics() {
 const FAILURE_SETS: &[(usize, u64)] = &[(0, 0x1), (1, 0xA11CE), (1, 0xB0B), (2, 0x5EED), (4, 0x7)];
 
 #[test]
+fn capacity_only_fault_reinstalls_onto_the_old_table_exactly() {
+    // `World::reconverge` skips `RouteTable::compute` when no fault of the
+    // window can change reachability and reinstalls onto the table that
+    // still holds the previous state's groups. Every entry must end up
+    // with what a fresh table gets: the sweep's last fault is a degrade,
+    // so install before it, degrade, reinstall onto the same table.
+    for (family, build) in sweep::FAMILIES {
+        for seed in (0..sweep::SEEDS).step_by(5) {
+            let (degraded, faults) = sweep::fabric(build, seed);
+            let Some((&Fault::Degrade(a, b, num, den), downs)) = faults.split_last() else {
+                continue;
+            };
+            let mut topo = build(&mut SimRng::seed_from(seed));
+            for fault in downs {
+                let &Fault::Down(a, b) = fault else {
+                    unreachable!("only the last fault degrades")
+                };
+                assert!(topo.fail_switch_link(a, b, 0));
+            }
+            let mut engine = SymmetryEngine::new();
+            let mut routes = RouteTable::compute(&topo);
+            engine.install(&topo, &mut routes);
+            assert!(topo.degrade_switch_link(a, b, 0, num, den));
+            engine.install(&topo, &mut routes);
+            let label = format!("{family} seed {seed}, degraded in place");
+            let want = compare(&label, &degraded, None);
+            assert_eq!(want.table, group_table(&topo, &routes), "{label}");
+        }
+    }
+}
+
+#[test]
 fn leaf_spine_matches_eager() {
     for &(n, seed) in FAILURE_SETS {
         check("leaf_spine", leaf_spine(&ls_spec(4, 6)), n, seed);
@@ -517,14 +550,43 @@ fn asym_scale_shaped_clos_counts_are_pinned() {
             r.paths_enumerated,
         ]
     };
+    // Distinct candidate lists and distinct group tables of each install's
+    // route table: what the entries above share.
+    const SHARING: [(usize, usize); 3] = [(10, 6), (12, 10), (10, 6)];
     let mut engine = SymmetryEngine::new();
-    let cold = engine.install(&topo, &mut RouteTable::compute(&topo));
+    let mut install = |topo: &Topology| {
+        let mut routes = RouteTable::compute(topo);
+        let report = engine.install(topo, &mut routes);
+        let shared = (routes.distinct_cand_lists(), routes.distinct_group_tables());
+        // The accessors count pool slots; count the entries' values too.
+        let entries = || {
+            let leaves = 0..topo.num_leaves() as u32;
+            (0..topo.num_switches() as u32)
+                .flat_map(move |s| leaves.clone().map(move |d| (SwitchId(s), d)))
+        };
+        let lists: HashSet<&[u16]> = entries().map(|(s, d)| routes.candidates(s, d)).collect();
+        let tables: HashSet<&[PortGroup]> = entries().map(|(s, d)| routes.groups(s, d)).collect();
+        assert_eq!(
+            shared,
+            (lists.len() - 1, tables.len() - 1),
+            "empty ones aside"
+        );
+        assert!(
+            shared.1 <= report.classes * shared.0,
+            "a table per (class, candidate list) pair at most: {shared:?}"
+        );
+        (report, shared)
+    };
+    let (cold, cold_shared) = install(&topo);
     assert_eq!(counts(&cold), COLD);
     assert!(topo.fail_switch_link(flap_a, flap_b, 0));
-    let new_failure = engine.install(&topo, &mut RouteTable::compute(&topo));
+    let (new_failure, new_failure_shared) = install(&topo);
     assert_eq!(counts(&new_failure), NEW_FAILURE);
     assert!(topo.restore_switch_link(flap_a, flap_b, 0));
-    let replay = engine.install(&topo, &mut RouteTable::compute(&topo));
+    let (replay, replay_shared) = install(&topo);
     assert_eq!(counts(&replay), REPLAY);
+    assert_eq!([cold_shared, new_failure_shared, replay_shared], SHARING);
+    assert_eq!(replay.values_interned, 0, "a seen fabric interns nothing");
+    assert!(cold.values_interned > 0 && new_failure.values_interned > 0);
     assert_eq!(replay.signatures_walked, 0, "a seen fabric walks nothing");
 }
