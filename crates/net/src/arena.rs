@@ -7,8 +7,10 @@
 //! The timing wheel sizes its slab nodes for the largest event variant.
 //! With packets travelling by value inside `ArriveSwitch`/`ArriveHost`,
 //! every wheel push, level cascade, slot-drain sort and `EventSink` drain
-//! memcpys a full packet; with handles, events shrink to ≤ 24 bytes and
-//! the packet bytes are written exactly once, at [`PacketArena::insert`].
+//! memcpys a full packet; with handles, a network event is ≤ 16 bytes, the
+//! runtime stores any event in the wheel as two machine words (a handle
+//! is one of them: [`PacketRef::to_bits`]), and the packet bytes are
+//! written exactly once, at [`PacketArena::insert`].
 //!
 //! # Lifecycle contract
 //!
@@ -43,6 +45,26 @@ use crate::snapio::{get_packet, put_packet};
 pub struct PacketRef {
     idx: u32,
     gen: u32,
+}
+
+impl PacketRef {
+    /// The handle as one machine word (`idx | gen << 32`), for event
+    /// encodings that store whole words. Says nothing about validity: a
+    /// handle rebuilt by [`from_bits`](PacketRef::from_bits) is checked
+    /// against its arena like any other.
+    #[inline]
+    pub const fn to_bits(self) -> u64 {
+        self.idx as u64 | (self.gen as u64) << 32
+    }
+
+    /// Inverse of [`to_bits`](PacketRef::to_bits).
+    #[inline]
+    pub const fn from_bits(bits: u64) -> PacketRef {
+        PacketRef {
+            idx: bits as u32,
+            gen: (bits >> 32) as u32,
+        }
+    }
 }
 
 struct Slot {
@@ -282,6 +304,24 @@ mod tests {
         let p = a.take(r);
         assert_eq!(p.id, 7);
         assert_eq!(a.live(), 0);
+    }
+
+    #[test]
+    fn handle_bits_round_trip() {
+        let mut a = PacketArena::new();
+        let r0 = a.insert(pkt(0));
+        a.free(r0);
+        let r1 = a.insert(pkt(1)); // same slot, generation 1
+        let r2 = a.insert(pkt(2));
+        for r in [r0, r1, r2] {
+            assert_eq!(PacketRef::from_bits(r.to_bits()), r);
+        }
+        assert_ne!(r0.to_bits(), r1.to_bits(), "generation is in the word");
+        assert_ne!(r1.to_bits(), r2.to_bits(), "index is in the word");
+        for bits in [0, 1, 1 << 32, u32::MAX as u64, u64::MAX] {
+            assert_eq!(PacketRef::from_bits(bits).to_bits(), bits);
+        }
+        assert_eq!(a.get(&PacketRef::from_bits(r1.to_bits())).id, 1);
     }
 
     #[test]

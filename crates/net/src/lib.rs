@@ -60,9 +60,9 @@ use drill_sim::Time;
 /// global event enum by the runtime.
 ///
 /// Packet-carrying variants hold a [`PacketRef`] into the run's
-/// [`PacketArena`], not the packet itself: events are what the timing
-/// wheel's slab nodes, batch sorts and `EventSink` drains copy around, so
-/// they are pinned small by the `const` assert below.
+/// [`PacketArena`], not the packet itself: an `EventSink` drain moves
+/// these by value and the runtime packs each into the two words a wheel
+/// node stores, so they are pinned small by the `const` assert below.
 #[derive(Debug)]
 pub enum NetEvent {
     /// A packet has fully arrived at a switch (store-and-forward).

@@ -367,32 +367,32 @@ impl<P: Probe> World<P> {
         // `(time, seq)`-sorted list. Net events carry the owning shard so
         // their packet refs decode against the right arena.
         let mut entries: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        self.queue.for_each_pending(|t, seq, ev| {
+        self.queue.for_each_pending(|t, seq, &ev| {
             let mut body = Vec::new();
-            match ev {
+            match Event::from(ev) {
                 Event::Fault { .. } => return,
                 Event::Net(ne) => {
                     body.push(EV_NET);
-                    let dst = net_dst(&self.plan, ne);
+                    let dst = net_dst(&self.plan, &ne);
                     put_varint(&mut body, dst as u64);
-                    put_net_event(&mut body, &self.arenas[dst as usize], ne);
+                    put_net_event(&mut body, &self.arenas[dst as usize], &ne);
                 }
                 Event::FlowArrival => body.push(EV_FLOW_ARRIVAL),
                 Event::IncastEpoch => body.push(EV_INCAST_EPOCH),
                 Event::MiceTick => body.push(EV_MICE_TICK),
                 Event::TcpTimer { flow } => {
                     body.push(EV_TCP_TIMER);
-                    put_varint(&mut body, *flow as u64);
+                    put_varint(&mut body, flow as u64);
                 }
                 Event::ShimTimer { flow, gen } => {
                     body.push(EV_SHIM_TIMER);
-                    put_varint(&mut body, *flow as u64);
-                    put_varint(&mut body, *gen);
+                    put_varint(&mut body, flow as u64);
+                    put_varint(&mut body, gen);
                 }
                 Event::SampleQueues => body.push(EV_SAMPLE_QUEUES),
                 Event::Reconverge { gen } => {
                     body.push(EV_RECONVERGE);
-                    put_varint(&mut body, *gen);
+                    put_varint(&mut body, gen);
                 }
             }
             entries.push((t.as_nanos(), seq, body));
@@ -701,18 +701,24 @@ impl<P: Probe> World<P> {
                     if net_dst(&w.plan, &ne) != dst {
                         return Err(invalid("net event owner disagrees with shard plan"));
                     }
-                    w.queue.restore_net(at, seq, dst, Event::Net(ne));
+                    w.queue.restore_net(at, seq, dst, Event::Net(ne).into());
                 }
-                EV_FLOW_ARRIVAL => w.queue.push_control_stamped(at, seq, Event::FlowArrival),
-                EV_INCAST_EPOCH => w.queue.push_control_stamped(at, seq, Event::IncastEpoch),
-                EV_MICE_TICK => w.queue.push_control_stamped(at, seq, Event::MiceTick),
+                EV_FLOW_ARRIVAL => w
+                    .queue
+                    .push_control_stamped(at, seq, Event::FlowArrival.into()),
+                EV_INCAST_EPOCH => w
+                    .queue
+                    .push_control_stamped(at, seq, Event::IncastEpoch.into()),
+                EV_MICE_TICK => w
+                    .queue
+                    .push_control_stamped(at, seq, Event::MiceTick.into()),
                 EV_TCP_TIMER => {
                     let flow = d.varint_u32()?;
                     if flow as usize >= w.flows.len() {
                         return Err(invalid("timer names an unknown flow"));
                     }
                     w.queue
-                        .push_control_stamped(at, seq, Event::TcpTimer { flow });
+                        .push_control_stamped(at, seq, Event::TcpTimer { flow }.into());
                 }
                 EV_SHIM_TIMER => {
                     let flow = d.varint_u32()?;
@@ -721,13 +727,16 @@ impl<P: Probe> World<P> {
                         return Err(invalid("timer names an unknown flow"));
                     }
                     w.queue
-                        .push_control_stamped(at, seq, Event::ShimTimer { flow, gen });
+                        .push_control_stamped(at, seq, Event::ShimTimer { flow, gen }.into());
                 }
-                EV_SAMPLE_QUEUES => w.queue.push_control_stamped(at, seq, Event::SampleQueues),
+                EV_SAMPLE_QUEUES => {
+                    w.queue
+                        .push_control_stamped(at, seq, Event::SampleQueues.into())
+                }
                 EV_RECONVERGE => {
                     let gen = d.varint()?;
                     w.queue
-                        .push_control_stamped(at, seq, Event::Reconverge { gen });
+                        .push_control_stamped(at, seq, Event::Reconverge { gen }.into());
                 }
                 _ => return Err(invalid("unknown pending event tag")),
             }
@@ -745,7 +754,7 @@ impl<P: Probe> World<P> {
                 w.queue.push_control_stamped(
                     at,
                     FAULT_SEQ_BASE + idx as u64,
-                    Event::Fault { idx: idx as u32 },
+                    Event::Fault { idx: idx as u32 }.into(),
                 );
             }
         }

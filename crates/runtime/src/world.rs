@@ -58,17 +58,140 @@ enum Event {
     },
 }
 
-/// The runtime event is what every timing-wheel slab node, batch sort and
-/// push/pop copies; the arena refactor exists to keep it at two words plus
-/// a discriminant. `ShimTimer` (u32 + u64) sets the 24-byte floor; the
-/// packet-carrying `Net` variants fit under it only because they hold a
-/// [`PacketRef`] handle.
-const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+/// The stored form of an [`Event`]: two machine words.
+///
+/// What the wheel copies is written and read at one width. `Event` is a
+/// 24-byte enum of 2-, 4- and 8-byte fields; stored as such, a push
+/// assembles it with narrow stores and the node copy reloads it 16 bytes
+/// at a time — a store-to-load forward that cannot succeed, so the load
+/// waits for every older store to drain. `Packed` is built and taken
+/// apart in registers by the `From` pair below, and `Event` only ever
+/// exists as a value between `Event::from(packed)` and the `match` that
+/// consumes it (DESIGN.md §10 "Slim events" has the measurements).
+///
+/// | kind | word 1: `kind << 56 \| u16 << 32 \| u32` | word 0 |
+/// |---|---|---|
+/// | `ArriveSwitch` | `ingress`, `switch` | `pkt` bits |
+/// | `ArriveHost` | –, `host` | `pkt` bits |
+/// | `SwitchTxDone` | `port`, `switch` | 0 |
+/// | `HostTxDone` | –, `host` | 0 |
+/// | `EnqueueCommit` | `port`, `switch` | `bytes \| engine << 32` |
+/// | `TcpTimer` / `Fault` | –, `flow` / `idx` | 0 |
+/// | `ShimTimer` | –, `flow` | `gen` |
+/// | `Reconverge` | –, – | `gen` |
+/// | `FlowArrival`, `IncastEpoch`, `MiceTick`, `SampleQueues` | –, – | 0 |
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Packed(u64, u64);
 
-/// Whole-node bound: payload (`Option<Event>`, 24 + niche'd tag) + wheel
+const K_ARRIVE_SWITCH: u8 = 0;
+const K_ARRIVE_HOST: u8 = 1;
+const K_SWITCH_TX_DONE: u8 = 2;
+const K_HOST_TX_DONE: u8 = 3;
+const K_ENQUEUE_COMMIT: u8 = 4;
+const K_FLOW_ARRIVAL: u8 = 5;
+const K_INCAST_EPOCH: u8 = 6;
+const K_MICE_TICK: u8 = 7;
+const K_TCP_TIMER: u8 = 8;
+const K_SHIM_TIMER: u8 = 9;
+const K_SAMPLE_QUEUES: u8 = 10;
+const K_FAULT: u8 = 11;
+const K_RECONVERGE: u8 = 12;
+
+impl Packed {
+    #[inline]
+    const fn new(kind: u8, hi: u16, lo: u32, word0: u64) -> Packed {
+        Packed(word0, (kind as u64) << 56 | (hi as u64) << 32 | lo as u64)
+    }
+}
+
+impl From<Event> for Packed {
+    #[inline]
+    fn from(ev: Event) -> Packed {
+        match ev {
+            Event::Net(NetEvent::ArriveSwitch {
+                switch,
+                ingress,
+                pkt,
+            }) => Packed::new(K_ARRIVE_SWITCH, ingress, switch.0, pkt.to_bits()),
+            Event::Net(NetEvent::ArriveHost { host, pkt }) => {
+                Packed::new(K_ARRIVE_HOST, 0, host.0, pkt.to_bits())
+            }
+            Event::Net(NetEvent::SwitchTxDone { switch, port }) => {
+                Packed::new(K_SWITCH_TX_DONE, port, switch.0, 0)
+            }
+            Event::Net(NetEvent::HostTxDone { host }) => Packed::new(K_HOST_TX_DONE, 0, host.0, 0),
+            Event::Net(NetEvent::EnqueueCommit {
+                switch,
+                port,
+                bytes,
+                engine,
+            }) => Packed::new(
+                K_ENQUEUE_COMMIT,
+                port,
+                switch.0,
+                bytes as u64 | (engine as u64) << 32,
+            ),
+            Event::FlowArrival => Packed::new(K_FLOW_ARRIVAL, 0, 0, 0),
+            Event::IncastEpoch => Packed::new(K_INCAST_EPOCH, 0, 0, 0),
+            Event::MiceTick => Packed::new(K_MICE_TICK, 0, 0, 0),
+            Event::TcpTimer { flow } => Packed::new(K_TCP_TIMER, 0, flow, 0),
+            Event::ShimTimer { flow, gen } => Packed::new(K_SHIM_TIMER, 0, flow, gen),
+            Event::SampleQueues => Packed::new(K_SAMPLE_QUEUES, 0, 0, 0),
+            Event::Fault { idx } => Packed::new(K_FAULT, 0, idx, 0),
+            Event::Reconverge { gen } => Packed::new(K_RECONVERGE, 0, 0, gen),
+        }
+    }
+}
+
+impl From<Packed> for Event {
+    #[inline]
+    fn from(Packed(word0, word1): Packed) -> Event {
+        let (hi, lo) = ((word1 >> 32) as u16, word1 as u32);
+        match (word1 >> 56) as u8 {
+            K_ARRIVE_SWITCH => Event::Net(NetEvent::ArriveSwitch {
+                switch: SwitchId(lo),
+                ingress: hi,
+                pkt: PacketRef::from_bits(word0),
+            }),
+            K_ARRIVE_HOST => Event::Net(NetEvent::ArriveHost {
+                host: HostId(lo),
+                pkt: PacketRef::from_bits(word0),
+            }),
+            K_SWITCH_TX_DONE => Event::Net(NetEvent::SwitchTxDone {
+                switch: SwitchId(lo),
+                port: hi,
+            }),
+            K_HOST_TX_DONE => Event::Net(NetEvent::HostTxDone { host: HostId(lo) }),
+            K_ENQUEUE_COMMIT => Event::Net(NetEvent::EnqueueCommit {
+                switch: SwitchId(lo),
+                port: hi,
+                bytes: word0 as u32,
+                engine: (word0 >> 32) as u16,
+            }),
+            K_FLOW_ARRIVAL => Event::FlowArrival,
+            K_INCAST_EPOCH => Event::IncastEpoch,
+            K_MICE_TICK => Event::MiceTick,
+            K_TCP_TIMER => Event::TcpTimer { flow: lo },
+            K_SHIM_TIMER => Event::ShimTimer {
+                flow: lo,
+                gen: word0,
+            },
+            K_SAMPLE_QUEUES => Event::SampleQueues,
+            K_FAULT => Event::Fault { idx: lo },
+            K_RECONVERGE => Event::Reconverge { gen: word0 },
+            kind => panic!("unknown packed event kind {kind}"),
+        }
+    }
+}
+
+/// Two words exactly: a third would be a third store per push and load
+/// per pop, and anything narrower is what this type exists to avoid.
+const _: () = assert!(std::mem::size_of::<Packed>() == 16);
+
+/// Whole-node bound: payload (`Option<Packed>`, two words + tag) + wheel
 /// bookkeeping (time, seq, freelist link, generation, state) must stay
 /// within one cache line with room to spare.
-const _: () = assert!(drill_sim::node_size::<Event>() <= 56);
+const _: () = assert!(drill_sim::node_size::<Packed>() <= 56);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum FlowClass {
@@ -118,7 +241,7 @@ pub struct World<P: Probe = NoopProbe> {
     /// Raw elephants (always measured): each is owed a zero
     /// `elephant_gbps` sample. No figure or workload makes one.
     raw_elephants: u64,
-    queue: EngineQueue<Event>,
+    queue: EngineQueue<Packed>,
     /// The fabric partition driving event ownership and arena residency;
     /// the trivial single-shard plan on the serial engine.
     plan: ShardPlan,
@@ -319,15 +442,9 @@ impl<P: Probe> World<P> {
                 Some(next) if next < t => {}
                 _ => break,
             }
-            let Some((now, ev)) = self.queue.pop() else {
+            let Some((now, ev)) = self.pop_within(deadline) else {
                 break;
             };
-            if now > deadline {
-                break;
-            }
-            if self.cfg.max_events > 0 && self.queue.events_processed() > self.cfg.max_events {
-                break;
-            }
             self.dispatch(now, ev);
         }
     }
@@ -588,12 +705,14 @@ impl<P: Probe> World<P> {
         if let Some(g) = self.gen.as_mut() {
             let spec = g.next_flow(&mut self.rng_wl);
             self.queue
-                .push_control(Time::ZERO + spec.gap, Event::FlowArrival);
+                .push_control(Time::ZERO + spec.gap, Event::FlowArrival.into());
             self.pending_flow = Some(spec);
         }
         if let Some(incast) = &self.cfg.workload.incast {
-            self.queue
-                .push_control(self.cfg.warmup + incast.epoch_gap, Event::IncastEpoch);
+            self.queue.push_control(
+                self.cfg.warmup + incast.epoch_gap,
+                Event::IncastEpoch.into(),
+            );
         }
         if let Some(synth) = self.cfg.synthetic.clone() {
             // One elephant per host, started immediately.
@@ -611,10 +730,12 @@ impl<P: Probe> World<P> {
                     Time::ZERO,
                 );
             }
-            self.queue.push_control(synth.mice_period, Event::MiceTick);
+            self.queue
+                .push_control(synth.mice_period, Event::MiceTick.into());
         }
         if self.cfg.sample_queues {
-            self.queue.push_control(SAMPLE_PERIOD, Event::SampleQueues);
+            self.queue
+                .push_control(SAMPLE_PERIOD, Event::SampleQueues.into());
         }
         for &(src, dst, bytes) in &self.cfg.static_flows.clone() {
             self.start_flow(src, dst, bytes, FlowClass::Elephant, Time::ZERO);
@@ -636,10 +757,28 @@ impl<P: Probe> World<P> {
                 self.queue.push_control_stamped(
                     at,
                     FAULT_SEQ_BASE + idx as u64,
-                    Event::Fault { idx: idx as u32 },
+                    Event::Fault { idx: idx as u32 }.into(),
                 );
             }
         }
+    }
+
+    /// Pop the next event, or `None` when the run is over: the queue is
+    /// empty, the event lies past `deadline`, or it is the first beyond
+    /// `max_events` (a popped-and-discarded event still counts in
+    /// `events_processed`, which the goldens pin). The event stays packed
+    /// — two words in registers — until [`dispatch`](World::dispatch)
+    /// unpacks it straight into its `match`.
+    #[inline]
+    fn pop_within(&mut self, deadline: Time) -> Option<(Time, Packed)> {
+        let (now, ev) = self.queue.pop()?;
+        if now > deadline {
+            return None;
+        }
+        if self.cfg.max_events > 0 && self.queue.events_processed() > self.cfg.max_events {
+            return None;
+        }
+        Some((now, ev))
     }
 
     fn event_loop(&mut self) {
@@ -669,15 +808,9 @@ impl<P: Probe> World<P> {
                     }
                 }
             }
-            let Some((now, ev)) = self.queue.pop() else {
+            let Some((now, ev)) = self.pop_within(deadline) else {
                 break;
             };
-            if now > deadline {
-                break;
-            }
-            if self.cfg.max_events > 0 && self.queue.events_processed() > self.cfg.max_events {
-                break;
-            }
             // Sabotage hook (audited runs only; negative tests and the
             // tracedump demo): a one-shot LeakPacket interns a dummy
             // packet and drops the handle the moment its time comes.
@@ -767,8 +900,10 @@ impl<P: Probe> World<P> {
             holders += shim.held() as u64;
         }
         let mut pending: u64 = 0;
-        self.queue.for_each_pending(|_, _, ev| {
-            if let Event::Net(NetEvent::ArriveSwitch { .. } | NetEvent::ArriveHost { .. }) = ev {
+        self.queue.for_each_pending(|_, _, &ev| {
+            if let Event::Net(NetEvent::ArriveSwitch { .. } | NetEvent::ArriveHost { .. }) =
+                Event::from(ev)
+            {
                 pending += 1;
             }
         });
@@ -859,8 +994,8 @@ impl<P: Probe> World<P> {
         }
     }
 
-    fn dispatch(&mut self, now: Time, ev: Event) {
-        match ev {
+    fn dispatch(&mut self, now: Time, ev: Packed) {
+        match Event::from(ev) {
             Event::Net(NetEvent::ArriveSwitch {
                 switch,
                 ingress,
@@ -923,7 +1058,8 @@ impl<P: Probe> World<P> {
                 if now <= self.arrivals_end {
                     if let Some(g) = self.gen.as_mut() {
                         let next = g.next_flow(&mut self.rng_wl);
-                        self.queue.push_control(now + next.gap, Event::FlowArrival);
+                        self.queue
+                            .push_control(now + next.gap, Event::FlowArrival.into());
                         self.pending_flow = Some(next);
                     }
                 }
@@ -936,7 +1072,7 @@ impl<P: Probe> World<P> {
                     }
                     if now + incast.epoch_gap <= self.arrivals_end {
                         self.queue
-                            .push_control(now + incast.epoch_gap, Event::IncastEpoch);
+                            .push_control(now + incast.epoch_gap, Event::IncastEpoch.into());
                     }
                 }
             }
@@ -948,7 +1084,7 @@ impl<P: Probe> World<P> {
                     }
                     if now + synth.mice_period <= self.arrivals_end {
                         self.queue
-                            .push_control(now + synth.mice_period, Event::MiceTick);
+                            .push_control(now + synth.mice_period, Event::MiceTick.into());
                     }
                 }
             }
@@ -969,7 +1105,7 @@ impl<P: Probe> World<P> {
                 self.sample_queues();
                 if now + SAMPLE_PERIOD <= self.cfg.duration {
                     self.queue
-                        .push_control(now + SAMPLE_PERIOD, Event::SampleQueues);
+                        .push_control(now + SAMPLE_PERIOD, Event::SampleQueues.into());
                 }
             }
             Event::Fault { idx } => {
@@ -1009,7 +1145,8 @@ impl<P: Probe> World<P> {
                             due,
                             Event::Reconverge {
                                 gen: self.reconv_gen,
-                            },
+                            }
+                            .into(),
                         );
                     }
                 }
@@ -1186,7 +1323,7 @@ impl<P: Probe> World<P> {
                     other => unreachable!("non-wire event crossed shards: {other:?}"),
                 }
             };
-            self.queue.push_shard(t, dst, src, Event::Net(e));
+            self.queue.push_shard(t, dst, src, Event::Net(e).into());
         }
     }
 
@@ -1272,7 +1409,7 @@ impl<P: Probe> World<P> {
                 self.rto_due[f] = at;
                 if at < self.rto_wake[f] {
                     self.rto_wake[f] = at;
-                    self.queue.push_control(at, Event::TcpTimer { flow });
+                    self.queue.push_control(at, Event::TcpTimer { flow }.into());
                 }
             }
         }
@@ -1297,7 +1434,7 @@ impl<P: Probe> World<P> {
         if self.rto_due[f] > now {
             self.rto_wake[f] = self.rto_due[f];
             self.queue
-                .push_control(self.rto_due[f], Event::TcpTimer { flow });
+                .push_control(self.rto_due[f], Event::TcpTimer { flow }.into());
             return;
         }
         let mut out = self.pkt_pool.get();
@@ -1388,7 +1525,8 @@ impl<P: Probe> World<P> {
                 let shim = self.shims[flow as usize].as_mut().expect("just created");
                 let timer = shim.on_packet(&self.arenas[k], pref, now, &mut deliver);
                 if let Some((at, gen)) = timer {
-                    self.queue.push_control(at, Event::ShimTimer { flow, gen });
+                    self.queue
+                        .push_control(at, Event::ShimTimer { flow, gen }.into());
                 }
                 for p in deliver.drain(..) {
                     self.recv_data(flow, p, now);
@@ -1601,6 +1739,72 @@ mod tests {
         cfg.drain = Time::from_millis(100);
         cfg.warmup = Time::from_micros(200);
         cfg
+    }
+
+    /// One event of every kind, each field a different slice of `x`: all
+    /// zeros at 0, every field at its maximum at `u64::MAX`, and no two
+    /// fields of one event equal at a mixed pattern (so a swap shows).
+    fn every_kind(x: u64) -> [Event; 13] {
+        let (switch, host) = (SwitchId(x as u32), HostId(x as u32));
+        let (port, engine) = ((x >> 32) as u16, (x >> 48) as u16);
+        let (bytes, flow) = ((x >> 16) as u32, (x >> 8) as u32);
+        let (pkt, gen) = (PacketRef::from_bits(x.rotate_left(24)), x.rotate_left(40));
+        [
+            Event::Net(NetEvent::ArriveSwitch {
+                switch,
+                ingress: port,
+                pkt,
+            }),
+            Event::Net(NetEvent::ArriveHost { host, pkt }),
+            Event::Net(NetEvent::SwitchTxDone { switch, port }),
+            Event::Net(NetEvent::HostTxDone { host }),
+            Event::Net(NetEvent::EnqueueCommit {
+                switch,
+                port,
+                bytes,
+                engine,
+            }),
+            Event::FlowArrival,
+            Event::IncastEpoch,
+            Event::MiceTick,
+            Event::TcpTimer { flow },
+            Event::ShimTimer { flow, gen },
+            Event::SampleQueues,
+            Event::Fault { idx: flow },
+            Event::Reconverge { gen },
+        ]
+    }
+
+    /// `Event` derives only `Debug` (it is never stored, so never cloned
+    /// or compared outside this test): equality is that of the rendering,
+    /// which prints every field.
+    #[test]
+    fn packed_events_round_trip_at_field_extremes() {
+        let patterns = [0, u64::MAX, 0x0123_4567_89ab_cdef];
+        let mut seen: Vec<(usize, Packed)> = Vec::new();
+        for x in patterns {
+            for (kind, (ev, again)) in every_kind(x).into_iter().zip(every_kind(x)).enumerate() {
+                let packed = Packed::from(ev);
+                assert_eq!(
+                    format!("{:?}", Event::from(packed)),
+                    format!("{again:?}"),
+                    "kind {kind} at pattern {x:#x}"
+                );
+                seen.push((kind, packed));
+            }
+        }
+        assert_eq!(seen.len(), 13 * patterns.len());
+        for (i, (ka, a)) in seen.iter().enumerate() {
+            for (kb, b) in &seen[..i] {
+                assert!(ka == kb || a != b, "kinds {ka} and {kb} both pack to {a:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown packed event kind 13")]
+    fn unknown_packed_kind_panics_with_the_kind() {
+        let _ = Event::from(Packed(7, 13 << 56 | 5));
     }
 
     #[test]

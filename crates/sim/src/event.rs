@@ -78,8 +78,10 @@ enum SlotState {
 ///
 /// `Node` itself is private (its intrusive links are an implementation
 /// detail), but embedders pin their per-event memory footprint with
-/// `const` asserts — event payloads travel *inside* slab nodes, so an
-/// oversized payload variant taxes every push, cascade and slot drain.
+/// `const` asserts — a payload is stored *inside* its slab node, written
+/// once by the push and read once by the pop (cascades and slot drains
+/// relink nodes, they never copy one), so its size is the node's and the
+/// width it is written at is the width it should be read at.
 pub const fn node_size<P>() -> usize {
     std::mem::size_of::<Node<P>>()
 }
@@ -132,9 +134,14 @@ pub struct EventQueue<P> {
     elapsed: u64,
     now: Time,
     seq: u64,
-    /// Scheduled-but-undelivered, excluding cancelled entries.
-    live: usize,
+    /// Entries ever scheduled, entries delivered, and live entries
+    /// cancelled. Three counters with one writer each (push, pop, cancel)
+    /// instead of one `live` count that both push and pop would
+    /// read-modify-write: a pop directly after a push then never reloads
+    /// a word the push has just stored. `len()` is their difference.
+    pushed: u64,
     popped: u64,
+    cancels: u64,
 }
 
 impl<P> Default for EventQueue<P> {
@@ -158,8 +165,9 @@ impl<P> EventQueue<P> {
             elapsed: 0,
             now: Time::ZERO,
             seq: 0,
-            live: 0,
+            pushed: 0,
             popped: 0,
+            cancels: 0,
         }
     }
 
@@ -188,13 +196,13 @@ impl<P> EventQueue<P> {
     /// events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        (self.pushed - self.popped - self.cancels) as usize
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Number of slab slots ever allocated. Bounded by the high-water mark
@@ -236,7 +244,7 @@ impl<P> EventQueue<P> {
         );
         self.seq = self.seq.max(seq + 1);
         let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.live += 1;
+        self.pushed += 1;
         self.insert(idx);
     }
 
@@ -255,7 +263,7 @@ impl<P> EventQueue<P> {
             self.now
         );
         let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.live += 1;
+        self.pushed += 1;
         self.insert(idx);
     }
 
@@ -284,12 +292,14 @@ impl<P> EventQueue<P> {
     /// event behind it.
     pub fn restore_clock(&mut self, now: Time, seq: u64, popped: u64) {
         debug_assert!(
-            self.live == 0 && self.popped == 0,
+            self.pushed == 0 && self.popped == 0,
             "restore_clock requires a fresh queue"
         );
         self.elapsed = now.as_nanos();
         self.now = now;
         self.seq = seq;
+        // Nothing is pending: `len()` stays zero across the jump.
+        self.pushed = popped;
         self.popped = popped;
     }
 
@@ -305,7 +315,7 @@ impl<P> EventQueue<P> {
         let seq = self.seq;
         self.seq += 1;
         let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.live += 1;
+        self.pushed += 1;
         self.insert(idx);
         EventToken(((self.arena[idx as usize].gen as u64) << 32) | idx as u64)
     }
@@ -321,7 +331,7 @@ impl<P> EventQueue<P> {
             if node.gen == gen && node.state == SlotState::Live {
                 node.state = SlotState::Cancelled;
                 node.payload = None;
-                self.live -= 1;
+                self.cancels += 1;
             }
         }
     }
@@ -340,7 +350,6 @@ impl<P> EventQueue<P> {
         debug_assert!(t >= self.now);
         self.now = t;
         self.popped += 1;
-        self.live -= 1;
         Some((t, payload))
     }
 

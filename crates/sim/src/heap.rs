@@ -85,6 +85,25 @@ impl<P> HeapQueue<P> {
         self.popped
     }
 
+    /// Pending events by definition: heap entries nobody has cancelled.
+    /// A walk, so the wheel's derived count is checked against something
+    /// that keeps no counter at all.
+    pub fn len(&self) -> usize {
+        self.heap
+            .iter()
+            .filter(|e| e.token == 0 || !self.cancelled.contains(&e.token))
+            .count()
+    }
+
+    /// Position a fresh queue at a restored clock (the wheel's
+    /// [`restore_clock`](crate::EventQueue::restore_clock)).
+    pub fn restore_clock(&mut self, now: Time, seq: u64, popped: u64) {
+        debug_assert!(self.heap.is_empty() && self.popped == 0);
+        self.now = now;
+        self.seq = seq;
+        self.popped = popped;
+    }
+
     /// Schedule `payload` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: Time, payload: P) {
@@ -192,19 +211,47 @@ mod tests {
     // pop streams, including FIFO tie-breaks at equal timestamps,
     // cancellations in every region of the wheel (level 0, upper levels,
     // the far-future overflow, and the staged ready batch), and
-    // cancel-after-fire no-ops. ----
+    // cancel-after-fire no-ops. The wheel keeps no pending count — it
+    // derives `len()` from three single-writer counters — so `len()` and
+    // `is_empty()` are compared with the reference's walk after every
+    // operation. ----
+
+    /// What the cancels of a scenario hit, read off the reference: an
+    /// entry still pending (and, of those, one still ≥ 2^36 ns ahead —
+    /// the overflow heap's range), an entry that had already fired, and
+    /// a token that had already been cancelled.
+    #[derive(Default)]
+    struct CancelsSeen {
+        live: u32,
+        far: u32,
+        fired: u32,
+        repeated: u32,
+    }
 
     /// One randomized scenario: interleaved pushes (with a heavy-tailed time
     /// spread so every wheel level and the overflow heap get traffic),
-    /// cancellations of a random subset, and batched pops.
-    fn churn_scenario(seed: u64, ops: usize, peek: bool) {
+    /// cancellations of a random subset, and batched pops — on a fresh
+    /// queue, or (odd seeds) one positioned by `restore_clock` first.
+    fn churn_scenario(seed: u64, ops: usize, peek: bool, seen: &mut CancelsSeen) {
         let mut rng = SimRng::seed_from(seed);
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
+        let mut tokens: Vec<(EventToken, EventToken, Time, bool)> = Vec::new();
         let mut payload = 0u64;
+        let mut restored = 0u64;
+        if seed % 2 == 1 {
+            let now = Time::from_nanos(rng.below(1 << 30) as u64);
+            let seq = rng.below(1 << 20) as u64;
+            restored = rng.below(1 << 20) as u64;
+            wheel.restore_clock(now, seq, restored);
+            heap.restore_clock(now, seq, restored);
+            assert_eq!(wheel.len(), 0, "a restored clock has nothing pending");
+            assert_eq!(wheel.now(), heap.now());
+        }
 
         for _ in 0..ops {
+            assert_eq!(wheel.len(), heap.len(), "len diverged (seed {seed})");
+            assert_eq!(wheel.is_empty(), heap.len() == 0);
             match rng.below(10) {
                 // 0-5: push (sometimes cancellable) at a spread-out future time.
                 0..=5 => {
@@ -222,7 +269,7 @@ mod tests {
                     if rng.below(3) == 0 {
                         let tw = wheel.push_cancellable(at, payload);
                         let th = heap.push_cancellable(at, payload);
-                        tokens.push((tw, th));
+                        tokens.push((tw, th, at, false));
                     } else {
                         wheel.push(at, payload);
                         heap.push(at, payload);
@@ -237,14 +284,31 @@ mod tests {
                         }
                     }
                 }
-                // 6: cancel a random outstanding token (possibly already
-                // fired — both sides must treat that as a no-op).
+                // 6: cancel a random token: still pending, already fired,
+                // or (one time in four the token is kept for another go)
+                // already cancelled — the last two must be no-ops on both
+                // sides, for the count as for the pop stream.
                 6 => {
                     if !tokens.is_empty() {
                         let i = rng.below(tokens.len());
-                        let (tw, th) = tokens.swap_remove(i);
+                        let (tw, th, at, cancelled) = tokens[i];
+                        if rng.below(4) == 0 {
+                            tokens[i].3 = true;
+                        } else {
+                            tokens.swap_remove(i);
+                        }
+                        let before = heap.len();
                         wheel.cancel(tw);
                         heap.cancel(th);
+                        if heap.len() < before {
+                            seen.live += 1;
+                            let ahead = at.as_nanos() - heap.now().as_nanos();
+                            seen.far += u32::from(ahead >= 1 << 36);
+                        } else if cancelled {
+                            seen.repeated += 1;
+                        } else {
+                            seen.fired += 1;
+                        }
                     }
                 }
                 // 7-9: pop a small batch and compare the streams.
@@ -257,7 +321,9 @@ mod tests {
                         let h = heap.pop();
                         assert_eq!(w, h, "pop stream diverged (seed {seed})");
                         assert_eq!(wheel.now(), heap.now());
+                        assert_eq!(wheel.len(), heap.len(), "len diverged mid-batch");
                         if w.is_none() {
+                            assert_eq!(wheel.len(), 0, "empty pop with entries counted");
                             break;
                         }
                     }
@@ -269,25 +335,43 @@ mod tests {
             let w = wheel.pop();
             let h = heap.pop();
             assert_eq!(w, h, "drain diverged (seed {seed})");
+            assert_eq!(wheel.len(), heap.len(), "len diverged in the drain");
             if w.is_none() {
                 break;
             }
         }
         assert_eq!(wheel.events_processed(), heap.events_processed());
+        assert!(wheel.events_processed() >= restored);
         assert!(wheel.is_empty());
+        assert_eq!(wheel.len(), 0);
+    }
+
+    fn assert_every_cancel_kind(seen: &CancelsSeen) {
+        assert!(
+            seen.live > 0 && seen.far > 0 && seen.fired > 0 && seen.repeated > 0,
+            "a cancel kind went unexercised: {} live ({} far-future), {} fired, {} repeated",
+            seen.live,
+            seen.far,
+            seen.fired,
+            seen.repeated
+        );
     }
 
     #[test]
     fn replays_heap_order_across_seeds() {
+        let mut seen = CancelsSeen::default();
         for seed in 0..20 {
-            churn_scenario(seed, 4_000, false);
+            churn_scenario(seed, 4_000, false, &mut seen);
         }
+        assert_every_cancel_kind(&seen);
     }
 
     #[test]
     fn replays_heap_order_with_interleaved_peeks() {
+        let mut seen = CancelsSeen::default();
         for seed in 100..110 {
-            churn_scenario(seed, 2_000, true);
+            churn_scenario(seed, 2_000, true, &mut seen);
         }
+        assert_every_cancel_kind(&seen);
     }
 }

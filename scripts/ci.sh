@@ -32,6 +32,29 @@ echo "== drillbench builds against this tree =="
 # catch a break here, before the benchmark pipeline does.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== scripts/profile.sh fabric_raw smoke (the sampler resolves; no share is asserted) =="
+# One sampled drillbench child run (~5 s; skips itself without cc /
+# addr2line). Checks the tool, not the simulator: the report parses, the
+# samples land inside the executable, and each table has rows. A shared
+# runner is too noisy to assert any share.
+scripts/profile.sh fabric_raw | python3 -c "
+import re, sys
+out = sys.stdin.read()
+if out.startswith('skipped:'):
+    print(out.strip()); sys.exit(0)
+m = re.search(r'^samples: (\d+) total, (\d+) in executable', out, re.M)
+assert m, 'no samples line in the report'
+total, inside = int(m[1]), int(m[2])
+assert total >= 200, f'only {total} samples from a full-scale run'
+assert inside >= 0.95 * total, f'{inside}/{total} samples resolve inside the executable'
+tables = re.split(r'^== .* ==\$', out, flags=re.M)[1:]
+assert len(tables) == 3, f'{len(tables)} tables, expected 3'
+rows = [len(re.findall(r'^\s*\d+\s+\d+\.\d%', t, re.M)) for t in tables[:2]]
+rows.append(len(re.findall(r'^-- 0x[0-9a-f]+: \d+ samples', tables[2], re.M)))
+assert all(rows), f'an empty table: rows per table {rows}'
+print(f'profile.sh: {total} samples, {inside} in executable, rows per table {rows}')
+"
+
 echo "== cargo test -q --workspace (DRILL_THREADS=1/8) =="
 # Both ends of the executor knob (serial, oversubscribed): the sweep
 # determinism contract says results depend on neither. --workspace adds
