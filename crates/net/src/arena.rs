@@ -4,7 +4,7 @@
 //!
 //! # Why
 //!
-//! The timing wheel sizes its slab nodes for the largest event variant.
+//! The timing wheel sizes its entries for the largest event variant.
 //! With packets travelling by value inside `ArriveSwitch`/`ArriveHost`,
 //! every wheel push, level cascade, slot-drain sort and `EventSink` drain
 //! memcpys a full packet; with handles, a network event is ≤ 16 bytes, the
@@ -27,10 +27,9 @@
 //! golden suite asserts it returns to zero after every drained run, which
 //! catches a forgotten `free` on any drop path.
 //!
-//! Slots are generation-stamped (the same scheme as the timing wheel's
-//! `EventToken`): freeing bumps the slot generation, so a stale handle
-//! can never silently alias a reused slot — dereferencing one trips a
-//! debug assertion.
+//! Slots are generation-stamped: freeing bumps the slot generation, so a
+//! stale handle can never silently alias a reused slot — dereferencing
+//! one trips a debug assertion.
 
 use std::io;
 

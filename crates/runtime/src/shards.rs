@@ -59,7 +59,7 @@ pub(crate) enum EngineQueue<P> {
     Sharded(Box<Sharded<P>>),
 }
 
-impl<P: Send> EngineQueue<P> {
+impl<P: Send + Clone> EngineQueue<P> {
     pub fn serial() -> EngineQueue<P> {
         EngineQueue::Serial(EventQueue::new())
     }
@@ -282,7 +282,7 @@ pub(crate) struct Sharded<P> {
     pub fault_strikes: Vec<u64>,
 }
 
-impl<P: Send> Sharded<P> {
+impl<P: Send + Clone> Sharded<P> {
     pub fn new(plan: &ShardPlan) -> Sharded<P> {
         let n = plan.num_shards as usize;
         assert!(n >= 2, "the serial path handles one shard");

@@ -166,8 +166,10 @@ pub struct RunStats {
     /// the determinism fingerprint: the auditor observes, fingerprints
     /// pin simulated behavior.
     pub anomalies: u64,
-    /// High-water mark of concurrently pending events: timing-wheel slab
-    /// slots ever allocated, summed over the engine's wheels (56 B each).
+    /// High-water mark of concurrently pending events: the most entries
+    /// each timing wheel held at once, summed over the engine's wheels
+    /// (32 B each for the runtime's payload; the wheel's pages add at
+    /// most one part-filled page per occupied slot on top).
     /// Host-side memory accounting like `shard_handoffs` — it depends on
     /// the engine shape and restarts at a snapshot restore, so it is in
     /// no fingerprint and no snapshot. [`merge`](RunStats::merge) keeps

@@ -188,10 +188,9 @@ impl From<Packed> for Event {
 /// per pop, and anything narrower is what this type exists to avoid.
 const _: () = assert!(std::mem::size_of::<Packed>() == 16);
 
-/// Whole-node bound: payload (`Option<Packed>`, two words + tag) + wheel
-/// bookkeeping (time, seq, freelist link, generation, state) must stay
-/// within one cache line with room to spare.
-const _: () = assert!(drill_sim::node_size::<Packed>() <= 56);
+/// Whole-entry size: the payload's two words + the wheel's `time` and
+/// `seq`, and nothing else — two entries to a cache line.
+const _: () = assert!(drill_sim::entry_size::<Packed>() == 32);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum FlowClass {

@@ -3,10 +3,8 @@
 //!
 //! The previous implementation was a `BinaryHeap` + `HashSet` of cancelled
 //! tokens (kept as [`crate::HeapQueue`], the differential test's
-//! reference); the wheel replaces O(log n) sift operations with O(1) amortized slot pushes and
-//! bitmap scans, and replaces the cancellation hash set with generation
-//! stamped slab slots so `cancel` is O(1) and leaves no residue — even when
-//! a token is cancelled after its event already fired.
+//! reference); the wheel replaces O(log n) sift operations with O(1)
+//! amortized slot appends and bitmap scans.
 //!
 //! # Structure
 //!
@@ -18,26 +16,35 @@
 //! * Deadlines beyond the wheel horizon live in a sorted overflow heap
 //!   keyed by `(time, seq)` and are migrated into the wheel as the cursor
 //!   advances (each migration is itself O(1) amortized).
-//! * Entries live in a slab (`Vec` arena) threaded with intrusive singly
-//!   linked lists; freed slots go on a free list and are reused, so a
-//!   steady-state simulation performs no per-event allocation at all.
-//! * Every entry carries the monotone `seq` stamped at push time. When a
-//!   level-0 slot is drained for delivery the (usually tiny) batch is
-//!   sorted by `(time, seq)`, which restores global FIFO order for
-//!   simultaneous events regardless of which level or path each entry
-//!   took through the wheel. See DESIGN.md for the ordering proof sketch.
+//! * Each pending event is stored once, as an `Entry { time, seq,
+//!   payload }` (32 bytes for a two-word payload). A slot holds its
+//!   entries in push order as a run of fixed [`PAGE`]-entry pages; pages
+//!   come from one shared free list, so a steady-state simulation
+//!   performs no per-event allocation at all. Staging a level-0 slot
+//!   copies its pages into the ready batch and frees them; a cascade
+//!   re-files entries page by page.
+//! * Every entry carries the monotone `seq` stamped at push time. A
+//!   staged batch is ordered by `(time, seq)`, which restores global FIFO
+//!   order for simultaneous events regardless of which level or path each
+//!   entry took through the wheel; since pages hand equal-time entries
+//!   over in push order, that usually needs no tie-break at all. See
+//!   DESIGN.md §6 for the ordering proof sketch.
+//! * Cancellation is off the hot path: a token is its entry's `seq`, and
+//!   two small hash sets (pending cancellable seqs, cancelled seqs not yet
+//!   shed) make `cancel` O(1) and leave no residue — even when a token is
+//!   cancelled after its event already fired.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::Time;
+use crate::{FxHashSet, Time};
 
 /// Handle for a cancellable event, returned by
 /// [`EventQueue::push_cancellable`].
 ///
-/// Packs a slab index and a generation stamp; a token whose generation no
-/// longer matches its slot (because the event fired or was already
-/// cancelled) is ignored, so stale cancels are harmless and cost O(1).
+/// Carries the event's sequence number. A token whose event already fired
+/// or was already cancelled is no longer in the queue's set of pending
+/// cancellable events, so stale cancels are harmless and cost O(1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventToken(pub(crate) u64);
 
@@ -47,8 +54,8 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// log2 of the level-0 slot width in ns. A level-0 slot is a 64 ns
 /// delivery window: staging drains the whole window as one batch and the
-/// `(time, seq)` sort restores exact order, which amortizes the bitmap
-/// scan and cascade bookkeeping over every event in the window instead of
+/// `(time, seq)` order is restored there, which amortizes the bitmap scan
+/// and cascade bookkeeping over every event in the window instead of
 /// paying it per nanosecond-wide slot. It also shortens cascades: a
 /// deadline `d` ns ahead sits `BASE_SHIFT` bits lower in the hierarchy
 /// than it would with 1 ns slots.
@@ -60,74 +67,115 @@ const LEVELS: usize = 5;
 /// First deadline distance that no longer fits in the wheel (2^36 ns,
 /// ≈ 68.7 simulated seconds).
 const HORIZON: u64 = 1 << (BASE_SHIFT + LEVEL_BITS * LEVELS as u32);
-/// Null link in the intrusive slot lists.
+/// Entries per page of a slot's run. Fixed pages, not a `Vec` per slot:
+/// a slot gives its pages back as soon as it drains, so 320 slots never
+/// each keep their own high-water capacity, and a cascade of a crowded
+/// slot frees each page as it re-files it.
+const PAGE: usize = 32;
+/// Null page index.
 const NIL: u32 = u32::MAX;
 
-/// Lifecycle of a slab slot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SlotState {
-    /// On the free list.
-    Free,
-    /// Scheduled and deliverable.
-    Live,
-    /// Cancelled; storage reclaimed lazily when next encountered.
-    Cancelled,
-}
-
-/// Size in bytes of one wheel slab entry for payload type `P`.
+/// Size in bytes of one pending wheel entry for payload type `P`.
 ///
-/// `Node` itself is private (its intrusive links are an implementation
-/// detail), but embedders pin their per-event memory footprint with
-/// `const` asserts — a payload is stored *inside* its slab node, written
-/// once by the push and read once by the pop (cascades and slot drains
-/// relink nodes, they never copy one), so its size is the node's and the
-/// width it is written at is the width it should be read at.
-pub const fn node_size<P>() -> usize {
-    std::mem::size_of::<Node<P>>()
+/// `Entry` itself is private, but embedders pin their per-event memory
+/// footprint with `const` asserts. A payload is stored inside its entry,
+/// written once by the push and read once by the pop (staging and
+/// cascades copy whole entries page by page), so its size is the entry's
+/// and the width it is written at is the width it should be read at.
+pub const fn entry_size<P>() -> usize {
+    std::mem::size_of::<Entry<P>>()
 }
 
-struct Node<P> {
+/// One pending event.
+#[derive(Clone)]
+struct Entry<P> {
     /// Absolute deadline in nanoseconds.
     time: u64,
     /// Global push order; the FIFO tie-break at equal timestamps.
     seq: u64,
-    /// Next entry in the slot list this node is threaded on (or the free
-    /// list when `state == Free`).
+    payload: P,
+}
+
+/// The overflow heap's element: an entry ordered so that the max-heap
+/// pops the earliest `(time, seq)` first.
+struct Far<P>(Entry<P>);
+
+impl<P> Ord for Far<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
+    }
+}
+impl<P> PartialOrd for Far<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<P> PartialEq for Far<P> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.0.time, self.0.seq) == (other.0.time, other.0.seq)
+    }
+}
+impl<P> Eq for Far<P> {}
+
+/// A slot's pages, first and last (`NIL` when the slot is empty). Only
+/// the tail page can be part-filled.
+#[derive(Clone, Copy)]
+struct Run {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Run = Run {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Per-page bookkeeping: the next page of the run (or of the free list)
+/// and how many of the page's entries are filled.
+#[derive(Clone, Copy)]
+struct Page {
     next: u32,
-    /// Generation stamp; bumped every time the slot is freed so stale
-    /// [`EventToken`]s can never touch a reused slot.
-    gen: u32,
-    state: SlotState,
-    payload: Option<P>,
+    len: u32,
 }
 
 /// A deterministic future-event list.
 ///
 /// Generic over the event payload `P`, which the embedding simulation
 /// defines (an enum of "packet arrives", "timer fires", ... variants).
+/// Payloads are cloned out of the wheel's pages, and a page keeps the
+/// copies it handed out until it is refilled, so `P` should be plain
+/// data — every payload in this workspace is `Copy`.
 ///
 /// Events at equal timestamps are delivered in push order. Events pushed
 /// for a time earlier than the last popped time are a logic error in the
 /// caller and panic in debug builds.
 pub struct EventQueue<P> {
-    /// Slab of event entries; never shrinks, recycled through `free_head`.
-    arena: Vec<Node<P>>,
-    /// Head of the free list threaded through `arena` (NIL if empty).
-    free_head: u32,
-    /// Intrusive list heads, `levels[level][slot]`.
-    levels: [[u32; SLOTS]; LEVELS],
-    /// One occupancy bit per slot, for O(1) next-slot scans.
+    /// Page storage: page `p` is `entries[p * PAGE..(p + 1) * PAGE]`, of
+    /// which the first `pages[p].len` are pending. Never shrinks.
+    entries: Vec<Entry<P>>,
+    pages: Vec<Page>,
+    /// Head of the free-page list threaded through `pages` (NIL if empty).
+    free_page: u32,
+    /// Each slot's run of pages, `runs[level][slot]`.
+    runs: [[Run; SLOTS]; LEVELS],
+    /// One occupancy bit per slot (set iff the slot's run is non-empty),
+    /// for O(1) next-slot scans.
     occupied: [u64; LEVELS],
     /// Far-future entries (≥ HORIZON ns ahead), sorted by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Delivery staging: the current level-0 batch as `(time, seq, idx)`
-    /// tuples sorted ascending, consumed from `ready_pos`. Keys are held
-    /// inline so the batch sort and splice searches never chase arena
-    /// pointers.
-    ready: Vec<(u64, u64, u32)>,
+    overflow: BinaryHeap<Far<P>>,
+    /// Delivery staging: the current level-0 batch sorted ascending by
+    /// `(time, seq)`, consumed from `ready_pos`.
+    ready: Vec<Entry<P>>,
     ready_pos: usize,
-    /// Reused permutation buffer for the staging counting sort.
-    scratch: Vec<(u64, u64, u32)>,
+    /// Reused permutation buffer for the staging counting sort; its
+    /// length only grows (entries past a batch are stale copies).
+    scratch: Vec<Entry<P>>,
+    /// Seqs of pending cancellable entries, and of cancelled entries not
+    /// yet shed from the wheel. Both stay empty unless
+    /// [`push_cancellable`](EventQueue::push_cancellable) is used; any
+    /// other push touches neither, and a pop tests each for emptiness.
+    cancellable: FxHashSet<u64>,
+    cancelled: FxHashSet<u64>,
     /// Internal wheel cursor in ns. Invariant: at every public API
     /// boundary, `now.as_nanos() == elapsed` or every pending event is at
     /// or after `elapsed` (the cursor never passes a live event).
@@ -142,6 +190,8 @@ pub struct EventQueue<P> {
     pushed: u64,
     popped: u64,
     cancels: u64,
+    /// The most entries `len()` has counted at once.
+    pending_hw: usize,
 }
 
 impl<P> Default for EventQueue<P> {
@@ -154,20 +204,24 @@ impl<P> EventQueue<P> {
     /// An empty queue positioned at `Time::ZERO`.
     pub fn new() -> Self {
         EventQueue {
-            arena: Vec::new(),
-            free_head: NIL,
-            levels: [[NIL; SLOTS]; LEVELS],
+            entries: Vec::new(),
+            pages: Vec::new(),
+            free_page: NIL,
+            runs: [[EMPTY; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             ready: Vec::new(),
             ready_pos: 0,
             scratch: Vec::new(),
+            cancellable: FxHashSet::default(),
+            cancelled: FxHashSet::default(),
             elapsed: 0,
             now: Time::ZERO,
             seq: 0,
             pushed: 0,
             popped: 0,
             cancels: 0,
+            pending_hw: 0,
         }
     }
 
@@ -205,80 +259,34 @@ impl<P> EventQueue<P> {
         self.len() == 0
     }
 
-    /// Number of slab slots ever allocated. Bounded by the high-water mark
-    /// of concurrently pending events — *not* by the total event count —
-    /// which the no-leak regression test asserts.
+    /// High-water mark of concurrently pending events: the most entries
+    /// [`len`](EventQueue::len) has counted at once. Bounded by what is
+    /// pending together — *not* by the total event count — which the
+    /// no-leak regression tests assert.
     #[inline]
     pub fn allocated_slots(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Schedule `payload` at absolute time `at`.
-    #[inline]
-    pub fn push(&mut self, at: Time, payload: P) {
-        self.push_cancellable(at, payload);
-    }
-
-    /// Schedule `payload` at `delay` after the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: Time, payload: P) {
-        self.push(self.now + delay, payload);
-    }
-
-    /// Schedule `payload` at `at` with a caller-supplied FIFO sequence
-    /// number instead of the internally stamped one.
-    ///
-    /// The sharded engine stamps one *global* sequence across every shard
-    /// wheel, so a cross-wheel merge by `(time, seq)` reproduces exactly
-    /// the order a single serial wheel would deliver. Supplied sequence
-    /// numbers may arrive out of order relative to earlier pushes (a
-    /// mailbox drain replays sequences stamped before later direct
-    /// pushes); the `(time, seq)` batch sort restores delivery order.
-    /// Internal stamping stays monotone past the largest supplied value,
-    /// so mixing both push flavours on one queue remains well-defined.
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.seq = self.seq.max(seq + 1);
-        let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.pushed += 1;
-        self.insert(idx);
-    }
-
-    /// Schedule `payload` at `at` carrying a caller-supplied sequence
-    /// number *without* advancing the internal sequence counter.
-    ///
-    /// Snapshot restore uses this for out-of-band entries stamped from a
-    /// reserved sequence band (fault injections at `FAULT_SEQ_BASE`):
-    /// unlike [`push_with_seq`](EventQueue::push_with_seq), a huge banded
-    /// seq must not catapult the counter, or every subsequently pushed
-    /// event would change sequence and break bit-identical replay.
-    pub fn push_stamped(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.pushed += 1;
-        self.insert(idx);
+        self.pending_hw
     }
 
     /// Visit every pending (scheduled, non-cancelled) entry as
     /// `(time, seq, &payload)`, in arbitrary order.
     ///
-    /// Snapshot capture walks the slab directly — wheel slots, the staged
-    /// ready batch, and the overflow heap all keep their entries `Live` in
-    /// the slab until delivery — and normalizes order by sorting the
+    /// Snapshot capture walks the staged ready batch, every slot's pages
+    /// and the overflow heap, and normalizes order by sorting the
     /// collected `(time, seq)` keys at the serialization layer.
     pub fn for_each_pending<F: FnMut(Time, u64, &P)>(&self, mut f: F) {
-        for node in &self.arena {
-            if node.state == SlotState::Live {
-                let payload = node.payload.as_ref().expect("live entry has payload");
-                f(Time::from_nanos(node.time), node.seq, payload);
+        let mut visit = |e: &Entry<P>| {
+            if !self.cancelled.contains(&e.seq) {
+                f(Time::from_nanos(e.time), e.seq, &e.payload);
+            }
+        };
+        self.ready[self.ready_pos..].iter().for_each(&mut visit);
+        self.overflow.iter().for_each(|Far(e)| visit(e));
+        for run in self.runs.iter().flatten() {
+            let mut p = run.head;
+            while p != NIL {
+                self.page(p).iter().for_each(&mut visit);
+                p = self.pages[p as usize].next;
             }
         }
     }
@@ -303,6 +311,155 @@ impl<P> EventQueue<P> {
         self.popped = popped;
     }
 
+    /// Cancel a previously scheduled cancellable event in O(1). Cancelling
+    /// an already-delivered or already-cancelled event is a no-op (its
+    /// seq is no longer pending-cancellable) and leaves no residue.
+    pub fn cancel(&mut self, token: EventToken) {
+        if self.cancellable.remove(&token.0) {
+            // The entry stays in the wheel until staging reaches it.
+            self.cancelled.insert(token.0);
+            self.cancels += 1;
+        }
+    }
+
+    /// Sizes of the two cancellation sets (pending cancellable, cancelled
+    /// but not yet shed), for the no-residue tests.
+    #[cfg(test)]
+    pub(crate) fn cancel_sets(&self) -> (usize, usize) {
+        (self.cancellable.len(), self.cancelled.len())
+    }
+
+    /// The filled part of page `p`.
+    #[inline]
+    fn page(&self, p: u32) -> &[Entry<P>] {
+        let base = p as usize * PAGE;
+        &self.entries[base..base + self.pages[p as usize].len as usize]
+    }
+
+    /// Return page `p` to the free list; yields the run's next page.
+    #[inline]
+    fn free_page(&mut self, p: u32) -> u32 {
+        let page = &mut self.pages[p as usize];
+        let next = page.next;
+        page.next = self.free_page;
+        page.len = 0;
+        self.free_page = p;
+        next
+    }
+
+    /// Whether a detached run holds an entry that was not cancelled.
+    fn run_has_live(&self, run: Run) -> bool {
+        let mut p = run.head;
+        while p != NIL {
+            if self
+                .page(p)
+                .iter()
+                .any(|e| !self.cancelled.contains(&e.seq))
+            {
+                return true;
+            }
+            p = self.pages[p as usize].next;
+        }
+        false
+    }
+
+    /// Nothing is pending at or after the cursor, so nothing is pending
+    /// at all: any slot still occupied sits behind the cursor and holds
+    /// only cancelled entries (a stale bit, see `stage`). Free those runs
+    /// so the cancelled set drains with them.
+    fn reclaim_stale(&mut self) {
+        debug_assert_eq!(self.len(), 0, "live entry behind the cursor");
+        for level in 0..LEVELS {
+            let mut bits = std::mem::take(&mut self.occupied[level]);
+            while bits != 0 {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut p = std::mem::replace(&mut self.runs[level][slot], EMPTY).head;
+                while p != NIL {
+                    p = self.free_page(p);
+                }
+            }
+        }
+        self.cancelled.clear();
+    }
+
+    /// First occupied slot at/after the cursor position of `level`.
+    fn next_occupied(&self, level: usize) -> Option<usize> {
+        let cursor =
+            (self.elapsed >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1);
+        // Bits behind the cursor may exist but are always stale (their
+        // entries were all cancelled before the cursor jumped past them);
+        // they are reclaimed when a later rotation scans them, or when
+        // the queue runs dry.
+        let masked = self.occupied[level] & (!0u64 << cursor);
+        if masked != 0 {
+            Some(masked.trailing_zeros() as usize)
+        } else {
+            None
+        }
+    }
+}
+
+impl<P: Clone> EventQueue<P> {
+    /// Schedule `payload` at absolute time `at`.
+    #[inline]
+    pub fn push(&mut self, at: Time, payload: P) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at:?} < {:?}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.schedule(at.as_nanos(), seq, payload);
+    }
+
+    /// Schedule `payload` at `delay` after the current clock.
+    #[inline]
+    pub fn push_after(&mut self, delay: Time, payload: P) {
+        self.push(self.now + delay, payload);
+    }
+
+    /// Schedule `payload` at `at` with a caller-supplied FIFO sequence
+    /// number instead of the internally stamped one.
+    ///
+    /// The sharded engine stamps one *global* sequence across every shard
+    /// wheel, so a cross-wheel merge by `(time, seq)` reproduces exactly
+    /// the order a single serial wheel would deliver. Supplied sequence
+    /// numbers may arrive out of order relative to earlier pushes (a
+    /// mailbox drain replays sequences stamped before later direct
+    /// pushes); staging restores `(time, seq)` order. Internal stamping
+    /// stays monotone past the largest supplied value, so mixing both
+    /// push flavours on one queue remains well-defined. A supplied seq
+    /// must not repeat one still pending: seqs name entries (a
+    /// cancellation token is one).
+    pub fn push_with_seq(&mut self, at: Time, seq: u64, payload: P) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at:?} < {:?}",
+            self.now
+        );
+        self.seq = self.seq.max(seq + 1);
+        self.schedule(at.as_nanos(), seq, payload);
+    }
+
+    /// Schedule `payload` at `at` carrying a caller-supplied sequence
+    /// number *without* advancing the internal sequence counter.
+    ///
+    /// Snapshot restore uses this for out-of-band entries stamped from a
+    /// reserved sequence band (fault injections at `FAULT_SEQ_BASE`):
+    /// unlike [`push_with_seq`](EventQueue::push_with_seq), a huge banded
+    /// seq must not catapult the counter, or every subsequently pushed
+    /// event would change sequence and break bit-identical replay.
+    pub fn push_stamped(&mut self, at: Time, seq: u64, payload: P) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at:?} < {:?}",
+            self.now
+        );
+        self.schedule(at.as_nanos(), seq, payload);
+    }
+
     /// Schedule a cancellable event; keep the token to [`cancel`] it.
     ///
     /// [`cancel`]: EventQueue::cancel
@@ -314,43 +471,64 @@ impl<P> EventQueue<P> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc(at.as_nanos(), seq, payload);
-        self.pushed += 1;
-        self.insert(idx);
-        EventToken(((self.arena[idx as usize].gen as u64) << 32) | idx as u64)
-    }
-
-    /// Cancel a previously scheduled cancellable event in O(1). Cancelling
-    /// an already-delivered or already-cancelled event is a no-op (the
-    /// token's generation stamp no longer matches), and unlike the old
-    /// `HashSet` design it leaves no residue behind.
-    pub fn cancel(&mut self, token: EventToken) {
-        let idx = (token.0 & u32::MAX as u64) as usize;
-        let gen = (token.0 >> 32) as u32;
-        if let Some(node) = self.arena.get_mut(idx) {
-            if node.gen == gen && node.state == SlotState::Live {
-                node.state = SlotState::Cancelled;
-                node.payload = None;
-                self.cancels += 1;
-            }
-        }
+        self.cancellable.insert(seq);
+        self.schedule(at.as_nanos(), seq, payload);
+        EventToken(seq)
     }
 
     /// Deliver the next event, advancing the clock. Cancelled events are
-    /// skipped silently (and their slots reclaimed).
+    /// skipped silently (and their storage reclaimed).
     pub fn pop(&mut self) -> Option<(Time, P)> {
         if !self.stage() {
             return None;
         }
-        let (time, _, idx) = self.ready[self.ready_pos];
+        let Entry { time, seq, payload } = self.ready[self.ready_pos].clone();
         self.ready_pos += 1;
+        if !self.cancellable.is_empty() {
+            self.cancellable.remove(&seq);
+        }
         let t = Time::from_nanos(time);
-        let payload = self.arena[idx as usize].payload.take().expect("live entry");
-        self.free(idx);
         debug_assert!(t >= self.now);
         self.now = t;
         self.popped += 1;
         Some((t, payload))
+    }
+
+    /// Timestamp of the next (non-cancelled) pending event without
+    /// delivering it. Does not advance the clock; lazily reclaims any
+    /// cancelled entries it walks past.
+    pub fn peek_time(&mut self) -> Option<Time> {
+        self.peek_key().map(|(t, _)| t)
+    }
+
+    /// The `(time, seq)` key of the next pending event, without
+    /// delivering it or advancing the clock.
+    ///
+    /// This is the primitive the sharded engine's cross-wheel merge is
+    /// built on: with one global sequence stamped across every wheel (see
+    /// [`push_with_seq`](EventQueue::push_with_seq)), popping from the
+    /// wheel whose peeked key is the minimum reproduces the exact
+    /// delivery order of a single serial wheel. Staging the next window
+    /// here makes the key exact — equal-time entries scattered across
+    /// levels are cascaded down and `(time, seq)`-sorted before the head
+    /// is reported — and amortizes to O(1) under repeated peeks.
+    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
+        if !self.stage() {
+            return None;
+        }
+        let e = &self.ready[self.ready_pos];
+        Some((Time::from_nanos(e.time), e.seq))
+    }
+
+    /// Count a new pending entry and file it.
+    #[inline]
+    fn schedule(&mut self, time: u64, seq: u64, payload: P) {
+        self.pushed += 1;
+        let pending = self.len();
+        if pending > self.pending_hw {
+            self.pending_hw = pending;
+        }
+        self.insert(time, seq, payload);
     }
 
     /// Advance the staging machinery until `ready[ready_pos]` is a live
@@ -364,13 +542,12 @@ impl<P> EventQueue<P> {
         loop {
             // 1. Shed cancelled entries at the head of the staged batch.
             while self.ready_pos < self.ready.len() {
-                let (_, _, idx) = self.ready[self.ready_pos];
-                if self.arena[idx as usize].state == SlotState::Cancelled {
-                    self.free(idx);
-                    self.ready_pos += 1;
-                    continue;
+                if self.cancelled.is_empty()
+                    || !self.cancelled.remove(&self.ready[self.ready_pos].seq)
+                {
+                    return true;
                 }
-                return true;
+                self.ready_pos += 1;
             }
             self.ready.clear();
             self.ready_pos = 0;
@@ -392,11 +569,14 @@ impl<P> EventQueue<P> {
                     // Wheel empty; jump the cursor to the overflow head so
                     // the next replenish can migrate it in.
                     match self.overflow.peek() {
-                        Some(&Reverse((t, _, _))) => {
-                            self.elapsed = t;
+                        Some(Far(e)) => {
+                            self.elapsed = e.time;
                             continue;
                         }
-                        None => return false,
+                        None => {
+                            self.reclaim_stale();
+                            return false;
+                        }
                     }
                 }
                 Some((0, slot)) => {
@@ -409,18 +589,21 @@ impl<P> EventQueue<P> {
                     // re-stage the cursor slot itself when an overdue push
                     // parked there after the previous batch drained).
                     debug_assert!(t0 + window > self.elapsed);
-                    let mut idx = self.levels[0][slot];
-                    self.levels[0][slot] = NIL;
+                    let mut p = std::mem::replace(&mut self.runs[0][slot], EMPTY).head;
                     self.occupied[0] &= !(1u64 << slot);
-                    while idx != NIL {
-                        let node = &self.arena[idx as usize];
-                        let next = node.next;
-                        if node.state == SlotState::Cancelled {
-                            self.free(idx);
+                    while p != NIL {
+                        let base = p as usize * PAGE;
+                        let page = &self.entries[base..base + self.pages[p as usize].len as usize];
+                        if self.cancelled.is_empty() {
+                            self.ready.extend_from_slice(page);
                         } else {
-                            self.ready.push((node.time, node.seq, idx));
+                            for e in page {
+                                if !self.cancelled.remove(&e.seq) {
+                                    self.ready.push(e.clone());
+                                }
+                            }
                         }
-                        idx = next;
+                        p = self.free_page(p);
                     }
                     // Committing to the window: later pushes that land
                     // inside it take the overdue path and splice into the
@@ -452,31 +635,24 @@ impl<P> EventQueue<P> {
                     let shift = BASE_SHIFT + LEVEL_BITS * level as u32;
                     let span = 1u64 << (shift + LEVEL_BITS);
                     let slot_start = (self.elapsed & !(span - 1)) | ((slot as u64) << shift);
-                    let mut idx = self.levels[level][slot];
-                    self.levels[level][slot] = NIL;
+                    let run = std::mem::replace(&mut self.runs[level][slot], EMPTY);
                     self.occupied[level] &= !(1u64 << slot);
-                    let mut live = NIL;
-                    while idx != NIL {
-                        let next = self.arena[idx as usize].next;
-                        if self.arena[idx as usize].state == SlotState::Cancelled {
-                            self.free(idx);
-                        } else {
-                            self.arena[idx as usize].next = live;
-                            live = idx;
-                        }
-                        idx = next;
-                    }
-                    if live != NIL && slot_start > self.elapsed {
+                    let live = self.cancelled.is_empty() || self.run_has_live(run);
+                    if live && slot_start > self.elapsed {
                         self.elapsed = slot_start;
                     }
-                    while live != NIL {
-                        let next = self.arena[live as usize].next;
-                        debug_assert!(
-                            self.arena[live as usize].time >= slot_start,
-                            "live entry behind its slot start"
-                        );
-                        self.insert(live);
-                        live = next;
+                    let mut p = run.head;
+                    while p != NIL {
+                        let base = p as usize * PAGE;
+                        for i in base..base + self.pages[p as usize].len as usize {
+                            let Entry { time, seq, payload } = self.entries[i].clone();
+                            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
+                                continue;
+                            }
+                            debug_assert!(time >= slot_start, "live entry behind its slot start");
+                            self.insert(time, seq, payload);
+                        }
+                        p = self.free_page(p);
                     }
                     continue;
                 }
@@ -484,91 +660,39 @@ impl<P> EventQueue<P> {
         }
     }
 
-    /// Timestamp of the next (non-cancelled) pending event without
-    /// delivering it. Does not advance the clock; lazily reclaims any
-    /// cancelled entries it walks past.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The `(time, seq)` key of the next pending event, without
-    /// delivering it or advancing the clock.
-    ///
-    /// This is the primitive the sharded engine's cross-wheel merge is
-    /// built on: with one global sequence stamped across every wheel (see
-    /// [`push_with_seq`](EventQueue::push_with_seq)), popping from the
-    /// wheel whose peeked key is the minimum reproduces the exact
-    /// delivery order of a single serial wheel. Staging the next window
-    /// here makes the key exact — equal-time entries scattered across
-    /// levels are cascaded down and `(time, seq)`-sorted before the head
-    /// is reported — and amortizes to O(1) under repeated peeks.
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        if !self.stage() {
-            return None;
-        }
-        let (time, seq, _) = self.ready[self.ready_pos];
-        Some((Time::from_nanos(time), seq))
-    }
-
-    /// Take a slab slot off the free list (or grow the arena) and fill it.
-    fn alloc(&mut self, time: u64, seq: u64, payload: P) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let node = &mut self.arena[idx as usize];
-            self.free_head = node.next;
-            node.time = time;
-            node.seq = seq;
-            node.next = NIL;
-            node.state = SlotState::Live;
-            node.payload = Some(payload);
-            idx
-        } else {
-            let idx = u32::try_from(self.arena.len()).expect("event arena exceeds u32 slots");
-            assert!(idx != NIL, "event arena exceeds u32 slots");
-            self.arena.push(Node {
-                time,
-                seq,
-                next: NIL,
-                gen: 0,
-                state: SlotState::Live,
-                payload: Some(payload),
-            });
-            idx
-        }
-    }
-
-    /// Return a slab slot to the free list, bumping its generation so
-    /// outstanding tokens for it become inert.
-    fn free(&mut self, idx: u32) {
-        let node = &mut self.arena[idx as usize];
-        node.state = SlotState::Free;
-        node.payload = None;
-        node.gen = node.gen.wrapping_add(1);
-        node.next = self.free_head;
-        self.free_head = idx;
-    }
-
-    /// Sort the freshly staged batch in `ready` by `(time, seq)`.
+    /// Order the freshly staged batch in `ready` by `(time, seq)`.
     ///
     /// A window holds at most `1 << BASE_SHIFT` distinct time values, so
-    /// large batches take a two-pass counting sort over the time offset
-    /// `t - t0` (bucket 0 also absorbs pre-window parked entries via the
-    /// saturating subtraction) followed by tiny per-bucket tie-break
-    /// sorts. This is the hottest loop in a packed simulation — the e2e
-    /// fig2 run stages ~70 events per window — and the counting sort cuts
-    /// the per-event delivery cost well below a comparison sort's.
+    /// large batches take a stable two-pass counting sort over the time
+    /// offset `t - t0` (bucket 0 also absorbs pre-window parked entries
+    /// via the saturating subtraction). This is the hottest loop in a
+    /// packed simulation — the e2e fig2 run stages ~70 events per window —
+    /// and the counting sort cuts the per-event delivery cost well below
+    /// a comparison sort's.
+    ///
+    /// Pages hand entries over in push order, and pushes stamp seqs in
+    /// order, so after the stable sort every equal-time bucket is
+    /// normally in seq order already: one linear check replaces the
+    /// per-bucket tie sort. The check fails — and the buckets are sorted —
+    /// where push order and seq order part: a bucket 0 holding parked
+    /// pre-window times, `push_with_seq` replaying older seqs,
+    /// `push_stamped`'s reserved band, or a cascade or overflow migration
+    /// appending earlier-stamped entries behind later ones.
     fn sort_batch(&mut self, t0: u64) {
         const WINDOW: usize = 1 << BASE_SHIFT;
-        if self.ready.len() <= 32 {
+        let key = |e: &Entry<P>| (e.time, e.seq);
+        let n = self.ready.len();
+        if n <= 32 {
             // Below std's small-sort threshold a comparison sort wins over
-            // two passes of 64-bucket bookkeeping.
-            self.ready.sort_unstable();
+            // two passes of 64-bucket bookkeeping (and is linear on a
+            // batch already in order).
+            self.ready.sort_unstable_by_key(key);
             return;
         }
         let mut pos = [0u32; WINDOW];
-        for &(t, _, _) in &self.ready {
-            debug_assert!(t < t0 + WINDOW as u64);
-            pos[t.saturating_sub(t0) as usize] += 1;
+        for e in &self.ready {
+            debug_assert!(e.time < t0 + WINDOW as u64);
+            pos[e.time.saturating_sub(t0) as usize] += 1;
         }
         let mut acc = 0u32;
         let mut counts = [0u32; WINDOW];
@@ -577,41 +701,47 @@ impl<P> EventQueue<P> {
             *start = acc;
             acc += *count;
         }
-        self.scratch.clear();
-        self.scratch.resize(self.ready.len(), (0, 0, 0));
-        for &e in &self.ready {
-            let o = e.0.saturating_sub(t0) as usize;
-            self.scratch[pos[o] as usize] = e;
+        if self.scratch.len() < n {
+            self.scratch.resize(n, self.ready[0].clone());
+        }
+        for e in &self.ready {
+            let o = e.time.saturating_sub(t0) as usize;
+            self.scratch[pos[o] as usize] = e.clone();
             pos[o] += 1;
         }
         std::mem::swap(&mut self.ready, &mut self.scratch);
+        self.ready.truncate(n);
+        if self.ready.is_sorted_by_key(key) {
+            return;
+        }
         let mut start = 0usize;
         for &count in &counts {
             let end = start + count as usize;
             if count > 1 {
                 // One time value per bucket (bucket 0 may mix parked
                 // pre-window times), so this is the seq tie-break.
-                self.ready[start..end].sort_unstable();
+                self.ready[start..end].sort_unstable_by_key(key);
             }
             start = end;
         }
     }
 
-    /// Thread a live entry onto the wheel (or the overflow heap).
-    fn insert(&mut self, idx: u32) {
-        let t = self.arena[idx as usize].time;
-        let (level, slot) = if t <= self.elapsed {
+    /// File an entry on the wheel (or the overflow heap, or the staged
+    /// batch). Takes the entry's fields as scalars: built at the store, a
+    /// payload is written at the width it arrived in.
+    #[inline]
+    fn insert(&mut self, time: u64, seq: u64, payload: P) {
+        let (level, slot) = if time <= self.elapsed {
             // Overdue relative to the internal cursor (legal: the cursor
             // may sit ahead of `now` after a jump to a far-off deadline).
             if self.ready_pos < self.ready.len() {
                 // A staged batch is mid-delivery and this entry belongs
                 // inside it: splice it in at its `(time, seq)` position so
                 // it is not deferred behind later-timed staged entries.
-                let seq = self.arena[idx as usize].seq;
                 let pos = self.ready_pos
                     + self.ready[self.ready_pos..]
-                        .partition_point(|&(bt, bs, _)| (bt, bs) < (t, seq));
-                self.ready.insert(pos, (t, seq, idx));
+                        .partition_point(|e| (e.time, e.seq) < (time, seq));
+                self.ready.insert(pos, Entry { time, seq, payload });
                 return;
             }
             // Otherwise park it on the cursor slot; the next staging pass
@@ -621,53 +751,81 @@ impl<P> EventQueue<P> {
                 ((self.elapsed >> BASE_SHIFT) & (SLOTS as u64 - 1)) as usize,
             )
         } else {
-            let dist = t ^ self.elapsed;
+            let dist = time ^ self.elapsed;
             if dist >= HORIZON {
-                let seq = self.arena[idx as usize].seq;
-                self.overflow.push(Reverse((t, seq, idx)));
+                self.overflow.push(Far(Entry { time, seq, payload }));
                 return;
             }
             let top = u64::BITS - 1 - dist.leading_zeros();
             let level = (top.saturating_sub(BASE_SHIFT) / LEVEL_BITS) as usize;
             let slot =
-                ((t >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+                ((time >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
             (level, slot)
         };
-        self.arena[idx as usize].next = self.levels[level][slot];
-        self.levels[level][slot] = idx;
-        self.occupied[level] |= 1u64 << slot;
+        // Append to the slot's tail page.
+        let tail = self.runs[level][slot].tail;
+        if tail != NIL {
+            let page = &mut self.pages[tail as usize];
+            if (page.len as usize) < PAGE {
+                let i = tail as usize * PAGE + page.len as usize;
+                page.len += 1;
+                self.entries[i] = Entry { time, seq, payload };
+                return;
+            }
+        }
+        self.append_to_new_page(level, slot, time, seq, payload);
+    }
+
+    /// The slot is empty or its tail page is full: open a page — off the
+    /// free list, or grown — link it as the run's tail and write the entry
+    /// first in it. Out of line (one push in 32 to a busy slot lands
+    /// here), so the common append keeps the payload in registers.
+    #[cold]
+    #[inline(never)]
+    fn append_to_new_page(&mut self, level: usize, slot: usize, time: u64, seq: u64, payload: P) {
+        let entry = Entry { time, seq, payload };
+        let p = if self.free_page != NIL {
+            let p = self.free_page;
+            self.free_page = self.pages[p as usize].next;
+            self.entries[p as usize * PAGE] = entry;
+            p
+        } else {
+            let p = u32::try_from(self.pages.len()).expect("event pages exceed u32 indices");
+            assert!(p != NIL, "event pages exceed u32 indices");
+            self.pages.push(Page { next: NIL, len: 0 });
+            // The storage must be initialised: copies of the entry fill
+            // the page and are overwritten before they are read.
+            self.entries.resize(self.entries.len() + PAGE, entry);
+            p
+        };
+        self.pages[p as usize] = Page { next: NIL, len: 1 };
+        let tail = self.runs[level][slot].tail;
+        if tail == NIL {
+            self.runs[level][slot] = Run { head: p, tail: p };
+            self.occupied[level] |= 1u64 << slot;
+        } else {
+            self.pages[tail as usize].next = p;
+            self.runs[level][slot].tail = p;
+        }
     }
 
     /// Migrate overflow entries that now fit inside the wheel horizon;
     /// also sheds cancelled entries surfacing at the overflow head.
     fn replenish(&mut self) {
-        while let Some(&Reverse((t, _, idx))) = self.overflow.peek() {
-            if self.arena[idx as usize].state == SlotState::Cancelled {
+        while let Some(Far(e)) = self.overflow.peek() {
+            let t = e.time;
+            if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
                 self.overflow.pop();
-                self.free(idx);
                 continue;
             }
             if (t ^ self.elapsed) < HORIZON || t <= self.elapsed {
-                self.overflow.pop();
-                self.insert(idx);
+                let Some(Far(Entry { time, seq, payload })) = self.overflow.pop() else {
+                    unreachable!("peeked entry pops")
+                };
+                self.insert(time, seq, payload);
                 continue;
             }
             break;
-        }
-    }
-
-    /// First occupied slot at/after the cursor position of `level`.
-    fn next_occupied(&self, level: usize) -> Option<usize> {
-        let cursor =
-            (self.elapsed >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1);
-        // Bits behind the cursor may exist but are always stale (their
-        // entries were all cancelled before the cursor jumped past them);
-        // they are reclaimed when a later rotation scans them.
-        let masked = self.occupied[level] & (!0u64 << cursor);
-        if masked != 0 {
-            Some(masked.trailing_zeros() as usize)
-        } else {
-            None
         }
     }
 }
@@ -813,6 +971,7 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_millis(1), "kept")));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+        assert_eq!(q.cancel_sets(), (0, 0), "a cancelled entry left residue");
     }
 
     #[test]
@@ -849,7 +1008,7 @@ mod tests {
     fn cancel_after_fire_leaves_no_residue() {
         // Regression test for the old HashSet design, where cancelling a
         // token after its event was delivered grew `cancelled` forever
-        // (e.g. TCP RTO timers cancelled post-fire in long runs). The slab
+        // (e.g. TCP RTO timers cancelled post-fire in long runs). Storage
         // must stay at its high-water mark of *concurrent* events.
         let mut q = EventQueue::new();
         let mut t = 0u64;
@@ -863,9 +1022,11 @@ mod tests {
         assert!(q.is_empty());
         assert!(
             q.allocated_slots() <= 2,
-            "slab grew to {} slots across cancel-after-fire cycles",
+            "pending high-water {} across cancel-after-fire cycles",
             q.allocated_slots()
         );
+        assert_eq!(q.cancel_sets(), (0, 0));
+        assert!(q.pages.len() <= 2, "{} pages", q.pages.len());
     }
 
     #[test]
@@ -880,18 +1041,20 @@ mod tests {
         }
         assert!(
             q.allocated_slots() <= 2,
-            "slab grew to {} slots across cancel cycles",
+            "pending high-water {} across cancel cycles",
             q.allocated_slots()
         );
+        assert_eq!(q.cancel_sets(), (0, 0));
+        assert!(q.pages.len() <= 2, "{} pages", q.pages.len());
     }
 
     #[test]
-    fn stale_token_cannot_cancel_reused_slot() {
+    fn stale_token_cannot_cancel_a_later_event() {
         let mut q = EventQueue::new();
         let tok = q.push_cancellable(Time::from_nanos(1), 1);
         assert_eq!(q.pop(), Some((Time::from_nanos(1), 1)));
-        // The slot is recycled for a new event; the old token must not
-        // touch it.
+        // The entry's storage is reused by a new event; the old token
+        // must not touch it.
         q.push(Time::from_nanos(2), 2);
         q.cancel(tok);
         assert_eq!(q.pop(), Some((Time::from_nanos(2), 2)));
@@ -925,6 +1088,28 @@ mod tests {
         }
         assert_eq!(n, times.len());
         assert_eq!(last, *sorted.last().unwrap());
+    }
+
+    #[test]
+    fn crowded_slot_spans_pages_in_push_order() {
+        // Several pages' worth of entries in one slot, at one instant and
+        // spread over a window, through a cascade and through level 0.
+        for base in [128u64, 1 << 20] {
+            let mut q = EventQueue::new();
+            let n = 5 * PAGE as u64 + 7;
+            for i in 0..n {
+                q.push(Time::from_nanos(base + (i % 3) * 20), i);
+            }
+            assert_eq!(q.pages.len(), 6, "one run of six pages");
+            let mut out = Vec::new();
+            while let Some((t, i)) = q.pop() {
+                out.push((t.as_nanos(), i));
+            }
+            let mut want: Vec<_> = (0..n).map(|i| (base + (i % 3) * 20, i)).collect();
+            want.sort_unstable();
+            assert_eq!(out, want);
+            assert!(q.pages.len() <= 7, "pages recycled: {}", q.pages.len());
+        }
     }
 
     #[test]
@@ -1046,6 +1231,7 @@ mod tests {
                 (p, q) => panic!("peek {p:?} disagrees with pop {q:?}"),
             }
         }
+        assert_eq!(q.cancel_sets(), (0, 0));
     }
 
     #[test]
@@ -1064,5 +1250,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 60);
+        assert_eq!(wheel.allocated_slots(), 100);
     }
 }

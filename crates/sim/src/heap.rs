@@ -9,8 +9,8 @@
 //! Known deficiency, by design left unfixed here: cancelling a token
 //! *after* its event was delivered inserts into `cancelled` a token id
 //! that no pop will ever remove, so long cancel-after-fire workloads grow
-//! the set without bound. The timing wheel's generation-stamped slots fix
-//! this.
+//! the set without bound. The timing wheel fixes this by only moving a
+//! seq into its cancelled set while the entry is still pending.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -122,6 +122,23 @@ impl<P> HeapQueue<P> {
         });
     }
 
+    /// Schedule `payload` at `at` under a caller-chosen `seq`: the wheel's
+    /// [`push_with_seq`](crate::EventQueue::push_with_seq) when `advance`
+    /// (later internal stamps continue past `seq`), its
+    /// [`push_stamped`](crate::EventQueue::push_stamped) otherwise.
+    pub fn push_keyed(&mut self, at: Time, seq: u64, advance: bool, payload: P) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        if advance {
+            self.seq = self.seq.max(seq + 1);
+        }
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            token: 0,
+            payload,
+        });
+    }
+
     /// Schedule a cancellable event; keep the token to [`cancel`] it.
     ///
     /// [`cancel`]: HeapQueue::cancel
@@ -214,31 +231,136 @@ mod tests {
     // cancel-after-fire no-ops. The wheel keeps no pending count — it
     // derives `len()` from three single-writer counters — so `len()` and
     // `is_empty()` are compared with the reference's walk after every
-    // operation. ----
+    // operation, and `allocated_slots()` with the walk's high-water. ----
 
-    /// What the cancels of a scenario hit, read off the reference: an
-    /// entry still pending (and, of those, one still ≥ 2^36 ns ahead —
-    /// the overflow heap's range), an entry that had already fired, and
-    /// a token that had already been cancelled.
+    /// What a scenario's operations hit. Cancels, read off the reference:
+    /// an entry still pending (and, of those, one still ≥ 2^36 ns ahead —
+    /// the overflow heap's range), an entry that had already fired, and a
+    /// token that had already been cancelled. Keyed pushes: seqs replayed
+    /// by `push_with_seq` after later seqs were pushed, reserved-band
+    /// `push_stamped` entries, and bursts of more than a page's entries
+    /// at one instant.
     #[derive(Default)]
-    struct CancelsSeen {
+    struct Seen {
         live: u32,
         far: u32,
         fired: u32,
         repeated: u32,
+        replayed: u32,
+        stamped: u32,
+        bursts: u32,
+    }
+
+    /// The wheel's page size, which a burst must exceed.
+    const PAGE: usize = 32;
+
+    /// `push_stamped`'s reserved band (the runtime's fault seqs start here).
+    const BAND: u64 = 1 << 62;
+
+    /// The entries that break "push order is seq order", which the wheel's
+    /// staging relies on to skip its tie sort — out-of-order
+    /// `push_with_seq` replays and reserved-band `push_stamped` entries —
+    /// aimed at instants that already hold entries, plus bursts of more
+    /// than a page into one slot.
+    #[derive(Default)]
+    struct Keyed {
+        /// Seqs skipped by a `push_with_seq` and not pushed yet: a
+        /// mailbox stamped before everything pushed since.
+        held: Vec<u64>,
+        /// Deadlines of the latest pushes.
+        recent: Vec<Time>,
+        next_stamp: u64,
+    }
+
+    impl Keyed {
+        fn note(&mut self, at: Time) {
+            if self.recent.len() == 16 {
+                self.recent.remove(0);
+            }
+            self.recent.push(at);
+        }
+
+        /// A recent deadline not yet in the past, else `at`.
+        fn instant(&self, rng: &mut SimRng, now: Time, at: Time) -> Time {
+            let open: Vec<Time> = self.recent.iter().copied().filter(|&t| t >= now).collect();
+            if open.is_empty() {
+                at
+            } else {
+                open[rng.below(open.len())]
+            }
+        }
+
+        /// One keyed operation at the drawn deadline `at`.
+        fn push(
+            &mut self,
+            rng: &mut SimRng,
+            wheel: &mut EventQueue<u64>,
+            heap: &mut HeapQueue<u64>,
+            at: Time,
+            payload: &mut u64,
+            seen: &mut Seen,
+        ) {
+            let now = wheel.now();
+            match rng.below(4) {
+                // Push one entry past a block of seqs held back for later.
+                0 if self.held.is_empty() => {
+                    let first = wheel.next_seq();
+                    let fence = first + 1 + rng.below(48) as u64;
+                    self.held = (first..fence).collect();
+                    wheel.push_with_seq(at, fence, *payload);
+                    heap.push_keyed(at, fence, true, *payload);
+                    self.note(at);
+                }
+                // Replay the held block, shuffled, onto occupied instants.
+                0 | 1 => {
+                    for i in (1..self.held.len()).rev() {
+                        self.held.swap(i, rng.below(i + 1));
+                    }
+                    seen.replayed += self.held.len() as u32;
+                    for seq in std::mem::take(&mut self.held) {
+                        let t = self.instant(rng, now, at);
+                        *payload += 1;
+                        wheel.push_with_seq(t, seq, *payload);
+                        heap.push_keyed(t, seq, true, *payload);
+                    }
+                }
+                2 => {
+                    let t = self.instant(rng, now, at);
+                    let seq = BAND + self.next_stamp;
+                    self.next_stamp += 1;
+                    wheel.push_stamped(t, seq, *payload);
+                    heap.push_keyed(t, seq, false, *payload);
+                    seen.stamped += 1;
+                }
+                // More than a page into one slot, a few ns apart.
+                _ => {
+                    for _ in 0..PAGE + 1 + rng.below(2 * PAGE) {
+                        let t = at + Time::from_nanos(7 * rng.below(3) as u64);
+                        *payload += 1;
+                        wheel.push(t, *payload);
+                        heap.push(t, *payload);
+                    }
+                    self.note(at);
+                    seen.bursts += 1;
+                }
+            }
+        }
     }
 
     /// One randomized scenario: interleaved pushes (with a heavy-tailed time
     /// spread so every wheel level and the overflow heap get traffic),
     /// cancellations of a random subset, and batched pops — on a fresh
-    /// queue, or (odd seeds) one positioned by `restore_clock` first.
-    fn churn_scenario(seed: u64, ops: usize, peek: bool, seen: &mut CancelsSeen) {
+    /// queue, or (odd seeds) one positioned by `restore_clock` first. With
+    /// `keyed`, a quarter of the pushes are [`Keyed`] operations.
+    fn churn_scenario(seed: u64, ops: usize, peek: bool, keyed: bool, seen: &mut Seen) {
         let mut rng = SimRng::seed_from(seed);
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut tokens: Vec<(EventToken, EventToken, Time, bool)> = Vec::new();
+        let mut keys = Keyed::default();
         let mut payload = 0u64;
         let mut restored = 0u64;
+        let mut high_water = 0usize;
         if seed % 2 == 1 {
             let now = Time::from_nanos(rng.below(1 << 30) as u64);
             let seq = rng.below(1 << 20) as u64;
@@ -250,8 +372,15 @@ mod tests {
         }
 
         for _ in 0..ops {
-            assert_eq!(wheel.len(), heap.len(), "len diverged (seed {seed})");
-            assert_eq!(wheel.is_empty(), heap.len() == 0);
+            let pending = heap.len();
+            high_water = high_water.max(pending);
+            assert_eq!(wheel.len(), pending, "len diverged (seed {seed})");
+            assert_eq!(wheel.is_empty(), pending == 0);
+            assert_eq!(
+                wheel.allocated_slots(),
+                high_water,
+                "pending high-water diverged (seed {seed})"
+            );
             match rng.below(10) {
                 // 0-5: push (sometimes cancellable) at a spread-out future time.
                 0..=5 => {
@@ -266,6 +395,13 @@ mod tests {
                     };
                     let at = base + Time::from_nanos(gap);
                     payload += 1;
+                    if keyed && rng.below(4) == 0 {
+                        keys.push(&mut rng, &mut wheel, &mut heap, at, &mut payload, seen);
+                        continue;
+                    }
+                    if keyed {
+                        keys.note(at);
+                    }
                     if rng.below(3) == 0 {
                         let tw = wheel.push_cancellable(at, payload);
                         let th = heap.push_cancellable(at, payload);
@@ -330,6 +466,8 @@ mod tests {
                 }
             }
         }
+        high_water = high_water.max(heap.len());
+        assert_eq!(wheel.allocated_slots(), high_water);
         // Drain both to the end.
         loop {
             let w = wheel.pop();
@@ -344,9 +482,15 @@ mod tests {
         assert!(wheel.events_processed() >= restored);
         assert!(wheel.is_empty());
         assert_eq!(wheel.len(), 0);
+        // Neither a cancel after fire nor a repeated cancel left residue.
+        assert_eq!(
+            wheel.cancel_sets(),
+            (0, 0),
+            "cancellation sets not empty after the drain (seed {seed})"
+        );
     }
 
-    fn assert_every_cancel_kind(seen: &CancelsSeen) {
+    fn assert_every_cancel_kind(seen: &Seen) {
         assert!(
             seen.live > 0 && seen.far > 0 && seen.fired > 0 && seen.repeated > 0,
             "a cancel kind went unexercised: {} live ({} far-future), {} fired, {} repeated",
@@ -359,19 +503,35 @@ mod tests {
 
     #[test]
     fn replays_heap_order_across_seeds() {
-        let mut seen = CancelsSeen::default();
+        let mut seen = Seen::default();
         for seed in 0..20 {
-            churn_scenario(seed, 4_000, false, &mut seen);
+            churn_scenario(seed, 4_000, false, false, &mut seen);
         }
         assert_every_cancel_kind(&seen);
     }
 
     #[test]
     fn replays_heap_order_with_interleaved_peeks() {
-        let mut seen = CancelsSeen::default();
+        let mut seen = Seen::default();
         for seed in 100..110 {
-            churn_scenario(seed, 2_000, true, &mut seen);
+            churn_scenario(seed, 2_000, true, false, &mut seen);
         }
         assert_every_cancel_kind(&seen);
+    }
+
+    #[test]
+    fn replays_heap_order_with_keyed_pushes() {
+        let mut seen = Seen::default();
+        for seed in 200..212 {
+            churn_scenario(seed, 1_000, seed % 4 < 2, true, &mut seen);
+        }
+        assert_every_cancel_kind(&seen);
+        assert!(
+            seen.replayed > 0 && seen.stamped > 0 && seen.bursts > 0,
+            "a keyed kind went unexercised: {} replayed, {} stamped, {} bursts",
+            seen.replayed,
+            seen.stamped,
+            seen.bursts
+        );
     }
 }

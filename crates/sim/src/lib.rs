@@ -47,7 +47,7 @@ mod heap;
 mod rng;
 mod time;
 
-pub use event::{node_size, EventQueue, EventToken};
+pub use event::{entry_size, EventQueue, EventToken};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;
 pub use time::Time;

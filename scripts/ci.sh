@@ -72,17 +72,19 @@ echo "== drillbench's own tests (benchmark/check.sh: unit tests + every workload
 # The release build above already paid for the compile.
 benchmark/check.sh
 
-echo "== optimised-build row (cargo test --release: drill-core, drill-net, engine vs §3.4 oracle, allocations) =="
+echo "== optimised-build row (cargo test --release: drill-core, drill-net, drill-sim, engine vs §3.4 oracle, allocations) =="
 # The build drillbench measures: debug assertions and overflow checks
 # off. RouteTable::set_groups' partition check is a plain assert! and runs
 # here too (drill-net's set_groups_rejects_a_non_partition). Every other
-# test row runs the dev profile, so without this one the control plane is
-# never tested in the build whose speed is claimed. drill-net brings its
-# route-table differential (tests/route_table_differential.rs);
+# test row runs the dev profile, so without this one the control plane and
+# the event queue are never tested in the build whose speed is claimed.
+# drill-net brings its route-table differential
+# (tests/route_table_differential.rs); drill-sim its wheel-vs-heap
+# differential (heap.rs) with the wheel's debug_assert!s off;
 # structural_groups is the whole oracle comparison: paper examples, named
 # fabrics, the failure ladder and the 3 000-fabric sweep, cold and warm;
 # control_plane_allocs pins what building the tables may allocate.
-cargo test -q --release -p drill-core -p drill-net
+cargo test -q --release -p drill-core -p drill-net -p drill-sim
 cargo test -q --release --test structural_groups --test control_plane_allocs
 
 echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
