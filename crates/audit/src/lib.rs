@@ -3,9 +3,9 @@
 //!
 //! Every headline result in this reproduction rests on the simulator
 //! silently upholding invariants — packet conservation, flow progress,
-//! bounded queues, NIC backlog accounting, event-time monotonicity,
-//! bit-stable shard handoffs — that goldens only check after the fact. This crate is the *detection*
-//! half of fault tolerance: the runtime samples a [`BoundarySample`] at
+//! bounded queues, NIC backlog accounting, event-time monotonicity — that
+//! goldens only check after the fact. This crate is the *detection* half
+//! of fault tolerance: the runtime samples a [`BoundarySample`] at
 //! checkpoint/window boundaries and hands it to the [`InvariantAuditor`],
 //! which evaluates cheap incremental watchdogs over the sample. A run
 //! without an auditor attached has no boundaries at all, so it pays only
@@ -59,7 +59,7 @@ pub struct BoundarySample<'a> {
     pub now: Time,
     /// Events processed so far.
     pub events: u64,
-    /// Live packet handles across all arenas.
+    /// Live packet handles in the arena.
     pub arena_live: u64,
     /// Packets accounted for by walking every holder: switch queues
     /// (waiting + in-flight), NIC queues, shim reorder buffers, and
@@ -80,10 +80,6 @@ pub struct BoundarySample<'a> {
     pub nic_backlog_mismatch: Option<(u32, u64, u64)>,
     /// Timestamp of the next pending event, if any.
     pub next_event_time: Option<Time>,
-    /// Cross-shard handoff count so far (0 on the serial engine).
-    pub handoffs: u64,
-    /// FNV fingerprint over all handoffs so far.
-    pub handoff_hash: u64,
     /// Per-flow progress, indexed by flow id.
     pub flows: &'a [FlowProgress],
 }
@@ -94,7 +90,7 @@ pub enum AnomalyKind {
     /// Arena live-count and the holder walk disagree: a packet handle
     /// leaked (live > holders) or was double-freed (live < holders).
     PacketConservation {
-        /// Live handles across all arenas.
+        /// Live handles in the arena.
         live: u64,
         /// Handles found by walking every holder.
         holders: u64,
@@ -137,16 +133,6 @@ pub enum AnomalyKind {
         /// The offending earlier timestamp.
         pending: Time,
     },
-    /// The shard handoff fingerprint changed without any new handoff, or
-    /// the handoff count regressed — the barrier bookkeeping is corrupt.
-    HandoffMismatch {
-        /// Handoff count at the boundary.
-        handoffs: u64,
-        /// Fingerprint at the previous boundary.
-        prev_hash: u64,
-        /// Fingerprint now.
-        hash: u64,
-    },
     /// A snapshot failed checksum or decode — the rewind chain is
     /// damaged.
     CorruptSnapshot {
@@ -166,7 +152,6 @@ impl AnomalyKind {
             AnomalyKind::QueueCeiling { .. } => "queue_ceiling",
             AnomalyKind::NicBacklog { .. } => "nic_backlog",
             AnomalyKind::TimeRegression { .. } => "time_regression",
-            AnomalyKind::HandoffMismatch { .. } => "handoff_mismatch",
             AnomalyKind::CorruptSnapshot { .. } => "corrupt_snapshot",
         }
     }
@@ -238,15 +223,6 @@ impl AnomalyReport {
                 lines.push(format!("now_ns={}", now.as_nanos()));
                 lines.push(format!("pending_ns={}", pending.as_nanos()));
             }
-            AnomalyKind::HandoffMismatch {
-                handoffs,
-                prev_hash,
-                hash,
-            } => {
-                lines.push(format!("handoffs={handoffs}"));
-                lines.push(format!("prev_hash={prev_hash:#018x}"));
-                lines.push(format!("hash={hash:#018x}"));
-            }
             AnomalyKind::CorruptSnapshot { detail } => {
                 lines.push(format!("detail={detail}"));
             }
@@ -288,14 +264,6 @@ impl fmt::Display for AnomalyReport {
                 pending.as_nanos(),
                 now.as_nanos()
             ),
-            AnomalyKind::HandoffMismatch {
-                handoffs,
-                prev_hash,
-                hash,
-            } => write!(
-                f,
-                ": hash {prev_hash:#x} -> {hash:#x} with handoffs stuck at {handoffs}"
-            ),
             AnomalyKind::CorruptSnapshot { detail } => write!(f, ": {detail}"),
         }
     }
@@ -324,8 +292,6 @@ pub struct InvariantAuditor {
     max_reports: usize,
     reports: Vec<AnomalyReport>,
     prev_now: Time,
-    prev_handoffs: u64,
-    prev_hash: u64,
     flows: Vec<FlowWatch>,
 }
 
@@ -338,8 +304,6 @@ impl InvariantAuditor {
             max_reports: max_reports.max(1),
             reports: Vec::new(),
             prev_now: Time::ZERO,
-            prev_handoffs: 0,
-            prev_hash: 0,
             flows: Vec::new(),
         }
     }
@@ -430,23 +394,6 @@ impl InvariantAuditor {
             );
         }
 
-        // Handoff fingerprint cross-check: the FNV hash folds once per
-        // handoff, so it must be frozen whenever the count is, and the
-        // count never regresses.
-        if s.handoffs < self.prev_handoffs
-            || (s.handoffs == self.prev_handoffs && s.handoff_hash != self.prev_hash)
-        {
-            self.trip(
-                AnomalyKind::HandoffMismatch {
-                    handoffs: s.handoffs,
-                    prev_hash: self.prev_hash,
-                    hash: s.handoff_hash,
-                },
-                s.now,
-                s.events,
-            );
-        }
-
         // Stuck flows: a started, uncompleted flow must acknowledge a new
         // byte at least every `stuck_after`.
         for f in s.flows {
@@ -484,8 +431,6 @@ impl InvariantAuditor {
         }
 
         self.prev_now = s.now;
-        self.prev_handoffs = s.handoffs;
-        self.prev_hash = s.handoff_hash;
     }
 
     /// The anomalies recorded so far (chronological).
@@ -599,8 +544,6 @@ mod tests {
             queue_limit_bytes: 1000,
             nic_backlog_mismatch: None,
             next_event_time: None,
-            handoffs: 0,
-            handoff_hash: 0,
             flows,
         }
     }
@@ -698,29 +641,6 @@ mod tests {
             .reports()
             .iter()
             .any(|r| matches!(r.kind, AnomalyKind::TimeRegression { .. })));
-    }
-
-    #[test]
-    fn handoff_hash_must_freeze_with_count() {
-        let mut a = InvariantAuditor::new(Time::from_millis(500), 8);
-        let mut s = sample(&[]);
-        s.handoffs = 4;
-        s.handoff_hash = 0xabc;
-        a.on_boundary(&s);
-        // Count advances: the hash may change freely.
-        s.handoffs = 5;
-        s.handoff_hash = 0xdef;
-        s.now = Time::from_millis(2);
-        a.on_boundary(&s);
-        assert!(!a.tripped());
-        // Count frozen but the hash moved: corrupt bookkeeping.
-        s.handoff_hash = 0x123;
-        s.now = Time::from_millis(3);
-        a.on_boundary(&s);
-        assert!(matches!(
-            a.reports()[0].kind,
-            AnomalyKind::HandoffMismatch { handoffs: 5, .. }
-        ));
     }
 
     #[test]

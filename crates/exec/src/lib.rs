@@ -51,58 +51,6 @@ pub fn threads_from_env() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref(), default)
 }
 
-/// Environment variable selecting the intra-run shard count (the sharded
-/// world engine; see drill-runtime). Like `DRILL_THREADS` it may change
-/// wall clock, never results.
-pub const SHARDS_ENV: &str = "DRILL_SHARDS";
-
-/// Parse a `DRILL_SHARDS`-style value. `None`, empty, unparsable, or zero
-/// mean "unset" — the caller picks its own default (an explicit config
-/// knob wins over the environment, which wins over serial).
-pub fn parse_shards(val: Option<&str>) -> Option<usize> {
-    match val.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) if n > 0 => Some(n),
-        _ => None,
-    }
-}
-
-/// The shard count selected by `DRILL_SHARDS`, if set.
-pub fn shards_from_env() -> Option<usize> {
-    parse_shards(std::env::var(SHARDS_ENV).ok().as_deref())
-}
-
-thread_local! {
-    /// Intra-run worker budget pinned on this thread by the enclosing
-    /// [`Executor::map`] (or [`with_inner_budget`]); `None` outside one.
-    static INNER_BUDGET: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// Run `f` with the intra-run worker budget pinned to `n` (clamped to at
-/// least 1) on the current thread, restoring the previous pin afterwards.
-///
-/// This is how one `DRILL_THREADS` budget composes across nesting levels:
-/// an outer parallel map pins each worker's share before running the
-/// per-item closure, and inner machinery (the sharded engine's barrier
-/// drains) sizes itself with [`inner_budget`] instead of re-reading the
-/// environment — so `points × shards` never oversubscribes the budget.
-pub fn with_inner_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    INNER_BUDGET.with(|b| {
-        let prev = b.replace(Some(n.max(1)));
-        let r = f();
-        b.set(prev);
-        r
-    })
-}
-
-/// The intra-run worker budget for the current thread: the share pinned
-/// by the enclosing outer map, or the whole `DRILL_THREADS` budget when
-/// no outer parallelism is active.
-pub fn inner_budget() -> usize {
-    INNER_BUDGET
-        .with(|b| b.get())
-        .unwrap_or_else(threads_from_env)
-}
-
 /// A chunked work queue over the index range `0..len`.
 ///
 /// Workers call [`claim`](ChunkQueue::claim) in a loop; each call hands out
@@ -184,10 +132,7 @@ impl Executor {
     {
         let workers = self.threads.min(items.len());
         if workers <= 1 {
-            // Inline: the whole budget stays available to inner machinery.
-            return with_inner_budget(self.threads, || {
-                items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-            });
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
         // Simulation points are heavy (milliseconds to minutes each), so
         // bias toward fine-grained claims: chunks larger than 1 only when
@@ -195,20 +140,15 @@ impl Executor {
         let chunk = (items.len() / (workers * 8)).max(1);
         let queue = ChunkQueue::new(items.len(), chunk);
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        // Each worker gets an equal share of the thread budget for any
-        // nested parallelism (see [`with_inner_budget`]).
-        let share = (self.threads / workers).max(1);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    with_inner_budget(share, || {
-                        while let Some(range) = queue.claim() {
-                            for i in range {
-                                let r = f(i, &items[i]);
-                                *slots[i].lock().expect("result slot poisoned") = Some(r);
-                            }
+                    while let Some(range) = queue.claim() {
+                        for i in range {
+                            let r = f(i, &items[i]);
+                            *slots[i].lock().expect("result slot poisoned") = Some(r);
                         }
-                    })
+                    }
                 });
             }
         });
@@ -311,39 +251,5 @@ mod tests {
     fn executor_clamps_to_one_thread() {
         assert_eq!(Executor::new(0).threads(), 1);
         assert_eq!(Executor::serial().threads(), 1);
-    }
-
-    #[test]
-    fn parse_shards_unset_means_none() {
-        assert_eq!(parse_shards(None), None);
-        assert_eq!(parse_shards(Some("")), None);
-        assert_eq!(parse_shards(Some("abc")), None);
-        assert_eq!(parse_shards(Some("0")), None);
-        assert_eq!(parse_shards(Some("2")), Some(2));
-        assert_eq!(parse_shards(Some(" 8 ")), Some(8));
-    }
-
-    #[test]
-    fn inner_budget_nests_and_restores() {
-        let outer = inner_budget();
-        assert!(outer >= 1);
-        with_inner_budget(3, || {
-            assert_eq!(inner_budget(), 3);
-            with_inner_budget(0, || assert_eq!(inner_budget(), 1, "clamped"));
-            assert_eq!(inner_budget(), 3, "restored after nesting");
-        });
-        assert_eq!(inner_budget(), outer);
-    }
-
-    #[test]
-    fn map_splits_the_budget_across_workers() {
-        // 4 threads over 2 items: two workers, each pinned to 2 inner
-        // threads. Inline path: the single caller keeps all 4.
-        let shares = Executor::new(4).map(&[(), ()], |_, _| inner_budget());
-        assert_eq!(shares, vec![2, 2]);
-        let inline = Executor::new(4).map(&[()], |_, _| inner_budget());
-        assert_eq!(inline, vec![4]);
-        let serial = Executor::serial().map(&[(), ()], |_, _| inner_budget());
-        assert_eq!(serial, vec![1, 1]);
     }
 }

@@ -113,22 +113,6 @@ impl FaultKind {
     pub fn changes_reachability(&self) -> bool {
         !matches!(self, FaultKind::SetLoss { .. } | FaultKind::Degrade { .. })
     }
-
-    /// The switches a fault physically touches: both link endpoints, or
-    /// just the crashing/recovering switch. The first entry is the
-    /// fault's *primary* switch — sharded runs attribute the strike to
-    /// its owning shard (a link fault's `a` endpoint, by convention).
-    pub fn involved_switches(&self) -> [Option<u32>; 2] {
-        match *self {
-            FaultKind::LinkDown { a, b }
-            | FaultKind::LinkUp { a, b }
-            | FaultKind::Degrade { a, b, .. }
-            | FaultKind::SetLoss { a, b, .. } => [Some(a), Some(b)],
-            FaultKind::SwitchDown { switch } | FaultKind::SwitchUp { switch } => {
-                [Some(switch), None]
-            }
-        }
-    }
 }
 
 /// One scheduled fault: a kind and the instant it strikes.
@@ -785,25 +769,5 @@ mod tests {
             inj.apply(&mut t, FaultKind::LinkDown { a, b });
             assert!(route_shape(&t) != before, "{name}: LinkDown went unseen");
         }
-    }
-
-    #[test]
-    fn involved_switches_cover_every_kind() {
-        assert_eq!(
-            FaultKind::LinkDown { a: 3, b: 7 }.involved_switches(),
-            [Some(3), Some(7)]
-        );
-        assert_eq!(
-            FaultKind::SetLoss { a: 1, b: 2, ppm: 9 }.involved_switches(),
-            [Some(1), Some(2)]
-        );
-        assert_eq!(
-            FaultKind::SwitchDown { switch: 5 }.involved_switches(),
-            [Some(5), None]
-        );
-        assert_eq!(
-            FaultKind::SwitchUp { switch: 5 }.involved_switches(),
-            [Some(5), None]
-        );
     }
 }

@@ -33,7 +33,6 @@ mod ids;
 mod lbapi;
 mod packet;
 mod routing;
-mod shard;
 pub mod snapio;
 mod switch;
 mod topology;
@@ -50,7 +49,6 @@ pub use lbapi::{
 };
 pub use packet::{flags, BufPool, CongaTag, Packet, PacketBufPool, ACK_WIRE_BYTES, HEADER_BYTES};
 pub use routing::{RouteTable, UNREACHABLE};
-pub use shard::ShardPlan;
 pub use switch::{PortQueues, PortStats, Switch, SwitchConfig};
 pub use topology::{HopClass, Link, SwitchKind, Topology};
 

@@ -100,9 +100,8 @@ pub fn get_packet(d: &mut Decoder<'_>) -> io::Result<Packet> {
     })
 }
 
-/// Append one [`NetEvent`]. Packet handles are encoded against `arena` —
-/// the arena owning the event's packet (the destination shard's arena in a
-/// sharded run).
+/// Append one [`NetEvent`]. Packet handles are encoded against `arena`,
+/// the run's packet arena.
 pub fn put_net_event(buf: &mut Vec<u8>, arena: &PacketArena, ev: &NetEvent) {
     match ev {
         NetEvent::ArriveSwitch {

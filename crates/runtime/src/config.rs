@@ -164,28 +164,14 @@ impl Default for TelemetrySpec {
     }
 }
 
-/// Sharded-execution knobs (see `drill_net::ShardPlan` and DESIGN.md
-/// §11). Attaching a spec splits the fabric into per-shard event wheels
-/// and packet arenas advanced in conservative lookahead windows; results
-/// stay bit-identical at every shard count. An explicit spec takes
-/// precedence over the `DRILL_SHARDS` environment variable.
+/// Inert, holds nothing: only the frozen `benchmark/` names it (gone at
+/// its next re-base).
 #[derive(Clone, Debug)]
-pub struct ShardSpec {
-    /// Requested shard count for the automatic partitioner (clamped to
-    /// `1 + num_leaves`; `1` keeps the serial engine).
-    pub count: usize,
-    /// Manual override: explicit per-switch shard assignment (validated
-    /// by `ShardPlan::manual`; `count` is ignored when set).
-    pub switch_map: Option<Vec<u32>>,
-}
-
+pub struct ShardSpec;
 impl ShardSpec {
-    /// Automatic partition into `count` shards.
-    pub fn count(count: usize) -> ShardSpec {
-        ShardSpec {
-            count,
-            switch_map: None,
-        }
+    /// Inert: the count is ignored.
+    pub fn count(_: usize) -> ShardSpec {
+        ShardSpec
     }
 }
 
@@ -250,8 +236,7 @@ pub struct ExperimentConfig {
     /// point through [`SweepSpec::configure`](crate::SweepSpec::configure),
     /// e.g. setting a distinct `trace_path` per grid cell.
     pub telemetry: Option<TelemetrySpec>,
-    /// Sharded execution (off by default = serial engine). `None` defers
-    /// to the `DRILL_SHARDS` environment variable.
+    /// Inert: `World` reads nothing from it (see [`ShardSpec`]).
     pub shards: Option<ShardSpec>,
     /// Write `DRILLSNAP` state snapshots while the run executes (off by
     /// default). Crash recovery resumes from the latest file via

@@ -21,7 +21,7 @@
 //!   steer, so every metric is bit-identical with telemetry on or off.
 //! * [`run_audited`] — the same run with the `drill-audit`
 //!   invariant watchdogs (packet conservation, stuck flows, queue
-//!   ceilings, time monotonicity, handoff fingerprints) evaluated at
+//!   ceilings, NIC backlog accounting, time monotonicity) evaluated at
 //!   event-count boundaries; audits observe but never steer, and a trip
 //!   dumps the snapshot ring for `tracedump --replay-from`.
 
@@ -29,7 +29,6 @@
 
 mod config;
 mod scheme;
-mod shards;
 mod stats;
 mod sweep;
 mod world;

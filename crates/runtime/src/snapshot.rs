@@ -1,14 +1,14 @@
 //! `DRILLSNAP` capture and restore of a [`World`] mid-flight.
 //!
 //! A snapshot records the *dynamic* state only: pending events (as a flat
-//! `(time, seq)`-sorted list — where an event waits is engine topology,
-//! not simulation state), per-shard packet arenas, switch/NIC/policy
-//! state (a NIC's unsent raw-flow trains included), TCP flows and shims,
-//! RNG streams, workload cursors and raw-flow counters, and the in-run
-//! statistics scalars. Everything structural — the topology,
-//! routes, bound traffic patterns, shard plan — is rebuilt from the
-//! restore config, with the applied fault prefix replayed on top so the
-//! link/route state lands exactly where the saved run left it.
+//! `(time, seq)`-sorted list — where an event waits inside the wheel is
+//! not simulation state), the packet arena, switch/NIC/policy state (a
+//! NIC's unsent raw-flow trains included), TCP flows and shims, RNG
+//! streams, workload cursors and raw-flow counters, and the in-run
+//! statistics scalars. Everything structural — the topology, routes,
+//! bound traffic patterns — is rebuilt from the restore config, with the
+//! applied fault prefix replayed on top so the link/route state lands
+//! exactly where the saved run left it.
 //!
 //! Restore accepts a *different* fault timeline than the one saved, as
 //! long as it agrees on the already-struck prefix: not-yet-struck entries
@@ -21,7 +21,7 @@ use std::io;
 
 use drill_faults::FaultKind;
 use drill_net::snapio::{get_net_event, put_net_event};
-use drill_net::{HostId, NetEvent, PacketArena, RouteTable, ShardPlan, SwitchId};
+use drill_net::{HostId, PacketArena, RouteTable, SwitchId};
 use drill_sim::codec::{
     invalid, put_f64, put_u64, put_varint, CodecError, CodecErrorKind, Decoder,
 };
@@ -154,18 +154,6 @@ fn get_fault_kind(d: &mut Decoder<'_>) -> io::Result<FaultKind> {
     })
 }
 
-/// Shard owning a network event's destination component.
-fn net_dst(plan: &ShardPlan, ev: &NetEvent) -> u32 {
-    match ev {
-        NetEvent::ArriveSwitch { switch, .. }
-        | NetEvent::SwitchTxDone { switch, .. }
-        | NetEvent::EnqueueCommit { switch, .. } => plan.switch_shard[switch.index()],
-        NetEvent::ArriveHost { host, .. } | NetEvent::HostTxDone { host } => {
-            plan.host_shard[host.index()]
-        }
-    }
-}
-
 /// The required section `tag`, as a decoder labeled with the tag so any
 /// decode error carries (section, byte offset).
 fn section<'a>(snap: &'a Snapshot, tag: u8) -> io::Result<Decoder<'a>> {
@@ -206,7 +194,6 @@ impl<P: Probe> World<P> {
 
         // META: engine identity + clock.
         let mut buf = Vec::new();
-        put_varint(&mut buf, self.plan.num_shards as u64);
         put_varint(&mut buf, self.switches.len() as u64);
         put_varint(&mut buf, self.nics.len() as u64);
         put_varint(&mut buf, self.cfg.engines as u64);
@@ -215,30 +202,24 @@ impl<P: Probe> World<P> {
         put_varint(&mut buf, self.queue.events_processed());
         b.section(SEC_META, buf);
 
-        // ARENAS: wholesale slot + free-list state (slim layout; the fat
-        // layout records live counts and reconstructs from inline packets).
+        // ARENAS: wholesale slot + free-list state.
         let mut buf = Vec::new();
-        put_varint(&mut buf, self.arenas.len() as u64);
-        for a in &self.arenas {
-            a.save_state(&mut buf);
-        }
+        self.arena.save_state(&mut buf);
         b.section(SEC_ARENAS, buf);
 
         // SWITCHES: queues, in-flight heads, counters, policy state.
         let mut buf = Vec::new();
         put_varint(&mut buf, self.switches.len() as u64);
-        for (i, sw) in self.switches.iter().enumerate() {
-            let k = self.plan.switch_shard[i] as usize;
-            sw.save_state(&self.arenas[k], &mut buf);
+        for sw in &self.switches {
+            sw.save_state(&self.arena, &mut buf);
         }
         b.section(SEC_SWITCHES, buf);
 
         // NICS.
         let mut buf = Vec::new();
         put_varint(&mut buf, self.nics.len() as u64);
-        for (h, nic) in self.nics.iter().enumerate() {
-            let k = self.plan.host_shard[h] as usize;
-            nic.save_state(&self.arenas[k], &mut buf);
+        for nic in &self.nics {
+            nic.save_state(&self.arena, &mut buf);
         }
         b.section(SEC_NICS, buf);
 
@@ -267,8 +248,7 @@ impl<P: Probe> World<P> {
             match &self.shims[i] {
                 Some(shim) => {
                     put_bool(&mut buf, true);
-                    let k = self.plan.host_shard[f.dst.index()] as usize;
-                    shim.save_state(&self.arenas[k], &mut buf);
+                    shim.save_state(&self.arena, &mut buf);
                 }
                 None => put_bool(&mut buf, false),
             }
@@ -364,8 +344,7 @@ impl<P: Probe> World<P> {
         b.section(SEC_STATS, buf);
 
         // EVENTS: every pending event except fault strikes, as a flat
-        // `(time, seq)`-sorted list. Net events carry the owning shard so
-        // their packet refs decode against the right arena.
+        // `(time, seq)`-sorted list.
         let mut entries: Vec<(u64, u64, Vec<u8>)> = Vec::new();
         self.queue.for_each_pending(|t, seq, &ev| {
             let mut body = Vec::new();
@@ -373,9 +352,7 @@ impl<P: Probe> World<P> {
                 Event::Fault { .. } => return,
                 Event::Net(ne) => {
                     body.push(EV_NET);
-                    let dst = net_dst(&self.plan, &ne);
-                    put_varint(&mut body, dst as u64);
-                    put_net_event(&mut body, &self.arenas[dst as usize], &ne);
+                    put_net_event(&mut body, &self.arena, &ne);
                 }
                 Event::FlowArrival => body.push(EV_FLOW_ARRIVAL),
                 Event::IncastEpoch => body.push(EV_INCAST_EPOCH),
@@ -414,10 +391,10 @@ impl<P: Probe> World<P> {
 impl World<NoopProbe> {
     /// Rebuild a runnable world from `snap`, structurally reconstructed
     /// from `cfg`. The config must describe the same experiment shape
-    /// (topology, scheme, engine count, shard count) and agree with the
-    /// snapshot on the already-struck fault prefix; its not-yet-struck
-    /// fault suffix may diverge freely (warm-started forks). Any mismatch
-    /// or corruption surfaces as an error, never as a silently wrong
+    /// (topology, scheme, engine count) and agree with the snapshot on
+    /// the already-struck fault prefix; its not-yet-struck fault suffix
+    /// may diverge freely (warm-started forks). Any mismatch or
+    /// corruption surfaces as an error, never as a silently wrong
     /// simulation.
     pub fn restore(snap: &Snapshot, cfg: &ExperimentConfig) -> io::Result<World<NoopProbe>> {
         World::restore_probed(snap, cfg, NoopProbe)
@@ -438,9 +415,6 @@ impl<P: Probe> World<P> {
 
         // META: engine identity must match the rebuilt world.
         let mut d = section(snap, SEC_META)?;
-        if d.varint()? != w.plan.num_shards as u64 {
-            return Err(invalid("snapshot shard count differs from config"));
-        }
         if d.varint()? != w.switches.len() as u64 {
             return Err(invalid("snapshot switch count differs from config"));
         }
@@ -538,24 +512,16 @@ impl<P: Probe> World<P> {
 
         // ARENAS.
         let mut d = section(snap, SEC_ARENAS)?;
-        if d.varint()? != w.plan.num_shards as u64 {
-            return Err(invalid("arena count differs from shard plan"));
-        }
-        let mut arenas = Vec::new();
-        for _ in 0..w.plan.num_shards {
-            arenas.push(PacketArena::load_state(&mut d)?);
-        }
+        w.arena = PacketArena::load_state(&mut d)?;
         done(&d)?;
-        w.arenas = arenas;
 
         // SWITCHES.
         let mut d = section(snap, SEC_SWITCHES)?;
         if d.varint()? != w.switches.len() as u64 {
             return Err(invalid("switch count mismatch"));
         }
-        for i in 0..w.switches.len() {
-            let k = w.plan.switch_shard[i] as usize;
-            w.switches[i].load_state(&w.arenas[k], &mut d)?;
+        for sw in w.switches.iter_mut() {
+            sw.load_state(&w.arena, &mut d)?;
         }
         done(&d)?;
 
@@ -564,9 +530,8 @@ impl<P: Probe> World<P> {
         if d.varint()? != w.nics.len() as u64 {
             return Err(invalid("host count mismatch"));
         }
-        for h in 0..w.nics.len() {
-            let k = w.plan.host_shard[h] as usize;
-            w.nics[h].load_state(&w.arenas[k], &mut d)?;
+        for nic in w.nics.iter_mut() {
+            nic.load_state(&w.arena, &mut d)?;
         }
         done(&d)?;
 
@@ -599,8 +564,7 @@ impl<P: Probe> World<P> {
                 }
                 let (threshold, timeout) = w.cfg.scheme.shim_params();
                 let mut s = ShimBuffer::with_threshold(timeout, threshold);
-                let k = w.plan.host_shard[f.dst.index()] as usize;
-                s.load_state(&w.arenas[k], &mut d)?;
+                s.load_state(&w.arena, &mut d)?;
                 Some(s)
             } else {
                 None
@@ -693,32 +657,19 @@ impl<P: Probe> World<P> {
             }
             match d.u8()? {
                 EV_NET => {
-                    let dst = d.varint_u32()?;
-                    if dst >= w.plan.num_shards {
-                        return Err(invalid("net event names a shard outside the plan"));
-                    }
-                    let ne = get_net_event(&mut d, &w.arenas[dst as usize])?;
-                    if net_dst(&w.plan, &ne) != dst {
-                        return Err(invalid("net event owner disagrees with shard plan"));
-                    }
-                    w.queue.restore_net(at, seq, dst, Event::Net(ne).into());
+                    let ne = get_net_event(&mut d, &w.arena)?;
+                    w.queue.push_stamped(at, seq, Event::Net(ne).into());
                 }
-                EV_FLOW_ARRIVAL => w
-                    .queue
-                    .push_control_stamped(at, seq, Event::FlowArrival.into()),
-                EV_INCAST_EPOCH => w
-                    .queue
-                    .push_control_stamped(at, seq, Event::IncastEpoch.into()),
-                EV_MICE_TICK => w
-                    .queue
-                    .push_control_stamped(at, seq, Event::MiceTick.into()),
+                EV_FLOW_ARRIVAL => w.queue.push_stamped(at, seq, Event::FlowArrival.into()),
+                EV_INCAST_EPOCH => w.queue.push_stamped(at, seq, Event::IncastEpoch.into()),
+                EV_MICE_TICK => w.queue.push_stamped(at, seq, Event::MiceTick.into()),
                 EV_TCP_TIMER => {
                     let flow = d.varint_u32()?;
                     if flow as usize >= w.flows.len() {
                         return Err(invalid("timer names an unknown flow"));
                     }
                     w.queue
-                        .push_control_stamped(at, seq, Event::TcpTimer { flow }.into());
+                        .push_stamped(at, seq, Event::TcpTimer { flow }.into());
                 }
                 EV_SHIM_TIMER => {
                     let flow = d.varint_u32()?;
@@ -727,16 +678,13 @@ impl<P: Probe> World<P> {
                         return Err(invalid("timer names an unknown flow"));
                     }
                     w.queue
-                        .push_control_stamped(at, seq, Event::ShimTimer { flow, gen }.into());
+                        .push_stamped(at, seq, Event::ShimTimer { flow, gen }.into());
                 }
-                EV_SAMPLE_QUEUES => {
-                    w.queue
-                        .push_control_stamped(at, seq, Event::SampleQueues.into())
-                }
+                EV_SAMPLE_QUEUES => w.queue.push_stamped(at, seq, Event::SampleQueues.into()),
                 EV_RECONVERGE => {
                     let gen = d.varint()?;
                     w.queue
-                        .push_control_stamped(at, seq, Event::Reconverge { gen }.into());
+                        .push_stamped(at, seq, Event::Reconverge { gen }.into());
                 }
                 _ => return Err(invalid("unknown pending event tag")),
             }
@@ -751,7 +699,7 @@ impl<P: Probe> World<P> {
                 return Err(invalid("not-yet-struck fault precedes the restored clock"));
             }
             if at <= deadline {
-                w.queue.push_control_stamped(
+                w.queue.push_stamped(
                     at,
                     FAULT_SEQ_BASE + idx as u64,
                     Event::Fault { idx: idx as u32 }.into(),

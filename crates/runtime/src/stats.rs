@@ -141,7 +141,7 @@ pub struct RunStats {
     /// Final simulated time.
     pub sim_end: Time,
     /// Packets a NIC had accepted that were neither delivered nor dropped
-    /// when the run ended: those interned in an arena plus
+    /// when the run ended: those interned in the arena plus
     /// [`nic_pending_at_end`](RunStats::nic_pending_at_end). Zero for
     /// fully drained runs; the golden suite asserts this as a leak check.
     pub arena_live_at_end: u64,
@@ -149,17 +149,9 @@ pub struct RunStats {
     /// segments still waiting in NIC trains (`HostNic::pending_pkts`).
     /// In no fingerprint — `arena_live_at_end` already covers it.
     pub nic_pending_at_end: u64,
-    /// Cross-shard packet handoffs exchanged at window barriers (zero on
-    /// the serial engine). Deliberately *not* part of the determinism
-    /// fingerprint: it varies with the shard count while every simulated
-    /// metric stays bit-identical.
+    /// Always 0: only the frozen `benchmark/` reads it (gone at its next re-base).
     pub shard_handoffs: u64,
-    /// FNV-1a fingerprint of the barrier drain order `(src, dst, time,
-    /// seq)` — the mailbox-ordering golden asserts it is a pure function
-    /// of the event stream. `0` on the serial engine.
-    pub shard_handoff_hash: u64,
-    /// Lookahead windows the sharded engine advanced through (zero on
-    /// the serial engine).
+    /// Always 0, like `shard_handoffs`.
     pub shard_windows: u64,
     /// Invariant-watchdog anomaly reports recorded by an attached
     /// auditor (always zero without one). Deliberately *not* part of
@@ -167,17 +159,16 @@ pub struct RunStats {
     /// pin simulated behavior.
     pub anomalies: u64,
     /// High-water mark of concurrently pending events: the most entries
-    /// each timing wheel held at once, summed over the engine's wheels
-    /// (32 B each for the runtime's payload; the wheel's pages add at
-    /// most one part-filled page per occupied slot on top).
-    /// Host-side memory accounting like `shard_handoffs` — it depends on
-    /// the engine shape and restarts at a snapshot restore, so it is in
-    /// no fingerprint and no snapshot. [`merge`](RunStats::merge) keeps
-    /// the maximum (the runs did not share a wheel).
+    /// the timing wheel held at once (32 B each for the runtime's
+    /// payload; the wheel's pages add at most one part-filled page per
+    /// occupied slot on top). Host-side memory accounting — it restarts
+    /// at a snapshot restore, so it is in no fingerprint and no snapshot.
+    /// [`merge`](RunStats::merge) keeps the maximum (the runs did not
+    /// share a wheel).
     pub wheel_slots_hw: u64,
     /// High-water mark of concurrently interned packets: packet-arena
-    /// slots ever allocated, summed over the shard arenas. Host-side,
-    /// like [`wheel_slots_hw`](RunStats::wheel_slots_hw).
+    /// slots ever allocated. Host-side, like
+    /// [`wheel_slots_hw`](RunStats::wheel_slots_hw).
     pub arena_slots_hw: u64,
 }
 
@@ -215,7 +206,6 @@ impl RunStats {
             arena_live_at_end: 0,
             nic_pending_at_end: 0,
             shard_handoffs: 0,
-            shard_handoff_hash: 0,
             shard_windows: 0,
             anomalies: 0,
             wheel_slots_hw: 0,
@@ -257,8 +247,8 @@ impl RunStats {
         }
     }
 
-    /// Fold another run's measurements into this one (cross-seed or
-    /// cross-shard aggregation).
+    /// Fold another run's measurements into this one (cross-seed
+    /// aggregation).
     ///
     /// Distributions merge through [`drill_stats::Distribution::merge`]:
     /// at figure scale both stores are still exact and concatenate, so
@@ -308,11 +298,6 @@ impl RunStats {
         self.sim_end = self.sim_end.max(other.sim_end);
         self.arena_live_at_end += other.arena_live_at_end;
         self.nic_pending_at_end += other.nic_pending_at_end;
-        self.shard_handoffs += other.shard_handoffs;
-        self.shard_handoff_hash = self
-            .shard_handoff_hash
-            .wrapping_add(other.shard_handoff_hash);
-        self.shard_windows += other.shard_windows;
         self.anomalies += other.anomalies;
         self.wheel_slots_hw = self.wheel_slots_hw.max(other.wheel_slots_hw);
         self.arena_slots_hw = self.arena_slots_hw.max(other.arena_slots_hw);

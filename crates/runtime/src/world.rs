@@ -5,17 +5,15 @@ use drill_core::SymmetryEngine;
 use drill_faults::{FaultInjector, FaultKind, SabotageKind, SabotageSpec};
 use drill_net::{
     BufPool, EventSink, HopClass, HostId, HostNic, HostPolicy, NetEvent, Packet, PacketArena,
-    PacketBufPool, PacketRef, RouteTable, ShardPlan, Switch, SwitchConfig, SwitchId, Topology,
-    Train,
+    PacketBufPool, PacketRef, RouteTable, Switch, SwitchConfig, SwitchId, Topology, Train,
 };
-use drill_sim::{SimRng, Time};
+use drill_sim::{EventQueue, SimRng, Time};
 use drill_stats::stdev_of;
 use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe, QueueSampler};
 use drill_transport::{ShimBuffer, TcpFlow};
 use drill_workload::{aggregate_flow_rate, ArrivalProcess, FlowSpec, TrafficPattern, WorkloadGen};
 
 use crate::config::{CheckpointPolicy, CheckpointSpec, ExperimentConfig};
-use crate::shards::EngineQueue;
 use crate::stats::{hop_index, RunStats};
 use crate::Scheme;
 
@@ -240,10 +238,7 @@ pub struct World<P: Probe = NoopProbe> {
     /// Raw elephants (always measured): each is owed a zero
     /// `elephant_gbps` sample. No figure or workload makes one.
     raw_elephants: u64,
-    queue: EngineQueue<Packed>,
-    /// The fabric partition driving event ownership and arena residency;
-    /// the trivial single-shard plan on the serial engine.
-    plan: ShardPlan,
+    queue: EventQueue<Packed>,
     rng_net: SimRng,
     rng_wl: SimRng,
     pkt_ids: u64,
@@ -252,11 +247,8 @@ pub struct World<P: Probe = NoopProbe> {
     synth_pattern: Option<TrafficPattern>,
     net_buf: EventSink,
     /// Every in-flight packet, interned between host send and final
-    /// delivery/drop; events and queues carry [`PacketRef`] handles. One
-    /// arena per shard (a single arena on the serial engine): a packet
-    /// lives in the arena of the shard currently handling it and is
-    /// re-interned at the boundary when a wire hop crosses shards.
-    arenas: Vec<PacketArena>,
+    /// delivery/drop; events and queues carry [`PacketRef`] handles.
+    arena: PacketArena,
     /// Recycled `Vec<Packet>` buffers for TCP/ACK emission batches.
     pkt_pool: PacketBufPool,
     /// Recycled `Vec<PacketRef>` buffers for shim release batches.
@@ -605,24 +597,6 @@ impl<P: Probe> World<P> {
         }
         faults.sort_by_key(|&(at, _, _)| at);
 
-        // Sharded execution: an explicit config spec wins, else the
-        // DRILL_SHARDS environment variable, else serial. The plan is
-        // computed on the (possibly pre-failed) topology; downed links
-        // still count toward the lookahead bound, so the window length is
-        // identical whether failures apply at build time or mid-run.
-        let plan = match &cfg.shards {
-            Some(spec) => match &spec.switch_map {
-                Some(map) => ShardPlan::manual(&topo, map.clone()),
-                None => ShardPlan::auto(&topo, spec.count),
-            },
-            None => ShardPlan::auto(&topo, drill_exec::shards_from_env().unwrap_or(1)),
-        };
-        let queue = if plan.num_shards > 1 {
-            EngineQueue::sharded(&plan)
-        } else {
-            EngineQueue::serial()
-        };
-        let arenas = (0..plan.num_shards).map(|_| PacketArena::new()).collect();
         // Audit plumbing: the auditor, boundary cadence, ring and
         // sabotage exist only on audited runs.
         let (audit, audit_every, audit_ring, sabotage) =
@@ -660,8 +634,7 @@ impl<P: Probe> World<P> {
             raw_flows: 0,
             raw_measured: 0,
             raw_elephants: 0,
-            queue,
-            plan,
+            queue: EventQueue::new(),
             rng_net,
             rng_wl,
             pkt_ids: 0,
@@ -669,7 +642,7 @@ impl<P: Probe> World<P> {
             pending_flow: None,
             synth_pattern,
             net_buf: Vec::new(),
-            arenas,
+            arena: PacketArena::new(),
             pkt_pool: PacketBufPool::new(),
             ref_pool: BufPool::new(),
             lens_scratch: Vec::new(),
@@ -704,11 +677,11 @@ impl<P: Probe> World<P> {
         if let Some(g) = self.gen.as_mut() {
             let spec = g.next_flow(&mut self.rng_wl);
             self.queue
-                .push_control(Time::ZERO + spec.gap, Event::FlowArrival.into());
+                .push(Time::ZERO + spec.gap, Event::FlowArrival.into());
             self.pending_flow = Some(spec);
         }
         if let Some(incast) = &self.cfg.workload.incast {
-            self.queue.push_control(
+            self.queue.push(
                 self.cfg.warmup + incast.epoch_gap,
                 Event::IncastEpoch.into(),
             );
@@ -729,12 +702,10 @@ impl<P: Probe> World<P> {
                     Time::ZERO,
                 );
             }
-            self.queue
-                .push_control(synth.mice_period, Event::MiceTick.into());
+            self.queue.push(synth.mice_period, Event::MiceTick.into());
         }
         if self.cfg.sample_queues {
-            self.queue
-                .push_control(SAMPLE_PERIOD, Event::SampleQueues.into());
+            self.queue.push(SAMPLE_PERIOD, Event::SampleQueues.into());
         }
         for &(src, dst, bytes) in &self.cfg.static_flows.clone() {
             self.start_flow(src, dst, bytes, FlowClass::Elephant, Time::ZERO);
@@ -753,7 +724,7 @@ impl<P: Probe> World<P> {
         let deadline = self.cfg.duration + self.cfg.drain;
         for (idx, &(at, _, _)) in self.faults.iter().enumerate() {
             if at <= deadline {
-                self.queue.push_control_stamped(
+                self.queue.push_stamped(
                     at,
                     FAULT_SEQ_BASE + idx as u64,
                     Event::Fault { idx: idx as u32 }.into(),
@@ -831,7 +802,7 @@ impl<P: Probe> World<P> {
                         1,
                         now,
                     );
-                    let _leaked = self.arenas[0].insert(p);
+                    let _leaked = self.arena.insert(p);
                 }
             }
             self.dispatch(now, ev);
@@ -908,8 +879,7 @@ impl<P: Probe> World<P> {
         });
         holders += pending;
 
-        let arena_live: u64 = self.arenas.iter().map(|a| a.live() as u64).sum();
-        let (handoffs, handoff_hash, _) = self.queue.shard_stats();
+        let arena_live = self.arena.live() as u64;
         let next_event_time = self.queue.peek_time();
 
         let mut flows = std::mem::take(&mut self.audit_scratch);
@@ -936,8 +906,6 @@ impl<P: Probe> World<P> {
             queue_limit_bytes: self.cfg.queue_limit_bytes,
             nic_backlog_mismatch,
             next_event_time,
-            handoffs,
-            handoff_hash,
             flows: &flows,
         });
         self.audit_scratch = flows;
@@ -1000,11 +968,10 @@ impl<P: Probe> World<P> {
                 ingress,
                 pkt,
             }) => {
-                let k = self.sw_shard(switch);
                 self.switches[switch.index()].receive(
                     &self.topo,
                     &self.routes,
-                    &mut self.arenas[k as usize],
+                    &mut self.arena,
                     pkt,
                     ingress,
                     now,
@@ -1012,35 +979,33 @@ impl<P: Probe> World<P> {
                     &mut self.net_buf,
                     &mut self.probe,
                 );
-                self.drain_net(k);
+                self.drain_net();
             }
             Event::Net(NetEvent::ArriveHost { host, pkt }) => self.on_host_arrival(host, pkt, now),
             Event::Net(NetEvent::SwitchTxDone { switch, port }) => {
-                let k = self.sw_shard(switch);
                 self.switches[switch.index()].on_tx_done(
                     &self.topo,
-                    &mut self.arenas[k as usize],
+                    &mut self.arena,
                     port,
                     now,
                     &mut self.rng_net,
                     &mut self.net_buf,
                     &mut self.probe,
                 );
-                self.drain_net(k);
+                self.drain_net();
             }
             Event::Net(NetEvent::HostTxDone { host }) => {
-                let k = self.host_shard(host);
                 let nic = &mut self.nics[host.index()];
                 nic.on_tx_done(&self.topo, now, &mut self.net_buf);
                 nic.start_next(
                     &self.topo,
-                    &mut self.arenas[k as usize],
+                    &mut self.arena,
                     &mut *self.host_policies[host.index()],
                     &mut self.rng_net,
                     now,
                     &mut self.net_buf,
                 );
-                self.drain_net(k);
+                self.drain_net();
             }
             Event::Net(NetEvent::EnqueueCommit {
                 switch,
@@ -1057,8 +1022,7 @@ impl<P: Probe> World<P> {
                 if now <= self.arrivals_end {
                     if let Some(g) = self.gen.as_mut() {
                         let next = g.next_flow(&mut self.rng_wl);
-                        self.queue
-                            .push_control(now + next.gap, Event::FlowArrival.into());
+                        self.queue.push(now + next.gap, Event::FlowArrival.into());
                         self.pending_flow = Some(next);
                     }
                 }
@@ -1071,7 +1035,7 @@ impl<P: Probe> World<P> {
                     }
                     if now + incast.epoch_gap <= self.arrivals_end {
                         self.queue
-                            .push_control(now + incast.epoch_gap, Event::IncastEpoch.into());
+                            .push(now + incast.epoch_gap, Event::IncastEpoch.into());
                     }
                 }
             }
@@ -1083,17 +1047,15 @@ impl<P: Probe> World<P> {
                     }
                     if now + synth.mice_period <= self.arrivals_end {
                         self.queue
-                            .push_control(now + synth.mice_period, Event::MiceTick.into());
+                            .push(now + synth.mice_period, Event::MiceTick.into());
                     }
                 }
             }
             Event::TcpTimer { flow } => self.on_rto_wake(flow, now),
             Event::ShimTimer { flow, gen } => {
-                if self.shims[flow as usize].is_some() {
-                    let k = self.host_shard(self.flows[flow as usize].dst);
+                if let Some(shim) = self.shims[flow as usize].as_mut() {
                     let mut released = self.ref_pool.get();
-                    let shim = self.shims[flow as usize].as_mut().expect("checked above");
-                    shim.on_timer(&self.arenas[k as usize], gen, now, &mut released);
+                    shim.on_timer(&self.arena, gen, now, &mut released);
                     for p in released.drain(..) {
                         self.recv_data(flow, p, now);
                     }
@@ -1104,7 +1066,7 @@ impl<P: Probe> World<P> {
                 self.sample_queues();
                 if now + SAMPLE_PERIOD <= self.cfg.duration {
                     self.queue
-                        .push_control(now + SAMPLE_PERIOD, Event::SampleQueues.into());
+                        .push(now + SAMPLE_PERIOD, Event::SampleQueues.into());
                 }
             }
             Event::Fault { idx } => {
@@ -1122,12 +1084,6 @@ impl<P: Probe> World<P> {
                 if P::ENABLED {
                     self.probe.on_fault(now, &info);
                 }
-                // Attribute the strike to the shard owning the fault's
-                // primary switch (no-op on the serial engine).
-                if let [Some(sw), _] = kind.involved_switches() {
-                    let owner = self.sw_shard(SwitchId(sw));
-                    self.queue.note_fault(owner);
-                }
                 self.stats.fault_events += 1;
                 if kind.needs_reconvergence() {
                     // During the detection window packets keep steering
@@ -1140,7 +1096,7 @@ impl<P: Probe> World<P> {
                     self.reconv_gen += 1;
                     let due = now + delay;
                     if due <= self.cfg.duration + self.cfg.drain {
-                        self.queue.push_control(
+                        self.queue.push(
                             due,
                             Event::Reconverge {
                                 gen: self.reconv_gen,
@@ -1196,8 +1152,7 @@ impl<P: Probe> World<P> {
                 // Packets queued at the replaced switch are dropped with
                 // it (as before the arena); release their slots so the
                 // end-of-run leak check stays exact.
-                let k = self.plan.switch_shard[i] as usize;
-                self.switches[i].free_queued(&mut self.arenas[k]);
+                self.switches[i].free_queued(&mut self.arena);
                 self.switches[i] = rebuild_switch(&self.topo, &self.switches[i], p, &self.cfg);
             }
             // Rebuilt switch objects start with an all-live pruning table.
@@ -1268,61 +1223,13 @@ impl<P: Probe> World<P> {
         }
     }
 
-    /// Shard owning a switch.
-    #[inline]
-    fn sw_shard(&self, s: SwitchId) -> u32 {
-        self.plan.switch_shard[s.index()]
-    }
-
-    /// Shard owning a host (always its leaf's shard).
-    #[inline]
-    fn host_shard(&self, h: HostId) -> u32 {
-        self.plan.host_shard[h.index()]
-    }
-
-    /// Drain newly emitted network events into the engine. `src` is the
-    /// shard whose component just ran; an event targeting another shard
-    /// is a wire hop crossing the partition, so its packet is re-interned
-    /// into the destination shard's arena and the event rides the
-    /// `(src, dst)` mailbox to the next window barrier.
-    fn drain_net(&mut self, src: u32) {
-        // net_buf is a field to avoid per-event allocation. Drain in FIFO
-        // order: components rely on push order as the tie-break for
-        // same-timestamp events (enqueue-commit before tx-done).
+    /// Move newly emitted network events into the wheel. `net_buf` is a
+    /// field to avoid per-event allocation, and it drains in FIFO order:
+    /// components rely on push order as the tie-break for same-timestamp
+    /// events (enqueue-commit before tx-done).
+    fn drain_net(&mut self) {
         for (t, e) in self.net_buf.drain(..) {
-            let dst = match &e {
-                NetEvent::ArriveSwitch { switch, .. }
-                | NetEvent::SwitchTxDone { switch, .. }
-                | NetEvent::EnqueueCommit { switch, .. } => self.plan.switch_shard[switch.index()],
-                NetEvent::ArriveHost { host, .. } | NetEvent::HostTxDone { host } => {
-                    self.plan.host_shard[host.index()]
-                }
-            };
-            let e = if dst == src {
-                e
-            } else {
-                match e {
-                    NetEvent::ArriveSwitch {
-                        switch,
-                        ingress,
-                        pkt,
-                    } => {
-                        let p = self.arenas[src as usize].take(pkt);
-                        let pkt = self.arenas[dst as usize].insert(p);
-                        NetEvent::ArriveSwitch {
-                            switch,
-                            ingress,
-                            pkt,
-                        }
-                    }
-                    // Tx-done and enqueue-commit are switch/host-local,
-                    // and hosts are colocated with their leaf: the only
-                    // event that can cross shards is a switch-to-switch
-                    // wire hop.
-                    other => unreachable!("non-wire event crossed shards: {other:?}"),
-                }
-            };
-            self.queue.push_shard(t, dst, src, Event::Net(e).into());
+            self.queue.push(t, Event::Net(e).into());
         }
     }
 
@@ -1352,17 +1259,16 @@ impl<P: Probe> World<P> {
             }
             let train = Train::new(id, HostId(dst), flow_hash, self.pkt_ids + 1, bytes, now);
             self.pkt_ids += train.segments();
-            let k = self.host_shard(HostId(src));
             self.nics[src as usize].send_train(
                 &self.topo,
-                &mut self.arenas[k as usize],
+                &mut self.arena,
                 &mut *self.host_policies[src as usize],
                 &mut self.rng_net,
                 train,
                 &mut self.net_buf,
                 &mut self.probe,
             );
-            self.drain_net(k);
+            self.drain_net();
             return;
         }
 
@@ -1408,7 +1314,7 @@ impl<P: Probe> World<P> {
                 self.rto_due[f] = at;
                 if at < self.rto_wake[f] {
                     self.rto_wake[f] = at;
-                    self.queue.push_control(at, Event::TcpTimer { flow }.into());
+                    self.queue.push(at, Event::TcpTimer { flow }.into());
                 }
             }
         }
@@ -1433,7 +1339,7 @@ impl<P: Probe> World<P> {
         if self.rto_due[f] > now {
             self.rto_wake[f] = self.rto_due[f];
             self.queue
-                .push_control(self.rto_due[f], Event::TcpTimer { flow }.into());
+                .push(self.rto_due[f], Event::TcpTimer { flow }.into());
             return;
         }
         let mut out = self.pkt_pool.get();
@@ -1449,38 +1355,34 @@ impl<P: Probe> World<P> {
     }
 
     fn host_send(&mut self, host: HostId, mut pkt: Packet, now: Time) {
-        let k = self.host_shard(host);
         self.host_policies[host.index()].on_send(&mut pkt, now, &mut self.rng_net);
-        // The packet enters its host's shard arena here and leaves at
-        // final delivery (`take`) or at whichever drop site claims it
-        // (`free`) — re-interned along the way when a wire hop crosses
-        // shards (see `drain_net`).
-        let pref = self.arenas[k as usize].insert(pkt);
+        // The packet enters the arena here and leaves at final delivery
+        // (`take`) or at whichever drop site claims it (`free`).
+        let pref = self.arena.insert(pkt);
         self.nics[host.index()].send(
             &self.topo,
-            &mut self.arenas[k as usize],
+            &mut self.arena,
             pref,
             now,
             &mut self.net_buf,
             &mut self.probe,
         );
-        self.drain_net(k);
+        self.drain_net();
     }
 
     fn on_host_arrival(&mut self, host: HostId, pref: PacketRef, now: Time) {
-        let k = self.host_shard(host) as usize;
         if P::ENABLED {
             self.probe
-                .on_host_recv(now, host.0, &self.arenas[k].get(&pref).meta());
+                .on_host_recv(now, host.0, &self.arena.get(&pref).meta());
         }
         if self.cfg.raw_packet_mode {
             self.data_delivered += 1;
-            self.bytes_delivered += self.arenas[k].get(&pref).payload as u64;
-            self.arenas[k].free(pref);
+            self.bytes_delivered += self.arena.get(&pref).payload as u64;
+            self.arena.free(pref);
             return;
         }
         let (flow, is_ack) = {
-            let pkt = self.arenas[k].get(&pref);
+            let pkt = self.arena.get(&pref);
             (pkt.flow.0, pkt.is_ack())
         };
         // Sabotage hook (audited runs only): blackhole the target
@@ -1492,13 +1394,13 @@ impl<P: Probe> World<P> {
         }) = self.sabotage
         {
             if flow == target && !is_ack && now >= at {
-                self.arenas[k].free(pref);
+                self.arena.free(pref);
                 return;
             }
         }
         if is_ack {
             // Sender side.
-            let pkt = self.arenas[k].take(pref);
+            let pkt = self.arena.take(pref);
             debug_assert_eq!(self.flows[flow as usize].src, host);
             let mut out = self.pkt_pool.get();
             self.flows[flow as usize].on_ack(&pkt, now, &mut self.pkt_ids, &mut out);
@@ -1522,10 +1424,9 @@ impl<P: Probe> World<P> {
                 }
                 let mut deliver = self.ref_pool.get();
                 let shim = self.shims[flow as usize].as_mut().expect("just created");
-                let timer = shim.on_packet(&self.arenas[k], pref, now, &mut deliver);
+                let timer = shim.on_packet(&self.arena, pref, now, &mut deliver);
                 if let Some((at, gen)) = timer {
-                    self.queue
-                        .push_control(at, Event::ShimTimer { flow, gen }.into());
+                    self.queue.push(at, Event::ShimTimer { flow, gen }.into());
                 }
                 for p in deliver.drain(..) {
                     self.recv_data(flow, p, now);
@@ -1540,8 +1441,7 @@ impl<P: Probe> World<P> {
     fn recv_data(&mut self, flow: u32, pref: PacketRef, now: Time) {
         self.data_delivered += 1;
         let receiver = self.flows[flow as usize].dst;
-        let k = self.host_shard(receiver) as usize;
-        let pkt = self.arenas[k].take(pref);
+        let pkt = self.arena.take(pref);
         self.bytes_delivered += pkt.payload as u64;
         let mut acks = self.pkt_pool.get();
         self.flows[flow as usize].on_data(&pkt, now, &mut self.pkt_ids, &mut acks);
@@ -1676,20 +1576,15 @@ impl<P: Probe> World<P> {
         self.stats.events = self.queue.events_processed();
         self.stats.sim_end = self.queue.now();
         // Packets accepted by a NIC and not yet delivered or dropped when
-        // the loop stopped: those interned in an arena, plus the train
+        // the loop stopped: those interned in the arena, plus the train
         // segments no serializer had reached. A fully drained run ends at
         // zero (every insert met its take/free); runs cut off by the
         // deadline or `max_events` legitimately leave packets in flight,
         // so the golden suite (not this method) asserts zero.
         self.stats.nic_pending_at_end = self.nics.iter().map(HostNic::pending_pkts).sum();
-        self.stats.arena_live_at_end = self.arenas.iter().map(|a| a.live() as u64).sum::<u64>()
-            + self.stats.nic_pending_at_end;
-        let (handoffs, hash, windows) = self.queue.shard_stats();
-        self.stats.shard_handoffs = handoffs;
-        self.stats.shard_handoff_hash = hash;
-        self.stats.shard_windows = windows;
+        self.stats.arena_live_at_end = self.arena.live() as u64 + self.stats.nic_pending_at_end;
         self.stats.wheel_slots_hw = self.queue.allocated_slots() as u64;
-        self.stats.arena_slots_hw = self.arenas.iter().map(|a| a.capacity() as u64).sum();
+        self.stats.arena_slots_hw = self.arena.capacity() as u64;
         let reports = self.audit.map_or_else(Vec::new, |a| a.reports().to_vec());
         self.stats.anomalies = reports.len() as u64;
         (self.stats, self.probe, reports)
@@ -2352,7 +2247,6 @@ mod tests {
         cfg.sample_queues = true;
         cfg.duration = Time::from_millis(3);
         cfg.drain = Time::from_millis(5);
-        cfg.shards = Some(crate::ShardSpec::count(1));
         cfg
     }
 

@@ -420,37 +420,16 @@ impl<P: Clone> EventQueue<P> {
         self.push(self.now + delay, payload);
     }
 
-    /// Schedule `payload` at `at` with a caller-supplied FIFO sequence
-    /// number instead of the internally stamped one.
-    ///
-    /// The sharded engine stamps one *global* sequence across every shard
-    /// wheel, so a cross-wheel merge by `(time, seq)` reproduces exactly
-    /// the order a single serial wheel would deliver. Supplied sequence
-    /// numbers may arrive out of order relative to earlier pushes (a
-    /// mailbox drain replays sequences stamped before later direct
-    /// pushes); staging restores `(time, seq)` order. Internal stamping
-    /// stays monotone past the largest supplied value, so mixing both
-    /// push flavours on one queue remains well-defined. A supplied seq
-    /// must not repeat one still pending: seqs name entries (a
-    /// cancellation token is one).
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.seq = self.seq.max(seq + 1);
-        self.schedule(at.as_nanos(), seq, payload);
-    }
-
     /// Schedule `payload` at `at` carrying a caller-supplied sequence
     /// number *without* advancing the internal sequence counter.
     ///
-    /// Snapshot restore uses this for out-of-band entries stamped from a
-    /// reserved sequence band (fault injections at `FAULT_SEQ_BASE`):
-    /// unlike [`push_with_seq`](EventQueue::push_with_seq), a huge banded
-    /// seq must not catapult the counter, or every subsequently pushed
-    /// event would change sequence and break bit-identical replay.
+    /// Snapshot restore uses this to re-insert pending entries under their
+    /// recorded seqs, and the runtime for out-of-band entries stamped from
+    /// a reserved sequence band (fault injections at `FAULT_SEQ_BASE`): a
+    /// huge banded seq must not catapult the counter, or every
+    /// subsequently pushed event would change sequence and break
+    /// bit-identical replay. A supplied seq must not repeat one still
+    /// pending: seqs name entries (a cancellation token is one).
     pub fn push_stamped(&mut self, at: Time, seq: u64, payload: P) {
         debug_assert!(
             at >= self.now,
@@ -496,28 +475,15 @@ impl<P: Clone> EventQueue<P> {
 
     /// Timestamp of the next (non-cancelled) pending event without
     /// delivering it. Does not advance the clock; lazily reclaims any
-    /// cancelled entries it walks past.
+    /// cancelled entries it walks past. Staging the next window here
+    /// makes the answer exact — equal-time entries scattered across
+    /// levels are cascaded down and `(time, seq)`-sorted first — and
+    /// amortizes to O(1) under repeated peeks.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The `(time, seq)` key of the next pending event, without
-    /// delivering it or advancing the clock.
-    ///
-    /// This is the primitive the sharded engine's cross-wheel merge is
-    /// built on: with one global sequence stamped across every wheel (see
-    /// [`push_with_seq`](EventQueue::push_with_seq)), popping from the
-    /// wheel whose peeked key is the minimum reproduces the exact
-    /// delivery order of a single serial wheel. Staging the next window
-    /// here makes the key exact — equal-time entries scattered across
-    /// levels are cascaded down and `(time, seq)`-sorted before the head
-    /// is reported — and amortizes to O(1) under repeated peeks.
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
         if !self.stage() {
             return None;
         }
-        let e = &self.ready[self.ready_pos];
-        Some((Time::from_nanos(e.time), e.seq))
+        Some(Time::from_nanos(self.ready[self.ready_pos].time))
     }
 
     /// Count a new pending entry and file it.
@@ -534,7 +500,7 @@ impl<P: Clone> EventQueue<P> {
     /// Advance the staging machinery until `ready[ready_pos]` is a live
     /// entry — the exact next event by `(time, seq)` — or the queue is
     /// exhausted. Shared by [`pop`](EventQueue::pop) (which consumes the
-    /// entry) and [`peek_key`](EventQueue::peek_key) (which only reads
+    /// entry) and [`peek_time`](EventQueue::peek_time) (which only reads
     /// it); staging may advance the internal cursor but never the clock,
     /// and later pushes landing inside the staged window splice into the
     /// live batch at their `(time, seq)` position.
@@ -675,9 +641,9 @@ impl<P: Clone> EventQueue<P> {
     /// normally in seq order already: one linear check replaces the
     /// per-bucket tie sort. The check fails — and the buckets are sorted —
     /// where push order and seq order part: a bucket 0 holding parked
-    /// pre-window times, `push_with_seq` replaying older seqs,
-    /// `push_stamped`'s reserved band, or a cascade or overflow migration
-    /// appending earlier-stamped entries behind later ones.
+    /// pre-window times, `push_stamped`'s reserved band, or a cascade or
+    /// overflow migration appending earlier-stamped entries behind later
+    /// ones.
     fn sort_batch(&mut self, t0: u64) {
         const WINDOW: usize = 1 << BASE_SHIFT;
         let key = |e: &Entry<P>| (e.time, e.seq);
@@ -1113,98 +1079,35 @@ mod tests {
     }
 
     #[test]
-    fn peek_key_matches_pop_order() {
+    fn peek_time_matches_pop_order() {
         let mut q = EventQueue::new();
         let t = Time::from_nanos(50);
         q.push(t, 0u64);
         q.push(Time::from_nanos(10), 1);
         q.push(t, 2);
-        // peek_key reports the exact (time, seq) of the next pop.
-        assert_eq!(q.peek_key(), Some((Time::from_nanos(10), 1)));
-        q.pop();
-        assert_eq!(q.peek_key(), Some((t, 0)));
-        q.pop();
-        assert_eq!(q.peek_key(), Some((t, 2)));
-        q.pop();
-        assert_eq!(q.peek_key(), None);
-    }
-
-    #[test]
-    fn push_with_seq_orders_by_supplied_seq() {
-        // Two wheels fed from one global sequence: each wheel must
-        // deliver its share in global-seq order at equal timestamps,
-        // even though the seqs arrive at each wheel with gaps and (after
-        // a mailbox-style replay) out of push order.
-        let mut q = EventQueue::new();
-        let t = Time::from_nanos(100);
-        q.push_with_seq(t, 5, 5u64);
-        q.push_with_seq(t, 1, 1);
-        q.push_with_seq(t, 3, 3);
-        q.push_with_seq(Time::from_nanos(90), 7, 7);
-        assert_eq!(q.peek_key(), Some((Time::from_nanos(90), 7)));
-        assert_eq!(q.pop(), Some((Time::from_nanos(90), 7)));
-        assert_eq!(q.pop(), Some((t, 1)));
-        assert_eq!(q.pop(), Some((t, 3)));
-        assert_eq!(q.pop(), Some((t, 5)));
-        // Internal stamping resumes past the largest supplied seq.
-        q.push(t, 99);
-        assert_eq!(q.peek_key(), Some((t, 8)));
-        assert_eq!(q.pop(), Some((t, 99)));
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(10)));
+        assert_eq!(q.pop(), Some((Time::from_nanos(10), 1)));
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, 0)));
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn push_after_peek_still_delivers_in_order() {
-        // peek_key stages the upcoming window; a later push landing
+        // peek_time stages the upcoming window; a later push landing
         // before the staged entries must still deliver first.
         let mut q = EventQueue::new();
         q.push(Time::from_nanos(1000), 1000u64);
         assert_eq!(q.peek_time(), Some(Time::from_nanos(1000)));
         q.push(Time::from_nanos(40), 40);
         q.push(Time::from_nanos(990), 990);
-        assert_eq!(q.peek_key(), Some((Time::from_nanos(40), 1)));
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(40)));
         assert_eq!(q.pop(), Some((Time::from_nanos(40), 40)));
         assert_eq!(q.pop(), Some((Time::from_nanos(990), 990)));
         assert_eq!(q.pop(), Some((Time::from_nanos(1000), 1000)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn global_seq_merge_across_wheels_matches_serial() {
-        // The sharded-engine contract in miniature: route events from one
-        // serial reference stream across two wheels by a deterministic
-        // owner function, stamp a shared global seq, and pop by minimum
-        // peeked (time, seq). The merged stream must equal the serial one.
-        let mut reference = EventQueue::new();
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for i in 0..2000u64 {
-            let t = Time::from_nanos(1 + (i * 7919) % 4096);
-            reference.push(t, i);
-            let owner = if i % 3 == 0 { &mut a } else { &mut b };
-            // The shared global seq is the push index.
-            owner.push_with_seq(t, i, i);
-        }
-        loop {
-            let ka = a.peek_key();
-            let kb = b.peek_key();
-            let merged = match (ka, kb) {
-                (None, None) => None,
-                (Some(_), None) => a.pop(),
-                (None, Some(_)) => b.pop(),
-                (Some(x), Some(y)) => {
-                    if x <= y {
-                        a.pop()
-                    } else {
-                        b.pop()
-                    }
-                }
-            };
-            let serial = reference.pop();
-            assert_eq!(merged, serial);
-            if serial.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

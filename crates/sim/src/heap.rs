@@ -122,15 +122,11 @@ impl<P> HeapQueue<P> {
         });
     }
 
-    /// Schedule `payload` at `at` under a caller-chosen `seq`: the wheel's
-    /// [`push_with_seq`](crate::EventQueue::push_with_seq) when `advance`
-    /// (later internal stamps continue past `seq`), its
-    /// [`push_stamped`](crate::EventQueue::push_stamped) otherwise.
-    pub fn push_keyed(&mut self, at: Time, seq: u64, advance: bool, payload: P) {
+    /// Schedule `payload` at `at` under a caller-chosen `seq`, leaving the
+    /// internal stamp alone: the wheel's
+    /// [`push_stamped`](crate::EventQueue::push_stamped).
+    pub fn push_keyed(&mut self, at: Time, seq: u64, payload: P) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        if advance {
-            self.seq = self.seq.max(seq + 1);
-        }
         self.heap.push(Entry {
             time: at,
             seq,
@@ -236,18 +232,18 @@ mod tests {
     /// What a scenario's operations hit. Cancels, read off the reference:
     /// an entry still pending (and, of those, one still ≥ 2^36 ns ahead —
     /// the overflow heap's range), an entry that had already fired, and a
-    /// token that had already been cancelled. Keyed pushes: seqs replayed
-    /// by `push_with_seq` after later seqs were pushed, reserved-band
-    /// `push_stamped` entries, and bursts of more than a page's entries
-    /// at one instant.
+    /// token that had already been cancelled. Keyed pushes: reserved-band
+    /// `push_stamped` entries, ordinary pushes that landed behind one at
+    /// its instant, and bursts of more than a page's entries at one
+    /// instant.
     #[derive(Default)]
     struct Seen {
         live: u32,
         far: u32,
         fired: u32,
         repeated: u32,
-        replayed: u32,
         stamped: u32,
+        overtaken: u32,
         bursts: u32,
     }
 
@@ -258,15 +254,13 @@ mod tests {
     const BAND: u64 = 1 << 62;
 
     /// The entries that break "push order is seq order", which the wheel's
-    /// staging relies on to skip its tie sort — out-of-order
-    /// `push_with_seq` replays and reserved-band `push_stamped` entries —
-    /// aimed at instants that already hold entries, plus bursts of more
-    /// than a page into one slot.
+    /// staging relies on to skip its tie sort: a reserved-band
+    /// `push_stamped` entry aimed at an instant that already holds
+    /// entries, with ordinary pushes then landing behind it at the same
+    /// instant — plus bursts of more than a page into one slot, so such
+    /// instants sit in batches large enough for the counting sort.
     #[derive(Default)]
     struct Keyed {
-        /// Seqs skipped by a `push_with_seq` and not pushed yet: a
-        /// mailbox stamped before everything pushed since.
-        held: Vec<u64>,
         /// Deadlines of the latest pushes.
         recent: Vec<Time>,
         next_stamp: u64,
@@ -301,36 +295,22 @@ mod tests {
             seen: &mut Seen,
         ) {
             let now = wheel.now();
-            match rng.below(4) {
-                // Push one entry past a block of seqs held back for later.
-                0 if self.held.is_empty() => {
-                    let first = wheel.next_seq();
-                    let fence = first + 1 + rng.below(48) as u64;
-                    self.held = (first..fence).collect();
-                    wheel.push_with_seq(at, fence, *payload);
-                    heap.push_keyed(at, fence, true, *payload);
-                    self.note(at);
-                }
-                // Replay the held block, shuffled, onto occupied instants.
+            match rng.below(3) {
+                // A banded entry, then ordinary pushes behind it at its
+                // instant: their smaller seqs must still pop first.
                 0 | 1 => {
-                    for i in (1..self.held.len()).rev() {
-                        self.held.swap(i, rng.below(i + 1));
-                    }
-                    seen.replayed += self.held.len() as u32;
-                    for seq in std::mem::take(&mut self.held) {
-                        let t = self.instant(rng, now, at);
-                        *payload += 1;
-                        wheel.push_with_seq(t, seq, *payload);
-                        heap.push_keyed(t, seq, true, *payload);
-                    }
-                }
-                2 => {
                     let t = self.instant(rng, now, at);
                     let seq = BAND + self.next_stamp;
                     self.next_stamp += 1;
                     wheel.push_stamped(t, seq, *payload);
-                    heap.push_keyed(t, seq, false, *payload);
+                    heap.push_keyed(t, seq, *payload);
                     seen.stamped += 1;
+                    for _ in 0..rng.below(4) {
+                        *payload += 1;
+                        wheel.push(t, *payload);
+                        heap.push(t, *payload);
+                        seen.overtaken += 1;
+                    }
                 }
                 // More than a page into one slot, a few ns apart.
                 _ => {
@@ -527,10 +507,10 @@ mod tests {
         }
         assert_every_cancel_kind(&seen);
         assert!(
-            seen.replayed > 0 && seen.stamped > 0 && seen.bursts > 0,
-            "a keyed kind went unexercised: {} replayed, {} stamped, {} bursts",
-            seen.replayed,
+            seen.stamped > 0 && seen.overtaken > 0 && seen.bursts > 0,
+            "a keyed kind went unexercised: {} stamped, {} overtaken, {} bursts",
             seen.stamped,
+            seen.overtaken,
             seen.bursts
         );
     }

@@ -39,11 +39,13 @@ pub const SNAP_MAGIC: [u8; 9] = *b"DRILLSNAP";
 /// are per-flow state, and timer events carry no generation). Version 3
 /// changed `NICS` (tagged queue entries, with a raw flow's unsent segments
 /// as train descriptors) and `WORKLOAD` (the raw-flow counters that
-/// replace those flows' `FLOWS` records).
-pub const SNAP_VERSION: u16 = 3;
+/// replace those flows' `FLOWS` records). Version 4 dropped the shard
+/// count from `META`, the arena count from `ARENAS` and the owning shard
+/// from each pending network event in `EVENTS` (one engine, one arena).
+pub const SNAP_VERSION: u16 = 4;
 
 /// Oldest container version this reader accepts.
-pub const SNAP_VERSION_MIN: u16 = 3;
+pub const SNAP_VERSION_MIN: u16 = 4;
 
 /// Reserved flag bit: written by the retired by-value packet layout,
 /// whose sections this reader cannot decode. Never set by this writer;
@@ -260,15 +262,18 @@ mod tests {
     fn version_2_rejected() {
         // Version 2 wrote untagged NIC queue entries and a `FLOWS` record
         // per raw flow; this reader cannot decode its NICS/WORKLOAD
-        // sections.
-        let mut bytes = sample().to_bytes();
-        bytes[9..11].copy_from_slice(&2u16.to_le_bytes());
-        reseal(&mut bytes);
-        let err = Snapshot::from_bytes(&bytes).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported DRILLSNAP version"),
-            "{err}"
-        );
+        // sections. Version 3 carried a shard count in META, an arena
+        // count in ARENAS and a shard id per pending network event.
+        for version in [2u16, 3] {
+            let mut bytes = sample().to_bytes();
+            bytes[9..11].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut bytes);
+            let err = Snapshot::from_bytes(&bytes).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported DRILLSNAP version"),
+                "v{version}: {err}"
+            );
+        }
     }
 
     #[test]

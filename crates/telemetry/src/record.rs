@@ -208,36 +208,6 @@ impl EventRing {
             .iter()
             .chain(self.buf[..self.head].iter())
     }
-
-    /// Merge another ring's surviving events into this one, interleaving
-    /// by timestamp (ties keep this ring's events first, so merging an
-    /// empty or disjoint ring is exact). Overwrite counts add; if the
-    /// union exceeds this ring's capacity the oldest events are discarded
-    /// and counted, preserving the newest-suffix guarantee.
-    pub fn merge(&mut self, other: &EventRing) {
-        let mine: Vec<TraceEvent> = self.iter().copied().collect();
-        let mut merged: Vec<TraceEvent> = Vec::with_capacity(mine.len() + other.len());
-        let mut theirs = other.iter().copied().peekable();
-        for ev in mine {
-            while let Some(b) = theirs.peek() {
-                if b.time() < ev.time() {
-                    merged.push(theirs.next().expect("peeked event advances"));
-                } else {
-                    break;
-                }
-            }
-            merged.push(ev);
-        }
-        merged.extend(theirs);
-        self.overwritten += other.overwritten;
-        if merged.len() > self.cap {
-            let dropped = merged.len() - self.cap;
-            self.overwritten += dropped as u64;
-            merged.drain(..dropped);
-        }
-        self.head = 0;
-        self.buf = merged;
-    }
 }
 
 /// Default per-ring capacity: 64 Ki events per (switch, engine) ring.
@@ -318,35 +288,6 @@ impl FlightRecorder {
     /// Total events lost to ring wraparound.
     pub fn overwritten(&self) -> u64 {
         self.rings.iter().map(|r| r.overwritten()).sum()
-    }
-
-    /// Merge another recorder of the same shape (switch count and engines
-    /// per switch) into this one, ring by ring. Events interleave by
-    /// timestamp within each ring, so recorders that observed disjoint
-    /// slices of one run — e.g. per-shard recorders each attached to the
-    /// switches its shard owns — combine into the trace a single global
-    /// recorder would have produced. Panics on a shape mismatch.
-    pub fn merge(&mut self, other: &FlightRecorder) {
-        assert_eq!(
-            self.num_switches, other.num_switches,
-            "merge requires recorders sized for the same fabric"
-        );
-        assert_eq!(
-            self.engines, other.engines,
-            "merge requires the same engines-per-switch layout"
-        );
-        for (ring, theirs) in self.rings.iter_mut().zip(&other.rings) {
-            ring.merge(theirs);
-        }
-        // Carry over in-flight enqueue attributions so dequeues recorded
-        // after the merge still recover their engine (keys are disjoint
-        // when the sources observed disjoint switches).
-        for (key, fifo) in &other.port_fifo {
-            self.port_fifo
-                .entry(*key)
-                .or_default()
-                .extend(fifo.iter().copied());
-        }
     }
 
     #[inline]
@@ -599,72 +540,6 @@ mod tests {
         rec.on_dequeue(Time::from_nanos(4), 0, 9, 77, 0, 1);
         assert_eq!(rec.ring_at(0).1.len(), 2);
         assert_eq!(rec.ring_at(1).1.len(), 0);
-    }
-
-    #[test]
-    fn ring_merge_interleaves_by_time_and_counts_overflow() {
-        let mut a = EventRing::new(4);
-        let mut b = EventRing::new(4);
-        for i in [1u64, 5, 9] {
-            a.push(ev(i));
-        }
-        for i in [2u64, 6] {
-            b.push(ev(i));
-        }
-        a.merge(&b);
-        let times: Vec<u64> = a.iter().map(|e| e.time().as_nanos()).collect();
-        // 5 events into a cap-4 ring: the oldest (t=1) is discarded and
-        // counted, the rest are in global time order.
-        assert_eq!(times, vec![2, 5, 6, 9]);
-        assert_eq!(a.overwritten(), 1);
-    }
-
-    #[test]
-    fn sharded_recorders_merge_into_one_global_trace() {
-        // Two recorders watch disjoint slices of the same 2-switch run
-        // (the per-shard telemetry shape), a third watches everything.
-        let mut global = FlightRecorder::new(2, 1, 16);
-        let mut shard_a = FlightRecorder::new(2, 1, 16);
-        let mut shard_b = FlightRecorder::new(2, 1, 16);
-        let m = PacketMeta {
-            id: 3,
-            size: 1500,
-            ..Default::default()
-        };
-        for (t, switch) in [(10u64, 0u32), (20, 1), (30, 0), (40, 1)] {
-            let rec = if switch == 0 {
-                &mut shard_a
-            } else {
-                &mut shard_b
-            };
-            rec.on_enqueue(Time::from_nanos(t), switch, 0, 0, &m, 1, 1500);
-            global.on_enqueue(Time::from_nanos(t), switch, 0, 0, &m, 1, 1500);
-        }
-        shard_a.on_host_send(Time::from_nanos(15), 0, &m);
-        global.on_host_send(Time::from_nanos(15), 0, &m);
-        shard_b.on_host_recv(Time::from_nanos(25), 1, &m);
-        global.on_host_recv(Time::from_nanos(25), 1, &m);
-        shard_a.merge(&shard_b);
-        assert_eq!(shard_a.event_count(), global.event_count());
-        for idx in 0..global.ring_count() {
-            let merged: Vec<TraceEvent> = shard_a.ring_at(idx).1.iter().copied().collect();
-            let expect: Vec<TraceEvent> = global.ring_at(idx).1.iter().copied().collect();
-            assert_eq!(merged, expect, "ring {idx} diverged from the global trace");
-        }
-        // Dequeues after the merge still recover their engine attribution.
-        shard_a.on_dequeue(Time::from_nanos(50), 1, 0, 3, 0, 30);
-        let (_, ring) = shard_a.ring_at(1);
-        assert!(ring
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Dequeue { switch: 1, .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "same fabric")]
-    fn merge_rejects_mismatched_shapes() {
-        let mut a = FlightRecorder::new(2, 1, 16);
-        let b = FlightRecorder::new(3, 1, 16);
-        a.merge(&b);
     }
 
     #[test]

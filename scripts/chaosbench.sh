@@ -2,14 +2,12 @@
 # Chaos harness: runs the chaosbench flap-rate sweep (DRILL vs ECMP vs
 # Presto on identical deterministic fault schedules), proves the point
 # table is independent of the worker count by byte-comparing stdout under
-# DRILL_THREADS=1 vs 8 — and of the engine shard count by repeating the
-# compare under DRILL_SHARDS=1/2/8 — then records the machine-readable
-# result set in results/chaosbench.json. Offline-safe: no external deps.
+# DRILL_THREADS=1 vs 8, then records the machine-readable result set in
+# results/chaosbench.json. Offline-safe: no external deps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 THREAD_COUNTS=(${THREAD_COUNTS:-1 8})
-SHARD_COUNTS=(${SHARD_COUNTS:-1 2 8})
 
 mkdir -p results
 tmp=$(mktemp -d)
@@ -34,24 +32,6 @@ for t in "${THREAD_COUNTS[@]:1}"; do
     echo "table($ref threads) == table($t threads): byte-identical"
   else
     echo "FAIL: point table depends on DRILL_THREADS" >&2
-    exit 1
-  fi
-done
-
-echo "== chaosbench under DRILL_SHARDS=${SHARD_COUNTS[*]} =="
-for s in "${SHARD_COUNTS[@]}"; do
-  echo "-- DRILL_SHARDS=$s"
-  DRILL_SHARDS="$s" ./target/release/chaosbench \
-    > "$tmp/table-shards-$s.txt" 2> "$tmp/time-shards-$s.json"
-  cat "$tmp/time-shards-$s.json"
-done
-
-echo "== byte-comparing shard-axis point tables =="
-for s in "${SHARD_COUNTS[@]}"; do
-  if cmp "$tmp/table-$ref.txt" "$tmp/table-shards-$s.txt"; then
-    echo "table($ref threads) == table($s shards): byte-identical"
-  else
-    echo "FAIL: point table depends on DRILL_SHARDS" >&2
     exit 1
   fi
 done

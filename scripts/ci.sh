@@ -5,22 +5,24 @@
 # One build, one engine: there are no cargo features to cross (the only
 # one, `proptest`, is an opt-in for networked machines). The test matrix
 # covers what can still vary at run time — the executor width
-# (DRILL_THREADS), the shard count (DRILL_SHARDS), and the two observers
-# that must never steer (DRILL_TELEMETRY, DRILL_AUDIT).
+# (DRILL_THREADS) and the two observers that must never steer
+# (DRILL_TELEMETRY, DRILL_AUDIT).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== retired build/run modes stay retired =="
 # The heap-queue / fat-events / criterion-benches features, the
-# eager_control_plane knob and the eager §3.4 enumerator (whose place as
-# the reference the oracle in tests/support/ took) were deleted once
-# their A/Bs had reported; nothing may select them again. (This script
-# names them, so it is excluded; history lives in the .md files, which
-# are not searched.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP' \
+# eager_control_plane knob, the eager §3.4 enumerator (whose place as
+# the reference the oracle in tests/support/ took) and the sharded engine
+# with its DRILL_SHARDS knob were deleted once their A/Bs had reported;
+# nothing may select them again. (This script names them, so it is
+# excluded; history lives in the .md files, which are not searched. The
+# frozen benchmark/ still scrubs DRILL_SHARDS from its children's
+# environment, so it is excluded too.)
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
-    --exclude=ci.sh .; then
+    --exclude-dir=benchmark --exclude=ci.sh .; then
     echo "a retired feature or knob is referenced again (see above)"; exit 1
 fi
 
@@ -92,23 +94,11 @@ echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
 # unchanged with the recorder riding along.
 DRILL_TELEMETRY=1 cargo test -q --test determinism_golden
 
-echo "== sharded-engine goldens and snapshot-resume (DRILL_SHARDS=2/8) =="
-# The sharding contract: every determinism golden — chaos schedule and
-# telemetry crossings included — and every DRILLSNAP save/restore golden
-# must replay bit-identically at any shard count. (The serial engine,
-# DRILL_SHARDS unset, ran in the workspace rows above.)
-for shards in 2 8; do
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume
-done
-
-echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1 x DRILL_SHARDS=1/2/8) =="
-# The audit determinism contract: watchdogs observe, never steer. These
-# rows ARE the auditor-on vs auditor-off bit-identity proof: the golden
+echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1) =="
+# The audit determinism contract: watchdogs observe, never steer. This
+# row IS the auditor-on vs auditor-off bit-identity proof: the golden
 # constants were captured auditor-off.
-for shards in 1 2 8; do
-    DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-done
+DRILL_AUDIT=1 cargo test -q --test determinism_golden
 
 echo "== chaosbench --quick smoke =="
 cargo build --release -p drill-bench
@@ -117,8 +107,7 @@ cargo build --release -p drill-bench
 echo "== scalebench --quick smoke =="
 # Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree)
 # plus the sketch rank-error section. The small-Clos determinism golden
-# itself rides in determinism_golden, which the DRILL_SHARDS loop above
-# already crosses.
+# itself rides in determinism_golden, which the rows above already run.
 ./target/release/scalebench --quick > /dev/null
 ./target/release/scalebench --sketch --quick > /dev/null
 

@@ -4,8 +4,8 @@
 //! never perturb a single stat, and produce a dump bundle that
 //! rewind-replay can consume hands-free.
 //!
-//! CI runs the golden suite with the auditor attached across
-//! `DRILL_SHARDS=1/2/8`; nothing here may depend on the shard count.
+//! CI also runs the golden suite with the auditor attached
+//! (`DRILL_AUDIT=1`), pinning auditor-on runs to the auditor-off goldens.
 
 use std::path::PathBuf;
 
@@ -194,8 +194,8 @@ fn chaos_schedule(topo: &TopoSpec) -> FaultSchedule {
 /// Positive control: every figure scenario of the evaluation runs with
 /// all watchdogs armed and trips nothing. An empty report list is the
 /// auditor's verdict that packet conservation, flow progress, queue
-/// ceilings, clock monotonicity and shard handoff fingerprints held at
-/// every boundary.
+/// ceilings, NIC backlog accounting and clock monotonicity held at every
+/// boundary.
 #[test]
 fn figure_scenarios_trip_no_watchdogs() {
     for (name, cfg) in figure_scenarios() {

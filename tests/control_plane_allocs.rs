@@ -14,9 +14,7 @@ use std::cell::Cell;
 
 use drill::core::SymmetryEngine;
 use drill::net::{clos, ClosSpec, RouteTable, SwitchId};
-use drill::runtime::{
-    random_leaf_spine_failures, ExperimentConfig, Scheme, ShardSpec, TopoSpec, World,
-};
+use drill::runtime::{random_leaf_spine_failures, ExperimentConfig, Scheme, TopoSpec, World};
 
 thread_local! {
     /// Allocator calls that handed out memory (alloc, realloc) on this
@@ -139,7 +137,6 @@ fn control_plane_allocates_per_distinct_table_not_per_entry() {
     // its candidate list and group table.
     let mut cfg = ExperimentConfig::new(TopoSpec::Clos(spec), Scheme::drill_no_shim(), 0.25);
     cfg.raw_packet_mode = true;
-    cfg.shards = Some(ShardSpec::count(1));
     cfg.failed_links = picked[..2].to_vec();
     let (world, _, world_live) = counted(|| World::new(&cfg));
     assert!(

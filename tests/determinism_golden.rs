@@ -346,84 +346,53 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// The sharded-execution contract (DESIGN.md §11): partitioning the
-/// fabric into per-shard wheels + arenas advanced in lookahead windows
-/// must leave *every* simulated metric bit-identical at every shard
-/// count, with one shard resolving to the pre-sharding serial engine.
-/// An explicit `ShardSpec` overrides the `DRILL_SHARDS` environment
-/// variable, so this test pins the contract even when CI crosses the
-/// whole golden suite with sharded env settings.
+/// `ShardSpec` is an inert shim kept for the frozen benchmark, whose
+/// `Shards2` variant attaches `ShardSpec::count(2)` and demands the plain
+/// run's digest: the spec must steer nothing, and both shard counters the
+/// benchmark reads stay 0.
 #[test]
-fn sharded_engine_replays_bit_identically_at_every_shard_count() {
+fn shard_spec_shim_is_inert() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default()] {
-        let mut cfg = golden_cfg(scheme);
-        cfg.shards = Some(ShardSpec::count(1));
-        let mut base = run(&cfg);
-        assert_eq!(
-            (base.shard_handoffs, base.shard_windows),
-            (0, 0),
-            "{}: one shard must run the serial engine",
-            scheme.name()
-        );
-        let base_fp = full_fingerprint(&mut base);
-        // The golden topology has 4 leaves, so 8 requested shards clamp
-        // to 5 (fabric tier + one shard per leaf).
-        for count in [2usize, 8] {
+        let fingerprint = |count: usize| {
             let mut cfg = golden_cfg(scheme);
             cfg.shards = Some(ShardSpec::count(count));
             let mut st = run(&cfg);
-            assert!(
-                st.shard_handoffs > 0 && st.shard_windows > 0,
-                "{}: {count} shards exercised no cross-shard handoffs",
-                scheme.name()
-            );
             assert_eq!(
-                full_fingerprint(&mut st),
-                base_fp,
-                "{}: {count}-shard run diverged from the serial engine",
+                (st.shard_handoffs, st.shard_windows),
+                (0, 0),
+                "{}: a shard counter moved",
                 scheme.name()
             );
-        }
+            full_fingerprint(&mut st)
+        };
+        assert_eq!(
+            fingerprint(2),
+            fingerprint(1),
+            "{}: ShardSpec::count(2) changed the run",
+            scheme.name()
+        );
     }
 }
 
 /// Three-tier Clos determinism golden: the smoke-scale Clos fabric (4
-/// pods x (2 leaves + 2 aggs), 4 cores, 32 hosts) replays bit-identically
-/// on the serial engine and at every shard count, pinning the sharded
-/// partitioner on a fabric with an aggregation tier between the leaves
-/// and the cores. The event-count constants were captured from a run of
-/// this configuration (see the module doc for the update policy).
+/// pods x (2 leaves + 2 aggs), 4 cores, 32 hosts), a fabric with an
+/// aggregation tier between the leaves and the cores. The event-count
+/// constants were captured from a run of this configuration (see the
+/// module doc for the update policy).
 #[test]
-fn clos_smoke_replays_bit_identically_across_shard_counts() {
+fn clos_smoke_replays_golden_trace() {
     let mut cfg = golden_cfg(Scheme::drill_default());
     cfg.topo = TopoSpec::Clos(ClosSpec::smoke());
-    cfg.shards = Some(ShardSpec::count(1));
-    let mut base = run(&cfg);
+    let st = run(&cfg);
     assert_eq!(
-        (base.events, base.flows_started, base.flows_completed),
+        (st.events, st.flows_started, st.flows_completed),
         (CLOS_GOLDEN.0, CLOS_GOLDEN.1, CLOS_GOLDEN.2),
         "Clos smoke run diverged from its golden trace"
     );
-    assert_eq!(base.arena_live_at_end, 0, "leaked packet-arena slots");
-    let base_fp = full_fingerprint(&mut base);
-    for count in [2usize, 8] {
-        let mut cfg = golden_cfg(Scheme::drill_default());
-        cfg.topo = TopoSpec::Clos(ClosSpec::smoke());
-        cfg.shards = Some(ShardSpec::count(count));
-        let mut st = run(&cfg);
-        assert!(
-            st.shard_handoffs > 0 && st.shard_windows > 0,
-            "{count} shards exercised no cross-shard handoffs on the Clos"
-        );
-        assert_eq!(
-            full_fingerprint(&mut st),
-            base_fp,
-            "{count}-shard Clos run diverged from the serial engine"
-        );
-    }
+    assert_eq!(st.arena_live_at_end, 0, "leaked packet-arena slots");
 }
 
-/// Golden constants for `clos_smoke_replays_bit_identically_across_shard_counts`:
+/// Golden constants for `clos_smoke_replays_golden_trace`:
 /// (events, flows_started, flows_completed).
 const CLOS_GOLDEN: (u64, u64, u64) = (1_623_884, 1_105, 1_105);
 
@@ -518,58 +487,6 @@ fn sketch_merge_is_bit_identical_across_thread_counts() {
             "sketch merge diverged at {threads} threads"
         );
     }
-}
-
-/// Mailbox-ordering golden: the cross-shard handoff drain order — pinned
-/// by the `(src, dst, time, seq)` FNV fingerprint the engine accumulates
-/// at every window barrier — is a pure function of the event stream.
-/// Replays, telemetry on/off, and a pinned chaos schedule all reproduce
-/// the same handoff count and hash, and every sharded variant's simulated
-/// metrics stay fingerprint-identical to the serial chaos run.
-#[test]
-fn cross_shard_mailbox_order_is_reproducible_under_chaos_and_telemetry() {
-    let sharded = |telemetry: bool, shards: usize| -> RunStats {
-        let mut cfg = golden_cfg(Scheme::drill_default());
-        cfg.telemetry = telemetry.then(TelemetrySpec::default);
-        cfg.faults = Some(chaos_schedule(&cfg.topo));
-        cfg.shards = Some(ShardSpec::count(shards));
-        run(&cfg)
-    };
-    let mut serial = sharded(false, 1);
-    assert_eq!(serial.shard_handoffs, 0, "serial engine has no mailboxes");
-    assert_eq!(serial.shard_handoff_hash, 0);
-    let serial_fp = full_fingerprint(&mut serial);
-
-    let mut a = sharded(false, 2);
-    assert!(a.shard_handoffs > 0, "chaos run crossed shards");
-    assert_eq!(full_fingerprint(&mut a), serial_fp);
-
-    // Same shard count: replay and telemetry must reproduce the exact
-    // drain order, not just the aggregate metrics.
-    let mut replay = sharded(false, 2);
-    let mut with_tel = sharded(true, 2);
-    for (label, st) in [("replay", &mut replay), ("telemetry", &mut with_tel)] {
-        assert_eq!(
-            (st.shard_handoffs, st.shard_handoff_hash),
-            (a.shard_handoffs, a.shard_handoff_hash),
-            "{label}: handoff drain order diverged"
-        );
-        assert_eq!(full_fingerprint(st), serial_fp, "{label}: metrics diverged");
-    }
-
-    // A different partition exchanges a different (but equally
-    // reproducible) handoff stream while metrics stay identical.
-    let mut many = sharded(false, 8);
-    assert!(many.shard_handoffs > 0);
-    assert_eq!(full_fingerprint(&mut many), serial_fp);
-    assert_eq!(
-        (many.shard_handoffs, many.shard_handoff_hash),
-        {
-            let m2 = sharded(false, 8);
-            (m2.shard_handoffs, m2.shard_handoff_hash)
-        },
-        "8-shard handoff stream must replay exactly"
-    );
 }
 
 /// The golden fabric pushed into timeouts: shallow 30 KB queues at load

@@ -13,7 +13,7 @@ use drill::core::{DrillPolicy, SymmetryEngine};
 use drill::net::{
     clos, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, FlowId, HostId,
     LeafSpineSpec, NodeRef, Packet, PacketArena, PacketRef, QueueView, RouteTable, SelectCtx,
-    ShardPlan, SwitchId, SwitchKind, SwitchPolicy, Topology, Vl2Spec, DEFAULT_PROP,
+    SwitchId, SwitchKind, SwitchPolicy, Topology, Vl2Spec, DEFAULT_PROP,
 };
 use drill::runtime::random_leaf_spine_failures;
 use drill::sim::{SimRng, Time};
@@ -82,47 +82,6 @@ fn assert_port_cover(topo: &Topology) -> Result<(), proptest::test_runner::TestC
     }
     ids.sort_unstable();
     prop_assert_eq!(ids, (0..topo.links().len()).collect::<Vec<_>>());
-    Ok(())
-}
-
-/// Shared checker for the partitioner properties: disjoint exact cover,
-/// no empty shard, host/leaf colocation, and the lookahead bound (every
-/// cross-shard link at least as slow as the window length). Ends by
-/// running the plan's own `validate`, so the production checker is
-/// exercised against the same random topologies.
-fn assert_shard_plan_invariants(
-    plan: &ShardPlan,
-    topo: &Topology,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    prop_assert_eq!(plan.switch_shard.len(), topo.num_switches());
-    prop_assert_eq!(plan.host_shard.len(), topo.num_hosts());
-    let mut seen = vec![false; plan.num_shards as usize];
-    for &sh in &plan.switch_shard {
-        prop_assert!(sh < plan.num_shards, "out-of-range shard id {}", sh);
-        seen[sh as usize] = true;
-    }
-    prop_assert!(seen.iter().all(|&s| s), "an empty shard survived");
-    for h in 0..topo.num_hosts() {
-        prop_assert_eq!(
-            plan.host_shard[h],
-            plan.switch_shard[topo.host_leaf(HostId(h as u32)).index()],
-            "host {} not colocated with its leaf",
-            h
-        );
-    }
-    for l in topo.links() {
-        if plan.shard_of(l.src) != plan.shard_of(l.dst) {
-            prop_assert!(
-                l.prop >= plan.lookahead,
-                "cross-shard link faster than the lookahead bound"
-            );
-        }
-    }
-    if plan.num_shards > 1 {
-        prop_assert!(plan.lookahead > Time::ZERO);
-        prop_assert!(plan.lookahead < Time::MAX, "bound is a real link latency");
-    }
-    plan.validate(topo);
     Ok(())
 }
 
@@ -460,50 +419,6 @@ proptest! {
         prop_assert_eq!(combined.count(), merged.count());
         prop_assert!((combined.mean() - merged.mean()).abs() < 1e-9);
         prop_assert!((combined.variance() - merged.variance()).abs() < 1e-6);
-    }
-
-    /// Partitioner (leaf-spine): for any topology and requested shard
-    /// count, the automatic plan is a disjoint exact cover — every switch
-    /// and host assigned to exactly one in-range shard, no shard empty,
-    /// hosts colocated with their leaf — and every cross-shard link's
-    /// propagation delay is at or above the conservative lookahead bound.
-    #[test]
-    fn shard_plan_covers_leaf_spine_with_lookahead_bound(
-        spec in spec_strategy(),
-        requested in 0usize..12,
-    ) {
-        let topo = leaf_spine(&spec);
-        let plan = ShardPlan::auto(&topo, requested);
-        assert_shard_plan_invariants(&plan, &topo)?;
-        // The auto split clamps to 1 fabric shard + one group per leaf.
-        prop_assert!(plan.num_shards as usize <= 1 + spec.leaves);
-        prop_assert!(plan.num_shards as usize <= requested.max(1));
-    }
-
-    /// Partitioner (VL2): the same cover + lookahead invariants hold on
-    /// random three-tier VL2 fabrics, including under-connected ones
-    /// (tor_uplinks < aggs).
-    #[test]
-    fn shard_plan_covers_vl2_with_lookahead_bound(
-        tors in 2usize..8,
-        aggs in 2usize..6,
-        ints in 1usize..5,
-        hosts in 1usize..4,
-        uplinks in 1usize..6,
-        requested in 0usize..12,
-    ) {
-        let topo = vl2(&Vl2Spec {
-            tors,
-            aggs,
-            ints,
-            hosts_per_tor: hosts,
-            host_rate: 1_000_000_000,
-            core_rate: 10_000_000_000,
-            tor_uplinks: uplinks.min(aggs),
-            prop: DEFAULT_PROP,
-        });
-        let plan = ShardPlan::auto(&topo, requested);
-        assert_shard_plan_invariants(&plan, &topo)?;
     }
 
     /// Mergeable histograms: per-bucket counts add exactly, whatever mix

@@ -1,14 +1,13 @@
 //! `DRILLSNAP` resume goldens: a run checkpointed at time T and restored
 //! from the serialized bytes — as a fresh process would — must replay
-//! bit-identically to the uninterrupted run, on every engine (CI crosses
-//! this suite over shard counts 1/2/8). The same discipline as
+//! bit-identically to the uninterrupted run. The same discipline as
 //! `determinism_golden.rs`, extended over a save/restore boundary.
 
 use drill::faults::FaultSchedule;
 use drill::net::{LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{
     random_leaf_spine_failures, run, CheckpointPolicy, CheckpointSpec, ExperimentConfig, RunStats,
-    Scheme, ShardSpec, Snapshot, SweepSpec, TopoSpec, World,
+    Scheme, Snapshot, SweepSpec, TopoSpec, World,
 };
 use drill::sim::Time;
 
@@ -107,29 +106,19 @@ fn snapshot_resume(cfg: &ExperimentConfig, at: Time) -> RunStats {
 
 /// The central golden: checkpoint the golden config mid-run, restore from
 /// bytes, and demand the full fingerprint — FCT digest and arena leak
-/// check included — match the uninterrupted run, at every shard count.
-/// (`ShardSpec` pins the engine per iteration, so one test covers the
-/// serial and sharded engines regardless of `DRILL_SHARDS`.)
+/// check included — match the uninterrupted run.
 #[test]
-fn resume_replays_uninterrupted_run_across_shard_counts() {
+fn resume_replays_uninterrupted_run() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default()] {
-        let mut cold = {
-            let mut cfg = golden_cfg(scheme);
-            cfg.shards = Some(ShardSpec::count(1));
-            run(&cfg)
-        };
-        let cold_fp = full_fingerprint(&mut cold);
-        for shards in [1usize, 2, 8] {
-            let mut cfg = golden_cfg(scheme);
-            cfg.shards = Some(ShardSpec::count(shards));
-            let mut resumed = snapshot_resume(&cfg, Time::from_millis(1));
-            assert_eq!(
-                cold_fp,
-                full_fingerprint(&mut resumed),
-                "{} resumed at 1ms diverged from the uninterrupted run (shards={shards})",
-                scheme.name()
-            );
-        }
+        let cfg = golden_cfg(scheme);
+        let mut cold = run(&cfg);
+        let mut resumed = snapshot_resume(&cfg, Time::from_millis(1));
+        assert_eq!(
+            full_fingerprint(&mut cold),
+            full_fingerprint(&mut resumed),
+            "{} resumed at 1ms diverged from the uninterrupted run",
+            scheme.name()
+        );
     }
 }
 
@@ -244,30 +233,24 @@ fn resume_replays_timeouts_after_the_restore_point() {
 /// cuts the run off), so a train field or counter the snapshot forgot
 /// shows in the fingerprint.
 #[test]
-fn resume_replays_raw_trains_across_shard_counts() {
-    let raw_cfg = |shards: usize| {
-        let mut cfg = golden_cfg(Scheme::drill_no_shim());
-        cfg.workload.load = 0.9;
-        cfg.workload.burst_sigma = 2.0;
-        cfg.raw_packet_mode = true;
-        cfg.sample_queues = true;
-        cfg.queue_limit_bytes = 20_000_000;
-        cfg.drain = Time::from_micros(200);
-        cfg.shards = Some(ShardSpec::count(shards));
-        cfg
-    };
-    let mut cold = run(&raw_cfg(1));
+fn resume_replays_raw_trains() {
+    let mut cfg = golden_cfg(Scheme::drill_no_shim());
+    cfg.workload.load = 0.9;
+    cfg.workload.burst_sigma = 2.0;
+    cfg.raw_packet_mode = true;
+    cfg.sample_queues = true;
+    cfg.queue_limit_bytes = 20_000_000;
+    cfg.drain = Time::from_micros(200);
+    let mut cold = run(&cfg);
     assert!(cold.nic_drops > 0 && cold.arena_live_at_end > 0);
     let cold_fp = full_fingerprint(&mut cold);
-    for shards in [1usize, 2, 8] {
-        for us in [300u64, 1_000, 2_500] {
-            let mut resumed = snapshot_resume(&raw_cfg(shards), Time::from_micros(us));
-            assert_eq!(
-                cold_fp,
-                full_fingerprint(&mut resumed),
-                "raw run resumed at {us}µs diverged (shards={shards})"
-            );
-        }
+    for us in [300u64, 1_000, 2_500] {
+        let mut resumed = snapshot_resume(&cfg, Time::from_micros(us));
+        assert_eq!(
+            cold_fp,
+            full_fingerprint(&mut resumed),
+            "raw run resumed at {us}µs diverged"
+        );
     }
 }
 
@@ -407,18 +390,11 @@ fn warm_start_rejects_pre_snapshot_divergence() {
 /// simulating the wrong experiment.
 #[test]
 fn restore_rejects_mismatched_configs() {
-    let mut cfg = tiny_cfg(Scheme::drill_default());
-    // Pin the donor engine: an explicit spec beats `DRILL_SHARDS`, so the
-    // count-2 clone below is a genuine mismatch under any environment.
-    cfg.shards = Some(ShardSpec::count(1));
+    let cfg = tiny_cfg(Scheme::drill_default());
     let mut w = World::new(&cfg);
     w.run_to(Time::from_millis(1));
     let snap = w.snapshot();
     drop(w);
-
-    let mut sharded = cfg.clone();
-    sharded.shards = Some(ShardSpec::count(2));
-    assert!(World::restore(&snap, &sharded).is_err(), "shard count");
 
     let mut bigger = cfg.clone();
     bigger.topo = TopoSpec::LeafSpine(LeafSpineSpec {
