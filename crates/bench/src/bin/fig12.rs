@@ -4,6 +4,7 @@
 //! reaction under 5 failures at 70% load.
 
 use drill_bench::{banner, base_config, fct_schemes, fct_tables, sweep_grid, Scale};
+use drill_faults::{FaultKind, FaultSchedule};
 use drill_net::LeafSpineSpec;
 use drill_runtime::{random_leaf_spine_failures, Scheme, SweepSpec, TopoSpec};
 use drill_sim::Time;
@@ -56,8 +57,13 @@ fn main() {
         .variants(vec!["ideal", "ospf-delayed"])
         .configure(|cfg, p| {
             if p.variant == "ospf-delayed" {
-                cfg.fail_at = Some(Time::from_millis(1));
-                cfg.ospf_delay = Time::from_millis(1);
+                // The same links die at 1 ms and routing reconverges 1 ms
+                // later.
+                let mut s = FaultSchedule::new(Time::from_millis(1));
+                for (a, b) in cfg.failed_links.drain(..) {
+                    s.push(Time::from_millis(1), FaultKind::LinkDown { a, b });
+                }
+                cfg.faults = Some(s);
             }
         })
         .run()

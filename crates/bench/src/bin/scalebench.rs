@@ -47,8 +47,8 @@ use std::time::Instant;
 use drill_core::SymmetryEngine;
 use drill_net::{ClosSpec, LeafSpineSpec, RouteTable, SwitchId, DEFAULT_PROP};
 use drill_runtime::{
-    random_leaf_spine_failures, run, CheckpointPolicy, CheckpointSpec, ExperimentConfig, Scheme,
-    Snapshot, TopoSpec, World,
+    random_leaf_spine_failures, run, CheckpointSpec, ExperimentConfig, Scheme, Snapshot, TopoSpec,
+    World,
 };
 use drill_sim::Time;
 
@@ -333,7 +333,7 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
         } else {
             if let Some(n) = rec.checkpoint_every {
                 cfg.checkpoint = Some(CheckpointSpec {
-                    policy: CheckpointPolicy::EveryEvents(n),
+                    every_events: n,
                     path: rec.checkpoint_path.clone(),
                 });
             }

@@ -139,7 +139,7 @@ pub struct FaultSchedule {
 }
 
 /// Default detection delay: 1 ms, a conservative fast-failover detector
-/// (BFD-ish), far below the legacy 50 ms OSPF-style `ospf_delay`.
+/// (BFD-ish), far below a 50 ms OSPF-style reconvergence.
 pub const DEFAULT_DETECTION_DELAY: Time = Time::from_millis(1);
 
 impl Default for FaultSchedule {

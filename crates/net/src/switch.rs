@@ -195,8 +195,7 @@ impl Switch {
     /// Mirror the topology's per-egress link state into the local pruning
     /// table. Call after any link/switch state change in `topo` (the switch
     /// itself never polls): the world invokes this on every switch after
-    /// build-time failures, after each fault strikes, and after control-plane
-    /// rebuilds that replace switch objects.
+    /// build-time failures and after each fault strikes.
     pub fn sync_link_state(&mut self, topo: &Topology) {
         self.any_dead = false;
         for port in 0..self.ports.len() {
@@ -218,9 +217,12 @@ impl Switch {
         self.id
     }
 
-    /// Mutable access to the policy (tests, CONGA feedback inspection).
-    pub fn policy_mut(&mut self) -> &mut dyn SwitchPolicy {
-        &mut *self.policy
+    /// Swap in a policy built from new routing state (a controller-driven
+    /// scheme's reconvergence). Queues, counters, engine-pending bytes and
+    /// the link-state mirror stay: the switch's pending events in the
+    /// wheel still refer to them.
+    pub fn set_policy(&mut self, policy: Box<dyn SwitchPolicy>) {
+        self.policy = policy;
     }
 
     /// Serialize this switch's dynamic state: every port FIFO (handles
@@ -796,25 +798,6 @@ impl Switch {
                 },
             ));
             p.in_flight = Some(next);
-        }
-    }
-
-    /// Drain every port FIFO and free the arena slot of each queued or
-    /// in-flight packet.
-    ///
-    /// Used when a control-plane rebuild replaces this switch object
-    /// (WCMP reconvergence): those packets were always dropped with the
-    /// old switch; with the arena their slots must be released explicitly
-    /// or the end-of-run leak check would count them as lost.
-    pub fn free_queued(&mut self, arena: &mut PacketArena) {
-        for p in self.ports.iter_mut() {
-            if let Some(q) = p.in_flight.take() {
-                arena.free(q.r);
-            }
-            for q in p.q.drain(..) {
-                arena.free(q.r);
-            }
-            p.q_bytes = 0;
         }
     }
 }

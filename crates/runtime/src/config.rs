@@ -74,17 +74,6 @@ impl TopoSpec {
             TopoSpec::Clos(spec) => clos(spec),
         }
     }
-
-    /// Total one-direction core capacity (all leaf up-links), used for the
-    /// offered-load arithmetic.
-    pub fn core_capacity_bps(&self) -> u64 {
-        let topo = self.build();
-        topo.links()
-            .iter()
-            .filter(|l| l.hop == drill_net::HopClass::LeafUp)
-            .map(|l| l.rate_bps)
-            .sum()
-    }
 }
 
 /// What traffic to offer.
@@ -206,20 +195,14 @@ pub struct ExperimentConfig {
     pub model_commit: bool,
     /// TCP knobs.
     pub tcp: TcpConfig,
-    /// Switch-to-switch link pairs (by switch id) to fail.
+    /// Switch-to-switch link pairs (by switch id) failed before the run
+    /// starts, with routing already reconverged (the "ideal DRILL" of
+    /// §4). Links that die mid-run belong in `faults`.
     pub failed_links: Vec<(u32, u32)>,
-    /// When to apply the failures: `None` = before the run starts (routing
-    /// already reconverged, the "ideal DRILL" of §4); `Some(t)` = links die
-    /// at `t` and routing reconverges `ospf_delay` later.
-    pub fail_at: Option<Time>,
-    /// Failure-detection + reconvergence delay when `fail_at` is set.
-    pub ospf_delay: Time,
     /// Chaos-engine fault schedule (link flaps, switch outages, capacity
     /// degradation, lossy links) driven through the run with staged
-    /// detection and coalesced reconvergence (see `drill-faults`).
-    /// Composes with the legacy `failed_links`/`fail_at` one-shot, which
-    /// keeps `ospf_delay` as its detection delay; schedule events use the
-    /// schedule's own `detection_delay`.
+    /// detection and coalesced reconvergence after the schedule's
+    /// `detection_delay` (see `drill-faults`).
     pub faults: Option<FaultSchedule>,
     /// Install DRILL's symmetric-component decomposition (§3.4) for
     /// schemes that micro load balance. Disable to ablate asymmetry
@@ -290,23 +273,12 @@ impl Default for AuditSpec {
     }
 }
 
-/// When to capture mid-run checkpoints.
-#[derive(Clone, Copy, Debug)]
-pub enum CheckpointPolicy {
-    /// Snapshot once, when the next pending event would reach `t` — the
-    /// state "as of `t⁻`". Drives warm-started sweeps: run the shared
-    /// warmup once, fork the grid from the file.
-    AtTime(Time),
-    /// Snapshot every `n` processed events, overwriting the same file —
-    /// the crash-recovery cadence (`scalebench --checkpoint-every`).
-    EveryEvents(u64),
-}
-
-/// A checkpoint policy plus the file it writes.
+/// Mid-run checkpoints: the crash-recovery cadence
+/// (`scalebench --checkpoint-every`).
 #[derive(Clone, Debug)]
 pub struct CheckpointSpec {
-    /// When to snapshot.
-    pub policy: CheckpointPolicy,
+    /// Snapshot every this many processed events, overwriting `path`.
+    pub every_events: u64,
     /// Destination file, overwritten on each capture.
     pub path: std::path::PathBuf,
 }
@@ -330,8 +302,6 @@ impl ExperimentConfig {
             model_commit: true,
             tcp: TcpConfig::default(),
             failed_links: Vec::new(),
-            fail_at: None,
-            ospf_delay: Time::from_millis(50),
             faults: None,
             asymmetry_handling: true,
             sample_queues: false,
@@ -354,10 +324,6 @@ mod tests {
     fn topo_specs_build() {
         let ls = TopoSpec::LeafSpine(LeafSpineSpec::paper_baseline());
         assert_eq!(ls.build().num_hosts(), 320);
-        // Baseline: 16 leaves x 4 spines x 40G = 2.56 Tbps.
-        assert_eq!(ls.core_capacity_bps(), 2_560_000_000_000);
-        let so = TopoSpec::LeafSpine(LeafSpineSpec::paper_scale_out());
-        assert_eq!(so.core_capacity_bps(), 2_560_000_000_000);
         let v = TopoSpec::Vl2(Vl2Spec::paper());
         assert_eq!(v.build().num_hosts(), 320);
         let f = TopoSpec::FatTree {
@@ -373,7 +339,6 @@ mod tests {
         assert_eq!(fo.build().num_hosts(), 32);
         let c = TopoSpec::Clos(ClosSpec::smoke());
         assert_eq!(c.build().num_hosts(), 32);
-        assert!(c.core_capacity_bps() > 0);
     }
 
     #[test]

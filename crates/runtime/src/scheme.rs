@@ -7,10 +7,6 @@ use drill_lb::{
 };
 use drill_net::{HostId, HostPolicy, NullHostPolicy, RouteTable, SwitchId, SwitchPolicy, Topology};
 
-fn drill_transport_shim_timeout() -> drill_sim::Time {
-    drill_transport::SHIM_DEFAULT_TIMEOUT
-}
-
 /// Every load balancer evaluated in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheme {
@@ -100,7 +96,7 @@ impl Scheme {
     pub fn shim_params(&self) -> (usize, drill_sim::Time) {
         match self {
             Scheme::Presto { .. } => (64, drill_sim::Time::from_micros(200)),
-            _ => (3, drill_transport_shim_timeout()),
+            _ => (3, drill_transport::SHIM_DEFAULT_TIMEOUT),
         }
     }
 

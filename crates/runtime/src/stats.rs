@@ -31,18 +31,6 @@ pub fn hop_index(h: HopClass) -> usize {
     }
 }
 
-/// Human name for a hop-class index.
-pub fn hop_name(i: usize) -> &'static str {
-    [
-        "host-up",
-        "hop1 leaf-up",
-        "agg-up",
-        "hop2 spine-down",
-        "agg-down",
-        "hop3 to-host",
-    ][i]
-}
-
 impl HopReport {
     /// Mean queueing wait at a hop class, microseconds.
     pub fn mean_wait_us(&self, h: HopClass) -> f64 {
@@ -117,7 +105,7 @@ pub struct RunStats {
     pub blackholed: u64,
     /// Packets dropped at host NICs.
     pub nic_drops: u64,
-    /// Chaos-engine faults applied (schedule events + legacy `fail_at`).
+    /// Chaos-engine fault schedule events applied.
     pub fault_events: u64,
     /// Routing reconvergence passes executed. Faults whose detection
     /// windows overlap coalesce into one pass, so this can be lower than
@@ -336,9 +324,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 6);
-        for i in 0..6 {
-            assert!(!hop_name(i).is_empty());
-        }
     }
 
     #[test]

@@ -26,10 +26,8 @@
 //! against 1/2/8-thread runs of the same grid.
 
 use drill_exec::Executor;
-use drill_sim::Time;
-use drill_snapshot::Snapshot;
 
-use crate::{run, ExperimentConfig, RunStats, Scheme, World};
+use crate::{run, ExperimentConfig, RunStats, Scheme};
 
 /// Derive the seed for replication `rep` of a sweep with root seed
 /// `base`. Rep 0 is the base seed itself; later reps are SplitMix64
@@ -112,7 +110,6 @@ pub struct SweepSpec {
     reps: usize,
     threads: Option<usize>,
     configure: Option<ConfigHook>,
-    warm_start: Option<Time>,
 }
 
 impl SweepSpec {
@@ -126,7 +123,6 @@ impl SweepSpec {
             reps: 1,
             threads: None,
             configure: None,
-            warm_start: None,
             base,
         }
     }
@@ -181,27 +177,6 @@ impl SweepSpec {
         F: Fn(&mut ExperimentConfig, &SweepPoint) + Sync + 'static,
     {
         self.configure = Some(Box::new(f));
-        self
-    }
-
-    /// Warm-start the sweep: amortize the simulation up to `at` across
-    /// each group of points that differ only in `variant`.
-    ///
-    /// Each group runs its first point's config once to `at`, takes a
-    /// `DRILLSNAP` [`Snapshot`](crate::Snapshot), and forks every member
-    /// from it: [`World::restore`] with the member's own config, then run
-    /// to completion. Both phases spread across the `drill-exec` pool,
-    /// and results stay bit-identical to a cold sweep *provided the
-    /// variants are inert before `at`* — they may only change state the
-    /// simulation has not consumed yet, the canonical case being fault
-    /// timelines whose divergent strikes all land at or after `at`
-    /// (restore verifies the already-struck prefix and rejects a
-    /// not-yet-struck strike in the past; other pre-`at` divergence, e.g.
-    /// a variant changing the workload, is the caller's contract to
-    /// avoid). Schemes, loads, engines and reps all shape the warmup
-    /// itself, so each gets its own group and donor snapshot.
-    pub fn warm_start(mut self, at: Time) -> SweepSpec {
-        self.warm_start = Some(at);
         self
     }
 
@@ -273,52 +248,12 @@ impl SweepSpec {
 
     fn run_on(&self, executor: Executor) -> SweepResults {
         let points = self.points();
-        let stats = match self.warm_start {
-            None => executor.map(&points, |_, (_, cfg)| run(cfg)),
-            Some(at) => Self::run_warm(&executor, &points, at),
-        };
+        let stats = executor.map(&points, |_, (_, cfg)| run(cfg));
         SweepResults {
             shape: self.shape(),
             points: points.into_iter().map(|(p, _)| p).collect(),
             stats,
         }
-    }
-
-    fn run_warm(
-        executor: &Executor,
-        points: &[(SweepPoint, ExperimentConfig)],
-        at: Time,
-    ) -> Vec<RunStats> {
-        // Group points differing only in variant. Grid order puts the
-        // variant axis second-innermost, so members of one group sit a
-        // scheme-stride apart; the group's first point donates the
-        // snapshot.
-        let mut groups: std::collections::HashMap<(usize, usize, usize, usize), usize> =
-            std::collections::HashMap::new();
-        let mut donors: Vec<usize> = Vec::new();
-        let mut group_of = vec![0usize; points.len()];
-        for (i, (p, _)) in points.iter().enumerate() {
-            let key = (p.rep, p.load_idx, p.engines_idx, p.scheme_idx);
-            group_of[i] = *groups.entry(key).or_insert_with(|| {
-                donors.push(i);
-                donors.len() - 1
-            });
-        }
-        let snaps: Vec<Snapshot> = executor.map(&donors, |_, &i| {
-            let mut w = World::new(&points[i].1);
-            w.run_to(at);
-            w.snapshot()
-        });
-        executor.map(points, |i, (point, cfg)| {
-            let w = World::restore(&snaps[group_of[i]], cfg).unwrap_or_else(|e| {
-                panic!(
-                    "warm-start fork of point {} (variant {:?}) is incompatible \
-                     with its group snapshot: {e}",
-                    point.index, point.variant
-                )
-            });
-            w.finish()
-        })
     }
 }
 

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use drill::audit::{AnomalyKind, AnomalyReport};
-use drill::faults::{FaultSchedule, SabotageKind, SabotageSpec};
+use drill::faults::{FaultKind, FaultSchedule, SabotageKind, SabotageSpec};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
     random_leaf_spine_failures, run, run_audited, AuditSpec, ExperimentConfig, RunStats, Scheme,
@@ -138,9 +138,10 @@ fn figure_scenarios() -> Vec<(&'static str, ExperimentConfig)> {
     // Fig. 12: FCT under a mid-run link failure with delayed OSPF
     // reconvergence.
     let mut fail = audited(small_leaf_spine(), Scheme::drill_default(), 0.7);
-    fail.failed_links = random_leaf_spine_failures(&fail.topo.build(), 1, 0xF16);
-    fail.fail_at = Some(Time::from_millis(1));
-    fail.ospf_delay = Time::from_millis(1);
+    let (a, b) = random_leaf_spine_failures(&fail.topo.build(), 1, 0xF16)[0];
+    let mut s = FaultSchedule::new(Time::from_millis(1));
+    s.push(Time::from_millis(1), FaultKind::LinkDown { a, b });
+    fail.faults = Some(s);
     out.push(("fig12_failure", fail));
 
     // Fig. 14: many-to-one incast over background load.

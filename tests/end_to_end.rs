@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: whole simulations on every topology
 //! family, with invariants that must hold regardless of scheme.
 
+use drill::faults::{FaultKind, FaultSchedule};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
     random_leaf_spine_failures, run, run_many, ExperimentConfig, Scheme, TopoSpec,
@@ -162,15 +163,16 @@ fn pre_applied_failure_reroutes_cleanly() {
 }
 
 #[test]
-fn mid_run_failure_with_ospf_delay_recovers() {
+fn mid_run_failure_with_detection_delay_recovers() {
     let topo = small_leaf_spine();
-    let failures = random_leaf_spine_failures(&topo.build(), 1, 5);
+    let (a, b) = random_leaf_spine_failures(&topo.build(), 1, 5)[0];
     let mut cfg = quick(topo, Scheme::drill_default(), 0.3);
     cfg.duration = Time::from_millis(8);
-    cfg.failed_links = failures;
-    cfg.fail_at = Some(Time::from_millis(2));
-    cfg.ospf_delay = Time::from_millis(1);
+    let mut s = FaultSchedule::new(Time::from_millis(1));
+    s.push(Time::from_millis(2), FaultKind::LinkDown { a, b });
+    cfg.faults = Some(s);
     let stats = run(&cfg);
+    assert_eq!((stats.fault_events, stats.reconvergences), (1, 1));
     // Packets in flight on the dying link are lost (blackholes/drops may
     // occur in the outage window), but TCP recovers everything that
     // matters: the vast majority of flows still complete.

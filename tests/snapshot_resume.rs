@@ -6,8 +6,8 @@
 use drill::faults::FaultSchedule;
 use drill::net::{LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{
-    random_leaf_spine_failures, run, CheckpointPolicy, CheckpointSpec, ExperimentConfig, RunStats,
-    Scheme, Snapshot, SweepSpec, TopoSpec, World,
+    random_leaf_spine_failures, run, CheckpointSpec, ExperimentConfig, RunStats, Scheme, Snapshot,
+    TopoSpec, World,
 };
 use drill::sim::Time;
 
@@ -228,12 +228,8 @@ fn resume_replays_timeouts_after_the_restore_point() {
 
 /// `determinism_golden.rs`'s cut-off raw-packet config: no other config
 /// here runs raw mode, whose unsent backlog lives in NIC train descriptors
-/// and whose flows leave only counters behind. At each restore point most
-/// NICs hold a half-sent train (and at the end still do: the 200 µs drain
-/// cuts the run off), so a train field or counter the snapshot forgot
-/// shows in the fingerprint.
-#[test]
-fn resume_replays_raw_trains() {
+/// and whose flows leave only counters behind.
+fn raw_train_cfg() -> ExperimentConfig {
     let mut cfg = golden_cfg(Scheme::drill_no_shim());
     cfg.workload.load = 0.9;
     cfg.workload.burst_sigma = 2.0;
@@ -241,6 +237,15 @@ fn resume_replays_raw_trains() {
     cfg.sample_queues = true;
     cfg.queue_limit_bytes = 20_000_000;
     cfg.drain = Time::from_micros(200);
+    cfg
+}
+
+/// At each restore point most NICs of [`raw_train_cfg`] hold a half-sent
+/// train (and at the end still do: the 200 µs drain cuts the run off), so
+/// a train field or counter the snapshot forgot shows in the fingerprint.
+#[test]
+fn resume_replays_raw_trains() {
+    let cfg = raw_train_cfg();
     let mut cold = run(&cfg);
     assert!(cold.nic_drops > 0 && cold.arena_live_at_end > 0);
     let cold_fp = full_fingerprint(&mut cold);
@@ -254,16 +259,13 @@ fn resume_replays_raw_trains() {
     }
 }
 
-/// The pinned chaos schedule of `determinism_golden.rs`: snapshots taken
-/// inside a fault window (reconvergence pending) and after recovery must
-/// both resume bit-identically — this exercises the applied-prefix
-/// replay, the route recompute at the reconvergence boundary, and
-/// re-injection of the not-yet-struck suffix.
-#[test]
-fn mid_fault_snapshot_resumes_bit_identically() {
-    let mut cfg = golden_cfg(Scheme::drill_default());
+/// A chaos schedule on the golden fabric: a link flap, a capacity
+/// degradation inside it (so WCMP's reinstalled weights differ from its
+/// build-time ones), then a switch outage.
+fn chaos_cfg(scheme: Scheme) -> ExperimentConfig {
+    let mut cfg = golden_cfg(scheme);
     let built = cfg.topo.build();
-    let pairs = random_leaf_spine_failures(&built, 2, 0xC405);
+    let pairs = random_leaf_spine_failures(&built, 3, 0xC405);
     let mut s = FaultSchedule::new(Time::from_micros(300));
     s.link_flap(
         pairs[0].0,
@@ -271,119 +273,178 @@ fn mid_fault_snapshot_resumes_bit_identically() {
         Time::from_micros(500),
         Time::from_micros(900),
     );
+    s.degrade_window(
+        pairs[2].0,
+        pairs[2].1,
+        1,
+        4,
+        Time::from_micros(600),
+        Time::from_micros(1600),
+    );
     s.switch_outage(pairs[1].1, Time::from_micros(1800), Time::from_micros(2300));
     cfg.faults = Some(s);
-    let mut cold = run(&cfg);
-    let cold_fp = full_fingerprint(&mut cold);
-    assert!(cold.fault_events >= 4, "schedule actually struck");
-    // 700µs: flap down, reconvergence pending. 1500µs: recovered, next
-    // outage still in the future. 2000µs: mid-outage.
-    for us in [700u64, 1500, 2000] {
-        let mut resumed = snapshot_resume(&cfg, Time::from_micros(us));
+    cfg
+}
+
+/// Snapshots taken inside a fault window (reconvergence pending) and
+/// after recovery must both resume bit-identically — this exercises the
+/// applied-prefix replay, the control-plane reinstall at the
+/// reconvergence boundary, and re-injection of the not-yet-struck suffix.
+/// WCMP and Presto rebuild switch and host policies at that reinstall,
+/// so each scheme covers its own restore branch.
+#[test]
+fn mid_fault_snapshot_resumes_bit_identically() {
+    for scheme in [Scheme::drill_default(), Scheme::Wcmp, Scheme::presto()] {
+        let cfg = chaos_cfg(scheme);
+        let mut cold = run(&cfg);
+        let cold_fp = full_fingerprint(&mut cold);
+        assert!(cold.fault_events >= 6, "schedule actually struck");
+        // 700µs: flap down and degradation, reconvergence pending. 1000µs:
+        // both installed, the link-up pending. 1500µs: recovered but for
+        // the degraded link, the outage still in the future. 2000µs:
+        // mid-outage.
+        for us in [700u64, 1000, 1500, 2000] {
+            let mut resumed = snapshot_resume(&cfg, Time::from_micros(us));
+            assert_eq!(
+                cold_fp,
+                full_fingerprint(&mut resumed),
+                "{} chaos run resumed at {us}µs diverged",
+                scheme.name()
+            );
+        }
+    }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The `DRILLSNAP` bytes themselves, pinned at three instants: a TCP run
+/// with shims, a raw-train run, and a run inside a fault window. The
+/// canonical-roundtrip check holds under any consistent change of
+/// format; this one moves with any byte.
+#[test]
+fn drillsnap_bytes_are_pinned() {
+    let us = Time::from_micros;
+    for (what, cfg, at, len, hash) in [
+        (
+            "tcp",
+            tiny_cfg(Scheme::drill_default()),
+            us(1000),
+            29_889,
+            0xce2f_5322_a603_3ced_u64,
+        ),
+        (
+            "raw",
+            raw_train_cfg(),
+            us(1000),
+            85_708,
+            0x9119_49f7_998a_6d81,
+        ),
+        (
+            "chaos",
+            chaos_cfg(Scheme::drill_default()),
+            us(700),
+            60_108,
+            0x323f_3cf2_4195_8bc6,
+        ),
+    ] {
+        let mut w = World::new(&cfg);
+        w.run_to(at);
+        let bytes = w.snapshot().to_bytes();
         assert_eq!(
-            cold_fp,
-            full_fingerprint(&mut resumed),
-            "chaos run resumed at {us}µs diverged"
+            (bytes.len(), fnv1a(&bytes)),
+            (len, hash),
+            "{what}: DRILLSNAP bytes moved"
         );
     }
 }
 
 /// `ExperimentConfig::checkpoint`: the event loop writes the snapshot
-/// file at the configured point, and a fresh process loading that file
-/// finishes with the uninterrupted run's exact results — the
-/// crash-recovery path `scalebench --checkpoint-every` smokes end to end.
+/// file every `every_events`, on the straight-through and the stepwise
+/// path alike, and a fresh process loading that file finishes with the
+/// uninterrupted run's exact results — the crash-recovery path
+/// `scalebench --checkpoint-every` smokes end to end.
 #[test]
 fn checkpoint_policy_files_are_resumable() {
-    let dir = std::env::temp_dir();
-    for (tag, policy) in [
-        ("at", CheckpointPolicy::AtTime(Time::from_millis(1))),
-        // The tiny run processes ~150k events, so the file is rewritten
-        // three times; the survivor is the 150k-event checkpoint.
-        ("every", CheckpointPolicy::EveryEvents(50_000)),
-    ] {
-        let path = dir.join(format!("drillsnap-test-{}-{tag}.snap", std::process::id()));
-        let mut cfg = tiny_cfg(Scheme::drill_default());
-        cfg.checkpoint = Some(CheckpointSpec {
-            policy,
-            path: path.clone(),
-        });
-        let mut cold = run(&cfg);
-        let snap = Snapshot::load(&path).expect("checkpoint file written");
-        std::fs::remove_file(&path).ok();
-        cfg.checkpoint = None;
+    let cfg = tiny_cfg(Scheme::drill_default());
+    let mut cold = run(&cfg);
+    let cold_fp = full_fingerprint(&mut cold);
+    let mut w = World::new(&cfg);
+    w.run_to(Time::from_millis(1));
+    let by_1ms = w.events_processed();
+    drop(w);
+    // The tiny run processes ~150k events, so at 50k the file is rewritten
+    // three times and the survivor is the 150k-event checkpoint. The
+    // second input stops the run before its second checkpoint, so the one
+    // it writes is `run_to(1 ms)`'s last event: only a `run_to` that
+    // honours checkpoints writes it on the stepwise path.
+    for (every_events, max_events) in [(50_000, 0), (by_1ms, 2 * by_1ms - 1)] {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let path = |how| dir.join(format!("drillsnap-test-{pid}-{every_events}-{how}.snap"));
+        let with = |path| {
+            let mut cfg = cfg.clone();
+            cfg.checkpoint = Some(CheckpointSpec { every_events, path });
+            cfg.max_events = max_events;
+            cfg
+        };
+        run(&with(path("run")));
+        let mut w = World::new(&with(path("step")));
+        w.run_to(Time::from_millis(1));
+        w.finish();
+        let read = |how| {
+            let bytes = std::fs::read(path(how));
+            std::fs::remove_file(path(how)).ok();
+            bytes.unwrap_or_else(|e| panic!("{how} wrote no checkpoint every {every_events}: {e}"))
+        };
+        let bytes = read("run");
+        assert!(
+            bytes == read("step"),
+            "stepwise checkpoint every {every_events} differs"
+        );
+        let snap = Snapshot::from_bytes(&bytes).expect("checkpoint decodes");
         let mut resumed = World::restore(&snap, &cfg).unwrap().finish();
         assert_eq!(
-            full_fingerprint(&mut cold),
+            cold_fp,
             full_fingerprint(&mut resumed),
-            "resume from {tag}-policy checkpoint diverged"
+            "resume from the checkpoint every {every_events} events diverged"
         );
     }
 }
 
-/// Warm-started sweeps produce tables byte-identical to cold sweeps:
-/// variants fork divergent fault timelines off one shared warmed-up
-/// snapshot per (scheme, load, engines, rep) group.
+/// A restore config whose fault timeline holds a strike the snapshot's
+/// clock has already passed — but the saved run never applied — cannot
+/// be replayed faithfully and is rejected.
 #[test]
-fn warm_start_sweep_matches_cold_sweep() {
-    let spec = || {
-        let mut base = tiny_cfg(Scheme::Ecmp);
-        base.drain = Time::from_millis(30);
-        let pair = random_leaf_spine_failures(&base.topo.build(), 1, 7)[0];
-        SweepSpec::new(base)
-            .schemes(vec![Scheme::Ecmp, Scheme::drill_default()])
-            .variants(vec!["clear", "flap"])
-            .reps(2)
-            .threads(4)
-            .configure(move |cfg, p| {
-                if p.variant == "flap" {
-                    let mut s = FaultSchedule::new(Time::from_micros(200));
-                    s.link_flap(
-                        pair.0,
-                        pair.1,
-                        Time::from_micros(1300),
-                        Time::from_micros(1700),
-                    );
-                    cfg.faults = Some(s);
-                }
-            })
+fn restore_rejects_pre_snapshot_divergence() {
+    let cfg = tiny_cfg(Scheme::Ecmp);
+    let pair = random_leaf_spine_failures(&cfg.topo.build(), 1, 7)[0];
+    let mut w = World::new(&cfg);
+    w.run_to(Time::from_millis(1));
+    let snap = w.snapshot();
+    drop(w);
+
+    let mut early_flap = cfg.clone();
+    let mut s = FaultSchedule::new(Time::from_micros(200));
+    s.link_flap(
+        pair.0,
+        pair.1,
+        Time::from_micros(300),
+        Time::from_micros(600),
+    );
+    early_flap.faults = Some(s);
+    let err = match World::restore(&snap, &early_flap) {
+        Ok(_) => panic!("an unapplied strike before the snapshot clock restored"),
+        Err(e) => e,
     };
-    let cold = spec().run().into_stats();
-    let warm = spec().warm_start(Time::from_millis(1)).run().into_stats();
-    assert_eq!(cold.len(), warm.len());
-    for (i, (mut c, mut w)) in cold.into_iter().zip(warm).enumerate() {
-        assert_eq!(
-            full_fingerprint(&mut c),
-            full_fingerprint(&mut w),
-            "warm-started point {i} diverged from the cold sweep"
-        );
-    }
-}
-
-/// A variant whose fault timeline diverges *before* the snapshot point
-/// violates the warm-start contract and must be rejected loudly.
-#[test]
-#[should_panic(expected = "incompatible with its group snapshot")]
-fn warm_start_rejects_pre_snapshot_divergence() {
-    let mut base = tiny_cfg(Scheme::Ecmp);
-    let pair = random_leaf_spine_failures(&base.topo.build(), 1, 7)[0];
-    base.drain = Time::from_millis(30);
-    SweepSpec::new(base)
-        .variants(vec!["clear", "early-flap"])
-        .threads(1)
-        .configure(move |cfg, p| {
-            if p.variant == "early-flap" {
-                let mut s = FaultSchedule::new(Time::from_micros(200));
-                s.link_flap(
-                    pair.0,
-                    pair.1,
-                    Time::from_micros(300),
-                    Time::from_micros(600),
-                );
-                cfg.faults = Some(s);
-            }
-        })
-        .warm_start(Time::from_millis(1))
-        .run();
+    assert!(
+        err.to_string().contains("precedes the restored clock"),
+        "unexpected error: {err}"
+    );
 }
 
 /// Restoring against an incompatible config errors instead of silently
