@@ -31,9 +31,7 @@ use drill_bench::{banner, base_config, seed_from_env, Scale};
 use drill_faults::{SabotageKind, SabotageSpec};
 use drill_net::{LeafSpineSpec, DEFAULT_PROP};
 use drill_runtime::run_recorded;
-use drill_runtime::{
-    run_audited, AuditSpec, ExperimentConfig, Scheme, Snapshot, TelemetrySpec, TopoSpec, World,
-};
+use drill_runtime::{run_audited, AuditSpec, ExperimentConfig, Scheme, Snapshot, TopoSpec, World};
 use drill_sim::Time;
 use drill_stats::{f3, Table};
 use drill_telemetry::analyze::{
@@ -41,7 +39,7 @@ use drill_telemetry::analyze::{
     reordering,
 };
 use drill_telemetry::{fault_kind, read_trace, write_trace, RingKind, Trace, TraceEvent};
-use drill_telemetry::{FlightRecorder, QueueSampler};
+use drill_telemetry::{FlightRecorder, DEFAULT_RING_CAPACITY};
 
 /// Sampling bucket for the reconstructed queue timelines (Fig. 2 samples
 /// every 10 µs).
@@ -77,7 +75,6 @@ fn recorded_trace() -> Trace {
     cfg.queue_limit_bytes = 20_000_000;
     cfg.workload.burst_sigma = 2.0;
     cfg.engines = 2;
-    cfg.telemetry = Some(TelemetrySpec::default());
     // A short chaos flap mid-run so the fault timeline below has content:
     // one leaf-spine pair dies at 0.5 ms and recovers at 1.5 ms.
     let pair = drill_runtime::random_leaf_spine_failures(&cfg.topo.build(), 1, seed_from_env())[0];
@@ -93,18 +90,18 @@ fn recorded_trace() -> Trace {
         "recording: {n}x{n}x{n} leaf-spine, DRILL(2,1), 2 engines, 80% load, seed {}",
         seed_from_env()
     );
-    let (stats, tel) = run_recorded(&cfg);
+    let (stats, recorder) = run_recorded(&cfg);
     println!(
         "run: {} events, {} data pkts delivered, {} recorder events ({} overwritten)\n",
         stats.events,
         stats.data_pkts_delivered,
-        tel.recorder.event_count(),
-        tel.recorder.overwritten()
+        recorder.event_count(),
+        recorder.overwritten()
     );
     // Round-trip through the on-disk codec so both modes print from the
     // identical decoded representation.
     let mut buf = Vec::new();
-    write_trace(&tel.recorder, &mut buf).expect("in-memory encode");
+    write_trace(&recorder, &mut buf).expect("in-memory encode");
     read_trace(&mut &buf[..]).expect("in-memory decode")
 }
 
@@ -117,22 +114,35 @@ fn header(trace: &Trace) {
         trace.event_count(),
         trace.overwritten()
     );
-    // Per-engine event volume across all switches.
+    // Switch events across all switches, per engine; dequeues and
+    // engine-less drops (`u16::MAX`) share one row.
     let mut per_engine: BTreeMap<u16, usize> = BTreeMap::new();
     let mut host_events = 0usize;
     let mut control_events = 0usize;
     for ring in &trace.rings {
         match ring.kind {
-            RingKind::Engine { engine, .. } => {
-                *per_engine.entry(engine).or_default() += ring.events.len()
+            RingKind::Switch { .. } => {
+                for ev in &ring.events {
+                    let engine = match ev {
+                        TraceEvent::EngineChoice { engine, .. }
+                        | TraceEvent::Enqueue { engine, .. }
+                        | TraceEvent::Drop { engine, .. } => *engine,
+                        _ => u16::MAX,
+                    };
+                    *per_engine.entry(engine).or_default() += 1;
+                }
             }
             RingKind::Host => host_events += ring.events.len(),
             RingKind::Control => control_events += ring.events.len(),
         }
     }
     let mut t = Table::new(vec!["ring".to_string(), "events".to_string()]);
-    for (e, n) in &per_engine {
-        t.row(vec![format!("engine {e}"), n.to_string()]);
+    for (&e, n) in &per_engine {
+        let label = match e {
+            u16::MAX => "switch, no engine".to_string(),
+            e => format!("engine {e}"),
+        };
+        t.row(vec![label, n.to_string()]);
     }
     t.row(vec!["host".into(), host_events.to_string()]);
     t.row(vec!["control".into(), control_events.to_string()]);
@@ -476,16 +486,14 @@ fn replay_from(dir: &Path) {
     // Stop the restored world exactly at the anomalous boundary: the
     // flight recorder then covers nothing but the rewind window.
     cfg.max_events = events;
-    let tspec = TelemetrySpec::default();
     let recorder = FlightRecorder::new(
         cfg.topo.build().num_switches(),
         cfg.engines,
-        tspec.ring_capacity,
+        DEFAULT_RING_CAPACITY,
     );
-    let sampler = QueueSampler::new(tspec.sample_every);
-    let w = World::restore_probed(&snap, &cfg, (recorder, sampler))
+    let w = World::restore_probed(&snap, &cfg, recorder)
         .unwrap_or_else(|e| panic!("cannot restore {rewind}: {e}"));
-    let (stats, (recorder, _sampler), _reports) = w.finish_parts();
+    let (stats, recorder, _reports) = w.finish_parts();
     println!(
         "replayed window: events {rewind_events}..{} ({} recorder events)\n",
         stats.events.min(events),

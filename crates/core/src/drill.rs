@@ -252,6 +252,24 @@ mod tests {
             let sel = p.select(&ctx(&cand, 0), &q, &mut rng);
             assert!(cand.contains(&sel));
         }
+        // Seeded DRILL(d, m) shapes, engine counts, queue states and
+        // candidate subsets.
+        for _ in 0..256 {
+            let (d, m, engines) = (1 + rng.below(7), rng.below(8), 1 + rng.below(3));
+            let n = 2 + rng.below(22);
+            let q = FixedQueues((0..n).map(|_| rng.below(200_000) as u64).collect());
+            let k = 1 + rng.below(n);
+            let cand: Vec<u16> = rng
+                .sample_indices(n, k)
+                .into_iter()
+                .map(|i| i as u16)
+                .collect();
+            let mut p = DrillPolicy::new(d, m, engines);
+            for round in 0..20 {
+                let sel = p.select(&ctx(&cand, round % engines), &q, &mut rng);
+                assert!(cand.contains(&sel), "DRILL({d},{m}) x{engines} chose {sel}");
+            }
+        }
     }
 
     #[test]

@@ -182,8 +182,8 @@ pub fn fat_tree(k: usize, link_rate: u64, prop: Time) -> Topology {
 /// non-blocking `k/2`. `hosts_per_edge > k/2` yields an oversubscribed
 /// fabric (ratio `hosts_per_edge / (k/2)` at the edge tier) — the common
 /// production trade and the configuration `scalebench` uses to reach 16k
-/// hosts on a k=32 fabric. Wiring above the edge tier is identical to
-/// [`fat_tree`], including construction order, so `fat_tree(k, r, p)` ==
+/// hosts on a k=32 fabric. The fabric is the [`clos`] of
+/// [`ClosSpec::fat_tree`], so `fat_tree(k, r, p)` ==
 /// `fat_tree_custom(k, k/2, r, r, p)` switch-for-switch and link-for-link.
 pub fn fat_tree_custom(
     k: usize,
@@ -192,47 +192,13 @@ pub fn fat_tree_custom(
     host_rate: u64,
     prop: Time,
 ) -> Topology {
-    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even");
-    let half = k / 2;
-    let mut t = Topology::new();
-    let mut edges = Vec::new();
-    let mut aggs = Vec::new();
-    for _pod in 0..k {
-        edges.push(
-            (0..half)
-                .map(|_| t.add_switch(SwitchKind::Leaf))
-                .collect::<Vec<_>>(),
-        );
-        aggs.push(
-            (0..half)
-                .map(|_| t.add_switch(SwitchKind::Agg))
-                .collect::<Vec<_>>(),
-        );
-    }
-    let cores: Vec<SwitchId> = (0..half * half)
-        .map(|_| t.add_switch(SwitchKind::Spine))
-        .collect();
-    for pod in 0..k {
-        for &e in &edges[pod] {
-            for &a in &aggs[pod] {
-                t.connect_switches(e, a, link_rate, link_rate, prop);
-            }
-        }
-        for (j, &a) in aggs[pod].iter().enumerate() {
-            for c in 0..half {
-                t.connect_switches(a, cores[j * half + c], link_rate, link_rate, prop);
-            }
-        }
-    }
-    for pod_edges in &edges {
-        for &e in pod_edges {
-            for _ in 0..hosts_per_edge {
-                t.add_host(e, host_rate, prop);
-            }
-        }
-    }
-    t.validate();
-    t
+    clos(&ClosSpec::fat_tree(
+        k,
+        hosts_per_edge,
+        link_rate,
+        host_rate,
+        prop,
+    ))
 }
 
 /// Parameters for a general three-tier folded Clos (leaf - pod aggregation -
@@ -263,6 +229,32 @@ pub struct ClosSpec {
 }
 
 impl ClosSpec {
+    /// The k-ary fat-tree as a Clos: `k` pods of `k/2` edge (leaf) and
+    /// `k/2` aggregation switches, `(k/2)^2` cores in `k/2` planes,
+    /// `hosts_per_edge` hosts at `host_rate` per edge switch, every
+    /// switch-to-switch link at `link_rate`. `k` must be even.
+    pub fn fat_tree(
+        k: usize,
+        hosts_per_edge: usize,
+        link_rate: u64,
+        host_rate: u64,
+        prop: Time,
+    ) -> ClosSpec {
+        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even");
+        let half = k / 2;
+        ClosSpec {
+            pods: k,
+            leaves_per_pod: half,
+            aggs_per_pod: half,
+            cores: half * half,
+            hosts_per_leaf: hosts_per_edge,
+            host_rate,
+            leaf_agg_rate: link_rate,
+            agg_core_rate: link_rate,
+            prop,
+        }
+    }
+
     /// A small three-tier Clos for CI goldens: 4 pods x (2 leaves + 2 aggs),
     /// 4 cores, 4 hosts per leaf (32 hosts), 10/40 Gbps edge/core.
     pub fn smoke() -> ClosSpec {
@@ -315,7 +307,7 @@ impl ClosSpec {
 
 /// Build a three-tier folded Clos from `spec`.
 ///
-/// Wiring rules (validated in tests and proptests):
+/// Wiring rules (validated in tests and `tests/builder_invariants.rs`):
 /// * within each pod, leaves and aggregation switches form a full bipartite
 ///   mesh (`leaves_per_pod * aggs_per_pod` links per pod);
 /// * the core tier is split into `aggs_per_pod` planes of

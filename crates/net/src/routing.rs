@@ -392,6 +392,33 @@ mod tests {
             3,
             "detours via the other leaves"
         );
+        // Seeded shapes: healthy, every leaf pair sits 2 hops apart with
+        // every spine a candidate; one failed uplink of leaf 0 costs it
+        // exactly one candidate toward every other leaf.
+        let mut rng = drill_sim::SimRng::seed_from(0x2EAC);
+        for _ in 0..64 {
+            let spec = LeafSpineSpec {
+                spines: 2 + rng.below(4),
+                leaves: 2 + rng.below(4),
+                hosts_per_leaf: 1 + rng.below(3),
+                ..small_spec()
+            };
+            let mut topo = leaf_spine(&spec);
+            let rt = RouteTable::compute(&topo);
+            for (i, &a) in topo.leaves().iter().enumerate() {
+                for j in (0..spec.leaves as u32).filter(|&j| j as usize != i) {
+                    assert_eq!(rt.dist(a, j), Some(2));
+                    assert_eq!(rt.candidates(a, j).len(), spec.spines);
+                }
+            }
+            let l0 = topo.leaves()[0];
+            let spine = SwitchId((spec.leaves + rng.below(spec.spines)) as u32);
+            assert!(topo.fail_switch_link(l0, spine, 0));
+            let rt = RouteTable::compute(&topo);
+            for j in 1..spec.leaves as u32 {
+                assert_eq!(rt.candidates(l0, j).len(), spec.spines - 1, "{spec:?}");
+            }
+        }
     }
 
     #[test]

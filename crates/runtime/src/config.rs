@@ -128,29 +128,14 @@ impl Default for SyntheticMode {
     }
 }
 
-/// Flight-recorder telemetry knobs (see `drill-telemetry`). Attaching a
-/// spec to [`ExperimentConfig::telemetry`] makes the run record lifecycle
-/// events and queue time series; metrics stay bit-identical either way
-/// (probes observe, never steer).
-#[derive(Clone, Debug)]
+/// Flight-recorder telemetry (see `drill-telemetry`). Attaching a spec to
+/// [`ExperimentConfig::telemetry`] makes the run record lifecycle events;
+/// metrics stay bit-identical either way (probes observe, never steer).
+#[derive(Clone, Debug, Default)]
 pub struct TelemetrySpec {
-    /// Events kept per (switch, engine) ring; the newest survive.
-    pub ring_capacity: usize,
-    /// Queue-depth sampling cadence.
-    pub sample_every: Time,
     /// Where to write the `DRILLTRC` trace file after the run (`None` =
     /// keep the recorder in memory only, returned by `run_recorded`).
     pub trace_path: Option<std::path::PathBuf>,
-}
-
-impl Default for TelemetrySpec {
-    fn default() -> Self {
-        TelemetrySpec {
-            ring_capacity: drill_telemetry::DEFAULT_RING_CAPACITY,
-            sample_every: drill_telemetry::DEFAULT_SAMPLE_EVERY,
-            trace_path: None,
-        }
-    }
 }
 
 /// Inert, holds nothing: only the frozen `benchmark/` names it (gone at

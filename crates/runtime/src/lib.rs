@@ -16,7 +16,7 @@
 //!   aggregation via [`RunStats::merge`].
 //! * [`run_many`] — parallel execution of a free-form config list.
 //! * [`run_recorded`] / [`run_probed`] — the same run with the
-//!   `drill-telemetry` flight recorder + queue sampler (or any custom
+//!   `drill-telemetry` flight recorder (or any custom
 //!   [`Probe`](drill_telemetry::Probe)) attached; probes observe but never
 //!   steer, so every metric is bit-identical with telemetry on or off.
 //! * [`run_audited`] — the same run with the `drill-audit`
@@ -43,6 +43,4 @@ pub use drill_snapshot::Snapshot;
 pub use scheme::Scheme;
 pub use stats::{hop_index, HopReport, RunStats};
 pub use sweep::{derive_seed, run_many, SweepPoint, SweepResults, SweepSpec};
-pub use world::{
-    random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, Telemetry, World,
-};
+pub use world::{random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, World};

@@ -7,7 +7,7 @@ use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor,
 use drill_faults::{SabotageKind, SabotageSpec};
 use drill_net::{HopClass, HostId, NetEvent, Packet, PacketRef, SwitchId, Topology};
 use drill_sim::{EventQueue, SimRng, Time};
-use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe, QueueSampler};
+use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe};
 use drill_transport::{ShimBuffer, TcpFlow};
 
 use crate::config::{AuditSpec, ExperimentConfig};
@@ -287,31 +287,23 @@ pub fn run_audited(cfg: &ExperimentConfig) -> (RunStats, Vec<AnomalyReport>) {
     (stats, reports)
 }
 
-/// The telemetry captured by a recorded run.
-pub struct Telemetry {
-    /// Per-(switch, engine) lifecycle-event rings.
-    pub recorder: FlightRecorder,
-    /// Queue-depth time series and high-water marks.
-    pub sampler: QueueSampler,
-}
-
-/// Execute one experiment with the flight recorder and queue sampler
-/// attached (using `cfg.telemetry`, or [`Default`] knobs when unset), and
-/// write the trace file if the spec names a path.
-pub fn run_recorded(cfg: &ExperimentConfig) -> (RunStats, Telemetry) {
-    let spec = cfg.telemetry.clone().unwrap_or_default();
-    let topo = cfg.topo.build();
-    let recorder = FlightRecorder::new(topo.num_switches(), cfg.engines, spec.ring_capacity);
-    let sampler = QueueSampler::new(spec.sample_every);
-    let (stats, (recorder, sampler)) = run_probed(cfg, (recorder, sampler));
-    if let Some(path) = &spec.trace_path {
+/// Execute one experiment with the flight recorder attached, and write
+/// the trace file if `cfg.telemetry` names a path.
+pub fn run_recorded(cfg: &ExperimentConfig) -> (RunStats, FlightRecorder) {
+    let recorder = FlightRecorder::new(
+        cfg.topo.build().num_switches(),
+        cfg.engines,
+        drill_telemetry::DEFAULT_RING_CAPACITY,
+    );
+    let (stats, recorder) = run_probed(cfg, recorder);
+    if let Some(path) = cfg.telemetry.as_ref().and_then(|t| t.trace_path.as_ref()) {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| panic!("telemetry trace {}: {e}", path.display()));
         let mut w = std::io::BufWriter::new(file);
         drill_telemetry::write_trace(&recorder, &mut w)
             .unwrap_or_else(|e| panic!("telemetry trace {}: {e}", path.display()));
     }
-    (stats, Telemetry { recorder, sampler })
+    (stats, recorder)
 }
 
 impl World<NoopProbe> {
@@ -1382,16 +1374,14 @@ mod tests {
         let mut cfg = quick_cfg(Scheme::drill_default(), 0.3);
         cfg.duration = Time::from_millis(2);
         let base = run(&cfg);
-        let (stats, tel) = run_recorded(&cfg);
+        let (stats, recorder) = run_recorded(&cfg);
         // The probe observes but never steers: every counter matches the
         // probe-free run exactly.
         assert_eq!(base.events, stats.events);
         assert_eq!(base.flows_started, stats.flows_started);
         assert_eq!(base.flows_completed, stats.flows_completed);
         assert_eq!(base.mean_fct_ms().to_bits(), stats.mean_fct_ms().to_bits());
-        assert!(tel.recorder.event_count() > 1000, "recorder saw traffic");
-        assert!(!tel.sampler.ports().is_empty(), "sampler saw queues");
-        assert!(tel.sampler.max_high_water_pkts() > 0);
+        assert!(recorder.event_count() > 1000, "recorder saw traffic");
     }
 
     #[test]
@@ -1404,7 +1394,6 @@ mod tests {
         cfg.duration = Time::from_millis(1);
         cfg.telemetry = Some(crate::config::TelemetrySpec {
             trace_path: Some(path.clone()),
-            ..Default::default()
         });
         let stats = run(&cfg);
         assert!(stats.flows_started > 0);

@@ -42,8 +42,8 @@
 //! envelope over the alternating compactor's observed error (the
 //! random-coin KLL analysis gives O(1/k) w.h.p.; alternation behaves the
 //! same in practice but trades the probabilistic worst case for
-//! determinism). The differential goldens in `tests/` and the proptests
-//! hold every p50/p90/p99 estimate to this bound against exact
+//! determinism). The differential goldens and the seeded merge sweep in
+//! `tests/` hold every p50/p90/p99 estimate to this bound against exact
 //! order-statistics, so a regression in compaction quality fails loudly.
 
 /// Default `k` (top-level capacity). 512 keeps the whole sketch around a

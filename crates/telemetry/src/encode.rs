@@ -1,19 +1,18 @@
 //! Compact binary trace encoding: LEB128 varints, delta-encoded
 //! timestamps, and the versioned trace-file container.
 //!
-//! # Format (version 2; version-1 files decode too)
+//! # Format (version 3, the only one)
 //!
 //! ```text
 //! magic            8 bytes  b"DRILLTRC"
-//! version          u16 LE   2
+//! version          u16 LE   3
 //! num_switches     varint
 //! engines          varint   (forwarding engines per switch)
 //! ring_count       varint
 //! ring*:
-//!   kind           u8       0 = engine ring, 1 = host ring,
-//!                           2 = control ring (v2+; fault timeline)
-//!   switch         varint   (engine rings only)
-//!   engine         varint   (engine rings only)
+//!   kind           u8       0 = switch ring, 1 = host ring,
+//!                           2 = control ring (fault timeline)
+//!   switch         varint   (switch rings only)
 //!   overwritten    varint   (events lost to ring wraparound)
 //!   event_count    varint
 //!   event*:
@@ -38,12 +37,9 @@ use crate::record::{FlightRecorder, RingKind, TraceEvent};
 /// File magic.
 pub const TRACE_MAGIC: [u8; 8] = *b"DRILLTRC";
 
-/// Current trace-format version (v2 added the control ring and the fault
-/// event). Version-1 files are still accepted by [`read_trace`].
-pub const TRACE_VERSION: u16 = 2;
-
-/// Oldest trace-format version [`read_trace`] accepts.
-pub const TRACE_VERSION_MIN: u16 = 1;
+/// The trace-format version, the only one [`read_trace`] accepts (v3:
+/// one ring per switch).
+pub const TRACE_VERSION: u16 = 3;
 
 mod tags {
     pub const HOST_SEND: u8 = 1;
@@ -56,12 +52,7 @@ mod tags {
     pub const FAULT: u8 = 8;
 }
 
-// The varint/decoder primitives are shared with the `DRILLSNAP` snapshot
-// format; re-export them so existing `drill_telemetry::encode::{put_varint,
-// Decoder}` users keep working.
-pub use drill_sim::codec::{put_varint, Decoder};
-
-use drill_sim::codec::invalid;
+use drill_sim::codec::{invalid, put_varint, Decoder};
 
 fn put_meta(buf: &mut Vec<u8>, m: &PacketMeta) {
     put_varint(buf, m.id);
@@ -89,7 +80,7 @@ fn get_meta(d: &mut Decoder<'_>) -> io::Result<PacketMeta> {
 
 /// Encode one event (tag + dt + fields) onto `buf`. `prev` is the previous
 /// event's timestamp in the same ring (delta base).
-pub fn put_event(buf: &mut Vec<u8>, prev: Time, ev: &TraceEvent) {
+fn put_event(buf: &mut Vec<u8>, prev: Time, ev: &TraceEvent) {
     let t = ev.time();
     debug_assert!(t >= prev, "ring events must be chronological");
     let dt = (t - prev).as_nanos();
@@ -194,7 +185,7 @@ pub fn put_event(buf: &mut Vec<u8>, prev: Time, ev: &TraceEvent) {
 }
 
 /// Decode one event. `prev` is the previous event's timestamp in the ring.
-pub fn get_event(d: &mut Decoder<'_>, prev: Time) -> io::Result<TraceEvent> {
+fn get_event(d: &mut Decoder<'_>, prev: Time) -> io::Result<TraceEvent> {
     let tag = d.u8()?;
     // A hostile delta can push the running timestamp past u64; fail with a
     // typed error instead of the debug-build add panic.
@@ -273,8 +264,8 @@ pub struct Trace {
     pub num_switches: u32,
     /// Forwarding engines per switch.
     pub engines: u16,
-    /// The rings, in file order (engine rings switch-major, then the host
-    /// ring, then — in v2+ files — the control ring).
+    /// The rings, in file order (switch rings by switch id, then the host
+    /// ring, then the control ring).
     pub rings: Vec<TraceRing>,
 }
 
@@ -290,8 +281,9 @@ pub struct TraceRing {
 }
 
 impl Trace {
-    /// All events of every ring, merged and sorted by time (stable across
-    /// rings in file order for equal timestamps).
+    /// All events of every ring, merged and sorted by time. The sort is
+    /// stable, so equal timestamps keep their ring's order (a switch's hook
+    /// order), rings in file order.
     pub fn merged_events(&self) -> Vec<&TraceEvent> {
         let mut all: Vec<&TraceEvent> = self.rings.iter().flat_map(|r| r.events.iter()).collect();
         all.sort_by_key(|e| e.time());
@@ -320,10 +312,9 @@ pub fn write_trace<W: Write>(rec: &FlightRecorder, w: &mut W) -> io::Result<()> 
     for idx in 0..rec.ring_count() {
         let (kind, ring) = rec.ring_at(idx);
         match kind {
-            RingKind::Engine { switch, engine } => {
+            RingKind::Switch { switch } => {
                 buf.push(0);
                 put_varint(&mut buf, switch as u64);
-                put_varint(&mut buf, engine as u64);
             }
             RingKind::Host => buf.push(1),
             RingKind::Control => buf.push(2),
@@ -339,7 +330,7 @@ pub fn write_trace<W: Write>(rec: &FlightRecorder, w: &mut W) -> io::Result<()> 
     w.write_all(&buf)
 }
 
-/// Read and decode a trace file (any supported version).
+/// Read and decode a trace file.
 pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
@@ -352,7 +343,7 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
         return Err(invalid("not a DRILL trace (bad magic)"));
     }
     let version = u16::from_le_bytes([d.u8()?, d.u8()?]);
-    if !(TRACE_VERSION_MIN..=TRACE_VERSION).contains(&version) {
+    if version != TRACE_VERSION {
         return Err(invalid("unsupported trace version"));
     }
     let num_switches = d.varint_u32()?;
@@ -363,9 +354,8 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
     let mut rings = Vec::with_capacity(ring_count.min(1 << 16));
     for _ in 0..ring_count {
         let kind = match d.u8()? {
-            0 => RingKind::Engine {
+            0 => RingKind::Switch {
                 switch: d.varint_u32()?,
-                engine: d.varint_u16()?,
             },
             1 => RingKind::Host,
             2 => RingKind::Control,
@@ -637,18 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_still_decode() {
-        let rec = sample_recorder();
+    fn other_versions_are_rejected() {
         let mut buf = Vec::new();
-        write_trace(&rec, &mut buf).unwrap();
-        // Rewrite the version field to 1: layout is otherwise compatible
-        // (the control ring kind byte was unused but valid in v1 readers'
-        // terms only for v2 — here we check *our* reader takes both).
-        buf[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let trace = read_trace(&mut &buf[..]).unwrap();
-        assert_eq!(trace.event_count(), rec.event_count());
-        // Unsupported future versions are rejected.
-        buf[8..10].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
-        assert!(read_trace(&mut &buf[..]).is_err());
+        write_trace(&sample_recorder(), &mut buf).unwrap();
+        for v in [1, 2, TRACE_VERSION + 1] {
+            buf[8..10].copy_from_slice(&v.to_le_bytes());
+            assert!(read_trace(&mut &buf[..]).is_err(), "version {v}");
+        }
     }
 }

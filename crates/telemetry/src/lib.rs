@@ -12,10 +12,8 @@
 //!   in `drill-net`/`drill-runtime` are generic over `P: Probe` and gate
 //!   probe-only work on [`Probe::ENABLED`], so the [`NoopProbe`] path
 //!   monomorphizes to exactly the pre-telemetry code.
-//! * [`FlightRecorder`] — captures events into bounded per-engine
-//!   [`EventRing`]s (newest kept, overwrites counted).
-//! * [`QueueSampler`] — per-port queue-depth time series at a configurable
-//!   cadence plus high-water marks, derived purely from hook data.
+//! * [`FlightRecorder`] — captures events into bounded [`EventRing`]s, one
+//!   per switch in hook order (newest kept, overwrites counted).
 //! * [`write_trace`]/[`read_trace`] — the versioned `DRILLTRC` binary
 //!   container (LEB128 varints, per-ring delta timestamps).
 //! * [`analyze`] — offline analyzers turning a [`Trace`] into queue-depth
@@ -34,17 +32,12 @@ pub mod analyze;
 mod encode;
 mod probe;
 mod record;
-mod sampler;
 
-pub use encode::{
-    get_event, put_event, put_varint, read_trace, write_trace, Decoder, Trace, TraceRing,
-    TRACE_MAGIC, TRACE_VERSION, TRACE_VERSION_MIN,
-};
+pub use encode::{read_trace, write_trace, Trace, TraceRing, TRACE_MAGIC, TRACE_VERSION};
 pub use probe::{
     fault_kind, meta_flags, DropReason, EngineChoice, FaultInfo, NoopProbe, PacketMeta, Probe,
 };
 pub use record::{EventRing, FlightRecorder, RingKind, TraceEvent, DEFAULT_RING_CAPACITY};
-pub use sampler::{PortSeries, QueueSampler, DEFAULT_SAMPLE_EVERY};
 
 #[cfg(test)]
 mod tests {
@@ -100,7 +93,7 @@ mod tests {
         let trace = read_trace(&mut bytes.as_slice()).unwrap();
         assert_eq!(trace.num_switches, 2);
         assert_eq!(trace.engines, 2);
-        assert_eq!(trace.rings.len(), 6);
+        assert_eq!(trace.rings.len(), 4);
         assert_eq!(trace.event_count(), 8);
         assert_eq!(trace.overwritten(), 0);
         assert_eq!(trace.rings.last().unwrap().kind, RingKind::Control);

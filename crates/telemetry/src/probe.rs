@@ -274,125 +274,9 @@ impl Probe for NoopProbe {
     const ENABLED: bool = false;
 }
 
-/// Probe composition: `(A, B)` fans every event out to both probes.
-/// Compose further by nesting: `((a, b), c)`.
-impl<A: Probe, B: Probe> Probe for (A, B) {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn on_host_send(&mut self, now: Time, host: u32, pkt: &PacketMeta) {
-        self.0.on_host_send(now, host, pkt);
-        self.1.on_host_send(now, host, pkt);
-    }
-
-    #[inline]
-    fn on_host_recv(&mut self, now: Time, host: u32, pkt: &PacketMeta) {
-        self.0.on_host_recv(now, host, pkt);
-        self.1.on_host_recv(now, host, pkt);
-    }
-
-    #[inline]
-    fn on_engine_choice(&mut self, now: Time, switch: u32, engine: u16, choice: &EngineChoice) {
-        self.0.on_engine_choice(now, switch, engine, choice);
-        self.1.on_engine_choice(now, switch, engine, choice);
-    }
-
-    #[inline]
-    fn on_enqueue(
-        &mut self,
-        now: Time,
-        switch: u32,
-        port: u16,
-        engine: u16,
-        pkt: &PacketMeta,
-        depth_pkts: u32,
-        depth_bytes: u64,
-    ) {
-        self.0
-            .on_enqueue(now, switch, port, engine, pkt, depth_pkts, depth_bytes);
-        self.1
-            .on_enqueue(now, switch, port, engine, pkt, depth_pkts, depth_bytes);
-    }
-
-    #[inline]
-    fn on_dequeue(
-        &mut self,
-        now: Time,
-        switch: u32,
-        port: u16,
-        pkt_id: u64,
-        depth_pkts: u32,
-        wait_ns: u64,
-    ) {
-        self.0
-            .on_dequeue(now, switch, port, pkt_id, depth_pkts, wait_ns);
-        self.1
-            .on_dequeue(now, switch, port, pkt_id, depth_pkts, wait_ns);
-    }
-
-    #[inline]
-    fn on_drop(
-        &mut self,
-        now: Time,
-        switch: u32,
-        port: u16,
-        engine: u16,
-        pkt: &PacketMeta,
-        reason: DropReason,
-    ) {
-        self.0.on_drop(now, switch, port, engine, pkt, reason);
-        self.1.on_drop(now, switch, port, engine, pkt, reason);
-    }
-
-    #[inline]
-    fn on_nic_drop(&mut self, now: Time, host: u32, pkt: &PacketMeta) {
-        self.0.on_nic_drop(now, host, pkt);
-        self.1.on_nic_drop(now, host, pkt);
-    }
-
-    #[inline]
-    fn on_fault(&mut self, now: Time, info: &FaultInfo) {
-        self.0.on_fault(now, info);
-        self.1.on_fault(now, info);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A probe that counts every hook invocation.
-    #[derive(Default)]
-    pub(crate) struct CountingProbe {
-        pub calls: u64,
-    }
-
-    impl Probe for CountingProbe {
-        fn on_host_send(&mut self, _: Time, _: u32, _: &PacketMeta) {
-            self.calls += 1;
-        }
-        fn on_host_recv(&mut self, _: Time, _: u32, _: &PacketMeta) {
-            self.calls += 1;
-        }
-        fn on_engine_choice(&mut self, _: Time, _: u32, _: u16, _: &EngineChoice) {
-            self.calls += 1;
-        }
-        fn on_enqueue(&mut self, _: Time, _: u32, _: u16, _: u16, _: &PacketMeta, _: u32, _: u64) {
-            self.calls += 1;
-        }
-        fn on_dequeue(&mut self, _: Time, _: u32, _: u16, _: u64, _: u32, _: u64) {
-            self.calls += 1;
-        }
-        fn on_drop(&mut self, _: Time, _: u32, _: u16, _: u16, _: &PacketMeta, _: DropReason) {
-            self.calls += 1;
-        }
-        fn on_nic_drop(&mut self, _: Time, _: u32, _: &PacketMeta) {
-            self.calls += 1;
-        }
-        fn on_fault(&mut self, _: Time, _: &FaultInfo) {
-            self.calls += 1;
-        }
-    }
 
     fn fire_all<P: Probe>(p: &mut P) {
         let m = PacketMeta::default();
@@ -410,17 +294,6 @@ mod tests {
     fn noop_is_disabled_and_inert() {
         const { assert!(!NoopProbe::ENABLED) };
         fire_all(&mut NoopProbe); // must compile and do nothing
-    }
-
-    #[test]
-    fn tuple_fans_out_and_ors_enabled() {
-        let mut pair = (CountingProbe::default(), CountingProbe::default());
-        fire_all(&mut pair);
-        assert_eq!(pair.0.calls, 8);
-        assert_eq!(pair.1.calls, 8);
-        const { assert!(<(CountingProbe, CountingProbe)>::ENABLED) };
-        const { assert!(<(NoopProbe, CountingProbe)>::ENABLED) };
-        const { assert!(!<(NoopProbe, NoopProbe)>::ENABLED) };
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! The flight recorder: bounded per-engine ring buffers of lifecycle
-//! events.
+//! The flight recorder: bounded ring buffers of lifecycle events.
 //!
-//! One ring per (switch, forwarding engine) pair plus one ring for host
-//! events keeps hot-path appends contention- and allocation-free (each
-//! ring is a fixed-capacity circular buffer) and preserves the per-engine
-//! view the paper's Fig. 2 analysis needs. Rings keep the *newest* events:
-//! on wraparound the oldest event is overwritten and counted, so a trace
-//! always ends with an intact suffix of the run.
-
-use std::collections::{BTreeMap, VecDeque};
+//! One ring per switch, one for host events and one for control-plane
+//! events keeps hot-path appends allocation-free (each ring is a
+//! fixed-capacity circular buffer) and keeps a switch's events in the
+//! order its hooks fired. Engine events carry their `engine` field, so
+//! the per-engine view of the paper's Fig. 2 analysis is a filter over a
+//! switch ring. Rings keep the *newest* events: on wraparound the oldest
+//! event is overwritten and counted, so a trace always ends with an
+//! intact suffix of the run.
 
 use drill_sim::Time;
 
@@ -139,12 +138,11 @@ impl TraceEvent {
 /// What a ring recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RingKind {
-    /// Events attributed to one forwarding engine of one switch.
-    Engine {
+    /// Every event of one switch (engine choices, enqueues, dequeues,
+    /// drops), in hook order.
+    Switch {
         /// The switch.
         switch: u32,
-        /// The engine.
-        engine: u16,
     },
     /// Host-side events (NIC accept/deliver/drop) for every host.
     Host,
@@ -210,47 +208,35 @@ impl EventRing {
     }
 }
 
-/// Default per-ring capacity: 64 Ki events per (switch, engine) ring.
+/// Events kept per forwarding engine: a switch ring holds `engines` times
+/// this, the host and control rings this many.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// A [`Probe`] that records every lifecycle event into per-engine rings.
-///
-/// Dequeues and in-flight drops carry no engine on the wire, so the
-/// recorder mirrors each port's FIFO discipline: it remembers the engine
-/// of every enqueue per (switch, port) and pops that queue on dequeue,
-/// recovering the attribution exactly (ports are strict FIFOs). Events
-/// with no recoverable engine (`u16::MAX`) land in the switch's engine-0
-/// ring by convention.
+/// A [`Probe`] that records every lifecycle event into one ring per
+/// switch, one host ring and one control ring.
 pub struct FlightRecorder {
-    num_switches: usize,
     engines: usize,
-    /// Engine rings switch-major, then the host ring, then the control
+    /// Switch rings by switch id, then the host ring, then the control
     /// ring last.
     rings: Vec<EventRing>,
-    /// Per-(switch, port) FIFO of enqueuing engines, mirroring the port
-    /// queue (including the in-flight packet).
-    port_fifo: BTreeMap<(u32, u16), VecDeque<u16>>,
 }
 
 impl FlightRecorder {
     /// A recorder for `num_switches` switches with `engines` forwarding
-    /// engines each, `ring_capacity` events per ring.
+    /// engines each, keeping `ring_capacity` events per engine.
     pub fn new(num_switches: usize, engines: usize, ring_capacity: usize) -> FlightRecorder {
         assert!(engines >= 1, "at least one engine");
-        let rings = (0..num_switches * engines + 2)
-            .map(|_| EventRing::new(ring_capacity))
+        let mut rings: Vec<EventRing> = (0..num_switches)
+            .map(|_| EventRing::new(engines * ring_capacity))
             .collect();
-        FlightRecorder {
-            num_switches,
-            engines,
-            rings,
-            port_fifo: BTreeMap::new(),
-        }
+        rings.push(EventRing::new(ring_capacity));
+        rings.push(EventRing::new(ring_capacity));
+        FlightRecorder { engines, rings }
     }
 
     /// Switch count this recorder was sized for.
     pub fn num_switches(&self) -> usize {
-        self.num_switches
+        self.rings.len() - 2
     }
 
     /// Engines per switch.
@@ -258,24 +244,18 @@ impl FlightRecorder {
         self.engines
     }
 
-    /// Total rings (engine rings + the host ring + the control ring).
+    /// Total rings (switch rings + the host ring + the control ring).
     pub fn ring_count(&self) -> usize {
         self.rings.len()
     }
 
-    /// The ring at file index `idx` with its kind (engine rings
-    /// switch-major, then the host ring, then the control ring).
+    /// The ring at file index `idx` with its kind (switch rings by switch
+    /// id, then the host ring, then the control ring).
     pub fn ring_at(&self, idx: usize) -> (RingKind, &EventRing) {
-        let engine_rings = self.num_switches * self.engines;
-        let kind = if idx < engine_rings {
-            RingKind::Engine {
-                switch: (idx / self.engines) as u32,
-                engine: (idx % self.engines) as u16,
-            }
-        } else if idx == engine_rings {
-            RingKind::Host
-        } else {
-            RingKind::Control
+        let kind = match idx.checked_sub(self.num_switches()) {
+            None => RingKind::Switch { switch: idx as u32 },
+            Some(0) => RingKind::Host,
+            Some(_) => RingKind::Control,
         };
         (kind, &self.rings[idx])
     }
@@ -291,19 +271,13 @@ impl FlightRecorder {
     }
 
     #[inline]
-    fn engine_ring(&mut self, switch: u32, engine: u16) -> &mut EventRing {
-        let e = if engine == u16::MAX {
-            0
-        } else {
-            engine as usize
-        };
-        debug_assert!(e < self.engines, "engine out of range");
-        &mut self.rings[switch as usize * self.engines + e]
+    fn switch_ring(&mut self, switch: u32) -> &mut EventRing {
+        &mut self.rings[switch as usize]
     }
 
     #[inline]
     fn host_ring(&mut self) -> &mut EventRing {
-        let idx = self.num_switches * self.engines;
+        let idx = self.num_switches();
         &mut self.rings[idx]
     }
 
@@ -335,13 +309,12 @@ impl Probe for FlightRecorder {
 
     #[inline]
     fn on_engine_choice(&mut self, now: Time, switch: u32, engine: u16, choice: &EngineChoice) {
-        self.engine_ring(switch, engine)
-            .push(TraceEvent::EngineChoice {
-                t: now,
-                switch,
-                engine,
-                choice: *choice,
-            });
+        self.switch_ring(switch).push(TraceEvent::EngineChoice {
+            t: now,
+            switch,
+            engine,
+            choice: *choice,
+        });
     }
 
     #[inline]
@@ -355,11 +328,7 @@ impl Probe for FlightRecorder {
         depth_pkts: u32,
         depth_bytes: u64,
     ) {
-        self.port_fifo
-            .entry((switch, port))
-            .or_default()
-            .push_back(engine);
-        self.engine_ring(switch, engine).push(TraceEvent::Enqueue {
+        self.switch_ring(switch).push(TraceEvent::Enqueue {
             t: now,
             switch,
             port,
@@ -381,12 +350,7 @@ impl Probe for FlightRecorder {
         depth_pkts: u32,
         wait_ns: u64,
     ) {
-        let engine = self
-            .port_fifo
-            .get_mut(&(switch, port))
-            .and_then(|q| q.pop_front())
-            .unwrap_or(0);
-        self.engine_ring(switch, engine).push(TraceEvent::Dequeue {
+        self.switch_ring(switch).push(TraceEvent::Dequeue {
             t: now,
             switch,
             port,
@@ -406,7 +370,7 @@ impl Probe for FlightRecorder {
         pkt: &PacketMeta,
         reason: DropReason,
     ) {
-        self.engine_ring(switch, engine).push(TraceEvent::Drop {
+        self.switch_ring(switch).push(TraceEvent::Drop {
             t: now,
             switch,
             port,
@@ -474,9 +438,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_routes_events_to_engine_rings() {
+    fn recorder_routes_events_to_switch_rings() {
         let mut rec = FlightRecorder::new(2, 2, 16);
-        assert_eq!(rec.ring_count(), 6); // 2 switches x 2 engines + host + control
+        assert_eq!(rec.ring_count(), 4); // 2 switches + host + control
         let m = PacketMeta {
             id: 7,
             size: 1500,
@@ -484,62 +448,46 @@ mod tests {
         };
         rec.on_enqueue(Time::from_nanos(10), 1, 3, 1, &m, 2, 3000);
         rec.on_host_send(Time::from_nanos(5), 0, &m);
-        // Switch 1, engine 1 is ring index 1*2 + 1 = 3.
-        let (kind, ring) = rec.ring_at(3);
-        assert_eq!(
-            kind,
-            RingKind::Engine {
-                switch: 1,
-                engine: 1
-            }
-        );
+        let (kind, ring) = rec.ring_at(1);
+        assert_eq!(kind, RingKind::Switch { switch: 1 });
         assert_eq!(ring.len(), 1);
-        let (kind, host_ring) = rec.ring_at(4);
+        let (kind, host_ring) = rec.ring_at(2);
         assert_eq!(kind, RingKind::Host);
         assert_eq!(host_ring.len(), 1);
         assert_eq!(rec.event_count(), 2);
     }
 
     #[test]
-    fn dequeue_recovers_engine_through_port_fifo() {
-        let mut rec = FlightRecorder::new(1, 2, 16);
+    fn switch_ring_keeps_hook_order_and_engine_fields() {
+        // Two engines of one ring's worth each: four events fit unwrapped.
+        let mut rec = FlightRecorder::new(1, 2, 2);
         let m = PacketMeta {
             id: 1,
             ..Default::default()
         };
-        // Engine 1 enqueues then engine 0, on the same port: the FIFO says
-        // the first dequeue belongs to engine 1.
         rec.on_enqueue(Time::from_nanos(1), 0, 5, 1, &m, 1, 100);
-        rec.on_enqueue(Time::from_nanos(2), 0, 5, 0, &m, 2, 200);
-        rec.on_dequeue(Time::from_nanos(10), 0, 5, 1, 1, 9);
-        rec.on_dequeue(Time::from_nanos(20), 0, 5, 2, 0, 18);
-        let deq_in = |idx: usize| {
-            rec.ring_at(idx)
-                .1
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::Dequeue { .. }))
-                .count()
-        };
-        assert_eq!(deq_in(0), 1, "engine 0 ring has its own dequeue");
-        assert_eq!(deq_in(1), 1, "engine 1 ring has its own dequeue");
-    }
-
-    #[test]
-    fn unknown_engine_lands_in_ring_zero() {
-        let mut rec = FlightRecorder::new(1, 2, 16);
-        let m = PacketMeta::default();
+        rec.on_enqueue(Time::from_nanos(1), 0, 5, 0, &m, 2, 200);
+        rec.on_dequeue(Time::from_nanos(1), 0, 5, 1, 1, 9);
         rec.on_drop(
-            Time::from_nanos(3),
+            Time::from_nanos(1),
             0,
             2,
             u16::MAX,
             &m,
             DropReason::LinkDown,
         );
-        // A dequeue with no recorded enqueue falls back to engine 0 too.
-        rec.on_dequeue(Time::from_nanos(4), 0, 9, 77, 0, 1);
-        assert_eq!(rec.ring_at(0).1.len(), 2);
-        assert_eq!(rec.ring_at(1).1.len(), 0);
+        let ring = rec.ring_at(0).1;
+        assert_eq!(ring.overwritten(), 0);
+        let order: Vec<(u8, u16)> = ring
+            .iter()
+            .map(|e| match *e {
+                TraceEvent::Enqueue { engine, .. } => (0, engine),
+                TraceEvent::Dequeue { .. } => (1, u16::MAX),
+                TraceEvent::Drop { engine, .. } => (2, engine),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![(0, 1), (0, 0), (1, u16::MAX), (2, u16::MAX)]);
     }
 
     #[test]

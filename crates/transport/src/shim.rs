@@ -312,6 +312,46 @@ mod tests {
         assert_eq!(d.len(), 1);
     }
 
+    /// Seeded arrival orders of a window, the timer firing as the event
+    /// loop would: every packet is delivered exactly once and every
+    /// delivery frees its arena slot.
+    #[test]
+    fn shuffled_windows_deliver_each_packet_once() {
+        let mut rng = drill_sim::SimRng::seed_from(0x5111);
+        for _ in 0..128 {
+            let n = 1 + rng.below(23) as u64;
+            let mut order: Vec<u64> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let mut s = ShimBuffer::new(Time::from_micros(1 + rng.below(499) as u64));
+            let mut arena = PacketArena::new();
+            let mut delivered = Vec::new();
+            let mut timer: Option<(Time, u64)> = None;
+            let fire = |s: &mut ShimBuffer, arena: &mut PacketArena, (at, gen): (Time, u64)| {
+                let mut out = Vec::new();
+                s.on_timer(arena, gen, at, &mut out);
+                out.into_iter()
+                    .map(|r| arena.take(r).seq)
+                    .collect::<Vec<_>>()
+            };
+            for (i, &k) in order.iter().enumerate() {
+                let now = Time::from_micros(i as u64);
+                if let Some(t) = timer.filter(|&(at, _)| at <= now) {
+                    delivered.extend(fire(&mut s, &mut arena, t));
+                    timer = None;
+                }
+                let (d, t) = offer(&mut s, &mut arena, pkt(k * 100, 100), now);
+                delivered.extend(d.into_iter().map(|r| arena.take(r).seq));
+                timer = t.or(timer);
+            }
+            if let Some(t) = timer {
+                delivered.extend(fire(&mut s, &mut arena, t));
+            }
+            delivered.sort_unstable();
+            assert_eq!(delivered, (0..n).map(|k| k * 100).collect::<Vec<_>>());
+            assert_eq!(arena.live(), 0);
+        }
+    }
+
     #[test]
     fn stale_timer_ignored() {
         let mut s = ShimBuffer::new(Time::from_micros(100));

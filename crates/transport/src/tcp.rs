@@ -730,6 +730,60 @@ mod tests {
         assert!(f.fct().unwrap() > Time::ZERO);
     }
 
+    /// Seeded transfers over a pipe that drops a periodic share of the
+    /// data packets and may swap the first two of each round: every run
+    /// terminates with all bytes ACKed.
+    #[test]
+    fn completes_over_lossy_reordering_pipe() {
+        let cfg = TcpConfig {
+            rto_min: Time::from_micros(500),
+            rto_init: Time::from_micros(500),
+            rto_max: Time::from_millis(5),
+            init_cwnd: 10,
+            ..Default::default()
+        };
+        let mut rng = drill_sim::SimRng::seed_from(0x7C9);
+        for seed in 0..48 {
+            let size = 1_000 + rng.below(199_000) as u64;
+            let drop_mod = 5 + rng.below(45) as u64;
+            let swap = rng.below(2) == 1;
+            let mut f = TcpFlow::new(FlowId(0), HostId(0), HostId(1), seed, size, Time::ZERO, cfg);
+            let (mut ids, mut now) = (0u64, Time::ZERO);
+            let mut wire = Vec::new();
+            f.start_sending(now, &mut ids, &mut wire);
+            let mut rounds = 0;
+            while !f.is_done() {
+                rounds += 1;
+                assert!(rounds < 30_000, "size {size} drop_mod {drop_mod}: livelock");
+                now += Time::from_micros(20);
+                let mut data: Vec<Packet> = std::mem::take(&mut wire);
+                if swap && data.len() >= 2 {
+                    data.swap(0, 1);
+                }
+                let mut acks = Vec::new();
+                // Drop two of every three drop_mod-th ids; retransmissions
+                // get fresh ids, so no segment is dropped forever.
+                for p in data
+                    .iter()
+                    .filter(|p| p.id % drop_mod != 0 || p.id % (3 * drop_mod) == 0)
+                {
+                    f.on_data(p, now, &mut ids, &mut acks);
+                }
+                now += Time::from_micros(20);
+                for a in &acks {
+                    f.on_ack(a, now, &mut ids, &mut wire);
+                }
+                if wire.is_empty() && !f.is_done() {
+                    if let Some((at, gen)) = f.rto_deadline(now) {
+                        now = at;
+                        f.on_timer(gen, now, &mut ids, &mut wire);
+                    }
+                }
+            }
+            assert_eq!(f.bytes_acked, size);
+        }
+    }
+
     #[test]
     fn slow_start_doubles_window() {
         let mut f = flow(10_000_000);

@@ -2,11 +2,10 @@
 # Tier-1 gate plus lint, all offline-safe (the workspace has no external
 # dependencies; see the note in the root Cargo.toml).
 #
-# One build, one engine: there are no cargo features to cross (the only
-# one, `proptest`, is an opt-in for networked machines). The test matrix
-# covers what can still vary at run time — the executor width
-# (DRILL_THREADS) and the two observers that must never steer
-# (DRILL_TELEMETRY, DRILL_AUDIT).
+# One build, one engine: the workspace declares no cargo features, so
+# there is nothing to cross. The test matrix covers what can still vary at
+# run time — the executor width (DRILL_THREADS) and the two observers that
+# must never steer (DRILL_TELEMETRY, DRILL_AUDIT).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,12 +16,15 @@ echo "== retired build/run modes stay retired =="
 # with its DRILL_SHARDS knob were deleted once their A/Bs had reported;
 # so were the warm-started sweep fork, the at-time checkpoint policy, the
 # legacy fail_at/ospf_delay one-shot (fault schedules replace it) and the
-# WCMP switch rebuild, which once nothing but tests used them;
+# WCMP switch rebuild, which once nothing but tests used them; so were
+# the flight recorder's per-engine rings with their port-FIFO mirror, the
+# queue sampler, the pre-v3 trace formats and the feature-gated proptest
+# suite, whose properties now run seeded in the std-only suites;
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then

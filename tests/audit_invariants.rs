@@ -19,7 +19,7 @@ use drill::runtime::{
 use drill::sim::codec::codec_error;
 use drill::sim::Time;
 use drill::snapshot::SnapshotBuilder;
-use drill::telemetry::{FlightRecorder, QueueSampler};
+use drill::telemetry::FlightRecorder;
 use drill::workload::{IncastSpec, TrafficPattern};
 
 fn small_leaf_spine() -> TopoSpec {
@@ -486,11 +486,9 @@ fn rewind_replay_covers_the_anomaly_window() {
         replay_cfg.engines,
         4096,
     );
-    let sampler = QueueSampler::new(Time::from_micros(10));
-    let w = World::restore_probed(&snap, &replay_cfg, (recorder, sampler))
-        .expect("ring snapshot restores");
+    let w = World::restore_probed(&snap, &replay_cfg, recorder).expect("ring snapshot restores");
     assert_eq!(w.events_processed(), rewind_events);
-    let (stats, (recorder, _sampler), _reports) = w.finish_parts();
+    let (stats, recorder, _reports) = w.finish_parts();
     assert!(
         stats.events >= anomaly_events && stats.events <= anomaly_events + 1,
         "replay ran past the anomaly: {} vs {anomaly_events}",

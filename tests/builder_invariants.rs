@@ -1,20 +1,18 @@
-//! Std-only randomized mirrors of the builder and sketch properties in
-//! `tests/proptest_invariants.rs`.
+//! Seeded randomized invariants of the topology builders and the
+//! mergeable statistics.
 //!
-//! The proptest suite needs a restored dev-dependency (see the `proptest`
-//! feature note in the root Cargo.toml), so these seeded sweeps keep the
-//! same invariants in the always-compiled tier-1 run: topology builders
-//! must match their closed-form counts, expose port maps that exactly
-//! cover the link table, and wire every leaf pair reachable; sketched
-//! distributions must merge deterministically and stay within the
-//! configured rank-error bound of exact order statistics.
+//! Topology builders must match their closed-form counts, expose port maps
+//! that exactly cover the link table, and wire every leaf pair reachable;
+//! sketched distributions must merge deterministically and stay within the
+//! configured rank-error bound of exact order statistics; exact
+//! distributions, moments and histograms must merge like one pass.
 
 use drill::net::{
     clos, fat_tree_custom, vl2, ClosSpec, HostId, NodeRef, RouteTable, SwitchId, SwitchKind,
     Topology, Vl2Spec, DEFAULT_PROP,
 };
 use drill::sim::SimRng;
-use drill::stats::Distribution;
+use drill::stats::{Distribution, Histogram, Moments};
 
 /// The port maps are an exact disjoint cover of the directed link table:
 /// every switch port and every host uplink resolves to a link whose
@@ -233,5 +231,47 @@ fn sketch_merge_matches_single_stream_within_bound() {
         }
         assert_eq!(merged.min().to_bits(), exact[0].to_bits());
         assert_eq!(merged.max().to_bits(), exact[exact.len() - 1].to_bits());
+    }
+}
+
+/// Exact-mode distributions, moments and histograms merge like one pass
+/// over the concatenated stream: distributions bit for bit at every
+/// quantile, moments to floating-point tolerance, histogram buckets (the
+/// overflow bucket too) exactly. Either side may be empty.
+#[test]
+fn exact_merges_match_single_stream() {
+    fn fold(xs: &[usize]) -> (Distribution, Moments, Histogram) {
+        let (mut d, mut m, mut h) = (Distribution::new(), Moments::new(), Histogram::new(16));
+        for &x in xs {
+            d.add(x as f64);
+            m.add(x as f64 / 500.0 - 1e3);
+            h.add(x % 40);
+        }
+        (d, m, h)
+    }
+    let mut rng = SimRng::seed_from(0x3E26);
+    for round in 0..64 {
+        let (nx, ny) = (rng.below(200), rng.below(200));
+        let xs: Vec<usize> = (0..nx + ny).map(|_| rng.below(1_000_000)).collect();
+        let (mut whole, mw, hw) = fold(&xs);
+        let (mut d, mut m, mut h) = fold(&xs[..nx]);
+        let (db, mb, hb) = fold(&xs[nx..]);
+        d.merge(&db);
+        m.merge(&mb);
+        h.merge(&hb);
+        assert_eq!(d.count(), whole.count());
+        assert_eq!(d.mean().to_bits(), whole.mean().to_bits(), "round {round}");
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.9999, 1.0] {
+            let (got, want) = (d.quantile(q), whole.quantile(q));
+            assert_eq!(got.to_bits(), want.to_bits(), "round {round}: q {q}");
+        }
+        assert_eq!(m.count(), mw.count());
+        assert!((m.mean() - mw.mean()).abs() < 1e-9, "round {round}");
+        assert!((m.variance() - mw.variance()).abs() < 1e-6, "round {round}");
+        assert_eq!(h.total(), hw.total());
+        for v in 0..40 {
+            assert_eq!(h.count(v), hw.count(v), "round {round}: bucket {v}");
+            assert_eq!(h.frac_at_least(v).to_bits(), hw.frac_at_least(v).to_bits());
+        }
     }
 }

@@ -132,10 +132,10 @@ fn random_replays_golden_trace() {
     assert_golden(Scheme::Random, 1_294_326, 1060, 1060);
 }
 
-/// The telemetry determinism contract: a run with the flight recorder +
-/// queue sampler attached must match the probe-free build on *every*
-/// metric, bit for bit — the probes observe the simulation but carry no
-/// way to steer it (no RNG, event-queue or packet access).
+/// The telemetry determinism contract: a run with the flight recorder
+/// attached must match the probe-free build on *every* metric, bit for
+/// bit — probes observe the simulation but carry no way to steer it (no
+/// RNG, event-queue or packet access).
 #[test]
 fn telemetry_probe_is_invisible_to_every_metric() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default()] {
@@ -143,9 +143,9 @@ fn telemetry_probe_is_invisible_to_every_metric() {
         cfg.telemetry = None;
         let mut plain = run(&cfg);
         cfg.telemetry = Some(TelemetrySpec::default());
-        let (mut recorded, tel) = run_recorded(&cfg);
+        let (mut recorded, recorder) = run_recorded(&cfg);
         assert!(
-            tel.recorder.event_count() > 10_000,
+            recorder.event_count() > 10_000,
             "{}: recorder actually saw the run",
             scheme.name()
         );

@@ -48,6 +48,14 @@ fn ls_spec(spines: usize, leaves: usize) -> LeafSpineSpec {
 /// that its own report invariants hold. Returns the oracle's answer.
 fn compare(label: &str, topo: &Topology, warm: Option<&mut SymmetryEngine>) -> Oracle {
     let want = oracle::solve(topo, &RouteTable::compute(topo));
+    // `RouteTable::set_groups` asserts every installed table partitions its
+    // candidates; the weights must be positive too.
+    assert!(
+        want.table
+            .iter()
+            .all(|(_, _, groups)| groups.iter().all(|g| g.weight >= 1)),
+        "{label}: a zero-weight group"
+    );
     let mut cold = SymmetryEngine::new();
     let engines = [("cold", Some(&mut cold)), ("warm", warm)];
     for (temp, engine) in engines {
