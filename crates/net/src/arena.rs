@@ -6,8 +6,8 @@
 //!
 //! The timing wheel sizes its entries for the largest event variant.
 //! With packets travelling by value inside `ArriveSwitch`/`ArriveHost`,
-//! every wheel push, level cascade, slot-drain sort and `EventSink` drain
-//! memcpys a full packet; with handles, a network event is ≤ 16 bytes, the
+//! every wheel push, level cascade and slot-drain sort memcpys a full
+//! packet; with handles, a network event is ≤ 16 bytes, the
 //! runtime stores any event in the wheel as two machine words (a handle
 //! is one of them: [`PacketRef::to_bits`]), and the packet bytes are
 //! written exactly once, at [`PacketArena::insert`].
@@ -21,7 +21,7 @@
 //! * [`PacketArena::take`] at final delivery (the transport layer wants
 //!   the packet by value), or
 //! * [`PacketArena::free`] at any drop site (tail drop, dead link, lossy
-//!   wire, NIC overflow, blackhole, switch rebuild).
+//!   wire, NIC overflow, blackhole).
 //!
 //! [`PacketArena::live`] counts outstanding handles; the determinism
 //! golden suite asserts it returns to zero after every drained run, which
@@ -143,6 +143,33 @@ impl PacketArena {
             .pkt
             .as_mut()
             .expect("PacketRef points at a freed slot")
+    }
+
+    /// Hint that the packet behind `r` is about to be read: start
+    /// loading its slot into cache. It has no effect the program can
+    /// observe, for a stale or out-of-range handle too, and compiles to
+    /// nothing off x86-64.
+    ///
+    /// The event loop calls it for an arrival a few events before the
+    /// arrival's first touch of its slot, which would otherwise miss cache
+    /// (DESIGN.md §10 "Prefetch").
+    #[inline]
+    pub fn prefetch(&self, r: PacketRef) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(slot) = self.slots.get(r.idx as usize) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // A 104-byte slot straddles two or three cache lines; these
+            // three offsets reach every one of them.
+            let base = (slot as *const Slot).cast::<i8>();
+            for off in [0, 64, std::mem::size_of::<Slot>() - 1] {
+                // SAFETY: `base + off` lies inside the slot, and a prefetch
+                // is a hint that never faults and changes no memory or
+                // register state.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(off)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = r;
     }
 
     /// Remove the packet behind `r` from the arena and return it by
@@ -275,6 +302,10 @@ impl PacketArena {
 /// event variants, so its size bounds `NetEvent`'s.
 const _: () = assert!(std::mem::size_of::<PacketRef>() == 8);
 
+/// [`PacketArena::prefetch`] reaches a slot's cache lines with offsets 0,
+/// 64 and its last byte: enough for any slot of 65 to 128 bytes.
+const _: () = assert!(std::mem::size_of::<Slot>() > 64 && std::mem::size_of::<Slot>() <= 128);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +394,22 @@ mod tests {
         a.free(dup);
         let _reused = a.insert(pkt(1)); // same slot, new generation
         let _ = a.get(&stale); // must trip the generation check
+    }
+
+    #[test]
+    fn prefetch_is_inert_for_any_handle() {
+        // Live, freed-and-reused, and out-of-range handles: a hint reads
+        // and writes nothing, so every packet and count stays as it was.
+        let mut a = PacketArena::new();
+        let live = a.insert(pkt(7));
+        let stale = a.insert(pkt(8));
+        a.free(stale);
+        let reused = a.insert(pkt(9));
+        for r in [live, stale, reused, PacketRef::from_bits(u64::MAX)] {
+            a.prefetch(r);
+        }
+        assert_eq!((a.live(), a.capacity()), (2, 2));
+        assert_eq!((a.get(&live).id, a.get(&reused).id), (7, 9));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::ids::{FlowId, HostId, NodeRef};
 use crate::lbapi::HostPolicy;
 use crate::packet::{Packet, HEADER_BYTES};
 use crate::topology::Topology;
-use crate::{EventSink, NetEvent};
+use crate::{NetEvent, NetSink};
 
 /// Default NIC transmit-buffer limit. Generous (hosts do not drop in the
 /// paper's experiments — congestion happens in the fabric).
@@ -319,7 +319,7 @@ impl HostNic {
         arena: &mut PacketArena,
         pref: PacketRef,
         now: Time,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let link = topo.host_uplink(self.host);
@@ -332,10 +332,10 @@ impl HostNic {
             }
             self.in_flight = true;
             self.q.push_back(entry);
-            out.push((
+            out.emit(
                 now + Time::tx_time(size as u64, link.rate_bps),
                 NetEvent::HostTxDone { host: self.host },
-            ));
+            );
         } else {
             if self.q_bytes + size as u64 > self.limit_bytes {
                 self.drops += 1;
@@ -369,7 +369,7 @@ impl HostNic {
         policy: &mut dyn HostPolicy,
         rng: &mut SimRng,
         mut train: Train,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let now = train.sent;
@@ -427,16 +427,16 @@ impl HostNic {
         rng: &mut SimRng,
         mut pkt: Packet,
         now: Time,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
     ) {
         let size = pkt.size;
         policy.on_send(&mut pkt, now, rng);
         self.q.push_front(Entry::pkt(arena.insert(pkt), size));
         self.in_flight = true;
-        out.push((
+        out.emit(
             now + Time::tx_time(size as u64, topo.host_uplink(self.host).rate_bps),
             NetEvent::HostTxDone { host: self.host },
-        ));
+        );
     }
 
     /// The head packet finished serializing: put it on the wire and start
@@ -444,7 +444,7 @@ impl HostNic {
     /// [`start_next`](HostNic::start_next), which the caller runs right
     /// after: building a segment takes the arena and the host policy,
     /// which this call has never been given.
-    pub fn on_tx_done(&mut self, topo: &Topology, now: Time, out: &mut EventSink) {
+    pub fn on_tx_done(&mut self, topo: &Topology, now: Time, out: &mut impl NetSink) {
         let link = topo.host_uplink(self.host);
         let Some(Entry::Pkt(pkt, _)) = self.q.pop_front() else {
             panic!("tx-done without a built packet at the NIC head");
@@ -452,22 +452,22 @@ impl HostNic {
         self.tx_pkts += 1;
         let arrive = now + link.prop;
         match link.dst {
-            NodeRef::Switch(s) => out.push((
+            NodeRef::Switch(s) => out.emit(
                 arrive,
                 NetEvent::ArriveSwitch {
                     switch: s,
                     ingress: link.dst_port,
                     pkt,
                 },
-            )),
-            NodeRef::Host(h) => out.push((arrive, NetEvent::ArriveHost { host: h, pkt })),
+            ),
+            NodeRef::Host(h) => out.emit(arrive, NetEvent::ArriveHost { host: h, pkt }),
         }
         if let Some(&Entry::Pkt(_, size)) = self.q.front() {
             self.q_bytes -= size.get() as u64;
-            out.push((
+            out.emit(
                 now + Time::tx_time(size.get() as u64, link.rate_bps),
                 NetEvent::HostTxDone { host: self.host },
-            ));
+            );
         } else {
             self.in_flight = false;
         }
@@ -483,7 +483,7 @@ impl HostNic {
         policy: &mut dyn HostPolicy,
         rng: &mut SimRng,
         now: Time,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
     ) {
         if self.in_flight || self.q.is_empty() {
             return;
@@ -508,6 +508,7 @@ mod tests {
     use crate::ids::FlowId;
     use crate::lbapi::NullHostPolicy;
     use crate::packet::Packet;
+    use crate::EventSink;
     use drill_telemetry::{NoopProbe, PacketMeta};
 
     fn topo() -> Topology {

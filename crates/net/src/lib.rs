@@ -58,9 +58,10 @@ use drill_sim::Time;
 /// global event enum by the runtime.
 ///
 /// Packet-carrying variants hold a [`PacketRef`] into the run's
-/// [`PacketArena`], not the packet itself: an `EventSink` drain moves
-/// these by value and the runtime packs each into the two words a wheel
-/// node stores, so they are pinned small by the `const` assert below.
+/// [`PacketArena`], not the packet itself: a device hands each event to
+/// its [`NetSink`] by value and the runtime's sink packs it into the two
+/// words a wheel entry stores, so they are pinned small by the `const`
+/// assert below.
 #[derive(Debug)]
 pub enum NetEvent {
     /// A packet has fully arrived at a switch (store-and-forward).
@@ -107,12 +108,29 @@ pub enum NetEvent {
     },
 }
 
-/// Sink for newly produced events: `(deliver_at, event)` pairs.
+/// Where a device puts the events it produces: `(deliver_at, event)`
+/// pairs, in the order it produces them.
 ///
-/// Network components push into a plain `Vec` that the runtime drains into
-/// its global event queue; this avoids borrow entanglement between
-/// components and the queue.
+/// Emission order is the tie-break for same-timestamp events (a switch
+/// emits enqueue-commit before tx-done so a packet becomes visible before
+/// it departs), so a sink must keep it. The runtime's sink schedules each
+/// event on the event queue as it is emitted; an [`EventSink`] collects
+/// them for callers that drive a device by hand (unit tests, micro
+/// benchmarks).
+pub trait NetSink {
+    /// Schedule `ev` for `at`.
+    fn emit(&mut self, at: Time, ev: NetEvent);
+}
+
+/// A sink that collects what a device emits, in emission order.
 pub type EventSink = Vec<(Time, NetEvent)>;
+
+impl NetSink for EventSink {
+    #[inline]
+    fn emit(&mut self, at: Time, ev: NetEvent) {
+        self.push((at, ev));
+    }
+}
 
 /// The whole point of the arena: handle-based events stay two words.
 /// `ArriveSwitch` (u32 switch + u16 ingress + 8-byte [`PacketRef`]) is the

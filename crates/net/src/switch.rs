@@ -30,7 +30,7 @@ use crate::lbapi::{weighted_group_pick, QueueView, SelectCtx, SwitchPolicy};
 use crate::packet::Packet;
 use crate::routing::RouteTable;
 use crate::topology::{HopClass, Topology};
-use crate::{EventSink, NetEvent};
+use crate::{NetEvent, NetSink};
 
 /// Switch hardware parameters.
 #[derive(Clone, Debug)]
@@ -381,7 +381,7 @@ impl Switch {
         ingress: u16,
         now: Time,
         rng: &mut SimRng,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let from_host = topo.ingress_link(self.id, ingress).hop == HopClass::HostUp;
@@ -543,23 +543,8 @@ impl Switch {
     }
 
     /// Append a packet to `port`'s queue (tail drop), starting transmission
-    /// if the port is idle. Attributed to engine 0.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue<P: Probe>(
-        &mut self,
-        topo: &Topology,
-        arena: &mut PacketArena,
-        port: u16,
-        pref: PacketRef,
-        now: Time,
-        out: &mut EventSink,
-        probe: &mut P,
-    ) {
-        self.enqueue_from_engine(topo, arena, port, pref, 0, now, out, probe)
-    }
-
-    /// [`Switch::enqueue`] attributed to a specific forwarding engine (the
-    /// engine's pending-write counter tracks the packet until its commit).
+    /// if the port is idle. `engine` is the forwarding engine that wrote it:
+    /// its pending-write counter tracks the packet until its commit.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_from_engine<P: Probe>(
         &mut self,
@@ -569,7 +554,7 @@ impl Switch {
         pref: PacketRef,
         engine: usize,
         now: Time,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let link = topo.egress(self.id, port);
@@ -605,7 +590,7 @@ impl Switch {
             // Commit event is pushed before TxDone so that for equal
             // timestamps the packet becomes visible before it departs.
             if self.cfg.model_enqueue_commit {
-                out.push((
+                out.emit(
                     tx_done_at,
                     NetEvent::EnqueueCommit {
                         switch: self.id,
@@ -613,7 +598,7 @@ impl Switch {
                         bytes: size,
                         engine: engine as u16,
                     },
-                ));
+                );
                 self.pending[engine * self.ports.len() + port as usize] += size as u64;
             } else {
                 p.visible_bytes += size as u64;
@@ -626,13 +611,13 @@ impl Switch {
                 enq: now,
             });
             p.stats.wait_count += 1; // zero wait
-            out.push((
+            out.emit(
                 tx_done_at,
                 NetEvent::SwitchTxDone {
                     switch: self.id,
                     port,
                 },
-            ));
+            );
         } else {
             if p.q_bytes + size as u64 > self.cfg.queue_limit_bytes {
                 p.stats.drops += 1;
@@ -652,7 +637,7 @@ impl Switch {
             }
             if self.cfg.model_enqueue_commit {
                 let commit_at = now + Time::tx_time(size as u64, link.rate_bps);
-                out.push((
+                out.emit(
                     commit_at,
                     NetEvent::EnqueueCommit {
                         switch: self.id,
@@ -660,7 +645,7 @@ impl Switch {
                         bytes: size,
                         engine: engine as u16,
                     },
-                ));
+                );
                 self.pending[engine * self.ports.len() + port as usize] += size as u64;
             } else {
                 p.visible_bytes += size as u64;
@@ -706,7 +691,7 @@ impl Switch {
         port: u16,
         now: Time,
         rng: &mut SimRng,
-        out: &mut EventSink,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let link = topo.egress(self.id, port);
@@ -755,17 +740,17 @@ impl Switch {
             let arrive = now + link.prop;
             match link.dst {
                 NodeRef::Switch(s) => {
-                    out.push((
+                    out.emit(
                         arrive,
                         NetEvent::ArriveSwitch {
                             switch: s,
                             ingress: link.dst_port,
                             pkt: pref,
                         },
-                    ));
+                    );
                 }
                 NodeRef::Host(h) => {
-                    out.push((arrive, NetEvent::ArriveHost { host: h, pkt: pref }));
+                    out.emit(arrive, NetEvent::ArriveHost { host: h, pkt: pref });
                 }
             }
         } else {
@@ -773,8 +758,9 @@ impl Switch {
             p.stats.drops += 1;
             p.stats.drop_bytes += size as u64;
             if P::ENABLED {
-                // Engine unknown at this point (u16::MAX); the recorder's
-                // port FIFO recovers it from the matching dequeue.
+                // Engine unknown at this point (u16::MAX): the queue keeps
+                // no engine per packet, so the trace records an engine-less
+                // drop.
                 probe.on_drop(
                     now,
                     self.id.0,
@@ -790,13 +776,13 @@ impl Switch {
             p.q_bytes -= next.size as u64;
             p.stats.wait_ns_sum += (now - next.enq).as_nanos();
             p.stats.wait_count += 1;
-            out.push((
+            out.emit(
                 now + Time::tx_time(next.size as u64, link.rate_bps),
                 NetEvent::SwitchTxDone {
                     switch: self.id,
                     port,
                 },
-            ));
+            );
             p.in_flight = Some(next);
         }
     }
@@ -807,6 +793,7 @@ mod tests {
     use super::*;
     use crate::builders::{leaf_spine, LeafSpineSpec, DEFAULT_PROP};
     use crate::ids::{FlowId, HostId};
+    use crate::EventSink;
     use drill_telemetry::NoopProbe;
 
     /// Policy that always picks the first candidate.

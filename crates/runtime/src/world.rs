@@ -5,7 +5,7 @@
 
 use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor, SnapshotRing};
 use drill_faults::{SabotageKind, SabotageSpec};
-use drill_net::{HopClass, HostId, NetEvent, Packet, PacketRef, SwitchId, Topology};
+use drill_net::{HopClass, HostId, NetEvent, NetSink, Packet, PacketRef, SwitchId, Topology};
 use drill_sim::{EventQueue, SimRng, Time};
 use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe};
 use drill_transport::{ShimBuffer, TcpFlow};
@@ -26,6 +26,10 @@ use workload::Workload;
 
 /// Queue-STDV sampling period (the paper samples every 10 µs).
 const SAMPLE_PERIOD: Time = Time::from_micros(10);
+
+/// How many events ahead of the one being dispatched the loop prefetches
+/// an arrival's packet slot (DESIGN.md §10 "Prefetch" has the sweep).
+const PREFETCH_AHEAD: usize = 8;
 
 #[derive(Debug)]
 enum Event {
@@ -100,10 +104,20 @@ impl Packed {
     const fn new(kind: u8, hi: u16, lo: u32, word0: u64) -> Packed {
         Packed(word0, (kind as u64) << 56 | (hi as u64) << 32 | lo as u64)
     }
+
+    /// The packet an `ArriveSwitch`/`ArriveHost` carries, read without
+    /// unpacking the rest of the event.
+    #[inline]
+    fn arriving_packet(&self) -> Option<PacketRef> {
+        let kind = (self.1 >> 56) as u8;
+        matches!(kind, K_ARRIVE_SWITCH | K_ARRIVE_HOST).then(|| PacketRef::from_bits(self.0))
+    }
 }
 
+/// Always inlined, like [`Wheel::emit`]: a device's event is packed in
+/// the registers it was built in.
 impl From<Event> for Packed {
-    #[inline]
+    #[inline(always)]
     fn from(ev: Event) -> Packed {
         match ev {
             Event::Net(NetEvent::ArriveSwitch {
@@ -179,6 +193,23 @@ impl From<Packed> for Event {
             K_RECONVERGE => Event::Reconverge { gen: word0 },
             kind => panic!("unknown packed event kind {kind}"),
         }
+    }
+}
+
+/// The event queue as the devices' [`NetSink`]: each event is packed at
+/// the emit site and pushed onto the wheel there, in emission order.
+///
+/// Inlined into the device, the pack stays in registers down to the
+/// wheel's entry store. Handed through memory instead — a collecting
+/// `Vec`, or an out-of-line `emit` — the event is written with narrow
+/// stores and read back wide: the failed store-forward that [`Packed`]
+/// exists to avoid (DESIGN.md §10 "Slim events").
+struct Wheel<'a>(&'a mut EventQueue<Packed>);
+
+impl NetSink for Wheel<'_> {
+    #[inline(always)]
+    fn emit(&mut self, at: Time, ev: NetEvent) {
+        self.0.push(at, Event::Net(ev).into());
     }
 }
 
@@ -417,6 +448,15 @@ impl<P: Probe> World<P> {
             let Some((now, ev)) = self.queue.pop() else {
                 break;
             };
+            // The arrival `PREFETCH_AHEAD` pops from now will read its
+            // packet slot first thing; start that miss now.
+            if let Some(pkt) = self
+                .queue
+                .staged(PREFETCH_AHEAD)
+                .and_then(Packed::arriving_packet)
+            {
+                self.net.arena.prefetch(pkt);
+            }
             let events = self.queue.events_processed();
             if now > deadline || (self.cfg.max_events > 0 && events > self.cfg.max_events) {
                 break;
@@ -465,10 +505,9 @@ impl<P: Probe> World<P> {
                     ingress,
                     now,
                     &mut self.net.rng,
-                    &mut self.net.out,
+                    &mut Wheel(&mut self.queue),
                     &mut self.probe,
                 );
-                self.drain_net();
             }
             Event::Net(NetEvent::ArriveHost { host, pkt }) => self.on_host_arrival(host, pkt, now),
             Event::Net(NetEvent::SwitchTxDone { switch, port }) => {
@@ -478,14 +517,13 @@ impl<P: Probe> World<P> {
                     port,
                     now,
                     &mut self.net.rng,
-                    &mut self.net.out,
+                    &mut Wheel(&mut self.queue),
                     &mut self.probe,
                 );
-                self.drain_net();
             }
             Event::Net(NetEvent::HostTxDone { host }) => {
-                self.net.host_tx_done(host, now);
-                self.drain_net();
+                self.net
+                    .host_tx_done(host, now, &mut Wheel(&mut self.queue));
             }
             Event::Net(NetEvent::EnqueueCommit {
                 switch,
@@ -512,14 +550,6 @@ impl<P: Probe> World<P> {
                     self.reconverge(now, gen);
                 }
             }
-        }
-    }
-
-    /// Move newly emitted network events into the wheel, in the FIFO order
-    /// the devices emitted them.
-    fn drain_net(&mut self) {
-        for (t, e) in self.net.out.drain(..) {
-            self.queue.push(t, Event::Net(e).into());
         }
     }
 
@@ -590,8 +620,8 @@ impl<P: Probe> World<P> {
             let train = self
                 .flows
                 .open_raw(dst, flow_hash, bytes, class, measured, now);
-            self.net.send_train(src, train, &mut self.probe);
-            self.drain_net();
+            let out = &mut Wheel(&mut self.queue);
+            self.net.send_train(src, train, out, &mut self.probe);
             return;
         }
         let id = drill_net::FlowId(self.flows.records.len() as u32);
@@ -606,8 +636,8 @@ impl<P: Probe> World<P> {
     /// `host` sends `pkts` in order; the buffer goes back to the pool.
     fn send_all(&mut self, host: HostId, mut pkts: Vec<Packet>, now: Time) {
         for p in pkts.drain(..) {
-            self.net.host_send(host, p, now, &mut self.probe);
-            self.drain_net();
+            let out = &mut Wheel(&mut self.queue);
+            self.net.host_send(host, p, now, out, &mut self.probe);
         }
         self.flows.pkt_pool.put(pkts);
     }
@@ -1017,6 +1047,19 @@ mod tests {
                 assert_eq!(
                     format!("{:?}", Event::from(packed)),
                     format!("{again:?}"),
+                    "kind {kind} at pattern {x:#x}"
+                );
+                // The loop's look-ahead reads the packet of the two
+                // arrival kinds, and of nothing else.
+                let pkt = match again {
+                    Event::Net(
+                        NetEvent::ArriveSwitch { pkt, .. } | NetEvent::ArriveHost { pkt, .. },
+                    ) => Some(pkt),
+                    _ => None,
+                };
+                assert_eq!(
+                    packed.arriving_packet(),
+                    pkt,
                     "kind {kind} at pattern {x:#x}"
                 );
                 seen.push((kind, packed));

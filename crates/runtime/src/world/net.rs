@@ -5,7 +5,7 @@
 use std::io;
 
 use drill_net::{
-    EventSink, HopClass, HostId, HostNic, HostPolicy, NodeRef, Packet, PacketArena, RouteTable,
+    HopClass, HostId, HostNic, HostPolicy, NetSink, NodeRef, Packet, PacketArena, RouteTable,
     Switch, SwitchConfig, SwitchId, Topology, Train,
 };
 use drill_sim::codec::{invalid, put_varint};
@@ -29,11 +29,6 @@ pub(super) struct Net {
     /// Every data-plane draw: forwarding choices, host policies, wire
     /// loss.
     pub(super) rng: SimRng,
-    /// Network events emitted by the last device call, drained into the
-    /// wheel in FIFO order: components rely on push order as the
-    /// tie-break for same-timestamp events (enqueue-commit before
-    /// tx-done).
-    pub(super) out: EventSink,
 }
 
 impl Net {
@@ -65,7 +60,6 @@ impl Net {
             host_policies,
             arena: PacketArena::new(),
             rng: SimRng::derive(cfg.seed, "net", 0),
-            out: Vec::new(),
         };
         net.sync_link_state();
         net
@@ -94,31 +88,37 @@ impl Net {
         host: HostId,
         mut pkt: Packet,
         now: Time,
+        out: &mut impl NetSink,
         probe: &mut P,
     ) {
         let h = host.index();
         self.host_policies[h].on_send(&mut pkt, now, &mut self.rng);
         let pref = self.arena.insert(pkt);
-        self.nics[h].send(&self.topo, &mut self.arena, pref, now, &mut self.out, probe);
+        self.nics[h].send(&self.topo, &mut self.arena, pref, now, out, probe);
     }
 
     /// Hand a raw flow's whole train to `host`'s NIC, which paces it at
     /// line rate and builds each packet as it goes on the wire.
-    pub(super) fn send_train<P: Probe>(&mut self, host: u32, train: Train, probe: &mut P) {
+    pub(super) fn send_train<P: Probe>(
+        &mut self,
+        host: u32,
+        train: Train,
+        out: &mut impl NetSink,
+        probe: &mut P,
+    ) {
         let h = host as usize;
         let policy = &mut *self.host_policies[h];
-        let (topo, arena, out) = (&self.topo, &mut self.arena, &mut self.out);
+        let (topo, arena) = (&self.topo, &mut self.arena);
         self.nics[h].send_train(topo, arena, policy, &mut self.rng, train, out, probe);
     }
 
     /// `host`'s serializer finished a packet: wire it, start the next.
     #[inline]
-    pub(super) fn host_tx_done(&mut self, host: HostId, now: Time) {
+    pub(super) fn host_tx_done(&mut self, host: HostId, now: Time, out: &mut impl NetSink) {
         let nic = &mut self.nics[host.index()];
-        nic.on_tx_done(&self.topo, now, &mut self.out);
-        let (topo, arena, out) = (&self.topo, &mut self.arena, &mut self.out);
+        nic.on_tx_done(&self.topo, now, out);
         let policy = &mut *self.host_policies[host.index()];
-        nic.start_next(topo, arena, policy, &mut self.rng, now, out);
+        nic.start_next(&self.topo, &mut self.arena, policy, &mut self.rng, now, out);
     }
 
     /// Per-hop aggregates, drop and blackhole totals, and the end-of-run

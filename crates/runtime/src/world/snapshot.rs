@@ -153,7 +153,6 @@ impl<P: Probe> World<P> {
     /// event loop's checkpoint and audit hooks and the stepwise
     /// [`run_to`](World::run_to) boundary all satisfy this.
     pub fn snapshot(&self) -> Snapshot {
-        debug_assert!(self.net.out.is_empty(), "snapshot between dispatches");
         debug_assert_eq!(self.stats.fct_ms.count(), 0, "snapshot of a finalized run");
         debug_assert_eq!(self.stats.flows_completed, 0);
 

@@ -486,6 +486,23 @@ impl<P: Clone> EventQueue<P> {
         Some(Time::from_nanos(self.ready[self.ready_pos].time))
     }
 
+    /// The payload the `k + 1`-th next [`pop`](EventQueue::pop) delivers
+    /// if nothing is pushed or cancelled before it (`staged(0)` is the
+    /// next pop's), when that entry is already in the staged batch;
+    /// `None` when it is not staged yet, or when a cancelled entry not yet
+    /// shed could sit in front of it. Reads only: the clock,
+    /// [`len`](EventQueue::len) and
+    /// [`events_processed`](EventQueue::events_processed) stay put and
+    /// nothing is staged, so the event loop can look ahead for free (it
+    /// prefetches what the arrivals it sees will touch).
+    #[inline]
+    pub fn staged(&self, k: usize) -> Option<&P> {
+        if !self.cancelled.is_empty() {
+            return None;
+        }
+        self.ready.get(self.ready_pos + k).map(|e| &e.payload)
+    }
+
     /// Count a new pending entry and file it.
     #[inline]
     fn schedule(&mut self, time: u64, seq: u64, payload: P) {
@@ -1135,6 +1152,70 @@ mod tests {
             }
         }
         assert_eq!(q.cancel_sets(), (0, 0));
+    }
+
+    #[test]
+    fn staged_lookahead_names_the_coming_pops() {
+        // Seeded random interleavings of pops with near pushes (most land
+        // inside the staged batch and splice into it), page-overflowing
+        // bursts at one instant, far pushes (upper levels, overflow) and
+        // cancellations. Whenever `staged(k)` answers, the k+1-th pop
+        // after it — with nothing pushed or cancelled in between — must
+        // deliver that payload; asking must move neither the clock nor
+        // any counter.
+        let mut answered = 0u64;
+        for seed in 0..40 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let mut q = EventQueue::new();
+            let mut id = 0u64;
+            let mut toks = Vec::new();
+            let mut push = |q: &mut EventQueue<u64>, at: Time| {
+                id += 1;
+                q.push(at, id);
+            };
+            for _ in 0..3_000 {
+                let now = q.now();
+                match rng.below(10) {
+                    0..=2 => push(&mut q, now + Time::from_nanos(rng.below(200) as u64)),
+                    3 => {
+                        let at = now + Time::from_nanos(rng.below(100) as u64);
+                        for _ in 0..2 * PAGE + rng.below(PAGE) {
+                            push(&mut q, at);
+                        }
+                    }
+                    4 => {
+                        let far = 1u64 << (8 + 6 * rng.below(6));
+                        push(&mut q, now + Time::from_nanos(far + rng.below(64) as u64));
+                    }
+                    5 => {
+                        let at = now + Time::from_nanos(rng.below(500) as u64);
+                        toks.push(q.push_cancellable(at, u64::MAX));
+                        if rng.below(2) == 0 {
+                            q.cancel(toks[rng.below(toks.len())]);
+                        }
+                    }
+                    _ => {
+                        let before = (q.now(), q.len(), q.events_processed());
+                        let ahead: Vec<Option<u64>> =
+                            (0..2 * PAGE).map(|k| q.staged(k).copied()).collect();
+                        assert_eq!((q.now(), q.len(), q.events_processed()), before);
+                        for want in ahead.into_iter().take(1 + rng.below(2 * PAGE)) {
+                            let got = q.pop().map(|(_, p)| p);
+                            if let Some(p) = want {
+                                assert_eq!(got, Some(p), "seed {seed}: staged payload not popped");
+                                answered += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            while q.staged(0).is_some() || !q.is_empty() {
+                let want = q.staged(0).copied();
+                let got = q.pop().map(|(_, p)| p);
+                assert!(want.is_none() || got == want, "seed {seed}: drain");
+            }
+        }
+        assert!(answered > 10_000, "lookahead rarely answered: {answered}");
     }
 
     #[test]

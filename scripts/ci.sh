@@ -19,16 +19,27 @@ echo "== retired build/run modes stay retired =="
 # WCMP switch rebuild, which once nothing but tests used them; so were
 # the flight recorder's per-engine rings with their port-FIFO mirror, the
 # queue sampler, the pre-v3 trace formats and the feature-gated proptest
-# suite, whose properties now run seeded in the std-only suites;
-# nothing may select them again. (This script names them, so it is
+# suite, whose properties now run seeded in the std-only suites; so was
+# the runtime's drain of device events through a Vec (devices emit
+# straight into the wheel); nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
     echo "a retired feature or knob is referenced again (see above)"; exit 1
+fi
+
+echo "== one unsafe block, in PacketArena::prefetch =="
+# Stable Rust has no safe prefetch, so the slot prefetch is the one
+# unsafe block in the simulator (DESIGN.md §10 "Prefetch"). Anything else
+# under crates/ that needs unsafe needs a design note first.
+unsafe_hits=$(grep -rnw 'unsafe' crates --include='*.rs' --exclude-dir=target || true)
+if [[ $(grep -c . <<<"$unsafe_hits") != 1 || "$unsafe_hits" != crates/net/src/arena.rs:*_mm_prefetch* ]]; then
+    echo "expected exactly one unsafe, the prefetch in crates/net/src/arena.rs; found:"
+    echo "$unsafe_hits"; exit 1
 fi
 
 echo "== cargo build --release =="
