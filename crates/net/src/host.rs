@@ -19,7 +19,7 @@ use drill_sim::{SimRng, Time};
 use drill_telemetry::Probe;
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::ids::{FlowId, HostId, NodeRef};
+use crate::ids::{FlowId, HostId};
 use crate::lbapi::HostPolicy;
 use crate::packet::{Packet, HEADER_BYTES};
 use crate::topology::Topology;
@@ -33,7 +33,7 @@ pub const HOST_NIC_BUF_BYTES: u64 = 4 * 1024 * 1024;
 const TRAIN_MSS: u64 = 1442;
 
 /// A run of consecutive, not yet built segments of one open-loop flow:
-/// payload bytes `off..end` cut every [`TRAIN_MSS`], with consecutive
+/// payload bytes `off..end` cut every `TRAIN_MSS` (1442), with consecutive
 /// packet ids from `next_id`. Describes a whole flow when handed to
 /// [`HostNic::send_train`], and a maximal run of accepted segments while
 /// it waits in the NIC.
@@ -322,35 +322,29 @@ impl HostNic {
         out: &mut impl NetSink,
         probe: &mut P,
     ) {
-        let link = topo.host_uplink(self.host);
         let size = arena.get(&pref).size;
-        let entry = Entry::pkt(pref, size);
-        if !self.in_flight {
-            debug_assert!(self.q.is_empty());
+        if self.in_flight && self.q_bytes + size as u64 > self.limit_bytes {
+            self.drops += 1;
             if P::ENABLED {
-                probe.on_host_send(now, self.host.0, &arena.get(&pref).meta());
+                probe.on_nic_drop(now, self.host.0, &arena.get(&pref).meta());
             }
+            arena.free(pref);
+            return;
+        }
+        if P::ENABLED {
+            probe.on_host_send(now, self.host.0, &arena.get(&pref).meta());
+        }
+        if self.in_flight {
+            self.q_bytes += size as u64;
+        } else {
+            debug_assert!(self.q.is_empty());
             self.in_flight = true;
-            self.q.push_back(entry);
             out.emit(
-                now + Time::tx_time(size as u64, link.rate_bps),
+                now + Time::tx_time(size as u64, topo.host_uplink(self.host).rate_bps),
                 NetEvent::HostTxDone { host: self.host },
             );
-        } else {
-            if self.q_bytes + size as u64 > self.limit_bytes {
-                self.drops += 1;
-                if P::ENABLED {
-                    probe.on_nic_drop(now, self.host.0, &arena.get(&pref).meta());
-                }
-                arena.free(pref);
-                return;
-            }
-            if P::ENABLED {
-                probe.on_host_send(now, self.host.0, &arena.get(&pref).meta());
-            }
-            self.q_bytes += size as u64;
-            self.q.push_back(entry);
         }
+        self.q.push_back(Entry::pkt(pref, size));
     }
 
     /// Admit an open-loop flow, every segment at once at `train`'s arrival
@@ -450,18 +444,7 @@ impl HostNic {
             panic!("tx-done without a built packet at the NIC head");
         };
         self.tx_pkts += 1;
-        let arrive = now + link.prop;
-        match link.dst {
-            NodeRef::Switch(s) => out.emit(
-                arrive,
-                NetEvent::ArriveSwitch {
-                    switch: s,
-                    ingress: link.dst_port,
-                    pkt,
-                },
-            ),
-            NodeRef::Host(h) => out.emit(arrive, NetEvent::ArriveHost { host: h, pkt }),
-        }
+        crate::hand_off(out, link, now, pkt);
         if let Some(&Entry::Pkt(_, size)) = self.q.front() {
             self.q_bytes -= size.get() as u64;
             out.emit(

@@ -132,6 +132,26 @@ impl NetSink for EventSink {
     }
 }
 
+/// Hand `pkt`, leaving the wire at `now`, to the far end of `link` (a
+/// switch's ingress port or a host) one propagation delay later. Inlined
+/// so each arm builds its event at the emit: one built out of line goes
+/// through the stack and stalls the sink's wide reload (DESIGN.md §10).
+#[inline(always)]
+pub(crate) fn hand_off(out: &mut impl NetSink, link: &Link, now: Time, pkt: PacketRef) {
+    let at = now + link.prop;
+    match link.dst {
+        NodeRef::Switch(switch) => out.emit(
+            at,
+            NetEvent::ArriveSwitch {
+                switch,
+                ingress: link.dst_port,
+                pkt,
+            },
+        ),
+        NodeRef::Host(host) => out.emit(at, NetEvent::ArriveHost { host, pkt }),
+    }
+}
+
 /// The whole point of the arena: handle-based events stay two words.
 /// `ArriveSwitch` (u32 switch + u16 ingress + 8-byte [`PacketRef`]) is the
 /// largest variant at 16 bytes including the discriminant.

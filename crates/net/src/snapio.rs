@@ -4,7 +4,7 @@
 //! small-magnitude fields, fixed 8-byte words for high-entropy ones
 //! (`flow_hash` would cost 10 varint bytes), and decode paths that turn
 //! hostile bytes into `io::Error` instead of panics. Container framing
-//! (magic, version, checksum) lives in `drill-snapshot`; this module only
+//! (magic, version, checksum) lives in `drill_runtime::snapshot`; this module only
 //! knows how to lay down one [`Packet`].
 
 use std::io;

@@ -25,7 +25,7 @@ use drill_sim::{SimRng, Time};
 use drill_telemetry::{DropReason, EngineChoice, Probe};
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::ids::{NodeRef, SwitchId};
+use crate::ids::SwitchId;
 use crate::lbapi::{weighted_group_pick, QueueView, SelectCtx, SwitchPolicy};
 use crate::packet::Packet;
 use crate::routing::RouteTable;
@@ -59,7 +59,7 @@ impl Default for SwitchConfig {
 /// Per-port counters exposed for samplers and assertions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PortStats {
-    /// Packets dropped at this port (tail drop + dead-link drops).
+    /// Packets dropped at this port (tail drop, dead link, lossy wire).
     pub drops: u64,
     /// Bytes dropped.
     pub drop_bytes: u64,
@@ -82,6 +82,29 @@ struct QueuedPkt {
     enq: Time,
 }
 
+impl QueuedPkt {
+    fn save(&self, arena: &PacketArena, buf: &mut Vec<u8>) {
+        arena.encode_ref(buf, &self.r);
+        put_varint(buf, self.size as u64);
+        put_varint(buf, self.enq.as_nanos());
+    }
+
+    fn load(arena: &PacketArena, d: &mut Decoder<'_>) -> io::Result<QueuedPkt> {
+        Ok(QueuedPkt {
+            r: arena.decode_ref(d)?,
+            size: d.varint_u32()?,
+            enq: Time::from_nanos(d.varint()?),
+        })
+    }
+}
+
+/// One output port: a tail-drop FIFO behind the packet on the wire, which
+/// sits inline in `in_flight`, not at the FIFO's head. Most ports of a
+/// large fabric hold zero or one packet, and such a port then never
+/// touches its FIFO's heap buffer. Keeping the head in the FIFO, as
+/// [`HostNic`](crate::HostNic) does, is shorter but lost 8 of 11
+/// `asym_scale` pairs (median ≈ −12 % events/s; EXPERIMENTS.md).
+#[derive(Default)]
 struct OutPort {
     q: VecDeque<QueuedPkt>,
     /// Waiting bytes (excluding the packet being serialized).
@@ -96,17 +119,6 @@ struct OutPort {
 }
 
 impl OutPort {
-    fn new() -> OutPort {
-        OutPort {
-            q: VecDeque::new(),
-            q_bytes: 0,
-            in_flight: None,
-            visible_bytes: 0,
-            visible_pkts: 0,
-            stats: PortStats::default(),
-        }
-    }
-
     /// Actual occupancy in packets (waiting + in flight).
     fn pkts(&self) -> u32 {
         self.q.len() as u32 + self.in_flight.is_some() as u32
@@ -154,7 +166,7 @@ pub struct Switch {
     policy: Box<dyn SwitchPolicy>,
     /// Per-(engine, port) uncommitted bytes, row-major by engine.
     pending: Vec<u64>,
-    /// Packets dropped because no route / dead egress existed.
+    /// Packets dropped before an egress port was chosen (no live route).
     pub blackholed: u64,
     /// Packets forwarded (enqueued somewhere).
     pub forwarded: u64,
@@ -178,13 +190,12 @@ impl Switch {
         policy: Box<dyn SwitchPolicy>,
     ) -> Switch {
         assert!(cfg.engines > 0, "at least one forwarding engine");
-        let engines = cfg.engines;
         Switch {
             id,
+            pending: vec![0; cfg.engines * num_ports],
             cfg,
-            ports: (0..num_ports).map(|_| OutPort::new()).collect(),
+            ports: (0..num_ports).map(|_| OutPort::default()).collect(),
             policy,
-            pending: vec![0; engines * num_ports],
             blackholed: 0,
             forwarded: 0,
             live_egress: vec![true; num_ports],
@@ -203,13 +214,6 @@ impl Switch {
             self.live_egress[port] = up;
             self.any_dead |= !up;
         }
-    }
-
-    /// Is `port`'s egress link believed up? Constant-false-free fast path:
-    /// with no dead links the check is a single bool.
-    #[inline]
-    fn is_live(&self, port: u16) -> bool {
-        !self.any_dead || self.live_egress[port as usize]
     }
 
     /// This switch's id.
@@ -239,19 +243,12 @@ impl Switch {
         for p in &self.ports {
             put_varint(buf, p.q.len() as u64);
             for qp in &p.q {
-                arena.encode_ref(buf, &qp.r);
-                put_varint(buf, qp.size as u64);
-                put_varint(buf, qp.enq.as_nanos());
+                qp.save(arena, buf);
             }
             put_varint(buf, p.q_bytes);
-            match &p.in_flight {
-                Some(qp) => {
-                    buf.push(1);
-                    arena.encode_ref(buf, &qp.r);
-                    put_varint(buf, qp.size as u64);
-                    put_varint(buf, qp.enq.as_nanos());
-                }
-                None => buf.push(0),
+            buf.push(p.in_flight.is_some() as u8);
+            if let Some(qp) = &p.in_flight {
+                qp.save(arena, buf);
             }
             put_varint(buf, p.visible_bytes);
             put_varint(buf, p.visible_pkts as u64);
@@ -283,43 +280,46 @@ impl Switch {
         if nports != self.ports.len() {
             return Err(invalid("switch port count mismatch"));
         }
-        let read_qp = |arena: &PacketArena, d: &mut Decoder<'_>| -> io::Result<QueuedPkt> {
-            Ok(QueuedPkt {
-                r: arena.decode_ref(d)?,
-                size: d.varint_u32()?,
-                enq: Time::from_nanos(d.varint()?),
-            })
-        };
         for i in 0..nports {
             let qlen = d.varint_usize()?;
             let mut q = VecDeque::with_capacity(qlen.min(1 << 16));
             for _ in 0..qlen {
-                q.push_back(read_qp(arena, d)?);
+                q.push_back(QueuedPkt::load(arena, d)?);
             }
-            let q_bytes = d.varint()?;
-            let in_flight = match d.u8()? {
-                0 => None,
-                1 => Some(read_qp(arena, d)?),
-                _ => return Err(invalid("bad in-flight byte")),
-            };
-            let visible_bytes = d.varint()?;
-            let visible_pkts = d.varint_u32()?;
-            let stats = PortStats {
-                drops: d.varint()?,
-                drop_bytes: d.varint()?,
-                tx_pkts: d.varint()?,
-                tx_bytes: d.varint()?,
-                wait_ns_sum: d.varint()?,
-                wait_count: d.varint()?,
-            };
-            self.ports[i] = OutPort {
+            // Fields decode in the order written.
+            let port = OutPort {
                 q,
-                q_bytes,
-                in_flight,
-                visible_bytes,
-                visible_pkts,
-                stats,
+                q_bytes: d.varint()?,
+                in_flight: match d.u8()? {
+                    0 => None,
+                    1 => Some(QueuedPkt::load(arena, d)?),
+                    _ => return Err(invalid("bad in-flight byte")),
+                },
+                visible_bytes: d.varint()?,
+                visible_pkts: d.varint_u32()?,
+                stats: PortStats {
+                    drops: d.varint()?,
+                    drop_bytes: d.varint()?,
+                    tx_pkts: d.varint()?,
+                    tx_bytes: d.varint()?,
+                    wait_ns_sum: d.varint()?,
+                    wait_count: d.varint()?,
+                },
             };
+            // Between events the waiting bytes are the FIFO's, a waiting
+            // packet sits behind one on the wire, and the engines see no
+            // more than the port holds. Anything else underflows a counter
+            // at the port's next departure.
+            if port.q_bytes != port.q.iter().map(|qp| qp.size as u64).sum::<u64>() {
+                return Err(invalid("switch queue bytes disagree with its FIFO"));
+            }
+            if port.in_flight.is_none() && !port.q.is_empty() {
+                return Err(invalid("switch queue without in-flight packet"));
+            }
+            if port.visible_pkts > port.pkts() || port.visible_bytes > port.bytes() {
+                return Err(invalid("switch visible occupancy exceeds its queue"));
+            }
+            self.ports[i] = port;
         }
         let npending = d.varint_usize()?;
         if npending != self.pending.len() {
@@ -384,53 +384,29 @@ impl Switch {
         out: &mut impl NetSink,
         probe: &mut P,
     ) {
+        let engine = ingress as usize % self.cfg.engines;
         let from_host = topo.ingress_link(self.id, ingress).hop == HopClass::HostUp;
-        let dst = {
-            let pkt = arena.get_mut(&pref);
-            self.policy.on_arrival(pkt, now, topo, self.id);
-            pkt.dst
-        };
+        let pkt = arena.get_mut(&pref);
+        self.policy.on_arrival(pkt, now, topo, self.id);
+        let dst = pkt.dst;
 
-        // 1. Local delivery?
+        // Local delivery, or a fabric port toward the destination's leaf.
         let port = if topo.host_leaf(dst) == self.id {
-            topo.host_leaf_port(dst)
+            Some(topo.host_leaf_port(dst))
         } else {
             let dst_leaf = topo.host_leaf_index(dst);
-            let picked = self.pick_fabric_port(
-                topo,
-                routes,
-                arena.get_mut(&pref),
-                dst_leaf,
-                ingress,
-                now,
-                rng,
-                probe,
-            );
-            match picked {
-                Some(p) => p,
-                None => {
-                    self.blackholed += 1;
-                    if P::ENABLED {
-                        let engine = (ingress as usize % self.cfg.engines) as u16;
-                        probe.on_drop(
-                            now,
-                            self.id.0,
-                            u16::MAX,
-                            engine,
-                            &arena.get(&pref).meta(),
-                            DropReason::NoRoute,
-                        );
-                    }
-                    arena.free(pref);
-                    return;
-                }
-            }
+            let pkt = arena.get_mut(&pref);
+            self.pick_fabric_port(topo, routes, pkt, dst_leaf, engine, now, rng, probe)
+        };
+        let Some(port) = port else {
+            let reason = DropReason::NoRoute;
+            self.drop_pkt(arena, pref, u16::MAX, engine as u16, reason, now, probe);
+            return;
         };
 
         self.policy
             .on_forward(arena.get_mut(&pref), port, now, topo, self.id, from_host);
-        let engine = ingress as usize % self.cfg.engines;
-        self.enqueue_from_engine(topo, arena, port, pref, engine, now, out, probe);
+        self.enqueue(topo, arena, port, pref, engine, now, out, probe);
     }
 
     /// Choose the egress port toward `dst_leaf`: source route if present and
@@ -442,7 +418,7 @@ impl Switch {
         routes: &RouteTable,
         pkt: &mut Packet,
         dst_leaf: u32,
-        ingress: u16,
+        engine: usize,
         now: Time,
         rng: &mut SimRng,
         probe: &mut P,
@@ -465,11 +441,9 @@ impl Switch {
             return None;
         }
         if candidates.len() == 1 {
-            return if self.is_live(candidates[0]) {
-                Some(candidates[0])
-            } else {
-                None
-            };
+            // With no dead link anywhere the check is a single bool.
+            let live = !self.any_dead || self.live_egress[candidates[0] as usize];
+            return live.then_some(candidates[0]);
         }
         let groups = routes.groups(self.id, dst_leaf);
         let subset: &[u16] = if groups.is_empty() {
@@ -501,7 +475,7 @@ impl Switch {
         }
         let ctx = SelectCtx {
             now,
-            engine: ingress as usize % self.cfg.engines,
+            engine,
             flow_hash: pkt.flow_hash,
             flow: pkt.flow,
             dst_leaf,
@@ -515,26 +489,20 @@ impl Switch {
         debug_assert!(subset.contains(&chosen), "policy must choose a candidate");
         if P::ENABLED {
             // Ground truth the engine could not see (§3.2.1): the *actual*
-            // occupancy of every candidate at selection time. This scan
-            // exists only for the probe and is gated out when disabled.
-            let mut best = subset[0];
-            let mut best_pkts = self.ports[best as usize].pkts();
-            for &c in &subset[1..] {
-                let pk = self.ports[c as usize].pkts();
-                if pk < best_pkts {
-                    best = c;
-                    best_pkts = pk;
-                }
-            }
+            // occupancy of every candidate at selection time, and the first
+            // least-occupied one. This scan exists only for the probe and is
+            // gated out when disabled.
+            let pkts = |c: u16| self.ports[c as usize].pkts();
+            let best = subset.iter().copied().min_by_key(|&c| pkts(c)).unwrap();
             probe.on_engine_choice(
                 now,
                 self.id.0,
-                ctx.engine as u16,
+                engine as u16,
                 &EngineChoice {
                     chosen,
-                    chosen_pkts: self.ports[chosen as usize].pkts(),
+                    chosen_pkts: pkts(chosen),
                     best,
-                    best_pkts,
+                    best_pkts: pkts(best),
                     candidates: subset.len() as u16,
                 },
             );
@@ -542,11 +510,13 @@ impl Switch {
         Some(chosen)
     }
 
-    /// Append a packet to `port`'s queue (tail drop), starting transmission
-    /// if the port is idle. `engine` is the forwarding engine that wrote it:
-    /// its pending-write counter tracks the packet until its commit.
+    /// Append a packet to `port`'s queue, or put it on the wire if the port
+    /// is idle. `engine` is the forwarding engine that wrote it: its
+    /// pending-write counter tracks the packet until its commit. A dead
+    /// link drops the packet, and so does a busy port whose waiting bytes
+    /// would pass the limit (tail drop); an idle port always takes it.
     #[allow(clippy::too_many_arguments)]
-    pub fn enqueue_from_engine<P: Probe>(
+    fn enqueue<P: Probe>(
         &mut self,
         topo: &Topology,
         arena: &mut PacketArena,
@@ -559,111 +529,96 @@ impl Switch {
     ) {
         let link = topo.egress(self.id, port);
         let size = arena.get(&pref).size;
-        let p = &mut self.ports[port as usize];
-        if !link.up {
-            p.stats.drops += 1;
-            p.stats.drop_bytes += size as u64;
-            if P::ENABLED {
-                probe.on_drop(
-                    now,
-                    self.id.0,
-                    port,
-                    engine as u16,
-                    &arena.get(&pref).meta(),
-                    DropReason::LinkDown,
-                );
-            }
-            arena.free(pref);
+        let p = &self.ports[port as usize];
+        let idle = p.in_flight.is_none();
+        let full = !idle && p.q_bytes + size as u64 > self.cfg.queue_limit_bytes;
+        if !link.up || full {
+            let reason = if link.up {
+                DropReason::TailDrop
+            } else {
+                DropReason::LinkDown
+            };
+            self.drop_pkt(arena, pref, port, engine as u16, reason, now, probe);
             return;
         }
         // Copied only on the enabled path (the handle moves into the queue
         // below, before the hook fires).
-        let meta = if P::ENABLED {
-            Some(arena.get(&pref).meta())
+        let meta = P::ENABLED.then(|| arena.get(&pref).meta());
+        // Fully written one serialization time from now, which is also when
+        // it leaves an idle port: the commit is emitted first, so at that
+        // shared timestamp the packet becomes visible before it departs.
+        let written_at = now + Time::tx_time(size as u64, link.rate_bps);
+        if self.cfg.model_enqueue_commit {
+            out.emit(
+                written_at,
+                NetEvent::EnqueueCommit {
+                    switch: self.id,
+                    port,
+                    bytes: size,
+                    engine: engine as u16,
+                },
+            );
+            self.pending[engine * self.ports.len() + port as usize] += size as u64;
         } else {
-            None
-        };
-        if p.in_flight.is_none() {
-            debug_assert!(p.q.is_empty());
-            // The commit and the departure share one serialization time.
-            let tx_done_at = now + Time::tx_time(size as u64, link.rate_bps);
-            // Commit event is pushed before TxDone so that for equal
-            // timestamps the packet becomes visible before it departs.
-            if self.cfg.model_enqueue_commit {
-                out.emit(
-                    tx_done_at,
-                    NetEvent::EnqueueCommit {
-                        switch: self.id,
-                        port,
-                        bytes: size,
-                        engine: engine as u16,
-                    },
-                );
-                self.pending[engine * self.ports.len() + port as usize] += size as u64;
-            } else {
-                p.visible_bytes += size as u64;
-                p.visible_pkts += 1;
-            }
             let p = &mut self.ports[port as usize];
-            p.in_flight = Some(QueuedPkt {
-                r: pref,
-                size,
-                enq: now,
-            });
+            p.visible_bytes += size as u64;
+            p.visible_pkts += 1;
+        }
+        let p = &mut self.ports[port as usize];
+        let qp = QueuedPkt {
+            r: pref,
+            size,
+            enq: now,
+        };
+        if idle {
+            debug_assert!(p.q.is_empty());
+            p.in_flight = Some(qp);
             p.stats.wait_count += 1; // zero wait
             out.emit(
-                tx_done_at,
+                written_at,
                 NetEvent::SwitchTxDone {
                     switch: self.id,
                     port,
                 },
             );
         } else {
-            if p.q_bytes + size as u64 > self.cfg.queue_limit_bytes {
-                p.stats.drops += 1;
-                p.stats.drop_bytes += size as u64;
-                if let Some(m) = meta {
-                    probe.on_drop(
-                        now,
-                        self.id.0,
-                        port,
-                        engine as u16,
-                        &m,
-                        DropReason::TailDrop,
-                    );
-                }
-                arena.free(pref);
-                return;
-            }
-            if self.cfg.model_enqueue_commit {
-                let commit_at = now + Time::tx_time(size as u64, link.rate_bps);
-                out.emit(
-                    commit_at,
-                    NetEvent::EnqueueCommit {
-                        switch: self.id,
-                        port,
-                        bytes: size,
-                        engine: engine as u16,
-                    },
-                );
-                self.pending[engine * self.ports.len() + port as usize] += size as u64;
-            } else {
-                p.visible_bytes += size as u64;
-                p.visible_pkts += 1;
-            }
-            let p = &mut self.ports[port as usize];
             p.q_bytes += size as u64;
-            p.q.push_back(QueuedPkt {
-                r: pref,
-                size,
-                enq: now,
-            });
+            p.q.push_back(qp);
         }
         if let Some(m) = meta {
-            let p = &self.ports[port as usize];
             probe.on_enqueue(now, self.id.0, port, engine as u16, &m, p.pkts(), p.bytes());
         }
         self.forwarded += 1;
+    }
+
+    /// Drop `pref` at `port` (`u16::MAX`: none chosen, counted as
+    /// [`blackholed`](Switch::blackholed)), report it to `probe` with the
+    /// engine that made the call (`u16::MAX` once the packet has left the
+    /// queue: a port keeps no engine per packet) and free it.
+    #[cold]
+    #[allow(clippy::too_many_arguments)]
+    fn drop_pkt<P: Probe>(
+        &mut self,
+        arena: &mut PacketArena,
+        pref: PacketRef,
+        port: u16,
+        engine: u16,
+        reason: DropReason,
+        now: Time,
+        probe: &mut P,
+    ) {
+        let pkt = arena.get(&pref);
+        if port == u16::MAX {
+            self.blackholed += 1;
+        } else {
+            let stats = &mut self.ports[port as usize].stats;
+            stats.drops += 1;
+            stats.drop_bytes += pkt.size as u64;
+        }
+        if P::ENABLED {
+            probe.on_drop(now, self.id.0, port, engine, &pkt.meta(), reason);
+        }
+        arena.free(pref);
     }
 
     /// An enqueue commit fired: the packet becomes visible to all engines
@@ -677,12 +632,11 @@ impl Switch {
         self.pending[idx] -= bytes as u64;
     }
 
-    /// Serialization of the in-flight packet finished: hand it to the wire
-    /// and start the next one.
-    ///
-    /// `rng` feeds the lossy-link model: on links with `loss_ppm > 0` each
-    /// departing packet is dropped with that probability. The draw happens
-    /// *only* on lossy links, so lossless runs consume no randomness here.
+    /// Serialization of the in-flight packet finished: hand it to the wire,
+    /// then start the next one. The packet is lost if its link died while
+    /// it serialized, or with probability `loss_ppm` on a lossy link, drawn
+    /// from `rng` *only* on live lossy links (lossless runs consume no
+    /// randomness here). Its fate is emitted before the next tx-done.
     #[allow(clippy::too_many_arguments)]
     pub fn on_tx_done<P: Probe>(
         &mut self,
@@ -707,71 +661,23 @@ impl Switch {
         p.stats.tx_bytes += size as u64;
         if P::ENABLED {
             // Full sojourn: append to end of serialization. Fires even if
-            // the link died mid-flight (the packet did leave the queue);
-            // the drop hook below records its fate.
-            let depth = p.pkts();
-            probe.on_dequeue(
-                now,
-                self.id.0,
-                port,
-                arena.get(&pref).id,
-                depth,
-                (now - enq).as_nanos(),
-            );
+            // the packet is lost below (it did leave the queue); the drop
+            // hook records its fate.
+            let id = arena.get(&pref).id;
+            probe.on_dequeue(now, self.id.0, port, id, p.pkts(), (now - enq).as_nanos());
         }
-        let lost_on_wire =
-            link.up && link.loss_ppm > 0 && rng.below(1_000_000) < link.loss_ppm as usize;
-        if lost_on_wire {
-            // Corrupted on a lossy wire: it left the queue but never arrives.
-            p.stats.drops += 1;
-            p.stats.drop_bytes += size as u64;
-            if P::ENABLED {
-                probe.on_drop(
-                    now,
-                    self.id.0,
-                    port,
-                    u16::MAX,
-                    &arena.get(&pref).meta(),
-                    DropReason::LinkLoss,
-                );
-            }
-            arena.free(pref);
-        } else if link.up {
-            let arrive = now + link.prop;
-            match link.dst {
-                NodeRef::Switch(s) => {
-                    out.emit(
-                        arrive,
-                        NetEvent::ArriveSwitch {
-                            switch: s,
-                            ingress: link.dst_port,
-                            pkt: pref,
-                        },
-                    );
-                }
-                NodeRef::Host(h) => {
-                    out.emit(arrive, NetEvent::ArriveHost { host: h, pkt: pref });
-                }
-            }
+        let lost = if !link.up {
+            Some(DropReason::LinkDown)
+        } else if link.loss_ppm > 0 && rng.below(1_000_000) < link.loss_ppm as usize {
+            Some(DropReason::LinkLoss)
         } else {
-            // Link died while the packet was serializing: it is lost.
-            p.stats.drops += 1;
-            p.stats.drop_bytes += size as u64;
-            if P::ENABLED {
-                // Engine unknown at this point (u16::MAX): the queue keeps
-                // no engine per packet, so the trace records an engine-less
-                // drop.
-                probe.on_drop(
-                    now,
-                    self.id.0,
-                    port,
-                    u16::MAX,
-                    &arena.get(&pref).meta(),
-                    DropReason::LinkDown,
-                );
-            }
-            arena.free(pref);
+            None
+        };
+        match lost {
+            None => crate::hand_off(out, link, now, pref),
+            Some(reason) => self.drop_pkt(arena, pref, port, u16::MAX, reason, now, probe),
         }
+        let p = &mut self.ports[port as usize];
         if let Some(next) = p.q.pop_front() {
             p.q_bytes -= next.size as u64;
             p.stats.wait_ns_sum += (now - next.enq).as_nanos();
@@ -794,7 +700,7 @@ mod tests {
     use crate::builders::{leaf_spine, LeafSpineSpec, DEFAULT_PROP};
     use crate::ids::{FlowId, HostId};
     use crate::EventSink;
-    use drill_telemetry::NoopProbe;
+    use drill_telemetry::{FlightRecorder, NoopProbe, TraceEvent};
 
     /// Policy that always picks the first candidate.
     struct FirstPort;
@@ -804,25 +710,110 @@ mod tests {
         }
     }
 
-    fn setup() -> (Topology, RouteTable, Switch) {
-        let spec = LeafSpineSpec {
-            spines: 2,
+    /// A 10G leaf-spine with `leaves` = 2.
+    fn fabric(spines: usize, hosts_per_leaf: usize) -> Topology {
+        leaf_spine(&LeafSpineSpec {
+            spines,
             leaves: 2,
-            hosts_per_leaf: 2,
+            hosts_per_leaf,
             host_rate: 10_000_000_000,
             core_rate: 10_000_000_000,
             prop: DEFAULT_PROP,
-        };
-        let topo = leaf_spine(&spec);
-        let routes = RouteTable::compute(&topo);
-        let l0 = topo.leaves()[0];
-        let sw = Switch::new(
-            l0,
-            topo.num_ports(l0),
-            SwitchConfig::default(),
-            Box::new(FirstPort),
-        );
-        (topo, routes, sw)
+        })
+    }
+
+    /// Leaf 0 of a fabric running [`FirstPort`], with everything its calls
+    /// take: the topology and routes it forwards over, the arena, the RNG,
+    /// the sink its events land in and the probe that observes it.
+    struct Rig<P: Probe = NoopProbe> {
+        topo: Topology,
+        routes: RouteTable,
+        sw: Switch,
+        arena: PacketArena,
+        rng: SimRng,
+        out: EventSink,
+        probe: P,
+    }
+
+    impl Rig {
+        /// 2 spines, 2 leaves, 2 hosts per leaf, default switch.
+        fn new() -> Rig {
+            Rig::on(fabric(2, 2), SwitchConfig::default())
+        }
+
+        /// Leaf 0 of `topo` under `cfg`, routes computed on `topo` as given.
+        fn on(topo: Topology, cfg: SwitchConfig) -> Rig {
+            Rig::probed(topo, cfg, NoopProbe)
+        }
+    }
+
+    impl<P: Probe> Rig<P> {
+        fn probed(topo: Topology, cfg: SwitchConfig, probe: P) -> Rig<P> {
+            let routes = RouteTable::compute(&topo);
+            let l0 = topo.leaves()[0];
+            let sw = Switch::new(l0, topo.num_ports(l0), cfg, Box::new(FirstPort));
+            Rig {
+                topo,
+                routes,
+                sw,
+                arena: PacketArena::new(),
+                rng: SimRng::seed_from(1),
+                out: Vec::new(),
+                probe,
+            }
+        }
+
+        /// Leaf 0's port facing host `h`'s uplink.
+        fn host_ingress(&self, h: u32) -> u16 {
+            self.topo.host_uplink(HostId(h)).dst_port
+        }
+
+        /// Intern `p` and hand it to the switch (what the event loop does).
+        fn recv(&mut self, p: Packet, ingress: u16, now: Time) {
+            let r = self.arena.insert(p);
+            self.sw.receive(
+                &self.topo,
+                &self.routes,
+                &mut self.arena,
+                r,
+                ingress,
+                now,
+                &mut self.rng,
+                &mut self.out,
+                &mut self.probe,
+            );
+        }
+
+        /// Deliver every commit in the sink, as the event loop would before
+        /// any later tx-done.
+        fn commit_all(&mut self) {
+            for (_, e) in &self.out {
+                if let NetEvent::EnqueueCommit {
+                    port,
+                    bytes,
+                    engine,
+                    ..
+                } = *e
+                {
+                    self.sw.on_enqueue_commit(port, bytes, engine);
+                }
+            }
+        }
+
+        /// Finish serializing `port`'s in-flight packet at `now`; the sink
+        /// then holds exactly what this call emitted.
+        fn tx_done(&mut self, port: u16, now: Time) {
+            self.out.clear();
+            self.sw.on_tx_done(
+                &self.topo,
+                &mut self.arena,
+                port,
+                now,
+                &mut self.rng,
+                &mut self.out,
+                &mut self.probe,
+            );
+        }
     }
 
     fn pkt(dst: HostId, size_payload: u32) -> Packet {
@@ -838,462 +829,187 @@ mod tests {
         )
     }
 
-    /// Intern `p` and hand it to the switch (what the event loop does).
-    #[allow(clippy::too_many_arguments)]
-    fn recv(
-        sw: &mut Switch,
-        topo: &Topology,
-        routes: &RouteTable,
-        arena: &mut PacketArena,
-        p: Packet,
-        ingress: u16,
-        now: Time,
-        rng: &mut SimRng,
-        out: &mut EventSink,
-    ) {
-        let r = arena.insert(p);
-        sw.receive(
-            topo,
-            routes,
-            arena,
-            r,
-            ingress,
-            now,
-            rng,
-            out,
-            &mut NoopProbe,
-        );
-    }
-
     #[test]
     fn local_delivery_uses_host_port() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
+        let mut rig = Rig::new();
         // Host 1 is on leaf 0 (hosts 0,1 -> leaf0; 2,3 -> leaf1).
-        let p = pkt(HostId(1), 1000);
         let ingress = 0; // from a spine
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        rig.recv(pkt(HostId(1), 1000), ingress, Time::ZERO);
         // One commit + one tx-done scheduled.
-        assert_eq!(out.len(), 2);
-        let host_port = topo.host_leaf_port(HostId(1));
-        assert_eq!(sw.queue_pkts(host_port), 1);
+        assert_eq!(rig.out.len(), 2);
+        let host_port = rig.topo.host_leaf_port(HostId(1));
+        assert_eq!(rig.sw.queue_pkts(host_port), 1);
     }
 
     #[test]
     fn fabric_forwarding_consults_policy() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let p = pkt(HostId(2), 1000); // on leaf 1: must go via a spine
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        let mut rig = Rig::new();
+        // On leaf 1: must go via a spine.
+        rig.recv(pkt(HostId(2), 1000), rig.host_ingress(0), Time::ZERO);
         // FirstPort picks candidate 0 = port 0 (first spine).
-        assert_eq!(sw.queue_pkts(0), 1);
-        assert_eq!(sw.forwarded, 1);
+        assert_eq!(rig.sw.queue_pkts(0), 1);
+        assert_eq!(rig.sw.forwarded, 1);
     }
 
     #[test]
     fn tx_done_emits_arrival_after_prop() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let p = pkt(HostId(2), 1442); // wire size 1500
+        let mut rig = Rig::new();
         let t0 = Time::from_micros(10);
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            t0,
-            &mut rng,
-            &mut out,
-        );
-        // tx time of 1500B at 10G = 1200ns.
-        let tx_at = out
+        rig.recv(pkt(HostId(2), 1442), rig.host_ingress(0), t0); // wire size 1500
+                                                                 // tx time of 1500B at 10G = 1200ns.
+        let tx_at = rig
+            .out
             .iter()
             .find_map(|(t, e)| matches!(e, NetEvent::SwitchTxDone { .. }).then_some(*t))
             .unwrap();
         assert_eq!(tx_at, t0 + Time::from_nanos(1200));
         // Deliver the commit first, as the event loop would (same timestamp,
         // pushed earlier).
-        let commits: Vec<(u16, u32, u16)> = out
-            .iter()
-            .filter_map(|(_, e)| match e {
-                NetEvent::EnqueueCommit {
-                    port,
-                    bytes,
-                    engine,
-                    ..
-                } => Some((*port, *bytes, *engine)),
-                _ => None,
-            })
-            .collect();
-        for (port, bytes, engine) in commits {
-            sw.on_enqueue_commit(port, bytes, engine);
-        }
-        out.clear();
-        sw.on_tx_done(
-            &topo,
-            &mut arena,
-            0,
-            tx_at,
-            &mut rng,
-            &mut out,
-            &mut NoopProbe,
-        );
-        let (arrive_t, ev) = &out[0];
+        rig.commit_all();
+        rig.tx_done(0, tx_at);
+        let (arrive_t, ev) = &rig.out[0];
         assert_eq!(*arrive_t, tx_at + DEFAULT_PROP);
         assert!(matches!(ev, NetEvent::ArriveSwitch { .. }));
-        assert_eq!(sw.queue_pkts(0), 0);
+        assert_eq!(rig.sw.queue_pkts(0), 0);
     }
 
     #[test]
     fn visibility_lags_until_commit() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            pkt(HostId(2), 1000),
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        let mut rig = Rig::new();
+        rig.recv(pkt(HostId(2), 1000), rig.host_ingress(0), Time::ZERO);
         // Actual occupancy 1, visible 0 until the commit event fires.
-        assert_eq!(sw.queue_pkts(0), 1);
-        assert_eq!(sw.visible_pkts(0), 0);
-        let (commit_t, bytes) = out
+        assert_eq!(rig.sw.queue_pkts(0), 1);
+        assert_eq!(rig.sw.visible_pkts(0), 0);
+        let (commit_t, bytes) = rig
+            .out
             .iter()
             .find_map(|(t, e)| match e {
                 NetEvent::EnqueueCommit { bytes, .. } => Some((*t, *bytes)),
                 _ => None,
             })
             .unwrap();
-        sw.on_enqueue_commit(0, bytes, 0);
-        assert_eq!(sw.visible_pkts(0), 1);
+        rig.sw.on_enqueue_commit(0, bytes, 0);
+        assert_eq!(rig.sw.visible_pkts(0), 1);
         assert!(commit_t > Time::ZERO);
     }
 
     #[test]
     fn instant_visibility_when_commit_model_off() {
-        let spec = LeafSpineSpec {
-            spines: 2,
-            leaves: 2,
-            hosts_per_leaf: 1,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        };
-        let topo = leaf_spine(&spec);
-        let routes = RouteTable::compute(&topo);
-        let l0 = topo.leaves()[0];
         let cfg = SwitchConfig {
             model_enqueue_commit: false,
             ..Default::default()
         };
-        let mut sw = Switch::new(l0, topo.num_ports(l0), cfg, Box::new(FirstPort));
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            pkt(HostId(1), 1000),
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(sw.visible_pkts(0), 1, "visible immediately");
+        let mut rig = Rig::on(fabric(2, 1), cfg);
+        rig.recv(pkt(HostId(1), 1000), rig.host_ingress(0), Time::ZERO);
+        assert_eq!(rig.sw.visible_pkts(0), 1, "visible immediately");
         // Only a TxDone was scheduled, no commit event.
-        assert_eq!(out.len(), 1);
+        assert_eq!(rig.out.len(), 1);
     }
 
     #[test]
     fn tail_drop_on_full_queue() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
+        let mut rig = Rig::new();
         // Queue limit 150_000B; wire size 1058 each; one in flight + 141
         // waiting fills it (141*1058 = 149_178; next would exceed).
         let mut sent = 0;
         for _ in 0..200 {
-            recv(
-                &mut sw,
-                &topo,
-                &routes,
-                &mut arena,
-                pkt(HostId(2), 1000),
-                host_ingress,
-                Time::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            rig.recv(pkt(HostId(2), 1000), rig.host_ingress(0), Time::ZERO);
             sent += 1;
         }
-        let stats = sw.port_stats(0);
+        let stats = rig.sw.port_stats(0);
         assert!(stats.drops > 0, "must tail-drop");
-        assert_eq!(sw.queue_pkts(0) as u64 + stats.drops, sent);
+        assert_eq!(rig.sw.queue_pkts(0) as u64 + stats.drops, sent);
         assert!(
-            sw.queue_bytes(0) - 1058 <= 150_000,
+            rig.sw.queue_bytes(0) - 1058 <= 150_000,
             "waiting bytes within limit"
         );
     }
 
     #[test]
     fn no_route_blackholes() {
-        let spec = LeafSpineSpec {
-            spines: 1,
-            leaves: 2,
-            hosts_per_leaf: 1,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        };
-        let mut topo = leaf_spine(&spec);
+        let mut topo = fabric(1, 1);
         let l0 = topo.leaves()[0];
         topo.fail_switch_link(l0, SwitchId(2), 0); // sole spine link
-        let routes = RouteTable::compute(&topo);
-        let mut sw = Switch::new(
-            l0,
-            topo.num_ports(l0),
-            SwitchConfig::default(),
-            Box::new(FirstPort),
-        );
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            pkt(HostId(1), 500),
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(sw.blackholed, 1);
-        assert!(out.is_empty());
+        let mut rig = Rig::on(topo, SwitchConfig::default());
+        rig.recv(pkt(HostId(1), 500), rig.host_ingress(0), Time::ZERO);
+        assert_eq!(rig.sw.blackholed, 1);
+        assert!(rig.out.is_empty());
     }
 
     #[test]
     fn source_route_overrides_policy() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
+        let mut rig = Rig::new();
         let mut p = pkt(HostId(2), 1000);
         // Spines are ids 2 and 3; route via spine 3 (port 1), while the
         // policy would pick port 0.
         p.push_route(3);
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(sw.queue_pkts(1), 1);
-        assert_eq!(sw.queue_pkts(0), 0);
+        rig.recv(p, rig.host_ingress(0), Time::ZERO);
+        assert_eq!(rig.sw.queue_pkts(1), 1);
+        assert_eq!(rig.sw.queue_pkts(0), 0);
     }
 
     #[test]
     fn dead_source_route_falls_back() {
-        let (mut topo, _stale, mut sw) = setup();
+        let mut topo = fabric(2, 2);
         let l0 = topo.leaves()[0];
         topo.fail_switch_link(l0, SwitchId(3), 0);
-        let routes = RouteTable::compute(&topo);
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
+        let mut rig = Rig::on(topo, SwitchConfig::default());
         let mut p = pkt(HostId(2), 1000);
         p.push_route(3); // spine 3 is now unreachable from l0
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        rig.recv(p, rig.host_ingress(0), Time::ZERO);
         // Fell back to the remaining candidate (port 0 -> spine 2).
-        assert_eq!(sw.queue_pkts(0), 1);
-        assert_eq!(sw.blackholed, 0);
+        assert_eq!(rig.sw.queue_pkts(0), 1);
+        assert_eq!(rig.sw.blackholed, 0);
     }
 
     #[test]
     fn dead_local_egress_is_pruned_at_line_speed() {
         // Routes stay stale (computed pre-failure): the switch's local
         // link-state table alone must steer traffic off the dead uplink.
-        let (mut topo, routes, mut sw) = setup();
-        let l0 = topo.leaves()[0];
-        topo.fail_switch_link(l0, SwitchId(2), 0);
-        sw.sync_link_state(&topo);
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
+        let mut rig = Rig::new();
+        let l0 = rig.topo.leaves()[0];
+        rig.topo.fail_switch_link(l0, SwitchId(2), 0);
+        rig.sw.sync_link_state(&rig.topo);
+        let host_ingress = rig.host_ingress(0);
         for _ in 0..4 {
-            let p = pkt(HostId(2), 1000);
-            recv(
-                &mut sw,
-                &topo,
-                &routes,
-                &mut arena,
-                p,
-                host_ingress,
-                Time::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            rig.recv(pkt(HostId(2), 1000), host_ingress, Time::ZERO);
         }
         // All four took the surviving uplink (port 1 -> spine 3), none died.
-        assert_eq!(sw.blackholed, 0);
-        assert_eq!(sw.queue_pkts(0), 0);
-        assert_eq!(sw.queue_pkts(1), 4);
+        assert_eq!(rig.sw.blackholed, 0);
+        assert_eq!(rig.sw.queue_pkts(0), 0);
+        assert_eq!(rig.sw.queue_pkts(1), 4);
 
         // Kill the second uplink too: now the leaf has no live fabric port
         // and must blackhole (counted, so the fault-window metric sees it).
-        topo.fail_switch_link(l0, SwitchId(3), 0);
-        sw.sync_link_state(&topo);
-        let p = pkt(HostId(2), 1000);
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(sw.blackholed, 1);
+        rig.topo.fail_switch_link(l0, SwitchId(3), 0);
+        rig.sw.sync_link_state(&rig.topo);
+        rig.recv(pkt(HostId(2), 1000), host_ingress, Time::ZERO);
+        assert_eq!(rig.sw.blackholed, 1);
 
         // Restore one uplink: forwarding resumes without a route recompute.
-        topo.restore_switch_link(l0, SwitchId(2), 0);
-        sw.sync_link_state(&topo);
-        let p = pkt(HostId(2), 1000);
-        recv(
-            &mut sw,
-            &topo,
-            &routes,
-            &mut arena,
-            p,
-            host_ingress,
-            Time::ZERO,
-            &mut rng,
-            &mut out,
-        );
-        assert_eq!(sw.blackholed, 1);
-        assert_eq!(sw.queue_pkts(0), 1);
+        rig.topo.restore_switch_link(l0, SwitchId(2), 0);
+        rig.sw.sync_link_state(&rig.topo);
+        rig.recv(pkt(HostId(2), 1000), host_ingress, Time::ZERO);
+        assert_eq!(rig.sw.blackholed, 1);
+        assert_eq!(rig.sw.queue_pkts(0), 1);
     }
 
     #[test]
     fn fifo_order_preserved_per_port() {
-        let (topo, routes, mut sw) = setup();
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
+        let mut rig = Rig::new();
         for i in 0..3u64 {
             let mut p = pkt(HostId(2), 1000);
             p.id = i;
-            recv(
-                &mut sw,
-                &topo,
-                &routes,
-                &mut arena,
-                p,
-                host_ingress,
-                Time::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            rig.recv(p, rig.host_ingress(0), Time::ZERO);
         }
-        // Deliver the pending commits, as the event loop would before any
-        // of the later tx-dones.
-        let commits: Vec<(u16, u32, u16)> = out
-            .iter()
-            .filter_map(|(_, e)| match e {
-                NetEvent::EnqueueCommit {
-                    port,
-                    bytes,
-                    engine,
-                    ..
-                } => Some((*port, *bytes, *engine)),
-                _ => None,
-            })
-            .collect();
-        for (port, bytes, engine) in commits {
-            sw.on_enqueue_commit(port, bytes, engine);
-        }
+        rig.commit_all();
         // Drain: tx-done three times, collecting arrival order.
         let mut ids = Vec::new();
         for k in 0..3 {
-            out.clear();
-            sw.on_tx_done(
-                &topo,
-                &mut arena,
-                0,
-                Time::from_micros(k + 10),
-                &mut rng,
-                &mut out,
-                &mut NoopProbe,
-            );
-            for (_, e) in &out {
+            rig.tx_done(0, Time::from_micros(k + 10));
+            for (_, e) in &rig.out {
                 if let NetEvent::ArriveSwitch { pkt, .. } = e {
-                    ids.push(arena.get(pkt).id);
+                    ids.push(rig.arena.get(pkt).id);
                 }
             }
         }
@@ -1302,10 +1018,10 @@ mod tests {
 
     #[test]
     fn weighted_groups_steer_flows() {
-        let (topo, mut routes, mut sw) = setup();
-        let l0 = topo.leaves()[0];
+        let mut rig = Rig::new();
+        let l0 = rig.topo.leaves()[0];
         // All weight on the component containing only port 1.
-        routes.set_groups(
+        rig.routes.set_groups(
             l0,
             1,
             vec![
@@ -1319,99 +1035,183 @@ mod tests {
                 },
             ],
         );
-        let mut rng = SimRng::seed_from(1);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
         for i in 0..20u64 {
             let mut p = pkt(HostId(2), 500);
             p.flow_hash = i.wrapping_mul(0x9e3779b97f4a7c15);
-            recv(
-                &mut sw,
-                &topo,
-                &routes,
-                &mut arena,
-                p,
-                host_ingress,
-                Time::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            rig.recv(p, rig.host_ingress(0), Time::ZERO);
         }
-        assert_eq!(sw.queue_pkts(0), 0, "zero-weight group unused");
-        assert!(sw.queue_pkts(1) > 0);
+        assert_eq!(rig.sw.queue_pkts(0), 0, "zero-weight group unused");
+        assert!(rig.sw.queue_pkts(1) > 0);
     }
 
     #[test]
     fn lossy_link_drops_a_fraction_on_the_wire() {
-        let (mut topo, routes, _) = setup();
+        let mut topo = fabric(2, 2);
         let l0 = topo.leaves()[0];
         // 50% loss toward spine 2 (port 0).
         assert!(topo.set_switch_link_loss(l0, SwitchId(2), 0, 500_000));
-        let mut sw = Switch::new(
-            l0,
-            topo.num_ports(l0),
-            SwitchConfig {
-                queue_limit_bytes: 10_000_000,
-                ..Default::default()
-            },
-            Box::new(FirstPort),
-        );
-        let mut rng = SimRng::seed_from(7);
-        let mut arena = PacketArena::new();
-        let mut out = Vec::new();
-        let host_ingress = topo.host_uplink(HostId(0)).dst_port;
+        let cfg = SwitchConfig {
+            queue_limit_bytes: 10_000_000,
+            ..Default::default()
+        };
+        let mut rig = Rig::on(topo, cfg);
+        rig.rng = SimRng::seed_from(7);
         let n = 400u64;
         for i in 0..n {
             let mut p = pkt(HostId(2), 1000);
             p.id = i;
-            recv(
-                &mut sw,
-                &topo,
-                &routes,
-                &mut arena,
-                p,
-                host_ingress,
-                Time::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            rig.recv(p, rig.host_ingress(0), Time::ZERO);
         }
-        for (port, bytes, engine) in out
-            .iter()
-            .filter_map(|(_, e)| match e {
-                NetEvent::EnqueueCommit {
-                    port,
-                    bytes,
-                    engine,
-                    ..
-                } => Some((*port, *bytes, *engine)),
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-        {
-            sw.on_enqueue_commit(port, bytes, engine);
-        }
+        rig.commit_all();
         let mut arrived = 0u64;
         for k in 0..n {
-            out.clear();
-            sw.on_tx_done(
-                &topo,
-                &mut arena,
-                0,
-                Time::from_micros(k + 10),
-                &mut rng,
-                &mut out,
-                &mut NoopProbe,
-            );
-            arrived += out
+            rig.tx_done(0, Time::from_micros(k + 10));
+            arrived += rig
+                .out
                 .iter()
                 .filter(|(_, e)| matches!(e, NetEvent::ArriveSwitch { .. }))
                 .count() as u64;
         }
-        let dropped = sw.port_stats(0).drops;
+        let dropped = rig.sw.port_stats(0).drops;
         assert_eq!(arrived + dropped, n, "every packet arrives or drops");
         // With 50% loss the binomial is overwhelmingly inside [100, 300].
         assert!((100..=300).contains(&dropped), "dropped {dropped} of {n}");
+    }
+
+    /// A port state that no run can reach is refused at restore, not left
+    /// to underflow a counter at the port's next departure.
+    #[test]
+    fn load_state_rejects_inconsistent_ports() {
+        let mut rig = Rig::new();
+        for _ in 0..3 {
+            rig.recv(pkt(HostId(2), 1000), rig.host_ingress(0), Time::ZERO);
+        }
+        rig.commit_all();
+        let mut good = Vec::new();
+        rig.sw.save_state(&rig.arena, &mut good);
+        let load = |rig: &Rig, buf: &[u8]| {
+            let (id, ports) = (rig.sw.id(), rig.sw.num_ports());
+            let mut back = Switch::new(id, ports, SwitchConfig::default(), Box::new(FirstPort));
+            back.load_state(&rig.arena, &mut Decoder::new(buf))
+        };
+        load(&rig, &good).expect("a busy switch round-trips");
+        type Corruption = (&'static str, fn(&mut OutPort));
+        let corruptions: [Corruption; 4] = [
+            ("queue bytes", |p| p.q_bytes += 1),
+            ("no in-flight packet", |p| {
+                // Visible counts shrink with it: only this check can fire.
+                let head = p.in_flight.take().unwrap();
+                p.visible_pkts -= 1;
+                p.visible_bytes -= head.size as u64;
+            }),
+            ("visible packets", |p| p.visible_pkts = p.pkts() + 1),
+            ("visible bytes", |p| p.visible_bytes = p.bytes() + 1),
+        ];
+        for (what, corrupt) in corruptions {
+            corrupt(&mut rig.sw.ports[0]);
+            let mut bad = Vec::new();
+            rig.sw.save_state(&rig.arena, &mut bad);
+            assert!(load(&rig, &bad).is_err(), "{what} accepted");
+            rig.sw
+                .load_state(&rig.arena, &mut Decoder::new(&good))
+                .unwrap();
+        }
+    }
+
+    /// Every drop site charges its drop to the right counter and reports
+    /// it to the probe with the right `(port, engine, reason)`: the
+    /// engine is known where a forwarding engine made the call (no route,
+    /// dead link at enqueue, tail drop) and `u16::MAX` once the packet has
+    /// left the queue (lossy wire, link dead mid-serialization); the port
+    /// is `u16::MAX` only where none was chosen.
+    #[test]
+    fn every_drop_site_is_attributed() {
+        let topo = fabric(2, 2);
+        let cfg = SwitchConfig {
+            engines: 2,
+            // One waiting 1058-byte packet fits, a second does not.
+            queue_limit_bytes: 1500,
+            model_enqueue_commit: true,
+        };
+        let rec = FlightRecorder::new(topo.num_switches(), 2, 64);
+        let mut rig = Rig::probed(topo, cfg, rec);
+        let l0 = rig.topo.leaves()[0];
+        let (in_a, in_b) = (rig.host_ingress(0), rig.host_ingress(1));
+        let (eng_a, eng_b) = (in_a % 2, in_b % 2);
+        assert_ne!(eng_a, eng_b, "the two host ports feed different engines");
+        let to_leaf1 = |id: u64| {
+            let mut p = pkt(HostId(2), 1000);
+            p.id = id;
+            p
+        };
+        let t = Time::from_micros;
+        let drops = |rig: &Rig<FlightRecorder>| {
+            let (_, ring) = rig.probe.ring_at(l0.0 as usize);
+            ring.iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Drop {
+                        port,
+                        engine,
+                        pkt_id,
+                        reason,
+                        ..
+                    } => Some((port, engine, pkt_id, reason)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+
+        // Tail drop: packet 0 goes on the wire, 1 waits, 2 overflows.
+        for id in 0..3 {
+            rig.recv(to_leaf1(id), in_a, t(1));
+        }
+        assert_eq!(rig.sw.port_stats(0).drops, 1);
+        assert_eq!(
+            drops(&rig),
+            [(0, eng_a, 2, DropReason::TailDrop)],
+            "tail drop"
+        );
+
+        // Lossy wire: packet 0 is lost on departure; packet 1 still starts.
+        rig.commit_all();
+        rig.topo.set_switch_link_loss(l0, SwitchId(2), 0, 1_000_000);
+        rig.tx_done(0, t(2));
+        assert_eq!(rig.sw.port_stats(0).drops, 2);
+        assert!(matches!(
+            rig.out[..],
+            [(_, NetEvent::SwitchTxDone { port: 0, .. })]
+        ));
+        assert_eq!(drops(&rig)[1], (0, u16::MAX, 0, DropReason::LinkLoss));
+
+        // Link dies mid-serialization: packet 1 is lost with no arrival,
+        // and packet 3, queued behind it, still starts.
+        rig.recv(to_leaf1(3), in_b, t(3));
+        rig.commit_all();
+        rig.topo.fail_switch_link(l0, SwitchId(2), 0);
+        rig.tx_done(0, t(4));
+        assert_eq!(rig.sw.port_stats(0).drops, 3);
+        assert!(matches!(
+            rig.out[..],
+            [(_, NetEvent::SwitchTxDone { port: 0, .. })]
+        ));
+        assert_eq!(rig.sw.queue_pkts(0), 1);
+        assert_eq!(drops(&rig)[2], (0, u16::MAX, 1, DropReason::LinkDown));
+
+        // Dead link at enqueue: the mirror is unsynced, so the engine
+        // still picks port 0 and the enqueue finds the link down.
+        rig.recv(to_leaf1(4), in_b, t(5));
+        assert_eq!(rig.sw.port_stats(0).drops, 4);
+        assert_eq!(drops(&rig)[3], (0, eng_b, 4, DropReason::LinkDown));
+
+        // No route: both uplinks down and mirrored, nothing to choose.
+        rig.topo.fail_switch_link(l0, SwitchId(3), 0);
+        rig.sw.sync_link_state(&rig.topo);
+        rig.recv(to_leaf1(5), in_a, t(6));
+        assert_eq!(rig.sw.blackholed, 1);
+        assert_eq!(drops(&rig)[4], (u16::MAX, eng_a, 5, DropReason::NoRoute));
+        assert_eq!(drops(&rig).len(), 5);
+        assert_eq!(rig.sw.port_stats(0).drops, 4, "a blackhole is no port drop");
+        assert_eq!(rig.sw.port_stats(1).drops, 0);
+        assert_eq!(rig.arena.live(), 1, "only packet 3 survives");
     }
 }

@@ -222,9 +222,9 @@ pub struct ExperimentConfig {
 
 /// Invariant-auditor knobs (see `drill-audit` and DESIGN.md §14).
 /// Attaching a spec to [`ExperimentConfig::audit`] makes the run evaluate
-/// the watchdog suite at every boundary, retain the [`SnapshotRing`]
-/// (`drill_audit::SnapshotRing`), and on a trip dump ring + faulted
-/// snapshot + `anomaly.meta` into `dump_dir`.
+/// the watchdog suite at every boundary, retain the
+/// [`SnapshotRing`](drill_audit::SnapshotRing), and on a trip dump ring +
+/// faulted snapshot + `anomaly.meta` into `dump_dir`.
 #[derive(Clone, Debug)]
 pub struct AuditSpec {
     /// Evaluate watchdogs (and ring a checkpoint) every this many

@@ -31,6 +31,7 @@
 
 mod config;
 mod scheme;
+pub mod snapshot;
 mod stats;
 mod sweep;
 mod world;
@@ -39,8 +40,8 @@ pub use config::{
     AuditSpec, CheckpointSpec, ExperimentConfig, ShardSpec, SyntheticMode, TelemetrySpec, TopoSpec,
     WorkloadSpec,
 };
-pub use drill_snapshot::Snapshot;
 pub use scheme::Scheme;
+pub use snapshot::Snapshot;
 pub use stats::{hop_index, HopReport, RunStats};
 pub use sweep::{derive_seed, run_many, SweepPoint, SweepResults, SweepSpec};
 pub use world::{random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, World};

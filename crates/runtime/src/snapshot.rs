@@ -11,9 +11,9 @@
 //! +-----------+---------+-------+----------------------+----------+
 //! ```
 //!
-//! Section payloads are opaque to this crate — the runtime fills them with
-//! the engine queue, arenas, switches, flows, RNG streams and statistics
-//! (see `drill_runtime`'s snapshot module). Tags a reader does not know are
+//! Section payloads are opaque to this module — the world fills them with
+//! the event queue, arena, switches, flows, RNG streams and statistics,
+//! each layer its own sections. Tags a reader does not know are
 //! skippable by construction (length-prefixed), so old readers survive new
 //! writers within a version.
 //!
@@ -22,8 +22,6 @@
 //! unsupported version, a corrupted byte anywhere (checksum), truncation
 //! mid-section, and hostile length prefixes all surface as `io::Error` —
 //! never a panic or an over-allocation.
-
-#![warn(missing_docs)]
 
 use std::fs;
 use std::io;

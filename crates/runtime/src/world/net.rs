@@ -10,12 +10,12 @@ use drill_net::{
 };
 use drill_sim::codec::{invalid, put_varint};
 use drill_sim::{SimRng, Time};
-use drill_snapshot::{Snapshot, SnapshotBuilder};
 use drill_stats::{stdev_of, Moments};
 use drill_telemetry::Probe;
 
 use super::snapshot::{done, section, SEC_ARENAS, SEC_HOST_POLICIES, SEC_NICS, SEC_SWITCHES};
 use crate::config::ExperimentConfig;
+use crate::snapshot::{Snapshot, SnapshotBuilder};
 use crate::stats::{hop_index, RunStats};
 
 pub(super) struct Net {

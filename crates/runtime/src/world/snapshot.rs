@@ -22,12 +22,12 @@ use drill_sim::codec::{
     invalid, put_f64, put_u64, put_varint, CodecError, CodecErrorKind, Decoder,
 };
 use drill_sim::{SimRng, Time};
-use drill_snapshot::{Snapshot, SnapshotBuilder};
 use drill_stats::Moments;
 use drill_telemetry::{NoopProbe, Probe};
 
 use super::{Event, World};
 use crate::config::ExperimentConfig;
+use crate::snapshot::{Snapshot, SnapshotBuilder};
 use crate::stats::RunStats;
 
 // Section tags. New sections may be appended in later versions; readers

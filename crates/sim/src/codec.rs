@@ -3,7 +3,7 @@
 //!
 //! Both versioned binary formats in the workspace — the `DRILLTRC` flight
 //! recorder traces (`drill-telemetry`) and the `DRILLSNAP` world snapshots
-//! (`drill-snapshot`) — encode with these primitives and decode through
+//! (`drill_runtime::snapshot`) — encode with these primitives and decode through
 //! [`Decoder`], so the corruption-hardening discipline (bounded varints,
 //! explicit truncation errors, no panics on hostile bytes) lives in one
 //! place.

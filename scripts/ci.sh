@@ -197,4 +197,9 @@ echo "== cargo clippy --workspace -- -D warnings =="
 # over-long function there into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc: RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace =="
+# A doc link that does not resolve, or a public doc that links a private
+# item, fails here instead of rotting unseen.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "CI OK"

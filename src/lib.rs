@@ -61,8 +61,8 @@ pub use drill_hw as hw;
 pub use drill_lb as lb;
 pub use drill_net as net;
 pub use drill_runtime as runtime;
+pub use drill_runtime::snapshot;
 pub use drill_sim as sim;
-pub use drill_snapshot as snapshot;
 pub use drill_stats as stats;
 pub use drill_telemetry as telemetry;
 pub use drill_transport as transport;
