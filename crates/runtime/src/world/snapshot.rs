@@ -329,14 +329,26 @@ impl<P: Probe> World<P> {
         Ok(clock)
     }
 
+    /// Re-insert the pending events. The writer emits them strictly
+    /// `(time, seq)`-increasing, each seq below the restored counter; a
+    /// section that breaks either would leave an entry pending twice or a
+    /// seq that a fresh push reuses, so it is refused here.
     fn load_events(&mut self, snap: &Snapshot, now: Time) -> io::Result<()> {
         let mut d = section(snap, SEC_EVENTS)?;
+        let mut last = None;
         for _ in 0..d.varint_usize()? {
             let at = get_time(&mut d)?;
             let seq = d.varint()?;
             if at < now {
                 return Err(invalid("pending event precedes the restored clock"));
             }
+            if last.is_some_and(|prev| prev >= (at, seq)) {
+                return Err(invalid("pending events out of (time, seq) order"));
+            }
+            if seq >= self.queue.next_seq() {
+                return Err(invalid("pending event seq at or past the restored counter"));
+            }
+            last = Some((at, seq));
             let ev = match d.u8()? {
                 EV_NET => Event::Net(get_net_event(&mut d, &self.net.arena)?),
                 EV_FLOW_ARRIVAL => Event::FlowArrival,

@@ -1,7 +1,7 @@
 //! The event queue at the heart of the simulator: a hierarchical timing
 //! wheel (Varghese & Lauck 1987) with an allocation-free hot path.
 //!
-//! The previous implementation was a `BinaryHeap` + `HashSet` of cancelled
+//! The previous implementation was a binary heap + hash set of cancelled
 //! tokens (kept as [`crate::HeapQueue`], the differential test's
 //! reference); the wheel replaces O(log n) sift operations with O(1)
 //! amortized slot appends and bitmap scans.
@@ -11,11 +11,8 @@
 //! * [`LEVELS`] wheel levels of 64 slots each. Level `k` slots are
 //!   `2^BASE_SHIFT * 64^k` ns wide: level 0 slots are 64 ns delivery
 //!   windows (drained as one sorted batch, which amortizes staging
-//!   bookkeeping across every event in the window) and the whole wheel
-//!   spans `2^36` ns ≈ 68.7 simulated seconds ahead of the cursor.
-//! * Deadlines beyond the wheel horizon live in a sorted overflow heap
-//!   keyed by `(time, seq)` and are migrated into the wheel as the cursor
-//!   advances (each migration is itself O(1) amortized).
+//!   bookkeeping across every event in the window) and the top level
+//!   holds bit 63, so every `u64` deadline has a level.
 //! * Each pending event is stored once, as an `Entry { time, seq,
 //!   payload }` (32 bytes for a two-word payload). A slot holds its
 //!   entries in push order as a run of fixed [`PAGE`]-entry pages; pages
@@ -31,11 +28,10 @@
 //!   DESIGN.md §6 for the ordering proof sketch.
 //! * Cancellation is off the hot path: a token is its entry's `seq`, and
 //!   two small hash sets (pending cancellable seqs, cancelled seqs not yet
-//!   shed) make `cancel` O(1) and leave no residue — even when a token is
-//!   cancelled after its event already fired.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!   shed) make `cancel` O(1). A cancelled entry rides the wheel like a
+//!   live one and leaves it at the head of the staged batch; once nothing
+//!   live is pending the wheel is dropped where it stands, so no residue
+//!   stays — even when a token is cancelled after its event already fired.
 
 use crate::{FxHashSet, Time};
 
@@ -60,15 +56,11 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// deadline `d` ns ahead sits `BASE_SHIFT` bits lower in the hierarchy
 /// than it would with 1 ns slots.
 const BASE_SHIFT: u32 = 6;
-/// Number of wheel levels; deadlines within
-/// `2^(BASE_SHIFT + LEVEL_BITS * LEVELS)` ns of the cursor are
-/// wheel-resident, the rest overflow.
-const LEVELS: usize = 5;
-/// First deadline distance that no longer fits in the wheel (2^36 ns,
-/// ≈ 68.7 simulated seconds).
-const HORIZON: u64 = 1 << (BASE_SHIFT + LEVEL_BITS * LEVELS as u32);
+/// Number of wheel levels: enough that the top one holds bit 63, so any
+/// `u64` deadline is wheel-resident (the top level uses 16 of its slots).
+const LEVELS: usize = (u64::BITS - BASE_SHIFT).div_ceil(LEVEL_BITS) as usize;
 /// Entries per page of a slot's run. Fixed pages, not a `Vec` per slot:
-/// a slot gives its pages back as soon as it drains, so 320 slots never
+/// a slot gives its pages back as soon as it drains, so 640 slots never
 /// each keep their own high-water capacity, and a cascade of a crowded
 /// slot frees each page as it re-files it.
 const PAGE: usize = 32;
@@ -95,27 +87,6 @@ struct Entry<P> {
     seq: u64,
     payload: P,
 }
-
-/// The overflow heap's element: an entry ordered so that the max-heap
-/// pops the earliest `(time, seq)` first.
-struct Far<P>(Entry<P>);
-
-impl<P> Ord for Far<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
-    }
-}
-impl<P> PartialOrd for Far<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> PartialEq for Far<P> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.time, self.0.seq) == (other.0.time, other.0.seq)
-    }
-}
-impl<P> Eq for Far<P> {}
 
 /// A slot's pages, first and last (`NIL` when the slot is empty). Only
 /// the tail page can be part-filled.
@@ -161,8 +132,6 @@ pub struct EventQueue<P> {
     /// One occupancy bit per slot (set iff the slot's run is non-empty),
     /// for O(1) next-slot scans.
     occupied: [u64; LEVELS],
-    /// Far-future entries (≥ HORIZON ns ahead), sorted by `(time, seq)`.
-    overflow: BinaryHeap<Far<P>>,
     /// Delivery staging: the current level-0 batch sorted ascending by
     /// `(time, seq)`, consumed from `ready_pos`.
     ready: Vec<Entry<P>>,
@@ -176,9 +145,10 @@ pub struct EventQueue<P> {
     /// other push touches neither, and a pop tests each for emptiness.
     cancellable: FxHashSet<u64>,
     cancelled: FxHashSet<u64>,
-    /// Internal wheel cursor in ns. Invariant: at every public API
-    /// boundary, `now.as_nanos() == elapsed` or every pending event is at
-    /// or after `elapsed` (the cursor never passes a live event).
+    /// Internal wheel cursor in ns. It only ever moves to the earliest
+    /// filed entry (live or cancelled) or to the end of the window it
+    /// stages, so no occupied slot lies behind it and the cursor never
+    /// passes a live event.
     elapsed: u64,
     now: Time,
     seq: u64,
@@ -209,7 +179,6 @@ impl<P> EventQueue<P> {
             free_page: NIL,
             runs: [[EMPTY; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             ready: Vec::new(),
             ready_pos: 0,
             scratch: Vec::new(),
@@ -271,9 +240,9 @@ impl<P> EventQueue<P> {
     /// Visit every pending (scheduled, non-cancelled) entry as
     /// `(time, seq, &payload)`, in arbitrary order.
     ///
-    /// Snapshot capture walks the staged ready batch, every slot's pages
-    /// and the overflow heap, and normalizes order by sorting the
-    /// collected `(time, seq)` keys at the serialization layer.
+    /// Snapshot capture walks the staged ready batch and every slot's
+    /// pages, and normalizes order by sorting the collected `(time, seq)`
+    /// keys at the serialization layer.
     pub fn for_each_pending<F: FnMut(Time, u64, &P)>(&self, mut f: F) {
         let mut visit = |e: &Entry<P>| {
             if !self.cancelled.contains(&e.seq) {
@@ -281,7 +250,6 @@ impl<P> EventQueue<P> {
             }
         };
         self.ready[self.ready_pos..].iter().for_each(&mut visit);
-        self.overflow.iter().for_each(|Far(e)| visit(e));
         for run in self.runs.iter().flatten() {
             let mut p = run.head;
             while p != NIL {
@@ -316,7 +284,8 @@ impl<P> EventQueue<P> {
     /// seq is no longer pending-cancellable) and leaves no residue.
     pub fn cancel(&mut self, token: EventToken) {
         if self.cancellable.remove(&token.0) {
-            // The entry stays in the wheel until staging reaches it.
+            // The entry stays in the wheel until it reaches the head of a
+            // staged batch, or nothing live is left and the wheel drops it.
             self.cancelled.insert(token.0);
             self.cancels += 1;
         }
@@ -347,28 +316,10 @@ impl<P> EventQueue<P> {
         next
     }
 
-    /// Whether a detached run holds an entry that was not cancelled.
-    fn run_has_live(&self, run: Run) -> bool {
-        let mut p = run.head;
-        while p != NIL {
-            if self
-                .page(p)
-                .iter()
-                .any(|e| !self.cancelled.contains(&e.seq))
-            {
-                return true;
-            }
-            p = self.pages[p as usize].next;
-        }
-        false
-    }
-
-    /// Nothing is pending at or after the cursor, so nothing is pending
-    /// at all: any slot still occupied sits behind the cursor and holds
-    /// only cancelled entries (a stale bit, see `stage`). Free those runs
-    /// so the cancelled set drains with them.
-    fn reclaim_stale(&mut self) {
-        debug_assert_eq!(self.len(), 0, "live entry behind the cursor");
+    /// Nothing is pending, so whatever is still filed was cancelled: free
+    /// every run where it stands — the cursor does not walk out to them —
+    /// and forget the cancelled seqs with them.
+    fn drop_wheel(&mut self) {
         for level in 0..LEVELS {
             let mut bits = std::mem::take(&mut self.occupied[level]);
             while bits != 0 {
@@ -387,13 +338,13 @@ impl<P> EventQueue<P> {
     fn next_occupied(&self, level: usize) -> Option<usize> {
         let cursor =
             (self.elapsed >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1);
-        // Bits behind the cursor may exist but are always stale (their
-        // entries were all cancelled before the cursor jumped past them);
-        // they are reclaimed when a later rotation scans them, or when
-        // the queue runs dry.
-        let masked = self.occupied[level] & (!0u64 << cursor);
-        if masked != 0 {
-            Some(masked.trailing_zeros() as usize)
+        let ahead = self.occupied[level] & (!0u64 << cursor);
+        debug_assert_eq!(
+            ahead, self.occupied[level],
+            "occupied slot behind the cursor at level {level}"
+        );
+        if ahead != 0 {
+            Some(ahead.trailing_zeros() as usize)
         } else {
             None
         }
@@ -412,12 +363,6 @@ impl<P: Clone> EventQueue<P> {
         let seq = self.seq;
         self.seq += 1;
         self.schedule(at.as_nanos(), seq, payload);
-    }
-
-    /// Schedule `payload` at `delay` after the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: Time, payload: P) {
-        self.push(self.now + delay, payload);
     }
 
     /// Schedule `payload` at `at` carrying a caller-supplied sequence
@@ -523,7 +468,8 @@ impl<P: Clone> EventQueue<P> {
     /// live batch at their `(time, seq)` position.
     fn stage(&mut self) -> bool {
         loop {
-            // 1. Shed cancelled entries at the head of the staged batch.
+            // The one place a cancelled entry leaves the queue: the head
+            // of the staged batch.
             while self.ready_pos < self.ready.len() {
                 if self.cancelled.is_empty()
                     || !self.cancelled.remove(&self.ready[self.ready_pos].seq)
@@ -534,110 +480,63 @@ impl<P: Clone> EventQueue<P> {
             }
             self.ready.clear();
             self.ready_pos = 0;
-
-            // 2. Pull any overflow entries that now fit in the wheel.
-            self.replenish();
-
-            // 3. Find the lowest level with an occupied slot at/after the
-            // cursor; by construction it holds the earliest deadline.
-            let mut found = None;
-            for level in 0..LEVELS {
-                if let Some(slot) = self.next_occupied(level) {
-                    found = Some((level, slot));
-                    break;
-                }
+            if self.is_empty() {
+                self.drop_wheel();
+                return false;
             }
-            match found {
-                None => {
-                    // Wheel empty; jump the cursor to the overflow head so
-                    // the next replenish can migrate it in.
-                    match self.overflow.peek() {
-                        Some(Far(e)) => {
-                            self.elapsed = e.time;
-                            continue;
-                        }
-                        None => {
-                            self.reclaim_stale();
-                            return false;
-                        }
-                    }
+
+            // The lowest level with an occupied slot at/after the cursor
+            // holds the earliest filed deadline.
+            let (level, slot) = (0..LEVELS)
+                .find_map(|level| self.next_occupied(level).map(|slot| (level, slot)))
+                .expect("a pending entry is filed");
+            let shift = BASE_SHIFT + LEVEL_BITS * level as u32;
+            // The cursor's bits above this level, then the slot's; the top
+            // level has no bits above it.
+            let above = u64::MAX.checked_shl(shift + LEVEL_BITS).unwrap_or(0);
+            let start = (self.elapsed & above) | ((slot as u64) << shift);
+            let mut p = std::mem::replace(&mut self.runs[level][slot], EMPTY).head;
+            self.occupied[level] &= !(1u64 << slot);
+            if level == 0 {
+                // Stage the whole 64 ns window for delivery. The staged
+                // slot is at/after the cursor slot, so the window end never
+                // moves the cursor backwards (it may re-stage the cursor
+                // slot itself when an overdue push parked there after the
+                // previous batch drained).
+                let end = start | ((1u64 << BASE_SHIFT) - 1);
+                debug_assert!(end >= self.elapsed);
+                while p != NIL {
+                    let base = p as usize * PAGE;
+                    let page = &self.entries[base..base + self.pages[p as usize].len as usize];
+                    self.ready.extend_from_slice(page);
+                    p = self.free_page(p);
                 }
-                Some((0, slot)) => {
-                    // Stage the whole 64 ns window for delivery.
-                    let window = 1u64 << BASE_SHIFT;
-                    let t0 = (self.elapsed & !((window * SLOTS as u64) - 1))
-                        | ((slot as u64) << BASE_SHIFT);
-                    // The staged slot is at/after the cursor slot, so the
-                    // window end never moves the cursor backwards (it may
-                    // re-stage the cursor slot itself when an overdue push
-                    // parked there after the previous batch drained).
-                    debug_assert!(t0 + window > self.elapsed);
-                    let mut p = std::mem::replace(&mut self.runs[0][slot], EMPTY).head;
-                    self.occupied[0] &= !(1u64 << slot);
-                    while p != NIL {
-                        let base = p as usize * PAGE;
-                        let page = &self.entries[base..base + self.pages[p as usize].len as usize];
-                        if self.cancelled.is_empty() {
-                            self.ready.extend_from_slice(page);
-                        } else {
-                            for e in page {
-                                if !self.cancelled.remove(&e.seq) {
-                                    self.ready.push(e.clone());
-                                }
-                            }
-                        }
-                        p = self.free_page(p);
+                // Committing to the window: later pushes that land inside
+                // it take the overdue path and splice into the live batch,
+                // so advancing to the window end jumps no live entry.
+                self.elapsed = end;
+                // FIFO restoration: order by (time, seq). Equal-time
+                // entries deliver in push order; overdue entries parked
+                // onto the cursor slot (time < start) order first.
+                self.sort_batch(start);
+            } else {
+                // Cascade: advance the cursor to the slot's start and
+                // re-distribute its entries into lower levels. The cursor's
+                // own slot is never occupied above level 0, so this moves
+                // it forward.
+                debug_assert!(
+                    start > self.elapsed,
+                    "cascaded slot starts behind the cursor"
+                );
+                self.elapsed = start;
+                while p != NIL {
+                    let base = p as usize * PAGE;
+                    for i in base..base + self.pages[p as usize].len as usize {
+                        let Entry { time, seq, payload } = self.entries[i].clone();
+                        debug_assert!(time >= start, "entry behind its slot start");
+                        self.insert(time, seq, payload);
                     }
-                    // Committing to the window: later pushes that land
-                    // inside it take the overdue path and splice into the
-                    // live batch, so advancing to the window end jumps no
-                    // live entry.
-                    self.elapsed = t0 + window - 1;
-                    if self.ready.is_empty() {
-                        continue; // everything in the slot was cancelled
-                    }
-                    // FIFO restoration: order by (time, seq). Equal-time
-                    // entries deliver in push order; overdue entries parked
-                    // onto the cursor slot (time < t0) order first.
-                    self.sort_batch(t0);
-                    continue;
-                }
-                Some((level, slot)) => {
-                    // Cascade: advance the cursor to the slot's start and
-                    // re-distribute its entries into lower levels.
-                    //
-                    // The occupancy bit may be *stale*: the cursor jumps
-                    // straight to the next live deadline (staging, overflow
-                    // jumps), skipping slots whose entries were all
-                    // cancelled, and such a bit resurfaces one rotation
-                    // later where `slot_start` computed from the current
-                    // high cursor bits would overshoot pending earlier
-                    // events. Live entries are never skipped, so the slot
-                    // is current — and the cursor may advance — only if a
-                    // live entry is found in it.
-                    let shift = BASE_SHIFT + LEVEL_BITS * level as u32;
-                    let span = 1u64 << (shift + LEVEL_BITS);
-                    let slot_start = (self.elapsed & !(span - 1)) | ((slot as u64) << shift);
-                    let run = std::mem::replace(&mut self.runs[level][slot], EMPTY);
-                    self.occupied[level] &= !(1u64 << slot);
-                    let live = self.cancelled.is_empty() || self.run_has_live(run);
-                    if live && slot_start > self.elapsed {
-                        self.elapsed = slot_start;
-                    }
-                    let mut p = run.head;
-                    while p != NIL {
-                        let base = p as usize * PAGE;
-                        for i in base..base + self.pages[p as usize].len as usize {
-                            let Entry { time, seq, payload } = self.entries[i].clone();
-                            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                                continue;
-                            }
-                            debug_assert!(time >= slot_start, "live entry behind its slot start");
-                            self.insert(time, seq, payload);
-                        }
-                        p = self.free_page(p);
-                    }
-                    continue;
+                    p = self.free_page(p);
                 }
             }
         }
@@ -658,9 +557,8 @@ impl<P: Clone> EventQueue<P> {
     /// normally in seq order already: one linear check replaces the
     /// per-bucket tie sort. The check fails — and the buckets are sorted —
     /// where push order and seq order part: a bucket 0 holding parked
-    /// pre-window times, `push_stamped`'s reserved band, or a cascade or
-    /// overflow migration appending earlier-stamped entries behind later
-    /// ones.
+    /// pre-window times, `push_stamped`'s reserved band, or a cascade
+    /// appending earlier-stamped entries behind later ones.
     fn sort_batch(&mut self, t0: u64) {
         const WINDOW: usize = 1 << BASE_SHIFT;
         let key = |e: &Entry<P>| (e.time, e.seq);
@@ -674,7 +572,7 @@ impl<P: Clone> EventQueue<P> {
         }
         let mut pos = [0u32; WINDOW];
         for e in &self.ready {
-            debug_assert!(e.time < t0 + WINDOW as u64);
+            debug_assert!(e.time <= t0 | (WINDOW as u64 - 1));
             pos[e.time.saturating_sub(t0) as usize] += 1;
         }
         let mut acc = 0u32;
@@ -709,14 +607,14 @@ impl<P: Clone> EventQueue<P> {
         }
     }
 
-    /// File an entry on the wheel (or the overflow heap, or the staged
-    /// batch). Takes the entry's fields as scalars: built at the store, a
-    /// payload is written at the width it arrived in.
+    /// File an entry on the wheel (or the staged batch). Takes the
+    /// entry's fields as scalars: built at the store, a payload is written
+    /// at the width it arrived in.
     #[inline]
     fn insert(&mut self, time: u64, seq: u64, payload: P) {
         let (level, slot) = if time <= self.elapsed {
             // Overdue relative to the internal cursor (legal: the cursor
-            // may sit ahead of `now` after a jump to a far-off deadline).
+            // may sit ahead of `now` after a cascade or a staged window).
             if self.ready_pos < self.ready.len() {
                 // A staged batch is mid-delivery and this entry belongs
                 // inside it: splice it in at its `(time, seq)` position so
@@ -734,12 +632,9 @@ impl<P: Clone> EventQueue<P> {
                 ((self.elapsed >> BASE_SHIFT) & (SLOTS as u64 - 1)) as usize,
             )
         } else {
-            let dist = time ^ self.elapsed;
-            if dist >= HORIZON {
-                self.overflow.push(Far(Entry { time, seq, payload }));
-                return;
-            }
-            let top = u64::BITS - 1 - dist.leading_zeros();
+            // The highest bit where the deadline and the cursor differ
+            // picks the level; the top level holds bit 63.
+            let top = u64::BITS - 1 - (time ^ self.elapsed).leading_zeros();
             let level = (top.saturating_sub(BASE_SHIFT) / LEVEL_BITS) as usize;
             let slot =
                 ((time >> (BASE_SHIFT + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
@@ -791,26 +686,6 @@ impl<P: Clone> EventQueue<P> {
             self.runs[level][slot].tail = p;
         }
     }
-
-    /// Migrate overflow entries that now fit inside the wheel horizon;
-    /// also sheds cancelled entries surfacing at the overflow head.
-    fn replenish(&mut self) {
-        while let Some(Far(e)) = self.overflow.peek() {
-            let t = e.time;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                self.overflow.pop();
-                continue;
-            }
-            if (t ^ self.elapsed) < HORIZON || t <= self.elapsed {
-                let Some(Far(Entry { time, seq, payload })) = self.overflow.pop() else {
-                    unreachable!("peeked entry pops")
-                };
-                self.insert(time, seq, payload);
-                continue;
-            }
-            break;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -852,15 +727,6 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), Time::from_nanos(9));
         assert_eq!(q.events_processed(), 2);
-    }
-
-    #[test]
-    fn push_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_nanos(100), "a");
-        q.pop();
-        q.push_after(Time::from_nanos(50), "b");
-        assert_eq!(q.pop(), Some((Time::from_nanos(150), "b")));
     }
 
     #[test]
@@ -1071,6 +937,42 @@ mod tests {
         }
         assert_eq!(n, times.len());
         assert_eq!(last, *sorted.last().unwrap());
+    }
+
+    #[test]
+    fn deadline_at_u64_max_pops() {
+        // The last window of `u64` ends at u64::MAX itself: its end must
+        // not be computed as start + width.
+        let mut q = EventQueue::new();
+        let top = [u64::MAX - 100, u64::MAX];
+        q.push(Time::from_nanos(top[1]), 2);
+        q.push(Time::from_nanos(5), 0);
+        q.push(Time::from_nanos(top[0]), 1);
+        assert_eq!(q.pop(), Some((Time::from_nanos(5), 0)));
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(top[0])));
+        assert_eq!(q.pop(), Some((Time::from_nanos(top[0]), 1)));
+        assert_eq!(q.pop(), Some((Time::from_nanos(top[1]), 2)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn pop_over_only_cancelled_entries_keeps_the_cursor() {
+        // Nothing live is pending, so the pop drops the cancelled entry
+        // where it stands instead of walking the cursor out to it (which
+        // would send every later push down the overdue path).
+        let mut q = EventQueue::new();
+        let tok = q.push_cancellable(Time::from_secs(1), 1u32);
+        q.cancel(tok);
+        assert_eq!(q.pop(), None);
+        assert!(
+            q.elapsed < Time::from_secs(1).as_nanos(),
+            "cursor walked to {}",
+            q.elapsed
+        );
+        assert_eq!(q.cancel_sets(), (0, 0));
+        assert!(q.pages.iter().all(|p| p.len == 0), "a page is still filled");
+        q.push(Time::from_millis(2), 2);
+        assert_eq!(q.pop(), Some((Time::from_millis(2), 2)));
     }
 
     #[test]

@@ -222,30 +222,37 @@ mod tests {
     // delivery order bit-for-bit. This is the determinism bar for the
     // queue swap: same operation sequence ⇒ identical `(time, payload)`
     // pop streams, including FIFO tie-breaks at equal timestamps,
-    // cancellations in every region of the wheel (level 0, upper levels,
-    // the far-future overflow, and the staged ready batch), and
-    // cancel-after-fire no-ops. The wheel keeps no pending count — it
+    // cancellations in every region of the wheel (level 0, upper levels up
+    // to the top one, and the staged ready batch), and cancel-after-fire
+    // no-ops. The wheel keeps no pending count — it
     // derives `len()` from three single-writer counters — so `len()` and
     // `is_empty()` are compared with the reference's walk after every
     // operation, and `allocated_slots()` with the walk's high-water. ----
 
     /// What a scenario's operations hit. Cancels, read off the reference:
-    /// an entry still pending (and, of those, one still ≥ 2^36 ns ahead —
-    /// the overflow heap's range), an entry that had already fired, and a
-    /// token that had already been cancelled. Keyed pushes: reserved-band
-    /// `push_stamped` entries, ordinary pushes that landed behind one at
-    /// its instant, and bursts of more than a page's entries at one
-    /// instant.
+    /// an entry still pending (and, of those, one still ≥ 2^60 ns ahead —
+    /// the wheel's top level), an entry that had already fired, and a
+    /// token that had already been cancelled. Pops whose deadline differs
+    /// from the clock before them at bit 60 or above: the wheel's cursor
+    /// reaches those bits only by cascading a top-level slot. Keyed
+    /// pushes: reserved-band `push_stamped` entries, ordinary pushes that
+    /// landed behind one at its instant, and bursts of more than a page's
+    /// entries at one instant.
     #[derive(Default)]
     struct Seen {
         live: u32,
         far: u32,
         fired: u32,
         repeated: u32,
+        top_pops: u32,
         stamped: u32,
         overtaken: u32,
         bursts: u32,
     }
+
+    /// Top-level distance: deadlines at least this far from the clock
+    /// differ from it at bit 60 or above.
+    const TOP: u64 = 1 << 60;
 
     /// The wheel's page size, which a burst must exceed.
     const PAGE: usize = 32;
@@ -328,7 +335,7 @@ mod tests {
     }
 
     /// One randomized scenario: interleaved pushes (with a heavy-tailed time
-    /// spread so every wheel level and the overflow heap get traffic),
+    /// spread so every wheel level, the top one included, gets traffic),
     /// cancellations of a random subset, and batched pops — on a fresh
     /// queue, or (odd seeds) one positioned by `restore_clock` first. With
     /// `keyed`, a quarter of the pushes are [`Keyed`] operations.
@@ -365,15 +372,19 @@ mod tests {
                 // 0-5: push (sometimes cancellable) at a spread-out future time.
                 0..=5 => {
                     let base = wheel.now();
+                    // Room left below u64::MAX, short of a keyed burst's
+                    // few ns past its deadline.
+                    let room = u64::MAX - 64 - base.as_nanos();
                     // Heavy tail: mostly near, occasionally deep into upper
-                    // levels or past the 2^36 ns wheel horizon.
-                    let gap = match rng.below(12) {
-                        0..=5 => rng.below(512) as u64,                // level 0/1
-                        6..=8 => rng.below(1 << 18) as u64,            // mid levels
-                        9..=10 => rng.below(1 << 30) as u64,           // high levels
-                        _ => (1u64 << 36) + rng.below(1 << 30) as u64, // overflow
+                    // levels or out to the top one, up to near u64::MAX.
+                    let gap = match rng.below(13) {
+                        0..=5 => rng.below(512) as u64,                 // level 0/1
+                        6..=8 => rng.below(1 << 18) as u64,             // mid levels
+                        9..=10 => rng.below(1 << 30) as u64,            // high levels
+                        11 => (1u64 << 36) + rng.below(1 << 30) as u64, // level 5
+                        _ => (room >> rng.below(4)).saturating_sub(rng.below(1 << 30) as u64),
                     };
-                    let at = base + Time::from_nanos(gap);
+                    let at = base + Time::from_nanos(gap.min(room));
                     payload += 1;
                     if keyed && rng.below(4) == 0 {
                         keys.push(&mut rng, &mut wheel, &mut heap, at, &mut payload, seen);
@@ -419,7 +430,7 @@ mod tests {
                         if heap.len() < before {
                             seen.live += 1;
                             let ahead = at.as_nanos() - heap.now().as_nanos();
-                            seen.far += u32::from(ahead >= 1 << 36);
+                            seen.far += u32::from(ahead >= TOP);
                         } else if cancelled {
                             seen.repeated += 1;
                         } else {
@@ -433,9 +444,11 @@ mod tests {
                         if peek {
                             assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged");
                         }
+                        let before = heap.now().as_nanos();
                         let w = wheel.pop();
                         let h = heap.pop();
                         assert_eq!(w, h, "pop stream diverged (seed {seed})");
+                        seen.top_pops += top_pop(before, &h);
                         assert_eq!(wheel.now(), heap.now());
                         assert_eq!(wheel.len(), heap.len(), "len diverged mid-batch");
                         if w.is_none() {
@@ -450,9 +463,11 @@ mod tests {
         assert_eq!(wheel.allocated_slots(), high_water);
         // Drain both to the end.
         loop {
+            let before = heap.now().as_nanos();
             let w = wheel.pop();
             let h = heap.pop();
             assert_eq!(w, h, "drain diverged (seed {seed})");
+            seen.top_pops += top_pop(before, &h);
             assert_eq!(wheel.len(), heap.len(), "len diverged in the drain");
             if w.is_none() {
                 break;
@@ -470,15 +485,21 @@ mod tests {
         );
     }
 
+    /// Whether a pop after clock `before` crossed bit 60.
+    fn top_pop(before: u64, popped: &Option<(Time, u64)>) -> u32 {
+        popped.map_or(0, |(t, _)| u32::from(t.as_nanos() ^ before >= TOP))
+    }
+
     fn assert_every_cancel_kind(seen: &Seen) {
         assert!(
             seen.live > 0 && seen.far > 0 && seen.fired > 0 && seen.repeated > 0,
-            "a cancel kind went unexercised: {} live ({} far-future), {} fired, {} repeated",
+            "a cancel kind went unexercised: {} live ({} at the top level), {} fired, {} repeated",
             seen.live,
             seen.far,
             seen.fired,
             seen.repeated
         );
+        assert!(seen.top_pops > 0, "no pop came through the top level");
     }
 
     #[test]

@@ -9,7 +9,9 @@ use drill::runtime::{
     random_leaf_spine_failures, run, CheckpointSpec, ExperimentConfig, RunStats, Scheme, Snapshot,
     TopoSpec, World,
 };
+use drill::sim::codec::{put_varint, Decoder};
 use drill::sim::Time;
+use drill::snapshot::SnapshotBuilder;
 
 fn golden_cfg(scheme: Scheme) -> ExperimentConfig {
     let topo = TopoSpec::LeafSpine(LeafSpineSpec {
@@ -505,6 +507,64 @@ fn restore_rejects_divergent_applied_fault_prefix() {
         err.to_string().contains("prefix diverges"),
         "unexpected error: {err}"
     );
+}
+
+/// `snap` rebuilt with section `tag`'s body replaced by `edit(body)`.
+fn tamper(snap: &Snapshot, tag: u8, edit: impl Fn(&[u8]) -> Vec<u8>) -> Snapshot {
+    let mut b = SnapshotBuilder::new();
+    for t in 0..=u8::MAX {
+        if let Some(body) = snap.section(t) {
+            b.section(t, if t == tag { edit(body) } else { body.to_vec() });
+        }
+    }
+    b.finish()
+}
+
+/// Pending events that break the wheel's seq contract are refused, though
+/// each entry decodes on its own: an `EVENTS` list written out twice
+/// (every entry pending twice) and a `META` seq counter rewound to 0
+/// (every pending seq at or past it, for a fresh push to reuse). The
+/// writer emits neither.
+#[test]
+fn restore_rejects_pending_events_that_break_the_seq_contract() {
+    let cfg = tiny_cfg(Scheme::drill_default());
+    let mut w = World::new(&cfg);
+    w.run_to(Time::from_millis(1));
+    let snap = w.snapshot();
+    drop(w);
+    assert!(World::restore(&tamper(&snap, 10, <[u8]>::to_vec), &cfg).is_ok());
+
+    // Tag 10 is EVENTS: a varint count, then the entries.
+    let doubled = tamper(&snap, 10, |body| {
+        let mut d = Decoder::new(body);
+        let n = d.varint().expect("event count");
+        let entries = &body[d.position()..];
+        let mut out = Vec::new();
+        put_varint(&mut out, 2 * n);
+        out.extend_from_slice(entries);
+        out.extend_from_slice(entries);
+        out
+    });
+    // Tag 1 is META: switch, host and engine counts, then the clock, the
+    // seq counter and the events popped.
+    let rewound = tamper(&snap, 1, |body| {
+        let mut d = Decoder::new(body);
+        let mut out = Vec::new();
+        for i in 0..6 {
+            let v = d.varint().expect("META field");
+            put_varint(&mut out, if i == 4 { 0 } else { v });
+        }
+        out
+    });
+    for (bad, why) in [
+        (doubled, "out of (time, seq) order"),
+        (rewound, "past the restored counter"),
+    ] {
+        match World::restore(&bad, &cfg) {
+            Ok(_) => panic!("a snapshot with pending events {why} restored"),
+            Err(e) => assert!(e.to_string().contains(why), "unexpected error: {e}"),
+        }
+    }
 }
 
 /// End-to-end corruption hardening: truncations and bit flips of the
