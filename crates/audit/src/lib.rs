@@ -47,6 +47,12 @@ pub struct FlowProgress {
     pub start: Time,
     /// Whether the flow has completed (completed flows are never stuck).
     pub done: bool,
+    /// Bytes the sender has sent and not yet seen acknowledged.
+    pub in_flight: u64,
+    /// The sender's retransmission deadline, if its timer runs.
+    pub rto_at: Option<Time>,
+    /// The earliest pending retransmission wake for the flow, if any.
+    pub wake: Option<Time>,
 }
 
 /// Everything the watchdogs see at one audit boundary.
@@ -103,6 +109,17 @@ pub enum AnomalyKind {
         /// How long it has been stalled.
         stalled: Time,
     },
+    /// An uncompleted flow has bytes in flight but no retransmission
+    /// wake pending at or before its deadline: if every packet in flight
+    /// is lost, nothing will ever resend one.
+    LostWake {
+        /// The flow id.
+        flow: u32,
+        /// Its retransmission deadline (`None`: no timer runs).
+        rto_at: Option<Time>,
+        /// Its earliest pending wake (`None`: no wake pending).
+        wake: Option<Time>,
+    },
     /// A switch port's waiting bytes exceed the configured capacity —
     /// admission control failed.
     QueueCeiling {
@@ -149,6 +166,7 @@ impl AnomalyKind {
         match self {
             AnomalyKind::PacketConservation { .. } => "packet_conservation",
             AnomalyKind::StuckFlow { .. } => "stuck_flow",
+            AnomalyKind::LostWake { .. } => "lost_wake",
             AnomalyKind::QueueCeiling { .. } => "queue_ceiling",
             AnomalyKind::NicBacklog { .. } => "nic_backlog",
             AnomalyKind::TimeRegression { .. } => "time_regression",
@@ -199,6 +217,11 @@ impl AnomalyReport {
                 lines.push(format!("flow={flow}"));
                 lines.push(format!("stalled_ns={}", stalled.as_nanos()));
             }
+            AnomalyKind::LostWake { flow, rto_at, wake } => {
+                lines.push(format!("flow={flow}"));
+                lines.push(format!("rto_at_ns={}", opt_ns(*rto_at)));
+                lines.push(format!("wake_ns={}", opt_ns(*wake)));
+            }
             AnomalyKind::QueueCeiling {
                 switch,
                 port,
@@ -247,6 +270,12 @@ impl fmt::Display for AnomalyReport {
             AnomalyKind::StuckFlow { flow, stalled } => {
                 write!(f, ": flow {flow} stalled {}ns", stalled.as_nanos())
             }
+            AnomalyKind::LostWake { flow, rto_at, wake } => write!(
+                f,
+                ": flow {flow} has bytes in flight, RTO due at {}ns, earliest wake {}ns",
+                opt_ns(*rto_at),
+                opt_ns(*wake)
+            ),
             AnomalyKind::QueueCeiling {
                 switch,
                 port,
@@ -269,7 +298,12 @@ impl fmt::Display for AnomalyReport {
     }
 }
 
-/// Per-flow stall tracking for the stuck-flow watchdog.
+/// An optional instant in nanoseconds, `none` when absent.
+fn opt_ns(t: Option<Time>) -> String {
+    t.map_or_else(|| "none".to_string(), |t| t.as_nanos().to_string())
+}
+
+/// Per-flow tracking for the stuck-flow and lost-wake watchdogs.
 #[derive(Clone, Copy, Debug)]
 struct FlowWatch {
     bytes_acked: u64,
@@ -278,6 +312,8 @@ struct FlowWatch {
     since: Time,
     /// Each stuck flow is reported once, not once per boundary.
     reported: bool,
+    /// Each lost wake is reported once per flow.
+    wake_reported: bool,
 }
 
 /// The auditor: evaluates every watchdog over each boundary sample and
@@ -394,8 +430,8 @@ impl InvariantAuditor {
             );
         }
 
-        // Stuck flows: a started, uncompleted flow must acknowledge a new
-        // byte at least every `stuck_after`.
+        // Per flow: lost wakes, then stuck flows — a started, uncompleted
+        // flow must acknowledge a new byte at least every `stuck_after`.
         for f in s.flows {
             let idx = f.flow as usize;
             if self.flows.len() <= idx {
@@ -405,14 +441,27 @@ impl InvariantAuditor {
                         bytes_acked: 0,
                         since: f.start,
                         reported: false,
+                        wake_reported: false,
                     },
                 );
             }
-            let w = &mut self.flows[idx];
             if f.done {
-                w.reported = true; // completed: never report again
+                self.flows[idx].reported = true; // completed: never report again
                 continue;
             }
+            // Lost wakes: bytes in flight need a retransmission wake at or
+            // before the deadline, or a lost tail is never resent.
+            let covered = matches!((f.rto_at, f.wake), (Some(at), Some(wake)) if wake <= at);
+            if f.in_flight > 0 && !covered && !self.flows[idx].wake_reported {
+                self.flows[idx].wake_reported = true;
+                let kind = AnomalyKind::LostWake {
+                    flow: f.flow,
+                    rto_at: f.rto_at,
+                    wake: f.wake,
+                };
+                self.trip(kind, s.now, s.events);
+            }
+            let w = &mut self.flows[idx];
             if f.bytes_acked > w.bytes_acked {
                 w.bytes_acked = f.bytes_acked;
                 w.since = s.now;
@@ -653,6 +702,9 @@ mod tests {
                 bytes_acked: acked,
                 start: Time::ZERO,
                 done,
+                in_flight: 0,
+                rto_at: None,
+                wake: None,
             }]
         };
         fn at<'a>(ms: u64, flows: &'a [FlowProgress]) -> BoundarySample<'a> {
@@ -678,6 +730,67 @@ mod tests {
         a.on_boundary(&at(1, &flow(100, false)));
         a.on_boundary(&at(100, &flow(100, true)));
         assert!(!a.tripped());
+    }
+
+    /// A flow with bytes in flight whose earliest wake is `wake`, against
+    /// a deadline at 5 ms.
+    fn in_flight(wake: Option<Time>) -> [FlowProgress; 1] {
+        [FlowProgress {
+            flow: 3,
+            bytes_acked: 100,
+            start: Time::ZERO,
+            done: false,
+            in_flight: 1442,
+            rto_at: Some(Time::from_millis(5)),
+            wake,
+        }]
+    }
+
+    #[test]
+    fn lost_wake_trips_once_when_no_wake_is_pending() {
+        let mut a = InvariantAuditor::new(Time::from_secs(10), 8);
+        let flows = in_flight(None);
+        a.on_boundary(&sample(&flows));
+        let lost = AnomalyKind::LostWake {
+            flow: 3,
+            rto_at: Some(Time::from_millis(5)),
+            wake: None,
+        };
+        assert_eq!(a.reports().len(), 1);
+        assert_eq!(a.reports()[0].kind, lost);
+        assert!(a.reports()[0].meta_lines().contains(&"wake_ns=none".into()));
+        // Still lost at the next boundary: reported once per flow.
+        a.on_boundary(&sample(&flows));
+        assert_eq!(a.reports().len(), 1);
+    }
+
+    #[test]
+    fn lost_wake_trips_when_the_wake_is_after_the_deadline() {
+        let mut a = InvariantAuditor::new(Time::from_secs(10), 8);
+        let late = Some(Time::from_millis(5) + Time::from_nanos(1));
+        a.on_boundary(&sample(&in_flight(late)));
+        assert_eq!(a.reports().len(), 1);
+        assert_eq!(a.reports()[0].kind.name(), "lost_wake");
+        assert!(a.reports()[0].to_string().contains("flow 3"));
+        assert!(a.reports()[0]
+            .meta_lines()
+            .contains(&"wake_ns=5000001".into()));
+    }
+
+    #[test]
+    fn wake_at_or_before_the_deadline_is_quiet() {
+        let mut a = InvariantAuditor::new(Time::from_secs(10), 8);
+        for wake in [Time::from_millis(5), Time::from_millis(2)] {
+            a.on_boundary(&sample(&in_flight(Some(wake))));
+        }
+        // Nothing in flight, or done: no wake is owed.
+        let mut idle = in_flight(None);
+        idle[0].in_flight = 0;
+        a.on_boundary(&sample(&idle));
+        let mut done = in_flight(None);
+        done[0].done = true;
+        a.on_boundary(&sample(&done));
+        assert!(!a.tripped(), "{:?}", a.reports());
     }
 
     #[test]

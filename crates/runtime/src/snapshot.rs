@@ -40,10 +40,14 @@ pub const SNAP_MAGIC: [u8; 9] = *b"DRILLSNAP";
 /// replace those flows' `FLOWS` records). Version 4 dropped the shard
 /// count from `META`, the arena count from `ARENAS` and the owning shard
 /// from each pending network event in `EVENTS` (one engine, one arena).
-pub const SNAP_VERSION: u16 = 4;
+/// Version 5 changed `FLOWS` (each TCP flow writes its RTO deadline in
+/// place of a timer generation; the record keeps only its wake time; the
+/// shim drops its generation) and `EVENTS` (a shim flush wake carries
+/// only its flow).
+pub const SNAP_VERSION: u16 = 5;
 
 /// Oldest container version this reader accepts.
-pub const SNAP_VERSION_MIN: u16 = 4;
+pub const SNAP_VERSION_MIN: u16 = 5;
 
 /// Reserved flag bit: written by the retired by-value packet layout,
 /// whose sections this reader cannot decode. Never set by this writer;
@@ -272,6 +276,21 @@ mod tests {
                 "v{version}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn version_4_rejected() {
+        // Version 4 wrote a timer generation per TCP flow and shim, a
+        // scheduled generation and deadline per flow record, and a
+        // generation per shim flush wake.
+        let mut bytes = sample().to_bytes();
+        bytes[9..11].copy_from_slice(&4u16.to_le_bytes());
+        reseal(&mut bytes);
+        let err = Snapshot::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported DRILLSNAP version"),
+            "{err}"
+        );
     }
 
     #[test]

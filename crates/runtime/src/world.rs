@@ -42,9 +42,10 @@ enum Event {
     TcpTimer {
         flow: u32,
     },
+    /// A flush wake for the flow's shim: it flushes only if its time is
+    /// still the shim's armed deadline.
     ShimTimer {
         flow: u32,
-        gen: u64,
     },
     SampleQueues,
     /// The `idx`-th entry of the run's fault timeline strikes.
@@ -78,8 +79,7 @@ enum Event {
 /// | `SwitchTxDone` | `port`, `switch` | 0 |
 /// | `HostTxDone` | –, `host` | 0 |
 /// | `EnqueueCommit` | `port`, `switch` | `bytes \| engine << 32` |
-/// | `TcpTimer` / `Fault` | –, `flow` / `idx` | 0 |
-/// | `ShimTimer` | –, `flow` | `gen` |
+/// | `TcpTimer`, `ShimTimer` / `Fault` | –, `flow` / `idx` | 0 |
 /// | `Reconverge` | –, – | `gen` |
 /// | `FlowArrival`, `IncastEpoch`, `MiceTick`, `SampleQueues` | –, – | 0 |
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -147,7 +147,7 @@ impl From<Event> for Packed {
             Event::IncastEpoch => Packed::new(K_INCAST_EPOCH, 0, 0, 0),
             Event::MiceTick => Packed::new(K_MICE_TICK, 0, 0, 0),
             Event::TcpTimer { flow } => Packed::new(K_TCP_TIMER, 0, flow, 0),
-            Event::ShimTimer { flow, gen } => Packed::new(K_SHIM_TIMER, 0, flow, gen),
+            Event::ShimTimer { flow } => Packed::new(K_SHIM_TIMER, 0, flow, 0),
             Event::SampleQueues => Packed::new(K_SAMPLE_QUEUES, 0, 0, 0),
             Event::Fault { idx } => Packed::new(K_FAULT, 0, idx, 0),
             Event::Reconverge { gen } => Packed::new(K_RECONVERGE, 0, 0, gen),
@@ -184,10 +184,7 @@ impl From<Packed> for Event {
             K_INCAST_EPOCH => Event::IncastEpoch,
             K_MICE_TICK => Event::MiceTick,
             K_TCP_TIMER => Event::TcpTimer { flow: lo },
-            K_SHIM_TIMER => Event::ShimTimer {
-                flow: lo,
-                gen: word0,
-            },
+            K_SHIM_TIMER => Event::ShimTimer { flow: lo },
             K_SAMPLE_QUEUES => Event::SampleQueues,
             K_FAULT => Event::Fault { idx: lo },
             K_RECONVERGE => Event::Reconverge { gen: word0 },
@@ -535,7 +532,7 @@ impl<P: Probe> World<P> {
             Event::IncastEpoch => self.on_incast_epoch(now),
             Event::MiceTick => self.on_mice_tick(now),
             Event::TcpTimer { flow } => self.on_rto_wake(flow, now),
-            Event::ShimTimer { flow, gen } => self.on_shim_timer(flow, gen, now),
+            Event::ShimTimer { flow } => self.on_shim_timer(flow, now),
             Event::SampleQueues => {
                 self.stdv
                     .sample(&self.net.switches, &mut self.stats.queue_stdv);
@@ -630,7 +627,7 @@ impl<P: Probe> World<P> {
         let mut out = self.flows.pkt_pool.get();
         let flow = self.flows.open(tcp, class, measured, now, &mut out);
         self.send_all(src, out, now);
-        self.flows.schedule_rto(flow, now, &mut self.queue);
+        self.flows.schedule_rto(flow, &mut self.queue);
     }
 
     /// `host` sends `pkts` in order; the buffer goes back to the pool.
@@ -647,16 +644,16 @@ impl<P: Probe> World<P> {
         match self.flows.on_rto_wake(flow, now, &mut self.queue, &mut out) {
             Some(src) => {
                 self.send_all(src, out, now);
-                self.flows.schedule_rto(flow, now, &mut self.queue);
+                self.flows.schedule_rto(flow, &mut self.queue);
             }
             None => self.flows.pkt_pool.put(out),
         }
     }
 
-    fn on_shim_timer(&mut self, flow: u32, gen: u64, now: Time) {
+    fn on_shim_timer(&mut self, flow: u32, now: Time) {
         if let Some(shim) = self.flows.records[flow as usize].shim.as_mut() {
             let mut released = self.flows.ref_pool.get();
-            shim.on_timer(&self.net.arena, gen, now, &mut released);
+            shim.on_timer(&self.net.arena, now, &mut released);
             self.deliver(flow, released, now);
         }
     }
@@ -691,7 +688,7 @@ impl<P: Probe> World<P> {
             let tcp = &mut self.flows.records[flow as usize].tcp;
             tcp.on_ack(&ack, now, &mut self.flows.pkt_ids, &mut out);
             self.send_all(host, out, now);
-            self.flows.schedule_rto(flow, now, &mut self.queue);
+            self.flows.schedule_rto(flow, &mut self.queue);
             let r = &self.flows.records[flow as usize];
             if r.tcp.is_done() && r.class == FlowClass::Elephant {
                 self.chain_elephant(flow, now);
@@ -702,8 +699,8 @@ impl<P: Probe> World<P> {
             let shim = self.flows.records[flow as usize]
                 .shim
                 .get_or_insert_with(|| ShimBuffer::with_threshold(timeout, threshold));
-            if let Some((at, gen)) = shim.on_packet(&self.net.arena, pref, now, &mut deliver) {
-                self.queue.push(at, Event::ShimTimer { flow, gen }.into());
+            if let Some(at) = shim.on_packet(&self.net.arena, pref, now, &mut deliver) {
+                self.queue.push(at, Event::ShimTimer { flow }.into());
             }
             self.deliver(flow, deliver, now);
         } else {
@@ -854,19 +851,10 @@ impl<P: Probe> World<P> {
     /// count is consistent — and hand it to the auditor. Clean boundaries
     /// feed the snapshot ring; the first tripped boundary dumps it.
     fn audit_boundary(&mut self) {
-        let mut sample = self.boundary_sample();
+        let (mut sample, flows) = self.boundary_sample();
         let Some(audit) = self.audit.as_mut() else {
             return;
         };
-        let records = self.flows.records.iter().enumerate();
-        let flows: Vec<FlowProgress> = records
-            .map(|(i, r)| FlowProgress {
-                flow: i as u32,
-                bytes_acked: r.tcp.bytes_acked,
-                start: r.tcp.start,
-                done: r.tcp.done.is_some(),
-            })
-            .collect();
         sample.flows = &flows;
         let before = audit.auditor.reports().len();
         audit.auditor.on_boundary(&sample);
@@ -883,13 +871,14 @@ impl<P: Probe> World<P> {
         }
     }
 
-    /// The boundary sample but its flow rows. Holder walk: every live
-    /// arena handle is in exactly one of the switch queues (waiting +
+    /// The boundary sample, with its flow rows apart. Holder walk: every
+    /// live arena handle is in exactly one of the switch queues (waiting +
     /// in-flight), NIC queues (the in-flight head stays queued until
     /// tx-done), shim reorder buffers, or packet-carrying pending events.
     /// Along the way, find the fullest waiting queue for the ceiling
-    /// watchdog.
-    fn boundary_sample(&mut self) -> BoundarySample<'static> {
+    /// watchdog, and each flow's earliest pending RTO wake for the
+    /// lost-wake one.
+    fn boundary_sample(&mut self) -> (BoundarySample<'static>, Vec<FlowProgress>) {
         let mut holders: u64 = 0;
         let mut max_wait = (0u64, 0u32, 0u16);
         for (si, sw) in self.net.switches.iter().enumerate() {
@@ -914,14 +903,28 @@ impl<P: Probe> World<P> {
         }
         let shims = self.flows.records.iter().filter_map(|r| r.shim.as_ref());
         holders += shims.map(|s| s.held() as u64).sum::<u64>();
-        self.queue.for_each_pending(|_, _, &ev| {
-            if let Event::Net(NetEvent::ArriveSwitch { .. } | NetEvent::ArriveHost { .. }) =
-                Event::from(ev)
-            {
-                holders += 1;
-            }
-        });
-        BoundarySample {
+        let mut wakes = vec![Time::MAX; self.flows.records.len()];
+        self.queue
+            .for_each_pending(|at, _, &ev| match Event::from(ev) {
+                Event::Net(NetEvent::ArriveSwitch { .. } | NetEvent::ArriveHost { .. }) => {
+                    holders += 1
+                }
+                Event::TcpTimer { flow } => wakes[flow as usize] = wakes[flow as usize].min(at),
+                _ => {}
+            });
+        let records = self.flows.records.iter().zip(wakes).enumerate();
+        let flows = records
+            .map(|(i, (r, wake))| FlowProgress {
+                flow: i as u32,
+                bytes_acked: r.tcp.bytes_acked,
+                start: r.tcp.start,
+                done: r.tcp.done.is_some(),
+                in_flight: r.tcp.in_flight(),
+                rto_at: r.tcp.rto_at(),
+                wake: (wake != Time::MAX).then_some(wake),
+            })
+            .collect();
+        let sample = BoundarySample {
             now: self.queue.now(),
             events: self.queue.events_processed(),
             arena_live: self.net.arena.live() as u64,
@@ -933,7 +936,8 @@ impl<P: Probe> World<P> {
             nic_backlog_mismatch,
             next_event_time: self.queue.peek_time(),
             flows: &[],
-        }
+        };
+        (sample, flows)
     }
 
     /// Graceful degradation on a watchdog trip: no panic — dump the
@@ -1027,7 +1031,7 @@ mod tests {
             Event::IncastEpoch,
             Event::MiceTick,
             Event::TcpTimer { flow },
-            Event::ShimTimer { flow, gen },
+            Event::ShimTimer { flow },
             Event::SampleQueues,
             Event::Fault { idx: flow },
             Event::Reconverge { gen },
@@ -1502,12 +1506,9 @@ mod tests {
         let mut last_restart = Time::ZERO;
         let mut shrink_pushes = 0;
         while let Some(next) = w.queue.peek_time().filter(|&t| t < Time::from_micros(1500)) {
-            let (gen, wake) = (
-                w.flows.records[0].tcp.timer_generation(),
-                w.flows.records[0].rto_wake,
-            );
+            let (at, wake) = (w.flows.records[0].tcp.rto_at(), w.flows.records[0].rto_wake);
             w.run_to(next + ns);
-            if w.flows.records[0].tcp.timer_generation() != gen {
+            if w.flows.records[0].tcp.rto_at() != at {
                 last_restart = next;
             }
             if w.flows.records[0].rto_wake < wake {
@@ -1520,7 +1521,7 @@ mod tests {
                 assert_eq!(w.flows.records[0].rto_wake, next + ms);
             }
         }
-        assert_eq!(shrink_pushes, 1, "later restarts only move rto_due");
+        assert_eq!(shrink_pushes, 1, "later restarts only move rto_at");
         assert!(last_restart > Time::from_micros(1200), "{last_restart:?}");
         assert_eq!(w.flows.records[0].tcp.timeouts, 1);
 
@@ -1528,7 +1529,7 @@ mod tests {
         // of the orphaned 3 ms wake — and fires at that nanosecond.
         let due = last_restart + ms;
         assert!(due < ms.mul(3));
-        assert_eq!(w.flows.records[0].rto_due, due);
+        assert_eq!(w.flows.records[0].tcp.rto_at(), Some(due));
         w.run_to(due);
         assert_eq!(w.flows.records[0].tcp.timeouts, 1);
         w.run_to(due + ns);

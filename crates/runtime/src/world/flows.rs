@@ -37,13 +37,9 @@ pub(super) struct FlowRecord {
     pub(super) class: FlowClass,
     measured: bool,
     pub(super) shim: Option<ShimBuffer>,
-    /// Timer generation the flow's current RTO deadline was taken at.
-    sched_gen: u64,
-    /// Deadline of the flow's latest RTO restart (that of `sched_gen`).
-    pub(super) rto_due: Time,
     /// Time of the flow's one live `TcpTimer` wake in the wheel
-    /// (`Time::MAX` = none pending). Never later than `rto_due` while
-    /// `sched_gen` is current.
+    /// (`Time::MAX` = none pending). Never later than the connection's
+    /// [`rto_at`](TcpFlow::rto_at).
     pub(super) rto_wake: Time,
 }
 
@@ -124,8 +120,6 @@ impl FlowTable {
             class,
             measured,
             shim: None,
-            sched_gen: 0,
-            rto_due: Time::ZERO,
             rto_wake: Time::MAX,
         });
         self.records[flow]
@@ -134,28 +128,23 @@ impl FlowTable {
         flow as u32
     }
 
-    /// (Re)start `flow`'s retransmission timer, keeping **one** wake per
-    /// flow in the wheel instead of one event per restart: a restart only
-    /// moves `rto_due`, and the pending wake re-arms itself at the new
-    /// deadline when it pops. A push happens only when no wake is pending
-    /// or the new deadline precedes it (the RTO shrank after a back-off).
-    /// Wheel residency is O(flows), not O(ACKs inside one RTO).
-    pub(super) fn schedule_rto(&mut self, flow: u32, now: Time, queue: &mut EventQueue<Packed>) {
+    /// Keep **one** wake per flow in the wheel for its retransmission
+    /// deadline instead of one event per timer restart: a restart only
+    /// moves [`TcpFlow::rto_at`], and the pending wake re-arms itself at
+    /// the new deadline when it pops. A push happens only when no wake is
+    /// pending or the deadline precedes it (the RTO shrank after a
+    /// back-off). Wheel residency is O(flows), not O(ACKs inside one RTO).
+    /// Called after every call into the flow's sender.
+    pub(super) fn schedule_rto(&mut self, flow: u32, queue: &mut EventQueue<Packed>) {
         let r = &mut self.records[flow as usize];
-        if let Some((at, gen)) = r.tcp.rto_deadline(now) {
-            if r.sched_gen != gen {
-                r.sched_gen = gen;
-                r.rto_due = at;
-                if at < r.rto_wake {
-                    r.rto_wake = at;
-                    queue.push(at, Event::TcpTimer { flow }.into());
-                }
-            }
+        if let Some(at) = r.tcp.rto_at().filter(|&at| at < r.rto_wake) {
+            r.rto_wake = at;
+            queue.push(at, Event::TcpTimer { flow }.into());
         }
     }
 
     /// A `TcpTimer` wake popped at `now`. Only the live wake counts; it
-    /// re-arms at `rto_due` if ACKs moved the deadline on since it was
+    /// re-arms at the deadline if ACKs moved it on since the wake was
     /// pushed, and otherwise *is* the deadline — the RTO fires at the
     /// nanosecond the latest restart asked for. Returns the flow's source
     /// when it fired, with the retransmissions in `out`.
@@ -172,18 +161,15 @@ impl FlowTable {
             return None;
         }
         r.rto_wake = Time::MAX;
-        if r.sched_gen != r.tcp.timer_generation() {
-            // The flow finished (or has nothing in flight) without a new
-            // deadline: the one held can never fire, so neither re-arm.
+        // No deadline: the flow finished, so nothing re-arms.
+        let at = r.tcp.rto_at()?;
+        if at > now {
+            r.rto_wake = at;
+            queue.push(at, Event::TcpTimer { flow }.into());
             return None;
         }
-        if r.rto_due > now {
-            r.rto_wake = r.rto_due;
-            queue.push(r.rto_due, Event::TcpTimer { flow }.into());
-            return None;
-        }
-        let fired = r.tcp.on_timer(r.sched_gen, now, &mut self.pkt_ids, out);
-        fired.then_some(r.tcp.src)
+        r.tcp.on_timer(now, &mut self.pkt_ids, out);
+        Some(r.tcp.src)
     }
 
     /// Per-flow metrics of the measured flows. `windows` are the closed
@@ -239,10 +225,10 @@ impl FlowTable {
         }
     }
 
-    /// The `FLOWS` section: per flow, TCP state, class, measured flag,
-    /// shim, and the RTO timer triple (scheduled generation, deadline,
-    /// live wake). Without the last two a restored world would ignore
-    /// every pending wake.
+    /// The `FLOWS` section: per flow, TCP state (its RTO deadline
+    /// included), class, measured flag, shim, and the time of the live
+    /// RTO wake. Without the last a restored world would ignore every
+    /// pending wake.
     pub(super) fn save(&self, arena: &PacketArena, buf: &mut Vec<u8>) {
         put_varint(buf, self.records.len() as u64);
         for r in &self.records {
@@ -253,8 +239,6 @@ impl FlowTable {
             if let Some(shim) = &r.shim {
                 shim.save_state(arena, buf);
             }
-            put_varint(buf, r.sched_gen);
-            put_time(buf, r.rto_due);
             put_time(buf, r.rto_wake);
         }
     }
@@ -285,8 +269,6 @@ impl FlowTable {
                 class,
                 measured,
                 shim,
-                sched_gen: d.varint()?,
-                rto_due: get_time(d)?,
                 rto_wake: get_time(d)?,
             });
         }

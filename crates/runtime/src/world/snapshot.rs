@@ -210,10 +210,9 @@ impl<P: Probe> World<P> {
                     body.push(EV_TCP_TIMER);
                     put_varint(&mut body, flow as u64);
                 }
-                Event::ShimTimer { flow, gen } => {
+                Event::ShimTimer { flow } => {
                     body.push(EV_SHIM_TIMER);
                     put_varint(&mut body, flow as u64);
-                    put_varint(&mut body, gen);
                 }
                 Event::SampleQueues => body.push(EV_SAMPLE_QUEUES),
                 Event::Reconverge { gen } => {
@@ -359,13 +358,12 @@ impl<P: Probe> World<P> {
                 },
                 EV_SHIM_TIMER => Event::ShimTimer {
                     flow: d.varint_u32()?,
-                    gen: d.varint()?,
                 },
                 EV_SAMPLE_QUEUES => Event::SampleQueues,
                 EV_RECONVERGE => Event::Reconverge { gen: d.varint()? },
                 _ => return Err(invalid("unknown pending event tag")),
             };
-            if let Event::TcpTimer { flow } | Event::ShimTimer { flow, .. } = ev {
+            if let Event::TcpTimer { flow } | Event::ShimTimer { flow } = ev {
                 if flow as usize >= self.flows.records.len() {
                     return Err(invalid("timer names an unknown flow"));
                 }

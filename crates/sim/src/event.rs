@@ -2,9 +2,9 @@
 //! wheel (Varghese & Lauck 1987) with an allocation-free hot path.
 //!
 //! The previous implementation was a binary heap + hash set of cancelled
-//! tokens (kept as [`crate::HeapQueue`], the differential test's
-//! reference); the wheel replaces O(log n) sift operations with O(1)
-//! amortized slot appends and bitmap scans.
+//! tokens (kept, compiled for tests only, as `heap.rs`'s `HeapQueue`,
+//! the differential tests' reference); the wheel replaces O(log n) sift
+//! operations with O(1) amortized slot appends and bitmap scans.
 //!
 //! # Structure
 //!

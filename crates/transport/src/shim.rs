@@ -7,7 +7,8 @@
 //! The model: per-flow, packets whose sequence number is ahead of the
 //! expected next byte are held in a small buffer. They are released as soon
 //! as the gap fills, or after a timeout (which signals a real loss, letting
-//! TCP's duplicate-ACK machinery engage).
+//! TCP's duplicate-ACK machinery engage). The buffer owns its flush
+//! deadline: a flush wake counts only if it names the deadline armed now.
 //!
 //! Packets are held as [`PacketRef`] handles into the runtime's
 //! [`PacketArena`]; released handles are appended to a caller-supplied
@@ -21,7 +22,7 @@ use drill_net::{PacketArena, PacketRef};
 use drill_sim::codec::{put_varint, Decoder};
 use drill_sim::Time;
 
-use crate::tcp::read_bool;
+use crate::tcp::{get_opt_time, put_opt_time};
 
 /// Default hold timeout before a gap is declared a loss and the buffer is
 /// flushed (roughly one loaded fabric RTT: long enough to absorb
@@ -38,16 +39,18 @@ pub const SHIM_DEFAULT_TIMEOUT: Time = Time::from_micros(100);
 /// [`ShimBuffer::with_threshold`].
 pub const SHIM_FLUSH_THRESHOLD: usize = 3;
 
-/// Per-flow reordering buffer.
+/// Per-flow reordering buffer. It owns its flush deadline: the caller
+/// schedules a wake at each deadline [`on_packet`](ShimBuffer::on_packet)
+/// returns and hands every wake to [`on_timer`](ShimBuffer::on_timer),
+/// which ignores one whose time is no longer armed.
 #[derive(Debug)]
 pub struct ShimBuffer {
     expected: u64,
     buf: BTreeMap<u64, PacketRef>,
     threshold: usize,
     timeout: Time,
-    /// Generation for lazy timer invalidation.
-    timer_gen: u64,
-    /// Deadline of the armed flush timer, if any.
+    /// Deadline of the armed flush timer: set when a packet is held in an
+    /// empty buffer, cleared whenever the buffer empties.
     armed: Option<Time>,
     /// Packets that were delivered late (flushed by timeout).
     pub timeout_flushes: u64,
@@ -69,7 +72,6 @@ impl ShimBuffer {
             buf: BTreeMap::new(),
             threshold,
             timeout,
-            timer_gen: 0,
             armed: None,
             timeout_flushes: 0,
             reordered_held: 0,
@@ -86,23 +88,18 @@ impl ShimBuffer {
         self.buf.len()
     }
 
-    /// Current timer generation (stale flush timers must be ignored).
-    pub fn timer_generation(&self) -> u64 {
-        self.timer_gen
-    }
-
     /// Offer an arriving data packet. In-order (and old/duplicate) packets
     /// are delivered immediately, together with any buffered packets they
     /// release; ahead-of-sequence packets are held. Handles to deliver up
-    /// the stack are appended to `deliver`; returns the flush deadline to
-    /// (re-)arm if the buffer became (or stays) non-empty.
+    /// the stack are appended to `deliver`; returns the flush deadline
+    /// when this packet armed one.
     pub fn on_packet(
         &mut self,
         arena: &PacketArena,
         pref: PacketRef,
         now: Time,
         deliver: &mut Vec<PacketRef>,
-    ) -> Option<(Time, u64)> {
+    ) -> Option<Time> {
         let (seq, seq_end) = {
             let pkt = arena.get(&pref);
             (pkt.seq, pkt.seq_end())
@@ -122,8 +119,6 @@ impl ShimBuffer {
             }
             if self.buf.is_empty() {
                 self.armed = None;
-                self.timer_gen += 1;
-                return None;
             }
             // Still gapped: keep the existing timer.
             return None;
@@ -139,29 +134,20 @@ impl ShimBuffer {
                 deliver.push(p);
             }
             self.armed = None;
-            self.timer_gen += 1;
             return None;
         }
         if self.armed.is_none() {
-            let at = now + self.timeout;
-            self.armed = Some(at);
-            self.timer_gen += 1;
-            return Some((at, self.timer_gen));
+            self.armed = Some(now + self.timeout);
+            return self.armed;
         }
         None
     }
 
-    /// A flush timer fired: if current, release everything held (in
-    /// sequence order) so TCP sees the loss. Released handles are appended
-    /// to `deliver`.
-    pub fn on_timer(
-        &mut self,
-        arena: &PacketArena,
-        generation: u64,
-        _now: Time,
-        deliver: &mut Vec<PacketRef>,
-    ) {
-        if generation != self.timer_gen || self.buf.is_empty() {
+    /// A flush wake popped at `now`: if it is the armed deadline, release
+    /// everything held (in sequence order) so TCP sees the loss. Released
+    /// handles are appended to `deliver`.
+    pub fn on_timer(&mut self, arena: &PacketArena, now: Time, deliver: &mut Vec<PacketRef>) {
+        if self.armed != Some(now) {
             return;
         }
         while let Some((_, p)) = self.buf.pop_first() {
@@ -170,7 +156,6 @@ impl ShimBuffer {
             deliver.push(p);
         }
         self.armed = None;
-        self.timer_gen += 1;
     }
 
     /// Serialize the buffer. Held handles are encoded against `arena`;
@@ -182,14 +167,7 @@ impl ShimBuffer {
             put_varint(buf, s);
             arena.encode_ref(buf, r);
         }
-        put_varint(buf, self.timer_gen);
-        match self.armed {
-            Some(t) => {
-                buf.push(1);
-                put_varint(buf, t.as_nanos());
-            }
-            None => buf.push(0),
-        }
+        put_opt_time(buf, self.armed);
         put_varint(buf, self.timeout_flushes);
         put_varint(buf, self.reordered_held);
     }
@@ -205,12 +183,7 @@ impl ShimBuffer {
             let r = arena.decode_ref(d)?;
             self.buf.insert(s, r);
         }
-        self.timer_gen = d.varint()?;
-        self.armed = if read_bool(d)? {
-            Some(Time::from_nanos(d.varint()?))
-        } else {
-            None
-        };
+        self.armed = get_opt_time(d)?;
         self.timeout_flushes = d.varint()?;
         self.reordered_held = d.varint()?;
         Ok(())
@@ -242,7 +215,7 @@ mod tests {
         arena: &mut PacketArena,
         p: Packet,
         now: Time,
-    ) -> (Vec<PacketRef>, Option<(Time, u64)>) {
+    ) -> (Vec<PacketRef>, Option<Time>) {
         let r = arena.insert(p);
         let mut deliver = Vec::new();
         let timer = s.on_packet(arena, r, now, &mut deliver);
@@ -277,7 +250,7 @@ mod tests {
         // Packet 2 arrives before packet 1: held, timer armed.
         let (d, t) = offer(&mut s, &mut arena, pkt(200, 100), Time::from_micros(1));
         assert!(d.is_empty());
-        let (at, _gen) = t.expect("timer armed");
+        let at = t.expect("timer armed");
         assert_eq!(at, Time::from_micros(1) + SHIM_DEFAULT_TIMEOUT);
         assert_eq!(s.held(), 1);
         // Gap fills: both delivered, in order.
@@ -296,12 +269,12 @@ mod tests {
         let mut arena = PacketArena::new();
         offer(&mut s, &mut arena, pkt(0, 100), Time::ZERO);
         let (_, t) = offer(&mut s, &mut arena, pkt(300, 100), Time::from_micros(1));
-        let (_at, gen) = t.unwrap();
+        let at = t.unwrap();
         let (d2, t2) = offer(&mut s, &mut arena, pkt(200, 100), Time::from_micros(2));
         assert!(d2.is_empty() && t2.is_none(), "timer already armed");
         // Fire the flush: both held packets released in seq order.
         let mut flushed = Vec::new();
-        s.on_timer(&arena, gen, Time::from_micros(101), &mut flushed);
+        s.on_timer(&arena, at, &mut flushed);
         assert_eq!(flushed.len(), 2);
         assert_eq!(seq_of(&arena, &flushed[0]), 200);
         assert_eq!(seq_of(&arena, &flushed[1]), 300);
@@ -325,17 +298,17 @@ mod tests {
             let mut s = ShimBuffer::new(Time::from_micros(1 + rng.below(499) as u64));
             let mut arena = PacketArena::new();
             let mut delivered = Vec::new();
-            let mut timer: Option<(Time, u64)> = None;
-            let fire = |s: &mut ShimBuffer, arena: &mut PacketArena, (at, gen): (Time, u64)| {
+            let mut timer: Option<Time> = None;
+            let fire = |s: &mut ShimBuffer, arena: &mut PacketArena, at: Time| {
                 let mut out = Vec::new();
-                s.on_timer(arena, gen, at, &mut out);
+                s.on_timer(arena, at, &mut out);
                 out.into_iter()
                     .map(|r| arena.take(r).seq)
                     .collect::<Vec<_>>()
             };
             for (i, &k) in order.iter().enumerate() {
                 let now = Time::from_micros(i as u64);
-                if let Some(t) = timer.filter(|&(at, _)| at <= now) {
+                if let Some(t) = timer.filter(|&at| at <= now) {
                     delivered.extend(fire(&mut s, &mut arena, t));
                     timer = None;
                 }
@@ -358,12 +331,34 @@ mod tests {
         let mut arena = PacketArena::new();
         offer(&mut s, &mut arena, pkt(0, 100), Time::ZERO);
         let (_, t) = offer(&mut s, &mut arena, pkt(200, 100), Time::from_micros(1));
-        let (_, gen) = t.unwrap();
+        let at = t.unwrap();
         // Gap fills before the timer fires.
         offer(&mut s, &mut arena, pkt(100, 100), Time::from_micros(2));
         let mut flushed = Vec::new();
-        s.on_timer(&arena, gen, Time::from_micros(101), &mut flushed);
+        s.on_timer(&arena, at, &mut flushed);
         assert!(flushed.is_empty());
+    }
+
+    /// A disarm and a later re-arm leave two wakes pending: the first
+    /// names a deadline that is no longer armed and flushes nothing.
+    #[test]
+    fn rearmed_timer_ignores_the_old_deadline() {
+        let mut s = ShimBuffer::new(Time::from_micros(100));
+        let mut arena = PacketArena::new();
+        offer(&mut s, &mut arena, pkt(0, 100), Time::ZERO);
+        let old = offer(&mut s, &mut arena, pkt(200, 100), Time::from_micros(1)).1;
+        offer(&mut s, &mut arena, pkt(100, 100), Time::from_micros(2));
+        let new = offer(&mut s, &mut arena, pkt(400, 100), Time::from_micros(3)).1;
+        let (old, new) = (old.unwrap(), new.unwrap());
+        assert!(old < new);
+        let mut flushed = Vec::new();
+        s.on_timer(&arena, old, &mut flushed);
+        assert!(flushed.is_empty(), "the old deadline is not armed");
+        assert_eq!(s.held(), 1);
+        s.on_timer(&arena, new, &mut flushed);
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(seq_of(&arena, &flushed[0]), 400);
+        assert_eq!(s.held(), 0);
     }
 
     #[test]

@@ -62,10 +62,10 @@ impl Default for TcpConfig {
 /// One TCP flow: sender and receiver endpoints of a `size`-byte transfer.
 ///
 /// The embedding simulation owns the flow table; this type is a pure state
-/// machine. Methods emit packets into an output buffer and signal timer
-/// needs through [`TcpFlow::rto_deadline`] — the runtime keeps the latest
-/// returned deadline and calls [`TcpFlow::on_timer`] when it comes due; a
-/// call carrying a superseded generation is ignored.
+/// machine. Methods emit packets into an output buffer. The flow owns its
+/// retransmission deadline, [`TcpFlow::rto_at`]: every call that restarts
+/// the timer moves it, and the caller runs [`TcpFlow::on_timer`] once the
+/// clock reaches it.
 #[derive(Debug)]
 pub struct TcpFlow {
     /// Flow id (index in the runtime's flow table).
@@ -93,7 +93,9 @@ pub struct TcpFlow {
     srtt_ns: Option<f64>,
     rttvar_ns: f64,
     rto: Time,
-    timer_gen: u64,
+    /// Retransmission deadline: `now + rto` at the last restart, `None`
+    /// while nothing is in flight or once the flow is done.
+    rto_at: Option<Time>,
     emit_counter: u32,
     last_partial_retx: Time,
 
@@ -155,7 +157,7 @@ impl TcpFlow {
             srtt_ns: None,
             rttvar_ns: 0.0,
             rto: cfg.rto_init,
-            timer_gen: 0,
+            rto_at: None,
             emit_counter: 0,
             last_partial_retx: Time::ZERO,
             rcv_nxt: 0,
@@ -194,21 +196,20 @@ impl TcpFlow {
         self.rto
     }
 
-    /// Current timer generation; timers carrying an older generation are
-    /// stale and must be ignored.
-    pub fn timer_generation(&self) -> u64 {
-        self.timer_gen
+    /// The retransmission deadline, if the timer runs.
+    pub fn rto_at(&self) -> Option<Time> {
+        self.rto_at
     }
 
-    /// Absolute RTO deadline the runtime should schedule, if any data is
-    /// outstanding.
-    pub fn rto_deadline(&self, now: Time) -> Option<(Time, u64)> {
-        (self.snd_nxt > self.snd_una && self.done.is_none())
-            .then(|| (now + self.rto, self.timer_gen))
-    }
-
-    fn flight(&self) -> u64 {
+    /// Bytes sent and not yet acknowledged.
+    pub fn in_flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
+    }
+
+    /// Restart the timer one RTO from `now`, or stop it when nothing is
+    /// in flight or the flow is done.
+    fn restart_timer(&mut self, now: Time) {
+        self.rto_at = (self.in_flight() > 0 && self.done.is_none()).then(|| now + self.rto);
     }
 
     fn effective_cwnd(&self) -> u64 {
@@ -243,7 +244,7 @@ impl TcpFlow {
     /// Start the flow: emit the initial window.
     pub fn start_sending(&mut self, now: Time, pkt_ids: &mut u64, out: &mut Vec<Packet>) {
         self.try_send(now, pkt_ids, out);
-        self.timer_gen += 1;
+        self.restart_timer(now);
     }
 
     /// Emit as many new segments as the window (and Nagle) allow.
@@ -368,7 +369,6 @@ impl TcpFlow {
             self.snd_una = ack;
             self.bytes_acked += newly;
             self.dup_acks = 0;
-            self.timer_gen += 1; // restart (or stop) the timer
 
             if pkt.echo != Time::ZERO {
                 self.sample_rtt(now.saturating_sub(pkt.echo));
@@ -409,14 +409,15 @@ impl TcpFlow {
 
             if self.snd_una >= self.size {
                 self.done = Some(now);
-                return;
+            } else {
+                self.try_send(now, pkt_ids, out);
             }
-            self.try_send(now, pkt_ids, out);
-        } else if ack == self.snd_una && self.flight() > 0 {
+            self.restart_timer(now);
+        } else if ack == self.snd_una && self.in_flight() > 0 {
             self.dup_acks += 1;
             if !self.in_recovery && self.dup_acks == self.cfg.dupack_thresh {
                 // Fast retransmit + fast recovery.
-                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
+                self.ssthresh = (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
                 self.cwnd = self.ssthresh + (self.cfg.dupack_thresh * self.cfg.mss) as f64;
                 self.recover = self.snd_nxt;
                 self.in_recovery = true;
@@ -450,29 +451,21 @@ impl TcpFlow {
             .min(self.cfg.rto_max);
     }
 
-    /// An RTO timer fired. Returns `true` if it was current and handled
-    /// (the caller should then reschedule via [`TcpFlow::rto_deadline`]).
-    pub fn on_timer(
-        &mut self,
-        generation: u64,
-        now: Time,
-        pkt_ids: &mut u64,
-        out: &mut Vec<Packet>,
-    ) -> bool {
-        if generation != self.timer_gen || self.done.is_some() || self.flight() == 0 {
-            return false;
-        }
+    /// The RTO deadline came due: back off and retransmit the first
+    /// unacknowledged segment. Call only once the clock reaches
+    /// [`rto_at`](TcpFlow::rto_at).
+    pub fn on_timer(&mut self, now: Time, pkt_ids: &mut u64, out: &mut Vec<Packet>) {
+        debug_assert!(self.rto_at.is_some_and(|at| at <= now), "RTO not due");
         self.timeouts += 1;
-        self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
+        self.ssthresh = (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
         self.cwnd = self.cfg.mss as f64;
         self.rto = (self.rto.mul(2)).min(self.cfg.rto_max);
         self.in_recovery = false;
         self.dup_acks = 0;
-        self.timer_gen += 1;
         let p = self.make_segment(self.snd_una, now, pkt_ids, true);
         self.retransmissions += 1;
         out.push(p);
-        true
+        self.restart_timer(now);
     }
 
     /// Serialize the flow: identity plus every sender/receiver/GRO/metric
@@ -501,7 +494,7 @@ impl TcpFlow {
         }
         put_f64(buf, self.rttvar_ns);
         put_varint(buf, self.rto.as_nanos());
-        put_varint(buf, self.timer_gen);
+        put_opt_time(buf, self.rto_at);
         put_varint(buf, self.emit_counter as u64);
         put_varint(buf, self.last_partial_retx.as_nanos());
         put_varint(buf, self.rcv_nxt);
@@ -523,13 +516,7 @@ impl TcpFlow {
         );
         put_varint(buf, self.retransmissions as u64);
         put_varint(buf, self.timeouts as u64);
-        match self.done {
-            Some(t) => {
-                buf.push(1);
-                put_varint(buf, t.as_nanos());
-            }
-            None => buf.push(0),
-        }
+        put_opt_time(buf, self.done);
         put_varint(buf, self.bytes_acked);
     }
 
@@ -556,7 +543,7 @@ impl TcpFlow {
         };
         f.rttvar_ns = d.f64_fixed()?;
         f.rto = Time::from_nanos(d.varint()?);
-        f.timer_gen = d.varint()?;
+        f.rto_at = get_opt_time(d)?;
         f.emit_counter = d.varint_u32()?;
         f.last_partial_retx = Time::from_nanos(d.varint()?);
         f.rcv_nxt = d.varint()?;
@@ -579,22 +566,34 @@ impl TcpFlow {
         f.max_emit_seen = ((z >> 1) as i64) ^ -((z & 1) as i64);
         f.retransmissions = d.varint_u32()?;
         f.timeouts = d.varint_u32()?;
-        f.done = if read_bool(d)? {
-            Some(Time::from_nanos(d.varint()?))
-        } else {
-            None
-        };
+        f.done = get_opt_time(d)?;
         f.bytes_acked = d.varint()?;
         Ok(f)
     }
 }
 
-pub(crate) fn read_bool(d: &mut Decoder<'_>) -> io::Result<bool> {
+fn read_bool(d: &mut Decoder<'_>) -> io::Result<bool> {
     match d.u8()? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(invalid("bad bool byte")),
     }
+}
+
+/// An optional instant: a presence byte, then the nanoseconds.
+pub(crate) fn put_opt_time(buf: &mut Vec<u8>, t: Option<Time>) {
+    buf.push(t.is_some() as u8);
+    if let Some(t) = t {
+        put_varint(buf, t.as_nanos());
+    }
+}
+
+pub(crate) fn get_opt_time(d: &mut Decoder<'_>) -> io::Result<Option<Time>> {
+    Ok(if read_bool(d)? {
+        Some(Time::from_nanos(d.varint()?))
+    } else {
+        None
+    })
 }
 
 #[cfg(test)]
@@ -774,9 +773,9 @@ mod tests {
                     f.on_ack(a, now, &mut ids, &mut wire);
                 }
                 if wire.is_empty() && !f.is_done() {
-                    if let Some((at, gen)) = f.rto_deadline(now) {
-                        now = at;
-                        f.on_timer(gen, now, &mut ids, &mut wire);
+                    if let Some(at) = f.rto_at() {
+                        now = now.max(at);
+                        f.on_timer(now, &mut ids, &mut wire);
                     }
                 }
             }
@@ -947,37 +946,33 @@ mod tests {
         let mut ids = 0;
         let mut out = Vec::new();
         f.start_sending(Time::ZERO, &mut ids, &mut out);
-        let gen = f.timer_generation();
         let rto0 = f.rto();
+        assert_eq!(f.rto_at(), Some(rto0));
         out.clear();
-        let fired = f.on_timer(gen, rto0, &mut ids, &mut out);
-        assert!(fired);
+        f.on_timer(rto0, &mut ids, &mut out);
         assert_eq!(f.timeouts, 1);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_retx());
         assert_eq!(out[0].seq, 0);
         assert_eq!(f.cwnd_bytes(), 1442, "cwnd collapses to one MSS");
         assert_eq!(f.rto(), rto0.mul(2), "exponential backoff");
-        // Stale generation is ignored.
-        assert!(!f.on_timer(gen, rto0.mul(2), &mut ids, &mut out));
+        assert_eq!(
+            f.rto_at(),
+            Some(rto0 + rto0.mul(2)),
+            "re-armed one backed-off RTO out"
+        );
     }
 
     #[test]
     fn timer_deadline_only_when_outstanding() {
         let mut f = flow(10_000);
-        assert!(
-            f.rto_deadline(Time::ZERO).is_none(),
-            "nothing in flight yet"
-        );
+        assert!(f.rto_at().is_none(), "nothing in flight yet");
         let mut ids = 0;
         let mut out = Vec::new();
         f.start_sending(Time::ZERO, &mut ids, &mut out);
-        assert!(f.rto_deadline(Time::ZERO).is_some());
+        assert!(f.rto_at().is_some());
         let f2 = run_perfect_pipe(flow(10_000), Time::from_micros(5));
-        assert!(
-            f2.rto_deadline(Time::from_millis(1)).is_none(),
-            "done flow needs no timer"
-        );
+        assert!(f2.rto_at().is_none(), "done flow needs no timer");
     }
 
     #[test]
@@ -986,11 +981,11 @@ mod tests {
         let mut ids = 0;
         let mut out = Vec::new();
         f.start_sending(Time::ZERO, &mut ids, &mut out);
-        let gen = f.timer_generation();
+        let due = f.rto_at().unwrap();
         let mut retx = Vec::new();
-        f.on_timer(gen, Time::from_millis(50), &mut ids, &mut retx);
+        f.on_timer(due, &mut ids, &mut retx);
         let mut acks = Vec::new();
-        f.on_data(&retx[0], Time::from_millis(51), &mut ids, &mut acks);
+        f.on_data(&retx[0], due + Time::from_millis(1), &mut ids, &mut acks);
         assert_eq!(acks[0].echo, Time::ZERO, "no RTT echo for retransmissions");
     }
 

@@ -336,22 +336,22 @@ fn drillsnap_bytes_are_pinned() {
             "tcp",
             tiny_cfg(Scheme::drill_default()),
             us(1000),
-            29_889,
-            0xce2f_5322_a603_3ced_u64,
+            29_449,
+            0x20b9_7d6e_a03c_b904_u64,
         ),
         (
             "raw",
             raw_train_cfg(),
             us(1000),
             85_708,
-            0x9119_49f7_998a_6d81,
+            0x693c_b25b_5a7d_cf61,
         ),
         (
             "chaos",
             chaos_cfg(Scheme::drill_default()),
             us(700),
-            60_108,
-            0x323f_3cf2_4195_8bc6,
+            59_009,
+            0xa35e_6a01_bbdc_421a,
         ),
     ] {
         let mut w = World::new(&cfg);
