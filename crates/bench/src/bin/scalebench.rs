@@ -45,7 +45,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use drill_core::SymmetryEngine;
-use drill_net::{ClosSpec, LeafSpineSpec, RouteTable, SwitchId, DEFAULT_PROP};
+use drill_faults::{FaultInjector, FaultKind};
+use drill_net::{ClosSpec, LeafSpineSpec, RouteTable, DEFAULT_PROP};
 use drill_runtime::{
     random_leaf_spine_failures, run, CheckpointSpec, ExperimentConfig, Scheme, Snapshot, TopoSpec,
     World,
@@ -259,13 +260,6 @@ fn point_cfg(p: &Point, failed: &[(u32, u32)]) -> ExperimentConfig {
     cfg
 }
 
-/// Fail the switch-to-switch link `(a, b)`, direction-agnostic.
-fn fail_pair(topo: &mut drill_net::Topology, a: u32, b: u32) {
-    let ok = topo.fail_switch_link(SwitchId(a), SwitchId(b), 0)
-        || topo.fail_switch_link(SwitchId(b), SwitchId(a), 0);
-    assert!(ok, "pair ({a},{b}) matches no live switch-to-switch link");
-}
-
 fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     let spec = (p.topo)();
     let build_start = Instant::now();
@@ -293,8 +287,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     } else {
         Vec::new()
     };
+    let mut faults = FaultInjector::new();
     for &(a, b) in pairs.iter().take(p.failures) {
-        fail_pair(&mut topo, a, b);
+        faults.apply(&mut topo, FaultKind::LinkDown { a, b });
     }
     let cp_start = Instant::now();
     let mut cp_routes = RouteTable::compute(&topo);
@@ -305,7 +300,7 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     let cp_cand_lists = cp_routes.distinct_cand_lists();
     let cp_group_tables = cp_routes.distinct_group_tables();
     let cp_reconverge_secs = if let Some(&(a, b)) = pairs.get(p.failures) {
-        fail_pair(&mut topo, a, b);
+        faults.apply(&mut topo, FaultKind::LinkDown { a, b });
         let t = Instant::now();
         let mut reconv_routes = RouteTable::compute(&topo);
         engine.install(&topo, &mut reconv_routes);

@@ -38,8 +38,9 @@ use drill_telemetry::analyze::{
     decision_quality, depth_stdev_timeline, fault_timeline, packet_trips, queue_timelines,
     reordering,
 };
-use drill_telemetry::{fault_kind, read_trace, write_trace, RingKind, Trace, TraceEvent};
-use drill_telemetry::{FlightRecorder, DEFAULT_RING_CAPACITY};
+use drill_telemetry::{
+    fault_kind, read_trace, FlightRecorder, RingKind, TraceEvent, DEFAULT_RING_CAPACITY,
+};
 
 /// Sampling bucket for the reconstructed queue timelines (Fig. 2 samples
 /// every 10 µs).
@@ -48,7 +49,7 @@ const BUCKET: Time = Time::from_micros(10);
 /// Cap on printed timeline rows; longer timelines are decimated evenly.
 const MAX_ROWS: usize = 24;
 
-fn recorded_trace() -> Trace {
+fn recorded_trace() -> FlightRecorder {
     let scale = Scale::from_env();
     let n = scale.dim(4, 8, 16);
     let topo = TopoSpec::LeafSpine(LeafSpineSpec {
@@ -98,19 +99,15 @@ fn recorded_trace() -> Trace {
         recorder.event_count(),
         recorder.overwritten()
     );
-    // Round-trip through the on-disk codec so both modes print from the
-    // identical decoded representation.
-    let mut buf = Vec::new();
-    write_trace(&recorder, &mut buf).expect("in-memory encode");
-    read_trace(&mut &buf[..]).expect("in-memory decode")
+    recorder
 }
 
-fn header(trace: &Trace) {
+fn header(trace: &FlightRecorder) {
     println!(
         "trace: {} switches x {} engines, {} rings, {} events, {} overwritten",
-        trace.num_switches,
-        trace.engines,
-        trace.rings.len(),
+        trace.num_switches(),
+        trace.engines(),
+        trace.ring_count(),
         trace.event_count(),
         trace.overwritten()
     );
@@ -119,10 +116,11 @@ fn header(trace: &Trace) {
     let mut per_engine: BTreeMap<u16, usize> = BTreeMap::new();
     let mut host_events = 0usize;
     let mut control_events = 0usize;
-    for ring in &trace.rings {
-        match ring.kind {
+    for idx in 0..trace.ring_count() {
+        let (kind, ring) = trace.ring_at(idx);
+        match kind {
             RingKind::Switch { .. } => {
-                for ev in &ring.events {
+                for ev in ring.iter() {
                     let engine = match ev {
                         TraceEvent::EngineChoice { engine, .. }
                         | TraceEvent::Enqueue { engine, .. }
@@ -132,8 +130,8 @@ fn header(trace: &Trace) {
                     *per_engine.entry(engine).or_default() += 1;
                 }
             }
-            RingKind::Host => host_events += ring.events.len(),
-            RingKind::Control => control_events += ring.events.len(),
+            RingKind::Host => host_events += ring.len(),
+            RingKind::Control => control_events += ring.len(),
         }
     }
     let mut t = Table::new(vec!["ring".to_string(), "events".to_string()]);
@@ -151,7 +149,7 @@ fn header(trace: &Trace) {
 
 /// The chaos-engine fault timeline: every fault application, coalesced
 /// reconvergence and return-to-stability the control ring captured.
-fn fault_report(trace: &Trace) {
+fn fault_report(trace: &FlightRecorder) {
     let tl = fault_timeline(trace);
     if tl.is_empty() {
         println!("no fault events in trace\n");
@@ -187,7 +185,7 @@ fn fault_report(trace: &Trace) {
 /// The switch with the most enqueue events, and the set of ports its
 /// engines actually chose (the load-balanced fabric ports — Fig. 2's
 /// uplink group, recovered from the trace alone).
-fn busiest_switch(trace: &Trace) -> Option<(u32, Vec<u16>)> {
+fn busiest_switch(trace: &FlightRecorder) -> Option<(u32, Vec<u16>)> {
     let mut enq: BTreeMap<u32, u64> = BTreeMap::new();
     let mut chosen: BTreeMap<u32, Vec<u16>> = BTreeMap::new();
     for ev in trace.merged_events() {
@@ -208,7 +206,7 @@ fn busiest_switch(trace: &Trace) -> Option<(u32, Vec<u16>)> {
     Some((sw, ports))
 }
 
-fn fig2_timeline(trace: &Trace) {
+fn fig2_timeline(trace: &FlightRecorder) {
     let (sw, ports) = match busiest_switch(trace) {
         Some((sw, ports)) if ports.len() >= 2 => (sw, ports),
         _ => {
@@ -255,7 +253,7 @@ fn fig2_timeline(trace: &Trace) {
     println!("mean cross-port depth stdev: {} pkts\n", f3(mean_sd));
 }
 
-fn trip_summary(trace: &Trace) {
+fn trip_summary(trace: &FlightRecorder) {
     let trips = packet_trips(trace);
     let mut delivered = 0u64;
     let mut dropped = 0u64;
@@ -301,7 +299,7 @@ fn trip_summary(trace: &Trace) {
     }
 }
 
-fn reorder_report(trace: &Trace) {
+fn reorder_report(trace: &FlightRecorder) {
     let rep = reordering(trace, 8);
     println!(
         "reordering: {} flows, {} deliveries, {} inversions ({}%)",
@@ -325,7 +323,7 @@ fn reorder_report(trace: &Trace) {
     println!("{}", t.render());
 }
 
-fn decision_report(trace: &Trace) {
+fn decision_report(trace: &FlightRecorder) {
     let dq = decision_quality(trace);
     if dq.is_empty() {
         println!("no engine-choice events in trace");
@@ -500,13 +498,10 @@ fn replay_from(dir: &Path) {
         recorder.event_count()
     );
 
-    let mut buf = Vec::new();
-    write_trace(&recorder, &mut buf).expect("in-memory encode");
-    let trace = read_trace(&mut &buf[..]).expect("in-memory decode");
-    header(&trace);
-    fig2_timeline(&trace);
-    trip_summary(&trace);
-    decision_report(&trace);
+    header(&recorder);
+    fig2_timeline(&recorder);
+    trip_summary(&recorder);
+    decision_report(&recorder);
 }
 
 fn main() {

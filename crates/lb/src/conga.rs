@@ -25,7 +25,7 @@ use std::io;
 
 use drill_net::Packet;
 use drill_net::{HopClass, QueueView, SelectCtx, SwitchId, SwitchPolicy, Topology};
-use drill_sim::codec::{invalid, put_f64, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_f64, put_time, put_varint, Decoder};
 use drill_sim::{FxHashMap, SimRng, Time};
 
 /// CONGA tuning parameters.
@@ -261,7 +261,7 @@ impl SwitchPolicy for CongaPolicy {
         put_varint(buf, self.dre.len() as u64);
         for d in &self.dre {
             put_f64(buf, d.x);
-            put_varint(buf, d.last.as_nanos());
+            put_time(buf, d.last);
         }
         for table in [&self.to_table, &self.from_table] {
             put_varint(buf, table.len() as u64);
@@ -280,7 +280,7 @@ impl SwitchPolicy for CongaPolicy {
         put_varint(buf, fl.len() as u64);
         for (h, (last, port)) in fl {
             put_varint(buf, h);
-            put_varint(buf, last.as_nanos());
+            put_time(buf, last);
             put_varint(buf, port as u64);
         }
     }
@@ -291,7 +291,7 @@ impl SwitchPolicy for CongaPolicy {
         }
         for dre in &mut self.dre {
             dre.x = d.f64_fixed()?;
-            dre.last = Time::from_nanos(d.varint()?);
+            dre.last = d.time()?;
         }
         for table in [&mut self.to_table, &mut self.from_table] {
             if d.varint_usize()? != table.len() {
@@ -315,7 +315,7 @@ impl SwitchPolicy for CongaPolicy {
         self.flowlets.clear();
         for _ in 0..n {
             let h = d.varint()?;
-            let last = Time::from_nanos(d.varint()?);
+            let last = d.time()?;
             let port = d.varint_u16()?;
             self.flowlets.insert(h, (last, port));
         }

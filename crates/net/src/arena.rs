@@ -33,10 +33,10 @@
 
 use std::io;
 
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_bool, put_time, put_u64, put_varint, Decoder};
 
-use crate::packet::Packet;
-use crate::snapio::{get_packet, put_packet};
+use crate::ids::{FlowId, HostId};
+use crate::packet::{CongaTag, Packet};
 
 /// A copyable handle to a packet interned in a [`PacketArena`]:
 /// slab index + generation stamp, 8 bytes.
@@ -216,12 +216,9 @@ impl PacketArena {
         put_varint(buf, self.slots.len() as u64);
         for slot in &self.slots {
             put_varint(buf, slot.gen as u64);
-            match &slot.pkt {
-                Some(p) => {
-                    buf.push(1);
-                    put_packet(buf, p);
-                }
-                None => buf.push(0),
+            put_bool(buf, slot.pkt.is_some());
+            if let Some(p) = &slot.pkt {
+                put_packet(buf, p);
             }
         }
         put_varint(buf, self.free.len() as u64);
@@ -240,13 +237,11 @@ impl PacketArena {
         let mut occupied = 0usize;
         for _ in 0..n {
             let gen = d.varint_u32()?;
-            let pkt = match d.u8()? {
-                0 => None,
-                1 => {
-                    occupied += 1;
-                    Some(get_packet(d)?)
-                }
-                _ => return Err(invalid("bad slot occupancy byte")),
+            let pkt = if d.bool()? {
+                occupied += 1;
+                Some(get_packet(d)?)
+            } else {
+                None
             };
             slots.push(Slot { gen, pkt });
         }
@@ -298,6 +293,86 @@ impl PacketArena {
     }
 }
 
+/// Append every field of `p`: varints for small-magnitude fields, a fixed
+/// 8-byte word for `flow_hash` (a varint would cost 10 bytes).
+fn put_packet(buf: &mut Vec<u8>, p: &Packet) {
+    put_varint(buf, p.id);
+    put_varint(buf, p.flow.0 as u64);
+    put_varint(buf, p.src.0 as u64);
+    put_varint(buf, p.dst.0 as u64);
+    put_u64(buf, p.flow_hash);
+    put_varint(buf, p.size as u64);
+    put_varint(buf, p.payload as u64);
+    put_varint(buf, p.seq);
+    put_varint(buf, p.ack);
+    buf.push(p.flags);
+    put_time(buf, p.sent);
+    put_time(buf, p.echo);
+    put_varint(buf, p.emit_idx as u64);
+    for hop in p.srcroute {
+        put_varint(buf, hop as u64);
+    }
+    buf.push(p.srcroute_len);
+    buf.push(p.srcroute_pos);
+    put_varint(buf, p.conga.path as u64);
+    buf.push(p.conga.ce);
+    put_varint(buf, p.conga.fb_path as u64);
+    buf.push(p.conga.fb_ce);
+    put_bool(buf, p.conga.fb_valid);
+}
+
+/// Decode one packet written by [`put_packet`].
+fn get_packet(d: &mut Decoder<'_>) -> io::Result<Packet> {
+    let id = d.varint()?;
+    let flow = FlowId(d.varint_u32()?);
+    let src = HostId(d.varint_u32()?);
+    let dst = HostId(d.varint_u32()?);
+    let flow_hash = d.u64_fixed()?;
+    let size = d.varint_u32()?;
+    let payload = d.varint_u32()?;
+    let seq = d.varint()?;
+    let ack = d.varint()?;
+    let flags = d.u8()?;
+    let sent = d.time()?;
+    let echo = d.time()?;
+    let emit_idx = d.varint_u32()?;
+    let mut srcroute = [0u32; 3];
+    for hop in &mut srcroute {
+        *hop = d.varint_u32()?;
+    }
+    let srcroute_len = d.u8()?;
+    let srcroute_pos = d.u8()?;
+    if srcroute_len as usize > srcroute.len() || srcroute_pos > srcroute_len {
+        return Err(invalid("source route cursor out of bounds"));
+    }
+    let conga = CongaTag {
+        path: d.varint_u16()?,
+        ce: d.u8()?,
+        fb_path: d.varint_u16()?,
+        fb_ce: d.u8()?,
+        fb_valid: d.bool()?,
+    };
+    Ok(Packet {
+        id,
+        flow,
+        src,
+        dst,
+        flow_hash,
+        size,
+        payload,
+        seq,
+        ack,
+        flags,
+        sent,
+        echo,
+        emit_idx,
+        srcroute,
+        srcroute_len,
+        srcroute_pos,
+        conga,
+    })
+}
+
 /// The slim handle must stay pocket-sized: it is the payload of the hot
 /// event variants, so its size bounds `NetEvent`'s.
 const _: () = assert!(std::mem::size_of::<PacketRef>() == 8);
@@ -309,7 +384,6 @@ const _: () = assert!(std::mem::size_of::<Slot>() > 64 && std::mem::size_of::<Sl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{FlowId, HostId};
     use drill_sim::{SimRng, Time};
 
     fn pkt(id: u64) -> Packet {
@@ -452,5 +526,67 @@ mod tests {
             a.free(r);
         }
         assert_eq!(a.live(), 0);
+    }
+
+    #[test]
+    fn packet_round_trips_every_field() {
+        let mut p = Packet::data(
+            0xdead_beef_0042,
+            FlowId(7),
+            HostId(3),
+            HostId(250),
+            0x1234_5678_9abc_def0,
+            146_000,
+            1460,
+            Time::from_micros(17),
+        );
+        p.ack = 99;
+        p.flags |= crate::packet::flags::RETX;
+        p.echo = Time::from_nanos(123_456);
+        p.emit_idx = 41;
+        p.push_route(10);
+        p.push_route(20);
+        assert_eq!(p.next_route_hop(), Some(10));
+        p.conga = CongaTag {
+            path: 3,
+            ce: 5,
+            fb_path: 1,
+            fb_ce: 2,
+            fb_valid: true,
+        };
+        let mut buf = Vec::new();
+        put_packet(&mut buf, &p);
+        let mut d = Decoder::new(&buf);
+        let q = get_packet(&mut d).unwrap();
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(q.id, p.id);
+        assert_eq!(q.flow, p.flow);
+        assert_eq!(q.src, p.src);
+        assert_eq!(q.dst, p.dst);
+        assert_eq!(q.flow_hash, p.flow_hash);
+        assert_eq!(q.size, p.size);
+        assert_eq!(q.payload, p.payload);
+        assert_eq!(q.seq, p.seq);
+        assert_eq!(q.ack, p.ack);
+        assert_eq!(q.flags, p.flags);
+        assert_eq!(q.sent, p.sent);
+        assert_eq!(q.echo, p.echo);
+        assert_eq!(q.emit_idx, p.emit_idx);
+        assert_eq!(q.srcroute, p.srcroute);
+        assert_eq!(q.srcroute_len, p.srcroute_len);
+        assert_eq!(q.srcroute_pos, p.srcroute_pos);
+        assert_eq!(q.conga, p.conga);
+    }
+
+    #[test]
+    fn corrupt_route_cursor_errors() {
+        let p = Packet::data(1, FlowId(0), HostId(0), HostId(1), 0, 0, 100, Time::ZERO);
+        let mut buf = Vec::new();
+        put_packet(&mut buf, &p);
+        // srcroute_pos byte sits right after srcroute_len; force pos > len.
+        let pos_byte = buf.len() - 6;
+        buf[pos_byte] = 3;
+        let mut d = Decoder::new(&buf);
+        assert!(get_packet(&mut d).is_err());
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::num::NonZeroU32;
 
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_bool, put_time, put_varint, Decoder};
 use drill_sim::{SimRng, Time};
 use drill_telemetry::Probe;
 
@@ -119,7 +119,7 @@ impl Train {
         put_varint(buf, self.next_id);
         put_varint(buf, self.off);
         put_varint(buf, self.end);
-        put_varint(buf, self.sent.as_nanos());
+        put_time(buf, self.sent);
     }
 
     fn load(d: &mut Decoder<'_>) -> io::Result<Train> {
@@ -130,7 +130,7 @@ impl Train {
             next_id: d.varint()?,
             off: d.varint()?,
             end: d.varint()?,
-            sent: Time::from_nanos(d.varint()?),
+            sent: d.time()?,
         };
         if t.off >= t.end {
             return Err(invalid("empty NIC train"));
@@ -260,7 +260,7 @@ impl HostNic {
             t.save(buf);
         }
         put_varint(buf, self.q_bytes);
-        buf.push(self.in_flight as u8);
+        put_bool(buf, self.in_flight);
         put_varint(buf, self.drops);
         put_varint(buf, self.tx_pkts);
     }
@@ -291,11 +291,7 @@ impl HostNic {
             self.trains.push_back(Train::load(d)?);
         }
         self.q_bytes = d.varint()?;
-        self.in_flight = match d.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(invalid("bad bool byte")),
-        };
+        self.in_flight = d.bool()?;
         // Between events the head of a non-empty queue is on the wire,
         // and only a built packet can be.
         if self.in_flight != matches!(self.q.front(), Some(Entry::Pkt(..))) {

@@ -33,7 +33,6 @@ mod ids;
 mod lbapi;
 mod packet;
 mod routing;
-pub mod snapio;
 mod switch;
 mod topology;
 

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::io;
 
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_bool, put_time, put_varint, Decoder};
 use drill_sim::{SimRng, Time};
 use drill_telemetry::{DropReason, EngineChoice, Probe};
 
@@ -86,14 +86,14 @@ impl QueuedPkt {
     fn save(&self, arena: &PacketArena, buf: &mut Vec<u8>) {
         arena.encode_ref(buf, &self.r);
         put_varint(buf, self.size as u64);
-        put_varint(buf, self.enq.as_nanos());
+        put_time(buf, self.enq);
     }
 
     fn load(arena: &PacketArena, d: &mut Decoder<'_>) -> io::Result<QueuedPkt> {
         Ok(QueuedPkt {
             r: arena.decode_ref(d)?,
             size: d.varint_u32()?,
-            enq: Time::from_nanos(d.varint()?),
+            enq: d.time()?,
         })
     }
 }
@@ -246,7 +246,7 @@ impl Switch {
                 qp.save(arena, buf);
             }
             put_varint(buf, p.q_bytes);
-            buf.push(p.in_flight.is_some() as u8);
+            put_bool(buf, p.in_flight.is_some());
             if let Some(qp) = &p.in_flight {
                 qp.save(arena, buf);
             }
@@ -290,10 +290,10 @@ impl Switch {
             let port = OutPort {
                 q,
                 q_bytes: d.varint()?,
-                in_flight: match d.u8()? {
-                    0 => None,
-                    1 => Some(QueuedPkt::load(arena, d)?),
-                    _ => return Err(invalid("bad in-flight byte")),
+                in_flight: if d.bool()? {
+                    Some(QueuedPkt::load(arena, d)?)
+                } else {
+                    None
                 },
                 visible_bytes: d.varint()?,
                 visible_pkts: d.varint_u32()?,

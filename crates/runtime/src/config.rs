@@ -224,7 +224,8 @@ pub struct ExperimentConfig {
 /// Attaching a spec to [`ExperimentConfig::audit`] makes the run evaluate
 /// the watchdog suite at every boundary, retain the
 /// [`SnapshotRing`](drill_audit::SnapshotRing), and on a trip dump ring +
-/// faulted snapshot + `anomaly.meta` into `dump_dir`.
+/// faulted snapshot + `anomaly.meta` into `dump_dir`. The ring's bounds
+/// (4 snapshots, 64 MiB) and the report cap (8) are constants.
 #[derive(Clone, Debug)]
 pub struct AuditSpec {
     /// Evaluate watchdogs (and ring a checkpoint) every this many
@@ -233,16 +234,9 @@ pub struct AuditSpec {
     /// A started, uncompleted flow with no newly acknowledged byte for
     /// this long is reported stuck.
     pub stuck_after: Time,
-    /// Snapshot-ring entry bound (oldest evicted first).
-    pub ring_entries: usize,
-    /// Snapshot-ring total-bytes bound (the newest entry always
-    /// survives).
-    pub ring_bytes: usize,
     /// Where a trip dumps `ring-*.drillsnap`, `faulted.drillsnap`, and
     /// `anomaly.meta`. `None` records reports only.
     pub dump_dir: Option<std::path::PathBuf>,
-    /// Stop recording after this many anomaly reports.
-    pub max_reports: usize,
 }
 
 impl Default for AuditSpec {
@@ -250,10 +244,7 @@ impl Default for AuditSpec {
         AuditSpec {
             every_events: 50_000,
             stuck_after: Time::from_millis(500),
-            ring_entries: 4,
-            ring_bytes: 64 << 20,
             dump_dir: None,
-            max_reports: 8,
         }
     }
 }

@@ -32,27 +32,11 @@ use drill_sim::codec::{invalid, put_varint, truncated, Decoder};
 /// File magic, 9 bytes.
 pub const SNAP_MAGIC: [u8; 9] = *b"DRILLSNAP";
 
-/// Current container version. Version 2 changed the runtime's `FLOWS`
-/// and `EVENTS` layouts (one RTO wake per flow: the deadline and wake time
-/// are per-flow state, and timer events carry no generation). Version 3
-/// changed `NICS` (tagged queue entries, with a raw flow's unsent segments
-/// as train descriptors) and `WORKLOAD` (the raw-flow counters that
-/// replace those flows' `FLOWS` records). Version 4 dropped the shard
-/// count from `META`, the arena count from `ARENAS` and the owning shard
-/// from each pending network event in `EVENTS` (one engine, one arena).
-/// Version 5 changed `FLOWS` (each TCP flow writes its RTO deadline in
-/// place of a timer generation; the record keeps only its wake time; the
-/// shim drops its generation) and `EVENTS` (a shim flush wake carries
-/// only its flow).
-pub const SNAP_VERSION: u16 = 5;
-
-/// Oldest container version this reader accepts.
-pub const SNAP_VERSION_MIN: u16 = 5;
-
-/// Reserved flag bit: written by the retired by-value packet layout,
-/// whose sections this reader cannot decode. Never set by this writer;
-/// a file that has it is refused.
-const FLAG_RESERVED_LAYOUT: u8 = 1 << 0;
+/// The container version, the only one this reader accepts. Each bump
+/// changed a section layout that older readers cannot decode (DESIGN.md
+/// §13 lists them); version 6 writes each pending event in `EVENTS` in
+/// the event queue's own stored form.
+pub const SNAP_VERSION: u16 = 6;
 
 /// Cap on any single decoded pre-allocation: a hostile length prefix may
 /// claim terabytes; real sections grow incrementally past this.
@@ -98,7 +82,7 @@ impl Snapshot {
         let mut buf = Vec::with_capacity(32 + self.payload_bytes());
         buf.extend_from_slice(&SNAP_MAGIC);
         buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        buf.push(0); // flags: none defined (bit 0 reserved)
+        buf.push(0); // flags: none defined
         for (tag, body) in &self.sections {
             buf.push(*tag);
             put_varint(&mut buf, body.len() as u64);
@@ -119,7 +103,7 @@ impl Snapshot {
             return Err(invalid("not a DRILLSNAP file"));
         }
         let version = u16::from_le_bytes([bytes[9], bytes[10]]);
-        if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
+        if version != SNAP_VERSION {
             return Err(invalid("unsupported DRILLSNAP version"));
         }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
@@ -128,9 +112,6 @@ impl Snapshot {
             return Err(invalid("DRILLSNAP checksum mismatch"));
         }
         let flags = bytes[11];
-        if flags & FLAG_RESERVED_LAYOUT != 0 {
-            return Err(invalid("snapshot packet layout differs from this build"));
-        }
         if flags != 0 {
             return Err(invalid("unknown DRILLSNAP flags"));
         }
@@ -225,12 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_layout_bit_is_refused() {
-        let err = Snapshot::from_bytes(&with_flags(FLAG_RESERVED_LAYOUT)).unwrap_err();
-        assert!(err.to_string().contains("packet layout"), "{err}");
-    }
-
-    #[test]
     fn wrong_magic_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
@@ -247,26 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn version_1_rejected() {
-        // Version 1 carried one timer event per RTO restart, each with a
-        // generation; this reader cannot decode its FLOWS/EVENTS sections.
-        let mut bytes = sample().to_bytes();
-        bytes[9..11].copy_from_slice(&1u16.to_le_bytes());
-        reseal(&mut bytes);
-        let err = Snapshot::from_bytes(&bytes).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported DRILLSNAP version"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn version_2_rejected() {
-        // Version 2 wrote untagged NIC queue entries and a `FLOWS` record
-        // per raw flow; this reader cannot decode its NICS/WORKLOAD
-        // sections. Version 3 carried a shard count in META, an arena
-        // count in ARENAS and a shard id per pending network event.
-        for version in [2u16, 3] {
+    fn older_versions_rejected() {
+        // Each older version wrote a section layout this reader cannot
+        // decode (DESIGN.md §13).
+        for version in 1..SNAP_VERSION {
             let mut bytes = sample().to_bytes();
             bytes[9..11].copy_from_slice(&version.to_le_bytes());
             reseal(&mut bytes);
@@ -279,24 +238,16 @@ mod tests {
     }
 
     #[test]
-    fn version_4_rejected() {
-        // Version 4 wrote a timer generation per TCP flow and shim, a
-        // scheduled generation and deadline per flow record, and a
-        // generation per shim flush wake.
-        let mut bytes = sample().to_bytes();
-        bytes[9..11].copy_from_slice(&4u16.to_le_bytes());
-        reseal(&mut bytes);
-        let err = Snapshot::from_bytes(&bytes).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported DRILLSNAP version"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn unknown_flags_rejected() {
-        let err = Snapshot::from_bytes(&with_flags(0x80)).unwrap_err();
-        assert!(err.to_string().contains("unknown"), "{err}");
+        // Bit 0 once marked a retired packet layout; it is refused like
+        // any other bit.
+        for bits in [0x01, 0x80] {
+            let err = Snapshot::from_bytes(&with_flags(bits)).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown DRILLSNAP flags"),
+                "{bits:#x}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (DESIGN.md "World layout" has which struct owns what).
 
 use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor, SnapshotRing};
-use drill_faults::{SabotageKind, SabotageSpec};
+use drill_faults::{FaultInjector, FaultKind, SabotageKind, SabotageSpec};
 use drill_net::{HopClass, HostId, NetEvent, NetSink, Packet, PacketRef, SwitchId, Topology};
 use drill_sim::{EventQueue, SimRng, Time};
 use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe};
@@ -105,12 +105,68 @@ impl Packed {
         Packed(word0, (kind as u64) << 56 | (hi as u64) << 32 | lo as u64)
     }
 
+    /// The `(kind, hi, lo, word 0)` fields [`new`](Packed::new) packed.
+    #[inline]
+    const fn fields(self) -> (u8, u16, u32, u64) {
+        (
+            (self.1 >> 56) as u8,
+            (self.1 >> 32) as u16,
+            self.1 as u32,
+            self.0,
+        )
+    }
+
+    /// Whether events of `kind` carry a packet handle in word 0.
+    #[inline]
+    const fn carries_packet(kind: u8) -> bool {
+        matches!(kind, K_ARRIVE_SWITCH | K_ARRIVE_HOST)
+    }
+
     /// The packet an `ArriveSwitch`/`ArriveHost` carries, read without
     /// unpacking the rest of the event.
     #[inline]
     fn arriving_packet(&self) -> Option<PacketRef> {
-        let kind = (self.1 >> 56) as u8;
-        matches!(kind, K_ARRIVE_SWITCH | K_ARRIVE_HOST).then(|| PacketRef::from_bits(self.0))
+        Packed::carries_packet(self.fields().0).then(|| PacketRef::from_bits(self.0))
+    }
+
+    /// The event this entry stores, or `Err(kind)` for a kind byte no
+    /// event has: the one decode of a stored event, shared by dispatch
+    /// (where an unknown kind is a bug) and snapshot restore (where it is
+    /// corrupt input).
+    #[inline]
+    fn decode(self) -> Result<Event, u8> {
+        let (kind, hi, lo, word0) = self.fields();
+        Ok(match kind {
+            K_ARRIVE_SWITCH => Event::Net(NetEvent::ArriveSwitch {
+                switch: SwitchId(lo),
+                ingress: hi,
+                pkt: PacketRef::from_bits(word0),
+            }),
+            K_ARRIVE_HOST => Event::Net(NetEvent::ArriveHost {
+                host: HostId(lo),
+                pkt: PacketRef::from_bits(word0),
+            }),
+            K_SWITCH_TX_DONE => Event::Net(NetEvent::SwitchTxDone {
+                switch: SwitchId(lo),
+                port: hi,
+            }),
+            K_HOST_TX_DONE => Event::Net(NetEvent::HostTxDone { host: HostId(lo) }),
+            K_ENQUEUE_COMMIT => Event::Net(NetEvent::EnqueueCommit {
+                switch: SwitchId(lo),
+                port: hi,
+                bytes: word0 as u32,
+                engine: (word0 >> 32) as u16,
+            }),
+            K_FLOW_ARRIVAL => Event::FlowArrival,
+            K_INCAST_EPOCH => Event::IncastEpoch,
+            K_MICE_TICK => Event::MiceTick,
+            K_TCP_TIMER => Event::TcpTimer { flow: lo },
+            K_SHIM_TIMER => Event::ShimTimer { flow: lo },
+            K_SAMPLE_QUEUES => Event::SampleQueues,
+            K_FAULT => Event::Fault { idx: lo },
+            K_RECONVERGE => Event::Reconverge { gen: word0 },
+            kind => return Err(kind),
+        })
     }
 }
 
@@ -157,39 +213,10 @@ impl From<Event> for Packed {
 
 impl From<Packed> for Event {
     #[inline]
-    fn from(Packed(word0, word1): Packed) -> Event {
-        let (hi, lo) = ((word1 >> 32) as u16, word1 as u32);
-        match (word1 >> 56) as u8 {
-            K_ARRIVE_SWITCH => Event::Net(NetEvent::ArriveSwitch {
-                switch: SwitchId(lo),
-                ingress: hi,
-                pkt: PacketRef::from_bits(word0),
-            }),
-            K_ARRIVE_HOST => Event::Net(NetEvent::ArriveHost {
-                host: HostId(lo),
-                pkt: PacketRef::from_bits(word0),
-            }),
-            K_SWITCH_TX_DONE => Event::Net(NetEvent::SwitchTxDone {
-                switch: SwitchId(lo),
-                port: hi,
-            }),
-            K_HOST_TX_DONE => Event::Net(NetEvent::HostTxDone { host: HostId(lo) }),
-            K_ENQUEUE_COMMIT => Event::Net(NetEvent::EnqueueCommit {
-                switch: SwitchId(lo),
-                port: hi,
-                bytes: word0 as u32,
-                engine: (word0 >> 32) as u16,
-            }),
-            K_FLOW_ARRIVAL => Event::FlowArrival,
-            K_INCAST_EPOCH => Event::IncastEpoch,
-            K_MICE_TICK => Event::MiceTick,
-            K_TCP_TIMER => Event::TcpTimer { flow: lo },
-            K_SHIM_TIMER => Event::ShimTimer { flow: lo },
-            K_SAMPLE_QUEUES => Event::SampleQueues,
-            K_FAULT => Event::Fault { idx: lo },
-            K_RECONVERGE => Event::Reconverge { gen: word0 },
-            kind => panic!("unknown packed event kind {kind}"),
-        }
+    fn from(packed: Packed) -> Event {
+        packed
+            .decode()
+            .unwrap_or_else(|kind| panic!("unknown packed event kind {kind}"))
     }
 }
 
@@ -239,18 +266,6 @@ pub struct World<P: Probe = NoopProbe> {
     stdv: StdvSampler,
     stats: RunStats,
     audit: Option<Audit>,
-}
-
-/// Fail the link pair `(a, b)`, trying both orientations, and panic with
-/// a clear message if no live link matches: a pair that matches no
-/// switch-to-switch link is a config bug.
-fn apply_failure(topo: &mut Topology, a: u32, b: u32) {
-    let ok = topo.fail_switch_link(SwitchId(a), SwitchId(b), 0)
-        || topo.fail_switch_link(SwitchId(b), SwitchId(a), 0);
-    assert!(
-        ok,
-        "failed link ({a},{b}) matches no live switch-to-switch link in the topology"
-    );
 }
 
 /// Pick `n` random distinct, currently-alive leaf-to-spine link pairs
@@ -379,8 +394,9 @@ impl<P: Probe> World<P> {
     /// stepwise and restored worlds pass `false` and ignore the spec.
     fn build(cfg: ExperimentConfig, probe: P, audited: bool) -> World<P> {
         let mut topo = cfg.topo.build();
+        let mut injector = FaultInjector::new();
         for &(a, b) in &cfg.failed_links {
-            apply_failure(&mut topo, a, b);
+            injector.apply(&mut topo, FaultKind::LinkDown { a, b });
         }
         let control = Control::new(&cfg, &topo);
         let net = Net::new(&cfg, topo, &control.routes);
@@ -790,6 +806,15 @@ impl<P: Probe> World<P> {
     }
 }
 
+/// Snapshots the audit ring keeps (oldest evicted first).
+const AUDIT_RING_ENTRIES: usize = 4;
+
+/// The audit ring's total-bytes bound (the newest entry always survives).
+const AUDIT_RING_BYTES: usize = 64 << 20;
+
+/// Anomaly reports an audited run records before it stops recording.
+const AUDIT_MAX_REPORTS: usize = 8;
+
 /// Attached by the audited run entry points only. The auditor observes
 /// boundary samples but never steers, so auditor-on fingerprints are
 /// pinned bit-identical to auditor-off; a run without one has no
@@ -812,11 +837,11 @@ struct Audit {
 impl Audit {
     fn new(spec: &AuditSpec, sabotage: Option<SabotageSpec>) -> Audit {
         Audit {
-            auditor: InvariantAuditor::new(spec.stuck_after, spec.max_reports),
+            auditor: InvariantAuditor::new(spec.stuck_after, AUDIT_MAX_REPORTS),
             ring: spec
                 .dump_dir
                 .is_some()
-                .then(|| SnapshotRing::new(spec.ring_entries, spec.ring_bytes)),
+                .then(|| SnapshotRing::new(AUDIT_RING_ENTRIES, AUDIT_RING_BYTES)),
             every: spec.every_events,
             dumped: false,
             sabotage,
@@ -1447,7 +1472,7 @@ mod tests {
         let bytes = std::fs::read(&path).expect("trace file written");
         let trace = drill_telemetry::read_trace(&mut &bytes[..]).expect("trace decodes");
         assert!(trace.event_count() > 0);
-        assert_eq!(trace.num_switches as usize, cfg.topo.build().num_switches());
+        assert_eq!(trace.num_switches(), cfg.topo.build().num_switches());
         std::fs::remove_file(&path).ok();
     }
 

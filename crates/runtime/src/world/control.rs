@@ -8,12 +8,11 @@ use std::ops::Range;
 use drill_core::SymmetryEngine;
 use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{HostId, RouteTable, Topology};
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_opt_time, put_time, put_varint, Decoder};
 use drill_sim::{EventQueue, Time};
 use drill_telemetry::FaultInfo;
 
 use super::net::Net;
-use super::snapshot::{get_bool, get_time, put_bool, put_time};
 use super::{Event, Packed};
 use crate::config::ExperimentConfig;
 use crate::stats::RunStats;
@@ -219,10 +218,7 @@ impl FaultTimeline {
         put_varint(buf, self.applied);
         put_varint(buf, self.applied_at_reconv);
         put_varint(buf, self.reconv_gen);
-        put_bool(buf, self.window_open_at.is_some());
-        if let Some(t) = self.window_open_at {
-            put_time(buf, t);
-        }
+        put_opt_time(buf, self.window_open_at);
         put_varint(buf, self.blackhole_mark);
         put_varint(buf, self.windows.len() as u64);
         for &(a, z) in &self.windows {
@@ -248,17 +244,13 @@ impl FaultTimeline {
         }
         (self.applied, self.applied_at_reconv) = (k2, k1);
         self.reconv_gen = d.varint()?;
-        self.window_open_at = if get_bool(d)? {
-            Some(get_time(d)?)
-        } else {
-            None
-        };
+        self.window_open_at = d.opt_time()?;
         self.blackhole_mark = d.varint()?;
         for _ in 0..d.varint_usize()? {
-            self.windows.push((get_time(d)?, get_time(d)?));
+            self.windows.push((d.time()?, d.time()?));
         }
         for i in 0..k2 as usize {
-            let entry = (get_time(d)?, get_fault_kind(d)?, get_time(d)?);
+            let entry = (d.time()?, get_fault_kind(d)?, d.time()?);
             if entry != self.entries[i] {
                 return Err(invalid("fault timeline prefix diverges from snapshot"));
             }

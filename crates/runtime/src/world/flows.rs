@@ -5,11 +5,10 @@
 use std::io;
 
 use drill_net::{BufPool, FlowId, HostId, Packet, PacketArena, PacketBufPool, PacketRef, Train};
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_bool, put_time, put_varint, Decoder};
 use drill_sim::{EventQueue, Time};
 use drill_transport::{ShimBuffer, TcpConfig, TcpFlow};
 
-use super::snapshot::{get_bool, get_time, put_bool, put_time};
 use super::{Event, Packed};
 use crate::stats::RunStats;
 use crate::Scheme;
@@ -253,8 +252,8 @@ impl FlowTable {
             let tcp = TcpFlow::load_state(d, tcp)?;
             let class = CLASSES.get(d.u8()? as usize);
             let class = *class.ok_or_else(|| invalid("unknown flow class"))?;
-            let measured = get_bool(d)?;
-            let shim = if get_bool(d)? {
+            let measured = d.bool()?;
+            let shim = if d.bool()? {
                 let Some((threshold, timeout)) = self.shim else {
                     return Err(invalid("shim state for a shim-less scheme"));
                 };
@@ -269,7 +268,7 @@ impl FlowTable {
                 class,
                 measured,
                 shim,
-                rto_wake: get_time(d)?,
+                rto_wake: d.time()?,
             });
         }
         Ok(())

@@ -11,21 +11,21 @@
 //! exactly where the saved run left it.
 //!
 //! Each layer writes and reads its own sections; this module holds the
-//! codec helpers, the world-level sections and the restore order. The
-//! restore config's fault timeline must agree on the struck prefix; its
-//! unstruck entries are re-injected as a cold run stamps them.
+//! world-level sections and the restore order. The restore config's
+//! fault timeline must agree on the struck prefix; its unstruck entries
+//! are re-injected as a cold run stamps them.
 
 use std::io;
 
-use drill_net::snapio::{get_net_event, put_net_event};
+use drill_net::{NetEvent, SwitchId};
 use drill_sim::codec::{
-    invalid, put_f64, put_u64, put_varint, CodecError, CodecErrorKind, Decoder,
+    invalid, put_f64, put_time, put_u64, put_varint, CodecError, CodecErrorKind, Decoder,
 };
 use drill_sim::{SimRng, Time};
 use drill_stats::Moments;
 use drill_telemetry::{NoopProbe, Probe};
 
-use super::{Event, World};
+use super::{Event, Packed, World, K_FAULT};
 use crate::config::ExperimentConfig;
 use crate::snapshot::{Snapshot, SnapshotBuilder};
 use crate::stats::RunStats;
@@ -42,37 +42,6 @@ const SEC_WORKLOAD: u8 = 7;
 const SEC_FAULTS: u8 = 8;
 const SEC_STATS: u8 = 9;
 const SEC_EVENTS: u8 = 10;
-
-// Pending-event tags (Event::Fault is never serialized: the not-yet-struck
-// suffix is re-injected from the restore config's timeline).
-const EV_NET: u8 = 0;
-const EV_FLOW_ARRIVAL: u8 = 1;
-const EV_INCAST_EPOCH: u8 = 2;
-const EV_MICE_TICK: u8 = 3;
-const EV_TCP_TIMER: u8 = 4;
-const EV_SHIM_TIMER: u8 = 5;
-const EV_SAMPLE_QUEUES: u8 = 6;
-const EV_RECONVERGE: u8 = 7;
-
-pub(super) fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-pub(super) fn get_bool(d: &mut Decoder<'_>) -> io::Result<bool> {
-    match d.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(invalid("bad bool byte")),
-    }
-}
-
-pub(super) fn put_time(buf: &mut Vec<u8>, t: Time) {
-    put_varint(buf, t.as_nanos());
-}
-
-pub(super) fn get_time(d: &mut Decoder<'_>) -> io::Result<Time> {
-    Ok(Time::from_nanos(d.varint()?))
-}
 
 fn put_rng(buf: &mut Vec<u8>, rng: &SimRng) {
     for w in rng.state() {
@@ -140,7 +109,7 @@ fn get_stats(d: &mut Decoder<'_>, stats: &mut RunStats) -> io::Result<()> {
     stats.reconvergences = d.varint()?;
     stats.fault_blackholed = d.varint()?;
     stats.fault_window_ns = d.varint()?;
-    stats.stable_at = get_time(d)?;
+    stats.stable_at = d.time()?;
     stats.data_pkts_delivered = d.varint()?;
     stats.bytes_delivered = d.varint()?;
     Ok(())
@@ -192,43 +161,30 @@ impl<P: Probe> World<P> {
     }
 
     /// The `EVENTS` section: every pending event except fault strikes, as
-    /// a flat `(time, seq)`-sorted list.
+    /// a flat `(time, seq)`-sorted list. Each is written in the wheel's
+    /// own [`Packed`] split — `time, seq, kind, hi, lo`, then word 0: the
+    /// packet handle of an arrival, the raw word for every other kind.
     fn save_events(&self) -> Vec<u8> {
-        let mut entries: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+        let mut entries: Vec<(Time, u64, Packed)> = Vec::new();
         self.queue.for_each_pending(|t, seq, &ev| {
-            let mut body = Vec::new();
-            match Event::from(ev) {
-                Event::Fault { .. } => return,
-                Event::Net(ne) => {
-                    body.push(EV_NET);
-                    put_net_event(&mut body, &self.net.arena, &ne);
-                }
-                Event::FlowArrival => body.push(EV_FLOW_ARRIVAL),
-                Event::IncastEpoch => body.push(EV_INCAST_EPOCH),
-                Event::MiceTick => body.push(EV_MICE_TICK),
-                Event::TcpTimer { flow } => {
-                    body.push(EV_TCP_TIMER);
-                    put_varint(&mut body, flow as u64);
-                }
-                Event::ShimTimer { flow } => {
-                    body.push(EV_SHIM_TIMER);
-                    put_varint(&mut body, flow as u64);
-                }
-                Event::SampleQueues => body.push(EV_SAMPLE_QUEUES),
-                Event::Reconverge { gen } => {
-                    body.push(EV_RECONVERGE);
-                    put_varint(&mut body, gen);
-                }
+            if ev.fields().0 != K_FAULT {
+                entries.push((t, seq, ev));
             }
-            entries.push((t.as_nanos(), seq, body));
         });
-        entries.sort();
+        entries.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
         let mut buf = Vec::new();
         put_varint(&mut buf, entries.len() as u64);
-        for (t, seq, body) in entries {
-            put_varint(&mut buf, t);
+        for (t, seq, ev) in entries {
+            let (kind, hi, lo, word0) = ev.fields();
+            put_time(&mut buf, t);
             put_varint(&mut buf, seq);
-            buf.extend_from_slice(&body);
+            buf.push(kind);
+            put_varint(&mut buf, hi as u64);
+            put_varint(&mut buf, lo as u64);
+            match ev.arriving_packet() {
+                Some(pkt) => self.net.arena.encode_ref(&mut buf, &pkt),
+                None => put_varint(&mut buf, word0),
+            }
         }
         buf
     }
@@ -323,7 +279,7 @@ impl<P: Probe> World<P> {
                 )));
             }
         }
-        let clock = (get_time(&mut d)?, d.varint()?, d.varint()?);
+        let clock = (d.time()?, d.varint()?, d.varint()?);
         done(&d)?;
         Ok(clock)
     }
@@ -331,12 +287,13 @@ impl<P: Probe> World<P> {
     /// Re-insert the pending events. The writer emits them strictly
     /// `(time, seq)`-increasing, each seq below the restored counter; a
     /// section that breaks either would leave an entry pending twice or a
-    /// seq that a fresh push reuses, so it is refused here.
+    /// seq that a fresh push reuses, so it is refused here, as is an
+    /// event the dispatcher could not run against this world.
     fn load_events(&mut self, snap: &Snapshot, now: Time) -> io::Result<()> {
         let mut d = section(snap, SEC_EVENTS)?;
         let mut last = None;
         for _ in 0..d.varint_usize()? {
-            let at = get_time(&mut d)?;
+            let at = d.time()?;
             let seq = d.varint()?;
             if at < now {
                 return Err(invalid("pending event precedes the restored clock"));
@@ -348,28 +305,60 @@ impl<P: Probe> World<P> {
                 return Err(invalid("pending event seq at or past the restored counter"));
             }
             last = Some((at, seq));
-            let ev = match d.u8()? {
-                EV_NET => Event::Net(get_net_event(&mut d, &self.net.arena)?),
-                EV_FLOW_ARRIVAL => Event::FlowArrival,
-                EV_INCAST_EPOCH => Event::IncastEpoch,
-                EV_MICE_TICK => Event::MiceTick,
-                EV_TCP_TIMER => Event::TcpTimer {
-                    flow: d.varint_u32()?,
-                },
-                EV_SHIM_TIMER => Event::ShimTimer {
-                    flow: d.varint_u32()?,
-                },
-                EV_SAMPLE_QUEUES => Event::SampleQueues,
-                EV_RECONVERGE => Event::Reconverge { gen: d.varint()? },
-                _ => return Err(invalid("unknown pending event tag")),
+            let (kind, hi, lo) = (d.u8()?, d.varint_u16()?, d.varint_u32()?);
+            let word0 = if Packed::carries_packet(kind) {
+                self.net.arena.decode_ref(&mut d)?.to_bits()
+            } else {
+                d.varint()?
             };
-            if let Event::TcpTimer { flow } | Event::ShimTimer { flow } = ev {
-                if flow as usize >= self.flows.records.len() {
-                    return Err(invalid("timer names an unknown flow"));
+            let ev = match Packed::new(kind, hi, lo, word0).decode() {
+                Ok(Event::Fault { .. }) | Err(_) => {
+                    return Err(invalid("unknown pending event kind"))
                 }
-            }
+                Ok(ev) => ev,
+            };
+            self.check_pending(&ev)?;
             self.queue.push_stamped(at, seq, ev.into());
         }
         done(&d)
+    }
+
+    /// Refuse a pending event naming a device, port, engine or flow this
+    /// world does not have: dispatch would index past its tables, and an
+    /// out-of-range commit port would land on another engine's row.
+    fn check_pending(&self, ev: &Event) -> io::Result<()> {
+        let switch_port = |switch: SwitchId, port: u16| {
+            self.net
+                .switches
+                .get(switch.index())
+                .is_some_and(|sw| (port as usize) < sw.num_ports())
+        };
+        let ok = match *ev {
+            Event::Net(
+                NetEvent::ArriveSwitch {
+                    switch,
+                    ingress: port,
+                    ..
+                }
+                | NetEvent::SwitchTxDone { switch, port },
+            ) => switch_port(switch, port),
+            Event::Net(NetEvent::EnqueueCommit {
+                switch,
+                port,
+                engine,
+                ..
+            }) => switch_port(switch, port) && (engine as usize) < self.cfg.engines,
+            Event::Net(NetEvent::ArriveHost { host, .. } | NetEvent::HostTxDone { host }) => {
+                host.index() < self.net.nics.len()
+            }
+            Event::TcpTimer { flow } | Event::ShimTimer { flow } => {
+                (flow as usize) < self.flows.records.len()
+            }
+            _ => true,
+        };
+        if !ok {
+            return Err(invalid("pending event names a missing device or flow"));
+        }
+        Ok(())
     }
 }

@@ -5,11 +5,10 @@
 use std::io;
 
 use drill_net::{HopClass, HostId, Topology};
-use drill_sim::codec::{invalid, put_varint, Decoder};
+use drill_sim::codec::{invalid, put_bool, put_time, put_varint, Decoder};
 use drill_sim::{EventQueue, SimRng, Time};
 use drill_workload::{aggregate_flow_rate, ArrivalProcess, FlowSpec, TrafficPattern, WorkloadGen};
 
-use super::snapshot::{get_bool, get_time, put_bool, put_time};
 use super::{Event, Packed};
 use crate::config::ExperimentConfig;
 
@@ -115,9 +114,9 @@ impl Workload {
     }
 
     pub(super) fn load_cursors(&mut self, d: &mut Decoder<'_>) -> io::Result<()> {
-        self.pending = if get_bool(d)? {
+        self.pending = if d.bool()? {
             Some(FlowSpec {
-                gap: get_time(d)?,
+                gap: d.time()?,
                 src: d.varint_u32()?,
                 dst: d.varint_u32()?,
                 bytes: d.varint()?,
@@ -125,13 +124,13 @@ impl Workload {
         } else {
             None
         };
-        if get_bool(d)? != self.gen.is_some() {
+        if d.bool()? != self.gen.is_some() {
             return Err(invalid("workload generator presence mismatch"));
         }
         if let Some(g) = self.gen.as_mut() {
             g.pattern_mut().load_cursors(d)?;
         }
-        if get_bool(d)? != self.synth.is_some() {
+        if d.bool()? != self.synth.is_some() {
             return Err(invalid("synthetic pattern presence mismatch"));
         }
         if let Some(p) = self.synth.as_mut() {

@@ -12,11 +12,15 @@
 //! ports, small queue depths, short deltas) costs 1–2 bytes per field.
 //! High-entropy 64-bit values (float bits, RNG words, hashes) go through
 //! the fixed-width helpers instead: a varint would inflate them to 10
-//! bytes.
+//! bytes. A bool is one byte (0 or 1, anything else refused), a [`Time`]
+//! its nanoseconds as a varint, and an `Option<Time>` a presence bool
+//! followed by the time when present.
 
 use std::error::Error as StdError;
 use std::fmt;
 use std::io;
+
+use crate::Time;
 
 /// Why a decode failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,8 +37,8 @@ pub enum CodecErrorKind {
 /// A typed decode error: what went wrong, in which container section, at
 /// which byte offset.
 ///
-/// Every decode failure in the workspace — `DRILLSNAP` sections,
-/// `DRILLTRC` traces, `snapio` packet/event records — surfaces as one of
+/// Every decode failure in the workspace — `DRILLSNAP` sections and the
+/// per-layer records inside them, `DRILLTRC` traces — surfaces as one of
 /// these wrapped in an `io::Error` (via [`From`]), so callers keep the
 /// familiar `io::ErrorKind` semantics while diagnostics can recover the
 /// structure with [`codec_error`].
@@ -118,6 +122,24 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// requires.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
+}
+
+/// Append `v` as one byte, 0 or 1.
+pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+    buf.push(v as u8);
+}
+
+/// Append `t` as its nanoseconds, a varint.
+pub fn put_time(buf: &mut Vec<u8>, t: Time) {
+    put_varint(buf, t.as_nanos());
+}
+
+/// Append a presence bool, then the time if there is one.
+pub fn put_opt_time(buf: &mut Vec<u8>, t: Option<Time>) {
+    put_bool(buf, t.is_some());
+    if let Some(t) = t {
+        put_time(buf, t);
+    }
 }
 
 /// A truncation error (`UnexpectedEof`) with no position (use a labeled
@@ -225,36 +247,30 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Read a varint that must fit `T`, refusing it as `what` otherwise.
+    fn narrow<T: TryFrom<u64>>(&mut self, what: &str) -> io::Result<T> {
+        let v = self.varint()?;
+        T::try_from(v).map_err(|_| self.invalid(what))
+    }
+
     /// Read a varint that must fit a `u32`.
     pub fn varint_u32(&mut self) -> io::Result<u32> {
-        match u32::try_from(self.varint()?) {
-            Ok(v) => Ok(v),
-            Err(_) => Err(self.invalid("field exceeds u32")),
-        }
+        self.narrow("field exceeds u32")
     }
 
     /// Read a varint that must fit a `u16`.
     pub fn varint_u16(&mut self) -> io::Result<u16> {
-        match u16::try_from(self.varint()?) {
-            Ok(v) => Ok(v),
-            Err(_) => Err(self.invalid("field exceeds u16")),
-        }
+        self.narrow("field exceeds u16")
     }
 
     /// Read a varint that must fit a `u8`.
     pub fn varint_u8(&mut self) -> io::Result<u8> {
-        match u8::try_from(self.varint()?) {
-            Ok(v) => Ok(v),
-            Err(_) => Err(self.invalid("field exceeds u8")),
-        }
+        self.narrow("field exceeds u8")
     }
 
     /// Read a varint that must fit a `usize`.
     pub fn varint_usize(&mut self) -> io::Result<usize> {
-        match usize::try_from(self.varint()?) {
-            Ok(v) => Ok(v),
-            Err(_) => Err(self.invalid("field exceeds usize")),
-        }
+        self.narrow("field exceeds usize")
     }
 
     /// Read 8 fixed little-endian bytes as a `u64`.
@@ -271,6 +287,30 @@ impl<'a> Decoder<'a> {
     /// Read 8 fixed little-endian bytes as raw IEEE-754 `f64` bits.
     pub fn f64_fixed(&mut self) -> io::Result<f64> {
         Ok(f64::from_bits(self.u64_fixed()?))
+    }
+
+    /// Read a bool written by [`put_bool`]; any byte but 0 or 1 is an
+    /// error.
+    pub fn bool(&mut self) -> io::Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(self.invalid("bad bool byte")),
+        }
+    }
+
+    /// Read a time written by [`put_time`].
+    pub fn time(&mut self) -> io::Result<Time> {
+        Ok(Time::from_nanos(self.varint()?))
+    }
+
+    /// Read an optional time written by [`put_opt_time`].
+    pub fn opt_time(&mut self) -> io::Result<Option<Time>> {
+        Ok(if self.bool()? {
+            Some(self.time()?)
+        } else {
+            None
+        })
     }
 
     /// Read exactly `n` bytes.
@@ -365,6 +405,26 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, 256);
         assert!(Decoder::new(&buf).varint_u8().is_err());
+    }
+
+    #[test]
+    fn bools_and_times_round_trip() {
+        let mut buf = Vec::new();
+        put_bool(&mut buf, true);
+        put_bool(&mut buf, false);
+        put_time(&mut buf, Time::from_nanos(300));
+        put_opt_time(&mut buf, None);
+        put_opt_time(&mut buf, Some(Time::from_micros(7)));
+        assert_eq!(buf, [1, 0, 0xac, 0x02, 0, 1, 0xd8, 0x36]);
+        let mut d = Decoder::new(&buf);
+        assert!(d.bool().unwrap());
+        assert!(!d.bool().unwrap());
+        assert_eq!(d.time().unwrap(), Time::from_nanos(300));
+        assert_eq!(d.opt_time().unwrap(), None);
+        assert_eq!(d.opt_time().unwrap(), Some(Time::from_micros(7)));
+        assert_eq!(d.remaining(), 0);
+        let err = Decoder::new(&[2]).bool().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

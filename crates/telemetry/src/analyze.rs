@@ -1,21 +1,25 @@
 //! Post-hoc trace analyzers: the tables `tracedump` prints.
 //!
-//! Everything here works on a decoded [`Trace`] — no simulator state is
-//! needed, so traces can be analyzed offline, long after the run.
+//! Everything here works on a [`FlightRecorder`] — the one attached to a
+//! run, or one [`read_trace`](crate::read_trace) decoded from a file — and
+//! no simulator state is needed, so traces can be analyzed offline, long
+//! after the run.
 
 use std::collections::BTreeMap;
 
 use drill_sim::Time;
 
-use crate::encode::Trace;
 use crate::probe::meta_flags;
-use crate::record::TraceEvent;
+use crate::record::{FlightRecorder, TraceEvent};
 
 /// Per-port queue-depth step series: `(bucket, depth at bucket end)`,
 /// keyed by (switch, port). Derived from the depth fields carried on every
 /// enqueue/dequeue event (last event in a bucket wins; buckets without
 /// queue activity are omitted).
-pub fn queue_timelines(trace: &Trace, bucket: Time) -> BTreeMap<(u32, u16), Vec<(u64, u32)>> {
+pub fn queue_timelines(
+    trace: &FlightRecorder,
+    bucket: Time,
+) -> BTreeMap<(u32, u16), Vec<(u64, u32)>> {
     let every = bucket.as_nanos().max(1);
     let mut out: BTreeMap<(u32, u16), Vec<(u64, u32)>> = BTreeMap::new();
     for ev in trace.merged_events() {
@@ -116,7 +120,7 @@ impl PacketTrip {
 
 /// Join every packet's lifecycle events by id into per-packet trips,
 /// keyed by packet id.
-pub fn packet_trips(trace: &Trace) -> BTreeMap<u64, PacketTrip> {
+pub fn packet_trips(trace: &FlightRecorder) -> BTreeMap<u64, PacketTrip> {
     let mut trips: BTreeMap<u64, PacketTrip> = BTreeMap::new();
     for ev in trace.merged_events() {
         match ev {
@@ -174,7 +178,7 @@ pub struct FaultTimelineEntry {
 
 /// Extract the chronological fault/reconvergence timeline from the
 /// control ring (empty for traces recorded without fault injection).
-pub fn fault_timeline(trace: &Trace) -> Vec<FaultTimelineEntry> {
+pub fn fault_timeline(trace: &FlightRecorder) -> Vec<FaultTimelineEntry> {
     let mut out = Vec::new();
     for ev in trace.merged_events() {
         if let TraceEvent::Fault {
@@ -215,7 +219,7 @@ pub struct ReorderReport {
 
 /// Build the reordering-degree histogram from delivered data packets
 /// (retransmissions excluded, matching the TCP counter's rule).
-pub fn reordering(trace: &Trace, hist_buckets: usize) -> ReorderReport {
+pub fn reordering(trace: &FlightRecorder, hist_buckets: usize) -> ReorderReport {
     let mut rep = ReorderReport {
         degree_hist: vec![0; hist_buckets.max(1)],
         ..Default::default()
@@ -285,7 +289,7 @@ impl DecisionQuality {
 }
 
 /// Aggregate decision quality per (switch, engine).
-pub fn decision_quality(trace: &Trace) -> BTreeMap<(u32, u16), DecisionQuality> {
+pub fn decision_quality(trace: &FlightRecorder) -> BTreeMap<(u32, u16), DecisionQuality> {
     let mut out: BTreeMap<(u32, u16), DecisionQuality> = BTreeMap::new();
     for ev in trace.merged_events() {
         let (switch, engine, choice) = match ev {
@@ -312,20 +316,13 @@ pub fn decision_quality(trace: &Trace) -> BTreeMap<(u32, u16), DecisionQuality> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::TraceRing;
     use crate::probe::{EngineChoice, PacketMeta};
-    use crate::record::RingKind;
+    use crate::record::EventRing;
 
-    fn trace_of(events: Vec<TraceEvent>) -> Trace {
-        Trace {
-            num_switches: 4,
-            engines: 1,
-            rings: vec![TraceRing {
-                kind: RingKind::Host,
-                overwritten: 0,
-                events,
-            }],
-        }
+    /// A switchless recorder whose host ring holds `events`.
+    fn trace_of(events: Vec<TraceEvent>) -> FlightRecorder {
+        let control = EventRing::decoded(Vec::new(), 0);
+        FlightRecorder::from_rings(1, vec![EventRing::decoded(events, 0), control])
     }
 
     fn enq(ns: u64, switch: u32, port: u16, depth: u32) -> TraceEvent {

@@ -32,7 +32,7 @@ use std::io::{self, Read, Write};
 use drill_sim::Time;
 
 use crate::probe::{DropReason, EngineChoice, PacketMeta};
-use crate::record::{FlightRecorder, RingKind, TraceEvent};
+use crate::record::{EventRing, FlightRecorder, RingKind, TraceEvent};
 
 /// File magic.
 pub const TRACE_MAGIC: [u8; 8] = *b"DRILLTRC";
@@ -257,50 +257,6 @@ fn get_event(d: &mut Decoder<'_>, prev: Time) -> io::Result<TraceEvent> {
     })
 }
 
-/// A fully decoded trace file.
-#[derive(Debug)]
-pub struct Trace {
-    /// Switch count of the recorded topology.
-    pub num_switches: u32,
-    /// Forwarding engines per switch.
-    pub engines: u16,
-    /// The rings, in file order (switch rings by switch id, then the host
-    /// ring, then the control ring).
-    pub rings: Vec<TraceRing>,
-}
-
-/// One decoded ring.
-#[derive(Debug)]
-pub struct TraceRing {
-    /// What this ring recorded.
-    pub kind: RingKind,
-    /// Events lost to ring wraparound (the ring keeps the newest).
-    pub overwritten: u64,
-    /// Surviving events, chronological.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// All events of every ring, merged and sorted by time. The sort is
-    /// stable, so equal timestamps keep their ring's order (a switch's hook
-    /// order), rings in file order.
-    pub fn merged_events(&self) -> Vec<&TraceEvent> {
-        let mut all: Vec<&TraceEvent> = self.rings.iter().flat_map(|r| r.events.iter()).collect();
-        all.sort_by_key(|e| e.time());
-        all
-    }
-
-    /// Total surviving events.
-    pub fn event_count(&self) -> usize {
-        self.rings.iter().map(|r| r.events.len()).sum()
-    }
-
-    /// Total events lost to ring wraparound.
-    pub fn overwritten(&self) -> u64 {
-        self.rings.iter().map(|r| r.overwritten).sum()
-    }
-}
-
 /// Serialize a recorder's rings as a current-version trace file.
 pub fn write_trace<W: Write>(rec: &FlightRecorder, w: &mut W) -> io::Result<()> {
     let mut buf = Vec::new();
@@ -330,29 +286,30 @@ pub fn write_trace<W: Write>(rec: &FlightRecorder, w: &mut W) -> io::Result<()> 
     w.write_all(&buf)
 }
 
-/// Read and decode a trace file.
-pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
+/// Read and decode a trace file into the recorder that wrote it. The
+/// rings must sit in the writer's layout — switch rings by switch id,
+/// then the host ring, then the control ring — or the file is refused.
+pub fn read_trace<R: Read>(r: &mut R) -> io::Result<FlightRecorder> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     let mut d = Decoder::new(&buf);
-    let mut magic = [0u8; 8];
-    for b in &mut magic {
-        *b = d.u8()?;
-    }
-    if magic != TRACE_MAGIC {
+    if d.bytes(TRACE_MAGIC.len())? != TRACE_MAGIC {
         return Err(invalid("not a DRILL trace (bad magic)"));
     }
     let version = u16::from_le_bytes([d.u8()?, d.u8()?]);
     if version != TRACE_VERSION {
         return Err(invalid("unsupported trace version"));
     }
-    let num_switches = d.varint_u32()?;
+    let num_switches = d.varint_u32()? as usize;
     let engines = d.varint_u16()?;
+    if engines == 0 {
+        return Err(invalid("trace has no engines"));
+    }
     let ring_count = d.varint()? as usize;
     // Cap the pre-allocation: a hostile header must not reserve memory the
     // payload cannot actually contain (each ring costs >= 3 bytes).
     let mut rings = Vec::with_capacity(ring_count.min(1 << 16));
-    for _ in 0..ring_count {
+    for idx in 0..ring_count {
         let kind = match d.u8()? {
             0 => RingKind::Switch {
                 switch: d.varint_u32()?,
@@ -361,6 +318,9 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
             2 => RingKind::Control,
             _ => return Err(invalid("unknown ring kind")),
         };
+        if Some(kind) != FlightRecorder::kind_at(num_switches, idx) {
+            return Err(invalid("trace rings out of the recorder's layout"));
+        }
         let overwritten = d.varint()?;
         let count = d.varint()? as usize;
         let mut events = Vec::with_capacity(count.min(1 << 20));
@@ -370,20 +330,15 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
             prev = ev.time();
             events.push(ev);
         }
-        rings.push(TraceRing {
-            kind,
-            overwritten,
-            events,
-        });
+        rings.push(EventRing::decoded(events, overwritten));
+    }
+    if ring_count.checked_sub(2) != Some(num_switches) {
+        return Err(invalid("trace rings out of the recorder's layout"));
     }
     if d.remaining() != 0 {
         return Err(invalid("trailing bytes after trace"));
     }
-    Ok(Trace {
-        num_switches,
-        engines,
-        rings,
-    })
+    Ok(FlightRecorder::from_rings(engines as usize, rings))
 }
 
 #[cfg(test)]
@@ -623,6 +578,23 @@ mod tests {
                 bad[pos] = rng.below(256) as u8;
             }
             let _ = read_trace(&mut &bad[..]);
+        }
+    }
+
+    /// A decoded trace is the recorder that wrote it, so its rings must
+    /// sit where that recorder keeps them: a header claiming one switch
+    /// more or fewer than the file has rings for is refused.
+    #[test]
+    fn rings_out_of_the_recorder_layout_are_refused() {
+        let mut buf = Vec::new();
+        write_trace(&sample_recorder(), &mut buf).unwrap();
+        let rec = read_trace(&mut &buf[..]).unwrap();
+        assert_eq!((rec.num_switches(), rec.ring_count()), (2, 4));
+        // num_switches is the one-byte varint right after the version.
+        for switches in [1, 3] {
+            buf[10] = switches;
+            let err = read_trace(&mut &buf[..]).unwrap_err();
+            assert!(err.to_string().contains("layout"), "{switches}: {err}");
         }
     }
 

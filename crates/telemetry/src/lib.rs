@@ -15,8 +15,9 @@
 //! * [`FlightRecorder`] — captures events into bounded [`EventRing`]s, one
 //!   per switch in hook order (newest kept, overwrites counted).
 //! * [`write_trace`]/[`read_trace`] — the versioned `DRILLTRC` binary
-//!   container (LEB128 varints, per-ring delta timestamps).
-//! * [`analyze`] — offline analyzers turning a [`Trace`] into queue-depth
+//!   container (LEB128 varints, per-ring delta timestamps). A decoded
+//!   trace is the [`FlightRecorder`] that wrote it.
+//! * [`analyze`] — offline analyzers turning a recorder into queue-depth
 //!   timelines, per-packet trips, reordering histograms, and engine
 //!   decision-quality summaries (the `tracedump` tables).
 //!
@@ -33,7 +34,7 @@ mod encode;
 mod probe;
 mod record;
 
-pub use encode::{read_trace, write_trace, Trace, TraceRing, TRACE_MAGIC, TRACE_VERSION};
+pub use encode::{read_trace, write_trace, TRACE_MAGIC, TRACE_VERSION};
 pub use probe::{
     fault_kind, meta_flags, DropReason, EngineChoice, FaultInfo, NoopProbe, PacketMeta, Probe,
 };
@@ -91,12 +92,13 @@ mod tests {
         write_trace(&rec, &mut bytes).unwrap();
         assert_eq!(&bytes[..8], &TRACE_MAGIC);
         let trace = read_trace(&mut bytes.as_slice()).unwrap();
-        assert_eq!(trace.num_switches, 2);
-        assert_eq!(trace.engines, 2);
-        assert_eq!(trace.rings.len(), 4);
+        assert_eq!(trace.num_switches(), 2);
+        assert_eq!(trace.engines(), 2);
+        assert_eq!(trace.ring_count(), 4);
         assert_eq!(trace.event_count(), 8);
         assert_eq!(trace.overwritten(), 0);
-        assert_eq!(trace.rings.last().unwrap().kind, RingKind::Control);
+        assert_eq!(trace.ring_at(3).0, RingKind::Control);
+        assert_eq!(trace.merged_events(), rec.merged_events());
 
         let merged = trace.merged_events();
         assert_eq!(merged.len(), 8);

@@ -200,6 +200,17 @@ impl EventRing {
         self.overwritten
     }
 
+    /// A ring holding exactly `events` (oldest first), as decoded from a
+    /// trace file, with `overwritten` events lost before them.
+    pub(crate) fn decoded(events: Vec<TraceEvent>, overwritten: u64) -> EventRing {
+        EventRing {
+            cap: events.len().max(1),
+            buf: events,
+            head: 0,
+            overwritten,
+        }
+    }
+
     /// Surviving events, oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf[self.head..]
@@ -214,6 +225,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// A [`Probe`] that records every lifecycle event into one ring per
 /// switch, one host ring and one control ring.
+#[derive(Debug)]
 pub struct FlightRecorder {
     engines: usize,
     /// Switch rings by switch id, then the host ring, then the control
@@ -231,6 +243,13 @@ impl FlightRecorder {
             .collect();
         rings.push(EventRing::new(ring_capacity));
         rings.push(EventRing::new(ring_capacity));
+        FlightRecorder { engines, rings }
+    }
+
+    /// A recorder over `rings` in [`new`](FlightRecorder::new)'s layout
+    /// (at least the host and control rings), as decoded from a trace file.
+    pub(crate) fn from_rings(engines: usize, rings: Vec<EventRing>) -> FlightRecorder {
+        debug_assert!(engines >= 1 && rings.len() >= 2);
         FlightRecorder { engines, rings }
     }
 
@@ -252,12 +271,28 @@ impl FlightRecorder {
     /// The ring at file index `idx` with its kind (switch rings by switch
     /// id, then the host ring, then the control ring).
     pub fn ring_at(&self, idx: usize) -> (RingKind, &EventRing) {
-        let kind = match idx.checked_sub(self.num_switches()) {
-            None => RingKind::Switch { switch: idx as u32 },
-            Some(0) => RingKind::Host,
-            Some(_) => RingKind::Control,
-        };
+        let kind = FlightRecorder::kind_at(self.num_switches(), idx).expect("ring index");
         (kind, &self.rings[idx])
+    }
+
+    /// The kind of ring `idx` in the layout of a recorder for
+    /// `num_switches` switches, or `None` past its last ring.
+    pub(crate) fn kind_at(num_switches: usize, idx: usize) -> Option<RingKind> {
+        match idx.checked_sub(num_switches) {
+            None => Some(RingKind::Switch { switch: idx as u32 }),
+            Some(0) => Some(RingKind::Host),
+            Some(1) => Some(RingKind::Control),
+            Some(_) => None,
+        }
+    }
+
+    /// All events of every ring, merged and sorted by time. The sort is
+    /// stable, so equal timestamps keep their ring's order (a switch's
+    /// hook order), rings in [`ring_at`](FlightRecorder::ring_at) order.
+    pub fn merged_events(&self) -> Vec<&TraceEvent> {
+        let mut all: Vec<&TraceEvent> = self.rings.iter().flat_map(|r| r.iter()).collect();
+        all.sort_by_key(|e| e.time());
+        all
     }
 
     /// Total surviving events across all rings.

@@ -19,10 +19,8 @@ use std::collections::BTreeMap;
 use std::io;
 
 use drill_net::{PacketArena, PacketRef};
-use drill_sim::codec::{put_varint, Decoder};
+use drill_sim::codec::{put_opt_time, put_varint, Decoder};
 use drill_sim::Time;
-
-use crate::tcp::{get_opt_time, put_opt_time};
 
 /// Default hold timeout before a gap is declared a loss and the buffer is
 /// flushed (roughly one loaded fabric RTT: long enough to absorb
@@ -183,7 +181,7 @@ impl ShimBuffer {
             let r = arena.decode_ref(d)?;
             self.buf.insert(s, r);
         }
-        self.armed = get_opt_time(d)?;
+        self.armed = d.opt_time()?;
         self.timeout_flushes = d.varint()?;
         self.reordered_held = d.varint()?;
         Ok(())

@@ -4,7 +4,9 @@ use std::collections::BTreeMap;
 use std::io;
 
 use drill_net::{flags, FlowId, HostId, Packet};
-use drill_sim::codec::{invalid, put_f64, put_u64, put_varint, Decoder};
+use drill_sim::codec::{
+    invalid, put_bool, put_f64, put_opt_time, put_time, put_u64, put_varint, Decoder,
+};
 use drill_sim::Time;
 
 /// GRO merges in-order packets into batches of at most this many payload
@@ -477,26 +479,23 @@ impl TcpFlow {
         put_varint(buf, self.dst.0 as u64);
         put_u64(buf, self.flow_hash);
         put_u64(buf, self.size); // u64::MAX elephants stay 8 bytes
-        put_varint(buf, self.start.as_nanos());
+        put_time(buf, self.start);
         put_varint(buf, self.snd_una);
         put_varint(buf, self.snd_nxt);
         put_f64(buf, self.cwnd);
         put_f64(buf, self.ssthresh);
         put_varint(buf, self.dup_acks as u64);
         put_varint(buf, self.recover);
-        buf.push(self.in_recovery as u8);
-        match self.srtt_ns {
-            Some(s) => {
-                buf.push(1);
-                put_f64(buf, s);
-            }
-            None => buf.push(0),
+        put_bool(buf, self.in_recovery);
+        put_bool(buf, self.srtt_ns.is_some());
+        if let Some(s) = self.srtt_ns {
+            put_f64(buf, s);
         }
         put_f64(buf, self.rttvar_ns);
-        put_varint(buf, self.rto.as_nanos());
+        put_time(buf, self.rto);
         put_opt_time(buf, self.rto_at);
         put_varint(buf, self.emit_counter as u64);
-        put_varint(buf, self.last_partial_retx.as_nanos());
+        put_time(buf, self.last_partial_retx);
         put_varint(buf, self.rcv_nxt);
         put_varint(buf, self.ooo.len() as u64);
         for (&s, &e) in &self.ooo {
@@ -527,7 +526,7 @@ impl TcpFlow {
         let dst = HostId(d.varint_u32()?);
         let flow_hash = d.u64_fixed()?;
         let size = d.u64_fixed()?;
-        let start = Time::from_nanos(d.varint()?);
+        let start = d.time()?;
         let mut f = TcpFlow::new(id, src, dst, flow_hash, size, start, cfg);
         f.snd_una = d.varint()?;
         f.snd_nxt = d.varint()?;
@@ -535,17 +534,17 @@ impl TcpFlow {
         f.ssthresh = d.f64_fixed()?;
         f.dup_acks = d.varint_u32()?;
         f.recover = d.varint()?;
-        f.in_recovery = read_bool(d)?;
-        f.srtt_ns = if read_bool(d)? {
+        f.in_recovery = d.bool()?;
+        f.srtt_ns = if d.bool()? {
             Some(d.f64_fixed()?)
         } else {
             None
         };
         f.rttvar_ns = d.f64_fixed()?;
-        f.rto = Time::from_nanos(d.varint()?);
-        f.rto_at = get_opt_time(d)?;
+        f.rto = d.time()?;
+        f.rto_at = d.opt_time()?;
         f.emit_counter = d.varint_u32()?;
-        f.last_partial_retx = Time::from_nanos(d.varint()?);
+        f.last_partial_retx = d.time()?;
         f.rcv_nxt = d.varint()?;
         let n_ooo = d.varint_usize()?;
         for _ in 0..n_ooo {
@@ -566,34 +565,10 @@ impl TcpFlow {
         f.max_emit_seen = ((z >> 1) as i64) ^ -((z & 1) as i64);
         f.retransmissions = d.varint_u32()?;
         f.timeouts = d.varint_u32()?;
-        f.done = get_opt_time(d)?;
+        f.done = d.opt_time()?;
         f.bytes_acked = d.varint()?;
         Ok(f)
     }
-}
-
-fn read_bool(d: &mut Decoder<'_>) -> io::Result<bool> {
-    match d.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(invalid("bad bool byte")),
-    }
-}
-
-/// An optional instant: a presence byte, then the nanoseconds.
-pub(crate) fn put_opt_time(buf: &mut Vec<u8>, t: Option<Time>) {
-    buf.push(t.is_some() as u8);
-    if let Some(t) = t {
-        put_varint(buf, t.as_nanos());
-    }
-}
-
-pub(crate) fn get_opt_time(d: &mut Decoder<'_>) -> io::Result<Option<Time>> {
-    Ok(if read_bool(d)? {
-        Some(Time::from_nanos(d.varint()?))
-    } else {
-        None
-    })
 }
 
 #[cfg(test)]

@@ -25,11 +25,15 @@ echo "== retired build/run modes stay retired =="
 # deadline has a level), its stale-bit reclaim and the uncalled
 # push_after; so were the TCP and shim timer generations and the
 # runtime's copy of the RTO deadline (each timer's deadline is its only
-# state); nothing may select them again. (This script names them, so it is
+# state); so were drill-net's snapio module with its net-event codec
+# (a pending event is snapshotted in the wheel's own form), the decoded
+# trace's own model TraceRing (a decoded trace is a FlightRecorder), the
+# second DRILLSNAP version constant and the retired-layout flag; nothing
+# may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then

@@ -13,7 +13,7 @@ use drill::net::{LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{run_probed, ExperimentConfig, Scheme, TopoSpec, World};
 use drill::sim::Time;
 use drill::telemetry::analyze::queue_timelines;
-use drill::telemetry::{read_trace, write_trace, FlightRecorder, PacketMeta, Probe, Trace};
+use drill::telemetry::{read_trace, write_trace, FlightRecorder, PacketMeta, Probe};
 
 /// Large enough that no ring of these runs wraps.
 const RING_CAPACITY: usize = 1 << 22;
@@ -48,7 +48,7 @@ fn recorder(cfg: &ExperimentConfig) -> FlightRecorder {
     FlightRecorder::new(cfg.topo.build().num_switches(), cfg.engines, RING_CAPACITY)
 }
 
-fn decode(rec: &FlightRecorder) -> Trace {
+fn decode(rec: &FlightRecorder) -> FlightRecorder {
     assert_eq!(rec.overwritten(), 0, "a ring wrapped; raise RING_CAPACITY");
     let mut buf = Vec::new();
     write_trace(rec, &mut buf).unwrap();
@@ -124,22 +124,20 @@ fn restored_recorder_matches_the_straight_run() {
             let w = World::restore_probed(&snap, &cfg, recorder(&cfg)).unwrap();
             let (_, restored, _) = w.finish_parts();
             let (straight, restored) = (decode(&straight), decode(&restored));
-            assert_eq!(straight.rings.len(), restored.rings.len());
-            let differ = straight
-                .rings
-                .iter()
-                .zip(&restored.rings)
-                .filter(|(s, r)| {
-                    assert_eq!(s.kind, r.kind);
-                    let tail: Vec<_> = s.events.iter().filter(|e| e.time() >= at).collect();
-                    tail != r.events.iter().collect::<Vec<_>>()
+            assert_eq!(straight.ring_count(), restored.ring_count());
+            let differ = (0..straight.ring_count())
+                .filter(|&i| {
+                    let ((sk, s), (rk, r)) = (straight.ring_at(i), restored.ring_at(i));
+                    assert_eq!(sk, rk);
+                    let tail: Vec<_> = s.iter().filter(|e| e.time() >= at).collect();
+                    tail != r.iter().collect::<Vec<_>>()
                 })
                 .count();
             assert_eq!(
                 differ,
                 0,
                 "raw={raw} engines={engines}: {differ} of {} rings differ",
-                straight.rings.len()
+                straight.ring_count()
             );
         }
     }

@@ -336,22 +336,22 @@ fn drillsnap_bytes_are_pinned() {
             "tcp",
             tiny_cfg(Scheme::drill_default()),
             us(1000),
-            29_449,
-            0x20b9_7d6e_a03c_b904_u64,
+            29_637,
+            0x7d37_f4ce_cf22_f5c9_u64,
         ),
         (
             "raw",
             raw_train_cfg(),
             us(1000),
-            85_708,
-            0x693c_b25b_5a7d_cf61,
+            85_689,
+            0x4df7_2f98_82f5_b225,
         ),
         (
             "chaos",
             chaos_cfg(Scheme::drill_default()),
             us(700),
-            59_009,
-            0xa35e_6a01_bbdc_421a,
+            59_497,
+            0x067c_4178_b43d_d078,
         ),
     ] {
         let mut w = World::new(&cfg);
@@ -563,6 +563,97 @@ fn restore_rejects_pending_events_that_break_the_seq_contract() {
         match World::restore(&bad, &cfg) {
             Ok(_) => panic!("a snapshot with pending events {why} restored"),
             Err(e) => assert!(e.to_string().contains(why), "unexpected error: {e}"),
+        }
+    }
+}
+
+/// A pending event naming a switch, port, host or engine the restored
+/// world lacks is refused at restore; left in, its dispatch would index
+/// past the world's tables (or, for a commit port past the switch's last,
+/// land on the next engine's pending row). So is an entry of a kind no
+/// event has, or a fault strike, which the writer never emits. Each case
+/// rewrites one entry of a real `EVENTS` section in place, keeping its
+/// time and seq.
+#[test]
+fn restore_rejects_events_naming_missing_devices() {
+    let cfg = tiny_cfg(Scheme::drill_default());
+    let mut w = World::new(&cfg);
+    w.run_to(Time::from_millis(1));
+    let snap = w.snapshot();
+    drop(w);
+
+    // An `EVENTS` entry: time, seq, kind byte, hi, lo, then the arrivals'
+    // packet handle (index, generation) or one word for every other kind.
+    type Entry = (u64, u64, u8, u64, u64, Vec<u64>);
+    let body = snap.section(10).expect("EVENTS section");
+    let mut d = Decoder::new(body);
+    let entries: Vec<Entry> = (0..d.varint().unwrap())
+        .map(|_| {
+            let (t, seq, kind) = (d.varint().unwrap(), d.varint().unwrap(), d.u8().unwrap());
+            let (hi, lo) = (d.varint().unwrap(), d.varint().unwrap());
+            let words = if kind <= 1 { 2 } else { 1 };
+            (
+                t,
+                seq,
+                kind,
+                hi,
+                lo,
+                (0..words).map(|_| d.varint().unwrap()).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(d.remaining(), 0);
+    let encode = |entries: &[Entry]| {
+        let mut out = Vec::new();
+        put_varint(&mut out, entries.len() as u64);
+        for (t, seq, kind, hi, lo, words) in entries {
+            for v in [*t, *seq] {
+                put_varint(&mut out, v);
+            }
+            out.push(*kind);
+            for &v in [*hi, *lo].iter().chain(words) {
+                put_varint(&mut out, v);
+            }
+        }
+        out
+    };
+    assert!(World::restore(&tamper(&snap, 10, |_| encode(&entries)), &cfg).is_ok());
+
+    let arrival = entries
+        .iter()
+        .position(|e| e.2 <= 1)
+        .expect("a pending arrival");
+    let other = entries
+        .iter()
+        .position(|e| e.2 > 1)
+        .expect("a pending non-arrival");
+    let engines = cfg.engines as u64;
+    let (missing, unknown) = ("missing device", "unknown pending event kind");
+    // (entry, kind, hi, lo, word 0 for a non-arrival, expected error)
+    let cases = [
+        (other, 2, 0, 1_000_000, 0, missing), // SwitchTxDone on a missing switch
+        (other, 2, 1_000, 0, 0, missing),     // SwitchTxDone on a missing port
+        (arrival, 0, 1_000, 0, 0, missing),   // ArriveSwitch on a missing ingress
+        (arrival, 1, 0, 1_000_000, 0, missing), // ArriveHost at a missing host
+        (other, 3, 0, 1_000_000, 0, missing), // HostTxDone at a missing host
+        (other, 4, 1_000, 0, 1, missing),     // EnqueueCommit on a missing port
+        (other, 4, 0, 0, 1 | engines << 32, missing), // EnqueueCommit by a missing engine
+        (other, 11, 0, 0, 0, unknown),        // a fault strike
+        (other, 13, 0, 0, 0, unknown),        // no event's kind
+    ];
+    for (i, kind, hi, lo, word0, why) in cases {
+        let mut bad = entries.clone();
+        let e = &mut bad[i];
+        (e.2, e.3, e.4) = (kind, hi, lo);
+        if i == other {
+            e.5 = vec![word0];
+        }
+        match World::restore(&tamper(&snap, 10, |_| encode(&bad)), &cfg) {
+            Ok(_) => panic!("kind {kind} naming ({hi}, {lo}, {word0:#x}) restored"),
+            Err(e) => assert!(
+                e.to_string().contains(why),
+                "kind {kind}: unexpected error: {e}"
+            ),
         }
     }
 }
