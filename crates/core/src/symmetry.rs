@@ -58,12 +58,11 @@
 //!    class/rate moved) miss the template cache and get re-decomposed.
 
 use std::collections::hash_map::Entry;
-use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::time::Instant;
 
 use drill_net::{NodeRef, PortGroup, RouteTable, SwitchId, Topology};
-use drill_sim::{FxBuildHasher, FxHashMap, FxHashSet};
+use drill_sim::{FxHashMap, FxHashSet};
 
 use crate::decompose::{group_scored_paths, GroupingReport};
 use crate::quiver::{enumerate_shortest_paths, CapFactor};
@@ -98,6 +97,64 @@ type FKey = Vec<Tuple>;
 /// allocations where one per value made 150 000.
 const PAGE: usize = 512;
 
+/// An element of an interned value: ids, handed to the value's hash as
+/// one 64-bit word and a second word of at most 32 bits.
+trait Elem: Copy + Eq {
+    fn words(self) -> (u64, u64);
+}
+
+impl Elem for u32 {
+    fn words(self) -> (u64, u64) {
+        (u64::from(self), 0)
+    }
+}
+
+impl Elem for (u32, u32) {
+    fn words(self) -> (u64, u64) {
+        (u64::from(self.0) | u64::from(self.1) << 32, 0)
+    }
+}
+
+impl Elem for Tuple {
+    fn words(self) -> (u64, u64) {
+        (
+            u64::from(self.0) | u64::from(self.1) << 32,
+            u64::from(self.2),
+        )
+    }
+}
+
+/// Fold a word and a second word of at most 32 bits into `h`: one folded
+/// 64×64→128-bit multiply. The right operand's constant high half keeps
+/// it non-zero.
+#[inline]
+fn mix(h: u64, lo: u64, hi: u64) -> u64 {
+    let m = u128::from(h ^ lo ^ 0x243f_6a88_85a3_08d3) * u128::from(hi ^ 0x9e37_79b9_7f4a_7c15);
+    m as u64 ^ (m >> 64) as u64
+}
+
+/// Content hash of an interned value, one [`mix`] per element in two
+/// independent chains, even and odd positions (a signature is hundreds of
+/// tuples, hashed on every walk). Hashes only place values in the id
+/// table; ids follow first-intern order, so the hash can change bucket
+/// layout, never an id.
+fn hash_slice<E: Elem>(val: &[E]) -> u64 {
+    let (mut even, mut odd) = (val.len() as u64, 0);
+    let mut pairs = val.chunks_exact(2);
+    for pair in &mut pairs {
+        let ((a, b), (c, d)) = (pair[0].words(), pair[1].words());
+        (even, odd) = (mix(even, a, b), mix(odd, c, d));
+    }
+    if let [last] = pairs.remainder() {
+        let (a, b) = last.words();
+        even = mix(even, a, b);
+    }
+    mix(even, odd, 0)
+}
+
+/// An empty [`Interner`] slot.
+const EMPTY: u64 = u64::MAX;
+
 /// Content-addressed store mapping value slices to dense `u32` ids.
 ///
 /// Values sit back to back in fixed-capacity pages that are filled once
@@ -111,34 +168,41 @@ struct Interner<E> {
     pages: Vec<Vec<E>>,
     /// Per id: `(page, offset, len)`.
     spans: Vec<(u32, u32, u32)>,
-    /// Content hash -> the newest id with that hash; `chain[id]` is the
-    /// next older one (`u32::MAX` ends the chain), so two values whose
-    /// hashes collide are still told apart by content.
-    heads: FxHashMap<u64, u32>,
-    chain: Vec<u32>,
+    /// Open-addressed id table, at most half full, probed linearly from the
+    /// slot the hash's top bits name. A slot is `hash >> 32 << 32 | id`:
+    /// the tag rejects most other values without touching their content,
+    /// and carries every bit placement reads, so growing reinserts from
+    /// the slots alone, in one pass, in nearly ascending slot order.
+    slots: Vec<u64>,
 }
 
-impl<E: Copy + Eq + std::hash::Hash> Interner<E> {
+impl<E: Elem> Interner<E> {
     fn new() -> Interner<E> {
         let mut it = Interner {
             pages: Vec::new(),
             spans: Vec::new(),
-            heads: FxHashMap::default(),
-            chain: Vec::new(),
+            slots: vec![EMPTY; 8],
         };
         it.intern(&[]);
         it
     }
 
+    /// Where a tag's probe starts.
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        (tag >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
     fn intern(&mut self, val: &[E]) -> u32 {
-        let hash = FxBuildHasher::default().hash_one(val);
-        let head = self.heads.get(&hash).copied().unwrap_or(u32::MAX);
-        let mut id = head;
-        while id != u32::MAX {
-            if self.get(id) == val {
+        let tag = hash_slice(val) >> 32;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        while self.slots[i] != EMPTY {
+            let id = self.slots[i] as u32;
+            if self.slots[i] >> 32 == tag && self.get(id) == val {
                 return id;
             }
-            id = self.chain[id as usize];
+            i = (i + 1) & mask;
         }
         if (self.pages.last()).is_none_or(|p| p.capacity() - p.len() < val.len()) {
             self.pages.push(Vec::with_capacity(PAGE.max(val.len())));
@@ -149,8 +213,18 @@ impl<E: Copy + Eq + std::hash::Hash> Interner<E> {
         self.spans
             .push((last as u32, page.len() as u32, val.len() as u32));
         page.extend_from_slice(val);
-        self.chain.push(head);
-        self.heads.insert(hash, id);
+        self.slots[i] = tag << 32 | u64::from(id);
+        if 2 * self.spans.len() > self.slots.len() {
+            let old = std::mem::replace(&mut self.slots, vec![EMPTY; 2 * (mask + 1)]);
+            let mask = self.slots.len() - 1;
+            for slot in old.into_iter().filter(|&s| s != EMPTY) {
+                let mut i = self.home(slot >> 32);
+                while self.slots[i] != EMPTY {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = slot;
+            }
+        }
         id
     }
 
@@ -170,8 +244,7 @@ impl<E: Copy + Eq + std::hash::Hash> Interner<E> {
         paged * size_of::<E>()
             + self.pages.capacity() * size_of::<Vec<E>>()
             + self.spans.capacity() * size_of::<(u32, u32, u32)>()
-            + self.chain.capacity() * size_of::<u32>()
-            + map_bytes(&self.heads)
+            + self.slots.capacity() * size_of::<u64>()
     }
 }
 
@@ -211,6 +284,139 @@ impl<T: Copy + Eq + std::hash::Hash> Ids<T> {
     }
 }
 
+/// One switch egress port, cut to what both phases read of its link.
+#[derive(Clone, Copy)]
+struct Hop {
+    /// The link's index.
+    link: u32,
+    /// The switch at the far end; `u32::MAX` for a host, which no
+    /// candidate list names.
+    to: u32,
+    /// The link's rate id.
+    rate: u32,
+}
+
+/// Every switch's egress ports as [`Hop`]s, by port, one switch's run
+/// after another: following a candidate list reads one short run, not one
+/// `Link` per port. Rebuilt by every install.
+#[derive(Default)]
+struct Ports {
+    /// Per switch: index of its port 0 in `hops`.
+    start: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl Ports {
+    fn build(&mut self, topo: &Topology, rates: &mut Ids<u64>) {
+        // Rate ids are handed out in link order: they enter fingerprints,
+        // so their order is part of what an install computes.
+        let link_rate: Vec<u32> = topo.links().iter().map(|l| rates.id(l.rate_bps)).collect();
+        self.start.clear();
+        self.hops.clear();
+        for s in 0..topo.num_switches() {
+            self.start.push(self.hops.len() as u32);
+            let egress = topo.egress_links(SwitchId(s as u32)).iter();
+            self.hops.extend(egress.map(|&lid| {
+                let link = topo.link(lid);
+                let to = match link.dst {
+                    NodeRef::Switch(t) => t.0,
+                    NodeRef::Host(_) => u32::MAX,
+                };
+                let rate = link_rate[lid.index()];
+                Hop {
+                    link: lid.index() as u32,
+                    to,
+                    rate,
+                }
+            }));
+        }
+    }
+
+    #[inline]
+    fn hop(&self, s: SwitchId, port: u16) -> Hop {
+        self.hops[self.start[s.index()] as usize + port as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.start.capacity() * size_of::<u32>() + self.hops.capacity() * size_of::<Hop>()
+    }
+}
+
+/// A switch toward one destination, with the identity of its candidate
+/// list ([`RouteTable::candidate_list`]).
+type Node = (SwitchId, (u32, u32));
+
+/// One install's traversal skeleton: per destination, the switches that
+/// reach it by ascending hop distance, in id order within a distance (what
+/// [`RouteTable::dist_levels`] lists), each with its candidate list. A
+/// destination's entries sit a row apart in the route table; both phases
+/// walk this instead, so the table is read once an install.
+struct Skeleton {
+    /// Every destination's nodes, level after level.
+    nodes: Vec<Node>,
+    /// Each level's range in `nodes`, destination after destination.
+    levels: Vec<(u32, u32)>,
+    /// Each destination's range in `levels`: `dests[d]..dests[d + 1]`.
+    dests: Vec<u32>,
+}
+
+impl Skeleton {
+    fn new(routes: &RouteTable, n_switches: usize) -> Skeleton {
+        let n_dests = routes.num_leaves();
+        let mut skel = Skeleton {
+            nodes: Vec::with_capacity(n_switches * n_dests),
+            levels: Vec::new(),
+            dests: Vec::with_capacity(n_dests + 1),
+        };
+        skel.dests.push(0);
+        let mut dist = vec![0u32; n_switches];
+        for d in 0..n_dests as u32 {
+            // Count each level, then place its nodes at the level's offset:
+            // the second pass reads lines the first one just loaded.
+            let first = skel.nodes.len() as u32;
+            for (s, k) in (0u32..).zip(&mut dist) {
+                *k = routes.dist(SwitchId(s), d).unwrap_or(u32::MAX);
+                if *k == u32::MAX {
+                    continue;
+                }
+                let level = skel.dests[d as usize] as usize + *k as usize;
+                if skel.levels.len() <= level {
+                    skel.levels.resize(level + 1, (0, 0));
+                }
+                skel.levels[level].1 += 1;
+            }
+            let levels = &mut skel.levels[skel.dests[d as usize] as usize..];
+            let mut end = first;
+            for range in levels.iter_mut() {
+                end += range.1;
+                *range = (end - range.1, end - range.1);
+            }
+            skel.nodes.resize(end as usize, (SwitchId(0), (0, 0)));
+            for (s, &k) in (0u32..).zip(&dist).filter(|(_, &k)| k != u32::MAX) {
+                let range = &mut levels[k as usize];
+                skel.nodes[range.1 as usize] = (SwitchId(s), routes.candidate_list(SwitchId(s), d));
+                range.1 += 1;
+            }
+            skel.dests.push(skel.levels.len() as u32);
+        }
+        skel
+    }
+
+    /// Destinations covered.
+    fn dests(&self) -> u32 {
+        self.dests.len() as u32 - 1
+    }
+
+    /// Destination `d`'s levels, nearest first.
+    fn levels(&self, d: u32) -> impl DoubleEndedIterator<Item = &[Node]> + ExactSizeIterator {
+        let ranges =
+            &self.levels[self.dests[d as usize] as usize..self.dests[d as usize + 1] as usize];
+        ranges
+            .iter()
+            .map(|&(a, b)| &self.nodes[a as usize..b as usize])
+    }
+}
+
 /// The structural §3.4 control plane (see module docs).
 ///
 /// A fresh engine and a long-lived one install the same tables; keeping
@@ -223,8 +429,8 @@ impl<T: Copy + Eq + std::hash::Hash> Ids<T> {
 pub struct SymmetryEngine {
     rates: Ids<u64>,
     cap_factors: Ids<CapFactor>,
-    /// Link -> rate id, rebuilt by every install.
-    link_rate: Vec<u32>,
+    /// The fabric's ports, rebuilt by every install.
+    ports: Ports,
     bsets: Interner<(u32, u32)>,
     lsets: Interner<(u32, u32)>,
     fps: Interner<Tuple>,
@@ -233,29 +439,35 @@ pub struct SymmetryEngine {
     cross_memo: FxHashMap<(u32, u32), (u32, u32)>,
     /// `(bset, bset)` -> set union.
     union_memo: FxHashMap<(u32, u32), u32>,
-    /// `(old class, lset, destination)` -> refined class. A label is a
-    /// `(src, dst, cf)` triple and an `lset` holds only its `(src, cf)`
-    /// half, so the destination is part of the key: the same restriction
-    /// received for two different destinations is two different label
-    /// sets. Chains are content-addressed — replaying identical
-    /// per-destination restrictions yields identical final classes across
-    /// installs.
-    class_memo: FxHashMap<(u32, u32, u32), u32>,
+    /// Per destination `d`: `(old class, lset)` -> refined class. A label
+    /// is a `(src, dst, cf)` triple and an `lset` holds only its `(src,
+    /// cf)` half, so each destination refines through its own table: the
+    /// same restriction received for two different destinations is two
+    /// different label sets. One destination's refinement touches only its
+    /// own table, a few hundred keys that stay in cache. Chains are
+    /// content-addressed — replaying identical per-destination
+    /// restrictions yields identical final classes across installs.
+    class_memo: Vec<FxHashMap<(u32, u32), u32>>,
     next_class: u32,
     /// Canonical signatures of entry subgraphs (class ids renumbered by
     /// first occurrence), in their own id space.
     sigs: Interner<Tuple>,
-    /// Exact fingerprint -> canonical signature id. On a warm reinstall an
-    /// unchanged entry hits this map and skips its subgraph walk entirely.
-    canon_memo: FxHashMap<u32, u32>,
+    /// Exact fingerprint id -> canonical signature id, dense over `fps`'
+    /// ids; 0 (the empty signature, which no walk produces) means "not
+    /// known yet". On a warm reinstall an unchanged entry hits this table
+    /// and skips its subgraph walk entirely.
+    canon_memo: Vec<u32>,
+    /// Fingerprints with a known signature: the non-zero `canon_memo` slots.
+    canon_known: usize,
     /// Canonical signature -> decomposition over candidate *indices*;
     /// `None` means a single symmetric component (install clears the
     /// entry's groups).
     templates: FxHashMap<u32, Option<Vec<PortGroup>>>,
-    /// Leaf-entry shape (see [`leaf_shape`]) -> canonical signature id:
-    /// the leaves of a pod reach a destination through the same children,
-    /// so one walk serves them all.
-    shape_memo: FxHashMap<FKey, u32>,
+    /// Leaf-entry shapes (see [`leaf_shape`]), and per shape id its
+    /// canonical signature id (0: none yet): the leaves of a pod reach a
+    /// destination through the same children, so one walk serves them all.
+    shapes: Interner<Tuple>,
+    shape_sig: Vec<u32>,
     walker: Walker,
 }
 
@@ -271,18 +483,20 @@ impl SymmetryEngine {
         SymmetryEngine {
             rates: Ids::new(),
             cap_factors: Ids::new(),
-            link_rate: Vec::new(),
+            ports: Ports::default(),
             bsets: Interner::new(),
             lsets: Interner::new(),
             fps: Interner::new(),
             cross_memo: FxHashMap::default(),
             union_memo: FxHashMap::default(),
-            class_memo: FxHashMap::default(),
+            class_memo: Vec::new(),
             next_class: 1,
             sigs: Interner::new(),
-            canon_memo: FxHashMap::default(),
+            canon_memo: Vec::new(),
+            canon_known: 0,
             templates: FxHashMap::default(),
-            shape_memo: FxHashMap::default(),
+            shapes: Interner::new(),
+            shape_sig: Vec::new(),
             walker: Walker::default(),
         }
     }
@@ -299,11 +513,9 @@ impl SymmetryEngine {
         let mut report = GroupingReport::default();
         let values_before = self.values();
         // One traversal skeleton per destination, shared by both phases.
-        let levels: Vec<Vec<Vec<SwitchId>>> = (0..topo.num_leaves() as u32)
-            .map(|d| routes.dist_levels(d))
-            .collect();
+        let skel = Skeleton::new(routes, topo.num_switches());
 
-        let class = self.link_classes(topo, routes, &levels);
+        let class = self.link_classes(topo, routes, &skel);
         report.refine_ns = start.elapsed().as_nanos() as u64;
 
         // Phase 2: entry fingerprints, destination first, and one
@@ -319,19 +531,20 @@ impl SymmetryEngine {
         // this install — a few dozen on a regular fabric — and every
         // further entry of the pair points at the table already in
         // `routes`' pool.
-        let mut cand_lists: Interner<u16> = Interner::new();
-        let mut placed: FxHashMap<(u32, u32), (SwitchId, u32)> = FxHashMap::default();
-        for (d, levels) in levels.iter().enumerate() {
-            let d = d as u32;
-            for (dist, level) in levels.iter().enumerate() {
-                for &a in level {
+        let mut placed: FxHashMap<(u32, (u32, u32)), (SwitchId, u32)> = FxHashMap::default();
+        // Collapse-marker signature id by candidate count (0: not interned
+        // by this install yet).
+        let mut markers: Vec<u32> = Vec::new();
+        for d in 0..skel.dests() {
+            for (dist, level) in skel.levels(d).enumerate() {
+                for &(a, list) in level {
                     if dist == 0 {
                         fid[a.index()] = 0;
                         continue;
                     }
                     cand_buf.clear();
-                    cand_buf.extend_from_slice(routes.candidates(a, d));
-                    exact_fingerprint(topo, a, &cand_buf, &class, &self.link_rate, &fid, &mut key);
+                    cand_buf.extend_from_slice(routes.candidates_of(list));
+                    exact_fingerprint(&self.ports, a, &cand_buf, &class, &fid, &mut key);
                     // All candidate subtrees identical => every score group
                     // spans every port => provably one component, nothing
                     // to walk or enumerate. Sound only because a class id
@@ -343,41 +556,51 @@ impl SymmetryEngine {
                     if cand_buf.len() < 2 {
                         continue;
                     }
+                    if self.canon_memo.len() <= f as usize {
+                        self.canon_memo.resize(self.fps.len(), 0);
+                    }
                     report.entries += 1;
                     let canon = if collapsed {
                         // Marker signature: "n identical subtrees". The
                         // `u32::MAX` node field can't appear in a real walk
                         // signature, whose references are visit numbers.
-                        self.sigs
-                            .intern(&[(u32::MAX, cand_buf.len() as u32, u32::MAX)])
-                    } else if let Some(&c) = self.canon_memo.get(&f) {
-                        c
+                        let n = cand_buf.len();
+                        if markers.len() <= n {
+                            markers.resize(n + 1, 0);
+                        }
+                        if markers[n] == 0 {
+                            markers[n] = self.sigs.intern(&[(u32::MAX, n as u32, u32::MAX)]);
+                        }
+                        markers[n]
+                    } else if self.canon_memo[f as usize] != 0 {
+                        self.canon_memo[f as usize]
                     } else {
                         // Leaves of one pod reach `d` through the same
                         // children: try the entry's shape before walking.
-                        let is_leaf = topo.leaf_index(a).is_some();
-                        let mut known = None;
-                        if is_leaf {
-                            leaf_shape(topo, a, &cand_buf, &key, &mut shape);
-                            known = self.shape_memo.get(&shape[..]).copied();
-                        }
-                        let c = known.unwrap_or_else(|| {
+                        let shape_id = topo.leaf_index(a).map(|_| {
+                            leaf_shape(&self.ports, a, &cand_buf, &key, &mut shape);
+                            let id = self.shapes.intern(&shape) as usize;
+                            if self.shape_sig.len() <= id {
+                                self.shape_sig.resize(self.shapes.len(), 0);
+                            }
+                            id
+                        });
+                        let known = shape_id.map_or(0, |id| self.shape_sig[id]);
+                        let c = if known != 0 {
+                            known
+                        } else {
                             // The lazy per-entry quiver: walk this entry's
                             // candidate subgraph exactly once.
                             report.signatures_walked += 1;
-                            let c = self.sigs.intern(self.walker.signature(
-                                topo,
-                                routes,
-                                &self.link_rate,
-                                a,
-                                d,
-                            ));
-                            if is_leaf {
-                                self.shape_memo.insert(shape.clone(), c);
+                            let walked = self.walker.signature(&self.ports, routes, a, d);
+                            let c = self.sigs.intern(walked);
+                            if let Some(id) = shape_id {
+                                self.shape_sig[id] = c;
                             }
                             c
-                        });
-                        self.canon_memo.insert(f, c);
+                        };
+                        self.canon_memo[f as usize] = c;
+                        self.canon_known += 1;
                         c
                     };
                     if seen_fids.insert(canon) {
@@ -420,7 +643,7 @@ impl SymmetryEngine {
                         Some(template) => {
                             report.max_components = report.max_components.max(template.len());
                             report.asymmetric_entries += 1;
-                            match placed.entry((canon, cand_lists.intern(&cand_buf))) {
+                            match placed.entry((canon, list)) {
                                 Entry::Occupied(first) => routes.share_groups(a, d, *first.get()),
                                 Entry::Vacant(slot) => {
                                     let groups = template
@@ -462,10 +685,10 @@ impl SymmetryEngine {
             + self.sigs.len()
             + self.cross_memo.len()
             + self.union_memo.len()
-            + self.class_memo.len()
-            + self.canon_memo.len()
+            + self.class_memo.iter().map(|m| m.len()).sum::<usize>()
+            + self.canon_known
             + self.templates.len()
-            + self.shape_memo.len()
+            + (self.shapes.len() - 1)
     }
 
     /// Heap bytes the engine holds (capacities × element sizes, hash maps
@@ -475,18 +698,19 @@ impl SymmetryEngine {
         let w = &self.walker;
         self.rates.heap_bytes()
             + self.cap_factors.heap_bytes()
-            + self.link_rate.capacity() * size_of::<u32>()
+            + self.ports.heap_bytes()
             + self.bsets.heap_bytes()
             + self.lsets.heap_bytes()
             + self.fps.heap_bytes()
             + self.sigs.heap_bytes()
             + map_bytes(&self.cross_memo)
             + map_bytes(&self.union_memo)
-            + map_bytes(&self.class_memo)
-            + map_bytes(&self.canon_memo)
+            + self.class_memo.iter().map(map_bytes).sum::<usize>()
+            + self.class_memo.capacity() * size_of::<FxHashMap<(u32, u32), u32>>()
+            + self.canon_memo.capacity() * size_of::<u32>()
             + map_bytes(&self.templates)
-            + map_bytes(&self.shape_memo)
-            + self.shape_memo.keys().map(|k| k.capacity()).sum::<usize>() * size_of::<Tuple>()
+            + self.shapes.heap_bytes()
+            + self.shape_sig.capacity() * size_of::<u32>()
             + (w.nodes.capacity() + w.classes.capacity()) * size_of::<(u32, u32)>()
             + w.dense.capacity() * size_of::<u32>()
             + w.sig.capacity() * size_of::<Tuple>()
@@ -495,29 +719,24 @@ impl SymmetryEngine {
     /// Phase 1: link classes by partition refinement over destinations.
     /// `class[link] == 0` means "on no shortest path at all": an empty
     /// label set.
-    fn link_classes(
-        &mut self,
-        topo: &Topology,
-        routes: &RouteTable,
-        levels: &[Vec<Vec<SwitchId>>],
-    ) -> Vec<u32> {
-        let rates = &mut self.rates;
-        self.link_rate.clear();
-        self.link_rate
-            .extend(topo.links().iter().map(|l| rates.id(l.rate_bps)));
+    fn link_classes(&mut self, topo: &Topology, routes: &RouteTable, skel: &Skeleton) -> Vec<u32> {
+        self.ports.build(topo, &mut self.rates);
         let mut class: Vec<u32> = vec![0; topo.links().len()];
         let mut bstate: Vec<u32> = vec![0; topo.num_switches()];
+        let n_dests = skel.dests() as usize;
+        if self.class_memo.len() < n_dests {
+            self.class_memo.resize_with(n_dests, FxHashMap::default);
+        }
         // Each leaf's own path-start state.
-        let seeds: Vec<u32> = (0..levels.len() as u32)
+        let seeds: Vec<u32> = (0..n_dests as u32)
             .map(|li| self.bsets.intern(&[(li, SOURCE_CAP)]))
             .collect();
-        for (d, levels) in levels.iter().enumerate() {
-            let d = d as u32;
+        for d in 0..skel.dests() {
             bstate.fill(0);
             // Sources first: candidate edges go from level k to k-1, so by
             // the time a level is processed its prefix states are final.
-            for (dist, level) in levels.iter().enumerate().rev() {
-                for &a in level {
+            for (dist, level) in skel.levels(d).enumerate().rev() {
+                for &(a, list) in level {
                     let mut b = bstate[a.index()];
                     // A leaf that is not the destination originates its own
                     // paths (even while relaying others': §3.4.1 labels
@@ -531,14 +750,29 @@ impl SymmetryEngine {
                         // detour entries no leaf-to-leaf path crosses.
                         continue;
                     }
-                    for &p in routes.candidates(a, d) {
-                        let link = topo.egress(a, p);
-                        let li = link.id.index();
-                        let (lset, advanced) = self.cross(b, self.link_rate[li]);
-                        class[li] = self.refine(class[li], lset, d);
-                        if let NodeRef::Switch(t) = link.dst {
-                            bstate[t.index()] = self.union(bstate[t.index()], advanced);
+                    // Every candidate crosses with the same `b`, nearly all
+                    // at one rate, and sibling links and children tend to
+                    // stand where their neighbours do: each memo is probed
+                    // only when its key differs from the previous edge's.
+                    let mut crossed = (u32::MAX, (0, 0));
+                    let mut refined = ((u32::MAX, 0), 0);
+                    let mut joined = ((u32::MAX, 0), 0);
+                    for &p in routes.candidates_of(list) {
+                        let hop = self.ports.hop(a, p);
+                        if crossed.0 != hop.rate {
+                            crossed = (hop.rate, self.cross(b, hop.rate));
                         }
+                        let (lset, advanced) = crossed.1;
+                        let li = hop.link as usize;
+                        if refined.0 != (class[li], lset) {
+                            refined = ((class[li], lset), self.refine(class[li], lset, d));
+                        }
+                        class[li] = refined.1;
+                        let t = hop.to as usize;
+                        if joined.0 != (bstate[t], advanced) {
+                            joined = ((bstate[t], advanced), self.union(bstate[t], advanced));
+                        }
+                        bstate[t] = joined.1;
                     }
                 }
             }
@@ -557,15 +791,7 @@ impl SymmetryEngine {
         if let Some(&id) = self.union_memo.get(&(a, b)) {
             return id;
         }
-        let merged = {
-            let (va, vb) = (self.bsets.get(a), self.bsets.get(b));
-            let mut out: BSet = Vec::with_capacity(va.len() + vb.len());
-            out.extend_from_slice(va);
-            out.extend_from_slice(vb);
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
+        let merged = merge(self.bsets.get(a), self.bsets.get(b));
         let id = self.bsets.intern(&merged);
         self.union_memo.insert((a, b), id);
         id
@@ -585,14 +811,23 @@ impl SymmetryEngine {
         let rate = rates[r as usize];
         let mut labels: LSet = Vec::with_capacity(states.len());
         let mut advanced: BSet = Vec::with_capacity(states.len());
+        // `(bottleneck, cap-factor id)` for the few distinct bottlenecks.
+        let mut cf_of: Vec<(u32, u32)> = Vec::new();
         for &(s, cap) in states {
             let starts_here = cap == SOURCE_CAP;
-            let cf = if starts_here {
-                CapFactor::Source
-            } else {
-                CapFactor::ratio(rates[cap as usize], rate)
+            let cf = match cf_of.iter().find(|c| c.0 == cap) {
+                Some(&(_, cf)) => cf,
+                None => {
+                    let cf = self.cap_factors.id(if starts_here {
+                        CapFactor::Source
+                    } else {
+                        CapFactor::ratio(rates[cap as usize], rate)
+                    });
+                    cf_of.push((cap, cf));
+                    cf
+                }
             };
-            labels.push((s, self.cap_factors.id(cf)));
+            labels.push((s, cf));
             // min(bottleneck, rate), compared through the table: equal
             // rates share an id, so keeping `cap` on a tie is exact.
             let slower = starts_here || rates[cap as usize] > rate;
@@ -614,36 +849,47 @@ impl SymmetryEngine {
     /// labeled for this destination (which keep their class) can never
     /// stay merged with links that were.
     fn refine(&mut self, class: u32, lset: u32, d: u32) -> u32 {
-        if let Some(&id) = self.class_memo.get(&(class, lset, d)) {
-            return id;
-        }
-        let id = self.next_class;
-        self.next_class += 1;
-        self.class_memo.insert((class, lset, d), id);
-        id
+        let next = &mut self.next_class;
+        *self.class_memo[d as usize]
+            .entry((class, lset))
+            .or_insert_with(|| {
+                *next += 1;
+                *next - 1
+            })
     }
+}
+
+/// The sorted, deduplicated union of two sorted, deduplicated sets: what
+/// sorting and deduplicating their concatenation gives, in one pass.
+fn merge(a: &[(u32, u32)], b: &[(u32, u32)]) -> BSet {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]) && b.windows(2).all(|w| w[0] < w[1]));
+    let mut out: BSet = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Write entry `a`'s exact fingerprint over `cands` into `key`.
 fn exact_fingerprint(
-    topo: &Topology,
+    ports: &Ports,
     a: SwitchId,
     cands: &[u16],
     class: &[u32],
-    link_rate: &[u32],
     fid: &[u32],
     key: &mut FKey,
 ) {
     key.clear();
-    for &p in cands {
-        let link = topo.egress(a, p);
-        let child = match link.dst {
-            NodeRef::Switch(t) => fid[t.index()],
-            NodeRef::Host(_) => unreachable!("candidates are switch links"),
-        };
-        let li = link.id.index();
-        key.push((class[li], link_rate[li], child));
-    }
+    key.extend(cands.iter().map(|&p| {
+        let hop = ports.hop(a, p);
+        (class[hop.link as usize], hop.rate, fid[hop.to as usize])
+    }));
 }
 
 /// Write the *shape* of leaf entry `a`'s exact fingerprint `key` into
@@ -666,16 +912,18 @@ fn exact_fingerprint(
 /// only through advanced prefixes (`Source` is never re-created: `cross`
 /// clamps to a finite rate), and the per-destination chain in `refine`
 /// keeps links with different restrictions for `d` in different classes.
-fn leaf_shape(topo: &Topology, a: SwitchId, cands: &[u16], key: &[Tuple], shape: &mut FKey) {
+fn leaf_shape(ports: &Ports, a: SwitchId, cands: &[u16], key: &[Tuple], shape: &mut FKey) {
     shape.clear();
-    for (i, &(class, rate, child)) in key.iter().enumerate() {
-        let node = topo.egress(a, cands[i]).dst;
-        let same_class = key[..i].iter().position(|k| k.0 == class);
-        let same_node = cands[..i]
-            .iter()
-            .position(|&p| topo.egress(a, p).dst == node);
-        let pattern = same_class.unwrap_or(i) << 16 | same_node.unwrap_or(i);
-        shape.push((pattern as u32, rate, child));
+    // Each candidate's child switch, parked in the child field while the
+    // patterns are read off.
+    shape.extend(cands.iter().map(|&p| (0, 0, ports.hop(a, p).to)));
+    for i in 0..shape.len() {
+        let same_class = key[..i].iter().position(|k| k.0 == key[i].0);
+        let same_node = shape[..i].iter().position(|s| s.2 == shape[i].2);
+        shape[i].0 = (same_class.unwrap_or(i) << 16 | same_node.unwrap_or(i)) as u32;
+    }
+    for (s, &(_, rate, child)) in shape.iter_mut().zip(key) {
+        (s.1, s.2) = (rate, child);
     }
 }
 
@@ -734,9 +982,8 @@ impl Walker {
     /// invariance lets the walk read `dense` indices instead of class ids.
     fn signature(
         &mut self,
-        topo: &Topology,
+        ports: &Ports,
         routes: &RouteTable,
-        link_rate: &[u32],
         entry: SwitchId,
         dst_leaf: u32,
     ) -> &[Tuple] {
@@ -752,43 +999,31 @@ impl Walker {
         self.nodes[entry.index()] = (self.epoch, 0);
         self.n_nodes = 1;
         self.n_classes = 0;
-        self.walk(topo, routes, link_rate, entry, dst_leaf);
+        self.walk(ports, routes, entry, dst_leaf);
         &self.sig
     }
 
-    fn walk(
-        &mut self,
-        topo: &Topology,
-        routes: &RouteTable,
-        link_rate: &[u32],
-        s: SwitchId,
-        dst_leaf: u32,
-    ) {
+    fn walk(&mut self, ports: &Ports, routes: &RouteTable, s: SwitchId, dst_leaf: u32) {
         let cands = routes.candidates(s, dst_leaf);
         self.sig
             .push((u32::MAX, cands.len() as u32, self.nodes[s.index()].1));
         for &p in cands {
-            let link = topo.egress(s, p);
-            let li = link.id.index();
-            let class = &mut self.classes[self.dense[li] as usize];
+            let hop = ports.hop(s, p);
+            let class = &mut self.classes[self.dense[hop.link as usize] as usize];
             if class.0 != self.epoch {
                 *class = (self.epoch, self.n_classes);
                 self.n_classes += 1;
             }
             let cn = class.1;
-            let t = match link.dst {
-                NodeRef::Switch(t) => t,
-                NodeRef::Host(_) => unreachable!("candidates are switch links"),
-            };
-            let node = &mut self.nodes[t.index()];
+            let node = &mut self.nodes[hop.to as usize];
             let first_visit = node.0 != self.epoch;
             if first_visit {
                 *node = (self.epoch, self.n_nodes);
                 self.n_nodes += 1;
             }
-            self.sig.push((cn, link_rate[li], node.1));
+            self.sig.push((cn, hop.rate, node.1));
             if first_visit {
-                self.walk(topo, routes, link_rate, t, dst_leaf);
+                self.walk(ports, routes, SwitchId(hop.to), dst_leaf);
             }
         }
     }
@@ -836,6 +1071,63 @@ mod tests {
         assert_eq!(it.len(), 302);
         assert!(it.pages.iter().all(|p| p.len() <= p.capacity()));
         assert_eq!(it.pages.len(), 300usize.div_ceil(PAGE / 100) + 1);
+    }
+
+    #[test]
+    fn union_merges_to_the_sorted_concatenation() {
+        // Sorted, deduplicated sets of `n` draws below `span`, from `base`.
+        let draw = |rng: &mut drill_sim::SimRng, n: usize, base: u32, span: usize| -> BSet {
+            let mut set: BSet = (0..n)
+                .map(|_| (base + rng.below(span) as u32, rng.below(3) as u32))
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        let mut rng = drill_sim::SimRng::seed_from(0x4E46);
+        let mut engine = SymmetryEngine::new();
+        for case in 0..2_000 {
+            let (n, m) = (rng.below(40), 1 + rng.below(40));
+            let a = draw(&mut rng, n, 0, 64);
+            let b = match case % 5 {
+                0 => BSet::new(),
+                1 => a.clone(),
+                2 => draw(&mut rng, m, 64, 64), // disjoint, above
+                3 => draw(&mut rng, m, 0, 64),  // interleaved
+                _ => a.iter().copied().filter(|_| rng.chance(0.5)).collect(), // nested
+            };
+            let mut want = [&a[..], &b[..]].concat();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(merge(&a, &b), want, "{a:?} + {b:?}");
+            assert_eq!(merge(&b, &a), want, "{b:?} + {a:?}");
+            let (ia, ib) = (engine.bsets.intern(&a), engine.bsets.intern(&b));
+            let id = engine.bsets.intern(&want);
+            assert_eq!(engine.union(ia, ib), id, "{a:?} + {b:?}");
+            assert_eq!(engine.union(ib, ia), id, "{b:?} + {a:?}");
+        }
+    }
+
+    #[test]
+    fn skeleton_lists_the_levels_and_candidates_of_every_destination() {
+        for (family, _) in sweep::FAMILIES {
+            sweep::for_each_fabric(family, |label, topo| {
+                let routes = RouteTable::compute(topo);
+                let skel = Skeleton::new(&routes, topo.num_switches());
+                assert_eq!(skel.dests() as usize, topo.num_leaves(), "{label}");
+                for d in 0..skel.dests() {
+                    let switches: Vec<Vec<SwitchId>> = skel
+                        .levels(d)
+                        .map(|level| level.iter().map(|n| n.0).collect())
+                        .collect();
+                    assert_eq!(switches, routes.dist_levels(d), "{label}: toward {d}");
+                    for &(s, list) in skel.levels(d).flatten() {
+                        let want = routes.candidates(s, d);
+                        assert_eq!(routes.candidates_of(list), want, "{label}: {s:?} -> {d}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -988,7 +1280,8 @@ mod tests {
         let levels: Vec<_> = (0..topo.num_leaves() as u32)
             .map(|d| routes.dist_levels(d))
             .collect();
-        let class = engine.link_classes(topo, &routes, &levels);
+        let class =
+            engine.link_classes(topo, &routes, &Skeleton::new(&routes, topo.num_switches()));
         engine.walker.begin(topo.num_switches(), &class);
         // The engine's rate ids, read back as a plain map for the reference.
         let rate_id: HashMap<u64, u32> = (engine.rates.vals.iter().copied()).zip(0u32..).collect();
@@ -998,15 +1291,13 @@ mod tests {
             let d = d as u32;
             for &a in levels.iter().skip(1).flatten() {
                 let cands = routes.candidates(a, d);
-                exact_fingerprint(topo, a, cands, &class, &engine.link_rate, &fid, &mut key);
+                exact_fingerprint(&engine.ports, a, cands, &class, &fid, &mut key);
                 fid[a.index()] = engine.fps.intern(&key);
                 if cands.len() < 2 {
                     continue;
                 }
                 let want = reference_signature(topo, &routes, a, d, &class, &rate_id);
-                let got = engine
-                    .walker
-                    .signature(topo, &routes, &engine.link_rate, a, d);
+                let got = engine.walker.signature(&engine.ports, &routes, a, d);
                 assert_eq!(got, &want[..], "{label}: entry {}->{d}", a.0);
                 checked += 1;
                 let collapsed = key.windows(2).all(|w| w[0] == w[1]);
@@ -1016,7 +1307,7 @@ mod tests {
                 if collapsed || topo.leaf_index(a).is_none() {
                     continue;
                 }
-                leaf_shape(topo, a, cands, &key, &mut shape);
+                leaf_shape(&engine.ports, a, cands, &key, &mut shape);
                 let known = ledger.full.entry(shape.clone()).or_insert(want.clone());
                 assert_eq!(*known, want, "{label}: shape {shape:?} has two signatures");
                 for field in 0..4 {

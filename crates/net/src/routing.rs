@@ -91,6 +91,25 @@ impl RouteTable {
             fill[t.index()] += 1;
         }
 
+        // Forward adjacency in the same form, by port: the up
+        // switch-facing egress ports of each switch and their far ends. A
+        // leaf's host ports never enter it, so filling an entry scans only
+        // the links a candidate can be.
+        let mut fwd_start = Vec::with_capacity(s_count + 1);
+        let mut fwd: Vec<(u16, SwitchId)> = Vec::with_capacity(rev.len());
+        for si in 0..s_count {
+            fwd_start.push(fwd.len());
+            let egress = topo.egress_links(SwitchId(si as u32)).iter();
+            fwd.extend((0u16..).zip(egress).filter_map(|(p, &lid)| {
+                let link = topo.link(lid);
+                match link.dst {
+                    NodeRef::Switch(t) if link.up => Some((p, t)),
+                    _ => None,
+                }
+            }));
+        }
+        fwd_start.push(fwd.len());
+
         let unreachable = Entry {
             cand_off: 0,
             cand_len: 0,
@@ -98,63 +117,60 @@ impl RouteTable {
             dist: UNREACHABLE,
         };
         let mut entries = vec![unreachable; s_count * l_count];
-        let mut q = VecDeque::new();
-        for (leaf_idx, &leaf) in topo.leaves().iter().enumerate() {
-            entries[leaf.index() * l_count + leaf_idx].dist = 0;
-            q.push_back(leaf);
-            while let Some(t) = q.pop_front() {
-                let dt = entries[t.index() * l_count + leaf_idx].dist;
-                let sources = rev_start[t.index()] as usize..rev_start[t.index() + 1] as usize;
-                for &s in &rev[sources] {
-                    let ds = &mut entries[s.index() * l_count + leaf_idx].dist;
-                    if *ds == UNREACHABLE {
-                        *ds = dt + 1;
-                        q.push_back(s);
-                    }
-                }
-            }
-        }
-
         let mut ports: Vec<u16> = Vec::new();
         // The `(offset, len)` of every list in `ports`, sorted by content:
         // interning is a binary search over a few dozen short slices and
         // allocates nothing per list.
         let mut lists: Vec<(u32, u32)> = Vec::new();
         let mut cands: Vec<u16> = Vec::new();
-        for si in 0..s_count {
-            let s = SwitchId(si as u32);
-            for leaf_idx in 0..l_count {
-                let ds = entries[si * l_count + leaf_idx].dist;
+        let mut q = VecDeque::new();
+        // One leaf's distances, dense by switch: the search and the
+        // candidate fill read this, not the table's column, whose slots sit
+        // a row apart.
+        let mut dist = vec![UNREACHABLE; s_count];
+        for (leaf_idx, &leaf) in topo.leaves().iter().enumerate() {
+            dist.fill(UNREACHABLE);
+            dist[leaf.index()] = 0;
+            q.push_back(leaf);
+            while let Some(t) = q.pop_front() {
+                let dt = dist[t.index()];
+                let sources = rev_start[t.index()] as usize..rev_start[t.index() + 1] as usize;
+                for &s in &rev[sources] {
+                    if dist[s.index()] == UNREACHABLE {
+                        dist[s.index()] = dt + 1;
+                        q.push_back(s);
+                    }
+                }
+            }
+            // Neighbouring switches mostly hold the same list: try the
+            // previous entry's before searching.
+            let mut last = (0, 0);
+            for (si, &ds) in dist.iter().enumerate() {
+                let e = &mut entries[si * l_count + leaf_idx];
+                e.dist = ds;
                 if ds == UNREACHABLE || ds == 0 {
                     continue;
                 }
                 cands.clear();
-                for (p, &lid) in topo.egress_links(s).iter().enumerate() {
-                    let link = topo.link(lid);
-                    if !link.up {
-                        continue;
-                    }
-                    if let NodeRef::Switch(t) = link.dst {
-                        if entries[t.index() * l_count + leaf_idx].dist == ds - 1 {
-                            cands.push(p as u16);
+                cands.extend(
+                    fwd[fwd_start[si]..fwd_start[si + 1]]
+                        .iter()
+                        .filter_map(|&(p, t)| (dist[t.index()] == ds - 1).then_some(p)),
+                );
+                let listed = |(off, len): (u32, u32)| &ports[off as usize..][..len as usize];
+                if listed(last) != &cands[..] {
+                    let found = lists.binary_search_by(|&list| listed(list).cmp(&cands[..]));
+                    last = match found {
+                        Ok(i) => lists[i],
+                        Err(i) => {
+                            let off = u32::try_from(ports.len()).expect("candidate pool fits u32");
+                            ports.extend_from_slice(&cands);
+                            lists.insert(i, (off, cands.len() as u32));
+                            lists[i]
                         }
-                    }
+                    };
                 }
-                let found = lists.binary_search_by(|&(off, len)| {
-                    ports[off as usize..][..len as usize].cmp(&cands[..])
-                });
-                let (off, len) = match found {
-                    Ok(i) => lists[i],
-                    Err(i) => {
-                        let off = u32::try_from(ports.len()).expect("candidate pool fits u32");
-                        ports.extend_from_slice(&cands);
-                        lists.insert(i, (off, cands.len() as u32));
-                        lists[i]
-                    }
-                };
-                let e = &mut entries[si * l_count + leaf_idx];
-                e.cand_off = off;
-                e.cand_len = len;
+                (e.cand_off, e.cand_len) = last;
             }
         }
 
@@ -186,6 +202,22 @@ impl RouteTable {
     pub fn candidates(&self, s: SwitchId, dst_leaf: u32) -> &[u16] {
         let e = &self.entries[self.at(s, dst_leaf)];
         &self.ports[e.cand_off as usize..][..e.cand_len as usize]
+    }
+
+    /// The identity of `(s, dst_leaf)`'s candidate list: lists are
+    /// interned, so two entries get the same pair iff their
+    /// [`candidates`](Self::candidates) are equal.
+    #[inline]
+    pub fn candidate_list(&self, s: SwitchId, dst_leaf: u32) -> (u32, u32) {
+        let e = &self.entries[self.at(s, dst_leaf)];
+        (e.cand_off, e.cand_len)
+    }
+
+    /// The candidate list a [`candidate_list`](Self::candidate_list)
+    /// identity names.
+    #[inline]
+    pub fn candidates_of(&self, (off, len): (u32, u32)) -> &[u16] {
+        &self.ports[off as usize..][..len as usize]
     }
 
     /// Symmetric components at `s` toward `dst_leaf`; empty slice means
@@ -258,12 +290,13 @@ impl RouteTable {
     /// switch at distance `k`; unreachable switches are absent and
     /// switches within a level appear in id order.
     ///
-    /// This is the traversal skeleton of the structural §3.4 control plane
-    /// (`drill-core`'s `SymmetryEngine`): candidate edges only ever point
-    /// from level `k` to level `k-1`, so walking the levels descending
-    /// (sources first) or ascending (destination first) visits every edge
-    /// of the per-destination candidate DAG exactly once, in a
-    /// deterministic order.
+    /// This is the traversal order of the structural §3.4 control plane
+    /// (`drill-core`'s `SymmetryEngine`, which builds it for every
+    /// destination at once, with each entry's [`candidate_list`](Self::candidate_list)):
+    /// candidate edges only ever point from level `k` to level `k-1`, so
+    /// walking the levels descending (sources first) or ascending
+    /// (destination first) visits every edge of the per-destination
+    /// candidate DAG exactly once, in a deterministic order.
     pub fn dist_levels(&self, dst_leaf: u32) -> Vec<Vec<SwitchId>> {
         let first = self.at(SwitchId(0), dst_leaf);
         let reachable = || {
@@ -499,6 +532,30 @@ mod tests {
                 weight: weights.1,
             },
         ]
+    }
+
+    #[test]
+    fn candidate_list_ids_are_equal_iff_lists_are() {
+        let mut failed = leaf_spine(&small_spec());
+        assert!(failed.fail_switch_link(failed.leaves()[0], SwitchId(4), 0));
+        for topo in [failed, vl2(&Vl2Spec::paper())] {
+            let rt = RouteTable::compute(&topo);
+            let mut by_id: FxHashMap<(u32, u32), &[u16]> = FxHashMap::default();
+            let mut by_list: FxHashMap<&[u16], (u32, u32)> = FxHashMap::default();
+            for s in (0..topo.num_switches() as u32).map(SwitchId) {
+                for d in 0..topo.num_leaves() as u32 {
+                    let (id, list) = (rt.candidate_list(s, d), rt.candidates(s, d));
+                    assert_eq!(rt.candidates_of(id), list);
+                    assert_eq!(*by_id.entry(id).or_insert(list), list);
+                    assert_eq!(*by_list.entry(list).or_insert(id), id);
+                }
+            }
+            assert_eq!(
+                by_list.len(),
+                rt.distinct_cand_lists() + 1,
+                "and the empty list"
+            );
+        }
     }
 
     #[test]

@@ -150,6 +150,7 @@ assert d['cp_entries_reused'] == d['cp_entries'] - d['cp_classes'], 'reuse misma
 assert d['cp_install_secs'] > 0 and d['cp_reconverge_secs'] > 0, 'probe not timed'
 assert 0 < d['cp_distinct_group_tables'] < d['asym_entries'], 'group tables not shared'
 assert d['cp_table_bytes'] < 64 * d['cp_entries'], 'route table is per-entry heap again'
+assert d['cp_engine_bytes'] < 256 * d['cp_entries'], 'engine outgrew 256 B per entry'
 "
 
 echo "== scalebench kill-and-resume crash-recovery smoke =="
