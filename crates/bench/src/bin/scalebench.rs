@@ -13,8 +13,9 @@
 //!   `cp_signatures_walked` counts the subgraph walks it needed);
 //! * **bytes/host** — payload bytes delivered per host (work actually
 //!   simulated, so throughput numbers are comparable across sizes);
-//! * **fct_retained** — samples held by the FCT distribution, which stays
-//!   O(k log n) once the store spills into the quantile sketch;
+//! * **fct_retained** — samples held by the FCT distribution: one per
+//!   measured flow, since the run's store is exact (the `--sketch`
+//!   section prices the bounded-memory sketch instead);
 //! * **peak RSS** — `VmHWM` from `/proc/self/status` (kB; 0 off-Linux),
 //!   and beside it where the control plane's share of it sits after the
 //!   cold install: `cp_table_bytes` (`RouteTable::heap_bytes`),

@@ -203,21 +203,8 @@ impl SwitchPolicy for PerFlowDrill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stability::SlotQueues;
     use drill_sim::Time;
-
-    /// Fixed queue lengths for testing.
-    struct FixedQueues(Vec<u64>);
-    impl QueueView for FixedQueues {
-        fn visible_bytes(&self, port: u16) -> u64 {
-            self.0[port as usize]
-        }
-        fn visible_pkts(&self, port: u16) -> u32 {
-            (self.0[port as usize] / 1500) as u32
-        }
-        fn num_ports(&self) -> usize {
-            self.0.len()
-        }
-    }
 
     fn ctx<'a>(candidates: &'a [u16], engine: usize) -> SelectCtx<'a> {
         SelectCtx {
@@ -234,7 +221,7 @@ mod tests {
     fn full_sampling_picks_global_min() {
         // d >= #candidates: DRILL degenerates to exact min.
         let mut p = DrillPolicy::new(8, 1, 1);
-        let q = FixedQueues(vec![500, 100, 900, 400]);
+        let q = SlotQueues(&[500, 100, 900, 400]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(1);
         for _ in 0..10 {
@@ -245,7 +232,7 @@ mod tests {
     #[test]
     fn selection_is_among_candidates_only() {
         let mut p = DrillPolicy::new(2, 1, 1);
-        let q = FixedQueues(vec![0, 0, 0, 0, 0, 0]);
+        let q = SlotQueues(&[0, 0, 0, 0, 0, 0]);
         let cand = [2u16, 4, 5];
         let mut rng = SimRng::seed_from(2);
         for _ in 0..100 {
@@ -257,7 +244,8 @@ mod tests {
         for _ in 0..256 {
             let (d, m, engines) = (1 + rng.below(7), rng.below(8), 1 + rng.below(3));
             let n = 2 + rng.below(22);
-            let q = FixedQueues((0..n).map(|_| rng.below(200_000) as u64).collect());
+            let lens: Vec<u64> = (0..n).map(|_| rng.below(200_000) as u64).collect();
+            let q = SlotQueues(&lens);
             let k = 1 + rng.below(n);
             let cand: Vec<u16> = rng
                 .sample_indices(n, k)
@@ -275,7 +263,7 @@ mod tests {
     #[test]
     fn memory_remembers_least_loaded() {
         let mut p = DrillPolicy::new(4, 2, 1);
-        let q = FixedQueues(vec![500, 100, 900, 50]);
+        let q = SlotQueues(&[500, 100, 900, 50]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(3);
         p.select(&ctx(&cand, 0), &q, &mut rng);
@@ -288,7 +276,7 @@ mod tests {
         // d=1: a lone random sample would often pick a long queue, but the
         // remembered short port must win whenever sampled port is longer.
         let mut p = DrillPolicy::new(1, 1, 1);
-        let q = FixedQueues(vec![1000, 1000, 0, 1000]);
+        let q = SlotQueues(&[1000, 1000, 0, 1000]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(4);
         // Warm memory: run until port 2 gets sampled once.
@@ -310,7 +298,7 @@ mod tests {
     #[test]
     fn zero_memory_forgets() {
         let mut p = DrillPolicy::new(1, 0, 1);
-        let q = FixedQueues(vec![1000, 0]);
+        let q = SlotQueues(&[1000, 0]);
         let cand = [0u16, 1];
         let mut rng = SimRng::seed_from(5);
         // With d=1, m=0, selection is uniform random regardless of load.
@@ -328,7 +316,7 @@ mod tests {
     #[test]
     fn engines_have_independent_memory() {
         let mut p = DrillPolicy::new(4, 1, 2);
-        let q = FixedQueues(vec![10, 20, 30, 40]);
+        let q = SlotQueues(&[10, 20, 30, 40]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(6);
         p.select(&ctx(&cand, 0), &q, &mut rng);
@@ -341,7 +329,7 @@ mod tests {
     #[test]
     fn memory_invalid_for_other_destination_is_ignored() {
         let mut p = DrillPolicy::new(1, 1, 1);
-        let q = FixedQueues(vec![0, 1000, 1000, 0]);
+        let q = SlotQueues(&[0, 1000, 1000, 0]);
         let mut rng = SimRng::seed_from(7);
         // Warm memory on candidates {0,1}: remembers port 0.
         for _ in 0..20 {
@@ -361,7 +349,7 @@ mod tests {
         // Statistical sanity: DRILL(2,1) lands on the shorter of two queues
         // far more often than 50%.
         let mut p = DrillPolicy::new(2, 1, 1);
-        let q = FixedQueues(vec![3000, 0, 3000, 3000]);
+        let q = SlotQueues(&[3000, 0, 3000, 3000]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(8);
         let mut best = 0;
@@ -377,7 +365,7 @@ mod tests {
     #[test]
     fn per_flow_drill_pins() {
         let mut p = PerFlowDrill::new(2, 1, 1);
-        let q = FixedQueues(vec![100, 200, 300, 400]);
+        let q = SlotQueues(&[100, 200, 300, 400]);
         let cand = [0u16, 1, 2, 3];
         let mut rng = SimRng::seed_from(9);
         let first = p.select(&ctx(&cand, 0), &q, &mut rng);
@@ -390,7 +378,7 @@ mod tests {
     #[test]
     fn per_flow_drill_repins_after_failure() {
         let mut p = PerFlowDrill::new(4, 1, 1);
-        let q = FixedQueues(vec![0, 100, 200, 300]);
+        let q = SlotQueues(&[0, 100, 200, 300]);
         let mut rng = SimRng::seed_from(10);
         let first = p.select(&ctx(&[0, 1, 2, 3], 0), &q, &mut rng);
         assert_eq!(first, 0);

@@ -17,9 +17,10 @@
 //!   install returns a [`GroupingReport`].
 //! * [`enumerate_shortest_paths`] — path enumeration over a route table's
 //!   candidate sets, shared with the `drill-lb` baselines.
-//! * [`stability`] — a discrete-time M×N queueing model reproducing the
-//!   §3.2.4 stability results (DRILL(d,0) is unstable for admissible
-//!   heterogeneous service rates; DRILL(d,m≥1) is stable).
+//! * [`stability`] — a discrete-time M×N queueing model, scheduled by
+//!   [`DrillPolicy`] itself, reproducing the §3.2.4 stability results
+//!   (DRILL(d,0) is unstable for admissible heterogeneous service rates;
+//!   DRILL(d,m≥1) is stable).
 
 #![warn(missing_docs)]
 

@@ -12,10 +12,32 @@
 //!
 //! This module implements the abstract queueing model so the theorems can
 //! be *observed*: [`simulate`] runs the slotted system and reports queue
-//! trajectories. The integration tests and the `stability` example drive
-//! the exact counterexample construction from the Theorem 1 proof.
+//! trajectories. Every placement is made by [`DrillPolicy::select`], the
+//! selector the switches run, so the theorems are checked on the shipped
+//! algorithm rather than on a model of it. The integration tests and the
+//! `stability_theorems` example drive the exact counterexample
+//! construction from the Theorem 1 proof.
 
-use drill_sim::SimRng;
+use drill_net::{FlowId, QueueView, SelectCtx, SwitchPolicy};
+use drill_sim::{SimRng, Time};
+
+use crate::DrillPolicy;
+
+/// Queue lengths as a [`QueueView`]: every engine sees all of them, in
+/// the slotted model's unit (packets), with nothing in flight.
+pub(crate) struct SlotQueues<'a>(pub(crate) &'a [u64]);
+
+impl QueueView for SlotQueues<'_> {
+    fn visible_bytes(&self, port: u16) -> u64 {
+        self.0[port as usize]
+    }
+    fn visible_pkts(&self, port: u16) -> u32 {
+        self.0[port as usize] as u32
+    }
+    fn num_ports(&self) -> usize {
+        self.0.len()
+    }
+}
 
 /// Parameters of the slotted M×N switch model.
 #[derive(Clone, Debug)]
@@ -74,15 +96,17 @@ impl StabilityOutcome {
 /// Run the slotted M×N model under DRILL(d, m) scheduling.
 ///
 /// Each slot: every engine independently receives a packet with its arrival
-/// probability and immediately places it via DRILL(d, m) over the *actual*
-/// queue lengths; then every queue independently serves one packet with its
-/// service probability.
+/// probability and immediately places it with one [`DrillPolicy`]'s
+/// `select`, as that engine, over all `N` queues' *actual* lengths; then
+/// every queue independently serves one packet with its service
+/// probability.
 pub fn simulate(cfg: &StabilityConfig) -> StabilityOutcome {
     let n = cfg.service_prob.len();
-    assert!(n >= 1 && cfg.d >= 1);
+    assert!(n >= 1);
     let mut rng = SimRng::seed_from(cfg.seed);
+    let mut policy = DrillPolicy::new(cfg.d, cfg.m, cfg.arrival_prob.len());
+    let ports: Vec<u16> = (0..n as u16).collect();
     let mut queues = vec![0u64; n];
-    let mut memory: Vec<Vec<usize>> = vec![Vec::new(); cfg.arrival_prob.len()];
     let mut max_total = 0u64;
     let mut sum_total = 0f64;
     let mut arrivals = 0u64;
@@ -90,34 +114,22 @@ pub fn simulate(cfg: &StabilityConfig) -> StabilityOutcome {
     let mut trajectory = Vec::with_capacity(64);
     let sample_every = (cfg.slots / 64).max(1);
 
-    let mut considered: Vec<usize> = Vec::new();
     for slot in 0..cfg.slots {
         for (e, &lambda) in cfg.arrival_prob.iter().enumerate() {
             if !rng.chance(lambda) {
                 continue;
             }
             arrivals += 1;
-            considered.clear();
-            if cfg.d >= n {
-                considered.extend(0..n);
-            } else {
-                considered.extend(rng.sample_indices(n, cfg.d));
-            }
-            for &q in &memory[e] {
-                if !considered.contains(&q) {
-                    considered.push(q);
-                }
-            }
-            let &best = considered
-                .iter()
-                .min_by_key(|&&q| queues[q])
-                .expect("non-empty consideration set");
-            queues[best] += 1;
-            if cfg.m > 0 {
-                considered.sort_by_key(|&q| queues[q]);
-                memory[e].clear();
-                memory[e].extend(considered.iter().take(cfg.m));
-            }
+            let ctx = SelectCtx {
+                now: Time::from_nanos(slot),
+                engine: e,
+                flow_hash: 0,
+                flow: FlowId(0),
+                dst_leaf: 0,
+                candidates: &ports,
+            };
+            let q = policy.select(&ctx, &SlotQueues(&queues), &mut rng);
+            queues[q as usize] += 1;
         }
         for (q, &mu) in cfg.service_prob.iter().enumerate() {
             if queues[q] > 0 && rng.chance(mu) {
@@ -125,7 +137,7 @@ pub fn simulate(cfg: &StabilityConfig) -> StabilityOutcome {
                 served += 1;
             }
         }
-        let total: u64 = queues.iter().sum();
+        let total = arrivals - served;
         max_total = max_total.max(total);
         sum_total += total as f64;
         if slot % sample_every == 0 {

@@ -239,13 +239,11 @@ impl RunStats {
     /// aggregation).
     ///
     /// Distributions merge through [`drill_stats::Distribution::merge`]:
-    /// at figure scale both stores are still exact and concatenate, so
-    /// merged quantiles remain exact order statistics; past
-    /// [`drill_stats::EXACT_SPILL_LIMIT`] samples the merged store is a
-    /// deterministic quantile sketch and quantiles become rank-bounded
-    /// estimates (see `Distribution::rank_error_bound`). Either way the
-    /// merge is a pure function of the operand states, so a fixed merge
-    /// order reproduces bit-identical stores at any thread count.
+    /// a run's stores are exact and concatenate, so merged quantiles
+    /// remain exact order statistics however many samples the seeds add
+    /// up to. The merge is a pure function of the operand states, so a
+    /// fixed merge order reproduces bit-identical stores at any thread
+    /// count.
     /// Everything else stays exact regardless of scale: histograms and
     /// per-hop tallies add, streaming moments combine with the standard
     /// Chan et al. update, counters (including `bytes_delivered`) sum,

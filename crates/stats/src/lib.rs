@@ -7,10 +7,10 @@
 //!
 //! * [`Moments`] — streaming count/mean/variance/min/max (Welford).
 //! * [`Distribution`] — a sample store with quantiles and CDF export. Exact
-//!   at figure scale (runs up to [`EXACT_SPILL_LIMIT`] samples keep every
-//!   value, so the 99.99th percentile is a true order statistic), spilling
-//!   into a bounded-memory [`QuantileSketch`] at production scale where
-//!   O(flows) storage would dominate the simulator's footprint.
+//!   unless built with [`Distribution::sketched`]: it keeps every value,
+//!   so the 99.99th percentile is a true order statistic at any sample
+//!   count; the sketched form trades that for a bounded-memory
+//!   [`QuantileSketch`] with a stated rank error.
 //! * [`QuantileSketch`] — the underlying deterministic, mergeable,
 //!   KLL-style sketch (O(k log n) memory, configured rank-error bound).
 //! * [`Histogram`] — fixed-bin counts (used for the dup-ACK distribution).
@@ -27,6 +27,6 @@ mod table;
 
 pub use histogram::Histogram;
 pub use moments::{stdev_of, Moments};
-pub use percentile::{Distribution, EXACT_SPILL_LIMIT};
+pub use percentile::Distribution;
 pub use sketch::{QuantileSketch, DEFAULT_SKETCH_K, MIN_LEVEL_CAP};
 pub use table::{f3, Table};

@@ -1,47 +1,38 @@
-//! Sample distributions with quantile queries and CDF export: exact at
-//! figure scale, spilling into a streaming sketch at production scale.
+//! Sample distributions with quantile queries and CDF export: exact, or
+//! a streaming sketch when built as one.
 //!
-//! The paper reports 99.99th percentiles of flow completion time; with the
-//! original run sizes (10^4–10^6 flows) an exact sorted store is cheap and
-//! avoids any tail distortion, so every figure golden stays bit-exact.
-//! Production-scale topologies (k=32/64 fat-trees, three-tier Clos) push
-//! sample counts past the point where O(flows) memory is acceptable, so a
-//! [`Distribution`] silently converts itself into a deterministic
-//! [`QuantileSketch`] once it crosses [`EXACT_SPILL_LIMIT`] samples. The
+//! The paper reports 99.99th percentiles of flow completion time, and a
+//! tail that far out is only as good as the order statistic it rests on:
+//! a rank-bounded estimate of p99.99 can be any sample from about p99.35
+//! up. So a [`Distribution`] keeps every sample (8 bytes each) however
+//! many arrive, and its quantiles are order statistics. A caller that
+//! wants bounded memory and accepts rank error asks for it by name with
+//! [`Distribution::sketched`], a deterministic [`QuantileSketch`]. The
 //! query API is identical in both modes; `count`, `mean`, `min` and `max`
-//! stay exact forever, quantiles/CDF become rank-bounded estimates after
-//! the spill (see [`Distribution::rank_error_bound`]).
+//! are exact in both, quantiles/CDF of a sketch are rank-bounded estimates
+//! (see [`Distribution::rank_error_bound`]).
 
 use crate::sketch::QuantileSketch;
-
-/// Samples kept exactly before a [`Distribution`] spills into the sketch.
-/// 2^20 doubles (8 MiB) comfortably covers every figure-scale run — all
-/// existing goldens stay in exact mode — while capping the worst case for
-/// multi-million-flow scale runs.
-pub const EXACT_SPILL_LIMIT: usize = 1 << 20;
 
 #[derive(Clone, Debug)]
 enum Store {
     /// Exact mode: samples kept verbatim, sorted lazily at query time.
     Exact { samples: Vec<f64>, sorted: bool },
-    /// Spilled mode: bounded-memory streaming sketch.
+    /// Sketch mode: bounded-memory streaming sketch.
     Sketch(QuantileSketch),
 }
 
-/// A store of `f64` samples with quantile queries: exact until
-/// `spill_limit` samples, a deterministic mergeable quantile sketch after.
+/// A store of `f64` samples with quantile queries: exact, or a
+/// deterministic mergeable quantile sketch if built with
+/// [`Distribution::sketched`].
 ///
 /// Samples in exact mode are kept unsorted until a query, then sorted
-/// lazily and the sorted state is cached until the next insertion —
-/// bit-compatible with the pre-sketch implementation, so small-scale
-/// goldens are unaffected by the spill machinery.
+/// lazily and the sorted state is cached until the next insertion.
 #[derive(Clone, Debug)]
 pub struct Distribution {
     store: Store,
     /// Exact running sum (both modes).
     sum: f64,
-    /// Exact-mode capacity before converting to the sketch.
-    spill_limit: usize,
 }
 
 impl Default for Distribution {
@@ -51,39 +42,22 @@ impl Default for Distribution {
 }
 
 impl Distribution {
-    /// An empty distribution with the default spill threshold
-    /// ([`EXACT_SPILL_LIMIT`]).
+    /// An empty exact distribution.
     pub fn new() -> Distribution {
-        Distribution::with_spill_limit(EXACT_SPILL_LIMIT)
+        Distribution::with_capacity(0)
     }
 
-    /// An empty distribution that stays exact for at most `limit` samples
-    /// before spilling into the sketch. `limit = 0` starts in sketch mode
-    /// immediately (see [`Distribution::sketched`]).
-    pub fn with_spill_limit(limit: usize) -> Distribution {
-        let store = if limit == 0 {
-            Store::Sketch(QuantileSketch::new())
-        } else {
-            Store::Exact {
-                samples: Vec::new(),
-                sorted: true,
-            }
-        };
+    /// An empty distribution in sketch mode — the differential goldens use
+    /// this to compare sketch estimates against the exact store on
+    /// identical input, and scale runs to bound memory.
+    pub fn sketched() -> Distribution {
         Distribution {
-            store,
+            store: Store::Sketch(QuantileSketch::new()),
             sum: 0.0,
-            spill_limit: limit,
         }
     }
 
-    /// An empty distribution in sketch mode from the first sample — the
-    /// differential goldens use this to compare sketch estimates against
-    /// the exact store on identical input.
-    pub fn sketched() -> Distribution {
-        Distribution::with_spill_limit(0)
-    }
-
-    /// Pre-allocate space for `n` samples (exact mode).
+    /// An empty exact distribution with space for `n` samples.
     pub fn with_capacity(n: usize) -> Distribution {
         Distribution {
             store: Store::Exact {
@@ -91,7 +65,6 @@ impl Distribution {
                 sorted: true,
             },
             sum: 0.0,
-            spill_limit: EXACT_SPILL_LIMIT,
         }
     }
 
@@ -109,8 +82,8 @@ impl Distribution {
         }
     }
 
-    /// Samples (exact mode) or sketch items (spilled mode) currently held
-    /// in memory. After a spill this is O(k log n), not O(n).
+    /// Samples (exact mode) or sketch items (sketch mode) currently held
+    /// in memory: O(n) exact, O(k log n) as a sketch.
     pub fn retained(&self) -> usize {
         match &self.store {
             Store::Exact { samples, .. } => samples.len(),
@@ -119,7 +92,7 @@ impl Distribution {
     }
 
     /// Rank-error envelope of quantile queries: `None` in exact mode,
-    /// `Some(eps)` after spilling (estimates land within `eps * count`
+    /// `Some(eps)` in sketch mode (estimates land within `eps * count`
     /// ranks of the exact order statistic; see
     /// [`QuantileSketch::rank_error_bound`]).
     pub fn rank_error_bound(&self) -> Option<f64> {
@@ -150,16 +123,6 @@ impl Distribution {
         }
     }
 
-    fn spill(&mut self) {
-        if let Store::Exact { samples, .. } = &mut self.store {
-            let mut sk = QuantileSketch::new();
-            for &x in samples.iter() {
-                sk.add(x);
-            }
-            self.store = Store::Sketch(sk);
-        }
-    }
-
     /// Observe one value. Non-finite values are a caller bug and panic in
     /// debug builds.
     #[inline]
@@ -170,9 +133,6 @@ impl Distribution {
             Store::Exact { samples, sorted } => {
                 samples.push(x);
                 *sorted = false;
-                if samples.len() > self.spill_limit {
-                    self.spill();
-                }
             }
             Store::Sketch(s) => s.add(x),
         }
@@ -180,40 +140,31 @@ impl Distribution {
 
     /// Merge all mass of `other` into `self`.
     ///
-    /// Exact + exact under the spill threshold concatenates samples
-    /// (quantiles over the merged store stay exact, bit-identical to the
-    /// pre-sketch behaviour). Any other combination — either side already
-    /// spilled, or the union crossing the threshold — produces a sketch.
-    /// The result is a pure function of the operand states, so a fixed
-    /// merge order reproduces identical stores on any thread count.
+    /// Exact + exact concatenates samples, so quantiles over the merged
+    /// store stay order statistics at any size. A sketch on either side
+    /// makes the result a sketch: the one lossy operand decides. The
+    /// result is a pure function of the operand states, so a fixed merge
+    /// order reproduces identical stores on any thread count.
     pub fn merge(&mut self, other: &Distribution) {
         if other.is_empty() {
             // Merging in an empty store (whatever its mode) is a no-op —
-            // in particular it must not spill an exact store.
+            // in particular an empty sketch must not turn an exact store
+            // into one.
             return;
         }
         self.sum += other.sum;
         match (&mut self.store, &other.store) {
             (Store::Exact { samples, sorted }, Store::Exact { samples: os, .. }) => {
-                if samples.len() + os.len() <= self.spill_limit {
-                    samples.extend_from_slice(os);
-                    *sorted = samples.len() <= 1;
-                } else {
-                    self.spill();
-                    if let (Store::Sketch(sk), Store::Exact { samples: os, .. }) =
-                        (&mut self.store, &other.store)
-                    {
-                        for &x in os.iter() {
-                            sk.add(x);
-                        }
-                    }
-                }
+                samples.extend_from_slice(os);
+                *sorted = samples.len() <= 1;
             }
-            (Store::Exact { .. }, Store::Sketch(osk)) => {
-                self.spill();
-                if let Store::Sketch(sk) = &mut self.store {
-                    sk.merge(osk);
+            (Store::Exact { samples, .. }, Store::Sketch(osk)) => {
+                let mut sk = QuantileSketch::new();
+                for &x in samples.iter() {
+                    sk.add(x);
                 }
+                sk.merge(osk);
+                self.store = Store::Sketch(sk);
             }
             (Store::Sketch(sk), Store::Exact { samples: os, .. }) => {
                 for &x in os.iter() {
@@ -307,8 +258,8 @@ impl Distribution {
 
     /// Export up to `points` evenly spaced `(value, cumulative fraction)`
     /// pairs describing the empirical CDF — the series the paper's CDF
-    /// figures plot. Exact order statistics before the spill, rank-bounded
-    /// estimates after.
+    /// figures plot. Exact order statistics, or rank-bounded estimates in
+    /// sketch mode.
     pub fn cdf(&mut self, points: usize) -> Vec<(f64, f64)> {
         self.ensure_sorted();
         match &self.store {
@@ -331,8 +282,8 @@ impl Distribution {
         }
     }
 
-    /// Fraction of samples strictly greater than `x` (exact before the
-    /// spill, estimated after).
+    /// Fraction of samples strictly greater than `x` (estimated in sketch
+    /// mode).
     pub fn frac_above(&mut self, x: f64) -> f64 {
         self.ensure_sorted();
         match &self.store {
@@ -507,31 +458,7 @@ mod tests {
         assert!(d.percentile(99.0) < 2.0);
     }
 
-    // ---- spill / sketch-mode behaviour --------------------------------
-
-    #[test]
-    fn spills_past_the_limit_and_keeps_exact_fields_exact() {
-        let mut d = Distribution::with_spill_limit(100);
-        for i in 0..100 {
-            d.add(i as f64);
-        }
-        assert!(d.is_exact());
-        d.add(100.0);
-        assert!(!d.is_exact(), "sample 101 crosses the limit");
-        for i in 101..1000 {
-            d.add(i as f64);
-        }
-        // Count, mean, extrema stay exact across the spill.
-        assert_eq!(d.count(), 1000);
-        assert!((d.mean() - 499.5).abs() < 1e-9);
-        assert_eq!(d.min(), 0.0);
-        assert_eq!(d.max(), 999.0);
-        assert!(d.retained() < 1000);
-        // Quantiles are estimates within the configured rank error.
-        let eps = d.rank_error_bound().expect("sketch mode");
-        let p50 = d.percentile(50.0);
-        assert!((p50 - 499.5).abs() <= eps * 1000.0 + 1.0, "p50 = {p50}");
-    }
+    // ---- sketch-mode behaviour and mode boundaries ---------------------
 
     #[test]
     fn sketched_starts_in_sketch_mode() {
@@ -563,19 +490,30 @@ mod tests {
     }
 
     #[test]
-    fn merge_spills_when_union_crosses_the_limit() {
-        let mut a = Distribution::with_spill_limit(150);
-        let mut b = Distribution::with_spill_limit(150);
-        for i in 0..100 {
-            a.add(i as f64);
-            b.add((i + 100) as f64);
+    fn exact_merge_past_a_million_samples_stays_exact() {
+        // Four seeds' worth of 300 000 samples each: 1.2 M > 2^20, and the
+        // merged store still answers with order statistics.
+        const PER: usize = 300_000;
+        let mut merged = Distribution::new();
+        for part in 0..4 {
+            let mut d = Distribution::with_capacity(PER);
+            for i in 0..PER {
+                d.add((i * 4 + part) as f64);
+            }
+            merged.merge(&d);
         }
-        assert!(a.is_exact() && b.is_exact());
-        a.merge(&b);
-        assert!(!a.is_exact(), "200 samples exceed the 150 limit");
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 199.0);
+        let n = 4 * PER;
+        assert!(n > 1 << 20);
+        assert!(merged.is_exact());
+        assert_eq!(merged.rank_error_bound(), None);
+        assert_eq!(merged.count(), n);
+        assert_eq!(merged.retained(), n);
+        // Samples are 0..n: the q-quantile is the order statistic q(n-1).
+        assert_eq!(merged.quantile(0.0), 0.0);
+        assert_eq!(merged.quantile(0.5), (n - 1) as f64 / 2.0);
+        assert!((merged.percentile(99.99) - 0.9999 * (n - 1) as f64).abs() < 1e-6);
+        assert_eq!(merged.max(), (n - 1) as f64);
+        assert_eq!(merged.frac_above((n - 2) as f64), 1.0 / n as f64);
     }
 
     #[test]
@@ -605,7 +543,7 @@ mod tests {
     #[test]
     fn sketch_digest_is_replay_stable() {
         let build = || {
-            let mut d = Distribution::with_spill_limit(64);
+            let mut d = Distribution::sketched();
             for i in 0..5_000 {
                 d.add((i as f64 * 97.0) % 1013.0);
             }

@@ -28,16 +28,26 @@ echo "== retired build/run modes stay retired =="
 # state); so were drill-net's snapio module with its net-event codec
 # (a pending event is snapshotted in the wheel's own form), the decoded
 # trace's own model TraceRing (a decoded trace is a FlightRecorder), the
-# second DRILLSNAP version constant and the retired-layout flag; nothing
-# may select them again. (This script names them, so it is
+# second DRILLSNAP version constant and the retired-layout flag; so was
+# the Distribution's silent spill into the sketch past a sample limit
+# (a store is a sketch only if built as one); nothing may select them
+# again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
     echo "a retired feature or knob is referenced again (see above)"; exit 1
+fi
+
+echo "== the stability model samples through DrillPolicy only =="
+# The §3.2.4 theorems are checked on the selector the switches run:
+# drill_core::stability::simulate places every packet with
+# DrillPolicy::select, so the model draws no sample of its own.
+if grep -n 'sample_indices' crates/core/src/stability.rs; then
+    echo "crates/core/src/stability.rs samples on its own again (see above)"; exit 1
 fi
 
 echo "== one unsafe block, in PacketArena::prefetch =="
