@@ -6,10 +6,10 @@
 //! bounded queues, NIC backlog accounting, event-time monotonicity — that
 //! goldens only check after the fact. This crate is the *detection* half
 //! of fault tolerance: the runtime samples a [`BoundarySample`] at
-//! checkpoint/window boundaries and hands it to the [`InvariantAuditor`],
+//! boundaries between events and hands it to the [`InvariantAuditor`],
 //! which evaluates cheap incremental watchdogs over the sample. A run
 //! without an auditor attached has no boundaries at all, so it pays only
-//! the event loop's existing integer compare.
+//! one `Option` check per event.
 //!
 //! On a trip the auditor does **not** panic: it records a typed
 //! [`AnomalyReport`], and the runtime dumps the [`SnapshotRing`] — the
@@ -20,9 +20,12 @@
 //! # Cost contract
 //!
 //! Watchdogs are O(switch ports + flows) per boundary and allocation-free
-//! after warm-up; boundaries default to every 50k events, so the audit
-//! amortizes to a few percent of the event loop (`drillbench`'s
-//! `audit.overhead_ratio`). Nothing an auditor observes may steer the
+//! after warm-up. A boundary falls every 50k events by default, or a
+//! quarter of the stall threshold (`stuck_after`, 500 ms by default) of
+//! simulated time after the last one when events are sparser — so an
+//! idle tail is still watched and a stall of 1.5 × `stuck_after` is
+//! always reported — and the audit amortizes to a few percent of the
+//! event loop (`drillbench`'s `audit.overhead_ratio`). Nothing an auditor observes may steer the
 //! simulation: auditor-on fingerprints are pinned bit-identical to
 //! auditor-off.
 

@@ -10,8 +10,6 @@
 //!   trains, DRILL(2,1), 2 engines) with the flight recorder attached,
 //!   then analyze its trace in-process. `DRILL_SCALE` / `DRILL_SEED`
 //!   apply as in the other harness binaries.
-//! * `--trace <path>` — decode an existing `DRILLTRC` file (written via
-//!   `ExperimentConfig::telemetry.trace_path`) and print the same tables.
 //! * `--sabotage <leak|blackhole> [--audit-dir <dir>]` — run a small
 //!   deterministic experiment with the `drill-audit` watchdogs attached
 //!   and a deliberately broken runtime (a leaked arena handle or a
@@ -38,9 +36,7 @@ use drill_telemetry::analyze::{
     decision_quality, depth_stdev_timeline, fault_timeline, packet_trips, queue_timelines,
     reordering,
 };
-use drill_telemetry::{
-    fault_kind, read_trace, FlightRecorder, RingKind, TraceEvent, DEFAULT_RING_CAPACITY,
-};
+use drill_telemetry::{fault_kind, FlightRecorder, RingKind, TraceEvent, DEFAULT_RING_CAPACITY};
 
 /// Sampling bucket for the reconstructed queue timelines (Fig. 2 samples
 /// every 10 µs).
@@ -525,25 +521,11 @@ fn main() {
         replay_from(&PathBuf::from(dir));
         return;
     }
-    let trace = match args.iter().position(|a| a == "--trace") {
-        Some(i) => {
-            let path = args.get(i + 1).expect("--trace needs a file path");
-            banner(
-                "tracedump: flight-recorder trace analysis",
-                Scale::from_env(),
-            );
-            let bytes =
-                std::fs::read(path).unwrap_or_else(|e| panic!("cannot read trace {path}: {e}"));
-            read_trace(&mut &bytes[..]).unwrap_or_else(|e| panic!("cannot decode {path}: {e}"))
-        }
-        None => {
-            banner(
-                "tracedump: record + analyze a Fig. 2-shaped run",
-                Scale::from_env(),
-            );
-            recorded_trace()
-        }
-    };
+    banner(
+        "tracedump: record + analyze a Fig. 2-shaped run",
+        Scale::from_env(),
+    );
+    let trace = recorded_trace();
     header(&trace);
     fault_report(&trace);
     fig2_timeline(&trace);

@@ -128,16 +128,6 @@ impl Default for SyntheticMode {
     }
 }
 
-/// Flight-recorder telemetry (see `drill-telemetry`). Attaching a spec to
-/// [`ExperimentConfig::telemetry`] makes the run record lifecycle events;
-/// metrics stay bit-identical either way (probes observe, never steer).
-#[derive(Clone, Debug, Default)]
-pub struct TelemetrySpec {
-    /// Where to write the `DRILLTRC` trace file after the run (`None` =
-    /// keep the recorder in memory only, returned by `run_recorded`).
-    pub trace_path: Option<std::path::PathBuf>,
-}
-
 /// Inert, holds nothing: only the frozen `benchmark/` names it (gone at
 /// its next re-base).
 #[derive(Clone, Debug)]
@@ -200,10 +190,6 @@ pub struct ExperimentConfig {
     pub raw_packet_mode: bool,
     /// Hard cap on processed events (safety valve; 0 = unlimited).
     pub max_events: u64,
-    /// Flight-recorder telemetry (off by default). Sweeps can opt in per
-    /// point through [`SweepSpec::configure`](crate::SweepSpec::configure),
-    /// e.g. setting a distinct `trace_path` per grid cell.
-    pub telemetry: Option<TelemetrySpec>,
     /// Inert: `World` reads nothing from it (see [`ShardSpec`]).
     pub shards: Option<ShardSpec>,
     /// Write `DRILLSNAP` state snapshots while the run executes (off by
@@ -211,12 +197,13 @@ pub struct ExperimentConfig {
     /// [`World::restore`](crate::World::restore).
     pub checkpoint: Option<CheckpointSpec>,
     /// Run the invariant auditor alongside the simulation (off by
-    /// default). Watchdogs fire at event-count boundaries; results stay
+    /// default), whichever entry point starts the run. Watchdogs fire at
+    /// boundaries counted in events and in simulated time; results stay
     /// bit-identical either way (audits observe, never steer).
     pub audit: Option<AuditSpec>,
     /// Deliberately break an invariant mid-run (auditor negative tests
     /// and the `tracedump --sabotage` demo; off by default). Only honored
-    /// by audited runs.
+    /// when `audit` is set.
     pub sabotage: Option<drill_faults::SabotageSpec>,
 }
 
@@ -229,10 +216,14 @@ pub struct ExperimentConfig {
 #[derive(Clone, Debug)]
 pub struct AuditSpec {
     /// Evaluate watchdogs (and ring a checkpoint) every this many
-    /// processed events. 0 disables boundaries entirely.
+    /// processed events. 0 counts no boundary in events.
     pub every_events: u64,
     /// A started, uncompleted flow with no newly acknowledged byte for
-    /// this long is reported stuck.
+    /// this long is reported stuck. It also sets the boundaries counted
+    /// in simulated time: one falls `stuck_after / 4` after the last
+    /// boundary if `every_events` has not brought one sooner, so any
+    /// stall of 1.5 × `stuck_after` is reported however few events it
+    /// spans (zero counts no boundary in time).
     pub stuck_after: Time,
     /// Where a trip dumps `ring-*.drillsnap`, `faulted.drillsnap`, and
     /// `anomaly.meta`. `None` records reports only.
@@ -283,7 +274,6 @@ impl ExperimentConfig {
             sample_queues: false,
             raw_packet_mode: false,
             max_events: 0,
-            telemetry: None,
             shards: None,
             checkpoint: None,
             audit: None,

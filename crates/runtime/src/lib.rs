@@ -22,8 +22,10 @@
 //! * [`run_audited`] — the same run with the `drill-audit`
 //!   invariant watchdogs (packet conservation, stuck flows, queue
 //!   ceilings, NIC backlog accounting, time monotonicity) evaluated at
-//!   event-count boundaries; audits observe but never steer, and a trip
-//!   dumps the snapshot ring for `tracedump --replay-from`.
+//!   boundaries counted in events and in simulated time; audits observe
+//!   but never steer, and a trip dumps the snapshot ring for
+//!   `tracedump --replay-from`. Every entry point attaches the auditor
+//!   when [`ExperimentConfig::audit`] is set; this one fills in a default.
 
 #![warn(missing_docs)]
 // The 80-line limit (`clippy.toml`) for everything but the tests.
@@ -37,8 +39,7 @@ mod sweep;
 mod world;
 
 pub use config::{
-    AuditSpec, CheckpointSpec, ExperimentConfig, ShardSpec, SyntheticMode, TelemetrySpec, TopoSpec,
-    WorkloadSpec,
+    AuditSpec, CheckpointSpec, ExperimentConfig, ShardSpec, SyntheticMode, TopoSpec, WorkloadSpec,
 };
 pub use scheme::Scheme;
 pub use snapshot::Snapshot;

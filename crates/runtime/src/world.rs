@@ -3,22 +3,24 @@
 //! control plane (`control`), transport (`flows`), workload, audit
 //! (DESIGN.md "World layout" has which struct owns what).
 
-use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor, SnapshotRing};
-use drill_faults::{FaultInjector, FaultKind, SabotageKind, SabotageSpec};
+use drill_audit::AnomalyReport;
+use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{HopClass, HostId, NetEvent, NetSink, Packet, PacketRef, SwitchId, Topology};
 use drill_sim::{EventQueue, SimRng, Time};
 use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe};
 use drill_transport::{ShimBuffer, TcpFlow};
 
-use crate::config::{AuditSpec, ExperimentConfig};
+use crate::config::ExperimentConfig;
 use crate::stats::RunStats;
 
+mod audit;
 mod control;
 mod flows;
 mod net;
 mod snapshot;
 mod workload;
 
+use audit::Audit;
 use control::{Control, FaultTimeline};
 use flows::{FlowClass, FlowTable};
 use net::{Net, StdvSampler};
@@ -289,29 +291,18 @@ pub fn random_leaf_spine_failures(topo: &Topology, n: usize, seed: u64) -> Vec<(
     pairs
 }
 
-/// Execute one experiment configuration to completion.
-///
-/// With `cfg.telemetry` unset (the default) this runs the probe-free
-/// build; with a [`TelemetrySpec`](crate::config::TelemetrySpec) attached
-/// it records a flight-recorder trace (see [`run_recorded`]) and discards
-/// the telemetry, returning the — bit-identical — stats either way.
+/// Execute one experiment configuration to completion. Like every entry
+/// point, it attaches the invariant auditor exactly when `cfg.audit` is
+/// set (reports are counted into [`RunStats::anomalies`]).
 pub fn run(cfg: &ExperimentConfig) -> RunStats {
-    if cfg.telemetry.is_some() {
-        run_recorded(cfg).0
-    } else {
-        run_probed(cfg, NoopProbe).0
-    }
+    run_probed(cfg, NoopProbe).0
 }
 
 /// Execute one experiment with a caller-supplied telemetry probe, returning
 /// the stats together with the probe for inspection. `run_probed(cfg,
 /// NoopProbe)` compiles to exactly the probe-free simulation.
-///
-/// With `cfg.audit` attached the invariant auditor rides along (reports
-/// are counted into [`RunStats::anomalies`] and any trip dumps to the
-/// spec's `dump_dir`); without it the run has no audit boundaries.
 pub fn run_probed<P: Probe>(cfg: &ExperimentConfig, probe: P) -> (RunStats, P) {
-    let mut w = World::build(cfg.clone(), probe, cfg.audit.is_some());
+    let mut w = World::build(cfg.clone(), probe);
     w.prime();
     let (stats, probe, _reports) = w.finish_parts();
     (stats, probe)
@@ -324,29 +315,18 @@ pub fn run_probed<P: Probe>(cfg: &ExperimentConfig, probe: P) -> (RunStats, P) {
 pub fn run_audited(cfg: &ExperimentConfig) -> (RunStats, Vec<AnomalyReport>) {
     let mut cfg = cfg.clone();
     cfg.audit.get_or_insert_with(Default::default);
-    let mut w = World::build(cfg, NoopProbe, true);
-    w.prime();
-    let (stats, _, reports) = w.finish_parts();
+    let (stats, _, reports) = World::new(&cfg).finish_parts();
     (stats, reports)
 }
 
-/// Execute one experiment with the flight recorder attached, and write
-/// the trace file if `cfg.telemetry` names a path.
+/// Execute one experiment with the flight recorder attached.
 pub fn run_recorded(cfg: &ExperimentConfig) -> (RunStats, FlightRecorder) {
     let recorder = FlightRecorder::new(
         cfg.topo.build().num_switches(),
         cfg.engines,
         drill_telemetry::DEFAULT_RING_CAPACITY,
     );
-    let (stats, recorder) = run_probed(cfg, recorder);
-    if let Some(path) = cfg.telemetry.as_ref().and_then(|t| t.trace_path.as_ref()) {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| panic!("telemetry trace {}: {e}", path.display()));
-        let mut w = std::io::BufWriter::new(file);
-        drill_telemetry::write_trace(&recorder, &mut w)
-            .unwrap_or_else(|e| panic!("telemetry trace {}: {e}", path.display()));
-    }
-    (stats, recorder)
+    run_probed(cfg, recorder)
 }
 
 impl World<NoopProbe> {
@@ -354,7 +334,7 @@ impl World<NoopProbe> {
     /// for stepwise execution: [`run_to`](World::run_to) →
     /// [`snapshot`](World::snapshot) → [`finish`](World::finish).
     pub fn new(cfg: &ExperimentConfig) -> World<NoopProbe> {
-        let mut w = World::build(cfg.clone(), NoopProbe, false);
+        let mut w = World::build(cfg.clone(), NoopProbe);
         w.prime();
         w
     }
@@ -390,9 +370,9 @@ impl<P: Probe> World<P> {
         self.queue.events_processed()
     }
 
-    /// `audited` attaches the invariant auditor `cfg.audit` describes;
-    /// stepwise and restored worlds pass `false` and ignore the spec.
-    fn build(cfg: ExperimentConfig, probe: P, audited: bool) -> World<P> {
+    /// The world `cfg` describes, with the invariant auditor attached
+    /// exactly when `cfg.audit` is set.
+    fn build(cfg: ExperimentConfig, probe: P) -> World<P> {
         let mut topo = cfg.topo.build();
         let mut injector = FaultInjector::new();
         for &(a, b) in &cfg.failed_links {
@@ -400,7 +380,6 @@ impl<P: Probe> World<P> {
         }
         let control = Control::new(&cfg, &topo);
         let net = Net::new(&cfg, topo, &control.routes);
-        let audit = cfg.audit.as_ref().filter(|_| audited);
         World {
             queue: EventQueue::new(),
             probe,
@@ -409,7 +388,10 @@ impl<P: Probe> World<P> {
             faults: FaultTimeline::new(&cfg),
             flows: FlowTable::new(cfg.scheme),
             stats: RunStats::new(cfg.scheme.name()),
-            audit: audit.map(|spec| Audit::new(spec, cfg.sabotage)),
+            audit: cfg
+                .audit
+                .as_ref()
+                .map(|spec| Audit::new(spec, cfg.sabotage)),
             net,
             control,
             cfg,
@@ -484,23 +466,10 @@ impl<P: Probe> World<P> {
                     saved.unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path.display()));
                 }
             }
-            if self
-                .audit
-                .as_ref()
-                .is_some_and(|a| a.every > 0 && events.is_multiple_of(a.every))
-            {
-                self.audit_boundary();
+            if self.audit.is_some() {
+                self.audit_boundaries(events, deadline);
             }
         }
-    }
-
-    /// The `LeakPacket` sabotage (audited runs only; negative tests and
-    /// the tracedump demo): intern a dummy packet and drop the handle.
-    fn leak_packet(&mut self, now: Time) {
-        self.flows.pkt_ids += 1;
-        let id = drill_net::FlowId(u32::MAX);
-        let p = Packet::data(self.flows.pkt_ids, id, HostId(0), HostId(0), 0, 0, 1, now);
-        let _leaked = self.net.arena.insert(p);
     }
 
     fn dispatch(&mut self, now: Time, ev: Packed) {
@@ -803,201 +772,6 @@ impl<P: Probe> World<P> {
             .map_or_else(Vec::new, |a| a.auditor.reports().to_vec());
         self.stats.anomalies = reports.len() as u64;
         (self.stats, self.probe, reports)
-    }
-}
-
-/// Snapshots the audit ring keeps (oldest evicted first).
-const AUDIT_RING_ENTRIES: usize = 4;
-
-/// The audit ring's total-bytes bound (the newest entry always survives).
-const AUDIT_RING_BYTES: usize = 64 << 20;
-
-/// Anomaly reports an audited run records before it stops recording.
-const AUDIT_MAX_REPORTS: usize = 8;
-
-/// Attached by the audited run entry points only. The auditor observes
-/// boundary samples but never steers, so auditor-on fingerprints are
-/// pinned bit-identical to auditor-off; a run without one has no
-/// boundaries and honours no sabotage.
-struct Audit {
-    auditor: InvariantAuditor,
-    /// Last-K `DRILLSNAP` ring retaining the most recent *clean*
-    /// boundaries: the rewind pool a trip dumps. It is only ever
-    /// observable through a dump, so it is armed — and the per-boundary
-    /// snapshot cost paid — only when the spec names a `dump_dir`.
-    ring: Option<SnapshotRing>,
-    /// Boundary period in processed events (0 = no boundaries).
-    every: u64,
-    /// A trip dumps ring + faulted snapshot + meta exactly once.
-    dumped: bool,
-    /// `cfg.sabotage`; the one-shot `LeakPacket` clears it when it fires.
-    sabotage: Option<SabotageSpec>,
-}
-
-impl Audit {
-    fn new(spec: &AuditSpec, sabotage: Option<SabotageSpec>) -> Audit {
-        Audit {
-            auditor: InvariantAuditor::new(spec.stuck_after, AUDIT_MAX_REPORTS),
-            ring: spec
-                .dump_dir
-                .is_some()
-                .then(|| SnapshotRing::new(AUDIT_RING_ENTRIES, AUDIT_RING_BYTES)),
-            every: spec.every_events,
-            dumped: false,
-            sabotage,
-        }
-    }
-
-    /// Whether the one-shot `LeakPacket` sabotage fires at `now`.
-    fn leak_due(&mut self, now: Time) -> bool {
-        let due = matches!(
-            self.sabotage,
-            Some(SabotageSpec { at, kind: SabotageKind::LeakPacket }) if now >= at
-        );
-        if due {
-            self.sabotage = None;
-        }
-        due
-    }
-
-    /// Whether the `BlackholeFlow` sabotage discards this packet of
-    /// `flow` at its receiver.
-    fn blackholes(&self, flow: u32, is_ack: bool, now: Time) -> bool {
-        matches!(
-            self.sabotage,
-            Some(SabotageSpec { at, kind: SabotageKind::BlackholeFlow { flow: target } })
-                if flow == target && !is_ack && now >= at
-        )
-    }
-}
-
-impl<P: Probe> World<P> {
-    /// Assemble one [`BoundarySample`] — between dispatches, so every
-    /// count is consistent — and hand it to the auditor. Clean boundaries
-    /// feed the snapshot ring; the first tripped boundary dumps it.
-    fn audit_boundary(&mut self) {
-        let (mut sample, flows) = self.boundary_sample();
-        let Some(audit) = self.audit.as_mut() else {
-            return;
-        };
-        sample.flows = &flows;
-        let before = audit.auditor.reports().len();
-        audit.auditor.on_boundary(&sample);
-        let (now, events) = (sample.now, sample.events);
-        if let Some(report) = audit.auditor.reports().get(before).cloned() {
-            self.audit_trip(report);
-        } else if audit.ring.is_some() && before == 0 {
-            // Only clean boundaries enter the ring: after a trip the ring
-            // freezes as the rewind pool ending just before the anomaly.
-            let bytes = self.snapshot().to_bytes();
-            if let Some(ring) = self.audit.as_mut().and_then(|a| a.ring.as_mut()) {
-                ring.push(now, events, bytes);
-            }
-        }
-    }
-
-    /// The boundary sample, with its flow rows apart. Holder walk: every
-    /// live arena handle is in exactly one of the switch queues (waiting +
-    /// in-flight), NIC queues (the in-flight head stays queued until
-    /// tx-done), shim reorder buffers, or packet-carrying pending events.
-    /// Along the way, find the fullest waiting queue for the ceiling
-    /// watchdog, and each flow's earliest pending RTO wake for the
-    /// lost-wake one.
-    fn boundary_sample(&mut self) -> (BoundarySample<'static>, Vec<FlowProgress>) {
-        let mut holders: u64 = 0;
-        let mut max_wait = (0u64, 0u32, 0u16);
-        for (si, sw) in self.net.switches.iter().enumerate() {
-            for port in 0..sw.num_ports() as u16 {
-                holders += sw.queue_pkts(port) as u64;
-                let wb = sw.waiting_bytes(port);
-                if wb > max_wait.0 {
-                    max_wait = (wb, si as u32, port);
-                }
-            }
-        }
-        // A NIC holds only its built packets; the unsent segments of a
-        // raw-flow train are in no arena yet. Its byte counter, though,
-        // covers both, and must match a recount from the entries.
-        let mut nic_backlog_mismatch = None;
-        for (h, nic) in self.net.nics.iter().enumerate() {
-            holders += nic.backlog_pkts() as u64;
-            let (counted, walked) = (nic.backlog_bytes(), nic.walked_backlog_bytes());
-            if counted != walked && nic_backlog_mismatch.is_none() {
-                nic_backlog_mismatch = Some((h as u32, counted, walked));
-            }
-        }
-        let shims = self.flows.records.iter().filter_map(|r| r.shim.as_ref());
-        holders += shims.map(|s| s.held() as u64).sum::<u64>();
-        let mut wakes = vec![Time::MAX; self.flows.records.len()];
-        self.queue
-            .for_each_pending(|at, _, &ev| match Event::from(ev) {
-                Event::Net(NetEvent::ArriveSwitch { .. } | NetEvent::ArriveHost { .. }) => {
-                    holders += 1
-                }
-                Event::TcpTimer { flow } => wakes[flow as usize] = wakes[flow as usize].min(at),
-                _ => {}
-            });
-        let records = self.flows.records.iter().zip(wakes).enumerate();
-        let flows = records
-            .map(|(i, (r, wake))| FlowProgress {
-                flow: i as u32,
-                bytes_acked: r.tcp.bytes_acked,
-                start: r.tcp.start,
-                done: r.tcp.done.is_some(),
-                in_flight: r.tcp.in_flight(),
-                rto_at: r.tcp.rto_at(),
-                wake: (wake != Time::MAX).then_some(wake),
-            })
-            .collect();
-        let sample = BoundarySample {
-            now: self.queue.now(),
-            events: self.queue.events_processed(),
-            arena_live: self.net.arena.live() as u64,
-            holders,
-            max_wait_bytes: max_wait.0,
-            max_wait_switch: max_wait.1,
-            max_wait_port: max_wait.2,
-            queue_limit_bytes: self.cfg.queue_limit_bytes,
-            nic_backlog_mismatch,
-            next_event_time: self.queue.peek_time(),
-            flows: &[],
-        };
-        (sample, flows)
-    }
-
-    /// Graceful degradation on a watchdog trip: no panic — dump the
-    /// snapshot ring, a `DRILLSNAP` of the faulted instant, and an
-    /// `anomaly.meta` describing the first new report into the spec's
-    /// `dump_dir` (once per run), leaving the run to complete normally.
-    fn audit_trip(&mut self, report: AnomalyReport) {
-        let Some(audit) = self.audit.as_mut().filter(|a| !a.dumped) else {
-            return;
-        };
-        audit.dumped = true;
-        let Some(dir) = self.cfg.audit.as_ref().and_then(|s| s.dump_dir.clone()) else {
-            return;
-        };
-        let ring = self.audit.as_ref().and_then(|a| a.ring.as_ref());
-        let result = (|| -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let ring_paths = match ring {
-                Some(ring) => ring.dump(&dir)?,
-                None => Vec::new(),
-            };
-            self.snapshot().save(dir.join("faulted.drillsnap"))?;
-            let mut meta = report.meta_lines();
-            if let Some(rewind) = ring_paths.last().and_then(|p| p.file_name()) {
-                meta.push(format!("rewind={}", rewind.to_string_lossy()));
-            }
-            if let Some(e) = ring.and_then(|r| r.newest()) {
-                meta.push(format!("rewind_events={}", e.events));
-            }
-            meta.push("faulted=faulted.drillsnap".to_string());
-            std::fs::write(dir.join("anomaly.meta"), meta.join("\n") + "\n")
-        })();
-        if let Err(e) = result {
-            eprintln!("audit dump {}: {e}", dir.display());
-        }
     }
 }
 
@@ -1454,26 +1228,6 @@ mod tests {
         assert_eq!(base.flows_completed, stats.flows_completed);
         assert_eq!(base.mean_fct_ms().to_bits(), stats.mean_fct_ms().to_bits());
         assert!(recorder.event_count() > 1000, "recorder saw traffic");
-    }
-
-    #[test]
-    fn telemetry_config_knob_writes_trace_file() {
-        let path = std::env::temp_dir().join(format!(
-            "drill_world_trace_test_{}.drilltrc",
-            std::process::id()
-        ));
-        let mut cfg = quick_cfg(Scheme::Ecmp, 0.2);
-        cfg.duration = Time::from_millis(1);
-        cfg.telemetry = Some(crate::config::TelemetrySpec {
-            trace_path: Some(path.clone()),
-        });
-        let stats = run(&cfg);
-        assert!(stats.flows_started > 0);
-        let bytes = std::fs::read(&path).expect("trace file written");
-        let trace = drill_telemetry::read_trace(&mut &bytes[..]).expect("trace decodes");
-        assert!(trace.event_count() > 0);
-        assert_eq!(trace.num_switches(), cfg.topo.build().num_switches());
-        std::fs::remove_file(&path).ok();
     }
 
     /// The one case where a restart must push: back-off doubled the RTO

@@ -213,7 +213,7 @@ impl<P: Probe> World<P> {
         cfg: &ExperimentConfig,
         probe: P,
     ) -> io::Result<World<P>> {
-        let mut w = World::build(cfg.clone(), probe, false);
+        let mut w = World::build(cfg.clone(), probe);
         let (now, next_seq, popped) = w.load_meta(snap)?;
 
         // FAULTS: check the applied prefix against this config's timeline,

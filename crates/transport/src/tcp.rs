@@ -32,16 +32,10 @@ pub struct TcpConfig {
     pub rto_init: Time,
     /// Congestion-window cap (models the receive window), bytes.
     pub max_cwnd_bytes: u64,
-    /// Duplicate-ACK fast-retransmit threshold.
-    pub dupack_thresh: u32,
-    /// Nagle's algorithm (RFC 896), on by default as in Linux 2.6: a
-    /// sub-MSS segment is held back while any data is unacknowledged.
-    /// Besides its latency trade-off, Nagle prevents a flow's short
-    /// trailing segment from being emitted back-to-back behind a full one
-    /// — which, under per-packet multipathing in a store-and-forward
-    /// fabric, would routinely overtake it and masquerade as reordering.
-    pub nagle: bool,
 }
+
+/// Duplicate ACKs that trigger fast retransmit (RFC 5681).
+const DUPACK_THRESH: u32 = 3;
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -55,8 +49,6 @@ impl Default for TcpConfig {
             // this cap also bounds per-flow self-inflicted (bufferbloat)
             // queueing at the last hop.
             max_cwnd_bytes: 256 * 1024,
-            dupack_thresh: 3,
-            nagle: true,
         }
     }
 }
@@ -249,21 +241,26 @@ impl TcpFlow {
         self.restart_timer(now);
     }
 
-    /// Emit as many new segments as the window (and Nagle) allow.
+    /// Emit as many new segments as the window and Nagle's algorithm
+    /// allow.
+    ///
+    /// Nagle (RFC 896) is always on, as in Linux 2.6: a sub-MSS segment is
+    /// held back while any data is unacknowledged. Besides its latency
+    /// trade-off, it keeps a flow's short trailing segment from leaving
+    /// back-to-back behind a full one — which, under per-packet
+    /// multipathing in a store-and-forward fabric, would routinely
+    /// overtake it and masquerade as reordering.
     fn try_send(&mut self, now: Time, pkt_ids: &mut u64, out: &mut Vec<Packet>) {
         let limit = (self.snd_una + self.effective_cwnd()).min(self.size);
         while self.snd_nxt < limit {
             let seg_len = (limit - self.snd_nxt).min(self.cfg.mss as u64);
-            let sub_mss = seg_len < self.cfg.mss as u64 && self.snd_nxt + seg_len < self.size;
+            let short = seg_len < self.cfg.mss as u64;
             let outstanding = self.snd_nxt > self.snd_una;
-            // Nagle: hold a sub-MSS, non-final-by-window segment while data
-            // is in flight. (A window-clipped segment is also held: real
-            // stacks wait for the window to open rather than send runts.)
-            if self.cfg.nagle && outstanding && (sub_mss || seg_len < self.cfg.mss as u64) {
+            // Nagle holds a short segment while data is in flight (a
+            // window-clipped one too: real stacks wait for the window to
+            // open rather than send runts); a runt never leaves mid-stream.
+            if short && (outstanding || self.snd_nxt + seg_len < self.size) {
                 break;
-            }
-            if sub_mss {
-                break; // never emit a runt mid-stream even without Nagle
             }
             let p = self.make_segment(self.snd_nxt, now, pkt_ids, false);
             self.snd_nxt += p.payload as u64;
@@ -417,10 +414,10 @@ impl TcpFlow {
             self.restart_timer(now);
         } else if ack == self.snd_una && self.in_flight() > 0 {
             self.dup_acks += 1;
-            if !self.in_recovery && self.dup_acks == self.cfg.dupack_thresh {
+            if !self.in_recovery && self.dup_acks == DUPACK_THRESH {
                 // Fast retransmit + fast recovery.
                 self.ssthresh = (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
-                self.cwnd = self.ssthresh + (self.cfg.dupack_thresh * self.cfg.mss) as f64;
+                self.cwnd = self.ssthresh + (DUPACK_THRESH * self.cfg.mss) as f64;
                 self.recover = self.snd_nxt;
                 self.in_recovery = true;
                 let p = self.make_segment(self.snd_una, now, pkt_ids, true);
@@ -666,20 +663,6 @@ mod tests {
         assert_eq!(out.len(), 1, "runt released once un-ACKed data drains");
         assert_eq!(out[0].payload, 3_000 - 2 * 1442);
         assert!(out[0].flags & flags::FIN != 0);
-    }
-
-    #[test]
-    fn nagle_off_sends_runt_immediately() {
-        let cfg = TcpConfig {
-            nagle: false,
-            init_cwnd: 10,
-            ..Default::default()
-        };
-        let mut f = TcpFlow::new(FlowId(0), HostId(0), HostId(1), 1, 3_000, Time::ZERO, cfg);
-        let mut ids = 0;
-        let mut out = Vec::new();
-        f.start_sending(Time::ZERO, &mut ids, &mut out);
-        assert_eq!(out.len(), 3, "runt rides along without Nagle");
     }
 
     #[test]

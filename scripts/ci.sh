@@ -4,8 +4,9 @@
 #
 # One build, one engine: the workspace declares no cargo features, so
 # there is nothing to cross. The test matrix covers what can still vary at
-# run time — the executor width (DRILL_THREADS) and the two observers that
-# must never steer (DRILL_TELEMETRY, DRILL_AUDIT).
+# run time: the executor width (DRILL_THREADS). The two observers that
+# must never steer, the flight recorder and the auditor, need no row:
+# tests/determinism_golden.rs runs every single-run golden with each.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,12 +31,14 @@ echo "== retired build/run modes stay retired =="
 # trace's own model TraceRing (a decoded trace is a FlightRecorder), the
 # second DRILLSNAP version constant and the retired-layout flag; so was
 # the Distribution's silent spill into the sketch past a sample limit
-# (a store is a sketch only if built as one); nothing may select them
-# again. (This script names them, so it is
+# (a store is a sketch only if built as one); so were the telemetry
+# config knob with its trace path and the DRILL_TELEMETRY / DRILL_AUDIT
+# test knobs (the observer is chosen by the entry point and cfg.audit);
+# nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
@@ -122,17 +125,6 @@ echo "== optimised-build row (cargo test --release: drill-core, drill-net, drill
 # control_plane_allocs pins what building the tables may allocate.
 cargo test -q --release -p drill-core -p drill-net -p drill-sim
 cargo test -q --release --test structural_groups --test control_plane_allocs
-
-echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
-# The telemetry determinism contract: every golden constant must hold
-# unchanged with the recorder riding along.
-DRILL_TELEMETRY=1 cargo test -q --test determinism_golden
-
-echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1) =="
-# The audit determinism contract: watchdogs observe, never steer. This
-# row IS the auditor-on vs auditor-off bit-identity proof: the golden
-# constants were captured auditor-off.
-DRILL_AUDIT=1 cargo test -q --test determinism_golden
 
 echo "== chaosbench --quick smoke =="
 cargo build --release -p drill-bench

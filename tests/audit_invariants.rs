@@ -4,8 +4,8 @@
 //! never perturb a single stat, and produce a dump bundle that
 //! rewind-replay can consume hands-free.
 //!
-//! CI also runs the golden suite with the auditor attached
-//! (`DRILL_AUDIT=1`), pinning auditor-on runs to the auditor-off goldens.
+//! `tests/determinism_golden.rs` runs every single-run golden under the
+//! auditor too, pinning auditor-on runs to the auditor-off goldens.
 
 use std::path::PathBuf;
 
@@ -13,8 +13,8 @@ use drill::audit::{AnomalyKind, AnomalyReport};
 use drill::faults::{FaultKind, FaultSchedule, SabotageKind, SabotageSpec};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
-    random_leaf_spine_failures, run, run_audited, AuditSpec, ExperimentConfig, RunStats, Scheme,
-    Snapshot, SyntheticMode, TelemetrySpec, TopoSpec, World,
+    random_leaf_spine_failures, run, run_audited, run_recorded, AuditSpec, ExperimentConfig,
+    RunStats, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
 };
 use drill::sim::codec::codec_error;
 use drill::sim::Time;
@@ -279,9 +279,8 @@ fn auditor_is_invisible_to_the_simulation() {
         "auditor perturbed the simulation"
     );
 
-    let mut both_cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.6);
-    both_cfg.telemetry = Some(TelemetrySpec::default());
-    let mut both = run(&both_cfg);
+    let both_cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.6);
+    let mut both = run_recorded(&both_cfg).0;
     assert_eq!(
         fingerprint(&mut plain),
         fingerprint(&mut both),
@@ -300,27 +299,30 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A run whose runtime leaks one arena handle at 500 µs, audited every
+/// 2 000 events and dumping into `dump` when given.
+fn leak_cfg(dump: Option<PathBuf>) -> ExperimentConfig {
+    let mut cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.5);
+    cfg.audit = Some(AuditSpec {
+        every_events: 2_000,
+        dump_dir: dump,
+        ..AuditSpec::default()
+    });
+    cfg.sabotage = Some(SabotageSpec {
+        at: Time::from_micros(500),
+        kind: SabotageKind::LeakPacket,
+    });
+    cfg
+}
+
 /// Negative control: a runtime that leaks an arena handle trips
 /// `PacketConservation` deterministically — same boundary, same counts,
 /// run after run — and dumps the ring + faulted snapshot + meta bundle.
 #[test]
 fn leaked_handle_trips_packet_conservation() {
     let dir = scratch_dir("leak");
-    let mk = |dump: Option<PathBuf>| {
-        let mut cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.5);
-        cfg.audit = Some(AuditSpec {
-            every_events: 2_000,
-            dump_dir: dump,
-            ..AuditSpec::default()
-        });
-        cfg.sabotage = Some(SabotageSpec {
-            at: Time::from_micros(500),
-            kind: SabotageKind::LeakPacket,
-        });
-        cfg
-    };
 
-    let (stats, reports) = run_audited(&mk(Some(dir.clone())));
+    let (stats, reports) = run_audited(&leak_cfg(Some(dir.clone())));
     assert!(!reports.is_empty(), "leak went unnoticed");
     assert_eq!(stats.anomalies, reports.len() as u64);
     let first = &reports[0];
@@ -352,7 +354,7 @@ fn leaked_handle_trips_packet_conservation() {
 
     // Deterministic: a second run (no dump dir) reports the identical
     // first trip.
-    let (_, again) = run_audited(&mk(None));
+    let (_, again) = run_audited(&leak_cfg(None));
     assert!(!again.is_empty());
     assert_eq!(again[0].at, first.at);
     assert_eq!(again[0].events, first.events);
@@ -382,6 +384,69 @@ fn blackholed_flow_trips_stuck_flow() {
             .any(|r| matches!(r.kind, AnomalyKind::StuckFlow { flow: 0, .. })),
         "no StuckFlow for flow 0: {reports:?}"
     );
+}
+
+/// A stall in an idle fabric is still seen: one flow whose only path
+/// drops every packet for 3 × `stuck_after` spans a few thousand events,
+/// well short of one event-counted boundary, and the boundaries counted
+/// in simulated time report it stuck.
+#[test]
+fn stall_in_an_idle_fabric_trips_stuck_flow() {
+    let topo = TopoSpec::LeafSpine(LeafSpineSpec {
+        spines: 1,
+        leaves: 2,
+        hosts_per_leaf: 1,
+        host_rate: 10_000_000_000,
+        core_rate: 10_000_000_000,
+        prop: DEFAULT_PROP,
+    });
+    let (a, b) = random_leaf_spine_failures(&topo.build(), 1, 1)[0];
+    let stuck_after = Time::from_millis(20);
+    let mut cfg = ExperimentConfig::new(topo, Scheme::Ecmp, 0.0);
+    cfg.duration = Time::from_millis(1);
+    cfg.static_flows = vec![(0, 1, 1_000_000)];
+    cfg.tcp.rto_init = Time::from_millis(1);
+    cfg.tcp.rto_min = Time::from_millis(1);
+    cfg.tcp.rto_max = Time::from_millis(8);
+    let mut s = FaultSchedule::default();
+    s.lossy_window(a, b, 1_000_000, Time::ZERO, stuck_after.mul(3));
+    cfg.faults = Some(s);
+    cfg.audit = Some(AuditSpec {
+        stuck_after,
+        ..AuditSpec::default()
+    });
+    let (stats, reports) = run_audited(&cfg);
+    assert!(
+        stats.events < AuditSpec::default().every_events,
+        "{} events reach an event-counted boundary",
+        stats.events
+    );
+    assert!(
+        stats.bytes_delivered >= 1_000_000,
+        "the transfer completes once the loss clears"
+    );
+    assert!(
+        reports
+            .iter()
+            .any(|r| matches!(r.kind, AnomalyKind::StuckFlow { flow: 0, .. })),
+        "no StuckFlow for flow 0: {reports:?}"
+    );
+}
+
+/// Every entry point honours `cfg.audit`: the leak run driven stepwise
+/// through `World::new` reports exactly what `run_audited` reports.
+#[test]
+fn stepwise_world_honours_the_audit_spec() {
+    let cfg = leak_cfg(None);
+    let (_, straight) = run_audited(&cfg);
+    assert!(!straight.is_empty(), "leak went unnoticed");
+    let mut w = World::new(&cfg);
+    for us in [300, 700, 1_500] {
+        w.run_to(Time::from_micros(us));
+    }
+    let (stats, _, stepwise) = w.finish_parts();
+    assert_eq!(stepwise, straight);
+    assert_eq!(stats.anomalies, straight.len() as u64);
 }
 
 /// A bit-flipped snapshot never decodes: the FNV-1a trailer catches the

@@ -6,12 +6,17 @@
 //! delivery order, RNG streams, or the TCP/switch models — and is not a
 //! pure refactor. Update the constants only when a behaviour change is
 //! intended, and say so in the commit.
+//!
+//! Every test that pins a golden from one run checks it three ways —
+//! plain, with the flight recorder and under the invariant auditor
+//! ([`observed_run`]) — since observers must never steer a run.
 
+use drill::exec::Executor;
 use drill::faults::FaultSchedule;
 use drill::net::{ClosSpec, LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{
-    random_leaf_spine_failures, run, run_recorded, ExperimentConfig, RunStats, Scheme, ShardSpec,
-    SweepSpec, TelemetrySpec, TopoSpec,
+    random_leaf_spine_failures, run, run_audited, run_recorded, ExperimentConfig, RunStats, Scheme,
+    ShardSpec, SweepSpec, TopoSpec,
 };
 use drill::sim::Time;
 use drill::stats::Distribution;
@@ -30,21 +35,7 @@ fn golden_cfg(scheme: Scheme) -> ExperimentConfig {
     cfg.duration = Time::from_millis(3);
     cfg.drain = Time::from_millis(50);
     cfg.warmup = Time::from_micros(100);
-    // CI runs the golden suite twice: plain, and with DRILL_TELEMETRY=1 to
-    // prove the flight recorder leaves every golden constant untouched.
-    if std::env::var("DRILL_TELEMETRY").as_deref() == Ok("1") {
-        cfg.telemetry = Some(TelemetrySpec::default());
-    }
-    // Same contract for the invariant auditor: DRILL_AUDIT=1 attaches the
-    // watchdogs, and every golden constant must survive unchanged.
-    if std::env::var("DRILL_AUDIT").as_deref() == Ok("1") {
-        cfg.audit = Some(drill::runtime::AuditSpec::default());
-    }
     cfg
-}
-
-fn golden_run(scheme: Scheme) -> RunStats {
-    run(&golden_cfg(scheme))
 }
 
 /// Every metric a figure reads, floats by bit pattern (`to_bits`): any
@@ -98,8 +89,33 @@ fn full_fingerprint(st: &mut RunStats) -> Vec<u64> {
     fp
 }
 
+/// Run `cfg` plain, with the flight recorder attached and under the
+/// auditor's default spec. Every metric must be bit-identical across the
+/// three and the auditor must report nothing. Returns the plain run's
+/// stats, untouched by any quantile query.
+fn observed_run(cfg: &ExperimentConfig) -> RunStats {
+    let name = cfg.scheme.name();
+    let plain = run(cfg);
+    let (mut recorded, recorder) = run_recorded(cfg);
+    let (mut audited, reports) = run_audited(cfg);
+    assert!(recorder.event_count() > 0, "{name}: recorder saw nothing");
+    assert!(reports.is_empty(), "{name}: auditor reported {reports:?}");
+    let fp = full_fingerprint(&mut plain.clone());
+    assert_eq!(
+        fp,
+        full_fingerprint(&mut recorded),
+        "{name}: flight recorder perturbed the run"
+    );
+    assert_eq!(
+        fp,
+        full_fingerprint(&mut audited),
+        "{name}: auditor perturbed the run"
+    );
+    plain
+}
+
 fn assert_golden(scheme: Scheme, events: u64, flows_started: u64, flows_completed: u64) {
-    let stats = golden_run(scheme);
+    let stats = observed_run(&golden_cfg(scheme));
     assert_eq!(
         (stats.events, stats.flows_started, stats.flows_completed),
         (events, flows_started, flows_completed),
@@ -139,10 +155,8 @@ fn random_replays_golden_trace() {
 #[test]
 fn telemetry_probe_is_invisible_to_every_metric() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default()] {
-        let mut cfg = golden_cfg(scheme);
-        cfg.telemetry = None;
+        let cfg = golden_cfg(scheme);
         let mut plain = run(&cfg);
-        cfg.telemetry = Some(TelemetrySpec::default());
         let (mut recorded, recorder) = run_recorded(&cfg);
         assert!(
             recorder.event_count() > 10_000,
@@ -201,18 +215,21 @@ fn chaos_schedule(topo: &TopoSpec) -> FaultSchedule {
 fn chaos_schedule_replays_bit_identically_across_threads_and_telemetry() {
     let fingerprint = |telemetry: bool, threads: Option<usize>| -> Vec<Vec<u64>> {
         let mut base = golden_cfg(Scheme::drill_default());
-        base.telemetry = telemetry.then(TelemetrySpec::default);
         base.faults = Some(chaos_schedule(&base.topo));
         let mut spec = SweepSpec::new(base)
             .schemes(vec![Scheme::Ecmp, Scheme::drill_default()])
             .loads(vec![0.4]);
-        let res = if let Some(t) = threads {
+        // The recorder rides on the sweep's own grid and executor width.
+        let stats = if telemetry {
+            let executor = threads.map_or_else(Executor::serial, Executor::new);
+            executor.map(&spec.points(), |_, (_, cfg)| run_recorded(cfg).0)
+        } else if let Some(t) = threads {
             spec = spec.threads(t);
-            spec.run()
+            spec.run().into_stats()
         } else {
-            spec.run_serial()
+            spec.run_serial().into_stats()
         };
-        res.into_stats()
+        stats
             .into_iter()
             .map(|mut st| full_fingerprint(&mut st))
             .collect()
@@ -383,7 +400,7 @@ fn shard_spec_shim_is_inert() {
 fn clos_smoke_replays_golden_trace() {
     let mut cfg = golden_cfg(Scheme::drill_default());
     cfg.topo = TopoSpec::Clos(ClosSpec::smoke());
-    let st = run(&cfg);
+    let st = observed_run(&cfg);
     assert_eq!(
         (st.events, st.flows_started, st.flows_completed),
         (CLOS_GOLDEN.0, CLOS_GOLDEN.1, CLOS_GOLDEN.2),
@@ -405,7 +422,7 @@ const CLOS_GOLDEN: (u64, u64, u64) = (1_623_884, 1_105, 1_105);
 #[test]
 fn sketch_quantiles_match_exact_stats_within_configured_bound() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default(), Scheme::Random] {
-        let st = golden_run(scheme);
+        let st = run(&golden_cfg(scheme));
         let samples = st
             .fct_ms
             .exact_samples()
@@ -530,7 +547,7 @@ fn timeout_heavy_runs_replay_golden_trace() {
         (Scheme::presto(),        [64_299_418, 783, 760, 43_691_143, 424, 315, 0x2aec_8c4b_1d60_a536, 681_458]),
     ];
     for (scheme, golden) in rows {
-        let st = run(&timeout_heavy_cfg(scheme));
+        let st = observed_run(&timeout_heavy_cfg(scheme));
         // The digest is read before any quantile query: a query sorts
         // the exact sample store the digest hashes.
         let got = [
@@ -584,7 +601,7 @@ fn raw_cutoff_run_replays_golden_trace() {
         0, 21_008, 0, 21_002, 0, 15_455,
         21_864_727, 0xcbf2_9ce4_8422_2325, 26_731,
     ];
-    let mut st = run(&raw_cutoff_cfg());
+    let mut st = observed_run(&raw_cutoff_cfg());
     assert_eq!(full_fingerprint(&mut st), golden);
     assert!(st.nic_drops > 0 && st.arena_live_at_end > 0);
 }
