@@ -23,6 +23,9 @@
 //!   distinct things the `cp_entries` say — `cp_distinct_cand_lists`,
 //!   `cp_distinct_group_tables`.
 //!
+//! Each point is one line of JSON (`drill_bench::json`) ending in a
+//! `manifest`: git revision, seed, ladder, rustc, host and wall seconds.
+//!
 //! Ladder points run open-loop packet trains (`raw_packet_mode`) with the
 //! arrival window shrunk as the fabric grows, keeping every point within
 //! a few million events. RSS is a process-wide high-water mark, so
@@ -45,6 +48,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use drill_bench::json::Json;
+use drill_bench::manifest;
 use drill_core::SymmetryEngine;
 use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{ClosSpec, LeafSpineSpec, RouteTable, DEFAULT_PROP};
@@ -124,94 +129,43 @@ fn clos16k() -> TopoSpec {
     })
 }
 
+const fn point(
+    name: &'static str,
+    topo: fn() -> TopoSpec,
+    window_us: u64,
+    failures: usize,
+) -> Point {
+    Point {
+        name,
+        topo,
+        window_us,
+        failures,
+    }
+}
+
 const FULL: &[Point] = &[
-    Point {
-        name: "leafspine_320h",
-        topo: leafspine320,
-        window_us: 2000,
-        failures: 0,
-    },
-    Point {
-        name: "clos_512h",
-        topo: clos512,
-        window_us: 1000,
-        failures: 0,
-    },
-    Point {
-        name: "fattree16_1024h",
-        topo: || ft(16),
-        window_us: 600,
-        failures: 0,
-    },
-    Point {
-        name: "fattree32_8192h",
-        topo: || ft(32),
-        window_us: 250,
-        failures: 0,
-    },
-    Point {
-        name: "fattree32x2_16384h",
-        topo: ft32x2,
-        window_us: 200,
-        failures: 0,
-    },
+    point("leafspine_320h", leafspine320, 2000, 0),
+    point("clos_512h", clos512, 1000, 0),
+    point("fattree16_1024h", || ft(16), 600, 0),
+    point("fattree32_8192h", || ft(32), 250, 0),
+    point("fattree32x2_16384h", ft32x2, 200, 0),
     // Asymmetric ladder: the same acceptance-scale fabrics with failed
     // uplinks, so the structural §3.4 control plane has real work (the
     // eager enumeration needed ~9 GB and minutes at k=32; the class
     // decomposition must stay well under 1 GB).
-    Point {
-        name: "fattree32_8192h_asym4f",
-        topo: || ft(32),
-        window_us: 250,
-        failures: 4,
-    },
-    Point {
-        name: "fattree32x2_16384h_asym4f",
-        topo: ft32x2,
-        window_us: 200,
-        failures: 4,
-    },
-    Point {
-        name: "clos16k_asym4f",
-        topo: clos16k,
-        window_us: 150,
-        failures: 4,
-    },
-    Point {
-        name: "fattree64_65536h_build",
-        topo: || ft(64),
-        window_us: 0,
-        failures: 0,
-    },
+    point("fattree32_8192h_asym4f", || ft(32), 250, 4),
+    point("fattree32x2_16384h_asym4f", ft32x2, 200, 4),
+    point("clos16k_asym4f", clos16k, 150, 4),
+    point("fattree64_65536h_build", || ft(64), 0, 0),
 ];
 
 const QUICK: &[Point] = &[
-    Point {
-        name: "leafspine_320h",
-        topo: leafspine320,
-        window_us: 300,
-        failures: 0,
-    },
-    Point {
-        name: "clos_smoke_32h",
-        topo: clos_smoke,
-        window_us: 300,
-        failures: 0,
-    },
-    Point {
-        name: "fattree8_128h",
-        topo: || ft(8),
-        window_us: 300,
-        failures: 0,
-    },
+    point("leafspine_320h", leafspine320, 300, 0),
+    point("clos_smoke_32h", clos_smoke, 300, 0),
+    point("fattree8_128h", || ft(8), 300, 0),
     // CI smoke for the asymmetric control plane: small fat-tree, two
     // failed uplinks, full probe + traffic in well under a second.
-    Point {
-        name: "fattree8_128h_asym2f",
-        topo: || ft(8),
-        window_us: 300,
-        failures: 2,
-    },
+    point("fattree8_128h_asym2f", || ft(8), 300, 2),
 ];
 
 /// Peak resident set (`VmHWM`) in kB; 0 when `/proc` is unavailable.
@@ -235,6 +189,9 @@ struct RecoveryOpts {
     resume: Option<PathBuf>,
 }
 
+/// The seed of every traffic run.
+const SEED: u64 = 1;
+
 fn point_cfg(p: &Point, failed: &[(u32, u32)]) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::new(
         (p.topo)(),
@@ -253,6 +210,7 @@ fn point_cfg(p: &Point, failed: &[(u32, u32)]) -> ExperimentConfig {
     // disable it). Leave it on: the ladder now measures control-plane
     // scaling too, and the `*_asym*f` points rely on it.
     cfg.asymmetry_handling = true;
+    cfg.seed = SEED;
     cfg.failed_links = failed.to_vec();
     cfg.raw_packet_mode = true;
     cfg.duration = Time::from_micros(p.window_us);
@@ -261,7 +219,9 @@ fn point_cfg(p: &Point, failed: &[(u32, u32)]) -> ExperimentConfig {
     cfg
 }
 
-fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
+/// Run one ladder point (`ladder` names the ladder for the manifest).
+fn run_point(p: &Point, rec: &RecoveryOpts, ladder: &str) -> Json {
+    let started = Instant::now();
     let spec = (p.topo)();
     let build_start = Instant::now();
     let mut topo = spec.build();
@@ -366,38 +326,54 @@ fn run_point(p: &Point, rec: &RecoveryOpts) -> String {
     } else {
         0.0
     };
-    format!(
-        "{{\"point\": \"{}\", \"hosts\": {hosts}, \"switches\": {switches}, \"link_entries\": {link_entries}, \
-\"build_secs\": {build_secs:.3}, \"window_us\": {}, \"failures\": {}, \
-\"cp_install_secs\": {cp_install_secs:.4}, \"cp_refine_secs\": {:.4}, \
-\"cp_fingerprint_secs\": {:.4}, \"cp_signatures_walked\": {}, \
-\"cp_reconverge_secs\": {cp_reconverge_secs:.4}, \
-\"cp_entries\": {}, \"cp_classes\": {}, \"cp_entries_reused\": {}, \"cp_paths\": {}, \
-\"asym_entries\": {}, \"wall_secs\": {wall:.3}, \"events\": {events}, \
-\"events_per_sec\": {eps:.0}, \"flows_started\": {flows}, \"bytes_delivered\": {bytes}, \
-\"bytes_per_host\": {:.1}, \"fct_retained\": {fct_retained}, \"fct_exact\": {fct_exact}, \
-\"wheel_slots_hw\": {}, \"arena_slots_hw\": {}, \"nic_pending_at_end\": {}, \
-\"cp_table_bytes\": {cp_table_bytes}, \"cp_engine_bytes\": {cp_engine_bytes}, \
-\"cp_distinct_cand_lists\": {cp_cand_lists}, \
-\"cp_distinct_group_tables\": {cp_group_tables}, \
-\"peak_rss_kb\": {}}}",
-        p.name,
-        p.window_us,
-        p.failures,
-        report.refine_ns as f64 / 1e9,
-        report.fingerprint_ns as f64 / 1e9,
-        report.signatures_walked,
-        report.entries,
-        report.classes,
-        report.entries_reused,
-        report.paths_enumerated,
-        report.asymmetric_entries,
-        bytes as f64 / hosts as f64,
-        hw.0,
-        hw.1,
-        hw.2,
-        peak_rss_kb()
-    )
+    let mut o = Json::obj();
+    o.set("point", p.name)
+        .set("hosts", hosts)
+        .set("switches", switches)
+        .set("link_entries", link_entries)
+        .set("build_secs", Json::Fixed(build_secs, 3))
+        .set("window_us", p.window_us)
+        .set("failures", p.failures)
+        .set("cp_install_secs", Json::Fixed(cp_install_secs, 4))
+        .set(
+            "cp_refine_secs",
+            Json::Fixed(report.refine_ns as f64 / 1e9, 4),
+        )
+        .set(
+            "cp_fingerprint_secs",
+            Json::Fixed(report.fingerprint_ns as f64 / 1e9, 4),
+        )
+        .set("cp_signatures_walked", report.signatures_walked)
+        .set("cp_reconverge_secs", Json::Fixed(cp_reconverge_secs, 4))
+        .set("cp_entries", report.entries)
+        .set("cp_classes", report.classes)
+        .set("cp_entries_reused", report.entries_reused)
+        .set("cp_paths", report.paths_enumerated)
+        .set("asym_entries", report.asymmetric_entries)
+        .set("wall_secs", Json::Fixed(wall, 3))
+        .set("events", events)
+        .set("events_per_sec", Json::Fixed(eps, 0))
+        .set("flows_started", flows)
+        .set("bytes_delivered", bytes)
+        .set(
+            "bytes_per_host",
+            Json::Fixed(bytes as f64 / hosts as f64, 1),
+        )
+        .set("fct_retained", fct_retained)
+        .set("fct_exact", fct_exact)
+        .set("wheel_slots_hw", hw.0)
+        .set("arena_slots_hw", hw.1)
+        .set("nic_pending_at_end", hw.2)
+        .set("cp_table_bytes", cp_table_bytes)
+        .set("cp_engine_bytes", cp_engine_bytes)
+        .set("cp_distinct_cand_lists", cp_cand_lists)
+        .set("cp_distinct_group_tables", cp_group_tables)
+        .set("peak_rss_kb", peak_rss_kb())
+        .set(
+            "manifest",
+            manifest::collect(SEED, ladder, started.elapsed().as_secs_f64()),
+        );
+    o
 }
 
 /// Sketch-scaling section: feed n heavy-tailed samples into a forced-sketch
@@ -430,16 +406,16 @@ fn sketch_ladder(quick: bool) {
             (r as f64 / n as f64 - q).abs()
         };
         let (p50, p90, p99) = (sk.quantile(0.5), sk.quantile(0.9), sk.quantile(0.99));
+        let eps_bound = sk.rank_error_bound().expect("sketch mode");
+        let mut o = Json::obj();
+        o.set("samples", n)
+            .set("retained", sk.retained())
+            .set("eps_bound", Json::Fixed(eps_bound, 5))
+            .set("p50_rank_err", Json::Fixed(rank_err(0.5, p50), 5))
+            .set("p90_rank_err", Json::Fixed(rank_err(0.9, p90), 5))
+            .set("p99_rank_err", Json::Fixed(rank_err(0.99, p99), 5));
         let comma = if i + 1 < ns.len() { "," } else { "" };
-        println!(
-            "  {{\"samples\": {n}, \"retained\": {}, \"eps_bound\": {:.5}, \
-\"p50_rank_err\": {:.5}, \"p90_rank_err\": {:.5}, \"p99_rank_err\": {:.5}}}{comma}",
-            sk.retained(),
-            sk.rank_error_bound().expect("sketch mode"),
-            rank_err(0.5, p50),
-            rank_err(0.9, p90),
-            rank_err(0.99, p99),
-        );
+        println!("  {}{comma}", o.render());
     }
     println!("]");
 }
@@ -467,7 +443,11 @@ fn main() {
         die_after: flag_val("--die-after").map(|v| v.parse().expect("--die-after EVENTS")),
         resume: flag_val("--resume").map(PathBuf::from),
     };
-    let ladder = if quick { QUICK } else { FULL };
+    let (ladder, ladder_name) = if quick {
+        (QUICK, "quick")
+    } else {
+        (FULL, "full")
+    };
     if args.iter().any(|a| a == "--list") {
         for p in ladder {
             println!("{}", p.name);
@@ -484,7 +464,7 @@ fn main() {
             .chain(other.iter())
             .find(|p| p.name == *name)
             .unwrap_or_else(|| panic!("unknown point {name}"));
-        println!("{}", run_point(p, &rec));
+        println!("{}", run_point(p, &rec, ladder_name).render());
         return;
     }
     // In-process ladder, ascending size so the RSS high-water mark per
@@ -492,7 +472,7 @@ fn main() {
     println!("[");
     for (i, p) in ladder.iter().enumerate() {
         let comma = if i + 1 < ladder.len() { "," } else { "" };
-        println!("  {}{comma}", run_point(p, &rec));
+        println!("  {}{comma}", run_point(p, &rec, ladder_name).render());
     }
     println!("]");
 }

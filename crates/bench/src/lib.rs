@@ -1,9 +1,6 @@
-//! Shared support for the figure/table harness binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (§4). Output is plain aligned text: one row per
-//! x-axis point, one column per scheme/series, so results can be diffed
-//! across runs and compared against the paper's plots.
+//! The experiment harness: the paper's figures and tables as rows of one
+//! table ([`figures::FIGURES`], run by the `figures` binary), the scale
+//! ladder (`scalebench`) and the flight-recorder tools (`tracedump`).
 //!
 //! Scale control: the `DRILL_SCALE` environment variable selects
 //!
@@ -12,13 +9,17 @@
 //!   (minutes);
 //! * `full` — the paper's topology sizes and longer runs (hours).
 //!
-//! `DRILL_SEED` overrides the RNG seed (default 1).
+//! `DRILL_SEED` overrides the RNG seed (default 1). A value of either that
+//! does not parse stops the binary with the allowed values.
 
 #![warn(missing_docs)]
 
-use drill_runtime::{ExperimentConfig, RunStats, Scheme, SweepSpec, TopoSpec};
+pub mod figures;
+pub mod json;
+pub mod manifest;
+
+use drill_runtime::{ExperimentConfig, Scheme, TopoSpec};
 use drill_sim::Time;
-use drill_stats::{f3, Table};
 
 /// Harness scale selected by `DRILL_SCALE`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,12 +33,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment.
+    /// Parse a `DRILL_SCALE` value; unset (or empty) is `default`.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value.unwrap_or_default() {
+            "quick" => Ok(Scale::Quick),
+            "" | "default" => Ok(Scale::Default),
+            "full" => Ok(Scale::Full),
+            other => Err(format!(
+                "DRILL_SCALE={other:?}: expected quick, default or full"
+            )),
+        }
+    }
+
+    /// The scale from `DRILL_SCALE`; exits with a message on a bad value.
     pub fn from_env() -> Scale {
-        match std::env::var("DRILL_SCALE").unwrap_or_default().as_str() {
-            "full" => Scale::Full,
-            "quick" => Scale::Quick,
-            _ => Scale::Default,
+        or_exit(Scale::parse(std::env::var("DRILL_SCALE").ok().as_deref()))
+    }
+
+    /// The lowercase name `DRILL_SCALE` takes.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Default => "default",
+            Scale::Full => "full",
         }
     }
 
@@ -70,12 +88,27 @@ impl Scale {
     }
 }
 
-/// The RNG seed from `DRILL_SEED` (default 1).
+/// Parse a `DRILL_SEED` value; unset (or empty) is seed 1.
+pub fn parse_seed(value: Option<&str>) -> Result<u64, String> {
+    match value.unwrap_or_default() {
+        "" => Ok(1),
+        v => v
+            .parse()
+            .map_err(|_| format!("DRILL_SEED={v:?}: expected an unsigned 64-bit integer")),
+    }
+}
+
+/// The RNG seed from `DRILL_SEED` (default 1); exits with a message on a
+/// bad value.
 pub fn seed_from_env() -> u64 {
-    std::env::var("DRILL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    or_exit(parse_seed(std::env::var("DRILL_SEED").ok().as_deref()))
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// A base experiment config with harness scale and seed applied.
@@ -86,75 +119,41 @@ pub fn base_config(topo: TopoSpec, scheme: Scheme, load: f64, scale: Scale) -> E
     cfg
 }
 
-/// The five schemes of the FCT figures (6-12, 14).
-pub fn fct_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Ecmp,
-        Scheme::Conga,
-        Scheme::presto(),
-        Scheme::drill_no_shim(),
-        Scheme::drill_default(),
-    ]
+/// The banner every harness output starts with.
+pub fn banner_text(what: &str, scale: Scale, seed: u64) -> String {
+    format!("== {what} ==\nscale: {scale:?} (set DRILL_SCALE=quick|default|full), seed {seed}\n\n")
 }
 
-/// Run a schemes × loads sweep grid from `base` on the `DRILL_THREADS`
-/// pool, returning results indexed `[load][scheme]`.
-pub fn sweep_grid(base: ExperimentConfig, schemes: &[Scheme], loads: &[f64]) -> Vec<Vec<RunStats>> {
-    SweepSpec::new(base)
-        .schemes(schemes.to_vec())
-        .loads(loads.to_vec())
-        .run()
-        .by_load_scheme()
-}
-
-/// Render a mean-FCT and tail-FCT table for a (scheme x load) result grid
-/// (results indexed `[load][scheme]`).
-pub fn fct_tables(
-    loads: &[f64],
-    schemes: &[Scheme],
-    grid: &mut [Vec<RunStats>],
-) -> (String, String) {
-    let mut header = vec!["load %".to_string()];
-    header.extend(schemes.iter().map(|s| s.name()));
-    let mut mean = Table::new(header.clone());
-    let mut tail = Table::new(header);
-    for (li, &load) in loads.iter().enumerate() {
-        let mut mrow = vec![format!("{:.0}", load * 100.0)];
-        let mut trow = vec![format!("{:.0}", load * 100.0)];
-        for stats in &mut grid[li] {
-            mrow.push(f3(stats.mean_fct_ms()));
-            trow.push(f3(stats.fct_percentile_ms(99.99)));
-        }
-        mean.row(mrow);
-        tail.row(trow);
-    }
-    (mean.render(), tail.render())
-}
-
-/// Print a CDF table: one column of FCT values per scheme at the sampled
-/// cumulative fractions.
-pub fn cdf_table(schemes: &[Scheme], stats: &mut [RunStats], points: usize) -> String {
-    let mut header = vec!["CDF".to_string()];
-    header.extend(schemes.iter().map(|s| s.name()));
-    let mut t = Table::new(header);
-    let fracs: Vec<f64> = (1..=points).map(|i| i as f64 / points as f64).collect();
-    for q in fracs {
-        let mut row = vec![format!("{q:.2}")];
-        for s in stats.iter_mut() {
-            row.push(f3(s.fct_ms.quantile(q)));
-        }
-        t.row(row);
-    }
-    t.render()
-}
-
-/// Standard banner for a figure binary.
+/// Print the standard banner.
 pub fn banner(what: &str, scale: Scale) {
-    println!("== {what} ==");
-    println!(
-        "scale: {:?} (set DRILL_SCALE=quick|default|full), seed {}",
-        scale,
-        seed_from_env()
-    );
-    println!();
+    print!("{}", banner_text(what, scale, seed_from_env()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_parses_the_three_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("")), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("default")), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for bad in ["Quick", "fast", "full ", "1"] {
+            let e = Scale::parse(Some(bad)).unwrap_err();
+            assert!(e.contains("quick, default or full"), "{e}");
+        }
+    }
+
+    #[test]
+    fn seed_parses_integers_and_rejects_the_rest() {
+        assert_eq!(parse_seed(None), Ok(1));
+        assert_eq!(parse_seed(Some("")), Ok(1));
+        assert_eq!(parse_seed(Some("42")), Ok(42));
+        assert_eq!(parse_seed(Some("18446744073709551615")), Ok(u64::MAX));
+        for bad in ["-1", "0x10", "seven", "1.5"] {
+            assert!(parse_seed(Some(bad)).unwrap_err().contains("DRILL_SEED"));
+        }
+    }
 }

@@ -282,6 +282,23 @@ impl Distribution {
         }
     }
 
+    /// A distribution-free 95 % confidence interval for the `q`-quantile:
+    /// the order statistics at the equal-tailed ranks (2.5 % each side)
+    /// that bracket `q` under Binomial(n, q). A bound whose rank falls
+    /// outside `1..=n` is `None`, i.e. unbounded: the upper bound of the
+    /// p99.99 stays unbounded until 0.9999ⁿ ≤ 0.025 (n ≥ 36 887). `None`
+    /// for a [`sketched`](Distribution::sketched) store, whose order
+    /// statistics are estimates.
+    pub fn quantile_interval(&mut self, q: f64) -> Option<(Option<f64>, Option<f64>)> {
+        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+        self.ensure_sorted();
+        let Store::Exact { samples, .. } = &self.store else {
+            return None;
+        };
+        let (lo, hi) = order_stat_ranks(samples.len(), q);
+        Some((lo.map(|r| samples[r - 1]), hi.map(|r| samples[r - 1])))
+    }
+
     /// Fraction of samples strictly greater than `x` (estimated in sketch
     /// mode).
     pub fn frac_above(&mut self, x: f64) -> f64 {
@@ -297,6 +314,52 @@ impl Distribution {
             Store::Sketch(s) => s.frac_above(x),
         }
     }
+}
+
+/// The 1-based ranks `(l, u)` of [`Distribution::quantile_interval`]: with
+/// X ~ Binomial(n, q) counting the samples at or below the true quantile,
+/// `l` is the largest rank with P(X < l) ≤ 2.5 % and `u` the smallest with
+/// P(X ≥ u) ≤ 2.5 %; `None` where no rank in `1..=n` qualifies.
+fn order_stat_ranks(n: usize, q: f64) -> (Option<usize>, Option<usize>) {
+    const TAIL: f64 = 0.025;
+    // ln P(X = k) for every k, by the running ratio of binomial
+    // coefficients: no factorial overflows and no underflow to a zero that
+    // a ratio recursion could not leave.
+    let (lq, lp) = (q.ln(), (1.0 - q).ln());
+    let mut ln_choose = 0.0;
+    let ln_pmf: Vec<f64> = (0..=n)
+        .map(|k| {
+            if k > 0 {
+                ln_choose += ((n - k + 1) as f64).ln() - (k as f64).ln();
+            }
+            let term = |count: usize, ln_p: f64| if count == 0 { 0.0 } else { count as f64 * ln_p };
+            ln_choose + term(k, lq) + term(n - k, lp)
+        })
+        .collect();
+    // l - 1 = the largest k with P(X ≤ k) ≤ TAIL.
+    let mut below = 0.0;
+    let lo = ln_pmf
+        .iter()
+        .take(n)
+        .take_while(|lp| {
+            below += lp.exp();
+            below <= TAIL
+        })
+        .count();
+    // u = the smallest u ≥ 1 with P(X ≥ u) ≤ TAIL.
+    let mut above = 0.0;
+    let from_top = ln_pmf[1..]
+        .iter()
+        .rev()
+        .take_while(|lp| {
+            above += lp.exp();
+            above <= TAIL
+        })
+        .count();
+    (
+        (lo > 0).then_some(lo),
+        (from_top > 0).then(|| n + 1 - from_top),
+    )
 }
 
 #[cfg(test)]
@@ -557,5 +620,73 @@ mod tests {
     #[should_panic(expected = "non-finite sample")]
     fn nan_add_is_rejected_in_debug() {
         Distribution::new().add(f64::NAN);
+    }
+
+    /// The interval's ranks straight from the definition: binomial
+    /// probabilities from exact coefficients, summed term by term.
+    fn brute_force_ranks(n: usize, q: f64) -> (Option<usize>, Option<usize>) {
+        let choose = |k: usize| (0..k).fold(1.0, |c, i| c * (n - i) as f64 / (i + 1) as f64);
+        let pmf: Vec<f64> = (0..=n)
+            .map(|k| choose(k) * q.powi(k as i32) * (1.0 - q).powi((n - k) as i32))
+            .collect();
+        let lo = (1..=n)
+            .filter(|&l| pmf[..l].iter().sum::<f64>() <= 0.025)
+            .max();
+        let hi = (1..=n)
+            .filter(|&u| pmf[u..].iter().sum::<f64>() <= 0.025)
+            .min();
+        (lo, hi)
+    }
+
+    #[test]
+    fn interval_ranks_match_the_binomial_definition() {
+        for q in [0.5, 0.9, 0.99] {
+            for n in 0..=60 {
+                assert_eq!(
+                    order_stat_ranks(n, q),
+                    brute_force_ranks(n, q),
+                    "n = {n}, q = {q}"
+                );
+            }
+        }
+        // Spot values: n = 60 brackets the median by ranks 22 and 39.
+        assert_eq!(order_stat_ranks(60, 0.5), (Some(22), Some(39)));
+        assert_eq!(order_stat_ranks(5, 0.5), (None, None));
+    }
+
+    #[test]
+    fn interval_covers_the_true_quantile_of_a_uniform() {
+        // SplitMix64: the test's own seeded source of uniforms.
+        let mut state = 0x1D_2017u64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        };
+        let (draws, n, q) = (2_000, 200, 0.9);
+        let covered = (0..draws)
+            .filter(|_| {
+                let mut d = Distribution::new();
+                for _ in 0..n {
+                    d.add(uniform());
+                }
+                let (lo, hi) = d.quantile_interval(q).expect("exact store");
+                lo.unwrap_or(f64::NEG_INFINITY) <= q && hi.unwrap_or(f64::INFINITY) >= q
+            })
+            .count();
+        assert!(covered * 100 >= draws * 94, "covered {covered} of {draws}");
+    }
+
+    #[test]
+    fn p9999_upper_bound_needs_36887_samples() {
+        assert_eq!(order_stat_ranks(36_886, 0.9999).1, None);
+        assert_eq!(order_stat_ranks(36_887, 0.9999).1, Some(36_887));
+        let mut d = dist(&(1..=36_887).map(f64::from).collect::<Vec<_>>());
+        let (lo, hi) = d.quantile_interval(0.9999).expect("exact store");
+        assert_eq!(hi, Some(36_887.0));
+        assert!(lo.is_some_and(|lo| lo < d.percentile(99.99)));
+        assert_eq!(Distribution::sketched().quantile_interval(0.5), None);
     }
 }

@@ -23,4 +23,4 @@ mod shim;
 mod tcp;
 
 pub use shim::{ShimBuffer, SHIM_DEFAULT_TIMEOUT};
-pub use tcp::{TcpConfig, TcpFlow, GRO_BATCH_LIMIT};
+pub use tcp::{TcpConfig, TcpFlow, DUPACK_THRESH, GRO_BATCH_LIMIT};

@@ -34,8 +34,9 @@ pub struct TcpConfig {
     pub max_cwnd_bytes: u64,
 }
 
-/// Duplicate ACKs that trigger fast retransmit (RFC 5681).
-const DUPACK_THRESH: u32 = 3;
+/// Duplicate ACKs that trigger fast retransmit (RFC 5681): a flow whose
+/// receiver sent this many has crossed TCP's reordering threshold.
+pub const DUPACK_THRESH: u32 = 3;
 
 impl Default for TcpConfig {
     fn default() -> Self {

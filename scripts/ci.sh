@@ -34,11 +34,13 @@ echo "== retired build/run modes stay retired =="
 # (a store is a sketch only if built as one); so were the telemetry
 # config knob with its trace path and the DRILL_TELEMETRY / DRILL_AUDIT
 # test knobs (the observer is chosen by the entry point and cfg.audit);
+# so were chaosbench and the per-figure binaries' helpers (fct_tables,
+# sweep_grid, cdf_table): the figures are rows of one table now;
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
@@ -126,9 +128,33 @@ echo "== optimised-build row (cargo test --release: drill-core, drill-net, drill
 cargo test -q --release -p drill-core -p drill-net -p drill-sim
 cargo test -q --release --test structural_groups --test control_plane_allocs
 
-echo "== chaosbench --quick smoke =="
+echo "== figures all at quick scale: every row renders, every JSON carries the manifest =="
+# The fourteen rows of drill_bench::figures::FIGURES (~12 s on a 2-core
+# host). Each <fig>.json must carry every manifest key and no empty panel,
+# and the <fig>.txt files must tile what the run printed.
 cargo build --release -p drill-bench
-./target/release/chaosbench --quick > /dev/null
+figdir=$(mktemp -d)
+DRILL_SCALE=quick ./target/release/figures all --out "$figdir" > "$figdir/stdout"
+python3 - "$figdir" <<'PY'
+import json, pathlib, sys
+d = pathlib.Path(sys.argv[1])
+figs = sorted(d.glob('*.json'))
+assert len(figs) == 14, f'{len(figs)} figure JSONs, expected 14'
+keys = ['git_rev', 'git_dirty', 'seed', 'scale', 'rustc', 'cpu_model', 'cores', 'wall_secs']
+for f in figs:
+    doc = json.loads(f.read_text())
+    missing = [k for k in keys if k not in doc['manifest']]
+    assert not missing, f'{f.name}: manifest lacks {missing}'
+    assert doc['panels'], f'{f.name}: no panels'
+    for p in doc['panels']:
+        assert p['rows'], f'{f.name}: empty panel {p["caption"]!r}'
+stdout = (d / 'stdout').read_text()
+texts = [t.read_text() for t in d.glob('*.txt')]
+assert len(texts) == 14, f'{len(texts)} figure texts, expected 14'
+assert ''.join(sorted(texts, key=stdout.find)) == stdout, 'the .txt files do not tile stdout'
+print(f'figures: {len(figs)} JSONs with manifests, texts tile {len(stdout)} bytes of stdout')
+PY
+rm -rf "$figdir"
 
 echo "== scalebench --quick smoke =="
 # Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree)
