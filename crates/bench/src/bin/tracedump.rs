@@ -1,4 +1,4 @@
-//! tracedump: decode a DRILL flight-recorder trace into human-readable
+//! tracedump: analyze a DRILL flight recording into human-readable
 //! tables — the Fig. 2-style queue-depth timeline, per-packet trip
 //! summaries, the reordering-degree histogram and per-engine decision
 //! quality (§3.2.1: how often an engine's pick was the true shortest
@@ -8,14 +8,13 @@
 //!
 //! * default — run a small Fig. 2-shaped experiment (open-loop packet
 //!   trains, DRILL(2,1), 2 engines) with the flight recorder attached,
-//!   then analyze its trace in-process. `DRILL_SCALE` / `DRILL_SEED`
+//!   then analyze the recording in-process. `DRILL_SCALE` / `DRILL_SEED`
 //!   apply as in the other harness binaries.
-//! * `--sabotage <leak|blackhole> [--audit-dir <dir>]` — run a small
+//! * `--sabotage <leak|blackhole> --audit-dir <dir>` — run a small
 //!   deterministic experiment with the `drill-audit` watchdogs attached
 //!   and a deliberately broken runtime (a leaked arena handle or a
 //!   blackholed flow). The trip dumps the snapshot ring, the faulted
-//!   instant and `anomaly.meta` into `<dir>` (default
-//!   `results/audit_demo`) and prints the typed report.
+//!   instant and `anomaly.meta` into `<dir>` and prints the typed report.
 //! * `--replay-from <dir>` — automatic rewind-replay: parse
 //!   `<dir>/anomaly.meta`, restore the newest clean ring snapshot with
 //!   the flight recorder attached, re-run exactly the window up to the
@@ -409,23 +408,16 @@ fn audit_demo_spec() -> AuditSpec {
 
 /// `--sabotage`: break the runtime on purpose, let the watchdogs trip,
 /// and dump the diagnostics bundle for `--replay-from`.
-fn sabotage_run(kind: &str, dir: &Path) {
-    // The leak strikes mid-run so the ring holds clean snapshots first;
-    // the blackhole starts at t=0 so flow 0 — the earliest arrival — is
-    // swallowed from its very first data packet and can never complete.
-    let (kind, at) = match kind {
-        "leak" => (SabotageKind::LeakPacket, Time::from_micros(500)),
-        "blackhole" => (SabotageKind::BlackholeFlow { flow: 0 }, Time::from_nanos(0)),
-        other => panic!("unknown sabotage kind {other:?} (expected leak|blackhole)"),
-    };
+fn sabotage_run(sabotage: SabotageSpec, dir: &Path) {
     let mut cfg = audit_demo_cfg();
     let mut spec = audit_demo_spec();
     spec.dump_dir = Some(dir.to_path_buf());
     cfg.audit = Some(spec);
-    cfg.sabotage = Some(SabotageSpec { at, kind });
+    cfg.sabotage = Some(sabotage);
     println!(
-        "sabotage: {kind:?} at {} us, audit dump dir {}",
-        at.as_nanos() / 1000,
+        "sabotage: {:?} at {} us, audit dump dir {}",
+        sabotage.kind,
+        sabotage.at.as_nanos() / 1000,
         dir.display()
     );
     let (stats, reports) = run_audited(&cfg);
@@ -500,36 +492,145 @@ fn replay_from(dir: &Path) {
     decision_report(&recorder);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args[i + 1].clone())
-    };
-    if let Some(kind) = flag("--sabotage") {
-        banner("tracedump: sabotage + audit dump", Scale::from_env());
-        let dir = flag("--audit-dir").unwrap_or_else(|| "results/audit_demo".into());
-        sabotage_run(&kind, &PathBuf::from(dir));
-        return;
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// Record and analyze the Fig. 2-shaped run.
+    Record,
+    /// Sabotage the audit demo and dump its diagnostics into `dir`.
+    Sabotage {
+        sabotage: SabotageSpec,
+        dir: PathBuf,
+    },
+    /// Rewind-replay from the dump in this directory.
+    Replay(PathBuf),
+}
+
+/// Parse the arguments after the program name.
+fn parse<S: AsRef<str>>(args: &[S]) -> Result<Mode, String> {
+    let (mut sabotage, mut audit_dir, mut replay) = (None, None, None);
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(flag) = args.next() {
+        let slot = match flag {
+            "--sabotage" => &mut sabotage,
+            "--audit-dir" => &mut audit_dir,
+            "--replay-from" => &mut replay,
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        *slot = Some(args.next().ok_or(format!("{flag} needs a value"))?);
     }
-    if let Some(dir) = flag("--replay-from") {
-        banner(
-            "tracedump: rewind-replay from audit dump",
-            Scale::from_env(),
-        );
-        replay_from(&PathBuf::from(dir));
-        return;
+    match (sabotage, audit_dir, replay) {
+        (None, None, None) => Ok(Mode::Record),
+        (Some(kind), Some(dir), None) => {
+            // The leak strikes mid-run so the ring holds clean snapshots
+            // first; the blackhole starts at t=0 so flow 0 — the earliest
+            // arrival — is swallowed from its very first data packet and
+            // can never complete.
+            let (kind, at) = match kind {
+                "leak" => (SabotageKind::LeakPacket, Time::from_micros(500)),
+                "blackhole" => (SabotageKind::BlackholeFlow { flow: 0 }, Time::ZERO),
+                other => return Err(format!("unknown sabotage kind {other:?}")),
+            };
+            let sabotage = SabotageSpec { at, kind };
+            Ok(Mode::Sabotage {
+                sabotage,
+                dir: dir.into(),
+            })
+        }
+        (Some(_), None, None) => Err("--sabotage needs --audit-dir".into()),
+        (None, None, Some(dir)) => Ok(Mode::Replay(dir.into())),
+        _ => Err("--audit-dir goes with --sabotage, and --replay-from stands alone".into()),
     }
-    banner(
-        "tracedump: record + analyze a Fig. 2-shaped run",
-        Scale::from_env(),
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("tracedump: {problem}");
+    eprintln!(
+        "usage: tracedump [--sabotage leak|blackhole --audit-dir <dir> | --replay-from <dir>]"
     );
-    let trace = recorded_trace();
-    header(&trace);
-    fault_report(&trace);
-    fig2_timeline(&trace);
-    trip_summary(&trace);
-    reorder_report(&trace);
-    decision_report(&trace);
+    std::process::exit(2)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args).unwrap_or_else(|e| usage(&e)) {
+        Mode::Record => {
+            banner(
+                "tracedump: record + analyze a Fig. 2-shaped run",
+                Scale::from_env(),
+            );
+            let trace = recorded_trace();
+            header(&trace);
+            fault_report(&trace);
+            fig2_timeline(&trace);
+            trip_summary(&trace);
+            reorder_report(&trace);
+            decision_report(&trace);
+        }
+        Mode::Sabotage { sabotage, dir } => {
+            banner("tracedump: sabotage + audit dump", Scale::from_env());
+            sabotage_run(sabotage, &dir);
+        }
+        Mode::Replay(dir) => {
+            banner(
+                "tracedump: rewind-replay from audit dump",
+                Scale::from_env(),
+            );
+            replay_from(&dir);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejects(args: &[&str], problem: &str) {
+        let err = parse(args).unwrap_err();
+        assert!(err.contains(problem), "{args:?}: {err}");
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        rejects(&["--sabotage"], "--sabotage needs a value");
+        rejects(&["--replay-from"], "--replay-from needs a value");
+        rejects(&["--sabotage", "leak", "--audit-dir"], "--audit-dir needs");
+        rejects(
+            &["--sabotage", "flood", "--audit-dir", "d"],
+            "sabotage kind",
+        );
+        rejects(&["--trace", "t.bin"], "unknown argument \"--trace\"");
+        rejects(&["--sabotage", "leak"], "needs --audit-dir");
+        rejects(&["--audit-dir", "d"], "goes with --sabotage");
+        rejects(
+            &["--replay-from", "d", "--sabotage", "leak"],
+            "stands alone",
+        );
+    }
+
+    #[test]
+    fn every_valid_form_parses() {
+        assert_eq!(parse::<&str>(&[]), Ok(Mode::Record));
+        assert_eq!(
+            parse(&["--sabotage", "leak", "--audit-dir", "d"]),
+            Ok(Mode::Sabotage {
+                sabotage: SabotageSpec {
+                    at: Time::from_micros(500),
+                    kind: SabotageKind::LeakPacket
+                },
+                dir: "d".into()
+            })
+        );
+        assert_eq!(
+            parse(&["--audit-dir", "d", "--sabotage", "blackhole"]),
+            Ok(Mode::Sabotage {
+                sabotage: SabotageSpec {
+                    at: Time::ZERO,
+                    kind: SabotageKind::BlackholeFlow { flow: 0 }
+                },
+                dir: "d".into()
+            })
+        );
+        assert_eq!(parse(&["--replay-from", "d"]), Ok(Mode::Replay("d".into())));
+    }
 }

@@ -179,38 +179,11 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// The latest event time, if any.
-    pub fn last_at(&self) -> Option<Time> {
-        self.events.last().map(|e| e.at)
-    }
-
     /// Schedule one link flap: down at `down_at`, back up at `up_at`.
     pub fn link_flap(&mut self, a: u32, b: u32, down_at: Time, up_at: Time) -> &mut Self {
         assert!(up_at > down_at, "flap must come back up after going down");
         self.push(down_at, FaultKind::LinkDown { a, b });
         self.push(up_at, FaultKind::LinkUp { a, b })
-    }
-
-    /// Schedule a train of `count` flaps starting at `start`: each flap
-    /// holds the link down for `downtime`, flaps repeat every `period`
-    /// (`period > downtime`).
-    pub fn flap_train(
-        &mut self,
-        a: u32,
-        b: u32,
-        start: Time,
-        period: Time,
-        downtime: Time,
-        count: usize,
-    ) -> &mut Self {
-        assert!(period > downtime, "flap period must exceed the downtime");
-        assert!(downtime > Time::ZERO, "downtime must be positive");
-        let mut at = start;
-        for _ in 0..count {
-            self.link_flap(a, b, at, at + downtime);
-            at += period;
-        }
-        self
     }
 
     /// Schedule a switch crash at `down_at` recovering at `up_at`.
@@ -483,31 +456,6 @@ mod tests {
         // Ties keep insertion order: the LinkDown pushed first stays first.
         assert!(matches!(s.events()[1].kind, FaultKind::LinkDown { .. }));
         assert!(matches!(s.events()[2].kind, FaultKind::LinkUp { .. }));
-        assert_eq!(s.last_at(), Some(Time::from_millis(3)));
-    }
-
-    #[test]
-    fn flap_train_alternates_down_up() {
-        let mut s = FaultSchedule::default();
-        s.flap_train(
-            0,
-            2,
-            Time::from_millis(1),
-            Time::from_millis(2),
-            Time::from_micros(500),
-            3,
-        );
-        assert_eq!(s.len(), 6);
-        let mut down = 0i32;
-        for e in s.events() {
-            match e.kind {
-                FaultKind::LinkDown { .. } => down += 1,
-                FaultKind::LinkUp { .. } => down -= 1,
-                _ => panic!("unexpected kind"),
-            }
-            assert!((0..=1).contains(&down), "never two downs in a row");
-        }
-        assert_eq!(down, 0, "every down matched by an up");
     }
 
     #[test]

@@ -39,20 +39,6 @@ impl LeafSpineSpec {
         }
     }
 
-    /// The paper's scale-out topology (Figure 7): 16 spines, 16 leaves, 20
-    /// hosts per leaf, all links 10 Gbps (same aggregate core capacity as
-    /// the baseline).
-    pub fn paper_scale_out() -> LeafSpineSpec {
-        LeafSpineSpec {
-            spines: 16,
-            leaves: 16,
-            hosts_per_leaf: 20,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        }
-    }
-
     /// Total core capacity: sum of all leaf-uplink rates, one direction.
     pub fn core_capacity_bps(&self) -> u64 {
         (self.spines * self.leaves) as u64 * self.core_rate
@@ -296,13 +282,6 @@ impl ClosSpec {
         let host = self.num_hosts();
         2 * (leaf_agg + agg_core + host)
     }
-
-    /// One-direction bisection bandwidth of the core tier: every
-    /// pod-to-pod path crosses a core, and each core carries one link per
-    /// pod, so splitting the pods in half cuts `cores * pods/2` links.
-    pub fn bisection_bps(&self) -> u64 {
-        (self.cores * (self.pods / 2)) as u64 * self.agg_core_rate
-    }
 }
 
 /// Build a three-tier folded Clos from `spec`.
@@ -410,10 +389,6 @@ mod tests {
     fn paper_specs() {
         let base = LeafSpineSpec::paper_baseline();
         assert_eq!(base.core_capacity_bps(), 64 * 40_000_000_000);
-        let so = LeafSpineSpec::paper_scale_out();
-        // Identical aggregate core capacity.
-        assert_eq!(so.core_capacity_bps(), 256 * 10_000_000_000);
-        assert_eq!(base.core_capacity_bps(), so.core_capacity_bps());
     }
 
     #[test]
@@ -533,7 +508,6 @@ mod tests {
             let core = SwitchId((first_core + c) as u32);
             assert_eq!(t.num_ports(core), spec.pods);
         }
-        assert_eq!(spec.bisection_bps(), 8 * 40_000_000_000);
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! skippable by construction (length-prefixed), so old readers survive new
 //! writers within a version.
 //!
-//! Decoding follows the same hardening discipline as the `DRILLTRC` trace
-//! codec it shares primitives with (`drill_sim::codec`): wrong magic,
-//! unsupported version, a corrupted byte anywhere (checksum), truncation
-//! mid-section, and hostile length prefixes all surface as `io::Error` —
-//! never a panic or an over-allocation.
+//! Decoding goes through the hardened primitives of `drill_sim::codec`:
+//! wrong magic, unsupported version, a corrupted byte anywhere
+//! (checksum), truncation mid-section, and hostile length prefixes all
+//! surface as `io::Error` — never a panic or an over-allocation.
 
 use std::fs;
 use std::io;
@@ -65,11 +64,6 @@ impl Snapshot {
             .iter()
             .find(|(t, _)| *t == tag)
             .map(|(_, b)| b.as_slice())
-    }
-
-    /// Number of sections.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
     }
 
     /// Total payload bytes across sections (excluding framing).
@@ -186,7 +180,6 @@ mod tests {
         assert_eq!(t.section(1), Some(&[1u8, 2, 3][..]));
         assert_eq!(t.section(7), Some(&[][..]));
         assert_eq!(t.section(9), None);
-        assert_eq!(t.num_sections(), 3);
         assert_eq!(t.payload_bytes(), 203);
     }
 

@@ -201,21 +201,6 @@ impl RunStats {
         }
     }
 
-    /// Mean FCT slowdown of flows that lived through a fault window
-    /// relative to undisturbed flows (1.0 = no degradation; 0.0 when
-    /// either population is empty).
-    pub fn fault_fct_ratio(&self) -> f64 {
-        if self.fct_fault_ms.count() == 0 || self.fct_clear_ms.count() == 0 {
-            return 0.0;
-        }
-        let clear = self.fct_clear_ms.mean();
-        if clear <= 0.0 {
-            0.0
-        } else {
-            self.fct_fault_ms.mean() / clear
-        }
-    }
-
     /// Mean FCT in ms.
     pub fn mean_fct_ms(&self) -> f64 {
         self.fct_ms.mean()
@@ -382,18 +367,7 @@ mod tests {
         assert_eq!(a.fct_fault_ms.count(), 1);
         assert_eq!(a.fct_clear_ms.count(), 1);
         assert_eq!(a.stable_at, Time::from_millis(2));
-        assert!((a.fault_fct_ratio() - 4.0).abs() < 1e-12);
         assert_eq!((a.wheel_slots_hw, a.arena_slots_hw), (40, 9), "maxima");
-    }
-
-    #[test]
-    fn fault_fct_ratio_handles_empty_populations() {
-        let mut s = RunStats::new("x".into());
-        assert_eq!(s.fault_fct_ratio(), 0.0);
-        s.fct_fault_ms.add(5.0);
-        assert_eq!(s.fault_fct_ratio(), 0.0, "no clear flows yet");
-        s.fct_clear_ms.add(2.5);
-        assert!((s.fault_fct_ratio() - 2.0).abs() < 1e-12);
     }
 
     #[test]

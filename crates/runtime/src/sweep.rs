@@ -355,20 +355,6 @@ impl SweepResults {
         acc
     }
 
-    /// Collapse to a `[load][scheme]` grid, merging replications. The
-    /// engines and variant axes must be singletons.
-    pub fn by_load_scheme(&self) -> Vec<Vec<RunStats>> {
-        assert_eq!(self.shape.engines, 1, "engines axis is not a singleton");
-        assert_eq!(self.shape.variants, 1, "variant axis is not a singleton");
-        (0..self.shape.loads)
-            .map(|li| {
-                (0..self.shape.schemes)
-                    .map(|si| self.merged(li, 0, 0, si))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Consume the results, yielding the flat stats vector in grid order.
     pub fn into_stats(self) -> Vec<RunStats> {
         self.stats
@@ -497,22 +483,5 @@ mod tests {
         assert_eq!(m.events, a.events + b.events);
         assert_eq!(m.flows_started, a.flows_started + b.flows_started);
         assert_eq!(m.fct_ms.count(), a.fct_ms.count() + b.fct_ms.count());
-    }
-
-    #[test]
-    fn by_load_scheme_matches_cells() {
-        let res = SweepSpec::new(tiny_base(Scheme::Ecmp, 0.3))
-            .schemes(vec![Scheme::Ecmp, Scheme::Random])
-            .loads(vec![0.2, 0.4])
-            .threads(1)
-            .run();
-        let grid = res.by_load_scheme();
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0].len(), 2);
-        for (li, row) in grid.iter().enumerate() {
-            for (si, cell) in row.iter().enumerate() {
-                assert_eq!(cell.events, res.at(li, si).events);
-            }
-        }
     }
 }

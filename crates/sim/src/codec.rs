@@ -1,12 +1,11 @@
 //! Shared binary-codec primitives: LEB128 varints and a hardened slice
 //! decoder.
 //!
-//! Both versioned binary formats in the workspace — the `DRILLTRC` flight
-//! recorder traces (`drill-telemetry`) and the `DRILLSNAP` world snapshots
-//! (`drill_runtime::snapshot`) — encode with these primitives and decode through
-//! [`Decoder`], so the corruption-hardening discipline (bounded varints,
-//! explicit truncation errors, no panics on hostile bytes) lives in one
-//! place.
+//! The workspace's one binary format, the `DRILLSNAP` world snapshot
+//! (`drill_runtime::snapshot`), encodes with these primitives and decodes
+//! through [`Decoder`], so the corruption-hardening discipline (bounded
+//! varints, explicit truncation errors, no panics on hostile bytes) lives
+//! in one place.
 //!
 //! All multi-byte integers are LEB128 varints, so the common case (small
 //! ports, small queue depths, short deltas) costs 1–2 bytes per field.
@@ -38,10 +37,10 @@ pub enum CodecErrorKind {
 /// which byte offset.
 ///
 /// Every decode failure in the workspace — `DRILLSNAP` sections and the
-/// per-layer records inside them, `DRILLTRC` traces — surfaces as one of
-/// these wrapped in an `io::Error` (via [`From`]), so callers keep the
-/// familiar `io::ErrorKind` semantics while diagnostics can recover the
-/// structure with [`codec_error`].
+/// per-layer records inside them — surfaces as one of these wrapped in an
+/// `io::Error` (via [`From`]), so callers keep the familiar
+/// `io::ErrorKind` semantics while diagnostics can recover the structure
+/// with [`codec_error`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecError {
     /// The container section tag the decoder was labeled with
@@ -263,11 +262,6 @@ impl<'a> Decoder<'a> {
         self.narrow("field exceeds u16")
     }
 
-    /// Read a varint that must fit a `u8`.
-    pub fn varint_u8(&mut self) -> io::Result<u8> {
-        self.narrow("field exceeds u8")
-    }
-
     /// Read a varint that must fit a `usize`.
     pub fn varint_usize(&mut self) -> io::Result<usize> {
         self.narrow("field exceeds usize")
@@ -353,6 +347,16 @@ mod tests {
     }
 
     #[test]
+    fn varint_is_compact() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 100);
+        assert_eq!(buf.len(), 1);
+        buf.clear();
+        put_varint(&mut buf, 1_000);
+        assert_eq!(buf.len(), 2);
+    }
+
+    #[test]
     fn fixed_words_round_trip_bit_exact() {
         let mut buf = Vec::new();
         let words = [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d];
@@ -402,9 +406,6 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, u16::MAX as u64 + 1);
         assert!(Decoder::new(&buf).varint_u16().is_err());
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 256);
-        assert!(Decoder::new(&buf).varint_u8().is_err());
     }
 
     #[test]

@@ -101,12 +101,6 @@ impl Time {
         Time(self.0 * k)
     }
 
-    /// Scale a duration by a float factor, rounding to the nearest ns.
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> Time {
-        Time((self.0 as f64 * k).round() as u64)
-    }
-
     /// The transmission (serialization) time of `bytes` at `bits_per_sec`,
     /// rounded up to the next nanosecond so that a link is never modeled as
     /// faster than its rate.
@@ -242,7 +236,6 @@ mod tests {
         assert_eq!(a - b, Time::from_micros(3));
         assert_eq!(b.saturating_sub(a), Time::ZERO);
         assert_eq!(b.mul(3), Time::from_micros(6));
-        assert_eq!(b.mul_f64(1.5), Time::from_nanos(3_000));
         let mut c = a;
         c += b;
         assert_eq!(c, Time::from_micros(7));

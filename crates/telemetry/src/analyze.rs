@@ -1,9 +1,8 @@
 //! Post-hoc trace analyzers: the tables `tracedump` prints.
 //!
-//! Everything here works on a [`FlightRecorder`] — the one attached to a
-//! run, or one [`read_trace`](crate::read_trace) decoded from a file — and
-//! no simulator state is needed, so traces can be analyzed offline, long
-//! after the run.
+//! Everything here works on the [`FlightRecorder`] a run returns; no
+//! simulator state is needed, so a recording can be analyzed after the
+//! world that made it is gone.
 
 use std::collections::BTreeMap;
 
@@ -317,12 +316,14 @@ pub fn decision_quality(trace: &FlightRecorder) -> BTreeMap<(u32, u16), Decision
 mod tests {
     use super::*;
     use crate::probe::{EngineChoice, PacketMeta};
-    use crate::record::EventRing;
 
     /// A switchless recorder whose host ring holds `events`.
     fn trace_of(events: Vec<TraceEvent>) -> FlightRecorder {
-        let control = EventRing::decoded(Vec::new(), 0);
-        FlightRecorder::from_rings(1, vec![EventRing::decoded(events, 0), control])
+        let mut rec = FlightRecorder::new(0, 1, events.len().max(1));
+        for ev in events {
+            rec.host_ring().push(ev);
+        }
+        rec
     }
 
     fn enq(ns: u64, switch: u32, port: u16, depth: u32) -> TraceEvent {

@@ -13,11 +13,10 @@
 //!   probe-only work on [`Probe::ENABLED`], so the [`NoopProbe`] path
 //!   monomorphizes to exactly the pre-telemetry code.
 //! * [`FlightRecorder`] — captures events into bounded [`EventRing`]s, one
-//!   per switch in hook order (newest kept, overwrites counted).
-//! * [`write_trace`]/[`read_trace`] — the versioned `DRILLTRC` binary
-//!   container (LEB128 varints, per-ring delta timestamps). A decoded
-//!   trace is the [`FlightRecorder`] that wrote it.
-//! * [`analyze`] — offline analyzers turning a recorder into queue-depth
+//!   per switch in hook order (newest kept, overwrites counted). A
+//!   recording lives in memory only: the caller keeps the recorder the
+//!   run returns.
+//! * [`analyze`] — analyzers turning a recorder into queue-depth
 //!   timelines, per-packet trips, reordering histograms, and engine
 //!   decision-quality summaries (the `tracedump` tables).
 //!
@@ -30,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-mod encode;
 mod probe;
 mod record;
 
-pub use encode::{read_trace, write_trace, TRACE_MAGIC, TRACE_VERSION};
 pub use probe::{
     fault_kind, meta_flags, DropReason, EngineChoice, FaultInfo, NoopProbe, PacketMeta, Probe,
 };
@@ -45,10 +42,10 @@ mod tests {
     use super::*;
     use drill_sim::Time;
 
-    /// End to end: record through the probe API, serialize, decode, and
-    /// get the same events back.
+    /// End to end: events recorded through the probe API land in the
+    /// recorder's ring layout and merge back in time order.
     #[test]
-    fn recorder_round_trips_through_the_trace_file() {
+    fn recorder_keeps_ring_layout_and_merge_order() {
         let mut rec = FlightRecorder::new(2, 2, 8);
         let m = PacketMeta {
             id: 3,
@@ -88,19 +85,14 @@ mod tests {
             },
         );
 
-        let mut bytes = Vec::new();
-        write_trace(&rec, &mut bytes).unwrap();
-        assert_eq!(&bytes[..8], &TRACE_MAGIC);
-        let trace = read_trace(&mut bytes.as_slice()).unwrap();
-        assert_eq!(trace.num_switches(), 2);
-        assert_eq!(trace.engines(), 2);
-        assert_eq!(trace.ring_count(), 4);
-        assert_eq!(trace.event_count(), 8);
-        assert_eq!(trace.overwritten(), 0);
-        assert_eq!(trace.ring_at(3).0, RingKind::Control);
-        assert_eq!(trace.merged_events(), rec.merged_events());
+        assert_eq!(rec.num_switches(), 2);
+        assert_eq!(rec.engines(), 2);
+        assert_eq!(rec.ring_count(), 4);
+        assert_eq!(rec.event_count(), 8);
+        assert_eq!(rec.overwritten(), 0);
+        assert_eq!(rec.ring_at(3).0, RingKind::Control);
 
-        let merged = trace.merged_events();
+        let merged = rec.merged_events();
         assert_eq!(merged.len(), 8);
         assert!(
             merged.windows(2).all(|w| w[0].time() <= w[1].time()),

@@ -69,29 +69,6 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// Stable wire encoding.
-    pub fn code(self) -> u8 {
-        match self {
-            DropReason::TailDrop => 0,
-            DropReason::LinkDown => 1,
-            DropReason::NoRoute => 2,
-            DropReason::NicOverflow => 3,
-            DropReason::LinkLoss => 4,
-        }
-    }
-
-    /// Inverse of [`DropReason::code`].
-    pub fn from_code(c: u8) -> Option<DropReason> {
-        Some(match c {
-            0 => DropReason::TailDrop,
-            1 => DropReason::LinkDown,
-            2 => DropReason::NoRoute,
-            3 => DropReason::NicOverflow,
-            4 => DropReason::LinkLoss,
-            _ => return None,
-        })
-    }
-
     /// Human name.
     pub fn name(self) -> &'static str {
         match self {
@@ -294,21 +271,6 @@ mod tests {
     fn noop_is_disabled_and_inert() {
         const { assert!(!NoopProbe::ENABLED) };
         fire_all(&mut NoopProbe); // must compile and do nothing
-    }
-
-    #[test]
-    fn drop_reason_codes_round_trip() {
-        for r in [
-            DropReason::TailDrop,
-            DropReason::LinkDown,
-            DropReason::NoRoute,
-            DropReason::NicOverflow,
-            DropReason::LinkLoss,
-        ] {
-            assert_eq!(DropReason::from_code(r.code()), Some(r));
-            assert!(!r.name().is_empty());
-        }
-        assert_eq!(DropReason::from_code(250), None);
     }
 
     #[test]

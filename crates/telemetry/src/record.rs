@@ -6,7 +6,7 @@
 //! order its hooks fired. Engine events carry their `engine` field, so
 //! the per-engine view of the paper's Fig. 2 analysis is a filter over a
 //! switch ring. Rings keep the *newest* events: on wraparound the oldest
-//! event is overwritten and counted, so a trace always ends with an
+//! event is overwritten and counted, so a recording always ends with an
 //! intact suffix of the run.
 
 use drill_sim::Time;
@@ -200,17 +200,6 @@ impl EventRing {
         self.overwritten
     }
 
-    /// A ring holding exactly `events` (oldest first), as decoded from a
-    /// trace file, with `overwritten` events lost before them.
-    pub(crate) fn decoded(events: Vec<TraceEvent>, overwritten: u64) -> EventRing {
-        EventRing {
-            cap: events.len().max(1),
-            buf: events,
-            head: 0,
-            overwritten,
-        }
-    }
-
     /// Surviving events, oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf[self.head..]
@@ -246,13 +235,6 @@ impl FlightRecorder {
         FlightRecorder { engines, rings }
     }
 
-    /// A recorder over `rings` in [`new`](FlightRecorder::new)'s layout
-    /// (at least the host and control rings), as decoded from a trace file.
-    pub(crate) fn from_rings(engines: usize, rings: Vec<EventRing>) -> FlightRecorder {
-        debug_assert!(engines >= 1 && rings.len() >= 2);
-        FlightRecorder { engines, rings }
-    }
-
     /// Switch count this recorder was sized for.
     pub fn num_switches(&self) -> usize {
         self.rings.len() - 2
@@ -268,22 +250,15 @@ impl FlightRecorder {
         self.rings.len()
     }
 
-    /// The ring at file index `idx` with its kind (switch rings by switch
-    /// id, then the host ring, then the control ring).
+    /// The ring at index `idx` with its kind (switch rings by switch id,
+    /// then the host ring, then the control ring).
     pub fn ring_at(&self, idx: usize) -> (RingKind, &EventRing) {
-        let kind = FlightRecorder::kind_at(self.num_switches(), idx).expect("ring index");
+        let kind = match idx.checked_sub(self.num_switches()) {
+            None => RingKind::Switch { switch: idx as u32 },
+            Some(0) => RingKind::Host,
+            Some(_) => RingKind::Control,
+        };
         (kind, &self.rings[idx])
-    }
-
-    /// The kind of ring `idx` in the layout of a recorder for
-    /// `num_switches` switches, or `None` past its last ring.
-    pub(crate) fn kind_at(num_switches: usize, idx: usize) -> Option<RingKind> {
-        match idx.checked_sub(num_switches) {
-            None => Some(RingKind::Switch { switch: idx as u32 }),
-            Some(0) => Some(RingKind::Host),
-            Some(1) => Some(RingKind::Control),
-            Some(_) => None,
-        }
     }
 
     /// All events of every ring, merged and sorted by time. The sort is
@@ -311,7 +286,7 @@ impl FlightRecorder {
     }
 
     #[inline]
-    fn host_ring(&mut self) -> &mut EventRing {
+    pub(crate) fn host_ring(&mut self) -> &mut EventRing {
         let idx = self.num_switches();
         &mut self.rings[idx]
     }

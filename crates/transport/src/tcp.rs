@@ -770,7 +770,7 @@ mod tests {
     #[test]
     fn rtt_estimator_sets_rto() {
         let f = run_perfect_pipe(flow(200_000), Time::from_micros(25));
-        // RTT = 50us; RTO clamps at rto_min (10ms).
+        // RTT = 50us; RTO clamps at the default rto_min (200ms).
         assert_eq!(f.rto(), TcpConfig::default().rto_min);
         assert!(f.srtt_ns.unwrap() > 0.0);
     }

@@ -51,13 +51,6 @@ impl IncastSpec {
         }
         flows
     }
-
-    /// Expected flows per epoch for `hosts` hosts.
-    pub fn flows_per_epoch(&self, hosts: u32) -> usize {
-        let n_req = ((hosts as f64 * self.frac_requesters).round() as usize).max(1);
-        let fan_in = ((hosts as f64 * self.frac_servers).round() as usize).max(1);
-        n_req * fan_in
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +64,6 @@ mod tests {
         let flows = spec.epoch_flows(320, &mut rng);
         // 32 requesters x 32 servers.
         assert_eq!(flows.len(), 32 * 32);
-        assert_eq!(spec.flows_per_epoch(320), 1024);
         for &(s, r, b) in &flows {
             assert_ne!(s, r, "no self-fetch");
             assert!(s < 320 && r < 320);

@@ -31,56 +31,11 @@ static FB_WEB: &[(f64, f64)] = &[
     (10_000_000.0, 1.0),
 ];
 
-/// Approximation of the DCTCP "web search" workload (Alizadeh et al.):
-/// query/response traffic, mean ~1.6 MB, used widely by load-balancer
-/// evaluations (CONGA, Presto).
-static WEB_SEARCH: &[(f64, f64)] = &[
-    (6_000.0, 0.0),
-    (10_000.0, 0.15),
-    (13_000.0, 0.20),
-    (19_000.0, 0.30),
-    (33_000.0, 0.40),
-    (53_000.0, 0.53),
-    (133_000.0, 0.60),
-    (667_000.0, 0.70),
-    (1_333_000.0, 0.80),
-    (3_333_000.0, 0.90),
-    (6_667_000.0, 0.97),
-    (20_000_000.0, 1.0),
-];
-
-/// Approximation of the VL2 "data mining" workload (Greenberg et al.):
-/// extremely heavy-tailed; most flows tiny, most bytes in giant flows.
-static DATA_MINING: &[(f64, f64)] = &[
-    (100.0, 0.0),
-    (180.0, 0.10),
-    (250.0, 0.20),
-    (560.0, 0.40),
-    (900.0, 0.50),
-    (1_100.0, 0.60),
-    (1_870.0, 0.70),
-    (3_160.0, 0.80),
-    (10_000.0, 0.90),
-    (400_000.0, 0.95),
-    (3_160_000.0, 0.98),
-    (100_000_000.0, 1.0),
-];
-
 impl FlowSizeDist {
     /// The Facebook web-server distribution (the paper's trace-driven
     /// workload, reference \[62\]).
     pub fn fb_web() -> FlowSizeDist {
         FlowSizeDist::Empirical(FB_WEB)
-    }
-
-    /// The DCTCP web-search distribution.
-    pub fn web_search() -> FlowSizeDist {
-        FlowSizeDist::Empirical(WEB_SEARCH)
-    }
-
-    /// The VL2 data-mining distribution.
-    pub fn data_mining() -> FlowSizeDist {
-        FlowSizeDist::Empirical(DATA_MINING)
     }
 
     /// Draw one flow size in bytes.
@@ -134,8 +89,6 @@ mod tests {
     #[test]
     fn embedded_distributions_are_valid() {
         FlowSizeDist::fb_web().validate();
-        FlowSizeDist::web_search().validate();
-        FlowSizeDist::data_mining().validate();
     }
 
     #[test]
@@ -195,9 +148,8 @@ mod tests {
 
     #[test]
     fn means_are_ordered_by_heavy_tail() {
-        // web_search >> fb_web > data_mining's median but data_mining's
-        // mean is dominated by its giant tail.
-        assert!(FlowSizeDist::web_search().mean() > FlowSizeDist::fb_web().mean());
+        // fb_web's mean is dominated by its heavy tail, far above the
+        // ~2 KB median.
         assert!(FlowSizeDist::fb_web().mean() > 10_000.0);
     }
 }

@@ -35,12 +35,16 @@ echo "== retired build/run modes stay retired =="
 # config knob with its trace path and the DRILL_TELEMETRY / DRILL_AUDIT
 # test knobs (the observer is chosen by the entry point and cfg.audit);
 # so were chaosbench and the per-figure binaries' helpers (fct_tables,
-# sweep_grid, cdf_table): the figures are rows of one table now;
+# sweep_grid, cdf_table): the figures are rows of one table now; so
+# were the DRILLTRC trace codec (write_trace / read_trace / TRACE_MAGIC),
+# which nothing wrote once the recording runs stopped writing files (a
+# recording is the FlightRecorder in memory), chaosbench's flap_train
+# builder and the web_search / data_mining size tables no figure used;
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then

@@ -27,8 +27,8 @@
 //!   schedules (link flaps, switch outages, degradation, lossy links).
 //! * [`runtime`] — experiment configuration and execution.
 //! * [`hw`] — the hardware area model.
-//! * [`telemetry`] — zero-overhead probes, the flight recorder, queue
-//!   time series, and the `DRILLTRC` trace format (`tracedump` reads it).
+//! * [`telemetry`] — zero-overhead probes, the in-memory flight recorder
+//!   and its analyzers (queue time series, `tracedump`'s tables).
 //! * [`audit`] — runtime invariant watchdogs, typed anomaly reports, and
 //!   the in-memory `DRILLSNAP` ring behind rewind-replay diagnostics.
 //! * [`snapshot`] — the `DRILLSNAP` checkpoint container (tagged

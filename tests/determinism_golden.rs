@@ -1,15 +1,18 @@
 //! Determinism goldens: a fixed seed must reproduce bit-identical run
 //! outcomes across machines, runs, *and refactors of the event core*.
 //!
-//! The constants below were captured from a run of this configuration; if
-//! a change breaks them it has changed simulation behaviour — event
-//! delivery order, RNG streams, or the TCP/switch models — and is not a
-//! pure refactor. Update the constants only when a behaviour change is
-//! intended, and say so in the commit.
+//! The pinned constants (`support/golden.rs`'s `GOLDENS` and the ones
+//! below) were captured from runs of these configurations; if a change
+//! breaks them it has changed simulation behaviour — event delivery order,
+//! RNG streams, or the TCP/switch models — and is not a pure refactor.
+//! Update the constants only when a behaviour change is intended, and say
+//! so in the commit.
 //!
 //! Every test that pins a golden from one run checks it three ways —
 //! plain, with the flight recorder and under the invariant auditor
 //! ([`observed_run`]) — since observers must never steer a run.
+
+mod support;
 
 use drill::exec::Executor;
 use drill::faults::FaultSchedule;
@@ -20,74 +23,7 @@ use drill::runtime::{
 };
 use drill::sim::Time;
 use drill::stats::Distribution;
-
-fn golden_cfg(scheme: Scheme) -> ExperimentConfig {
-    let topo = TopoSpec::LeafSpine(LeafSpineSpec {
-        spines: 4,
-        leaves: 4,
-        hosts_per_leaf: 2,
-        host_rate: 10_000_000_000,
-        core_rate: 40_000_000_000,
-        prop: DEFAULT_PROP,
-    });
-    let mut cfg = ExperimentConfig::new(topo, scheme, 0.4);
-    cfg.seed = 0xD211;
-    cfg.duration = Time::from_millis(3);
-    cfg.drain = Time::from_millis(50);
-    cfg.warmup = Time::from_micros(100);
-    cfg
-}
-
-/// Every metric a figure reads, floats by bit pattern (`to_bits`): any
-/// behavioural difference between two runs of the same config shows here.
-fn full_fingerprint(st: &mut RunStats) -> Vec<u64> {
-    let mut fp = vec![
-        st.flows_started,
-        st.flows_completed,
-        st.events,
-        st.gro_batches,
-        st.data_pkts_delivered,
-        st.retransmissions,
-        st.timeouts,
-        st.blackholed,
-        st.nic_drops,
-        st.sim_end.as_nanos(),
-        st.fct_ms.count() as u64,
-        st.fct_incast_ms.count() as u64,
-        st.fct_mice_ms.count() as u64,
-        st.elephant_gbps.count() as u64,
-        st.dupacks.total(),
-        st.reorders.total(),
-        st.queue_stdv.count(),
-        st.queue_stdv.mean().to_bits(),
-        st.mean_fct_ms().to_bits(),
-        st.fct_ms.quantile(0.5).to_bits(),
-        st.fct_ms.quantile(0.99).to_bits(),
-        st.fct_ms.quantile(0.9999).to_bits(),
-        st.dupacks.frac(0).to_bits(),
-        st.reorders.frac(0).to_bits(),
-        st.elephant_gbps.mean().to_bits(),
-        st.fault_events,
-        st.reconvergences,
-        st.fault_blackholed,
-        st.fault_window_ns,
-        st.stable_at.as_nanos(),
-        st.fct_fault_ms.count() as u64,
-        st.fct_fault_ms.mean().to_bits(),
-        st.fct_clear_ms.count() as u64,
-        st.fct_clear_ms.mean().to_bits(),
-    ];
-    fp.extend_from_slice(&st.hops.wait_ns);
-    fp.extend_from_slice(&st.hops.wait_samples);
-    fp.extend_from_slice(&st.hops.drops);
-    fp.extend_from_slice(&st.hops.tx);
-    // Appended last: earlier slots are indexed by position (see the chaos
-    // test's point[25..29] reads, which the slots below must not shift).
-    fp.push(st.bytes_delivered);
-    fp.push(st.fct_ms.digest());
-    fp.push(st.arena_live_at_end);
-    fp
-}
+use support::golden::{full_fingerprint, golden_cfg, GOLDENS};
 
 /// Run `cfg` plain, with the flight recorder attached and under the
 /// auditor's default spec. Every metric must be bit-identical across the
@@ -114,7 +50,11 @@ fn observed_run(cfg: &ExperimentConfig) -> RunStats {
     plain
 }
 
-fn assert_golden(scheme: Scheme, events: u64, flows_started: u64, flows_completed: u64) {
+fn assert_golden(scheme: Scheme) {
+    let &(_, events, flows_started, flows_completed) = GOLDENS
+        .iter()
+        .find(|g| g.0 == scheme)
+        .expect("scheme has a golden row");
     let stats = observed_run(&golden_cfg(scheme));
     assert_eq!(
         (stats.events, stats.flows_started, stats.flows_completed),
@@ -135,17 +75,17 @@ fn assert_golden(scheme: Scheme, events: u64, flows_started: u64, flows_complete
 
 #[test]
 fn ecmp_replays_golden_trace() {
-    assert_golden(Scheme::Ecmp, 1_282_646, 1060, 1058);
+    assert_golden(Scheme::Ecmp);
 }
 
 #[test]
 fn drill_2_1_replays_golden_trace() {
-    assert_golden(Scheme::drill_default(), 1_283_055, 1060, 1058);
+    assert_golden(Scheme::drill_default());
 }
 
 #[test]
 fn random_replays_golden_trace() {
-    assert_golden(Scheme::Random, 1_294_326, 1060, 1060);
+    assert_golden(Scheme::Random);
 }
 
 /// The telemetry determinism contract: a run with the flight recorder

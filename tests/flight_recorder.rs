@@ -1,5 +1,5 @@
-//! The flight recorder explains a run correctly: its trace reproduces the
-//! hook stream it saw, and a recorder attached to a restored world records
+//! The flight recorder explains a run correctly: its recording reproduces
+//! the hook stream it saw, and a recorder attached to a restored world records
 //! exactly what a straight run records from the restore instant on.
 //!
 //! Shape: tracedump's quick-scale recording run without its link flap — a
@@ -13,7 +13,7 @@ use drill::net::{LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{run_probed, ExperimentConfig, Scheme, TopoSpec, World};
 use drill::sim::Time;
 use drill::telemetry::analyze::queue_timelines;
-use drill::telemetry::{read_trace, write_trace, FlightRecorder, PacketMeta, Probe};
+use drill::telemetry::{FlightRecorder, PacketMeta, Probe};
 
 /// Large enough that no ring of these runs wraps.
 const RING_CAPACITY: usize = 1 << 22;
@@ -48,11 +48,10 @@ fn recorder(cfg: &ExperimentConfig) -> FlightRecorder {
     FlightRecorder::new(cfg.topo.build().num_switches(), cfg.engines, RING_CAPACITY)
 }
 
-fn decode(rec: &FlightRecorder) -> FlightRecorder {
+/// `rec`, checked to hold every event of its run.
+fn unwrapped(rec: &FlightRecorder) -> &FlightRecorder {
     assert_eq!(rec.overwritten(), 0, "a ring wrapped; raise RING_CAPACITY");
-    let mut buf = Vec::new();
-    write_trace(rec, &mut buf).unwrap();
-    read_trace(&mut &buf[..]).unwrap()
+    rec
 }
 
 type Timelines = BTreeMap<(u32, u16), Vec<(u64, u32)>>;
@@ -82,14 +81,14 @@ impl Probe for DepthProbe {
 }
 
 /// Probes never steer, so the recorded run and the probed run see the
-/// same hook stream; the trace's timelines must be that stream's.
+/// same hook stream; the recording's timelines must be that stream's.
 #[test]
 fn trace_timelines_follow_hook_order() {
     for raw in [true, false] {
         for engines in [1, 2] {
             let cfg = cfg(raw, engines);
             let (_, rec) = run_probed(&cfg, recorder(&cfg));
-            let from_trace = queue_timelines(&decode(&rec), BUCKET);
+            let from_trace = queue_timelines(unwrapped(&rec), BUCKET);
             let (_, DepthProbe(from_hooks)) = run_probed(&cfg, DepthProbe::default());
             assert_eq!(
                 from_trace.keys().collect::<Vec<_>>(),
@@ -123,7 +122,7 @@ fn restored_recorder_matches_the_straight_run() {
             let snap = w.snapshot();
             let w = World::restore_probed(&snap, &cfg, recorder(&cfg)).unwrap();
             let (_, restored, _) = w.finish_parts();
-            let (straight, restored) = (decode(&straight), decode(&restored));
+            let (straight, restored) = (unwrapped(&straight), unwrapped(&restored));
             assert_eq!(straight.ring_count(), restored.ring_count());
             let differ = (0..straight.ring_count())
                 .filter(|&i| {

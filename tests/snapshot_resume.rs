@@ -3,6 +3,8 @@
 //! bit-identically to the uninterrupted run. The same discipline as
 //! `determinism_golden.rs`, extended over a save/restore boundary.
 
+mod support;
+
 use drill::faults::FaultSchedule;
 use drill::net::{LeafSpineSpec, DEFAULT_PROP};
 use drill::runtime::{
@@ -12,23 +14,7 @@ use drill::runtime::{
 use drill::sim::codec::{put_varint, Decoder};
 use drill::sim::Time;
 use drill::snapshot::SnapshotBuilder;
-
-fn golden_cfg(scheme: Scheme) -> ExperimentConfig {
-    let topo = TopoSpec::LeafSpine(LeafSpineSpec {
-        spines: 4,
-        leaves: 4,
-        hosts_per_leaf: 2,
-        host_rate: 10_000_000_000,
-        core_rate: 40_000_000_000,
-        prop: DEFAULT_PROP,
-    });
-    let mut cfg = ExperimentConfig::new(topo, scheme, 0.4);
-    cfg.seed = 0xD211;
-    cfg.duration = Time::from_millis(3);
-    cfg.drain = Time::from_millis(50);
-    cfg.warmup = Time::from_micros(100);
-    cfg
-}
+use support::golden::{full_fingerprint, golden_cfg, GOLDENS};
 
 fn tiny_cfg(scheme: Scheme) -> ExperimentConfig {
     let topo = TopoSpec::LeafSpine(LeafSpineSpec {
@@ -44,55 +30,6 @@ fn tiny_cfg(scheme: Scheme) -> ExperimentConfig {
     cfg.drain = Time::from_millis(50);
     cfg.warmup = Time::from_micros(100);
     cfg
-}
-
-/// Every metric a figure reads (same slots as `determinism_golden.rs`),
-/// floats by bit pattern.
-fn full_fingerprint(st: &mut RunStats) -> Vec<u64> {
-    let mut fp = vec![
-        st.flows_started,
-        st.flows_completed,
-        st.events,
-        st.gro_batches,
-        st.data_pkts_delivered,
-        st.retransmissions,
-        st.timeouts,
-        st.blackholed,
-        st.nic_drops,
-        st.sim_end.as_nanos(),
-        st.fct_ms.count() as u64,
-        st.fct_incast_ms.count() as u64,
-        st.fct_mice_ms.count() as u64,
-        st.elephant_gbps.count() as u64,
-        st.dupacks.total(),
-        st.reorders.total(),
-        st.queue_stdv.count(),
-        st.queue_stdv.mean().to_bits(),
-        st.mean_fct_ms().to_bits(),
-        st.fct_ms.quantile(0.5).to_bits(),
-        st.fct_ms.quantile(0.99).to_bits(),
-        st.fct_ms.quantile(0.9999).to_bits(),
-        st.dupacks.frac(0).to_bits(),
-        st.reorders.frac(0).to_bits(),
-        st.elephant_gbps.mean().to_bits(),
-        st.fault_events,
-        st.reconvergences,
-        st.fault_blackholed,
-        st.fault_window_ns,
-        st.stable_at.as_nanos(),
-        st.fct_fault_ms.count() as u64,
-        st.fct_fault_ms.mean().to_bits(),
-        st.fct_clear_ms.count() as u64,
-        st.fct_clear_ms.mean().to_bits(),
-        st.bytes_delivered,
-        st.fct_ms.digest(),
-        st.arena_live_at_end,
-    ];
-    fp.extend_from_slice(&st.hops.wait_ns);
-    fp.extend_from_slice(&st.hops.wait_samples);
-    fp.extend_from_slice(&st.hops.drops);
-    fp.extend_from_slice(&st.hops.tx);
-    fp
 }
 
 /// Run `cfg` to `at`, serialize, decode the bytes back (the fresh-process
@@ -125,13 +62,10 @@ fn resume_replays_uninterrupted_run() {
 }
 
 /// The resumed run also replays the pinned golden constants — the same
-/// numbers `determinism_golden.rs` pins for uninterrupted runs.
+/// rows `determinism_golden.rs` pins for uninterrupted runs.
 #[test]
 fn resumed_run_hits_pinned_goldens() {
-    for (scheme, events, started, completed) in [
-        (Scheme::Ecmp, 1_282_646, 1060, 1058),
-        (Scheme::drill_default(), 1_283_055, 1060, 1058),
-    ] {
+    for (scheme, events, started, completed) in GOLDENS {
         let st = snapshot_resume(&golden_cfg(scheme), Time::from_micros(1500));
         assert_eq!(
             (st.events, st.flows_started, st.flows_completed),

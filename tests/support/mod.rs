@@ -2,6 +2,7 @@
 //! test target itself. Each suite uses its own part.
 #![allow(dead_code)]
 
+pub mod golden;
 pub mod oracle;
 pub mod sweep;
 
