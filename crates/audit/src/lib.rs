@@ -14,8 +14,8 @@
 //! On a trip the auditor does **not** panic: it records a typed
 //! [`AnomalyReport`], and the runtime dumps the [`SnapshotRing`] — the
 //! last K `DRILLSNAP` checkpoints, bounded by count and bytes — plus a
-//! snapshot of the faulted instant, giving `tracedump --replay-from` a
-//! rewind point just before the anomaly.
+//! snapshot of the faulted instant, giving `drill_runtime::rewind_replay`
+//! a rewind point just before the anomaly.
 //!
 //! # Cost contract
 //!

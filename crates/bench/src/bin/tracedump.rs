@@ -4,38 +4,23 @@
 //! quality (§3.2.1: how often an engine's pick was the true shortest
 //! queue).
 //!
-//! Modes:
-//!
-//! * default — run a small Fig. 2-shaped experiment (open-loop packet
-//!   trains, DRILL(2,1), 2 engines) with the flight recorder attached,
-//!   then analyze the recording in-process. `DRILL_SCALE` / `DRILL_SEED`
-//!   apply as in the other harness binaries.
-//! * `--sabotage <leak|blackhole> --audit-dir <dir>` — run a small
-//!   deterministic experiment with the `drill-audit` watchdogs attached
-//!   and a deliberately broken runtime (a leaked arena handle or a
-//!   blackholed flow). The trip dumps the snapshot ring, the faulted
-//!   instant and `anomaly.meta` into `<dir>` and prints the typed report.
-//! * `--replay-from <dir>` — automatic rewind-replay: parse
-//!   `<dir>/anomaly.meta`, restore the newest clean ring snapshot with
-//!   the flight recorder attached, re-run exactly the window up to the
-//!   anomalous boundary, and print the decision-quality and queue tables
-//!   for that window alone.
+//! It runs a small Fig. 2-shaped experiment (open-loop packet trains,
+//! DRILL(2,1), 2 engines) with the flight recorder attached, then
+//! analyzes the recording in-process. `DRILL_SCALE` / `DRILL_SEED` apply
+//! as in the other harness binaries; it takes no arguments.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 use drill_bench::{banner, base_config, seed_from_env, Scale};
-use drill_faults::{SabotageKind, SabotageSpec};
 use drill_net::{LeafSpineSpec, DEFAULT_PROP};
-use drill_runtime::run_recorded;
-use drill_runtime::{run_audited, AuditSpec, ExperimentConfig, Scheme, Snapshot, TopoSpec, World};
+use drill_runtime::{run_recorded, Scheme, TopoSpec};
 use drill_sim::Time;
 use drill_stats::{f3, Table};
 use drill_telemetry::analyze::{
     decision_quality, depth_stdev_timeline, fault_timeline, packet_trips, queue_timelines,
     reordering,
 };
-use drill_telemetry::{fault_kind, FlightRecorder, RingKind, TraceEvent, DEFAULT_RING_CAPACITY};
+use drill_telemetry::{fault_kind, FlightRecorder, RingKind, TraceEvent};
 
 /// Sampling bucket for the reconstructed queue timelines (Fig. 2 samples
 /// every 10 µs).
@@ -364,273 +349,50 @@ fn decision_report(trace: &FlightRecorder) {
     println!("{}", t.render());
 }
 
-/// The deterministic demo experiment shared by `--sabotage` and
-/// `--replay-from`: both modes must rebuild the identical config, since a
-/// ring snapshot only restores against the experiment shape that wrote
-/// it. Closed-loop TCP (not raw packet trains) so the stuck-flow watchdog
-/// has per-flow progress to observe.
-fn audit_demo_cfg() -> ExperimentConfig {
-    let n = 4;
-    let topo = TopoSpec::LeafSpine(LeafSpineSpec {
-        spines: n,
-        leaves: n,
-        hosts_per_leaf: n,
-        host_rate: 10_000_000_000,
-        core_rate: 10_000_000_000,
-        prop: DEFAULT_PROP,
-    });
-    let mut cfg = ExperimentConfig::new(
-        topo,
-        Scheme::Drill {
-            d: 2,
-            m: 1,
-            shim: false,
-        },
-        0.8,
-    );
-    cfg.duration = Time::from_millis(2);
-    cfg.drain = Time::from_millis(2);
-    cfg.queue_limit_bytes = 20_000_000;
-    cfg.engines = 2;
-    cfg
-}
-
-/// The audit knobs for the demo: boundaries every 5k events so the ring
-/// holds several snapshots before the trip, and a stall threshold well
-/// inside the 4 ms run so a blackholed flow is caught before drain ends.
-fn audit_demo_spec() -> AuditSpec {
-    AuditSpec {
-        every_events: 5_000,
-        stuck_after: Time::from_millis(1),
-        ..AuditSpec::default()
+/// The command line: no arguments. Any argument is refused, so a
+/// mistyped or retired flag never silently runs the analysis.
+fn check_args<S: AsRef<str>>(args: &[S]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("unexpected argument {:?}", arg.as_ref())),
     }
-}
-
-/// `--sabotage`: break the runtime on purpose, let the watchdogs trip,
-/// and dump the diagnostics bundle for `--replay-from`.
-fn sabotage_run(sabotage: SabotageSpec, dir: &Path) {
-    let mut cfg = audit_demo_cfg();
-    let mut spec = audit_demo_spec();
-    spec.dump_dir = Some(dir.to_path_buf());
-    cfg.audit = Some(spec);
-    cfg.sabotage = Some(sabotage);
-    println!(
-        "sabotage: {:?} at {} us, audit dump dir {}",
-        sabotage.kind,
-        sabotage.at.as_nanos() / 1000,
-        dir.display()
-    );
-    let (stats, reports) = run_audited(&cfg);
-    println!(
-        "run: {} events, {} data pkts delivered, {} anomalies",
-        stats.events, stats.data_pkts_delivered, stats.anomalies
-    );
-    for r in &reports {
-        println!("anomaly: {r}");
-    }
-    assert!(
-        !reports.is_empty(),
-        "sabotaged run tripped no watchdog — the auditor missed it"
-    );
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .expect("audit dump dir")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    println!("dumped: {}", names.join(", "));
-    println!("\nnext: tracedump --replay-from {}", dir.display());
-}
-
-/// `--replay-from`: the automatic rewind-replay loop. Everything needed —
-/// which snapshot to rewind to and how far to run — comes from
-/// `anomaly.meta`; no knowledge of the original run is required beyond
-/// the shared demo config.
-fn replay_from(dir: &Path) {
-    let meta_path = dir.join("anomaly.meta");
-    let text = std::fs::read_to_string(&meta_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", meta_path.display()));
-    let kv: BTreeMap<&str, &str> = text.lines().filter_map(|l| l.split_once('=')).collect();
-    let get = |k: &str| {
-        *kv.get(k)
-            .unwrap_or_else(|| panic!("anomaly.meta lacks {k}="))
-    };
-    let kind = get("kind");
-    let at_ns: u64 = get("at_ns").parse().expect("at_ns");
-    let events: u64 = get("events").parse().expect("events");
-    let rewind = kv.get("rewind").copied().unwrap_or_else(|| {
-        panic!("anomaly.meta has no rewind= line — the ring held no clean snapshot")
-    });
-    let rewind_events: u64 = get("rewind_events").parse().expect("rewind_events");
-    println!(
-        "anomaly: {kind} at {} us (event {events}); rewinding to {rewind} (event {rewind_events})",
-        at_ns / 1000
-    );
-
-    let snap = Snapshot::load(dir.join(rewind))
-        .unwrap_or_else(|e| panic!("cannot load ring snapshot {rewind}: {e}"));
-    let mut cfg = audit_demo_cfg();
-    // Stop the restored world exactly at the anomalous boundary: the
-    // flight recorder then covers nothing but the rewind window.
-    cfg.max_events = events;
-    let recorder = FlightRecorder::new(
-        cfg.topo.build().num_switches(),
-        cfg.engines,
-        DEFAULT_RING_CAPACITY,
-    );
-    let w = World::restore_probed(&snap, &cfg, recorder)
-        .unwrap_or_else(|e| panic!("cannot restore {rewind}: {e}"));
-    let (stats, recorder, _reports) = w.finish_parts();
-    println!(
-        "replayed window: events {rewind_events}..{} ({} recorder events)\n",
-        stats.events.min(events),
-        recorder.event_count()
-    );
-
-    header(&recorder);
-    fig2_timeline(&recorder);
-    trip_summary(&recorder);
-    decision_report(&recorder);
-}
-
-/// What the command line asks for.
-#[derive(Debug, PartialEq)]
-enum Mode {
-    /// Record and analyze the Fig. 2-shaped run.
-    Record,
-    /// Sabotage the audit demo and dump its diagnostics into `dir`.
-    Sabotage {
-        sabotage: SabotageSpec,
-        dir: PathBuf,
-    },
-    /// Rewind-replay from the dump in this directory.
-    Replay(PathBuf),
-}
-
-/// Parse the arguments after the program name.
-fn parse<S: AsRef<str>>(args: &[S]) -> Result<Mode, String> {
-    let (mut sabotage, mut audit_dir, mut replay) = (None, None, None);
-    let mut args = args.iter().map(AsRef::as_ref);
-    while let Some(flag) = args.next() {
-        let slot = match flag {
-            "--sabotage" => &mut sabotage,
-            "--audit-dir" => &mut audit_dir,
-            "--replay-from" => &mut replay,
-            other => return Err(format!("unknown argument {other:?}")),
-        };
-        *slot = Some(args.next().ok_or(format!("{flag} needs a value"))?);
-    }
-    match (sabotage, audit_dir, replay) {
-        (None, None, None) => Ok(Mode::Record),
-        (Some(kind), Some(dir), None) => {
-            // The leak strikes mid-run so the ring holds clean snapshots
-            // first; the blackhole starts at t=0 so flow 0 — the earliest
-            // arrival — is swallowed from its very first data packet and
-            // can never complete.
-            let (kind, at) = match kind {
-                "leak" => (SabotageKind::LeakPacket, Time::from_micros(500)),
-                "blackhole" => (SabotageKind::BlackholeFlow { flow: 0 }, Time::ZERO),
-                other => return Err(format!("unknown sabotage kind {other:?}")),
-            };
-            let sabotage = SabotageSpec { at, kind };
-            Ok(Mode::Sabotage {
-                sabotage,
-                dir: dir.into(),
-            })
-        }
-        (Some(_), None, None) => Err("--sabotage needs --audit-dir".into()),
-        (None, None, Some(dir)) => Ok(Mode::Replay(dir.into())),
-        _ => Err("--audit-dir goes with --sabotage, and --replay-from stands alone".into()),
-    }
-}
-
-fn usage(problem: &str) -> ! {
-    eprintln!("tracedump: {problem}");
-    eprintln!(
-        "usage: tracedump [--sabotage leak|blackhole --audit-dir <dir> | --replay-from <dir>]"
-    );
-    std::process::exit(2)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args).unwrap_or_else(|e| usage(&e)) {
-        Mode::Record => {
-            banner(
-                "tracedump: record + analyze a Fig. 2-shaped run",
-                Scale::from_env(),
-            );
-            let trace = recorded_trace();
-            header(&trace);
-            fault_report(&trace);
-            fig2_timeline(&trace);
-            trip_summary(&trace);
-            reorder_report(&trace);
-            decision_report(&trace);
-        }
-        Mode::Sabotage { sabotage, dir } => {
-            banner("tracedump: sabotage + audit dump", Scale::from_env());
-            sabotage_run(sabotage, &dir);
-        }
-        Mode::Replay(dir) => {
-            banner(
-                "tracedump: rewind-replay from audit dump",
-                Scale::from_env(),
-            );
-            replay_from(&dir);
-        }
+    if let Err(problem) = check_args(&args) {
+        eprintln!("tracedump: {problem}");
+        eprintln!("usage: tracedump (no arguments; DRILL_SCALE / DRILL_SEED set the run)");
+        std::process::exit(2);
     }
+    banner(
+        "tracedump: record + analyze a Fig. 2-shaped run",
+        Scale::from_env(),
+    );
+    let trace = recorded_trace();
+    header(&trace);
+    fault_report(&trace);
+    fig2_timeline(&trace);
+    trip_summary(&trace);
+    reorder_report(&trace);
+    decision_report(&trace);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rejects(args: &[&str], problem: &str) {
-        let err = parse(args).unwrap_err();
-        assert!(err.contains(problem), "{args:?}: {err}");
-    }
-
     #[test]
-    fn bad_command_lines_are_rejected() {
-        rejects(&["--sabotage"], "--sabotage needs a value");
-        rejects(&["--replay-from"], "--replay-from needs a value");
-        rejects(&["--sabotage", "leak", "--audit-dir"], "--audit-dir needs");
-        rejects(
-            &["--sabotage", "flood", "--audit-dir", "d"],
-            "sabotage kind",
-        );
-        rejects(&["--trace", "t.bin"], "unknown argument \"--trace\"");
-        rejects(&["--sabotage", "leak"], "needs --audit-dir");
-        rejects(&["--audit-dir", "d"], "goes with --sabotage");
-        rejects(
-            &["--replay-from", "d", "--sabotage", "leak"],
-            "stands alone",
-        );
-    }
-
-    #[test]
-    fn every_valid_form_parses() {
-        assert_eq!(parse::<&str>(&[]), Ok(Mode::Record));
-        assert_eq!(
-            parse(&["--sabotage", "leak", "--audit-dir", "d"]),
-            Ok(Mode::Sabotage {
-                sabotage: SabotageSpec {
-                    at: Time::from_micros(500),
-                    kind: SabotageKind::LeakPacket
-                },
-                dir: "d".into()
-            })
-        );
-        assert_eq!(
-            parse(&["--audit-dir", "d", "--sabotage", "blackhole"]),
-            Ok(Mode::Sabotage {
-                sabotage: SabotageSpec {
-                    at: Time::ZERO,
-                    kind: SabotageKind::BlackholeFlow { flow: 0 }
-                },
-                dir: "d".into()
-            })
-        );
-        assert_eq!(parse(&["--replay-from", "d"]), Ok(Mode::Replay("d".into())));
+    fn any_argument_is_rejected() {
+        assert_eq!(check_args::<&str>(&[]), Ok(()));
+        for args in [
+            &["--sabotage", "leak"][..],
+            &["--replay-from", "d"],
+            &["--audit-dir", "d"],
+            &["fig2"],
+        ] {
+            let err = check_args(args).unwrap_err();
+            assert!(err.contains(args[0]), "{args:?}: {err}");
+        }
     }
 }

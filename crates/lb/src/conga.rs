@@ -149,21 +149,6 @@ impl CongaPolicy {
         let q = (rate / cap * (self.cfg.q_max as f64 + 1.0)).floor();
         (q as u8).min(self.cfg.q_max)
     }
-
-    /// Congestion-to-leaf table entry (tests/diagnostics).
-    pub fn congestion_to(&self, leaf: u32, path: u16) -> u8 {
-        self.to_table[leaf as usize][path as usize]
-    }
-
-    /// Congestion-from-leaf table entry (tests/diagnostics).
-    pub fn congestion_from(&self, leaf: u32, path: u16) -> u8 {
-        self.from_table[leaf as usize][path as usize]
-    }
-
-    /// Number of live flowlet entries (tests/diagnostics).
-    pub fn active_flowlets(&self) -> usize {
-        self.flowlets.len()
-    }
 }
 
 impl SwitchPolicy for CongaPolicy {
@@ -395,7 +380,7 @@ mod tests {
             let now = Time::from_micros(k * 9);
             assert_eq!(c.select(&ctx(&cand, 7, now), &NoQueues, &mut rng), first);
         }
-        assert_eq!(c.active_flowlets(), 1);
+        assert_eq!(c.flowlets.len(), 1);
     }
 
     #[test]
@@ -451,7 +436,7 @@ mod tests {
         assert_eq!(fwd.conga.path, a.uplink_index[0].unwrap());
         // B receives: from-table records A->B congestion on that path.
         b.on_arrival(&mut fwd, Time::from_micros(60), &t, leaf1);
-        assert_eq!(b.congestion_from(0, fwd.conga.path), fwd.conga.ce);
+        assert_eq!(b.from_table[0][fwd.conga.path as usize], fwd.conga.ce);
         // B sends a reverse packet to A, piggybacking feedback about the
         // A->B path it just measured (fb pointer cycles; force it).
         b.fb_ptr[0] = fwd.conga.path;
@@ -462,7 +447,7 @@ mod tests {
         assert_eq!(rev.conga.fb_ce, fwd.conga.ce);
         // A receives the reverse packet: to-table now knows the congestion.
         a.on_arrival(&mut rev, Time::from_micros(80), &t, leaf0);
-        assert_eq!(a.congestion_to(1, fwd.conga.path), fwd.conga.ce);
+        assert_eq!(a.to_table[1][fwd.conga.path as usize], fwd.conga.ce);
     }
 
     #[test]

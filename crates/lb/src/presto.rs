@@ -104,11 +104,6 @@ impl PrestoHostPolicy {
         }
     }
 
-    /// Number of usable paths toward `dst_leaf` (diagnostics).
-    pub fn num_paths(&self, dst_leaf: u32) -> usize {
-        self.paths[dst_leaf as usize].len()
-    }
-
     /// The `k`-th element of the weighted cyclic path sequence: paths
     /// appear proportionally to their weights. Equal weights degrade to
     /// pure round robin.
@@ -209,7 +204,7 @@ mod tests {
     fn cells_round_robin_across_spines() {
         let (topo, routes) = topo4();
         let mut p = PrestoHostPolicy::build(&topo, &routes, HostId(0));
-        assert_eq!(p.num_paths(1), 4);
+        assert_eq!(p.paths[1].len(), 4);
         let mut rng = SimRng::seed_from(1);
         let mut spines = Vec::new();
         for cell in 0..8u64 {
@@ -272,7 +267,7 @@ mod tests {
         );
         let routes = RouteTable::compute(&topo);
         let p = PrestoHostPolicy::build(&topo, &routes, HostId(0));
-        assert_eq!(p.num_paths(1), 3, "pruned to three paths");
+        assert_eq!(p.paths[1].len(), 3, "pruned to three paths");
     }
 
     #[test]

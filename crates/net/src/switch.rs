@@ -25,7 +25,7 @@ use drill_sim::{SimRng, Time};
 use drill_telemetry::{DropReason, EngineChoice, Probe};
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::ids::SwitchId;
+use crate::ids::{NodeRef, SwitchId};
 use crate::lbapi::{weighted_group_pick, QueueView, SelectCtx, SwitchPolicy};
 use crate::packet::Packet;
 use crate::routing::RouteTable;
@@ -423,17 +423,19 @@ impl Switch {
         rng: &mut SimRng,
         probe: &mut P,
     ) -> Option<u16> {
-        // Source route (Presto): follow the designated transit switch if a
-        // live port to it exists; otherwise consume the hop and fall back.
-        if pkt.srcroute_pos < pkt.srcroute_len {
-            let hop = pkt.srcroute[pkt.srcroute_pos as usize];
-            let ports = topo.ports_to_switch(self.id, SwitchId(hop));
-            if !ports.is_empty() {
-                pkt.srcroute_pos += 1;
-                let i = (pkt.flow_hash as usize) % ports.len();
-                return Some(ports[i]);
+        // Source route (Presto): consume the hop, and follow the designated
+        // transit switch if a live port to it exists (the flow hash picks
+        // among parallel ones); otherwise fall back below.
+        if let Some(hop) = pkt.next_route_hop() {
+            let to = NodeRef::Switch(SwitchId(hop));
+            let mut ports = (0..topo.num_ports(self.id) as u16).filter(|&p| {
+                let l = topo.egress(self.id, p);
+                l.up && l.dst == to
+            });
+            let n = ports.clone().count();
+            if n > 0 {
+                return ports.nth(pkt.flow_hash as usize % n);
             }
-            pkt.srcroute_pos += 1; // unusable (failure): fall back below
         }
 
         let candidates = routes.candidates(self.id, dst_leaf);

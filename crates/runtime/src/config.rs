@@ -201,9 +201,9 @@ pub struct ExperimentConfig {
     /// boundaries counted in events and in simulated time; results stay
     /// bit-identical either way (audits observe, never steer).
     pub audit: Option<AuditSpec>,
-    /// Deliberately break an invariant mid-run (auditor negative tests
-    /// and the `tracedump --sabotage` demo; off by default). Only honored
-    /// when `audit` is set.
+    /// Deliberately break an invariant mid-run (the auditor's negative
+    /// tests; off by default). Only honored when `audit` is set;
+    /// [`rewind_replay`](crate::rewind_replay) clears it.
     pub sabotage: Option<drill_faults::SabotageSpec>,
 }
 

@@ -23,9 +23,12 @@
 //!   invariant watchdogs (packet conservation, stuck flows, queue
 //!   ceilings, NIC backlog accounting, time monotonicity) evaluated at
 //!   boundaries counted in events and in simulated time; audits observe
-//!   but never steer, and a trip dumps the snapshot ring for
-//!   `tracedump --replay-from`. Every entry point attaches the auditor
-//!   when [`ExperimentConfig::audit`] is set; this one fills in a default.
+//!   but never steer, and a trip dumps the snapshot ring. Every entry
+//!   point attaches the auditor when [`ExperimentConfig::audit`] is set;
+//!   this one fills in a default.
+//! * [`rewind_replay`] — restore a trip's newest clean ring snapshot
+//!   (named by its `anomaly.meta`, read as an [`AnomalyMeta`]) with any
+//!   probe attached, to re-run the window up to the anomaly.
 
 #![warn(missing_docs)]
 // The 80-line limit (`clippy.toml`) for everything but the tests.
@@ -45,4 +48,7 @@ pub use scheme::Scheme;
 pub use snapshot::Snapshot;
 pub use stats::{hop_index, HopReport, RunStats};
 pub use sweep::{derive_seed, run_many, SweepPoint, SweepResults, SweepSpec};
-pub use world::{random_leaf_spine_failures, run, run_audited, run_probed, run_recorded, World};
+pub use world::{
+    random_leaf_spine_failures, rewind_replay, run, run_audited, run_probed, run_recorded,
+    AnomalyMeta, World,
+};

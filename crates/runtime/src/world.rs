@@ -21,6 +21,7 @@ mod snapshot;
 mod workload;
 
 use audit::Audit;
+pub use audit::{rewind_replay, AnomalyMeta};
 use control::{Control, FaultTimeline};
 use flows::{FlowClass, FlowTable};
 use net::{Net, StdvSampler};

@@ -1,6 +1,11 @@
 //! The audit layer's state: the invariant auditor, its snapshot ring
 //! and boundary cadence, and the sabotage hooks of the auditor's
-//! negative tests. Attached exactly when `cfg.audit` is set.
+//! negative tests. Attached exactly when `cfg.audit` is set. A trip's
+//! dump, `anomaly.meta` included, is written here and read back here by
+//! [`rewind_replay`].
+
+use std::io;
+use std::path::{Path, PathBuf};
 
 use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor, SnapshotRing};
 use drill_faults::{SabotageKind, SabotageSpec};
@@ -10,6 +15,7 @@ use drill_telemetry::Probe;
 
 use super::{Event, World};
 use crate::config::AuditSpec;
+use crate::{ExperimentConfig, Snapshot};
 
 /// Snapshots the audit ring keeps (oldest evicted first).
 const AUDIT_RING_ENTRIES: usize = 4;
@@ -85,8 +91,8 @@ impl Audit {
 }
 
 impl<P: Probe> World<P> {
-    /// The `LeakPacket` sabotage (audited runs only; negative tests and
-    /// the tracedump demo): intern a dummy packet and drop the handle.
+    /// The `LeakPacket` sabotage (audited runs only; the auditor's
+    /// negative tests): intern a dummy packet and drop the handle.
     pub(super) fn leak_packet(&mut self, now: Time) {
         self.flows.pkt_ids += 1;
         let id = drill_net::FlowId(u32::MAX);
@@ -236,19 +242,201 @@ impl<P: Probe> World<P> {
                 Some(ring) => ring.dump(&dir)?,
                 None => Vec::new(),
             };
-            self.snapshot().save(dir.join("faulted.drillsnap"))?;
-            let mut meta = report.meta_lines();
-            if let Some(rewind) = ring_paths.last().and_then(|p| p.file_name()) {
-                meta.push(format!("rewind={}", rewind.to_string_lossy()));
-            }
-            if let Some(e) = ring.and_then(|r| r.newest()) {
-                meta.push(format!("rewind_events={}", e.events));
-            }
-            meta.push("faulted=faulted.drillsnap".to_string());
-            std::fs::write(dir.join("anomaly.meta"), meta.join("\n") + "\n")
+            self.snapshot().save(dir.join(FAULTED_FILE))?;
+            let newest = ring_paths.last().zip(ring.and_then(|r| r.newest()));
+            let rewind = newest.and_then(|(p, e)| Some((p.file_name()?.to_str()?, e.events)));
+            std::fs::write(dir.join(META_FILE), meta_text(&report, rewind))
         })();
         if let Err(e) = result {
             eprintln!("audit dump {}: {e}", dir.display());
         }
+    }
+}
+
+/// The file a trip writes its report and rewind pointer into.
+const META_FILE: &str = "anomaly.meta";
+
+/// The file a trip writes the snapshot of the tripped boundary into.
+const FAULTED_FILE: &str = "faulted.drillsnap";
+
+/// The text of `anomaly.meta`: the report's `key=value` lines, then
+/// `rewind=` / `rewind_events=` naming the newest clean ring snapshot
+/// (absent when the ring held none), then `faulted=`.
+fn meta_text(report: &AnomalyReport, rewind: Option<(&str, u64)>) -> String {
+    let mut lines = report.meta_lines();
+    if let Some((file, events)) = rewind {
+        lines.push(format!("rewind={file}"));
+        lines.push(format!("rewind_events={events}"));
+    }
+    lines.push(format!("faulted={FAULTED_FILE}"));
+    lines.join("\n") + "\n"
+}
+
+/// What a trip's `anomaly.meta` says: which watchdog tripped where, and
+/// the ring snapshot to rewind to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AnomalyMeta {
+    /// The tripped watchdog ([`AnomalyKind::name`](drill_audit::AnomalyKind::name)).
+    pub kind: String,
+    /// Simulated time of the tripped boundary.
+    pub at: Time,
+    /// Events processed at the tripped boundary.
+    pub events: u64,
+    /// The newest clean ring snapshot, inside the dump directory.
+    pub rewind: PathBuf,
+    /// Events processed at that snapshot.
+    pub rewind_events: u64,
+}
+
+impl AnomalyMeta {
+    /// Read `dir/anomaly.meta`. A missing file or key, a number that
+    /// does not parse, or no `rewind=` line (the ring held no clean
+    /// snapshot) is an error.
+    pub fn read(dir: &Path) -> io::Result<AnomalyMeta> {
+        let path = dir.join(META_FILE);
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        let get = |key: &str| {
+            let value = text
+                .lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix('='));
+            value.ok_or_else(|| bad(format!("{} has no {key}= line", path.display())))
+        };
+        let num = |key: &str| {
+            let value = get(key)?;
+            value
+                .parse::<u64>()
+                .map_err(|e| bad(format!("{} {key}={value}: {e}", path.display())))
+        };
+        Ok(AnomalyMeta {
+            kind: get("kind")?.to_string(),
+            at: Time::from_nanos(num("at_ns")?),
+            events: num("events")?,
+            rewind: dir.join(get("rewind")?),
+            rewind_events: num("rewind_events")?,
+        })
+    }
+}
+
+/// Rewind-replay a trip's dump in `dir`: restore its newest clean ring
+/// snapshot with `probe` attached, under `cfg` — the config of the run
+/// that wrote the dump — with `audit` and `sabotage` cleared and
+/// `max_events` set to the anomaly's event count. Finishing the returned
+/// world re-runs exactly the window up to the tripped boundary. An
+/// unreadable dump, a corrupt snapshot or a `cfg` that does not match it
+/// is an error.
+pub fn rewind_replay<P: Probe>(
+    dir: &Path,
+    cfg: &ExperimentConfig,
+    probe: P,
+) -> io::Result<(AnomalyMeta, World<P>)> {
+    let meta = AnomalyMeta::read(dir)?;
+    let snap = Snapshot::load(&meta.rewind)?;
+    let mut cfg = cfg.clone();
+    cfg.audit = None;
+    cfg.sabotage = None;
+    cfg.max_events = meta.events;
+    let w = World::restore_probed(&snap, &cfg, probe)?;
+    Ok((meta, w))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drill_audit::AnomalyKind;
+
+    const REWIND: (&str, u64) = ("ring-003-120000.drillsnap", 120_000);
+
+    fn stuck_report() -> AnomalyReport {
+        AnomalyReport {
+            kind: AnomalyKind::StuckFlow {
+                flow: 42,
+                stalled: Time::from_millis(7),
+            },
+            at: Time::from_millis(9),
+            events: 123_456,
+        }
+    }
+
+    /// A fresh directory holding `meta` as its `anomaly.meta`.
+    fn dump_with(tag: &str, meta: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("drill-meta-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(META_FILE), meta).unwrap();
+        dir
+    }
+
+    /// `AnomalyMeta::read` on `meta` with `line` removed or replaced.
+    fn read_edited(tag: &str, line: &str, with: Option<&str>) -> io::Result<AnomalyMeta> {
+        let text = meta_text(&stuck_report(), Some(REWIND));
+        let edited: Vec<&str> = text
+            .lines()
+            .filter_map(|l| if l == line { with } else { Some(l) })
+            .collect();
+        let dir = dump_with(tag, &edited.join("\n"));
+        let read = AnomalyMeta::read(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        read
+    }
+
+    #[test]
+    fn meta_text_is_pinned_and_reads_back() {
+        let text = meta_text(&stuck_report(), Some(REWIND));
+        assert_eq!(
+            text,
+            "kind=stuck_flow\nat_ns=9000000\nevents=123456\nflow=42\nstalled_ns=7000000\n\
+             rewind=ring-003-120000.drillsnap\nrewind_events=120000\nfaulted=faulted.drillsnap\n"
+        );
+        let dir = dump_with("pinned", &text);
+        let meta = AnomalyMeta::read(&dir).unwrap();
+        assert_eq!(
+            meta,
+            AnomalyMeta {
+                kind: "stuck_flow".into(),
+                at: Time::from_millis(9),
+                events: 123_456,
+                rewind: dir.join("ring-003-120000.drillsnap"),
+                rewind_events: 120_000,
+            }
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_dump_dir_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("drill-meta-none-{}", std::process::id()));
+        let err = AnomalyMeta::read(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn missing_meta_file_is_an_error() {
+        let dir = dump_with("nofile", "");
+        std::fs::remove_file(dir.join(META_FILE)).unwrap();
+        let err = AnomalyMeta::read(&dir).unwrap_err();
+        assert!(err.to_string().contains(META_FILE), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_key_is_an_error() {
+        let err = read_edited("nokey", "events=123456", None).unwrap_err();
+        assert!(err.to_string().contains("no events= line"), "{err}");
+    }
+
+    #[test]
+    fn unparsable_number_is_an_error() {
+        let err = read_edited("nan", "at_ns=9000000", Some("at_ns=9ms")).unwrap_err();
+        assert!(err.to_string().contains("at_ns=9ms"), "{err}");
+    }
+
+    #[test]
+    fn a_ring_without_clean_snapshot_is_an_error() {
+        let dir = dump_with("norewind", &meta_text(&stuck_report(), None));
+        let err = AnomalyMeta::read(&dir).unwrap_err();
+        assert!(err.to_string().contains("no rewind= line"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -181,11 +181,6 @@ impl TcpFlow {
         self.done.map(|d| d - self.start)
     }
 
-    /// Current congestion window in bytes (diagnostics).
-    pub fn cwnd_bytes(&self) -> u64 {
-        self.cwnd as u64
-    }
-
     /// Current retransmission timeout (diagnostics).
     pub fn rto(&self) -> Time {
         self.rto
@@ -328,11 +323,6 @@ impl TcpFlow {
         }
         self.last_ack_sent = self.rcv_nxt;
         out.push(ack);
-    }
-
-    /// Payload bytes the receiver has contiguously received.
-    pub fn bytes_received(&self) -> u64 {
-        self.rcv_nxt
     }
 
     fn gro_account(&mut self, pkt: &Packet) {
@@ -852,18 +842,18 @@ mod tests {
         // Buffer segments 2 and 3 behind the missing 0: edge stays put.
         f.on_data(&sent[2], now, &mut ids, &mut acks);
         f.on_data(&sent[3], now, &mut ids, &mut acks);
-        assert_eq!(f.bytes_received(), 0);
+        assert_eq!(f.rcv_nxt, 0);
         // An exact duplicate of a buffered segment neither regresses the
         // stored range nor advances the edge.
         f.on_data(&sent[2], now, &mut ids, &mut acks);
-        assert_eq!(f.bytes_received(), 0);
+        assert_eq!(f.rcv_nxt, 0);
         // Segment 0 advances only to the gap before 1.
         f.on_data(&sent[0], now, &mut ids, &mut acks);
-        assert_eq!(f.bytes_received(), sent[0].seq_end());
+        assert_eq!(f.rcv_nxt, sent[0].seq_end());
         // Segment 1 closes the gap: the contiguous-consume loop drains the
         // whole buffer in one step.
         f.on_data(&sent[1], now, &mut ids, &mut acks);
-        assert_eq!(f.bytes_received(), sent[3].seq_end());
+        assert_eq!(f.rcv_nxt, sent[3].seq_end());
         // Every ACK emitted while the edge was pinned was a duplicate.
         assert_eq!(f.dup_acks_sent, 2);
         // Each cumulative ACK carries the current edge.
@@ -913,7 +903,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].is_retx());
         assert_eq!(out[0].seq, 0);
-        assert_eq!(f.cwnd_bytes(), 1442, "cwnd collapses to one MSS");
+        assert_eq!(f.cwnd as u64, 1442, "cwnd collapses to one MSS");
         assert_eq!(f.rto(), rto0.mul(2), "exponential backoff");
         assert_eq!(
             f.rto_at(),
@@ -961,7 +951,7 @@ mod tests {
         f.on_data(&sent[0], now, &mut ids, &mut acks);
         assert_eq!(acks[1].ack, edge);
         assert_eq!(f.dup_acks_sent, 1);
-        assert_eq!(f.bytes_received(), 1442);
+        assert_eq!(f.rcv_nxt, 1442);
     }
 
     #[test]
@@ -1052,6 +1042,6 @@ mod tests {
                 f.on_ack(a, Time::from_micros(40), &mut ids, &mut out);
             }
         }
-        assert!(f.cwnd_bytes() <= 20_000);
+        assert!(f.cwnd as u64 <= 20_000);
     }
 }

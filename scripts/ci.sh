@@ -40,11 +40,15 @@ echo "== retired build/run modes stay retired =="
 # which nothing wrote once the recording runs stopped writing files (a
 # recording is the FlightRecorder in memory), chaosbench's flap_train
 # builder and the web_search / data_mining size tables no figure used;
+# so was tracedump's sabotage / rewind-replay demo (replay_from,
+# sabotage_run, audit_demo_cfg), which could rewind only its own pinned
+# run: rewind-replay is drill_runtime::rewind_replay, which serves any
+# audited run's dump, and the tier-1 auditor tests drive that loop;
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
@@ -207,27 +211,6 @@ if [[ "$clean_ev" != "$resumed_ev" || "$clean_bytes" != "$resumed_bytes" ]]; the
     echo "resume diverged: clean [$clean_ev, $clean_bytes] vs resumed [$resumed_ev, $resumed_bytes]"
     exit 1
 fi
-
-echo "== auditor sabotage -> rewind-replay smoke =="
-# The hands-free diagnostics loop: a deliberately broken runtime (leaked
-# arena handle) must trip the conservation watchdog, dump the snapshot
-# ring + faulted instant + anomaly.meta, and the replay mode must restore
-# the newest clean ring snapshot and re-run exactly the window up to the
-# anomaly with the flight recorder attached.
-adir=$(mktemp -d)
-sab_out=$(./target/release/tracedump --sabotage leak --audit-dir "$adir")
-grep -q "packet_conservation" <<<"$sab_out" \
-    || { echo "sabotage did not trip packet_conservation"; exit 1; }
-[[ -f "$adir/anomaly.meta" && -f "$adir/faulted.drillsnap" ]] \
-    || { echo "audit dump bundle incomplete"; exit 1; }
-ls "$adir"/ring-*.drillsnap > /dev/null \
-    || { echo "no ring snapshots in audit dump"; exit 1; }
-replay_out=$(./target/release/tracedump --replay-from "$adir")
-grep -q "replayed window" <<<"$replay_out" \
-    || { echo "rewind-replay did not run the anomaly window"; exit 1; }
-grep -q "decision quality" <<<"$replay_out" \
-    || { echo "rewind-replay printed no decision-quality table"; exit 1; }
-rm -rf "$adir"
 
 echo "== cargo fmt --check =="
 cargo fmt --check

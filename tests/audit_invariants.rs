@@ -13,13 +13,13 @@ use drill::audit::{AnomalyKind, AnomalyReport};
 use drill::faults::{FaultKind, FaultSchedule, SabotageKind, SabotageSpec};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
-    random_leaf_spine_failures, run, run_audited, run_recorded, AuditSpec, ExperimentConfig,
-    RunStats, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
+    random_leaf_spine_failures, rewind_replay, run, run_audited, run_recorded, AnomalyMeta,
+    AuditSpec, ExperimentConfig, RunStats, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
 };
 use drill::sim::codec::codec_error;
 use drill::sim::Time;
 use drill::snapshot::SnapshotBuilder;
-use drill::telemetry::FlightRecorder;
+use drill::telemetry::{FlightRecorder, NoopProbe};
 use drill::workload::{IncastSpec, TrafficPattern};
 
 fn small_leaf_spine() -> TopoSpec {
@@ -362,10 +362,9 @@ fn leaked_handle_trips_packet_conservation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Negative control: blackholing one flow's data packets (every ACK
-/// starves) trips `StuckFlow` for exactly that flow.
-#[test]
-fn blackholed_flow_trips_stuck_flow() {
+/// A run whose receiver discards flow 0's data packets from t = 0, with
+/// a 1 ms stall threshold.
+fn blackhole_cfg() -> ExperimentConfig {
     let mut cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.4);
     cfg.drain = Time::from_millis(30);
     cfg.audit = Some(AuditSpec {
@@ -377,7 +376,14 @@ fn blackholed_flow_trips_stuck_flow() {
         at: Time::from_nanos(0),
         kind: SabotageKind::BlackholeFlow { flow: 0 },
     });
-    let (_, reports) = run_audited(&cfg);
+    cfg
+}
+
+/// Negative control: blackholing one flow's data packets (every ACK
+/// starves) trips `StuckFlow` for exactly that flow.
+#[test]
+fn blackholed_flow_trips_stuck_flow() {
+    let (_, reports) = run_audited(&blackhole_cfg());
     assert!(
         reports
             .iter()
@@ -508,51 +514,21 @@ fn truncated_section_carries_typed_codec_error() {
     assert_eq!(ce.offset, Some(1), "wrong byte offset: {ce:?}");
 }
 
-/// The full hands-free loop: sabotage → trip → dump → parse the meta →
-/// restore the newest clean ring snapshot with a flight recorder attached
-/// → re-run exactly the window up to the anomalous boundary. The replay
-/// must cover the window (recorder events present) and stop at the
-/// anomaly's event count.
+/// The full hands-free loop: sabotage → trip → dump → rewind-replay
+/// from `anomaly.meta` alone, with a flight recorder attached. The replay
+/// must start at the newest clean ring snapshot, cover the window
+/// (recorder events present) and stop at the anomaly's event count.
 #[test]
 fn rewind_replay_covers_the_anomaly_window() {
     let dir = scratch_dir("rewind");
-    let mut cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.5);
-    cfg.audit = Some(AuditSpec {
-        every_events: 2_000,
-        dump_dir: Some(dir.clone()),
-        ..AuditSpec::default()
-    });
-    cfg.sabotage = Some(SabotageSpec {
-        at: Time::from_micros(500),
-        kind: SabotageKind::LeakPacket,
-    });
+    let cfg = leak_cfg(Some(dir.clone()));
     let (_, reports) = run_audited(&cfg);
     assert!(!reports.is_empty());
 
-    // Everything replay needs comes out of anomaly.meta.
-    let meta = std::fs::read_to_string(dir.join("anomaly.meta")).unwrap();
-    let get = |key: &str| -> String {
-        meta.lines()
-            .find_map(|l| l.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("anomaly.meta lacks {key}=\n{meta}"))
-            .to_string()
-    };
-    let anomaly_events: u64 = get("events").parse().unwrap();
-    let rewind_events: u64 = get("rewind_events").parse().unwrap();
-    assert!(rewind_events < anomaly_events);
-
-    let snap = Snapshot::load(dir.join(get("rewind"))).expect("ring snapshot loads");
-    let mut replay_cfg = cfg.clone();
-    replay_cfg.audit = None;
-    replay_cfg.sabotage = None;
-    replay_cfg.max_events = anomaly_events;
-    let recorder = FlightRecorder::new(
-        replay_cfg.topo.build().num_switches(),
-        replay_cfg.engines,
-        4096,
-    );
-    let w = World::restore_probed(&snap, &replay_cfg, recorder).expect("ring snapshot restores");
-    assert_eq!(w.events_processed(), rewind_events);
+    let (meta, w) = rewind_replay(&dir, &cfg, recorder_for(&cfg)).expect("ring snapshot restores");
+    let anomaly_events = meta.events;
+    assert!(meta.rewind_events < anomaly_events);
+    assert_eq!(w.events_processed(), meta.rewind_events);
     let (stats, recorder, _reports) = w.finish_parts();
     assert!(
         stats.events >= anomaly_events && stats.events <= anomaly_events + 1,
@@ -564,5 +540,77 @@ fn rewind_replay_covers_the_anomaly_window() {
         "replay window captured no recorder events"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flight recorder sized for `cfg`'s fabric.
+fn recorder_for(cfg: &ExperimentConfig) -> FlightRecorder {
+    FlightRecorder::new(cfg.topo.build().num_switches(), cfg.engines, 4096)
+}
+
+/// Rewind-replay serves any audited run's dump, not one pinned demo: a
+/// blackholed flow's `StuckFlow` dump rewinds to its own newest clean
+/// snapshot and replays to the tripped boundary.
+#[test]
+fn rewind_replay_reaches_a_stuck_flow_boundary() {
+    let dir = scratch_dir("stuck");
+    let mut cfg = blackhole_cfg();
+    cfg.audit.as_mut().unwrap().dump_dir = Some(dir.clone());
+    let (_, reports) = run_audited(&cfg);
+    assert!(
+        matches!(reports[0].kind, AnomalyKind::StuckFlow { flow: 0, .. }),
+        "{reports:?}"
+    );
+
+    let (meta, w) = rewind_replay(&dir, &cfg, recorder_for(&cfg)).expect("ring snapshot restores");
+    assert_eq!(meta.kind, "stuck_flow");
+    assert_eq!((meta.at, meta.events), (reports[0].at, reports[0].events));
+    assert!(meta.rewind_events < meta.events);
+    assert_eq!(w.events_processed(), meta.rewind_events);
+    let (stats, recorder, replay_reports) = w.finish_parts();
+    assert!(
+        stats.events >= meta.events && stats.events <= meta.events + 1,
+        "replay ran past the anomaly: {} vs {}",
+        stats.events,
+        meta.events
+    );
+    assert!(recorder.event_count() > 0);
+    assert!(replay_reports.is_empty(), "the replay runs unaudited");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ring snapshot with one bit flipped is refused with an error.
+#[test]
+fn rewind_replay_refuses_a_bit_flipped_ring_snapshot() {
+    let dir = scratch_dir("flip");
+    let cfg = leak_cfg(Some(dir.clone()));
+    run_audited(&cfg);
+    let ring = AnomalyMeta::read(&dir).unwrap().rewind;
+    let mut bytes = std::fs::read(&ring).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&ring, bytes).unwrap();
+
+    assert!(rewind_replay(&dir, &cfg, NoopProbe).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A config that describes another experiment shape than the one that
+/// wrote the dump is refused with an error.
+#[test]
+fn rewind_replay_refuses_a_mismatched_config() {
+    let dir = scratch_dir("mismatch");
+    let cfg = leak_cfg(Some(dir.clone()));
+    run_audited(&cfg);
+    let mut other = cfg.clone();
+    if let TopoSpec::LeafSpine(spec) = &mut other.topo {
+        spec.hosts_per_leaf += 1;
+    }
+
+    let err = rewind_replay(&dir, &other, NoopProbe)
+        .err()
+        .expect("mismatch restored");
+    assert!(err.to_string().contains("differs from config"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
