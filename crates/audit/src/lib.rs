@@ -559,11 +559,6 @@ impl SnapshotRing {
         self.entries.is_empty()
     }
 
-    /// Total encoded bytes retained.
-    pub fn total_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
     /// Write every retained checkpoint to `dir` as
     /// `ring-<idx>-<events>.drillsnap` (idx 0 = oldest; the highest idx
     /// is the rewind point closest to the anomaly). Returns the written
@@ -818,7 +813,7 @@ mod tests {
         let events: Vec<u64> = r.entries().map(|e| e.events).collect();
         assert_eq!(events, vec![200, 300, 400], "oldest evicted first");
         assert_eq!(r.newest().unwrap().events, 400);
-        assert_eq!(r.total_bytes(), 300);
+        assert_eq!(r.total_bytes, 300);
 
         // Byte bound evicts too, but the newest always survives.
         let mut r = SnapshotRing::new(10, 250);

@@ -28,24 +28,19 @@
 //!
 //! Ladder points run open-loop packet trains (`raw_packet_mode`) with the
 //! arrival window shrunk as the fabric grows, keeping every point within
-//! a few million events. RSS is a process-wide high-water mark, so
-//! `scripts/scalebench.sh` runs each point in a fresh process
-//! (`--point NAME`) and assembles `results/scalebench.json`; invoking the
-//! binary with no arguments runs the ladder in-process (ascending size,
-//! so the per-point attribution stays honest) and prints a JSON array.
+//! a few million events. RSS is a process-wide high-water mark, so one
+//! process runs one point:
+//!
+//! ```text
+//! scalebench [--quick] --list          # the ladder's point names
+//! scalebench [--quick] --point NAME    # one point's JSON line
+//! scalebench [--quick] --sketch        # the sketch-scaling section
+//! ```
 //!
 //! `--quick` swaps in a seconds-scale ladder for CI smoke.
-//!
-//! Crash recovery: `--checkpoint-every N` makes the traffic run write a
-//! `DRILLSNAP` checkpoint (`--checkpoint-path`, default
-//! `scalebench.ckpt`) every N events; `--die-after M` aborts the process
-//! after M events without reporting (a deterministic stand-in for a
-//! kill); `--resume PATH` restores the checkpoint in a fresh process and
-//! runs it to completion, reporting the same JSON — `scripts/ci.sh`
-//! smokes kill → resume and asserts the resumed totals match an
-//! uninterrupted run.
+//! `scripts/scalebench.sh` runs every point in a fresh process and
+//! assembles `results/scalebench.json`. Any other command line exits 2.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use drill_bench::json::Json;
@@ -53,15 +48,13 @@ use drill_bench::manifest;
 use drill_core::SymmetryEngine;
 use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{ClosSpec, LeafSpineSpec, RouteTable, DEFAULT_PROP};
-use drill_runtime::{
-    random_leaf_spine_failures, run, CheckpointSpec, ExperimentConfig, Scheme, Snapshot, TopoSpec,
-    World,
-};
+use drill_runtime::{random_leaf_spine_failures, run, ExperimentConfig, Scheme, TopoSpec};
 use drill_sim::Time;
 
 /// One ladder entry: a named topology plus the arrival window that keeps
 /// its event count in the millions, or a build-only probe of topology +
 /// routing construction.
+#[derive(Debug)]
 struct Point {
     name: &'static str,
     topo: fn() -> TopoSpec,
@@ -99,6 +92,7 @@ fn clos_smoke() -> TopoSpec {
 fn ft(k: usize) -> TopoSpec {
     TopoSpec::FatTree {
         k,
+        hosts_per_edge: k / 2,
         rate: 10_000_000_000,
     }
 }
@@ -106,7 +100,7 @@ fn ft(k: usize) -> TopoSpec {
 /// k=32 with a 2:1 oversubscribed edge: 512 edge switches x 32 hosts =
 /// 16384 hosts, the acceptance-scale point.
 fn ft32x2() -> TopoSpec {
-    TopoSpec::FatTreeCustom {
+    TopoSpec::FatTree {
         k: 32,
         hosts_per_edge: 32,
         rate: 10_000_000_000,
@@ -180,15 +174,6 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Crash-recovery knobs (see the module docs).
-#[derive(Default)]
-struct RecoveryOpts {
-    checkpoint_every: Option<u64>,
-    checkpoint_path: PathBuf,
-    die_after: Option<u64>,
-    resume: Option<PathBuf>,
-}
-
 /// The seed of every traffic run.
 const SEED: u64 = 1;
 
@@ -220,7 +205,7 @@ fn point_cfg(p: &Point, failed: &[(u32, u32)]) -> ExperimentConfig {
 }
 
 /// Run one ladder point (`ladder` names the ladder for the manifest).
-fn run_point(p: &Point, rec: &RecoveryOpts, ladder: &str) -> Json {
+fn run_point(p: &Point, ladder: &str) -> Json {
     let started = Instant::now();
     let spec = (p.topo)();
     let build_start = Instant::now();
@@ -278,35 +263,9 @@ fn run_point(p: &Point, rec: &RecoveryOpts, ladder: &str) -> Json {
         // (65k hosts) where a traffic run would be CI-hostile.
         (0.0, 0, 0, 0, 0, true, (0, 0, 0))
     } else {
-        let mut cfg = point_cfg(p, &pairs[..p.failures]);
+        let cfg = point_cfg(p, &pairs[..p.failures]);
         let start = Instant::now();
-        let stats = if let Some(path) = &rec.resume {
-            let snap =
-                Snapshot::load(path).unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
-            World::restore(&snap, &cfg)
-                .unwrap_or_else(|e| panic!("resume {}: {e}", path.display()))
-                .finish()
-        } else {
-            if let Some(n) = rec.checkpoint_every {
-                cfg.checkpoint = Some(CheckpointSpec {
-                    every_events: n,
-                    path: rec.checkpoint_path.clone(),
-                });
-            }
-            if let Some(n) = rec.die_after {
-                cfg.max_events = n;
-            }
-            run(&cfg)
-        };
-        if let Some(n) = rec.die_after {
-            // Simulated kill: the run stopped mid-flight after ~n events;
-            // exit without reporting, leaving only the checkpoint file.
-            eprintln!(
-                "scalebench: dying after {} events (--die-after {n})",
-                stats.events
-            );
-            std::process::exit(42);
-        }
+        let stats = run(&cfg);
         (
             start.elapsed().as_secs_f64(),
             stats.events,
@@ -420,59 +379,144 @@ fn sketch_ladder(quick: bool) {
     println!("]");
 }
 
+/// What one invocation does.
+#[derive(Debug)]
+enum Mode {
+    /// Print the ladder's point names, one a line.
+    List,
+    /// Run one point and print its JSON line.
+    Point(&'static Point),
+    /// Run the sketch-scaling section.
+    Sketch,
+}
+
+const USAGE: &str =
+    "usage: scalebench [--quick] (--list | --point NAME | --sketch); --list names the points";
+
+/// The point called `name`. The active ladder wins when a name appears
+/// in both (the quick ladder reuses full-ladder names with smaller
+/// arrival windows).
+fn find_point(name: &str, quick: bool) -> Option<&'static Point> {
+    let (active, other) = if quick { (QUICK, FULL) } else { (FULL, QUICK) };
+    active.iter().chain(other).find(|p| p.name == name)
+}
+
+/// Parse `[--quick] (--list | --point NAME | --sketch)`, flags in any
+/// order, into whether the quick ladder is active and the one mode.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<(bool, Mode), String> {
+    const ONE_MODE: &str = "give one of --list, --point NAME, --sketch";
+    let mut quick = false;
+    // The mode flag and, for `--point`, its name: resolved once `--quick`
+    // is known, since it may come last.
+    let mut mode = None;
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = args.next() {
+        let flag = match arg {
+            "--quick" if !quick => {
+                quick = true;
+                continue;
+            }
+            "--list" | "--sketch" => (arg, ""),
+            "--point" => (arg, args.next().ok_or("--point needs a point name")?),
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        };
+        if mode.replace(flag).is_some() {
+            return Err(ONE_MODE.into());
+        }
+    }
+    let mode = match mode.ok_or(ONE_MODE)? {
+        ("--list", _) => Mode::List,
+        ("--sketch", _) => Mode::Sketch,
+        (_, name) => {
+            Mode::Point(find_point(name, quick).ok_or_else(|| format!("unknown point {name:?}"))?)
+        }
+    };
+    Ok((quick, mode))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--sketch") {
-        sketch_ladder(quick);
-        return;
-    }
-    let flag_val = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} VALUE"))
-                .clone()
-        })
-    };
-    let rec = RecoveryOpts {
-        checkpoint_every: flag_val("--checkpoint-every")
-            .map(|v| v.parse().expect("--checkpoint-every EVENTS")),
-        checkpoint_path: flag_val("--checkpoint-path")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("scalebench.ckpt")),
-        die_after: flag_val("--die-after").map(|v| v.parse().expect("--die-after EVENTS")),
-        resume: flag_val("--resume").map(PathBuf::from),
-    };
+    let (quick, mode) = parse_args(&args).unwrap_or_else(|problem| {
+        eprintln!("scalebench: {problem}");
+        eprintln!("{USAGE}");
+        std::process::exit(2)
+    });
     let (ladder, ladder_name) = if quick {
         (QUICK, "quick")
     } else {
         (FULL, "full")
     };
-    if args.iter().any(|a| a == "--list") {
-        for p in ladder {
-            println!("{}", p.name);
+    match mode {
+        Mode::List => {
+            for p in ladder {
+                println!("{}", p.name);
+            }
         }
-        return;
+        Mode::Point(p) => println!("{}", run_point(p, ladder_name).render()),
+        Mode::Sketch => sketch_ladder(quick),
     }
-    if let Some(i) = args.iter().position(|a| a == "--point") {
-        let name = args.get(i + 1).expect("--point NAME");
-        // The active ladder wins when a name appears in both (the quick
-        // ladder reuses full-ladder names with smaller arrival windows).
-        let other = if quick { FULL } else { QUICK };
-        let p = ladder
-            .iter()
-            .chain(other.iter())
-            .find(|p| p.name == *name)
-            .unwrap_or_else(|| panic!("unknown point {name}"));
-        println!("{}", run_point(p, &rec, ladder_name).render());
-        return;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(bool, Mode), String> {
+        parse_args(&line.split_whitespace().collect::<Vec<_>>())
     }
-    // In-process ladder, ascending size so the RSS high-water mark per
-    // point remains attributable.
-    println!("[");
-    for (i, p) in ladder.iter().enumerate() {
-        let comma = if i + 1 < ladder.len() { "," } else { "" };
-        println!("  {}{comma}", run_point(p, &rec, ladder_name).render());
+
+    #[test]
+    fn every_valid_form_parses() {
+        for (line, quick) in [
+            ("--list", false),
+            ("--quick --list", true),
+            ("--list --quick", true),
+        ] {
+            assert!(
+                matches!(parse(line), Ok((q, Mode::List)) if q == quick),
+                "{line}"
+            );
+        }
+        for (line, quick) in [("--sketch", false), ("--sketch --quick", true)] {
+            assert!(
+                matches!(parse(line), Ok((q, Mode::Sketch)) if q == quick),
+                "{line}"
+            );
+        }
+        // `--quick` before or after `--point` picks the quick window; a
+        // name only the other ladder has still resolves.
+        for (line, window_us) in [
+            ("--point leafspine_320h", 2000),
+            ("--point leafspine_320h --quick", 300),
+            ("--quick --point leafspine_320h", 300),
+            ("--point fattree8_128h", 300),
+            ("--quick --point clos16k_asym4f", 150),
+        ] {
+            let Ok((_, Mode::Point(p))) = parse(line) else {
+                panic!("{line}: {:?}", parse(line))
+            };
+            let mut named = line.split_whitespace().skip_while(|&a| a != "--point");
+            assert_eq!(named.nth(1), Some(p.name), "{line}");
+            assert_eq!(p.window_us, window_us, "{line}");
+        }
     }
-    println!("]");
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        for (line, expect) in [
+            ("", "give one of"),
+            ("--quick", "give one of"),
+            ("--list --sketch", "give one of"),
+            ("--point leafspine_320h --list", "give one of"),
+            ("--quick --quick --list", "\"--quick\""),
+            ("--point", "needs a point name"),
+            ("--point nope", "unknown point \"nope\""),
+            ("--point --quick", "unknown point \"--quick\""),
+            ("--list extra", "\"extra\""),
+            ("--point leafspine_320h --resume x.ckpt", "\"--resume\""),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(expect), "{line}: {err}");
+        }
+    }
 }

@@ -1,9 +1,8 @@
 //! The DRILL(d, m) scheduling policy (§3.2.2).
 
-use std::collections::HashMap;
 use std::io;
 
-use drill_net::{FlowId, QueueView, SelectCtx, SwitchPolicy};
+use drill_net::{QueueView, SelectCtx, SwitchPolicy};
 use drill_sim::codec::{invalid, put_varint, Decoder};
 use drill_sim::SimRng;
 
@@ -140,70 +139,11 @@ impl SwitchPolicy for DrillPolicy {
     }
 }
 
-/// The paper's "per-flow DRILL" strawman: the first packet of a flow makes
-/// a DRILL(d, m) decision, then the flow is pinned to that port (like ECMP,
-/// but load-aware at flow start).
-pub struct PerFlowDrill {
-    inner: DrillPolicy,
-    pins: HashMap<FlowId, u16>,
-}
-
-impl PerFlowDrill {
-    /// Per-flow DRILL using a DRILL(d, m) first-packet decision.
-    pub fn new(d: usize, m: usize, engines: usize) -> PerFlowDrill {
-        PerFlowDrill {
-            inner: DrillPolicy::new(d, m, engines),
-            pins: HashMap::new(),
-        }
-    }
-
-    /// Number of pinned flows (diagnostics).
-    pub fn pinned(&self) -> usize {
-        self.pins.len()
-    }
-}
-
-impl SwitchPolicy for PerFlowDrill {
-    fn select(&mut self, ctx: &SelectCtx<'_>, queues: &dyn QueueView, rng: &mut SimRng) -> u16 {
-        if let Some(&p) = self.pins.get(&ctx.flow) {
-            // Pinned port may have vanished after a failure; re-decide then.
-            if ctx.candidates.contains(&p) {
-                return p;
-            }
-        }
-        let p = self.inner.select(ctx, queues, rng);
-        self.pins.insert(ctx.flow, p);
-        p
-    }
-
-    fn save_state(&self, buf: &mut Vec<u8>) {
-        // Sort: HashMap iteration order is nondeterministic.
-        let mut pins: Vec<(FlowId, u16)> = self.pins.iter().map(|(&f, &p)| (f, p)).collect();
-        pins.sort_unstable_by_key(|&(f, _)| f.0);
-        put_varint(buf, pins.len() as u64);
-        for (f, p) in pins {
-            put_varint(buf, f.0 as u64);
-            put_varint(buf, p as u64);
-        }
-        self.inner.save_state(buf);
-    }
-
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> io::Result<()> {
-        let n = d.varint_usize()?;
-        self.pins.clear();
-        for _ in 0..n {
-            let f = FlowId(d.varint_u32()?);
-            let p = d.varint_u16()?;
-            self.pins.insert(f, p);
-        }
-        self.inner.load_state(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stability::SlotQueues;
+    use drill_net::FlowId;
     use drill_sim::Time;
 
     fn ctx<'a>(candidates: &'a [u16], engine: usize) -> SelectCtx<'a> {
@@ -360,32 +300,5 @@ mod tests {
         }
         // With d=2 + memory of the best port, port 1 should dominate.
         assert!(best > 900, "short queue chosen {best}/1000");
-    }
-
-    #[test]
-    fn per_flow_drill_pins() {
-        let mut p = PerFlowDrill::new(2, 1, 1);
-        let q = SlotQueues(&[100, 200, 300, 400]);
-        let cand = [0u16, 1, 2, 3];
-        let mut rng = SimRng::seed_from(9);
-        let first = p.select(&ctx(&cand, 0), &q, &mut rng);
-        for _ in 0..50 {
-            assert_eq!(p.select(&ctx(&cand, 0), &q, &mut rng), first);
-        }
-        assert_eq!(p.pinned(), 1);
-    }
-
-    #[test]
-    fn per_flow_drill_repins_after_failure() {
-        let mut p = PerFlowDrill::new(4, 1, 1);
-        let q = SlotQueues(&[0, 100, 200, 300]);
-        let mut rng = SimRng::seed_from(10);
-        let first = p.select(&ctx(&[0, 1, 2, 3], 0), &q, &mut rng);
-        assert_eq!(first, 0);
-        // Port 0 disappears from the candidate set (failure).
-        let sel = p.select(&ctx(&[1, 2, 3], 0), &q, &mut rng);
-        assert_eq!(sel, 1, "re-decides on remaining candidates");
-        // And stays pinned to the new port.
-        assert_eq!(p.select(&ctx(&[1, 2, 3], 0), &q, &mut rng), 1);
     }
 }

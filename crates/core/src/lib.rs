@@ -5,9 +5,6 @@
 //!   (§3.2.2): every forwarding engine samples `d` random candidate output
 //!   ports, compares them with its `m` remembered least-loaded ports, and
 //!   enqueues the packet at the shortest of those queues.
-//! * [`PerFlowDrill`] — the paper's "per-flow DRILL" strawman (§4): a
-//!   load-aware decision for the first packet of each flow, after which the
-//!   flow is pinned.
 //! * [`SymmetryEngine`] — the §3.4 control plane: the symmetric path
 //!   decomposition that lets DRILL degrade gracefully to weighted
 //!   ECMP-of-DRILL under asymmetry. It installs the group tables the
@@ -31,6 +28,6 @@ pub mod stability;
 mod symmetry;
 
 pub use decompose::GroupingReport;
-pub use drill::{DrillPolicy, PerFlowDrill};
+pub use drill::DrillPolicy;
 pub use quiver::enumerate_shortest_paths;
 pub use symmetry::SymmetryEngine;

@@ -12,10 +12,9 @@
 //!
 //! # Determinism contract
 //!
-//! A schedule is plain data: schedule + seed fully determine a run.
-//! [`FaultSchedule::random_flaps`] derives its own RNG stream from the
-//! seed (label `"fault-flaps"`), so generated schedules are reproducible
-//! and independent of every other stream in the simulator.
+//! A schedule is plain data: schedule + seed fully determine a run. The
+//! schedule draws no randomness of its own, so adding one moves no other
+//! stream in the simulator.
 //!
 //! # Staged reaction
 //!
@@ -29,7 +28,7 @@
 #![warn(missing_docs)]
 
 use drill_net::{LinkId, NodeRef, SwitchId, Topology};
-use drill_sim::{SimRng, Time};
+use drill_sim::Time;
 use drill_telemetry::{fault_kind, FaultInfo};
 
 /// What a fault event does to the topology.
@@ -225,53 +224,6 @@ impl FaultSchedule {
         self.push(start, FaultKind::SetLoss { a, b, ppm });
         self.push(end, FaultKind::SetLoss { a, b, ppm: 0 })
     }
-
-    /// Generate `count` randomized link flaps over `pairs` inside
-    /// `[window_start, window_end)`, fully determined by `seed` (own RNG
-    /// stream, label `"fault-flaps"`). Downtimes are drawn uniformly from
-    /// `[min_down, max_down]`. Flaps on the same pair never overlap: each
-    /// flap starts strictly after the pair's previous recovery, so every
-    /// down is matched by exactly one up and the pair ends the schedule
-    /// alive. Flaps that no longer fit the window are skipped (the result
-    /// may hold fewer than `count` flaps on crowded windows).
-    #[allow(clippy::too_many_arguments)]
-    pub fn random_flaps(
-        &mut self,
-        pairs: &[(u32, u32)],
-        seed: u64,
-        count: usize,
-        window_start: Time,
-        window_end: Time,
-        min_down: Time,
-        max_down: Time,
-    ) -> &mut Self {
-        assert!(!pairs.is_empty(), "need at least one pair to flap");
-        assert!(window_end > window_start, "empty flap window");
-        assert!(max_down >= min_down, "max_down below min_down");
-        assert!(min_down > Time::ZERO, "downtime must be positive");
-        let mut rng = SimRng::derive(seed, "fault-flaps", 0);
-        let window = (window_end - window_start).as_nanos();
-        let down_span = (max_down - min_down).as_nanos() + 1;
-        // Last recovery time per pair, to forbid overlapping flaps.
-        let mut last_up = vec![Time::ZERO; pairs.len()];
-        for _ in 0..count {
-            let pi = rng.below(pairs.len());
-            let (a, b) = pairs[pi];
-            let offset = rng.below(window as usize) as u64;
-            let downtime = min_down + Time::from_nanos(rng.below(down_span as usize) as u64);
-            let mut down_at = window_start + Time::from_nanos(offset);
-            if down_at <= last_up[pi] {
-                down_at = last_up[pi] + Time::from_nanos(1);
-            }
-            let up_at = down_at + downtime;
-            if up_at >= window_end {
-                continue; // does not fit; skip deterministically
-            }
-            self.link_flap(a, b, down_at, up_at);
-            last_up[pi] = up_at;
-        }
-        self
-    }
 }
 
 /// A deliberate invariant violation for auditor negative tests: unlike a
@@ -456,46 +408,6 @@ mod tests {
         // Ties keep insertion order: the LinkDown pushed first stays first.
         assert!(matches!(s.events()[1].kind, FaultKind::LinkDown { .. }));
         assert!(matches!(s.events()[2].kind, FaultKind::LinkUp { .. }));
-    }
-
-    #[test]
-    fn random_flaps_are_deterministic_and_non_overlapping() {
-        let pairs = [(0u32, 2u32), (0, 3), (1, 2), (1, 3)];
-        let build = |seed| {
-            let mut s = FaultSchedule::default();
-            s.random_flaps(
-                &pairs,
-                seed,
-                16,
-                Time::from_millis(1),
-                Time::from_millis(40),
-                Time::from_micros(100),
-                Time::from_millis(2),
-            );
-            s
-        };
-        assert_eq!(build(7), build(7), "same seed, same schedule");
-        assert_ne!(build(7), build(8), "different seed, different schedule");
-        let s = build(7);
-        assert!(!s.is_empty());
-        // Per pair: strictly alternating down/up, chronological.
-        for &(a, b) in &pairs {
-            let mut down: Option<Time> = None;
-            for e in s.events() {
-                match e.kind {
-                    FaultKind::LinkDown { a: x, b: y } if (x, y) == (a, b) => {
-                        assert!(down.is_none(), "pair ({a},{b}) downed twice");
-                        down = Some(e.at);
-                    }
-                    FaultKind::LinkUp { a: x, b: y } if (x, y) == (a, b) => {
-                        let d = down.take().expect("up without a down");
-                        assert!(e.at > d);
-                    }
-                    _ => {}
-                }
-            }
-            assert!(down.is_none(), "pair ({a},{b}) ends the schedule up");
-        }
     }
 
     #[test]

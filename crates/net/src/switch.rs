@@ -338,15 +338,10 @@ impl Switch {
         self.ports[port as usize].pkts()
     }
 
-    /// Actual queue occupancy in bytes at `port` (waiting + in flight).
-    pub fn queue_bytes(&self, port: u16) -> u64 {
-        self.ports[port as usize].bytes()
-    }
-
     /// Bytes *waiting* at `port`, excluding the in-flight head — exactly
     /// the quantity admission control bounds against `queue_limit_bytes`
-    /// (the audit queue-ceiling watchdog checks this, not
-    /// [`queue_bytes`](Switch::queue_bytes)).
+    /// (the audit queue-ceiling watchdog checks this, not the occupancy
+    /// including the head).
     pub fn waiting_bytes(&self, port: u16) -> u64 {
         self.ports[port as usize].q_bytes
     }
@@ -922,7 +917,7 @@ mod tests {
         assert!(stats.drops > 0, "must tail-drop");
         assert_eq!(rig.sw.queue_pkts(0) as u64 + stats.drops, sent);
         assert!(
-            rig.sw.queue_bytes(0) - 1058 <= 150_000,
+            rig.sw.waiting_bytes(0) <= 150_000,
             "waiting bytes within limit"
         );
     }

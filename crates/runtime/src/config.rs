@@ -2,8 +2,8 @@
 
 use drill_faults::FaultSchedule;
 use drill_net::{
-    clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
-    Topology, Vl2Spec, DEFAULT_PROP,
+    clos, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, Topology,
+    Vl2Spec, DEFAULT_PROP,
 };
 use drill_sim::Time;
 use drill_transport::TcpConfig;
@@ -26,17 +26,11 @@ pub enum TopoSpec {
     },
     /// A VL2 three-stage Clos.
     Vl2(Vl2Spec),
-    /// A k-ary fat-tree with uniform link rate.
+    /// A k-ary fat-tree with `hosts_per_edge` hosts per edge switch:
+    /// `k/2` is the classic non-blocking tree, more oversubscribes the
+    /// edge (`scalebench`'s 16k-host point is `k: 32, hosts_per_edge: 32`,
+    /// 2:1).
     FatTree {
-        /// Arity (even).
-        k: usize,
-        /// Link rate in bps.
-        rate: u64,
-    },
-    /// A k-ary fat-tree with a custom (possibly oversubscribed) edge:
-    /// `hosts_per_edge` hosts per edge switch instead of `k/2`. The
-    /// `scalebench` 16k-host point is `k: 32, hosts_per_edge: 32` (2:1).
-    FatTreeCustom {
         /// Arity (even).
         k: usize,
         /// Hosts attached to each edge switch.
@@ -65,8 +59,7 @@ impl TopoSpec {
                 })
             }
             TopoSpec::Vl2(spec) => vl2(spec),
-            TopoSpec::FatTree { k, rate } => fat_tree(*k, *rate, DEFAULT_PROP),
-            TopoSpec::FatTreeCustom {
+            TopoSpec::FatTree {
                 k,
                 hosts_per_edge,
                 rate,
@@ -240,8 +233,9 @@ impl Default for AuditSpec {
     }
 }
 
-/// Mid-run checkpoints: the crash-recovery cadence
-/// (`scalebench --checkpoint-every`).
+/// Mid-run checkpoints: the crash-recovery cadence. A process that dies
+/// leaves the newest file, and [`World::restore`](crate::World::restore)
+/// finishes the run from it with the uninterrupted run's results.
 #[derive(Clone, Debug)]
 pub struct CheckpointSpec {
     /// Snapshot every this many processed events, overwriting `path`.
@@ -294,10 +288,11 @@ mod tests {
         assert_eq!(v.build().num_hosts(), 320);
         let f = TopoSpec::FatTree {
             k: 4,
+            hosts_per_edge: 2,
             rate: 1_000_000_000,
         };
         assert_eq!(f.build().num_hosts(), 16);
-        let fo = TopoSpec::FatTreeCustom {
+        let fo = TopoSpec::FatTree {
             k: 4,
             hosts_per_edge: 4,
             rate: 1_000_000_000,

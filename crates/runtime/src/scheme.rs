@@ -1,6 +1,6 @@
 //! Load-balancing scheme registry.
 
-use drill_core::{DrillPolicy, PerFlowDrill};
+use drill_core::DrillPolicy;
 use drill_lb::{
     CongaConfig, CongaPolicy, EcmpPolicy, PrestoHostPolicy, RandomPolicy, RoundRobinPolicy,
     WcmpPolicy,
@@ -25,8 +25,6 @@ pub enum Scheme {
         /// Deploy the receiver-side reordering shim.
         shim: bool,
     },
-    /// The "per-flow DRILL" strawman: load-aware first packet, then pinned.
-    PerFlowDrill,
     /// Presto: 64 KB flowcells source-routed round robin; `shim` is
     /// Presto's standard configuration (disable to measure "before shim").
     Presto {
@@ -71,7 +69,6 @@ impl Scheme {
             Scheme::RoundRobin => "Per-packet RR".into(),
             Scheme::Drill { d, m, shim: true } => format!("DRILL({d},{m})"),
             Scheme::Drill { d, m, shim: false } => format!("DRILL({d},{m}) w/o shim"),
-            Scheme::PerFlowDrill => "per-flow DRILL".into(),
             Scheme::Presto { shim: true } => "Presto".into(),
             Scheme::Presto { shim: false } => "Presto before shim".into(),
             Scheme::Conga => "CONGA".into(),
@@ -104,7 +101,7 @@ impl Scheme {
     /// installed (the scheme micro load balances per packet and therefore
     /// needs the §3.4 asymmetry handling).
     pub fn wants_symmetric_groups(&self) -> bool {
-        matches!(self, Scheme::Drill { .. } | Scheme::PerFlowDrill)
+        matches!(self, Scheme::Drill { .. })
     }
 
     /// Build the switch policy for one switch.
@@ -120,7 +117,6 @@ impl Scheme {
             Scheme::Random => Box::new(RandomPolicy),
             Scheme::RoundRobin => Box::new(RoundRobinPolicy::new(engines)),
             Scheme::Drill { d, m, .. } => Box::new(DrillPolicy::new(*d, *m, engines)),
-            Scheme::PerFlowDrill => Box::new(PerFlowDrill::new(2, 1, engines)),
             // Presto's fabric behaviour for non-source-routed packets
             // (ACKs, fallbacks) is ECMP.
             Scheme::Presto { .. } => Box::new(EcmpPolicy),
@@ -166,7 +162,6 @@ mod tests {
     #[test]
     fn group_flags() {
         assert!(Scheme::drill_default().wants_symmetric_groups());
-        assert!(Scheme::PerFlowDrill.wants_symmetric_groups());
         assert!(!Scheme::Ecmp.wants_symmetric_groups());
         assert!(!Scheme::Conga.wants_symmetric_groups());
     }

@@ -331,12 +331,6 @@ impl SweepResults {
             .index(rep, load_idx, engines_idx, variant_idx, scheme_idx)]
     }
 
-    /// The stats of one `(load, scheme)` cell of a single-rep,
-    /// single-engines, single-variant sweep.
-    pub fn at(&self, load_idx: usize, scheme_idx: usize) -> &RunStats {
-        self.get(0, load_idx, 0, 0, scheme_idx)
-    }
-
     /// Merge the replications of one `(load, engines, variant, scheme)`
     /// cell into a single aggregated `RunStats`.
     pub fn merged(

@@ -1088,19 +1088,13 @@ mod tests {
         assert_eq!(with_empty.fault_events, 0);
         assert_eq!(with_empty.fct_clear_ms.count(), 0, "no windows, no split");
 
-        // A generated chaos schedule replays bit-identically.
+        // A schedule of two flaps on different pairs replays bit-identically.
         let topo = cfg.topo.build();
         let pairs = random_leaf_spine_failures(&topo, 2, 3);
         let mut s = FaultSchedule::default();
-        s.random_flaps(
-            &pairs,
-            9,
-            6,
-            Time::from_millis(1),
-            Time::from_millis(4),
-            Time::from_micros(100),
-            Time::from_micros(500),
-        );
+        let [(a0, b0), (a1, b1)] = [pairs[0], pairs[1]];
+        s.link_flap(a0, b0, Time::from_millis(1), Time::from_micros(1_400))
+            .link_flap(a1, b1, Time::from_micros(2_200), Time::from_micros(2_600));
         cfg.faults = Some(s);
         let a = run(&cfg);
         let b = run(&cfg);
@@ -1433,7 +1427,6 @@ mod tests {
             Scheme::RoundRobin,
             Scheme::drill_default(),
             Scheme::drill_no_shim(),
-            Scheme::PerFlowDrill,
             Scheme::presto(),
             Scheme::Presto { shim: false },
             Scheme::Conga,

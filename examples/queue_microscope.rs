@@ -22,7 +22,6 @@ fn main() {
         Scheme::Ecmp,
         Scheme::Random,
         Scheme::RoundRobin,
-        Scheme::PerFlowDrill,
         Scheme::Drill {
             d: 1,
             m: 0,

@@ -44,11 +44,17 @@ echo "== retired build/run modes stay retired =="
 # sabotage_run, audit_demo_cfg), which could rewind only its own pinned
 # run: rewind-replay is drill_runtime::rewind_replay, which serves any
 # audited run's dump, and the tier-1 auditor tests drive that loop;
+# so were per-flow DRILL (PerFlowDrill), which no figure, workload or
+# result used, the random_flaps schedule generator chaosbench left
+# behind, and scalebench's crash-recovery flags (RecoveryOpts,
+# --checkpoint-every / --checkpoint-path / --die-after / --resume): crash
+# recovery is ExperimentConfig::checkpoint + World::restore, checked by
+# the tier-1 test checkpoint_policy_files_are_resumable;
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo|PerFlowDrill|random_flaps|RecoveryOpts|die-after|checkpoint-every|checkpoint-path' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
@@ -164,12 +170,21 @@ print(f'figures: {len(figs)} JSONs with manifests, texts tile {len(stdout)} byte
 PY
 rm -rf "$figdir"
 
-echo "== scalebench --quick smoke =="
-# Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree)
-# plus the sketch rank-error section. The small-Clos determinism golden
+echo "== scalebench --quick smoke (one process per point; a bad command line exits 2) =="
+# Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree),
+# each point in its own process as scripts/scalebench.sh runs them, plus
+# the sketch rank-error section. The small-Clos determinism golden
 # itself rides in determinism_golden, which the rows above already run.
-./target/release/scalebench --quick > /dev/null
+for point in $(./target/release/scalebench --quick --list); do
+    ./target/release/scalebench --quick --point "$point" > /dev/null
+done
 ./target/release/scalebench --sketch --quick > /dev/null
+for bad in "" "--quick" "--point" "--point nope" "--bogus --list"; do
+    rc=0
+    # shellcheck disable=SC2086 # split each bad command line into words
+    ./target/release/scalebench $bad > /dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || { echo "scalebench $bad: expected exit 2, got $rc"; exit 1; }
+done
 
 echo "== scalebench asymmetric control-plane smoke =="
 # The asymmetric quick point runs the full structural §3.4 probe (cold
@@ -188,29 +203,6 @@ assert 0 < d['cp_distinct_group_tables'] < d['asym_entries'], 'group tables not 
 assert d['cp_table_bytes'] < 64 * d['cp_entries'], 'route table is per-entry heap again'
 assert d['cp_engine_bytes'] < 256 * d['cp_entries'], 'engine outgrew 256 B per entry'
 "
-
-echo "== scalebench kill-and-resume crash-recovery smoke =="
-# Checkpoint every 50k events, die mid-run (simulated kill, exit 42),
-# resume the checkpoint in a fresh process, and demand the resumed totals
-# match an uninterrupted run of the same point.
-ckpt=$(mktemp -u)
-clean=$(./target/release/scalebench --quick --point leafspine_320h)
-rc=0
-./target/release/scalebench --quick --point leafspine_320h \
-    --checkpoint-every 50000 --die-after 120000 --checkpoint-path "$ckpt" \
-    > /dev/null 2>&1 || rc=$?
-[[ "$rc" == 42 ]] || { echo "expected simulated-kill exit 42, got $rc"; exit 1; }
-[[ -f "$ckpt" ]] || { echo "no checkpoint file written before the kill"; exit 1; }
-resumed=$(./target/release/scalebench --quick --point leafspine_320h --resume "$ckpt")
-rm -f "$ckpt"
-clean_ev=$(grep -o '"events": [0-9]*' <<<"$clean")
-resumed_ev=$(grep -o '"events": [0-9]*' <<<"$resumed")
-clean_bytes=$(grep -o '"bytes_delivered": [0-9]*' <<<"$clean")
-resumed_bytes=$(grep -o '"bytes_delivered": [0-9]*' <<<"$resumed")
-if [[ "$clean_ev" != "$resumed_ev" || "$clean_bytes" != "$resumed_bytes" ]]; then
-    echo "resume diverged: clean [$clean_ev, $clean_bytes] vs resumed [$resumed_ev, $resumed_bytes]"
-    exit 1
-fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check

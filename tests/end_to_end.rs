@@ -33,7 +33,6 @@ fn every_scheme_completes_on_leaf_spine() {
         Scheme::Ecmp,
         Scheme::Random,
         Scheme::RoundRobin,
-        Scheme::PerFlowDrill,
         Scheme::drill_default(),
         Scheme::drill_no_shim(),
         Scheme::presto(),
@@ -82,6 +81,7 @@ fn three_stage_topologies_work() {
         }),
         TopoSpec::FatTree {
             k: 4,
+            hosts_per_edge: 2,
             rate: 1_000_000_000,
         },
     ] {

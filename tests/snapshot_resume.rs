@@ -302,8 +302,8 @@ fn drillsnap_bytes_are_pinned() {
 /// `ExperimentConfig::checkpoint`: the event loop writes the snapshot
 /// file every `every_events`, on the straight-through and the stepwise
 /// path alike, and a fresh process loading that file finishes with the
-/// uninterrupted run's exact results — the crash-recovery path
-/// `scalebench --checkpoint-every` smokes end to end.
+/// uninterrupted run's exact results (its full fingerprint, `events` and
+/// `bytes_delivered` among them) — crash recovery, end to end.
 #[test]
 fn checkpoint_policy_files_are_resumable() {
     let cfg = tiny_cfg(Scheme::drill_default());
