@@ -90,21 +90,15 @@ fn clos_smoke() -> TopoSpec {
 }
 
 fn ft(k: usize) -> TopoSpec {
-    TopoSpec::FatTree {
-        k,
-        hosts_per_edge: k / 2,
-        rate: 10_000_000_000,
-    }
+    let rate = 10_000_000_000;
+    TopoSpec::Clos(ClosSpec::fat_tree(k, k / 2, rate, rate, DEFAULT_PROP))
 }
 
 /// k=32 with a 2:1 oversubscribed edge: 512 edge switches x 32 hosts =
 /// 16384 hosts, the acceptance-scale point.
 fn ft32x2() -> TopoSpec {
-    TopoSpec::FatTree {
-        k: 32,
-        hosts_per_edge: 32,
-        rate: 10_000_000_000,
-    }
+    let rate = 10_000_000_000;
+    TopoSpec::Clos(ClosSpec::fat_tree(32, 32, rate, rate, DEFAULT_PROP))
 }
 
 /// 16384-host three-tier Clos with 8 core planes, the large asymmetric

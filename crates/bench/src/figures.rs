@@ -14,7 +14,7 @@
 
 use drill_faults::{FaultKind, FaultSchedule};
 use drill_hw::{estimate, HwSpec, TechNode};
-use drill_net::HopClass::{LeafUp, SpineDown, ToHost};
+use drill_net::HopClass::{AggDown, AggUp, HostUp, LeafUp, SpineDown, ToHost};
 use drill_net::{HopClass, LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill_runtime::Scheme::{self, Conga, Ecmp, Presto, Random, RoundRobin};
 use drill_runtime::{
@@ -650,11 +650,16 @@ fn tail(d: &mut Distribution, p: f64) -> Cell {
     Cell::Tail { value, n, lo, hi }
 }
 
+/// The paper numbers the three hops of a two-stage path; the 3-stage
+/// classes and the NIC hop get names without a number.
 fn hop(h: HopClass) -> &'static str {
     match h {
+        HostUp => "host-up",
         LeafUp => "hop1 leaf-up",
+        AggUp => "agg-up",
         SpineDown => "hop2 spine-down",
-        _ => "hop3 to-host",
+        AggDown => "agg-down",
+        ToHost => "hop3 to-host",
     }
 }
 
@@ -1036,6 +1041,15 @@ mod tests {
         assert_eq!(stats[1].label(), "frac >=3 dupACK");
         let frac = stats[1].cell(&mut st).value();
         assert_eq!(frac, 1.0, "the flow with 3 dupACKs crossed the threshold");
+    }
+
+    #[test]
+    fn every_hop_class_has_its_own_label() {
+        let all = [HostUp, LeafUp, AggUp, SpineDown, AggDown, ToHost];
+        let mut labels: Vec<&str> = all.into_iter().map(hop).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), all.len(), "{labels:?}");
     }
 
     #[test]

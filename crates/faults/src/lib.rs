@@ -91,6 +91,19 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// This kind's [`fault_kind`] code: the tag a [`FaultInfo`] carries
+    /// and a snapshot writes.
+    pub fn code(&self) -> u8 {
+        match self {
+            FaultKind::LinkDown { .. } => fault_kind::LINK_DOWN,
+            FaultKind::LinkUp { .. } => fault_kind::LINK_UP,
+            FaultKind::SwitchDown { .. } => fault_kind::SWITCH_DOWN,
+            FaultKind::SwitchUp { .. } => fault_kind::SWITCH_UP,
+            FaultKind::Degrade { .. } => fault_kind::DEGRADE,
+            FaultKind::SetLoss { .. } => fault_kind::SET_LOSS,
+        }
+    }
+
     /// Whether applying this kind can change reachability (and therefore
     /// requires a routing reconvergence). Degradation and loss keep the
     /// graph intact — routes stay valid; only weights/quality change —
@@ -277,7 +290,7 @@ impl FaultInjector {
     /// `failed_links` validation; recovery events are idempotent no-ops
     /// when there is nothing to recover.
     pub fn apply(&mut self, topo: &mut Topology, kind: FaultKind) -> FaultInfo {
-        match kind {
+        let (a, b, param) = match kind {
             FaultKind::LinkDown { a, b } => {
                 let ok = topo.fail_switch_link(SwitchId(a), SwitchId(b), 0)
                     || topo.fail_switch_link(SwitchId(b), SwitchId(a), 0);
@@ -285,22 +298,12 @@ impl FaultInjector {
                     ok,
                     "failed link ({a},{b}) matches no live switch-to-switch link in the topology"
                 );
-                FaultInfo {
-                    kind: fault_kind::LINK_DOWN,
-                    a,
-                    b,
-                    param: 0,
-                }
+                (a, b, 0)
             }
             FaultKind::LinkUp { a, b } => {
                 let restored = topo.restore_switch_link(SwitchId(a), SwitchId(b), 0)
                     || topo.restore_switch_link(SwitchId(b), SwitchId(a), 0);
-                FaultInfo {
-                    kind: fault_kind::LINK_UP,
-                    a,
-                    b,
-                    param: restored as u64,
-                }
+                (a, b, restored as u64)
             }
             FaultKind::SwitchDown { switch } => {
                 let mut downed = Vec::new();
@@ -322,12 +325,7 @@ impl FaultInjector {
                 }
                 let n = downed.len() as u64;
                 self.crashed.push((switch, downed));
-                FaultInfo {
-                    kind: fault_kind::SWITCH_DOWN,
-                    a: switch,
-                    b: u32::MAX,
-                    param: n,
-                }
+                (switch, u32::MAX, n)
             }
             FaultKind::SwitchUp { switch } => {
                 let mut restored = 0u64;
@@ -339,12 +337,7 @@ impl FaultInjector {
                         }
                     }
                 }
-                FaultInfo {
-                    kind: fault_kind::SWITCH_UP,
-                    a: switch,
-                    b: u32::MAX,
-                    param: restored,
-                }
+                (switch, u32::MAX, restored)
             }
             FaultKind::Degrade { a, b, num, den } => {
                 let ok = topo.degrade_switch_link(SwitchId(a), SwitchId(b), 0, num, den)
@@ -353,12 +346,7 @@ impl FaultInjector {
                     ok,
                     "degraded link ({a},{b}) matches no switch-to-switch link in the topology"
                 );
-                FaultInfo {
-                    kind: fault_kind::DEGRADE,
-                    a,
-                    b,
-                    param: ((num as u64) << 32) | den as u64,
-                }
+                (a, b, ((num as u64) << 32) | den as u64)
             }
             FaultKind::SetLoss { a, b, ppm } => {
                 let ok = topo.set_switch_link_loss(SwitchId(a), SwitchId(b), 0, ppm)
@@ -367,13 +355,14 @@ impl FaultInjector {
                     ok,
                     "lossy link ({a},{b}) matches no switch-to-switch link in the topology"
                 );
-                FaultInfo {
-                    kind: fault_kind::SET_LOSS,
-                    a,
-                    b,
-                    param: ppm as u64,
-                }
+                (a, b, ppm as u64)
             }
+        };
+        FaultInfo {
+            kind: kind.code(),
+            a,
+            b,
+            param,
         }
     }
 }
@@ -382,8 +371,8 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use drill_net::{
-        clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec,
-        LeafSpineSpec, RouteTable, Vl2Spec, DEFAULT_PROP,
+        clos, fat_tree, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, RouteTable,
+        Vl2Spec, DEFAULT_PROP,
     };
 
     fn topo() -> Topology {
@@ -395,6 +384,36 @@ mod tests {
             core_rate: 10_000_000_000,
             prop: DEFAULT_PROP,
         })
+    }
+
+    #[test]
+    fn code_is_the_fault_kind_constant() {
+        let pairs = [
+            (FaultKind::LinkDown { a: 0, b: 2 }, fault_kind::LINK_DOWN),
+            (FaultKind::LinkUp { a: 0, b: 2 }, fault_kind::LINK_UP),
+            (FaultKind::SwitchDown { switch: 1 }, fault_kind::SWITCH_DOWN),
+            (FaultKind::SwitchUp { switch: 1 }, fault_kind::SWITCH_UP),
+            (
+                FaultKind::Degrade {
+                    a: 0,
+                    b: 2,
+                    num: 1,
+                    den: 4,
+                },
+                fault_kind::DEGRADE,
+            ),
+            (
+                FaultKind::SetLoss {
+                    a: 0,
+                    b: 2,
+                    ppm: 10,
+                },
+                fault_kind::SET_LOSS,
+            ),
+        ];
+        for (kind, code) in pairs {
+            assert_eq!(kind.code(), code, "{kind:?}");
+        }
     }
 
     #[test]
@@ -582,8 +601,14 @@ mod tests {
             ),
             ("fat_tree", fat_tree(4, 10_000_000_000, DEFAULT_PROP)),
             (
-                "fat_tree_custom",
-                fat_tree_custom(4, 4, 10_000_000_000, 10_000_000_000, DEFAULT_PROP),
+                "fat_tree_oversub",
+                clos(&ClosSpec::fat_tree(
+                    4,
+                    4,
+                    10_000_000_000,
+                    10_000_000_000,
+                    DEFAULT_PROP,
+                )),
             ),
             ("clos", clos(&ClosSpec::smoke())),
         ];

@@ -158,33 +158,11 @@ pub fn vl2(spec: &Vl2Spec) -> Topology {
 
 /// Build a k-ary fat-tree: `k` pods of `k/2` edge and `k/2` aggregation
 /// switches, `(k/2)^2` cores, `k/2` hosts per edge switch, all links equal
-/// rate. `k` must be even.
+/// rate. `k` must be even. This is the [`clos`] of [`ClosSpec::fat_tree`]
+/// at full subscription; build that spec directly for any other edge
+/// subscription or host rate.
 pub fn fat_tree(k: usize, link_rate: u64, prop: Time) -> Topology {
-    fat_tree_custom(k, k / 2, link_rate, link_rate, prop)
-}
-
-/// Build a k-ary fat-tree with a custom edge subscription: `hosts_per_edge`
-/// hosts at `host_rate` bps on each edge switch instead of the rearrangeably
-/// non-blocking `k/2`. `hosts_per_edge > k/2` yields an oversubscribed
-/// fabric (ratio `hosts_per_edge / (k/2)` at the edge tier) — the common
-/// production trade and the configuration `scalebench` uses to reach 16k
-/// hosts on a k=32 fabric. The fabric is the [`clos`] of
-/// [`ClosSpec::fat_tree`], so `fat_tree(k, r, p)` ==
-/// `fat_tree_custom(k, k/2, r, r, p)` switch-for-switch and link-for-link.
-pub fn fat_tree_custom(
-    k: usize,
-    hosts_per_edge: usize,
-    link_rate: u64,
-    host_rate: u64,
-    prop: Time,
-) -> Topology {
-    clos(&ClosSpec::fat_tree(
-        k,
-        hosts_per_edge,
-        link_rate,
-        host_rate,
-        prop,
-    ))
+    clos(&ClosSpec::fat_tree(k, k / 2, link_rate, link_rate, prop))
 }
 
 /// Parameters for a general three-tier folded Clos (leaf - pod aggregation -
@@ -219,6 +197,10 @@ impl ClosSpec {
     /// `k/2` aggregation switches, `(k/2)^2` cores in `k/2` planes,
     /// `hosts_per_edge` hosts at `host_rate` per edge switch, every
     /// switch-to-switch link at `link_rate`. `k` must be even.
+    /// `hosts_per_edge > k/2` yields an oversubscribed fabric (ratio
+    /// `hosts_per_edge / (k/2)` at the edge tier) — the common production
+    /// trade and the configuration `scalebench` uses to reach 16k hosts on
+    /// a k=32 fabric.
     pub fn fat_tree(
         k: usize,
         hosts_per_edge: usize,
@@ -464,22 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_custom_matches_fat_tree_at_full_subscription() {
-        let a = fat_tree(4, 10_000_000_000, DEFAULT_PROP);
-        let b = fat_tree_custom(4, 2, 10_000_000_000, 10_000_000_000, DEFAULT_PROP);
-        assert_eq!(a.num_switches(), b.num_switches());
-        assert_eq!(a.num_hosts(), b.num_hosts());
-        assert_eq!(
-            format!("{:?}", a.links()),
-            format!("{:?}", b.links()),
-            "identical wiring, link for link"
-        );
-    }
-
-    #[test]
-    fn fat_tree_custom_oversubscribed_edge() {
+    fn fat_tree_oversubscribed_edge() {
         // k=4 with 4 hosts per edge: 2:1 oversubscription, 32 hosts.
-        let t = fat_tree_custom(4, 4, 10_000_000_000, 10_000_000_000, DEFAULT_PROP);
+        let t = clos(&ClosSpec::fat_tree(
+            4,
+            4,
+            10_000_000_000,
+            10_000_000_000,
+            DEFAULT_PROP,
+        ));
         assert_eq!(t.num_hosts(), 32);
         for &e in t.leaves() {
             // 2 agg uplinks + 4 host ports.

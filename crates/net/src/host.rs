@@ -21,7 +21,7 @@ use drill_telemetry::Probe;
 use crate::arena::{PacketArena, PacketRef};
 use crate::ids::{FlowId, HostId};
 use crate::lbapi::HostPolicy;
-use crate::packet::{Packet, HEADER_BYTES};
+use crate::packet::{Packet, HEADER_BYTES, MSS_BYTES};
 use crate::topology::Topology;
 use crate::{NetEvent, NetSink};
 
@@ -29,11 +29,8 @@ use crate::{NetEvent, NetSink};
 /// paper's experiments — congestion happens in the fabric).
 pub const HOST_NIC_BUF_BYTES: u64 = 4 * 1024 * 1024;
 
-/// Payload bytes of a full train segment (a 1500-byte wire frame).
-const TRAIN_MSS: u64 = 1442;
-
 /// A run of consecutive, not yet built segments of one open-loop flow:
-/// payload bytes `off..end` cut every `TRAIN_MSS` (1442), with consecutive
+/// payload bytes `off..end` cut every [`MSS_BYTES`], with consecutive
 /// packet ids from `next_id`. Describes a whole flow when handed to
 /// [`HostNic::send_train`], and a maximal run of accepted segments while
 /// it waits in the NIC.
@@ -74,7 +71,7 @@ impl Train {
 
     /// Segments left (each consumes one packet id, accepted or dropped).
     pub fn segments(&self) -> u64 {
-        (self.end - self.off).div_ceil(TRAIN_MSS)
+        (self.end - self.off).div_ceil(u64::from(MSS_BYTES))
     }
 
     /// Bytes the remaining segments put on the wire.
@@ -84,7 +81,7 @@ impl Train {
 
     /// Payload bytes of the segment at `off`.
     fn head_payload(&self) -> u64 {
-        (self.end - self.off).min(TRAIN_MSS)
+        (self.end - self.off).min(u64::from(MSS_BYTES))
     }
 
     /// Wire size of the segment at `off`.

@@ -16,7 +16,7 @@
 //!   leaf-spine with arbitrary over-subscription, the scale-out variant,
 //!   heterogeneous/imbalanced striping, VL2 and fat-tree), plus
 //!   production-scale fabrics: general three-tier Clos ([`clos`]) and
-//!   oversubscribed large fat-trees ([`fat_tree_custom`], k=32/64);
+//!   oversubscribed large fat-trees ([`ClosSpec::fat_tree`], k=32/64);
 //! * shortest-path (ECMP-style) routing with link-failure support.
 //!
 //! Load-balancing *policies* plug in through [`SwitchPolicy`] /
@@ -38,15 +38,17 @@ mod topology;
 
 pub use arena::{PacketArena, PacketRef};
 pub use builders::{
-    clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
-    Vl2Spec, DEFAULT_PROP,
+    clos, fat_tree, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, Vl2Spec,
+    DEFAULT_PROP,
 };
 pub use host::{HostNic, Train, HOST_NIC_BUF_BYTES};
 pub use ids::{FlowId, HostId, LinkId, NodeRef, SwitchId};
 pub use lbapi::{
     weighted_group_pick, HostPolicy, NullHostPolicy, PortGroup, QueueView, SelectCtx, SwitchPolicy,
 };
-pub use packet::{flags, BufPool, CongaTag, Packet, PacketBufPool, ACK_WIRE_BYTES, HEADER_BYTES};
+pub use packet::{
+    flags, BufPool, CongaTag, Packet, PacketBufPool, ACK_WIRE_BYTES, HEADER_BYTES, MSS_BYTES,
+};
 pub use routing::{RouteTable, UNREACHABLE};
 pub use switch::{PortQueues, PortStats, Switch, SwitchConfig};
 pub use topology::{HopClass, Link, SwitchKind, Topology};

@@ -8,20 +8,16 @@ use crate::ids::{FlowId, HostId};
 /// bytes (14 Ethernet + 4 FCS + 20 IP + 20 TCP).
 pub const HEADER_BYTES: u32 = 58;
 
+/// Payload bytes of a full 1500-byte wire frame: TCP's default segment
+/// size and the segment cut of a NIC train.
+pub const MSS_BYTES: u32 = 1500 - HEADER_BYTES;
+
 /// Wire size of a pure ACK (headers only, padded to the Ethernet minimum).
 pub const ACK_WIRE_BYTES: u32 = 64;
 
-/// TCP-style packet flags.
-pub mod flags {
-    /// Carries payload bytes.
-    pub const DATA: u8 = 1 << 0;
-    /// Carries a cumulative acknowledgement.
-    pub const ACK: u8 = 1 << 1;
-    /// Final segment of the flow.
-    pub const FIN: u8 = 1 << 2;
-    /// Retransmission (Karn's rule: do not sample RTT).
-    pub const RETX: u8 = 1 << 3;
-}
+/// TCP-style packet flags (defined in `drill-telemetry`, which sits below
+/// this crate and reads the same bits off [`drill_telemetry::PacketMeta`]).
+pub use drill_telemetry::meta_flags as flags;
 
 /// CONGA metadata carried in the (simulated) VXLAN overlay header.
 ///
@@ -264,17 +260,6 @@ impl<T> BufPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meta_flag_mirror_matches() {
-        // drill-telemetry sits below this crate and mirrors the flag bits;
-        // the two encodings must never drift apart.
-        use drill_telemetry::meta_flags;
-        assert_eq!(meta_flags::DATA, flags::DATA);
-        assert_eq!(meta_flags::ACK, flags::ACK);
-        assert_eq!(meta_flags::FIN, flags::FIN);
-        assert_eq!(meta_flags::RETX, flags::RETX);
-    }
 
     #[test]
     fn meta_mirrors_packet_fields() {

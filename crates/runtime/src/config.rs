@@ -2,8 +2,7 @@
 
 use drill_faults::FaultSchedule;
 use drill_net::{
-    clos, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, Topology,
-    Vl2Spec, DEFAULT_PROP,
+    clos, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, Topology, Vl2Spec,
 };
 use drill_sim::Time;
 use drill_transport::TcpConfig;
@@ -26,19 +25,10 @@ pub enum TopoSpec {
     },
     /// A VL2 three-stage Clos.
     Vl2(Vl2Spec),
-    /// A k-ary fat-tree with `hosts_per_edge` hosts per edge switch:
-    /// `k/2` is the classic non-blocking tree, more oversubscribes the
-    /// edge (`scalebench`'s 16k-host point is `k: 32, hosts_per_edge: 32`,
-    /// 2:1).
-    FatTree {
-        /// Arity (even).
-        k: usize,
-        /// Hosts attached to each edge switch.
-        hosts_per_edge: usize,
-        /// Fabric link rate in bps (hosts attach at the same rate).
-        rate: u64,
-    },
-    /// A general three-tier folded Clos (independent tier widths).
+    /// A general three-tier folded Clos (independent tier widths). A k-ary
+    /// fat-tree is the Clos of [`ClosSpec::fat_tree`]; `hosts_per_edge`
+    /// above `k/2` oversubscribes the edge (`scalebench`'s 16k-host point
+    /// is `ClosSpec::fat_tree(32, 32, ..)`, 2:1).
     Clos(ClosSpec),
 }
 
@@ -59,11 +49,6 @@ impl TopoSpec {
                 })
             }
             TopoSpec::Vl2(spec) => vl2(spec),
-            TopoSpec::FatTree {
-                k,
-                hosts_per_edge,
-                rate,
-            } => fat_tree_custom(*k, *hosts_per_edge, *rate, *rate, DEFAULT_PROP),
             TopoSpec::Clos(spec) => clos(spec),
         }
     }
@@ -279,6 +264,7 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drill_net::DEFAULT_PROP;
 
     #[test]
     fn topo_specs_build() {
@@ -286,17 +272,10 @@ mod tests {
         assert_eq!(ls.build().num_hosts(), 320);
         let v = TopoSpec::Vl2(Vl2Spec::paper());
         assert_eq!(v.build().num_hosts(), 320);
-        let f = TopoSpec::FatTree {
-            k: 4,
-            hosts_per_edge: 2,
-            rate: 1_000_000_000,
-        };
+        let rate = 1_000_000_000;
+        let f = TopoSpec::Clos(ClosSpec::fat_tree(4, 2, rate, rate, DEFAULT_PROP));
         assert_eq!(f.build().num_hosts(), 16);
-        let fo = TopoSpec::FatTree {
-            k: 4,
-            hosts_per_edge: 4,
-            rate: 1_000_000_000,
-        };
+        let fo = TopoSpec::Clos(ClosSpec::fat_tree(4, 4, rate, rate, DEFAULT_PROP));
         assert_eq!(fo.build().num_hosts(), 32);
         let c = TopoSpec::Clos(ClosSpec::smoke());
         assert_eq!(c.build().num_hosts(), 32);

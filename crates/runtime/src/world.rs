@@ -1249,7 +1249,6 @@ mod tests {
         cfg.duration = Time::from_millis(10);
         cfg.static_flows = vec![(0, 1, 10_000_000)];
         cfg.tcp.init_cwnd = 1;
-        cfg.tcp.rto_init = ms;
         cfg.tcp.rto_min = ms;
         cfg.tcp.rto_max = Time::from_millis(8);
         let mut s = FaultSchedule::default();
@@ -1266,7 +1265,7 @@ mod tests {
         cfg.faults = Some(s);
         let mut w = World::new(&cfg);
 
-        // RTO #1 fires at rto_init sharp, backs off to 2 ms and parks the
+        // RTO #1 fires at rto_min sharp (the first RTO), backs off to 2 ms and parks the
         // wake at 3 ms.
         w.run_to(ms);
         assert_eq!(w.flows.records[0].tcp.timeouts, 0);

@@ -10,7 +10,7 @@ use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{HostId, RouteTable, Topology};
 use drill_sim::codec::{invalid, put_opt_time, put_time, put_varint, Decoder};
 use drill_sim::{EventQueue, Time};
-use drill_telemetry::FaultInfo;
+use drill_telemetry::{fault_kind, FaultInfo};
 
 use super::net::Net;
 use super::{Event, Packed};
@@ -266,15 +266,13 @@ impl FaultTimeline {
 }
 
 fn put_fault_kind(buf: &mut Vec<u8>, k: &FaultKind) {
-    let (tag, args): (u8, &[u32]) = match *k {
-        FaultKind::LinkDown { a, b } => (0, &[a, b]),
-        FaultKind::LinkUp { a, b } => (1, &[a, b]),
-        FaultKind::SwitchDown { switch } => (2, &[switch]),
-        FaultKind::SwitchUp { switch } => (3, &[switch]),
-        FaultKind::Degrade { a, b, num, den } => (4, &[a, b, num, den]),
-        FaultKind::SetLoss { a, b, ppm } => (5, &[a, b, ppm]),
+    let args: &[u32] = match *k {
+        FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => &[a, b],
+        FaultKind::SwitchDown { switch } | FaultKind::SwitchUp { switch } => &[switch],
+        FaultKind::Degrade { a, b, num, den } => &[a, b, num, den],
+        FaultKind::SetLoss { a, b, ppm } => &[a, b, ppm],
     };
-    buf.push(tag);
+    buf.push(k.code());
     for &v in args {
         put_varint(buf, v as u64);
     }
@@ -283,10 +281,10 @@ fn put_fault_kind(buf: &mut Vec<u8>, k: &FaultKind) {
 fn get_fault_kind(d: &mut Decoder<'_>) -> io::Result<FaultKind> {
     let tag = d.u8()?;
     let arity = match tag {
-        0 | 1 => 2,
-        2 | 3 => 1,
-        4 => 4,
-        5 => 3,
+        fault_kind::LINK_DOWN | fault_kind::LINK_UP => 2,
+        fault_kind::SWITCH_DOWN | fault_kind::SWITCH_UP => 1,
+        fault_kind::DEGRADE => 4,
+        fault_kind::SET_LOSS => 3,
         _ => return Err(invalid("unknown fault kind tag")),
     };
     let mut v = [0u32; 4];
@@ -295,11 +293,11 @@ fn get_fault_kind(d: &mut Decoder<'_>) -> io::Result<FaultKind> {
     }
     let [a, b, c, e] = v;
     Ok(match tag {
-        0 => FaultKind::LinkDown { a, b },
-        1 => FaultKind::LinkUp { a, b },
-        2 => FaultKind::SwitchDown { switch: a },
-        3 => FaultKind::SwitchUp { switch: a },
-        4 => FaultKind::Degrade {
+        fault_kind::LINK_DOWN => FaultKind::LinkDown { a, b },
+        fault_kind::LINK_UP => FaultKind::LinkUp { a, b },
+        fault_kind::SWITCH_DOWN => FaultKind::SwitchDown { switch: a },
+        fault_kind::SWITCH_UP => FaultKind::SwitchUp { switch: a },
+        fault_kind::DEGRADE => FaultKind::Degrade {
             a,
             b,
             num: c,
@@ -307,4 +305,38 @@ fn get_fault_kind(d: &mut Decoder<'_>) -> io::Result<FaultKind> {
         },
         _ => FaultKind::SetLoss { a, b, ppm: c },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_kinds_roundtrip_through_the_snapshot_codec() {
+        let kinds = [
+            FaultKind::LinkDown { a: 3, b: 70_000 },
+            FaultKind::LinkUp { a: 3, b: 70_000 },
+            FaultKind::SwitchDown { switch: 9 },
+            FaultKind::SwitchUp { switch: 9 },
+            FaultKind::Degrade {
+                a: 1,
+                b: 2,
+                num: 1,
+                den: 4,
+            },
+            FaultKind::SetLoss {
+                a: 1,
+                b: 2,
+                ppm: 1_000_000,
+            },
+        ];
+        for kind in kinds {
+            let mut buf = Vec::new();
+            put_fault_kind(&mut buf, &kind);
+            assert_eq!(buf[0], kind.code(), "{kind:?}: tag");
+            let mut d = Decoder::new(&buf);
+            assert_eq!(get_fault_kind(&mut d).unwrap(), kind);
+            assert_eq!(d.remaining(), 0, "{kind:?}: trailing bytes");
+        }
+    }
 }

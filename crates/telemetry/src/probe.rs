@@ -35,13 +35,14 @@ pub struct PacketMeta {
     pub seq: u64,
     /// Sender-side emission index within the flow (reordering analysis).
     pub emit_idx: u32,
-    /// Packet flag bits (`drill_net::flags` encoding: DATA/ACK/FIN/RETX).
+    /// Packet flag bits ([`meta_flags`] encoding: DATA/ACK/FIN/RETX).
     pub flags: u8,
 }
 
-/// Mirror of `drill_net::flags` for interpreting [`PacketMeta::flags`]
-/// (this crate sits below `drill-net`, so it cannot import the originals;
-/// a test on the net side asserts the two stay equal).
+/// TCP-style packet flag bits, the one definition of the encoding carried
+/// by both [`PacketMeta::flags`] and `drill_net::Packet::flags` (this
+/// crate sits below `drill-net`, which re-exports the module as
+/// `drill_net::flags`).
 pub mod meta_flags {
     /// Carries payload bytes.
     pub const DATA: u8 = 1 << 0;
@@ -49,7 +50,7 @@ pub mod meta_flags {
     pub const ACK: u8 = 1 << 1;
     /// Final segment of the flow.
     pub const FIN: u8 = 1 << 2;
-    /// Retransmission.
+    /// Retransmission (Karn's rule: do not sample RTT).
     pub const RETX: u8 = 1 << 3;
 }
 

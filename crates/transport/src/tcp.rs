@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use drill_net::{flags, FlowId, HostId, Packet};
+use drill_net::{flags, FlowId, HostId, Packet, MSS_BYTES};
 use drill_sim::codec::{
     invalid, put_bool, put_f64, put_opt_time, put_time, put_u64, put_varint, Decoder,
 };
@@ -16,11 +16,13 @@ pub const GRO_BATCH_LIMIT: u32 = 64 * 1024;
 /// TCP tuning parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
-    /// Maximum segment (payload) size in bytes.
+    /// Maximum segment (payload) size in bytes; defaults to
+    /// [`MSS_BYTES`], the payload of a full 1500-byte wire frame.
     pub mss: u32,
     /// Initial congestion window, in segments.
     pub init_cwnd: u32,
-    /// Lower bound on the retransmission timeout.
+    /// Lower bound on the retransmission timeout, and the RTO a flow
+    /// starts with before any RTT sample exists.
     ///
     /// Linux 2.6 defaults to 200 ms; datacenter deployments (and the
     /// incast literature the paper cites) tune it down. Experiments record
@@ -28,8 +30,6 @@ pub struct TcpConfig {
     pub rto_min: Time,
     /// Upper bound on the (backed-off) retransmission timeout.
     pub rto_max: Time,
-    /// RTO before any RTT sample exists.
-    pub rto_init: Time,
     /// Congestion-window cap (models the receive window), bytes.
     pub max_cwnd_bytes: u64,
 }
@@ -41,11 +41,10 @@ pub const DUPACK_THRESH: u32 = 3;
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1442, // 1500B wire frames with our 58B of headers
+            mss: MSS_BYTES,
             init_cwnd: 4,
             rto_min: Time::from_millis(200),
             rto_max: Time::from_secs(2),
-            rto_init: Time::from_millis(200),
             // Linux 2.6-era receive windows autotuned to a few hundred KB;
             // this cap also bounds per-flow self-inflicted (bufferbloat)
             // queueing at the last hop.
@@ -151,7 +150,7 @@ impl TcpFlow {
             in_recovery: false,
             srtt_ns: None,
             rttvar_ns: 0.0,
-            rto: cfg.rto_init,
+            rto: cfg.rto_min,
             rto_at: None,
             emit_counter: 0,
             last_partial_retx: Time::ZERO,
@@ -685,7 +684,6 @@ mod tests {
     fn completes_over_lossy_reordering_pipe() {
         let cfg = TcpConfig {
             rto_min: Time::from_micros(500),
-            rto_init: Time::from_micros(500),
             rto_max: Time::from_millis(5),
             init_cwnd: 10,
             ..Default::default()

@@ -49,12 +49,17 @@ echo "== retired build/run modes stay retired =="
 # behind, and scalebench's crash-recovery flags (RecoveryOpts,
 # --checkpoint-every / --checkpoint-path / --die-after / --resume): crash
 # recovery is ExperimentConfig::checkpoint + World::restore, checked by
-# the tier-1 test checkpoint_policy_files_are_resumable;
+# the tier-1 test checkpoint_policy_files_are_resumable; so were
+# TopoSpec::FatTree and fat_tree_custom (a fat-tree is the Clos of
+# ClosSpec::fat_tree; the word match spares the test
+# fat_tree_custom_matches_eager, which keeps its name),
+# TcpConfig::rto_init (a flow's first RTO is rto_min) and the NIC's
+# TRAIN_MSS (MSS_BYTES is the one full-frame payload);
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo|PerFlowDrill|random_flaps|RecoveryOpts|die-after|checkpoint-every|checkpoint-path' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo|PerFlowDrill|random_flaps|RecoveryOpts|die-after|checkpoint-every|checkpoint-path|TopoSpec::FatTree|FatTree \{|\bfat_tree_custom\b|rto_init|TRAIN_MSS' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then
@@ -172,13 +177,16 @@ rm -rf "$figdir"
 
 echo "== scalebench --quick smoke (one process per point; a bad command line exits 2) =="
 # Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree),
-# each point in its own process as scripts/scalebench.sh runs them, plus
-# the sketch rank-error section. The small-Clos determinism golden
-# itself rides in determinism_golden, which the rows above already run.
-for point in $(./target/release/scalebench --quick --list); do
-    ./target/release/scalebench --quick --point "$point" > /dev/null
-done
-./target/release/scalebench --sketch --quick > /dev/null
+# each point in its own process, plus the sketch rank-error section:
+# scripts/scalebench.sh --quick runs them and writes
+# target/scalebench-quick.json; the committed full ladder in
+# results/scalebench.json must come out untouched. The small-Clos
+# determinism golden itself rides in determinism_golden, which the rows
+# above already run.
+scripts/scalebench.sh --quick > /dev/null
+git diff --quiet -- results/scalebench.json || {
+    echo "scalebench.sh --quick rewrote results/scalebench.json"; exit 1
+}
 for bad in "" "--quick" "--point" "--point nope" "--bogus --list"; do
     rc=0
     # shellcheck disable=SC2086 # split each bad command line into words

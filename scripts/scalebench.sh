@@ -6,16 +6,19 @@
 # sketch-scaling section (retained memory + measured rank error at
 # 100k/1M/10M samples). Assembles results/scalebench.json.
 # Offline-safe: no external deps. `--quick` runs the seconds-scale CI
-# ladder instead.
+# ladder instead and writes target/scalebench-quick.json, leaving the
+# committed full-ladder results/scalebench.json alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE=""
+OUT=results/scalebench.json
 if [[ "${1:-}" == "--quick" ]]; then
   MODE="--quick"
+  OUT=target/scalebench-quick.json
 fi
 
-mkdir -p results
+mkdir -p "$(dirname "$OUT")"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -43,6 +46,6 @@ $BIN --sketch $MODE | tee "$tmp/sketch.json"
   echo "  ],"
   echo "  \"sketch\": $(cat "$tmp/sketch.json")"
   echo "}"
-} > results/scalebench.json
+} > "$OUT"
 
-echo "== wrote results/scalebench.json =="
+echo "== wrote $OUT =="

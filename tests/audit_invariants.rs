@@ -7,6 +7,8 @@
 //! `tests/determinism_golden.rs` runs every single-run golden under the
 //! auditor too, pinning auditor-on runs to the auditor-off goldens.
 
+mod support;
+
 use std::path::PathBuf;
 
 use drill::audit::{AnomalyKind, AnomalyReport};
@@ -14,13 +16,14 @@ use drill::faults::{FaultKind, FaultSchedule, SabotageKind, SabotageSpec};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
     random_leaf_spine_failures, rewind_replay, run, run_audited, run_recorded, AnomalyMeta,
-    AuditSpec, ExperimentConfig, RunStats, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
+    AuditSpec, ExperimentConfig, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
 };
 use drill::sim::codec::codec_error;
 use drill::sim::Time;
 use drill::snapshot::SnapshotBuilder;
 use drill::telemetry::{FlightRecorder, NoopProbe};
 use drill::workload::{IncastSpec, TrafficPattern};
+use support::golden::{chaos_schedule, full_fingerprint};
 
 fn small_leaf_spine() -> TopoSpec {
     TopoSpec::LeafSpine(LeafSpineSpec {
@@ -163,35 +166,6 @@ fn figure_scenarios() -> Vec<(&'static str, ExperimentConfig)> {
     out
 }
 
-/// The pinned chaos schedule from the determinism goldens: two link
-/// flaps, a capacity degradation, and a switch crash + recovery.
-fn chaos_schedule(topo: &TopoSpec) -> FaultSchedule {
-    let pairs = random_leaf_spine_failures(&topo.build(), 4, 0xC405);
-    let mut s = FaultSchedule::new(Time::from_micros(300));
-    s.link_flap(
-        pairs[0].0,
-        pairs[0].1,
-        Time::from_micros(500),
-        Time::from_micros(900),
-    );
-    s.link_flap(
-        pairs[1].0,
-        pairs[1].1,
-        Time::from_micros(1100),
-        Time::from_micros(1600),
-    );
-    s.degrade_window(
-        pairs[2].0,
-        pairs[2].1,
-        1,
-        4,
-        Time::from_micros(700),
-        Time::from_micros(1400),
-    );
-    s.switch_outage(pairs[3].1, Time::from_micros(1800), Time::from_micros(2300));
-    s
-}
-
 /// Positive control: every figure scenario of the evaluation runs with
 /// all watchdogs armed and trips nothing. An empty report list is the
 /// auditor's verdict that packet conservation, flow progress, queue
@@ -237,27 +211,6 @@ fn chaos_schedule_trips_no_watchdogs() {
     );
 }
 
-/// The observation fingerprint a paper figure reads; the auditor must
-/// leave every slot bit-identical.
-fn fingerprint(st: &mut RunStats) -> Vec<u64> {
-    vec![
-        st.flows_started,
-        st.flows_completed,
-        st.events,
-        st.data_pkts_delivered,
-        st.retransmissions,
-        st.timeouts,
-        st.blackholed,
-        st.nic_drops,
-        st.sim_end.as_nanos(),
-        st.fct_ms.count() as u64,
-        st.mean_fct_ms().to_bits(),
-        st.fct_ms.quantile(0.99).to_bits(),
-        st.dupacks.total(),
-        st.reorders.total(),
-    ]
-}
-
 /// Audits observe, never steer: the full stats fingerprint of an audited
 /// run — with telemetry riding along too — is bit-identical to the plain
 /// run's. (`RunStats::anomalies` is deliberately outside the fingerprint;
@@ -274,16 +227,16 @@ fn auditor_is_invisible_to_the_simulation() {
     let audited_cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.6);
     let mut auditd = run(&audited_cfg);
     assert_eq!(
-        fingerprint(&mut plain),
-        fingerprint(&mut auditd),
+        full_fingerprint(&mut plain),
+        full_fingerprint(&mut auditd),
         "auditor perturbed the simulation"
     );
 
     let both_cfg = audited(small_leaf_spine(), Scheme::drill_default(), 0.6);
     let mut both = run_recorded(&both_cfg).0;
     assert_eq!(
-        fingerprint(&mut plain),
-        fingerprint(&mut both),
+        full_fingerprint(&mut plain),
+        full_fingerprint(&mut both),
         "auditor + telemetry perturbed the simulation"
     );
 }
@@ -411,7 +364,6 @@ fn stall_in_an_idle_fabric_trips_stuck_flow() {
     let mut cfg = ExperimentConfig::new(topo, Scheme::Ecmp, 0.0);
     cfg.duration = Time::from_millis(1);
     cfg.static_flows = vec![(0, 1, 1_000_000)];
-    cfg.tcp.rto_init = Time::from_millis(1);
     cfg.tcp.rto_min = Time::from_millis(1);
     cfg.tcp.rto_max = Time::from_millis(8);
     let mut s = FaultSchedule::default();

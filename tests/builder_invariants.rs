@@ -8,8 +8,8 @@
 //! distributions, moments and histograms must merge like one pass.
 
 use drill::net::{
-    clos, fat_tree_custom, vl2, ClosSpec, HostId, NodeRef, RouteTable, SwitchId, SwitchKind,
-    Topology, Vl2Spec, DEFAULT_PROP,
+    clos, vl2, ClosSpec, HostId, NodeRef, RouteTable, SwitchId, SwitchKind, Topology, Vl2Spec,
+    DEFAULT_PROP,
 };
 use drill::sim::SimRng;
 use drill::stats::{Distribution, Histogram, Moments};
@@ -96,7 +96,8 @@ fn fat_tree_invariants_hold_across_arity_and_subscription() {
     for half in 1usize..=4 {
         for hpe in 1usize..=4 {
             let k = 2 * half;
-            let topo = fat_tree_custom(k, hpe, 10_000_000_000, 10_000_000_000, DEFAULT_PROP);
+            let rate = 10_000_000_000;
+            let topo = clos(&ClosSpec::fat_tree(k, hpe, rate, rate, DEFAULT_PROP));
             assert_eq!(topo.num_hosts(), k * half * hpe);
             assert_eq!(topo.num_switches(), k * k + half * half);
             assert_eq!(

@@ -23,7 +23,9 @@ use drill::runtime::{
 };
 use drill::sim::Time;
 use drill::stats::Distribution;
-use support::golden::{full_fingerprint, golden_cfg, GOLDENS};
+use support::golden::{
+    chaos_schedule, full_fingerprint, golden_cfg, raw_cutoff_cfg, timeout_heavy_cfg, GOLDENS,
+};
 
 /// Run `cfg` plain, with the flight recorder attached and under the
 /// auditor's default spec. Every metric must be bit-identical across the
@@ -110,39 +112,6 @@ fn telemetry_probe_is_invisible_to_every_metric() {
             scheme.name()
         );
     }
-}
-
-/// The pinned chaos schedule for the golden topology: two link flaps, one
-/// capacity degradation, and one full switch crash + recovery, all inside
-/// the 3 ms arrival window. Pair selection goes through
-/// `random_leaf_spine_failures` with a fixed seed, so the schedule is a
-/// deterministic function of the topology alone.
-fn chaos_schedule(topo: &TopoSpec) -> FaultSchedule {
-    let built = topo.build();
-    let pairs = random_leaf_spine_failures(&built, 4, 0xC405);
-    let mut s = FaultSchedule::new(Time::from_micros(300));
-    s.link_flap(
-        pairs[0].0,
-        pairs[0].1,
-        Time::from_micros(500),
-        Time::from_micros(900),
-    );
-    s.link_flap(
-        pairs[1].0,
-        pairs[1].1,
-        Time::from_micros(1100),
-        Time::from_micros(1600),
-    );
-    s.degrade_window(
-        pairs[2].0,
-        pairs[2].1,
-        1,
-        4,
-        Time::from_micros(700),
-        Time::from_micros(1400),
-    );
-    s.switch_outage(pairs[3].1, Time::from_micros(1800), Time::from_micros(2300));
-    s
 }
 
 /// Chaos determinism golden: a nontrivial fault schedule (flaps +
@@ -446,30 +415,6 @@ fn sketch_merge_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The golden fabric pushed into timeouts: shallow 30 KB queues at load
-/// 0.9 with a 1–8 ms RTO, so hundreds of RTOs fire (and back off, and
-/// shrink again) inside the 64 ms horizon. The plain goldens above never
-/// fire one — their horizon is 53 ms under a 200 ms floor.
-fn timeout_heavy_cfg(scheme: Scheme) -> ExperimentConfig {
-    let mut cfg = golden_cfg(scheme);
-    cfg.topo = TopoSpec::LeafSpine(LeafSpineSpec {
-        spines: 4,
-        leaves: 4,
-        hosts_per_leaf: 4,
-        host_rate: 10_000_000_000,
-        core_rate: 10_000_000_000,
-        prop: DEFAULT_PROP,
-    });
-    cfg.workload.load = 0.9;
-    cfg.duration = Time::from_millis(4);
-    cfg.drain = Time::from_millis(60);
-    cfg.queue_limit_bytes = 30_000;
-    cfg.tcp.rto_min = Time::from_millis(1);
-    cfg.tcp.rto_init = Time::from_millis(1);
-    cfg.tcp.rto_max = Time::from_millis(8);
-    cfg
-}
-
 /// Timer-path golden: `[sim_end ns, flows started, flows completed,
 /// bytes_delivered, retransmissions, timeouts, FCT digest, events]` per
 /// scheme. Every constant but `events` was captured from the commit
@@ -503,22 +448,6 @@ fn timeout_heavy_runs_replay_golden_trace() {
         assert_eq!(got, golden, "{} diverged", scheme.name());
         assert_eq!(st.arena_live_at_end, 0, "{} leaked", scheme.name());
     }
-}
-
-/// The golden fabric as a Figure-2 raw-packet run, cut off mid-flight:
-/// open-loop packet trains at load 0.9 with bursty arrivals overflow the
-/// 4 MB NIC buffers, and a 200 µs drain stops the run with most of the
-/// accepted backlog still unsent. (`tests/snapshot_resume.rs` resumes the
-/// same config.)
-fn raw_cutoff_cfg() -> ExperimentConfig {
-    let mut cfg = golden_cfg(Scheme::drill_no_shim());
-    cfg.workload.load = 0.9;
-    cfg.workload.burst_sigma = 2.0;
-    cfg.raw_packet_mode = true;
-    cfg.sample_queues = true;
-    cfg.queue_limit_bytes = 20_000_000;
-    cfg.drain = Time::from_micros(200);
-    cfg
 }
 
 /// Raw-mode golden: the full fingerprint, captured from the commit

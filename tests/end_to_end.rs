@@ -2,7 +2,7 @@
 //! family, with invariants that must hold regardless of scheme.
 
 use drill::faults::{FaultKind, FaultSchedule};
-use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
+use drill::net::{ClosSpec, LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
     random_leaf_spine_failures, run, run_many, ExperimentConfig, Scheme, TopoSpec,
 };
@@ -79,11 +79,13 @@ fn three_stage_topologies_work() {
             tor_uplinks: 2,
             prop: DEFAULT_PROP,
         }),
-        TopoSpec::FatTree {
-            k: 4,
-            hosts_per_edge: 2,
-            rate: 1_000_000_000,
-        },
+        TopoSpec::Clos(ClosSpec::fat_tree(
+            4,
+            2,
+            1_000_000_000,
+            1_000_000_000,
+            DEFAULT_PROP,
+        )),
     ] {
         for scheme in [
             Scheme::Ecmp,

@@ -14,7 +14,7 @@ use drill::runtime::{
 use drill::sim::codec::{put_varint, Decoder};
 use drill::sim::Time;
 use drill::snapshot::SnapshotBuilder;
-use support::golden::{full_fingerprint, golden_cfg, GOLDENS};
+use support::golden::{full_fingerprint, golden_cfg, raw_cutoff_cfg, timeout_heavy_cfg, GOLDENS};
 
 fn tiny_cfg(scheme: Scheme) -> ExperimentConfig {
     let topo = TopoSpec::LeafSpine(LeafSpineSpec {
@@ -121,30 +121,15 @@ fn randomized_snapshot_instants_roundtrip() {
     }
 }
 
-/// `determinism_golden.rs`'s timeout-heavy config (30 KB queues at load
-/// 0.9 under a 1–8 ms RTO): no other config here ever fires an RTO, so
-/// none notices timer state a snapshot forgot. Most of each run's
+/// [`timeout_heavy_cfg`] (30 KB queues at load 0.9 under a 1–8 ms RTO),
+/// which `determinism_golden.rs` pins: no other config here fires an
+/// RTO, so none notices timer state a snapshot forgot. Most of each run's
 /// hundreds of timeouts fall after these restore points; they fire only
 /// if every flow's deadline and live-wake time came back with it.
 #[test]
 fn resume_replays_timeouts_after_the_restore_point() {
     for scheme in [Scheme::Ecmp, Scheme::drill_default(), Scheme::presto()] {
-        let mut cfg = golden_cfg(scheme);
-        cfg.topo = TopoSpec::LeafSpine(LeafSpineSpec {
-            spines: 4,
-            leaves: 4,
-            hosts_per_leaf: 4,
-            host_rate: 10_000_000_000,
-            core_rate: 10_000_000_000,
-            prop: DEFAULT_PROP,
-        });
-        cfg.workload.load = 0.9;
-        cfg.duration = Time::from_millis(4);
-        cfg.drain = Time::from_millis(60);
-        cfg.queue_limit_bytes = 30_000;
-        cfg.tcp.rto_min = Time::from_millis(1);
-        cfg.tcp.rto_init = Time::from_millis(1);
-        cfg.tcp.rto_max = Time::from_millis(8);
+        let cfg = timeout_heavy_cfg(scheme);
         let mut cold = run(&cfg);
         assert!(cold.timeouts >= 100, "{}: {}", scheme.name(), cold.timeouts);
         let cold_fp = full_fingerprint(&mut cold);
@@ -162,26 +147,15 @@ fn resume_replays_timeouts_after_the_restore_point() {
     }
 }
 
-/// `determinism_golden.rs`'s cut-off raw-packet config: no other config
-/// here runs raw mode, whose unsent backlog lives in NIC train descriptors
-/// and whose flows leave only counters behind.
-fn raw_train_cfg() -> ExperimentConfig {
-    let mut cfg = golden_cfg(Scheme::drill_no_shim());
-    cfg.workload.load = 0.9;
-    cfg.workload.burst_sigma = 2.0;
-    cfg.raw_packet_mode = true;
-    cfg.sample_queues = true;
-    cfg.queue_limit_bytes = 20_000_000;
-    cfg.drain = Time::from_micros(200);
-    cfg
-}
-
-/// At each restore point most NICs of [`raw_train_cfg`] hold a half-sent
-/// train (and at the end still do: the 200 µs drain cuts the run off), so
-/// a train field or counter the snapshot forgot shows in the fingerprint.
+/// [`raw_cutoff_cfg`], which `determinism_golden.rs` pins, is the one
+/// raw-mode config here: its unsent backlog lives in NIC train descriptors
+/// and its flows leave only counters behind. At each restore point most
+/// of its NICs hold a half-sent train (and at the end still do: the
+/// 200 µs drain cuts the run off), so a train field or counter the
+/// snapshot forgot shows in the fingerprint.
 #[test]
 fn resume_replays_raw_trains() {
-    let cfg = raw_train_cfg();
+    let cfg = raw_cutoff_cfg();
     let mut cold = run(&cfg);
     assert!(cold.nic_drops > 0 && cold.arena_live_at_end > 0);
     let cold_fp = full_fingerprint(&mut cold);
@@ -275,7 +249,7 @@ fn drillsnap_bytes_are_pinned() {
         ),
         (
             "raw",
-            raw_train_cfg(),
+            raw_cutoff_cfg(),
             us(1000),
             85_689,
             0x4df7_2f98_82f5_b225,

@@ -22,8 +22,8 @@ mod support;
 use drill::core::{GroupingReport, SymmetryEngine};
 use drill::faults::{FaultInjector, FaultKind};
 use drill::net::{
-    clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, HostId,
-    LeafSpineSpec, NodeRef, PortGroup, RouteTable, SwitchId, Topology, Vl2Spec, DEFAULT_PROP,
+    clos, fat_tree, leaf_spine, leaf_spine_custom, vl2, ClosSpec, HostId, LeafSpineSpec, NodeRef,
+    PortGroup, RouteTable, SwitchId, Topology, Vl2Spec, DEFAULT_PROP,
 };
 use drill::runtime::random_leaf_spine_failures;
 use drill::sim::{SimRng, Time};
@@ -474,10 +474,11 @@ fn fat_tree_matches_eager() {
 fn fat_tree_custom_matches_eager() {
     // 2:1 oversubscribed edge (hosts_per_edge = k), the scalebench shape.
     for &(n, seed) in FAILURE_SETS {
-        let topo = fat_tree_custom(4, 4, 10_000_000_000, 10_000_000_000, DEFAULT_PROP);
-        check("fat_tree_custom", topo, n, seed);
+        let rate = 10_000_000_000;
+        let topo = clos(&ClosSpec::fat_tree(4, 4, rate, rate, DEFAULT_PROP));
+        check("fat_tree_oversub", topo, n, seed);
     }
-    sweep_any_link("fat_tree_custom");
+    sweep_any_link("fat_tree_oversub");
 }
 
 #[test]

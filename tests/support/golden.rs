@@ -1,6 +1,7 @@
-//! The golden configuration, its fingerprint and its pinned outcomes,
-//! shared by `determinism_golden.rs` (uninterrupted runs) and
-//! `snapshot_resume.rs` (runs resumed from a snapshot).
+//! The golden configuration, its variants, its fingerprint and its pinned
+//! outcomes, shared by `determinism_golden.rs` (uninterrupted runs),
+//! `snapshot_resume.rs` (runs resumed from a snapshot) and
+//! `audit_invariants.rs` (audited runs).
 //!
 //! The pins were captured from runs of [`golden_cfg`]; a change that moves
 //! them has changed simulation behaviour — event delivery order, RNG
@@ -8,8 +9,9 @@
 //! [`GOLDENS`] only when a behaviour change is intended, and say so in the
 //! commit.
 
+use drill::faults::FaultSchedule;
 use drill::net::{LeafSpineSpec, DEFAULT_PROP};
-use drill::runtime::{ExperimentConfig, RunStats, Scheme, TopoSpec};
+use drill::runtime::{random_leaf_spine_failures, ExperimentConfig, RunStats, Scheme, TopoSpec};
 use drill::sim::Time;
 
 /// Pinned `(scheme, events, flows_started, flows_completed)` of
@@ -45,6 +47,76 @@ pub fn golden_cfg(scheme: Scheme) -> ExperimentConfig {
     cfg.drain = Time::from_millis(50);
     cfg.warmup = Time::from_micros(100);
     cfg
+}
+
+/// The golden fabric pushed into timeouts: shallow 30 KB queues at load
+/// 0.9 with a 1–8 ms RTO, so hundreds of RTOs fire (and back off, and
+/// shrink again) inside the 64 ms horizon. The plain goldens never fire
+/// one — their horizon is 53 ms under a 200 ms floor.
+pub fn timeout_heavy_cfg(scheme: Scheme) -> ExperimentConfig {
+    let mut cfg = golden_cfg(scheme);
+    cfg.topo = TopoSpec::LeafSpine(LeafSpineSpec {
+        spines: 4,
+        leaves: 4,
+        hosts_per_leaf: 4,
+        host_rate: 10_000_000_000,
+        core_rate: 10_000_000_000,
+        prop: DEFAULT_PROP,
+    });
+    cfg.workload.load = 0.9;
+    cfg.duration = Time::from_millis(4);
+    cfg.drain = Time::from_millis(60);
+    cfg.queue_limit_bytes = 30_000;
+    cfg.tcp.rto_min = Time::from_millis(1);
+    cfg.tcp.rto_max = Time::from_millis(8);
+    cfg
+}
+
+/// The golden fabric as a Figure-2 raw-packet run, cut off mid-flight:
+/// open-loop packet trains at load 0.9 with bursty arrivals overflow the
+/// 4 MB NIC buffers, and a 200 µs drain stops the run with most of the
+/// accepted backlog still unsent in NIC train descriptors.
+pub fn raw_cutoff_cfg() -> ExperimentConfig {
+    let mut cfg = golden_cfg(Scheme::drill_no_shim());
+    cfg.workload.load = 0.9;
+    cfg.workload.burst_sigma = 2.0;
+    cfg.raw_packet_mode = true;
+    cfg.sample_queues = true;
+    cfg.queue_limit_bytes = 20_000_000;
+    cfg.drain = Time::from_micros(200);
+    cfg
+}
+
+/// The pinned chaos schedule for a leaf-spine `topo`: two link flaps, one
+/// capacity degradation, and one full switch crash + recovery, all inside
+/// the golden 3 ms arrival window. Pair selection goes through
+/// `random_leaf_spine_failures` with a fixed seed, so the schedule is a
+/// deterministic function of the topology alone.
+pub fn chaos_schedule(topo: &TopoSpec) -> FaultSchedule {
+    let pairs = random_leaf_spine_failures(&topo.build(), 4, 0xC405);
+    let mut s = FaultSchedule::new(Time::from_micros(300));
+    s.link_flap(
+        pairs[0].0,
+        pairs[0].1,
+        Time::from_micros(500),
+        Time::from_micros(900),
+    );
+    s.link_flap(
+        pairs[1].0,
+        pairs[1].1,
+        Time::from_micros(1100),
+        Time::from_micros(1600),
+    );
+    s.degrade_window(
+        pairs[2].0,
+        pairs[2].1,
+        1,
+        4,
+        Time::from_micros(700),
+        Time::from_micros(1400),
+    );
+    s.switch_outage(pairs[3].1, Time::from_micros(1800), Time::from_micros(2300));
+    s
 }
 
 /// Every metric a figure reads, floats by bit pattern (`to_bits`): any

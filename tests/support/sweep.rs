@@ -8,8 +8,8 @@
 //! against `drill_net` / `drill_sim` by crate name.
 
 use drill_net::{
-    clos, fat_tree, fat_tree_custom, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec,
-    NodeRef, SwitchId, Topology, Vl2Spec, DEFAULT_PROP,
+    clos, fat_tree, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, NodeRef, SwitchId,
+    Topology, Vl2Spec, DEFAULT_PROP,
 };
 use drill_sim::SimRng;
 
@@ -65,15 +65,15 @@ pub const FAMILIES: [(&str, Build); 6] = [
         })
     }),
     ("fat_tree", |_| fat_tree(4, 10_000_000_000, DEFAULT_PROP)),
-    ("fat_tree_custom", |rng| {
-        let hosts_per_edge = 2 + rng.below(3);
-        fat_tree_custom(
+    ("fat_tree_oversub", |rng| {
+        let (hosts_per_edge, rate) = (2 + rng.below(3), 10_000_000_000);
+        clos(&ClosSpec::fat_tree(
             4,
             hosts_per_edge,
-            10_000_000_000,
-            10_000_000_000,
+            rate,
+            rate,
             DEFAULT_PROP,
-        )
+        ))
     }),
     ("clos", |rng| {
         clos(&ClosSpec {
