@@ -239,36 +239,6 @@ impl FaultSchedule {
     }
 }
 
-/// A deliberate invariant violation for auditor negative tests: unlike a
-/// [`FaultKind`] — a *modeled* failure the simulator is supposed to
-/// handle gracefully — a sabotage breaks the simulator's own bookkeeping
-/// the way a runtime bug would, so the invariant watchdogs can be proven
-/// to catch real corruption, deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SabotageKind {
-    /// Leak one packet handle: intern a dummy packet into an arena and
-    /// drop the reference, so the arena live-count exceeds every holder
-    /// walk forever after (trips `packet_conservation`).
-    LeakPacket,
-    /// Silently discard every data packet of `flow` at the receiving
-    /// host. The sender retransmits into the void and never sees a new
-    /// byte acknowledged (trips `stuck_flow`); the discarded packets are
-    /// freed, so conservation stays clean.
-    BlackholeFlow {
-        /// The flow to blackhole.
-        flow: u32,
-    },
-}
-
-/// One scheduled sabotage: what breaks and when it starts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SabotageSpec {
-    /// When the sabotage takes effect.
-    pub at: Time,
-    /// What breaks.
-    pub kind: SabotageKind,
-}
-
 /// Applies schedule events to a topology, carrying the state recovery
 /// needs, and reports each application as a [`FaultInfo`] for telemetry.
 #[derive(Clone, Debug, Default)]

@@ -8,6 +8,7 @@ use drill_sim::Time;
 use drill_transport::TcpConfig;
 use drill_workload::{FlowSizeDist, IncastSpec, TrafficPattern};
 
+use crate::audit::SabotageSpec;
 use crate::Scheme;
 
 /// Every topology the paper evaluates, by name.
@@ -179,17 +180,13 @@ pub struct ExperimentConfig {
     /// boundaries counted in events and in simulated time; results stay
     /// bit-identical either way (audits observe, never steer).
     pub audit: Option<AuditSpec>,
-    /// Deliberately break an invariant mid-run (the auditor's negative
-    /// tests; off by default). Only honored when `audit` is set;
-    /// [`rewind_replay`](crate::rewind_replay) clears it.
-    pub sabotage: Option<drill_faults::SabotageSpec>,
 }
 
-/// Invariant-auditor knobs (see `drill-audit` and DESIGN.md §14).
-/// Attaching a spec to [`ExperimentConfig::audit`] makes the run evaluate
-/// the watchdog suite at every boundary, retain the
-/// [`SnapshotRing`](drill_audit::SnapshotRing), and on a trip dump ring +
-/// faulted snapshot + `anomaly.meta` into `dump_dir`. The ring's bounds
+/// Invariant-auditor knobs (DESIGN.md §14). Attaching a spec to
+/// [`ExperimentConfig::audit`] makes the run evaluate the watchdog suite
+/// at every boundary, retain a ring of the last clean `DRILLSNAP`
+/// boundaries when `dump_dir` is set, and on a trip dump ring + faulted
+/// snapshot + `anomaly.meta` into `dump_dir`. The ring's bounds
 /// (4 snapshots, 64 MiB) and the report cap (8) are constants.
 #[derive(Clone, Debug)]
 pub struct AuditSpec {
@@ -206,6 +203,10 @@ pub struct AuditSpec {
     /// Where a trip dumps `ring-*.drillsnap`, `faulted.drillsnap`, and
     /// `anomaly.meta`. `None` records reports only.
     pub dump_dir: Option<std::path::PathBuf>,
+    /// Deliberately break an invariant mid-run (the auditor's negative
+    /// tests; off by default). [`rewind_replay`](crate::rewind_replay)
+    /// replays unaudited, so without it.
+    pub sabotage: Option<SabotageSpec>,
 }
 
 impl Default for AuditSpec {
@@ -214,6 +215,7 @@ impl Default for AuditSpec {
             every_events: 50_000,
             stuck_after: Time::from_millis(500),
             dump_dir: None,
+            sabotage: None,
         }
     }
 }
@@ -256,7 +258,6 @@ impl ExperimentConfig {
             shards: None,
             checkpoint: None,
             audit: None,
-            sabotage: None,
         }
     }
 }

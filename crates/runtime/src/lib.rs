@@ -19,13 +19,15 @@
 //!   `drill-telemetry` flight recorder (or any custom
 //!   [`Probe`](drill_telemetry::Probe)) attached; probes observe but never
 //!   steer, so every metric is bit-identical with telemetry on or off.
-//! * [`run_audited`] — the same run with the `drill-audit`
-//!   invariant watchdogs (packet conservation, stuck flows, queue
+//! * [`run_audited`] — the same run with the invariant auditor's
+//!   watchdogs (packet conservation, stuck flows, queue
 //!   ceilings, NIC backlog accounting, time monotonicity) evaluated at
 //!   boundaries counted in events and in simulated time; audits observe
 //!   but never steer, and a trip dumps the snapshot ring. Every entry
 //!   point attaches the auditor when [`ExperimentConfig::audit`] is set;
-//!   this one fills in a default.
+//!   this one fills in a default. A trip is an [`AnomalyReport`]; an
+//!   [`AuditSpec::sabotage`] breaks an invariant on purpose to prove the
+//!   watchdogs catch it.
 //! * [`rewind_replay`] — restore a trip's newest clean ring snapshot
 //!   (named by its `anomaly.meta`, read as an [`AnomalyMeta`]) with any
 //!   probe attached, to re-run the window up to the anomaly.
@@ -34,6 +36,7 @@
 // The 80-line limit (`clippy.toml`) for everything but the tests.
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
+mod audit;
 mod config;
 mod scheme;
 pub mod snapshot;
@@ -41,6 +44,7 @@ mod stats;
 mod sweep;
 mod world;
 
+pub use audit::{AnomalyKind, AnomalyReport, SabotageKind, SabotageSpec};
 pub use config::{
     AuditSpec, CheckpointSpec, ExperimentConfig, ShardSpec, SyntheticMode, TopoSpec, WorkloadSpec,
 };

@@ -87,13 +87,16 @@ impl Scheme {
     /// Shim parameters `(flush threshold in packets, hold timeout)`.
     ///
     /// DRILL reorders by a packet or two, so the shim flushes on TCP's own
-    /// 3-packet loss evidence. Presto reorders at flowcell granularity —
+    /// 3-packet loss evidence ([`SHIM_FLUSH_THRESHOLD`](drill_transport::SHIM_FLUSH_THRESHOLD)). Presto reorders at flowcell granularity —
     /// its real shim tracks flowcell sequence numbers and knows a whole
     /// cell may still be in flight — so its threshold covers one cell.
     pub fn shim_params(&self) -> (usize, drill_sim::Time) {
         match self {
             Scheme::Presto { .. } => (64, drill_sim::Time::from_micros(200)),
-            _ => (3, drill_transport::SHIM_DEFAULT_TIMEOUT),
+            _ => (
+                drill_transport::SHIM_FLUSH_THRESHOLD,
+                drill_transport::SHIM_DEFAULT_TIMEOUT,
+            ),
         }
     }
 

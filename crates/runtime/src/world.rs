@@ -3,13 +3,13 @@
 //! control plane (`control`), transport (`flows`), workload, audit
 //! (DESIGN.md "World layout" has which struct owns what).
 
-use drill_audit::AnomalyReport;
 use drill_faults::{FaultInjector, FaultKind};
 use drill_net::{HopClass, HostId, NetEvent, NetSink, Packet, PacketRef, SwitchId, Topology};
 use drill_sim::{EventQueue, SimRng, Time};
 use drill_telemetry::{fault_kind, FaultInfo, FlightRecorder, NoopProbe, Probe};
 use drill_transport::{ShimBuffer, TcpFlow};
 
+use crate::audit::{AnomalyReport, Audit};
 use crate::config::ExperimentConfig;
 use crate::stats::RunStats;
 
@@ -20,7 +20,6 @@ mod net;
 mod snapshot;
 mod workload;
 
-use audit::Audit;
 pub use audit::{rewind_replay, AnomalyMeta};
 use control::{Control, FaultTimeline};
 use flows::{FlowClass, FlowTable};
@@ -389,10 +388,7 @@ impl<P: Probe> World<P> {
             faults: FaultTimeline::new(&cfg),
             flows: FlowTable::new(cfg.scheme),
             stats: RunStats::new(cfg.scheme.name()),
-            audit: cfg
-                .audit
-                .as_ref()
-                .map(|spec| Audit::new(spec, cfg.sabotage)),
+            audit: cfg.audit.as_ref().map(Audit::new),
             net,
             control,
             cfg,
@@ -428,13 +424,18 @@ impl<P: Probe> World<P> {
 
     /// The one event loop, stepwise (`until` = `Some(t)`: stop before the
     /// first event at or past `t`) or straight through (`None`, with no
-    /// per-event peek); its sabotage, checkpoint and audit hooks mean the
-    /// same on both. A pop past the deadline or `max_events` ends the run
-    /// (and still counts in `events_processed`, which the goldens pin).
+    /// per-event peek); its checkpoint and audit hooks (the audit hook
+    /// runs the sabotages too) mean the same on both. A pop past the
+    /// deadline or `max_events` ends the run (and still counts in
+    /// `events_processed`, which the goldens pin).
     /// The event stays packed until [`dispatch`](World::dispatch)'s `match`.
     fn advance(&mut self, until: Option<Time>) {
         let deadline = self.cfg.duration + self.cfg.drain;
         let checkpoint = self.cfg.checkpoint.clone();
+        // A leak due before the first event; the audit hook after each
+        // event arms the one due before the next.
+        let next = self.queue.peek_time();
+        self.leak_if_due(next);
         loop {
             if let Some(t) = until {
                 if self.queue.peek_time().is_none_or(|next| next >= t) {
@@ -456,9 +457,6 @@ impl<P: Probe> World<P> {
             let events = self.queue.events_processed();
             if now > deadline || (self.cfg.max_events > 0 && events > self.cfg.max_events) {
                 break;
-            }
-            if self.audit.as_mut().is_some_and(|a| a.leak_due(now)) {
-                self.leak_packet(now);
             }
             self.dispatch(now, ev);
             if let Some(c) = checkpoint.as_ref().filter(|c| c.every_events > 0) {
@@ -565,7 +563,7 @@ impl<P: Probe> World<P> {
         };
         let (bytes, period) = (synth.mice_bytes, synth.mice_period);
         for src in 0..self.net.topo.num_hosts() as u32 {
-            let dst = self.workload.other_leaf_dst(src);
+            let dst = self.workload.mice_dst(src);
             self.start_flow(src, dst, bytes, FlowClass::Mice, now);
         }
         if now + period <= self.cfg.duration {
@@ -768,9 +766,7 @@ impl<P: Probe> World<P> {
         self.stats.events = self.queue.events_processed();
         self.stats.sim_end = sim_end;
         self.stats.wheel_slots_hw = self.queue.allocated_slots() as u64;
-        let reports = self
-            .audit
-            .map_or_else(Vec::new, |a| a.auditor.reports().to_vec());
+        let reports = self.audit.map_or_else(Vec::new, |a| a.reports().to_vec());
         self.stats.anomalies = reports.len() as u64;
         (self.stats, self.probe, reports)
     }

@@ -1,109 +1,43 @@
-//! The audit layer's state: the invariant auditor, its snapshot ring
-//! and boundary cadence, and the sabotage hooks of the auditor's
-//! negative tests. Attached exactly when `cfg.audit` is set. A trip's
-//! dump, `anomaly.meta` included, is written here and read back here by
-//! [`rewind_replay`].
+//! The world's side of the auditor (`crate::audit`): the sabotage
+//! hooks, the boundary cadence, the sample each boundary hands the
+//! auditor, and every file of a trip's dump. The ring snapshots, the
+//! faulted snapshot and `anomaly.meta` are named and written here, and
+//! read back here by [`rewind_replay`].
 
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use drill_audit::{AnomalyReport, BoundarySample, FlowProgress, InvariantAuditor, SnapshotRing};
-use drill_faults::{SabotageKind, SabotageSpec};
 use drill_net::{HostId, NetEvent, Packet};
 use drill_sim::Time;
 use drill_telemetry::Probe;
 
 use super::{Event, World};
-use crate::config::AuditSpec;
+use crate::audit::{AnomalyReport, BoundarySample, FlowProgress, SnapshotRing};
 use crate::{ExperimentConfig, Snapshot};
-
-/// Snapshots the audit ring keeps (oldest evicted first).
-const AUDIT_RING_ENTRIES: usize = 4;
-
-/// The audit ring's total-bytes bound (the newest entry always survives).
-const AUDIT_RING_BYTES: usize = 64 << 20;
-
-/// Anomaly reports an audited run records before it stops recording.
-const AUDIT_MAX_REPORTS: usize = 8;
-
-/// Attached whenever `cfg.audit` is set. The auditor observes boundary
-/// samples but never steers, so auditor-on fingerprints are pinned
-/// bit-identical to auditor-off; a run without one has no boundaries and
-/// honours no sabotage.
-pub(super) struct Audit {
-    pub(super) auditor: InvariantAuditor,
-    /// Last-K `DRILLSNAP` ring retaining the most recent *clean*
-    /// boundaries: the rewind pool a trip dumps. It is only ever
-    /// observable through a dump, so it is armed — and the per-boundary
-    /// snapshot cost paid — only when the spec names a `dump_dir`.
-    ring: Option<SnapshotRing>,
-    /// Boundary period in processed events (0 = none counted in events).
-    every: u64,
-    /// Boundary period in simulated time: a quarter of `stuck_after`, so
-    /// a stall of 1.5 × `stuck_after` is seen however few events fall in
-    /// it (zero = none counted in time).
-    period: Time,
-    /// When the next time-counted boundary falls.
-    next_at: Time,
-    /// A trip dumps ring + faulted snapshot + meta exactly once.
-    dumped: bool,
-    /// `cfg.sabotage`; the one-shot `LeakPacket` clears it when it fires.
-    sabotage: Option<SabotageSpec>,
-}
-
-impl Audit {
-    pub(super) fn new(spec: &AuditSpec, sabotage: Option<SabotageSpec>) -> Audit {
-        Audit {
-            auditor: InvariantAuditor::new(spec.stuck_after, AUDIT_MAX_REPORTS),
-            ring: spec
-                .dump_dir
-                .is_some()
-                .then(|| SnapshotRing::new(AUDIT_RING_ENTRIES, AUDIT_RING_BYTES)),
-            every: spec.every_events,
-            period: Time::from_nanos(spec.stuck_after.as_nanos() / 4),
-            next_at: Time::from_nanos(spec.stuck_after.as_nanos() / 4),
-            dumped: false,
-            sabotage,
-        }
-    }
-
-    /// Whether the one-shot `LeakPacket` sabotage fires at `now`.
-    pub(super) fn leak_due(&mut self, now: Time) -> bool {
-        let due = matches!(
-            self.sabotage,
-            Some(SabotageSpec { at, kind: SabotageKind::LeakPacket }) if now >= at
-        );
-        if due {
-            self.sabotage = None;
-        }
-        due
-    }
-
-    /// Whether the `BlackholeFlow` sabotage discards this packet of
-    /// `flow` at its receiver.
-    pub(super) fn blackholes(&self, flow: u32, is_ack: bool, now: Time) -> bool {
-        matches!(
-            self.sabotage,
-            Some(SabotageSpec { at, kind: SabotageKind::BlackholeFlow { flow: target } })
-                if flow == target && !is_ack && now >= at
-        )
-    }
-}
 
 impl<P: Probe> World<P> {
     /// The `LeakPacket` sabotage (audited runs only; the auditor's
-    /// negative tests): intern a dummy packet and drop the handle.
-    pub(super) fn leak_packet(&mut self, now: Time) {
+    /// negative tests): once `next`, the next pending event's time, is at
+    /// or after its instant, intern a dummy packet and drop the handle
+    /// before that event runs.
+    pub(super) fn leak_if_due(&mut self, next: Option<Time>) {
+        let due = next.filter(|&t| self.audit.as_mut().is_some_and(|a| a.leak_due(t)));
+        let Some(next) = due else {
+            return;
+        };
         self.flows.pkt_ids += 1;
         let id = drill_net::FlowId(u32::MAX);
-        let p = Packet::data(self.flows.pkt_ids, id, HostId(0), HostId(0), 0, 0, 1, now);
+        let p = Packet::data(self.flows.pkt_ids, id, HostId(0), HostId(0), 0, 0, 1, next);
         let _leaked = self.net.arena.insert(p);
     }
 
-    /// The boundaries due after a dispatch: one if the event count is a
-    /// multiple of `every`, then one at each period mark before the next
-    /// pending event and the deadline. The world does not change between
-    /// events, so a mark in an idle stretch samples it as it stands.
+    /// The audit hook after a dispatch: the boundaries due, then a
+    /// `LeakPacket` sabotage due before the next event. A boundary falls
+    /// if the event count is a multiple of `every`, then one at each
+    /// period mark before the next pending event and the deadline. The
+    /// world does not change between events, so a mark in an idle
+    /// stretch samples it as it stands.
     pub(super) fn audit_boundaries(&mut self, events: u64, deadline: Time) {
         let now = self.queue.now();
         if self
@@ -113,16 +47,17 @@ impl<P: Probe> World<P> {
         {
             self.audit_boundary(now);
         }
-        let next = self.queue.peek_time().unwrap_or(now);
+        let next = self.queue.peek_time();
         while let Some(at) = self
             .audit
             .as_ref()
             .filter(|a| a.period > Time::ZERO)
             .map(|a| a.next_at.max(now))
-            .filter(|&at| at < next && at <= deadline)
+            .filter(|&at| at < next.unwrap_or(now) && at <= deadline)
         {
             self.audit_boundary(at);
         }
+        self.leak_if_due(next);
     }
 
     /// Assemble one [`BoundarySample`] as of `now` — between dispatches,
@@ -130,16 +65,15 @@ impl<P: Probe> World<P> {
     /// boundaries feed the snapshot ring; the first tripped boundary
     /// dumps it.
     fn audit_boundary(&mut self, now: Time) {
-        let (mut sample, flows) = self.boundary_sample(now);
+        let sample = self.boundary_sample(now);
         let Some(audit) = self.audit.as_mut() else {
             return;
         };
         audit.next_at = now + audit.period;
-        sample.flows = &flows;
-        let before = audit.auditor.reports().len();
-        audit.auditor.on_boundary(&sample);
+        let before = audit.reports().len();
+        audit.on_boundary(&sample);
         let events = sample.events;
-        if let Some(report) = audit.auditor.reports().get(before).cloned() {
+        if let Some(report) = audit.reports().get(before).cloned() {
             self.audit_trip(report);
         } else if before == 0
             && (audit.ring.as_ref()).is_some_and(|r| r.newest().is_none_or(|e| e.events < events))
@@ -149,19 +83,19 @@ impl<P: Probe> World<P> {
             // Marks in one idle stretch share a snapshot; the first keeps it.
             let bytes = self.snapshot().to_bytes();
             if let Some(ring) = self.audit.as_mut().and_then(|a| a.ring.as_mut()) {
-                ring.push(now, events, bytes);
+                ring.push(events, bytes);
             }
         }
     }
 
-    /// The boundary sample, with its flow rows apart. Holder walk: every
+    /// The boundary sample as of `now`. Holder walk: every
     /// live arena handle is in exactly one of the switch queues (waiting +
     /// in-flight), NIC queues (the in-flight head stays queued until
     /// tx-done), shim reorder buffers, or packet-carrying pending events.
     /// Along the way, find the fullest waiting queue for the ceiling
     /// watchdog, and each flow's earliest pending RTO wake for the
     /// lost-wake one.
-    fn boundary_sample(&mut self, now: Time) -> (BoundarySample<'static>, Vec<FlowProgress>) {
+    fn boundary_sample(&mut self, now: Time) -> BoundarySample {
         let mut holders: u64 = 0;
         let mut max_wait = (0u64, 0u32, 0u16);
         for (si, sw) in self.net.switches.iter().enumerate() {
@@ -207,7 +141,7 @@ impl<P: Probe> World<P> {
                 wake: (wake != Time::MAX).then_some(wake),
             })
             .collect();
-        let sample = BoundarySample {
+        BoundarySample {
             now,
             events: self.queue.events_processed(),
             arena_live: self.net.arena.live() as u64,
@@ -218,9 +152,8 @@ impl<P: Probe> World<P> {
             queue_limit_bytes: self.cfg.queue_limit_bytes,
             nic_backlog_mismatch,
             next_event_time: self.queue.peek_time(),
-            flows: &[],
-        };
-        (sample, flows)
+            flows,
+        }
     }
 
     /// Graceful degradation on a watchdog trip: no panic — dump the
@@ -236,16 +169,14 @@ impl<P: Probe> World<P> {
             return;
         };
         let ring = self.audit.as_ref().and_then(|a| a.ring.as_ref());
-        let result = (|| -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let ring_paths = match ring {
-                Some(ring) => ring.dump(&dir)?,
-                None => Vec::new(),
-            };
+        let result = (|| -> io::Result<()> {
+            fs::create_dir_all(&dir)?;
+            let rewind = write_ring(ring, &dir)?;
             self.snapshot().save(dir.join(FAULTED_FILE))?;
-            let newest = ring_paths.last().zip(ring.and_then(|r| r.newest()));
-            let rewind = newest.and_then(|(p, e)| Some((p.file_name()?.to_str()?, e.events)));
-            std::fs::write(dir.join(META_FILE), meta_text(&report, rewind))
+            let rewind = rewind
+                .as_ref()
+                .map(|(file, events)| (file.as_str(), *events));
+            fs::write(dir.join(META_FILE), meta_text(&report, rewind))
         })();
         if let Err(e) = result {
             eprintln!("audit dump {}: {e}", dir.display());
@@ -258,6 +189,20 @@ const META_FILE: &str = "anomaly.meta";
 
 /// The file a trip writes the snapshot of the tripped boundary into.
 const FAULTED_FILE: &str = "faulted.drillsnap";
+
+/// Write every retained ring snapshot into `dir` as
+/// `ring-<idx>-<events>.drillsnap` (idx 0 = oldest; the highest idx is
+/// the rewind point closest to the anomaly). Returns the newest one's
+/// file name and event count: the `rewind=` / `rewind_events=` pointer.
+fn write_ring(ring: Option<&SnapshotRing>, dir: &Path) -> io::Result<Option<(String, u64)>> {
+    let mut newest = None;
+    for (i, e) in ring.into_iter().flat_map(SnapshotRing::entries).enumerate() {
+        let file = format!("ring-{i:03}-{}.drillsnap", e.events);
+        fs::write(dir.join(&file), &e.bytes)?;
+        newest = Some((file, e.events));
+    }
+    Ok(newest)
+}
 
 /// The text of `anomaly.meta`: the report's `key=value` lines, then
 /// `rewind=` / `rewind_events=` naming the newest clean ring snapshot
@@ -276,7 +221,7 @@ fn meta_text(report: &AnomalyReport, rewind: Option<(&str, u64)>) -> String {
 /// the ring snapshot to rewind to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AnomalyMeta {
-    /// The tripped watchdog ([`AnomalyKind::name`](drill_audit::AnomalyKind::name)).
+    /// The tripped watchdog ([`AnomalyKind::name`](crate::AnomalyKind::name)).
     pub kind: String,
     /// Simulated time of the tripped boundary.
     pub at: Time,
@@ -295,7 +240,7 @@ impl AnomalyMeta {
     pub fn read(dir: &Path) -> io::Result<AnomalyMeta> {
         let path = dir.join(META_FILE);
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let text = std::fs::read_to_string(&path)
+        let text = fs::read_to_string(&path)
             .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         let get = |key: &str| {
             let value = text
@@ -321,7 +266,7 @@ impl AnomalyMeta {
 
 /// Rewind-replay a trip's dump in `dir`: restore its newest clean ring
 /// snapshot with `probe` attached, under `cfg` — the config of the run
-/// that wrote the dump — with `audit` and `sabotage` cleared and
+/// that wrote the dump — with `audit` (and so its sabotage) cleared and
 /// `max_events` set to the anomaly's event count. Finishing the returned
 /// world re-runs exactly the window up to the tripped boundary. An
 /// unreadable dump, a corrupt snapshot or a `cfg` that does not match it
@@ -335,7 +280,6 @@ pub fn rewind_replay<P: Probe>(
     let snap = Snapshot::load(&meta.rewind)?;
     let mut cfg = cfg.clone();
     cfg.audit = None;
-    cfg.sabotage = None;
     cfg.max_events = meta.events;
     let w = World::restore_probed(&snap, &cfg, probe)?;
     Ok((meta, w))
@@ -344,7 +288,7 @@ pub fn rewind_replay<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drill_audit::AnomalyKind;
+    use crate::AnomalyKind;
 
     const REWIND: (&str, u64) = ("ring-003-120000.drillsnap", 120_000);
 
@@ -402,6 +346,28 @@ mod tests {
             }
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ring_dump_writes_oldest_first() {
+        let dir = std::env::temp_dir().join(format!("drill-audit-ring-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut r = SnapshotRing::new(2, usize::MAX);
+        r.push(111, b"aaa".to_vec());
+        r.push(222, b"bbb".to_vec());
+        let newest = write_ring(Some(&r), &dir).unwrap();
+        assert_eq!(newest, Some(("ring-001-222.drillsnap".into(), 222)));
+        assert_eq!(
+            fs::read(dir.join("ring-000-111.drillsnap")).unwrap(),
+            b"aaa"
+        );
+        assert_eq!(
+            fs::read(dir.join("ring-001-222.drillsnap")).unwrap(),
+            b"bbb"
+        );
+        assert_eq!(write_ring(None, &dir).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

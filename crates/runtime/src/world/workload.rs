@@ -22,7 +22,10 @@ pub(super) struct Workload {
     pub(super) pending: Option<FlowSpec>,
     /// Table 1's elephant destinations (synthetic mode only).
     synth: Option<TrafficPattern>,
-    leaf_of: Vec<u32>,
+    /// Table 1's mice destinations: any host under another leaf
+    /// (synthetic mode only). Bound `Uniform` has no cursor, so it is not
+    /// saved.
+    mice: Option<TrafficPattern>,
 }
 
 impl Workload {
@@ -55,12 +58,16 @@ impl Workload {
             let pattern = cfg.workload.pattern.clone();
             pattern.bind(leaf_of.clone(), &mut rng)
         });
+        let mice = cfg.synthetic.as_ref().map(|_| {
+            // Binding `Uniform` draws nothing from `rng`.
+            TrafficPattern::Uniform.bind(leaf_of, &mut rng)
+        });
         Workload {
             rng,
             gen,
             pending: None,
             synth,
-            leaf_of,
+            mice,
         }
     }
 
@@ -73,15 +80,12 @@ impl Workload {
         }
     }
 
-    /// A uniformly drawn host under another leaf than `src`'s.
-    pub(super) fn other_leaf_dst(&mut self, src: u32) -> u32 {
-        let my_leaf = self.leaf_of[src as usize];
-        loop {
-            let d = self.rng.below(self.leaf_of.len()) as u32;
-            if self.leaf_of[d as usize] != my_leaf {
-                return d;
-            }
-        }
+    /// The next mice destination for `src`: a uniformly drawn host under
+    /// another leaf.
+    pub(super) fn mice_dst(&mut self, src: u32) -> u32 {
+        let pattern = self.mice.as_mut();
+        let pattern = pattern.expect("synthetic mode has a mice pattern");
+        pattern.pick_dst(src, &mut self.rng)
     }
 
     /// The synthetic pattern's next elephant destination for `src`.

@@ -22,5 +22,5 @@
 mod shim;
 mod tcp;
 
-pub use shim::{ShimBuffer, SHIM_DEFAULT_TIMEOUT};
+pub use shim::{ShimBuffer, SHIM_DEFAULT_TIMEOUT, SHIM_FLUSH_THRESHOLD};
 pub use tcp::{TcpConfig, TcpFlow, DUPACK_THRESH, GRO_BATCH_LIMIT};

@@ -22,6 +22,8 @@ use drill_net::{PacketArena, PacketRef};
 use drill_sim::codec::{put_opt_time, put_varint, Decoder};
 use drill_sim::Time;
 
+use crate::DUPACK_THRESH;
+
 /// Default hold timeout before a gap is declared a loss and the buffer is
 /// flushed (roughly one loaded fabric RTT: long enough to absorb
 /// microburst-scale reordering, short enough not to stall TCP's
@@ -30,12 +32,12 @@ pub const SHIM_DEFAULT_TIMEOUT: Time = Time::from_micros(100);
 
 /// Default: once this many packets are held above a gap, the gap is
 /// declared a loss and the buffer flushes immediately — the same
-/// 3-packets-passed-me evidence TCP's duplicate-ACK threshold uses. Keeps
-/// the shim from stalling ACK clocking behind real losses. Schemes that
-/// reorder at coarser granularity (Presto's 64 KB flowcells can race a
-/// whole cell ahead) configure a correspondingly larger threshold via
-/// [`ShimBuffer::with_threshold`].
-pub const SHIM_FLUSH_THRESHOLD: usize = 3;
+/// 3-packets-passed-me evidence TCP's duplicate-ACK threshold
+/// ([`DUPACK_THRESH`]) uses. Keeps the shim from stalling ACK clocking
+/// behind real losses. Schemes that reorder at coarser granularity
+/// (Presto's 64 KB flowcells can race a whole cell ahead) configure a
+/// correspondingly larger threshold via [`ShimBuffer::with_threshold`].
+pub const SHIM_FLUSH_THRESHOLD: usize = DUPACK_THRESH as usize;
 
 /// Per-flow reordering buffer. It owns its flush deadline: the caller
 /// schedules a wake at each deadline [`on_packet`](ShimBuffer::on_packet)

@@ -54,12 +54,16 @@ echo "== retired build/run modes stay retired =="
 # ClosSpec::fat_tree; the word match spares the test
 # fat_tree_custom_matches_eager, which keeps its name),
 # TcpConfig::rto_init (a flow's first RTO is rto_min) and the NIC's
-# TRAIN_MSS (MSS_BYTES is the one full-frame payload);
+# TRAIN_MSS (MSS_BYTES is the one full-frame payload); so were the
+# drill-audit crate and its InvariantAuditor (the auditor is
+# drill_runtime's audit module, one Audit per world) and the
+# ExperimentConfig sabotage field (a sabotage is AuditSpec::sabotage,
+# so it cannot be set without an auditor to catch it);
 # nothing may select them again. (This script names them, so it is
 # excluded; history lives in the .md files, which are not searched. The
 # frozen benchmark/ still scrubs DRILL_SHARDS from its children's
 # environment, so it is excluded too.)
-if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo|PerFlowDrill|random_flaps|RecoveryOpts|die-after|checkpoint-every|checkpoint-path|TopoSpec::FatTree|FatTree \{|\bfat_tree_custom\b|rto_init|TRAIN_MSS' \
+if grep -rnE 'heap-queue|fat-events|eager_control_plane|criterion-benches|install_symmetric_groups_eager|Quiver::build|DEFAULT_PATH_CAP|DRILL_SHARDS|ShardPlan|EngineQueue|push_with_seq|shards_from_env|inner_budget|warm_start|run_warm|CheckpointPolicy|fail_at|ospf_delay|rebuild_switch|QueueSampler|PortSeries|DEFAULT_SAMPLE_EVERY|port_fifo|TRACE_VERSION_MIN|RingKind::Engine|proptest|drain_net|HORIZON|replenish|reclaim_stale|run_has_live|\bpush_after\b|timer_generation|rto_deadline|sched_gen|rto_due|\btimer_gen\b|snapio|TraceRing|SNAP_VERSION_MIN|FLAG_RESERVED_LAYOUT|put_net_event|get_net_event|EXACT_SPILL_LIMIT|with_spill_limit|spill_limit|TelemetrySpec|trace_path|DRILL_TELEMETRY|DRILL_AUDIT|chaosbench|fct_tables|sweep_grid|cdf_table|DRILLTRC|write_trace|read_trace|TRACE_MAGIC|flap_train|web_search|data_mining|replay_from|sabotage_run|audit_demo|PerFlowDrill|random_flaps|RecoveryOpts|die-after|checkpoint-every|checkpoint-path|TopoSpec::FatTree|FatTree \{|\bfat_tree_custom\b|rto_init|TRAIN_MSS|drill_audit|drill::audit|InvariantAuditor|cfg\.sabotage' \
     --include='*.toml' --include='*.rs' --include='*.sh' \
     --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
     --exclude-dir=benchmark --exclude=ci.sh .; then

@@ -25,12 +25,12 @@
 //!   patterns, incast.
 //! * [`faults`] — the chaos engine: deterministic fault-injection
 //!   schedules (link flaps, switch outages, degradation, lossy links).
-//! * [`runtime`] — experiment configuration and execution.
+//! * [`runtime`] — experiment configuration and execution, and the
+//!   invariant auditor: runtime watchdogs, typed anomaly reports, and the
+//!   in-memory `DRILLSNAP` ring behind rewind-replay diagnostics.
 //! * [`hw`] — the hardware area model.
 //! * [`telemetry`] — zero-overhead probes, the in-memory flight recorder
 //!   and its analyzers (queue time series, `tracedump`'s tables).
-//! * [`audit`] — runtime invariant watchdogs, typed anomaly reports, and
-//!   the in-memory `DRILLSNAP` ring behind rewind-replay diagnostics.
 //! * [`snapshot`] — the `DRILLSNAP` checkpoint container (tagged
 //!   sections, FNV-1a trailer checksum).
 //!
@@ -53,7 +53,6 @@
 //! assert!(stats.completion_rate() > 0.9);
 //! ```
 
-pub use drill_audit as audit;
 pub use drill_core as core;
 pub use drill_exec as exec;
 pub use drill_faults as faults;

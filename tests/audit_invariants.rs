@@ -11,12 +11,12 @@ mod support;
 
 use std::path::PathBuf;
 
-use drill::audit::{AnomalyKind, AnomalyReport};
-use drill::faults::{FaultKind, FaultSchedule, SabotageKind, SabotageSpec};
+use drill::faults::{FaultKind, FaultSchedule};
 use drill::net::{LeafSpineSpec, Vl2Spec, DEFAULT_PROP};
 use drill::runtime::{
-    random_leaf_spine_failures, rewind_replay, run, run_audited, run_recorded, AnomalyMeta,
-    AuditSpec, ExperimentConfig, Scheme, Snapshot, SyntheticMode, TopoSpec, World,
+    random_leaf_spine_failures, rewind_replay, run, run_audited, run_recorded, AnomalyKind,
+    AnomalyMeta, AnomalyReport, AuditSpec, ExperimentConfig, SabotageKind, SabotageSpec, Scheme,
+    Snapshot, SyntheticMode, TopoSpec, World,
 };
 use drill::sim::codec::codec_error;
 use drill::sim::Time;
@@ -259,11 +259,11 @@ fn leak_cfg(dump: Option<PathBuf>) -> ExperimentConfig {
     cfg.audit = Some(AuditSpec {
         every_events: 2_000,
         dump_dir: dump,
+        sabotage: Some(SabotageSpec {
+            at: Time::from_micros(500),
+            kind: SabotageKind::LeakPacket,
+        }),
         ..AuditSpec::default()
-    });
-    cfg.sabotage = Some(SabotageSpec {
-        at: Time::from_micros(500),
-        kind: SabotageKind::LeakPacket,
     });
     cfg
 }
@@ -323,11 +323,11 @@ fn blackhole_cfg() -> ExperimentConfig {
     cfg.audit = Some(AuditSpec {
         every_events: 2_000,
         stuck_after: Time::from_millis(1),
+        sabotage: Some(SabotageSpec {
+            at: Time::from_nanos(0),
+            kind: SabotageKind::BlackholeFlow { flow: 0 },
+        }),
         ..AuditSpec::default()
-    });
-    cfg.sabotage = Some(SabotageSpec {
-        at: Time::from_nanos(0),
-        kind: SabotageKind::BlackholeFlow { flow: 0 },
     });
     cfg
 }
